@@ -66,16 +66,31 @@ class Residual:
     norm: float
 
 
-def residual_values(u: PeriodicSequence, prob: Problem, eps: float = 0.0) -> np.ndarray:
-    """Raw (m, n) residual array; raises EvaluationError on non-finite output."""
-    vals = u.values
-    m = prob.m
-    d = np.roll(vals, -1, axis=0) - vals  # row k-1 holds Delta u(k)
-    a = _phi_rows(d, prob.exponent.values, eps=eps)
-    lhs = a - np.roll(a, 1, axis=0)  # row k-1 holds phi(Delta u(k)) - phi(Delta u(k-1))
+def residual_values(
+    u: PeriodicSequence | np.ndarray, prob: Problem, eps: float = 0.0
+) -> np.ndarray:
+    """Raw (m, n) residual array at u, a PeriodicSequence or an (m, n) array.
 
-    up = np.roll(vals, -1, axis=0)  # u(k+1)
-    um = np.roll(vals, 1, axis=0)  # u(k-1)
+    Raises EvaluationError when the input or the output has a non-finite
+    entry, and ValueError when the shape is not (prob.m, prob.n).
+    """
+    if isinstance(u, PeriodicSequence):
+        vals = u.values
+    else:
+        # A read-only view, so a callback cannot write into the caller's iterate.
+        vals = np.asarray(u, dtype=float).view()
+        vals.flags.writeable = False
+        if not np.all(np.isfinite(vals)):
+            raise EvaluationError("residual evaluated at a non-finite sequence")
+    m = prob.m
+    if vals.shape != (m, prob.n):
+        raise ValueError(f"sequence shape {vals.shape} does not match ({m}, {prob.n})")
+    up = np.concatenate((vals[1:], vals[:1]))  # row k-1 holds u(k+1)
+    um = np.concatenate((vals[-1:], vals[:-1]))  # row k-1 holds u(k-1)
+    d = up - vals  # row k-1 holds Delta u(k)
+    a = _phi_rows(d, prob.exponent.values, eps=eps)
+    lhs = a - np.concatenate((a[-1:], a[:-1]))  # phi(Delta u(k)) - phi(Delta u(k-1))
+
     coupling = np.empty_like(vals)
     for k in range(1, m + 1):
         coupling[k - 1] = prob.nonlinearity.f(k, up[k - 1], vals[k - 1], um[k - 1])

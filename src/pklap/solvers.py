@@ -38,7 +38,6 @@ SUBSPACE_W = "W"
 
 OBJECTIVE_ACTION = "J_m"
 OBJECTIVE_NEG_ACTION = "neg_J_m"
-OBJECTIVE_SPLIT = "mu_plus_lambda_J"  # identical values; kept as a route label
 
 DIVERGENCE_GUARD = 1e6
 
@@ -112,8 +111,8 @@ class _System:
         return x if self.q is None else self.q.T @ x
 
     def g_full(self, x: np.ndarray) -> np.ndarray:
-        seq = PeriodicSequence.from_flat(x, self.prob.m, self.prob.n)
-        return residual_values(seq, self.prob, eps=self.eps).reshape(-1)
+        vals = residual_values(x.reshape(self.prob.m, self.prob.n), self.prob, eps=self.eps)
+        return vals.reshape(-1)
 
     def g(self, y: np.ndarray) -> np.ndarray:
         gx = self.g_full(self.to_full(y))
@@ -142,7 +141,9 @@ def _newton_iterate(
 
     g_fn/jac_fn override the system functions (used by deflation); the
     default is the plain residual.  A singular Jacobian falls back to the
-    minimum-norm least-squares step.
+    minimum-norm least-squares step.  The line search stops as soon as a
+    trial point equals the iterate byte for byte: every shorter step gives
+    the same point and the same rejection.
     """
     g_fn = g_fn or system.g
     jac_fn = jac_fn or system.jacobian
@@ -180,8 +181,11 @@ def _newton_iterate(
             break
         alpha = 1.0
         accepted = False
+        y_bytes = y.tobytes()
         for _ in range(30):
             y_new = y + alpha * delta
+            if y_new.tobytes() == y_bytes:
+                break
             try:
                 g_new = g_fn(y_new)
             except EvaluationError:
@@ -291,6 +295,42 @@ def _deflation_terms(
     return factor, factor * log_grad
 
 
+def _deflated_system(system: _System, known: np.ndarray, cfg: SolverConfig):
+    """Deflated residual M(y) g(y) and its Jacobian M J + g (grad M)^T.
+
+    known is a (K, dim) array of solutions in the system's coordinates and
+    M(y) = prod_i (||y - y_i||^-power + shift).  g_defl raises EvaluationError
+    at a known solution.  Newton asks for the Jacobian at the point whose
+    deflated residual it has just accepted, so the factor, its gradient and
+    the residual of the last g_defl call are kept (keyed on the iterate's
+    bytes) and reused by jac_defl instead of being computed again.
+    """
+    last: dict = {}
+
+    def terms(y: np.ndarray):
+        key = y.tobytes()
+        if key not in last:
+            factor, dfactor = _deflation_terms(
+                y, known, cfg.deflation_power, cfg.deflation_shift
+            )
+            if not math.isfinite(factor):
+                raise EvaluationError("deflated residual at a known solution")
+            g = system.g(y)
+            last.clear()
+            last[key] = (factor, dfactor, g)
+        return last[key]
+
+    def g_defl(y: np.ndarray) -> np.ndarray:
+        factor, _, g = terms(y)
+        return factor * g
+
+    def jac_defl(y: np.ndarray) -> np.ndarray:
+        factor, dfactor, g = terms(y)
+        return factor * system.jacobian(y) + np.outer(g, dfactor)
+
+    return g_defl, jac_defl
+
+
 def deflated_solve(
     prob: Problem,
     known,
@@ -307,20 +347,7 @@ def deflated_solve(
     if not known_flat:
         return newton_solve(prob, u0, cfg)
     system = _System(prob)
-
-    def g_defl(y: np.ndarray) -> np.ndarray:
-        factor, _ = _deflation_terms(y, known_flat, cfg.deflation_power, cfg.deflation_shift)
-        if not math.isfinite(factor):
-            raise EvaluationError("deflated residual evaluated at a known solution")
-        return factor * system.g_full(y)
-
-    def jac_defl(y: np.ndarray) -> np.ndarray:
-        factor, dfactor = _deflation_terms(
-            y, known_flat, cfg.deflation_power, cfg.deflation_shift
-        )
-        g = system.g_full(y)
-        return factor * system.jacobian(y) + np.outer(g, dfactor)
-
+    g_defl, jac_defl = _deflated_system(system, np.array(known_flat), cfg)
     x, _, converged, _ = _newton_iterate(
         system, u0.flat(), cfg, g_fn=g_defl, jac_fn=jac_defl
     )
@@ -371,7 +398,7 @@ def _flat_connected(a: np.ndarray, b: np.ndarray, prob: Problem, bar: float) -> 
     for t in (0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875):
         x = a + t * (b - a)
         try:
-            vals = residual_values(PeriodicSequence.from_flat(x, prob.m, prob.n), prob)
+            vals = residual_values(x.reshape(prob.m, prob.n), prob)
         except EvaluationError:
             return False
         if float(np.linalg.norm(vals)) > bar:
@@ -398,8 +425,7 @@ def minimize(
 ) -> Optional[SolutionRecord]:
     """Minimise the action (or its negation) over a subspace.
 
-    objective "J_m" and "mu_plus_lambda_J" denote the same function (the two
-    names reflect the two analytic routes); "neg_J_m" maximises the action.
+    objective "J_m" minimises the action and "neg_J_m" maximises it.
     Runs L-BFGS followed by a reduced Newton polish on the projected
     gradient.  Iterates escaping a large ball trigger the divergence guard:
     the objective is reported as non-coercive and None is returned.
@@ -407,7 +433,7 @@ def minimize(
     from scipy.optimize import minimize as scipy_minimize
 
     cfg = cfg or SolverConfig()
-    if objective not in (OBJECTIVE_ACTION, OBJECTIVE_NEG_ACTION, OBJECTIVE_SPLIT):
+    if objective not in (OBJECTIVE_ACTION, OBJECTIVE_NEG_ACTION):
         raise ValueError(f"unknown objective {objective!r}")
     sign = -1.0 if objective == OBJECTIVE_NEG_ACTION else 1.0
     system = _System(prob, subspace=subspace)
@@ -680,22 +706,10 @@ def find_multiple(
     # stage 2: deflation rounds until a round adds nothing new
     for round_no in range(10):
         added = False
-        known = [system.to_reduced(r.u.flat()) for r in records]
-        if not known:
+        if not records:
             break
-
-        def g_defl(y, known=known):
-            factor, _ = _deflation_terms(y, known, cfg.deflation_power, cfg.deflation_shift)
-            if not math.isfinite(factor):
-                raise EvaluationError("deflated residual at a known solution")
-            return factor * system.g(y)
-
-        def jac_defl(y, known=known):
-            factor, dfactor = _deflation_terms(
-                y, known, cfg.deflation_power, cfg.deflation_shift
-            )
-            return factor * system.jacobian(y) + np.outer(system.g(y), dfactor)
-
+        known = np.array([system.to_reduced(r.u.flat()) for r in records])
+        g_defl, jac_defl = _deflated_system(system, known, cfg)
         for i in range(cfg.starts):
             rng = rng_for(cfg.seed, 211 + round_no, i)
             v = rng.normal(size=system.dim)
@@ -730,8 +744,7 @@ def find_multiple(
     if prob.nonlinearity.even_symmetric and records:
         symmetry_ok = True
         for rec in records:
-            mirrored = PeriodicSequence(-rec.u.values)
-            norm = float(np.linalg.norm(residual_values(mirrored, prob)))
+            norm = float(np.linalg.norm(residual_values(-rec.u.values, prob)))
             if norm > 10.0 * cfg.residual_tol:
                 symmetry_ok = False
                 break
@@ -771,7 +784,8 @@ def lambda_sweep(
         prob_l = prob.with_lambda(lam)
         try:
             sol = find_multiple(prob_l, cfg, subspace=subspace, extra_starts=warm)
-        except Exception as exc:  # keep sweeping past a bad grid point
+        except (EvaluationError, np.linalg.LinAlgError) as exc:
+            # a numerical failure at one grid point is reported, not fatal
             failures.append((lam, f"{type(exc).__name__}: {exc}"))
             sets.append(SolutionSet(records=(), subspace=subspace, seed=cfg.seed))
             counts.append(0)

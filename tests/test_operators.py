@@ -8,8 +8,10 @@ from pklap.core import (
     PeriodicSequence,
     Problem,
 )
+from pklap.nonlinearities import make_builtin
 from pklap.operators import (
     Residual,
+    _phi_rows,
     forward_difference,
     phi_p,
     residual,
@@ -40,6 +42,27 @@ def _problem(values, p=2.0, lam=1.0, n=1):
             lam=lam,
         ),
     )
+
+
+def _product_nl(m):
+    """n = 2 coupling F = |u1|^2 |u2|^2 with its two partial gradients."""
+
+    def F(k, u1, u2):
+        a = np.asarray(u1, dtype=float)
+        b = np.asarray(u2, dtype=float)
+        return float(np.sum(a * a) * np.sum(b * b))
+
+    def F2(k, u1, u2):
+        a = np.asarray(u1, dtype=float)
+        b = np.asarray(u2, dtype=float)
+        return 2.0 * a * float(np.sum(b * b))
+
+    def F3(k, u1, u2):
+        a = np.asarray(u1, dtype=float)
+        b = np.asarray(u2, dtype=float)
+        return float(np.sum(a * a)) * 2.0 * b
+
+    return Nonlinearity(m=m, F=F, F2_prime=F2, F3_prime=F3, n=2)
 
 
 def test_forward_difference_wraps():
@@ -167,23 +190,7 @@ def test_residual_agrees_with_componentwise_definition():
     arr = rng.normal(size=(5, 2))
     u = PeriodicSequence(arr)
     p = ExponentFunction(np.array([2.0, 2.5, 3.0, 2.0, 2.2]))
-
-    def F(k, u1, u2):
-        a = np.asarray(u1, dtype=float)
-        b = np.asarray(u2, dtype=float)
-        return float(np.sum(a * a) * np.sum(b * b))
-
-    def F2(k, u1, u2):
-        a = np.asarray(u1, dtype=float)
-        b = np.asarray(u2, dtype=float)
-        return 2.0 * a * float(np.sum(b * b))
-
-    def F3(k, u1, u2):
-        a = np.asarray(u1, dtype=float)
-        b = np.asarray(u2, dtype=float)
-        return float(np.sum(a * a)) * 2.0 * b
-
-    nl = Nonlinearity(m=5, F=F, F2_prime=F2, F3_prime=F3, n=2)
+    nl = _product_nl(5)
     prob = Problem(m=5, n=2, exponent=p, nonlinearity=nl, lam=0.7)
     got = residual_values(u, prob)
 
@@ -196,3 +203,60 @@ def test_residual_agrees_with_componentwise_definition():
             + prob.lam * nl.f(k, u.value(k + 1), u.value(k), u.value(k - 1))
         )
         assert np.allclose(got[k - 1], expect, atol=1e-12)
+
+
+def _roll_residual(vals, prob, eps):
+    """Reference: the residual written with np.roll shifts, row by row."""
+    d = np.roll(vals, -1, axis=0) - vals
+    a = _phi_rows(d, prob.exponent.values, eps=eps)
+    lhs = a - np.roll(a, 1, axis=0)
+    up = np.roll(vals, -1, axis=0)
+    um = np.roll(vals, 1, axis=0)
+    coupling = np.empty_like(vals)
+    for k in range(1, prob.m + 1):
+        coupling[k - 1] = prob.nonlinearity.f(k, up[k - 1], vals[k - 1], um[k - 1])
+    return lhs + prob.lam * coupling
+
+
+class TestRawArrayInput:
+    CASES = [
+        ("example1", 4, {}),
+        ("example2", 3, {}),
+        ("example3", 4, {}),
+        ("power", 5, {"a": 1.0, "b": 0.5, "s": 3.0, "r": 2.5}),
+        ("product_n2", 4, None),
+    ]
+
+    @staticmethod
+    def _case(name, m, params):
+        if name == "product_n2":
+            nl = _product_nl(m)
+        else:
+            nl = make_builtin(name, m, params).nonlinearity
+        p = ExponentFunction(np.linspace(1.5, 3.0, m))
+        return Problem(m=m, n=nl.n, exponent=p, nonlinearity=nl, lam=0.7)
+
+    @pytest.mark.parametrize("name,m,params", CASES)
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_raw_array_matches_sequence_path_exactly(self, name, m, params, eps):
+        prob = self._case(name, m, params)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            arr = rng.normal(size=(m, prob.n))
+            arr[1] = arr[0]  # a vanishing forward difference
+            from_seq = residual_values(PeriodicSequence(arr), prob, eps=eps)
+            from_raw = residual_values(arr, prob, eps=eps)
+            assert np.array_equal(from_raw, from_seq)
+            assert np.array_equal(from_raw, _roll_residual(arr, prob, eps))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raw_input_raises(self, bad):
+        _, prob = _problem([1.0, 2.0, 3.0])
+        arr = np.array([[1.0], [bad], [3.0]])
+        with pytest.raises(EvaluationError):
+            residual_values(arr, prob)
+
+    def test_wrong_shape_is_rejected(self):
+        _, prob = _problem([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            residual_values(np.zeros((4, 1)), prob)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from pklap import solvers
 from pklap.core import (
+    EvaluationError,
     ExponentFunction,
     Nonlinearity,
     PeriodicSequence,
@@ -19,8 +21,11 @@ from pklap.solvers import (
     SolutionSet,
     SolverConfig,
     SweepResult,
+    _deflated_system,
     _deflation_terms,
     _flat_connected,
+    _newton_iterate,
+    _System,
     deflated_solve,
     find_multiple,
     lambda_sweep,
@@ -29,7 +34,7 @@ from pklap.solvers import (
     newton_solve,
     subspace_basis,
 )
-from pklap.nonlinearities import make_example2, make_power
+from pklap.nonlinearities import make_example2, make_example3, make_power
 
 
 def _double_well(lam=1.0, p=2.0):
@@ -125,6 +130,30 @@ class TestNewtonSolve:
         assert np.allclose(np.abs(rec.u.values.reshape(-1)), a, atol=1e-7)
 
 
+def test_converged_newton_skips_dead_line_search_steps():
+    """The closing line search of a converged start stops at the first trial
+    point that equals the iterate, well before its 30 halvings."""
+    system = _System(_double_well())
+    calls = []
+
+    def g_fn(y):
+        calls.append("g")
+        return system.g(y)
+
+    def jac_fn(y):
+        calls.append("jac")
+        return system.jacobian(y)
+
+    y, _, converged, _ = _newton_iterate(
+        system, np.array([0.9, 1.1]), SolverConfig(), g_fn=g_fn, jac_fn=jac_fn
+    )
+    assert converged
+    assert np.allclose(y, [1.0, 1.0], atol=1e-9)
+    last_jac = len(calls) - 1 - calls[::-1].index("jac")
+    closing_search = calls[last_jac + 1 :]
+    assert len(closing_search) < 30
+
+
 class TestDeflation:
     def test_factor_and_gradient_oracle(self):
         # distance 1 from the known point: factor = 1 + shift = 2,
@@ -137,6 +166,31 @@ class TestDeflation:
     def test_exact_hit_is_infinite(self):
         factor, _ = _deflation_terms(np.zeros(2), [np.zeros(2)], 2.0, 1.0)
         assert factor == math.inf
+
+    def test_deflated_system_raises_at_known_point(self):
+        system = _System(_double_well())
+        g_defl, _ = _deflated_system(system, np.array([[1.0, 1.0]]), SolverConfig())
+        with pytest.raises(EvaluationError):
+            g_defl(np.array([1.0, 1.0]))
+
+    def test_deflated_jacobian_matches_central_difference(self):
+        system = _System(_double_well())
+        known = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        cfg = SolverConfig()
+        g_defl, jac_defl = _deflated_system(system, known, cfg)
+        y = np.array([0.3, -0.7])
+        h = 1e-6
+        fd = np.column_stack(
+            [(g_defl(y + h * e) - g_defl(y - h * e)) / (2.0 * h) for e in np.eye(2)]
+        )
+        # the last g_defl call was at another point: jac_defl recomputes
+        cold = jac_defl(y)
+        assert np.allclose(cold, fd, rtol=1e-6, atol=1e-6)
+        # after g_defl(y) the Jacobian reuses its terms and must not change
+        g_defl(y)
+        assert np.array_equal(jac_defl(y), cold)
+        _, fresh_jac = _deflated_system(system, known, cfg)
+        assert np.array_equal(fresh_jac(y), cold)
 
     def test_deflated_solve_escapes_known_well(self):
         prob = _double_well()
@@ -278,6 +332,37 @@ class TestFindMultiple:
         assert (1.0, 1.0) in flats
 
 
+def test_example3_y_solution_set_is_pinned():
+    """Record count and sorted actions of a fixed search, to 1e-12 relative."""
+    nl, _ = make_example3(2)
+    prob = Problem(
+        m=2,
+        n=1,
+        exponent=ExponentFunction.constant(2.0, 2),
+        nonlinearity=nl,
+        lam=10.0,
+    )
+    sols = find_multiple(prob, SolverConfig(starts=4, seed=0), subspace=SUBSPACE_Y)
+    expected = [
+        -0.7758968519439939, -0.7758968519439939, 0.0,
+        11.790473762415179, 11.790473762415179, 13.342267466303166,
+        13.342267466303166, 24.35684437677435, 25.908638080662342,
+        25.908638080662342, 36.92321499113353, 38.475008695021515,
+        38.475008695021515, 49.4895856054927, 49.4895856054927,
+        51.04137930938069, 51.04137930938069, 62.05595621985187,
+        113.87323238117655, 113.87323238117655, 126.43960299553572,
+        139.0059736098949, 176.70508545297238, 226.9705679104091,
+        250.55151543523945, 252.10330913912745, 288.2506272783169,
+        352.63427405400085, 365.2006446683599, 401.34796280754955,
+        453.16523896887423, 476.74618649370456, 577.277151408578,
+        765.7727106239655, 842.7227280140086, 1068.9173990724737,
+        1117.6310878260224, 1571.5722236468407, 1948.5633420776157,
+    ]
+    assert len(sols.records) == len(expected)
+    actions = sorted(r.action_value for r in sols.records)
+    assert actions == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 def test_flat_connected_segments():
     with pytest.warns(RuntimeWarning, match="vanishing alpha"):
         nl, _ = make_power(2, a=0.0, b=0.0, s=2.0, r=2.0)
@@ -316,3 +401,26 @@ class TestLambdaSweep:
         assert res.a_estimate == ((0.5, 1.0),)
         # min action recorded per grid point
         assert res.min_actions[1] == pytest.approx(-0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("error", [EvaluationError, np.linalg.LinAlgError])
+    def test_numerical_failure_is_reported(self, monkeypatch, error):
+        real = solvers.find_multiple
+
+        def failing_at_one(prob, *args, **kwargs):
+            if prob.lam == 1.0:
+                raise error("no residual here")
+            return real(prob, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "find_multiple", failing_at_one)
+        res = lambda_sweep(_double_well(), [0.5, 1.0], SolverConfig(starts=2, seed=0))
+        assert res.failures == ((1.0, f"{error.__name__}: no residual here"),)
+        assert res.counts[1] == 0
+        assert res.counts[0] >= 1
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(solvers, "find_multiple", broken)
+        with pytest.raises(TypeError, match="bad call"):
+            lambda_sweep(_double_well(), [0.5, 1.0], SolverConfig(starts=2, seed=0))
