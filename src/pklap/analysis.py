@@ -157,56 +157,101 @@ def check_c3(u: PeriodicSequence, p: ExponentFunction, slack: float = 1e-10) -> 
 # ---------------------------------------------------------------------------
 
 
-def _difference_energy(u: np.ndarray, p: float) -> float:
-    d = np.roll(u, -1, axis=0) - u
-    return float(np.sum(np.linalg.norm(d, axis=1) ** p))
+# The descent below works on a stack u of shape (starts, m, n); every
+# reduction is taken per start, so a start's arithmetic does not depend on
+# which other starts share the stack.
+
+
+def _difference_energy(u: np.ndarray, p: float) -> np.ndarray:
+    d = np.roll(u, -1, axis=1) - u
+    return np.sum(np.linalg.norm(d, axis=2) ** p, axis=1)
 
 
 def _difference_energy_grad(u: np.ndarray, p: float) -> np.ndarray:
-    d = np.roll(u, -1, axis=0) - u
-    norms = np.linalg.norm(d, axis=1)
+    d = np.roll(u, -1, axis=1) - u
+    norms = np.linalg.norm(d, axis=2)
     with np.errstate(divide="ignore"):
         mags = np.where(norms > 0.0, norms ** (p - 2.0), 0.0)
-    a = mags[:, None] * d
-    return p * (np.roll(a, 1, axis=0) - a)
+    a = mags[:, :, None] * d
+    return p * (np.roll(a, 1, axis=1) - a)
 
 
-def _xi_minimize_once(
-    u0: np.ndarray, p_plus: float, tol: float, max_iter: int
-) -> tuple[float, bool]:
-    """Projected gradient descent on the unit sphere of the zero-mean subspace."""
-    u = u0 - u0.mean(axis=0)
-    u = u / np.linalg.norm(u)
+def _start_norms(u: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each start.
+
+    A stacked matmul of 1 x mn by mn x 1 takes one BLAS dot per start, the
+    same sum np.linalg.norm takes of a single start; norm(..., axis=(1, 2))
+    and einsum sum in another order and differ in the last bits.
+    """
+    f = u.reshape(len(u), math.prod(u.shape[1:]))
+    return np.sqrt(f[:, None, :] @ f[:, :, None]).reshape(-1)
+
+
+def _projected_gradient(u: np.ndarray, p: float) -> np.ndarray:
+    """Gradient of the difference energy projected onto the sphere's tangent space."""
+    g = _difference_energy_grad(u, p)
+    g = g - g.mean(axis=1, keepdims=True)
+    return g - np.sum(g * u, axis=(1, 2))[:, None, None] * u
+
+
+def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
+    """Projected gradient descent on the unit sphere of the zero-mean subspace.
+
+    Runs every start of the stack u0 at once.  Each start keeps its own step
+    size and Armijo line search, and leaves the descent when its projected
+    gradient meets tol, when its line search halves the step below 1e-18, or
+    after max_iter steps.  Returns each start's final value and whether it
+    converged.
+    """
+    u = u0 - u0.mean(axis=1, keepdims=True)
+    u = u / _start_norms(u)[:, None, None]
     val = _difference_energy(u, p_plus)
-    step = 0.1
+    step = np.full(len(u), 0.1)
+    g = np.empty_like(u)
+    gnorm_sq = np.empty(len(u))
+    met_tol = np.zeros(len(u), dtype=bool)
+    active = np.ones(len(u), dtype=bool)
     for _ in range(max_iter):
-        g = _difference_energy_grad(u, p_plus)
-        g = g - g.mean(axis=0)
-        g = g - float(np.sum(g * u)) * u
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return val, True
-        while step > 1e-18:
-            cand = u - step * g
-            cand = cand - cand.mean(axis=0)
-            nc = float(np.linalg.norm(cand))
-            if nc > 1e-12:
-                cand = cand / nc
-                cand_val = _difference_energy(cand, p_plus)
-                if cand_val < val - 1e-4 * step * gnorm**2:
-                    u, val = cand, cand_val
-                    step = min(step * 1.3, 1.0)
-                    break
-            step *= 0.5
-        else:
+        if not active.any():
             break
-    g = _difference_energy_grad(u, p_plus)
-    g = g - g.mean(axis=0)
-    g = g - float(np.sum(g * u)) * u
+        g[active] = _projected_gradient(u[active], p_plus)
+        gnorm = _start_norms(g[active])
+        met_tol[active] = gnorm <= tol
+        # squared by C pow on Python floats, not numpy's x*x: the two differ
+        # in the last bit for about one value in a thousand, and at a near
+        # tie the Armijo test could then accept another step
+        gnorm_sq[active] = [x**2 for x in gnorm.tolist()]
+        active &= ~met_tol
+        searching = active.copy()
+        while searching.any():
+            ids = np.flatnonzero(searching)
+            cand = u[ids] - step[ids, None, None] * g[ids]
+            cand = cand - cand.mean(axis=1, keepdims=True)
+            nc = _start_norms(cand)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = cand / nc[:, None, None]
+            cand_val = _difference_energy(cand, p_plus)
+            accept = (nc > 1e-12) & (
+                cand_val < val[ids] - 1e-4 * step[ids] * gnorm_sq[ids]
+            )
+            took = ids[accept]
+            u[took] = cand[accept]
+            val[took] = cand_val[accept]
+            step[took] = np.minimum(step[took] * 1.3, 1.0)
+            missed = ids[~accept]
+            step[missed] *= 0.5
+            spent = missed[step[missed] <= 1e-18]
+            active[spent] = False
+            searching[took] = False
+            searching[spent] = False
+    converged = met_tol.copy()
+    rest = ~met_tol
+    gnorm = _start_norms(_projected_gradient(u[rest], p_plus))
     # at value stagnation the projected gradient floors near
     # sqrt(eps * curvature * val); 1e-7 relative leaves the value itself
     # accurate to ~gnorm^2, far inside any tolerance used downstream
-    return val, float(np.linalg.norm(g)) <= max(tol, 1e-7 * max(1.0, abs(val)))
+    converged[rest] = gnorm <= np.maximum(tol, 1e-7 * np.maximum(1.0, np.abs(val[rest])))
+    return val, converged
 
 
 def xi_constant(
@@ -222,11 +267,14 @@ def xi_constant(
     """Best constant xi with sum_k |Delta u(k)|^p_plus >= xi * ||u||^p_plus on zero-mean u.
 
     Computed as the minimum of the difference energy over the unit sphere of
-    the zero-mean subspace, by multistart projected gradient descent.  For
+    the zero-mean subspace, by projected gradient descent from `starts`
+    random starts (at least 1), all run at once as one stacked array.  For
     p_plus = 2 the minimum is the smallest nonzero eigenvalue of the cycle
     Laplacian, 2 - 2*cos(2*pi/m), which "auto" returns directly; pass
     method="optimize" to force the optimizer (the eigenvalue then serves as
-    its cross-check).
+    its cross-check).  When no start meets the gradient tolerance a
+    RuntimeWarning is issued and the best value found, an upper bound on
+    the sharp constant, is returned.
     """
     if m < 2:
         raise ValueError(f"period m must be >= 2, got {m}")
@@ -236,25 +284,22 @@ def xi_constant(
         raise ValueError(f"unknown method {method!r}")
     if method == "eigen" and p_plus != 2.0:
         raise ValueError("eigenvalue shortcut only applies to p_plus = 2")
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
     if p_plus == 2.0 and method in ("auto", "eigen"):
         return 2.0 - 2.0 * math.cos(2.0 * math.pi / m)
 
     rng = rng_for(seed, m, n)
-    best = math.inf
-    any_converged = False
-    for _ in range(starts):
-        u0 = _unit_direction(rng, m, n, zero_mean=True)
-        val, ok = _xi_minimize_once(u0, p_plus, tol, max_iter)
-        any_converged = any_converged or ok
-        best = min(best, val)
-    if not any_converged:
+    u0 = np.stack([_unit_direction(rng, m, n, zero_mean=True) for _ in range(starts)])
+    vals, converged = _xi_descent(u0, p_plus, tol, max_iter)
+    if not converged.any():
         warnings.warn(
             "xi_constant: no start met the gradient tolerance; returning the "
             "best value found (an upper bound on the sharp constant)",
             RuntimeWarning,
             stacklevel=2,
         )
-    return best
+    return float(vals.min())
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +416,11 @@ def thresholds(prob: Problem, growth: GrowthProfile, rho1: float | None = None) 
 
     lambda_i = 2^p_plus * m^(p_plus/2) / (p_minus * a) with a the relevant
     minimum of alpha1, alpha2 or their sum; infinite when a vanishes.  Also
-    computes the sharp embedding constant xi and, when rho1 is given, the
-    sublevel radius r2 = sum_k (1/p(k)) (2*rho1)^p(k).
+    computes the sharp embedding constant xi with xi_constant's defaults
+    (2 - 2*cos(2*pi/m) in closed form at p_plus = 2, otherwise a 32-start
+    projected descent run on all starts at once), and, when rho1 is given,
+    the sublevel radius r2 = sum_k (1/p(k)) (2*rho1)^p(k).  `pklap check`
+    takes xi from here rather than computing it a second time.
     """
     pp = prob.exponent.p_plus
     pm = prob.exponent.p_minus

@@ -361,7 +361,6 @@ def cmd_check(args) -> int:
     spec = loaded.builtin
     seed = loaded.solver.seed
 
-    xi = xi_constant(prob.m, prob.n, prob.exponent.p_plus)
     reports = _sampled_c_reports(prob, seed)
 
     thr = None
@@ -370,9 +369,12 @@ def cmd_check(args) -> int:
     if spec.growth is not None:
         rho1 = spec.bounds.rho1 if spec.bounds is not None else None
         thr = thresholds(prob, spec.growth, rho1=rho1)
+        xi = thr.xi
         reports.extend(check_growth(prob.nonlinearity, spec.growth, seed=seed))
         reports.append(anticoercivity_probe(prob, seed=seed, optimize_worst=True))
         r2 = thr.r2
+    else:
+        xi = xi_constant(prob.m, prob.n, prob.exponent.p_plus)
     if spec.bounds is not None:
         reports.extend(check_bounds(prob.nonlinearity, spec.bounds, seed=seed))
         p = prob.exponent.values

@@ -136,9 +136,51 @@ class TestXiConstant:
                 rhs = xi * float(np.linalg.norm(v)) ** pp
                 assert lhs >= rhs - 1e-8 * max(1.0, rhs)
 
+    def test_inequality_on_samples_two_components(self):
+        # n = 2: |Delta v(k)| is the Euclidean norm of a row, and the
+        # descent's norms are taken per start over all m*n entries
+        rng = np.random.default_rng(5)
+        m, n = 5, 2
+        for pp in (2.5, 3.0):
+            xi = xi_constant(m, n, pp)
+            violations = 0
+            for _ in range(1000):
+                v = rng.normal(size=(m, n))
+                v -= v.mean(axis=0)
+                nv = float(np.linalg.norm(v))
+                if nv < 1e-9:
+                    continue
+                d = np.roll(v, -1, axis=0) - v
+                lhs = float(np.sum(np.linalg.norm(d, axis=1) ** pp))
+                rhs = xi * nv**pp
+                violations += lhs < rhs - 1e-8 * max(1.0, rhs)
+            assert violations == 0
+
+    @pytest.mark.parametrize(
+        "m, n, pp, expected",
+        [
+            (8, 1, 3.0, 0.1755284184294037),
+            (12, 1, 3.0, 0.04509616718905767),
+            (5, 2, 3.0, 0.7265425280053608),
+            (9, 1, 4.0, 0.030784461948426864),
+        ],
+    )
+    def test_pinned_values(self, m, n, pp, expected):
+        # exact values of the default seed and starts; any change to the
+        # descent's arithmetic or to the start draws moves them
+        assert xi_constant(m, n, pp) == expected
+
+    def test_unconverged_descent_warns_and_returns_best(self):
+        with pytest.warns(RuntimeWarning, match="no start met the gradient tolerance"):
+            xi = xi_constant(8, 1, 3.0, max_iter=1)
+        assert xi == 0.30327385805164697
+
     def test_validation(self):
         with pytest.raises(ValueError):
             xi_constant(1)
+        for starts in (0, -3):
+            with pytest.raises(ValueError, match="starts"):
+                xi_constant(8, p_plus=3.0, starts=starts)
         with pytest.raises(ValueError):
             xi_constant(3, p_plus=0.5)
         with pytest.raises(ValueError):

@@ -1,14 +1,18 @@
 import filecmp
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import pklap.analysis as analysis
 import pklap.cli as cli
 from pklap.core import Nonlinearity
 from pklap.nonlinearities import BuiltinSpec, make_builtin, make_power
 from pklap.solvers import SolutionSet
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _config(tmp_path, name="cfg.json", **overrides):
@@ -177,6 +181,25 @@ class TestCheck:
         assert route["lambda_interval"][1] == pytest.approx(2.149126479012437)
         names = {rep["name"] for rep in payload["reports"]}
         assert {"A.7", "A.8", "A.9", "B.2", "B.3"} <= names
+
+    @pytest.mark.parametrize("name", ["power_borderline", "example3_sweep"])
+    def test_xi_computed_once(self, tmp_path, monkeypatch, name):
+        # power_borderline has a growth profile, so thresholds() computes
+        # xi; example3_sweep has bounds only
+        calls = []
+        real = analysis.xi_constant
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "xi_constant", counted)
+        monkeypatch.setattr(cli, "xi_constant", counted)
+        cfg = str(CONFIGS / f"{name}.json")
+        out = str(tmp_path / "check.json")
+        assert cli.main(["check", cfg, "--output", out]) == cli.EXIT_OK
+        assert len(calls) == 1
+        assert json.loads(open(out).read())["xi"] == real(*calls[0])
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _config(tmp_path)
