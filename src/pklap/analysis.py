@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .core import (
     PeriodicSequence,
     Problem,
     euclidean_norm,
-    wrap_index,
 )
 from .functional import action, mu, potential
 from .operators import residual_values
@@ -86,16 +85,24 @@ class CheckReport:
 
 
 def _jsonable(obj):
+    """Plain JSON types for obj: numpy values become Python ones, tuples
+    become lists, and non-finite floats become "inf", "-inf" or "nan", so
+    the JSON stays standard."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        x = float(obj)
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
     return obj
 
 
@@ -276,6 +283,24 @@ def xi_constant(
     RuntimeWarning is issued and the best value found, an upper bound on
     the sharp constant, is returned.
     """
+    return _xi_search(m, n, p_plus, method, starts, tol, seed, max_iter)[0]
+
+
+def _xi_search(
+    m: int,
+    n: int = 1,
+    p_plus: float = 2.0,
+    method: str = "auto",
+    starts: int = 32,
+    tol: float = 1e-10,
+    seed: int = 0,
+    max_iter: int = 5000,
+) -> tuple[float, bool]:
+    """xi_constant's value together with whether any start converged.
+
+    When none did, the value is only an upper bound on the sharp constant
+    and a RuntimeWarning is issued, attributed to the caller's caller.
+    """
     if m < 2:
         raise ValueError(f"period m must be >= 2, got {m}")
     if p_plus < 1.0:
@@ -287,7 +312,7 @@ def xi_constant(
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     if p_plus == 2.0 and method in ("auto", "eigen"):
-        return 2.0 - 2.0 * math.cos(2.0 * math.pi / m)
+        return 2.0 - 2.0 * math.cos(2.0 * math.pi / m), True
 
     rng = rng_for(seed, m, n)
     u0 = np.stack([_unit_direction(rng, m, n, zero_mean=True) for _ in range(starts)])
@@ -297,9 +322,9 @@ def xi_constant(
             "xi_constant: no start met the gradient tolerance; returning the "
             "best value found (an upper bound on the sharp constant)",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return float(vals.min())
+    return float(vals.min()), bool(converged.any())
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +434,8 @@ class Thresholds:
     lambda3: float
     xi: float
     r2: Optional[float] = None
+    # False when xi's descent did not converge and xi is only an upper bound
+    xi_converged: bool = True
 
 
 def thresholds(prob: Problem, growth: GrowthProfile, rho1: float | None = None) -> Thresholds:
@@ -420,7 +447,9 @@ def thresholds(prob: Problem, growth: GrowthProfile, rho1: float | None = None) 
     (2 - 2*cos(2*pi/m) in closed form at p_plus = 2, otherwise a 32-start
     projected descent run on all starts at once), and, when rho1 is given,
     the sublevel radius r2 = sum_k (1/p(k)) (2*rho1)^p(k).  `pklap check`
-    takes xi from here rather than computing it a second time.
+    takes xi from here rather than computing it a second time.  When no
+    start of the descent converges, xi is only an upper bound on the sharp
+    constant: a RuntimeWarning is issued and xi_converged is False.
     """
     pp = prob.exponent.p_plus
     pm = prob.exponent.p_minus
@@ -437,12 +466,14 @@ def thresholds(prob: Problem, growth: GrowthProfile, rho1: float | None = None) 
             raise ValueError(f"rho1 must be positive, got {rho1}")
         p = prob.exponent.values
         r2 = float(np.sum((2.0 * rho1) ** p / p))
+    xi, xi_converged = _xi_search(prob.m, prob.n, pp)
     return Thresholds(
         lambda1=ratio(a1),
         lambda2=ratio(a2),
         lambda3=ratio(a1 + a2),
-        xi=xi_constant(prob.m, prob.n, pp),
+        xi=xi,
         r2=r2,
+        xi_converged=xi_converged,
     )
 
 
@@ -451,12 +482,64 @@ def thresholds(prob: Problem, growth: GrowthProfile, rho1: float | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def _signed_point(rng: np.random.Generator, magnitude: float, n: int) -> np.ndarray:
-    """A vector of the given Euclidean magnitude with random orientation."""
+def _signed_point(rng: np.random.Generator, magnitude: float, n: int):
+    """A vector of the given Euclidean magnitude with random orientation.
+
+    For n = 1 the single component is returned as a float.
+    """
     if n == 1:
-        return np.array([magnitude * (1.0 if rng.random() < 0.5 else -1.0)])
+        return magnitude * (1.0 if rng.random() < 0.5 else -1.0)
     v = _unit_direction(rng, n, 1, zero_mean=False).reshape(-1)
     return magnitude * v
+
+
+def _draw(rng: np.random.Generator, count: int, n: int, draw):
+    """count samples of draw(rng) -> (k, u1, u2, *extra), taken in order
+    from the stream and stored in preallocated arrays K, U1, U2, extra."""
+    K = np.empty(count, dtype=np.int64)
+    U1 = np.empty((count, n))
+    U2 = np.empty((count, n))
+    extra = None
+    for i in range(count):
+        K[i], U1[i], U2[i], *rest = draw(rng)
+        if rest:
+            if extra is None:
+                extra = np.empty((count, len(rest)))
+            extra[i] = rest
+    return K, U1, U2, extra
+
+
+def _sampled_condition(
+    name: str, nl: Nonlinearity, rng: np.random.Generator, count: int, seed: int, draw, margin
+) -> CheckReport:
+    """Shared sampling loop of A.4, A.5 and A.7 - A.9.
+
+    Draws count samples with draw (see _draw), evaluates F on all of them
+    with one F_many call and gets the per-sample margins and witness
+    fields from margin(F, K, extra) -> (margins, {field: values}).  The
+    worst margin is the first minimum; NaN margins are ignored.  The
+    condition holds when the worst margin is >= -SAMPLE_SLACK, and a
+    violation carries its sample as the witness.
+    """
+    K, U1, U2, extra = _draw(rng, count, nl.n, draw)
+    vals, fields = margin(nl.F_many(K, U1, U2), K, extra)
+    candidates = np.where(np.isnan(vals), math.inf, vals)
+    i = int(np.argmin(candidates))
+    worst = math.inf
+    witness = None
+    if candidates[i] < math.inf:
+        worst = float(vals[i])
+        witness = {"k": int(K[i]), "u1": U1[i].copy(), "u2": U2[i].copy()}
+        witness.update({key: float(v[i]) for key, v in fields.items()})
+    verdict = HOLDS if worst >= -SAMPLE_SLACK else VIOLATED
+    return CheckReport(
+        name,
+        verdict,
+        worst,
+        witness if verdict == VIOLATED else None,
+        samples=count,
+        seed=seed,
+    )
 
 
 def check_growth(
@@ -465,69 +548,49 @@ def check_growth(
     sample_budget: int = 4000,
     seed: int = 0,
 ) -> list[CheckReport]:
-    """Sampled verification of A.4, A.5 and the quotient limits A.6.1 - A.6.3."""
+    """Sampled verification of A.4, A.5 and the quotient limits A.6.1 - A.6.3.
+
+    Samples are drawn point by point from seeded streams, and F is
+    evaluated on each condition's samples with one Nonlinearity.F_many call
+    (one per variant for A.6.x); the bound of A.4 and the quotient
+    denominators are computed with C pow, as Python's ** does, so the
+    margins are bitwise those of a point-by-point loop.
+    """
     if nl.m != g.m:
         raise ValueError("nonlinearity and profile periods differ")
     m, n = nl.m, nl.n
-    reports = []
+    count = max(sample_budget, 100)
 
     # A.4: lower growth bound for |u1|, |u2| >= M.
-    rng = rng_for(seed, 4)
-    count = max(sample_budget, 100)
-    worst = math.inf
-    witness = None
-    for _ in range(count):
+    def draw_a4(rng):
         k = int(rng.integers(1, m + 1))
         m1 = g.M + 10.0 * rng.random()
         m2 = g.M + 10.0 * rng.random()
-        u1 = _signed_point(rng, m1, n)
-        u2 = _signed_point(rng, m2, n)
+        return k, _signed_point(rng, m1, n), _signed_point(rng, m2, n), m1, m2
+
+    def margin_a4(F, K, extra):
+        i = K - 1
         bound = (
-            g.alpha1[k - 1] * m1 ** g.s.at(k)
-            + g.alpha2[k - 1] * m2 ** g.r.at(k)
-            + g.alpha3[k - 1]
+            g.alpha1[i] * np.float_power(extra[:, 0], g.s.values[i])
+            + g.alpha2[i] * np.float_power(extra[:, 1], g.r.values[i])
+            + g.alpha3[i]
         )
-        val = nl.F_at(k, u1, u2) - bound
-        if val < worst:
-            worst = val
-            witness = {"k": k, "u1": u1, "u2": u2, "F": val + bound, "bound": bound}
-    verdict = HOLDS if worst >= -SAMPLE_SLACK else VIOLATED
-    reports.append(
-        CheckReport(
-            "A.4",
-            verdict,
-            worst,
-            witness if verdict == VIOLATED else None,
-            samples=count,
-            seed=seed,
-        )
-    )
+        vals = F - bound
+        return vals, {"F": vals + bound, "bound": bound}
 
     # A.5: F >= 0 on |u1| + |u2| <= 2*eta.
-    rng = rng_for(seed, 5)
-    worst = math.inf
-    witness = None
-    for _ in range(count):
+    def draw_a5(rng):
         k = int(rng.integers(1, m + 1))
         total = 2.0 * g.eta * rng.random()
         t = rng.random()
-        u1 = _signed_point(rng, t * total, n)
-        u2 = _signed_point(rng, (1.0 - t) * total, n)
-        val = nl.F_at(k, u1, u2)
-        if val < worst:
-            worst = val
-            witness = {"k": k, "u1": u1, "u2": u2, "F": val}
-    verdict = HOLDS if worst >= -SAMPLE_SLACK else VIOLATED
-    reports.append(
-        CheckReport(
-            "A.5",
-            verdict,
-            worst,
-            witness if verdict == VIOLATED else None,
-            samples=count,
-            seed=seed,
-        )
-    )
+        return k, _signed_point(rng, t * total, n), _signed_point(rng, (1.0 - t) * total, n)
+
+    reports = [
+        _sampled_condition("A.4", nl, rng_for(seed, 4), count, seed, draw_a4, margin_a4),
+        _sampled_condition(
+            "A.5", nl, rng_for(seed, 5), count, seed, draw_a5, lambda F, K, x: (F, {"F": F})
+        ),
+    ]
 
     # A.6.x: quotients of F against mixed powers must vanish at the origin.
     variants = [
@@ -537,32 +600,42 @@ def check_growth(
     ]
     shells = [10.0**-j for j in range(1, 9)]
     per_shell = max(sample_budget // (8 * 4), 8)
+    rows = (per_shell + 3) * m  # samples per shell
     for tag, e1, e2 in variants:
         rng = rng_for(seed, 6, int(e1 * 1000), int(e2 * 1000))
+        K = np.tile(np.arange(1, m + 1), len(shells) * (per_shell + 3))
+        U1 = np.empty((K.size, n))
+        U2 = np.empty((K.size, n))
+        T = np.empty(K.size)
+        i = 0
+        for shell in shells:
+            for t in [0.0, 0.5, 1.0] + [rng.random() for _ in range(per_shell)]:
+                for _ in range(m):
+                    U1[i] = _signed_point(rng, t * shell, n)
+                    U2[i] = _signed_point(rng, (1.0 - t) * shell, n)
+                    T[i] = t
+                    i += 1
+        S = np.repeat(shells, rows)
+        denom = np.float_power(T * S, e1) + np.float_power((1.0 - T) * S, e2)
+        kept = ~(denom <= 0.0)
+        q = np.zeros(K.size)
+        q[kept] = np.abs(nl.F_many(K[kept], U1[kept], U2[kept])) / denom[kept]
+        q[np.isnan(q)] = 0.0
         trajectory = []
         last_witness = None
-        for shell in shells:
-            q_max = 0.0
-            fractions = [0.0, 0.5, 1.0] + [rng.random() for _ in range(per_shell)]
-            for t in fractions:
-                for k in range(1, m + 1):
-                    u1 = _signed_point(rng, t * shell, n)
-                    u2 = _signed_point(rng, (1.0 - t) * shell, n)
-                    denom = (t * shell) ** e1 + ((1.0 - t) * shell) ** e2
-                    if denom <= 0.0:
-                        continue
-                    q = abs(nl.F_at(k, u1, u2)) / denom
-                    if q > q_max:
-                        q_max = q
-                        shell_witness = {
-                            "k": k,
-                            "u1": u1,
-                            "u2": u2,
-                            "quotient": q,
-                            "shell": shell,
-                        }
-            trajectory.append(q_max)
-            last_witness = shell_witness if q_max > 0.0 else None
+        for j, shell in enumerate(shells):
+            # the first largest quotient of the shell, if it is positive
+            w = j * rows + int(np.argmax(q[j * rows : (j + 1) * rows]))
+            trajectory.append(float(q[w]))
+            last_witness = None
+            if q[w] > 0.0:
+                last_witness = {
+                    "k": int(K[w]),
+                    "u1": U1[w].copy(),
+                    "u2": U2[w].copy(),
+                    "quotient": float(q[w]),
+                    "shell": shell,
+                }
         final = trajectory[-1]
         verdict = HOLDS if final <= QUOTIENT_TOL else VIOLATED
         reports.append(
@@ -571,7 +644,7 @@ def check_growth(
                 verdict,
                 QUOTIENT_TOL - final,
                 last_witness if verdict == VIOLATED else None,
-                samples=len(shells) * (per_shell + 3) * m,
+                samples=len(shells) * rows,
                 seed=seed,
                 detail={"shell_quotients": trajectory},
             )
@@ -589,86 +662,46 @@ def check_bounds(
     """Sampled verification of the bound and sign conditions A.7 - A.9.
 
     Sign conditions are checked up to a small slack, so a potential that
-    merely touches zero on the sampled region still passes.
+    merely touches zero on the sampled region still passes.  F is evaluated
+    on each condition's samples with one Nonlinearity.F_many call.
     """
     m, n = nl.m, nl.n
     count = max(sample_budget, 100)
-    reports = []
 
     # A.7: F <= C on a large box.
-    rng = rng_for(seed, 7)
-    worst = math.inf
-    witness = None
-    for _ in range(count):
+    def draw_a7(rng):
         k = int(rng.integers(1, m + 1))
         u1 = rng.uniform(-box_halfwidth, box_halfwidth, size=n)
-        u2 = rng.uniform(-box_halfwidth, box_halfwidth, size=n)
-        val = b.C - nl.F_at(k, u1, u2)
-        if val < worst:
-            worst = val
-            witness = {"k": k, "u1": u1, "u2": u2, "F": b.C - val}
-    verdict = HOLDS if worst >= -SAMPLE_SLACK else VIOLATED
-    reports.append(
-        CheckReport(
-            "A.7",
-            verdict,
-            worst,
-            witness if verdict == VIOLATED else None,
-            samples=count,
-            seed=seed,
-        )
-    )
+        return k, u1, rng.uniform(-box_halfwidth, box_halfwidth, size=n)
+
+    def margin_a7(F, K, extra):
+        vals = b.C - F
+        return vals, {"F": b.C - vals}
 
     # A.8: F < 0 for 0 < |u1|, |u2| <= rho1.
-    rng = rng_for(seed, 8)
-    worst = math.inf
-    witness = None
-    for _ in range(count):
+    def draw_a8(rng):
         k = int(rng.integers(1, m + 1))
         u1 = _signed_point(rng, b.rho1 * (1.0 - rng.random() * 0.999999), n)
-        u2 = _signed_point(rng, b.rho1 * (1.0 - rng.random() * 0.999999), n)
-        val = -nl.F_at(k, u1, u2)
-        if val < worst:
-            worst = val
-            witness = {"k": k, "u1": u1, "u2": u2, "F": -val}
-    verdict = HOLDS if worst >= -SAMPLE_SLACK else VIOLATED
-    reports.append(
-        CheckReport(
-            "A.8",
-            verdict,
-            worst,
-            witness if verdict == VIOLATED else None,
-            samples=count,
-            seed=seed,
-        )
-    )
+        return k, u1, _signed_point(rng, b.rho1 * (1.0 - rng.random() * 0.999999), n)
+
+    def margin_a8(F, K, extra):
+        vals = -F
+        return vals, {"F": -vals}
 
     # A.9: F > 0 for rho2 < |u1|, |u2| <= rho3.
-    rng = rng_for(seed, 9)
-    worst = math.inf
-    witness = None
-    for _ in range(count):
+    def draw_a9(rng):
         k = int(rng.integers(1, m + 1))
         r1 = b.rho2 + (b.rho3 - b.rho2) * (1.0 - rng.random() * 0.999999)
         r2 = b.rho2 + (b.rho3 - b.rho2) * (1.0 - rng.random() * 0.999999)
-        u1 = _signed_point(rng, r1, n)
-        u2 = _signed_point(rng, r2, n)
-        val = nl.F_at(k, u1, u2)
-        if val < worst:
-            worst = val
-            witness = {"k": k, "u1": u1, "u2": u2, "F": val}
-    verdict = HOLDS if worst >= -SAMPLE_SLACK else VIOLATED
-    reports.append(
-        CheckReport(
-            "A.9",
-            verdict,
-            worst,
-            witness if verdict == VIOLATED else None,
-            samples=count,
-            seed=seed,
-        )
-    )
-    return reports
+        return k, _signed_point(rng, r1, n), _signed_point(rng, r2, n)
+
+    return [
+        _sampled_condition("A.7", nl, rng_for(seed, 7), count, seed, draw_a7, margin_a7),
+        _sampled_condition("A.8", nl, rng_for(seed, 8), count, seed, draw_a8, margin_a8),
+        _sampled_condition(
+            "A.9", nl, rng_for(seed, 9), count, seed, draw_a9, lambda F, K, x: (F, {"F": F})
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +711,7 @@ def check_bounds(
 
 def _action_or_neg_inf(x: np.ndarray, prob: Problem) -> float:
     try:
-        val = action(PeriodicSequence.from_flat(x, prob.m, prob.n), prob)
+        val = action(x.reshape(prob.m, prob.n), prob)
     except EvaluationError:
         return -math.inf
     return val
@@ -698,9 +731,7 @@ def _ascend_terminal_action(
     step = 0.1
     for _ in range(max_iter):
         try:
-            g = -t_last * residual_values(
-                PeriodicSequence.from_flat(t_last * d, prob.m, prob.n), prob
-            ).reshape(-1)
+            g = -t_last * residual_values((t_last * d).reshape(prob.m, prob.n), prob).reshape(-1)
         except EvaluationError:
             break
         g = g - float(np.dot(g, d)) * d
@@ -805,15 +836,14 @@ def _level_radius(prob: Problem, v: np.ndarray, r: float) -> float:
     """t > 0 with mu(t*v) = r, for a nonzero zero-mean direction v."""
     from scipy.optimize import brentq
 
-    seq = lambda t: PeriodicSequence(t * v)
     t_hi = 1.0
-    while mu(seq(t_hi), prob) < r:
+    while mu(t_hi * v, prob) < r:
         t_hi *= 2.0
         if t_hi > 1e12:
             raise EvaluationError("could not bracket the sublevel radius")
-    if mu(seq(t_hi), prob) == r:
+    if mu(t_hi * v, prob) == r:
         return t_hi
-    return float(brentq(lambda t: mu(seq(t), prob) - r, 0.0, t_hi, xtol=1e-14))
+    return float(brentq(lambda t: mu(t * v, prob) - r, 0.0, t_hi, xtol=1e-14))
 
 
 def check_b2_b3(
@@ -838,7 +868,7 @@ def check_b2_b3(
     per_dir = max(4, sample_budget // ndirs)
     rng = rng_for(seed, 23)
 
-    j0 = potential(PeriodicSequence.zeros(prob.m, prob.n), prob)
+    j0 = potential(np.zeros((prob.m, prob.n)), prob)
     inf_sub = j0
     inf_level = math.inf
     inf_global = j0
@@ -847,11 +877,11 @@ def check_b2_b3(
     for _ in range(ndirs):
         v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
         t_r = _level_radius(prob, v, r)
-        jl = potential(PeriodicSequence(t_r * v), prob)
+        jl = potential(t_r * v, prob)
         inf_level = min(inf_level, jl)
         for _ in range(per_dir):
             t = rng.random() * t_r
-            val = potential(PeriodicSequence(t * v), prob)
+            val = potential(t * v, prob)
             if val < inf_sub:
                 inf_sub = val
                 arg_sub = t * v
@@ -859,7 +889,7 @@ def check_b2_b3(
                 inf_global = val
                 arg_global = t * v
             t_big = rng.random() * expand * t_r
-            val_big = potential(PeriodicSequence(t_big * v), prob)
+            val_big = potential(t_big * v, prob)
             if val_big < inf_global:
                 inf_global = val_big
                 arg_global = t_big * v
@@ -942,15 +972,15 @@ def lambda_star_estimate(
     phi_values = []
     sup_values = []
     for ir, r in enumerate(r_grid):
-        sup_j = potential(PeriodicSequence.zeros(prob.m, prob.n), prob)
+        sup_j = potential(np.zeros((prob.m, prob.n)), prob)
         interior: list[tuple[float, float]] = [(sup_j, 0.0)]
         for i in range(samples_per_r):
             rng = rng_for(seed, ir, i)
             v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
             t_r = _level_radius(prob, v, r)
-            sup_j = max(sup_j, potential(PeriodicSequence(t_r * v), prob))
+            sup_j = max(sup_j, potential(t_r * v, prob))
             t = rng.random() * t_r
-            u = PeriodicSequence(t * v)
+            u = t * v
             interior.append((potential(u, prob), mu(u, prob)))
             sup_j = max(sup_j, interior[-1][0])
         phi = math.inf

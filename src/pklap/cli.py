@@ -37,6 +37,8 @@ from .analysis import (
     HOLDS,
     VIOLATED,
     CheckReport,
+    _jsonable,
+    _xi_search,
     anticoercivity_probe,
     check_b2_b3,
     check_bounds,
@@ -47,7 +49,6 @@ from .analysis import (
     lambda_star_estimate,
     rng_for,
     thresholds,
-    xi_constant,
 )
 from .core import (
     EvaluationError,
@@ -217,25 +218,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _portable(obj):
-    """Replace non-finite floats by strings so the JSON stays standard."""
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if obj == math.inf:
-            return "inf"
-        if obj == -math.inf:
-            return "-inf"
-        return obj
-    if isinstance(obj, dict):
-        return {k: _portable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_portable(v) for v in obj]
-    return obj
-
-
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(_portable(payload), indent=2) + "\n")
+    _atomic_write(path, json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +353,12 @@ def cmd_check(args) -> int:
     if spec.growth is not None:
         rho1 = spec.bounds.rho1 if spec.bounds is not None else None
         thr = thresholds(prob, spec.growth, rho1=rho1)
-        xi = thr.xi
+        xi, xi_converged = thr.xi, thr.xi_converged
         reports.extend(check_growth(prob.nonlinearity, spec.growth, seed=seed))
         reports.append(anticoercivity_probe(prob, seed=seed, optimize_worst=True))
         r2 = thr.r2
     else:
-        xi = xi_constant(prob.m, prob.n, prob.exponent.p_plus)
+        xi, xi_converged = _xi_search(prob.m, prob.n, prob.exponent.p_plus)
     if spec.bounds is not None:
         reports.extend(check_bounds(prob.nonlinearity, spec.bounds, seed=seed))
         p = prob.exponent.values
@@ -399,6 +383,8 @@ def cmd_check(args) -> int:
         "p_minus": prob.exponent.p_minus,
         "p_plus": prob.exponent.p_plus,
         "xi": xi,
+        # present only when false, so reports of a converged xi stay unchanged
+        **({} if xi_converged else {"xi_converged": False}),
         "thresholds": None
         if thr is None
         else {"lambda1": thr.lambda1, "lambda2": thr.lambda2, "lambda3": thr.lambda3},

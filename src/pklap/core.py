@@ -184,6 +184,19 @@ def _vector(value, n: int, what: str) -> np.ndarray:
     return arr
 
 
+def _rows(value, shape: tuple, what: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise EvaluationError(f"{what} returned shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _read_only(arr) -> np.ndarray:
+    view = np.asarray(arr, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclasses.dataclass(frozen=True)
 class Nonlinearity:
     """A discrete potential F(k, u1, u2) together with its partial gradients.
@@ -200,6 +213,12 @@ class Nonlinearity:
 
     Construction enforces F(k, 0, 0) = 0 for every k (the potential is
     normalised at the origin).
+
+    Every hot caller evaluates the potential through the batched methods
+    F_many (F on N points at once) and coupling (f on every row of a
+    sequence).  A family built with from_arrays supplies array callables
+    and is evaluated in one call each; a family given only the per-point
+    callbacks above is looped over point by point, with the same checks.
     """
 
     m: int
@@ -211,6 +230,37 @@ class Nonlinearity:
     name: str = ""
     is_zero: bool = False
     even_symmetric: bool = False
+    # (F, F2_prime, F3_prime) in array form, set by from_arrays
+    arrays: Optional[tuple] = dataclasses.field(default=None, repr=False)
+
+    @classmethod
+    def from_arrays(
+        cls, m: int, F: Callable, F2: Callable, F3: Callable, n: int = 1, **kwargs
+    ) -> "Nonlinearity":
+        """A family given by array callables (K, U1, U2) -> values.
+
+        K is an int array of N periods in 1..m, U1 and U2 are (N, n) arrays.
+        F returns N values, F2 and F3 return (N, n) gradients.  The per-point
+        F, F2_prime and F3_prime are adapters over these, so each formula is
+        written once.  Other keyword arguments are passed to the constructor.
+        """
+
+        def point(fn):
+            def at(k, u1, u2):
+                rows = [np.asarray(u, dtype=float).reshape(1, n) for u in (u1, u2)]
+                return fn(np.array([wrap_index(k, m)]), *rows)[0]
+
+            return at
+
+        return cls(
+            m=m,
+            F=point(F),
+            F2_prime=point(F2),
+            F3_prime=point(F3),
+            n=n,
+            arrays=(F, F2, F3),
+            **kwargs,
+        )
 
     def __post_init__(self):
         if self.m < 2:
@@ -256,6 +306,45 @@ class Nonlinearity:
         a = _vector(self.F2_prime(k1, u2, u3), self.n, "F2_prime")
         b = _vector(self.F3_prime(k2, u1, u2), self.n, "F3_prime")
         return a + b
+
+    def F_many(self, K, U1, U2) -> np.ndarray:
+        """F at N points at once: K holds N periods (any integers, wrapped
+        into 1..m), U1 and U2 are (N, n).  Bitwise equal to calling F_at on
+        each point.  Raises EvaluationError on a malformed return value.
+        """
+        K = (np.asarray(K, dtype=np.int64).reshape(-1) - 1) % self.m + 1
+        shape = (K.size, self.n)
+        U1, U2 = _read_only(U1), _read_only(U2)
+        if U1.shape != shape or U2.shape != shape:
+            raise ValueError(f"point arrays {U1.shape}, {U2.shape} do not match {shape}")
+        if self.arrays is not None:
+            return _rows(self.arrays[0](K, U1, U2), (K.size,), "F")
+        out = np.empty(K.size)
+        for i, k in enumerate(K.tolist()):
+            out[i] = _scalar(self.F(k, U1[i], U2[i]), f"F({k},.,.)")
+        return out
+
+    def coupling(self, vals) -> np.ndarray:
+        """Coupling term f(k, u(k+1), u(k), u(k-1)) on every row of an (m, n)
+        sequence array; row k-1 holds entry k.  Bitwise equal to calling f
+        row by row.
+        """
+        vals = _read_only(vals)
+        if vals.shape != (self.m, self.n):
+            raise ValueError(f"sequence shape {vals.shape} does not match ({self.m}, {self.n})")
+        up = np.concatenate((vals[1:], vals[:1]))  # row k-1 holds u(k+1)
+        um = np.concatenate((vals[-1:], vals[:-1]))  # row k-1 holds u(k-1)
+        if self.arrays is not None:
+            K = np.arange(1, self.m + 1)
+            K_prev = K - 1
+            K_prev[0] = self.m
+            a = _rows(self.arrays[1](K_prev, vals, um), vals.shape, "F2_prime")
+            b = _rows(self.arrays[2](K, up, vals), vals.shape, "F3_prime")
+            return a + b
+        out = np.empty(vals.shape)
+        for k in range(1, self.m + 1):
+            out[k - 1] = self.f(k, up[k - 1], vals[k - 1], um[k - 1])
+        return out
 
 
 @dataclasses.dataclass(frozen=True)

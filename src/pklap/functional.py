@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .core import EvaluationError, PeriodicSequence, Problem, euclidean_norm
-from .operators import residual_values
+from .operators import residual_values, sequence_values
 
 HESSIAN_STEP_SCALE = 1e-5
 MORSE_ZERO_TOL_SCALE = 1e-7
@@ -34,10 +34,14 @@ class NonsmoothExponentError(ValueError):
     """Raised when a derivative is requested but some p(k) <= 1 makes it undefined."""
 
 
-def mu(u: PeriodicSequence, prob: Problem) -> float:
-    """Anisotropic Dirichlet energy sum_k (1/p(k)) |Delta u(k)|^p(k)."""
-    vals = u.values
-    d = np.roll(vals, -1, axis=0) - vals
+def mu(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
+    """Anisotropic Dirichlet energy sum_k (1/p(k)) |Delta u(k)|^p(k).
+
+    u is a PeriodicSequence or a raw (m, n) array, validated as in
+    residual_values.
+    """
+    vals = sequence_values(u, prob, "mu")
+    d = np.concatenate((vals[1:], vals[:1])) - vals
     norms = np.linalg.norm(d, axis=1)
     p = prob.exponent.values
     total = float(np.sum(norms**p / p))
@@ -46,19 +50,26 @@ def mu(u: PeriodicSequence, prob: Problem) -> float:
     return total
 
 
-def potential(u: PeriodicSequence, prob: Problem) -> float:
-    """Potential part -sum_k F(k, u(k+1), u(k))."""
-    vals = u.values
-    up = np.roll(vals, -1, axis=0)
+def potential(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
+    """Potential part -sum_k F(k, u(k+1), u(k)).
+
+    u is a PeriodicSequence or a raw (m, n) array, validated as in
+    residual_values.  The m values of F come from one Nonlinearity.F_many
+    call and are subtracted in order k = 1..m, so the sum is bitwise the
+    same as a loop over F_at.
+    """
+    vals = sequence_values(u, prob, "potential")
+    up = np.concatenate((vals[1:], vals[:1]))
+    values = prob.nonlinearity.F_many(np.arange(1, prob.m + 1), up, vals)
     total = 0.0
-    for k in range(1, prob.m + 1):
-        total -= prob.nonlinearity.F_at(k, up[k - 1], vals[k - 1])
+    for v in values.tolist():
+        total -= v
     if not math.isfinite(total):
         raise EvaluationError("potential evaluated to a non-finite value")
     return total
 
 
-def action(u: PeriodicSequence, prob: Problem) -> float:
+def action(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
     """Value of the action functional mu(u) + lam * potential(u)."""
     return mu(u, prob) + prob.lam * potential(u, prob)
 
@@ -92,8 +103,7 @@ def gradient_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) -
         xp[i] += step
         xm[i] -= step
         g[i] = (
-            action(PeriodicSequence.from_flat(xp, prob.m, prob.n), prob)
-            - action(PeriodicSequence.from_flat(xm, prob.m, prob.n), prob)
+            action(xp.reshape(prob.m, prob.n), prob) - action(xm.reshape(prob.m, prob.n), prob)
         ) / (2.0 * step)
     return PeriodicSequence.from_flat(g, prob.m, prob.n)
 

@@ -2,7 +2,16 @@
 
 All built-ins are scalar (n = 1).  Their formulas reduce the period index
 modulo m before any trigonometry, so they are exactly m-periodic in k and
-weights like |sin(pi*k/m)| vanish exactly where they should.
+weights like |sin(pi*k/m)| vanish exactly where they should.  Each formula
+is written once, in array form (Nonlinearity.from_arrays); the closed-form
+f_direct cross-checks stay per-point, as an independent second derivation.
+
+Powers are taken with np.float_power, which calls C pow on every element,
+as Python's ** does on floats.  numpy's ** (np.power) takes a SIMD pow on
+some CPUs that differs from C pow in the last bit on a few percent of
+values, and turns x**2 into x*x; with it, reruns on another CPU, and the
+values of the per-point formulas these replace, would not be reproduced
+bit for bit.
 """
 
 from __future__ import annotations
@@ -47,18 +56,22 @@ def make_example1(m: int) -> tuple[Nonlinearity, GrowthProfile]:
     def sign(k: int) -> float:
         return 1.0 if k % 2 == 0 else -1.0
 
-    def F(k, u1, u2):
-        t1, t2 = _sc(u1), _sc(u2)
-        x = t1**4 + t2**4
-        return x + sign(k) * math.sin(x)
+    signs = np.array([sign(k) for k in range(1, m + 1)])
 
-    def F2(k, u1, u2):
-        t1, t2 = _sc(u1), _sc(u2)
-        return 4.0 * t1**3 * (1.0 + sign(k) * math.cos(t1**4 + t2**4))
+    def quartic(U1, U2):
+        return np.float_power(U1[:, 0], 4) + np.float_power(U2[:, 0], 4)
 
-    def F3(k, u1, u2):
-        t1, t2 = _sc(u1), _sc(u2)
-        return 4.0 * t2**3 * (1.0 + sign(k) * math.cos(t1**4 + t2**4))
+    def F(K, U1, U2):
+        x = quartic(U1, U2)
+        return x + signs[K - 1] * np.sin(x)
+
+    def F2(K, U1, U2):
+        weight = 1.0 + signs[K - 1] * np.cos(quartic(U1, U2))
+        return (4.0 * np.float_power(U1[:, 0], 3) * weight)[:, None]
+
+    def F3(K, U1, U2):
+        weight = 1.0 + signs[K - 1] * np.cos(quartic(U1, U2))
+        return (4.0 * np.float_power(U2[:, 0], 3) * weight)[:, None]
 
     def f_direct(k, u1, u2, u3):
         t1, t2, t3 = _sc(u1), _sc(u2), _sc(u3)
@@ -66,13 +79,12 @@ def make_example1(m: int) -> tuple[Nonlinearity, GrowthProfile]:
             2.0 + sign(k) * (math.cos(t1**4 + t2**4) - math.cos(t2**4 + t3**4))
         )
 
-    nl = Nonlinearity(
-        m=m,
-        F=F,
-        F2_prime=F2,
-        F3_prime=F3,
+    nl = Nonlinearity.from_arrays(
+        m,
+        F,
+        F2,
+        F3,
         f_direct=f_direct,
-        n=1,
         name="example1",
         even_symmetric=True,
     )
@@ -109,33 +121,33 @@ def make_example2(m: int) -> tuple[Nonlinearity, GrowthProfile]:
             return 0.0
         return math.cos(math.pi * (k % m) / m) ** 2
 
-    def F(k, u1, u2):
-        t1, t2 = _sc(u1), _sc(u2)
-        return c2(k) * t1**4 * t2**4
+    weights = np.array([c2(k) for k in range(1, m + 1)])
 
-    def F2(k, u1, u2):
-        t1, t2 = _sc(u1), _sc(u2)
-        return 4.0 * c2(k) * t1**3 * t2**4
+    def F(K, U1, U2):
+        t1, t2 = U1[:, 0], U2[:, 0]
+        return weights[K - 1] * np.float_power(t1, 4) * np.float_power(t2, 4)
 
-    def F3(k, u1, u2):
-        t1, t2 = _sc(u1), _sc(u2)
-        return 4.0 * c2(k) * t1**4 * t2**3
+    def F2(K, U1, U2):
+        t1, t2 = U1[:, 0], U2[:, 0]
+        return (4.0 * weights[K - 1] * np.float_power(t1, 3) * np.float_power(t2, 4))[:, None]
+
+    def F3(K, U1, U2):
+        t1, t2 = U1[:, 0], U2[:, 0]
+        return (4.0 * weights[K - 1] * np.float_power(t1, 4) * np.float_power(t2, 3))[:, None]
 
     def f_direct(k, u1, u2, u3):
         t1, t2, t3 = _sc(u1), _sc(u2), _sc(u3)
         return 4.0 * t2**3 * (c2(k - 1) * t3**4 + c2(k) * t1**4)
 
-    nl = Nonlinearity(
-        m=m,
-        F=F,
-        F2_prime=F2,
-        F3_prime=F3,
+    nl = Nonlinearity.from_arrays(
+        m,
+        F,
+        F2,
+        F3,
         f_direct=f_direct,
-        n=1,
         name="example2",
         even_symmetric=True,
     )
-    weights = np.array([c2(k) for k in range(1, m + 1)])
     exponents = ExponentFunction(
         np.array([math.sin(math.pi * (k % m) / m) + 3.0 for k in range(1, m + 1)])
     )
@@ -174,30 +186,21 @@ def make_example3(
     if rho3 is None:
         rho3 = math.sqrt(math.pi) - 0.1
 
-    def w(k: int) -> float:
-        return abs(math.sin(math.pi * (k % m) / m))
+    weights = np.array([abs(math.sin(math.pi * (k % m) / m)) for k in range(1, m + 1)])
 
-    def F(k, u1, u2):
-        t1, t2 = _sc(u1), _sc(u2)
-        return -math.sin(t1**2 + t2**2) * w(k)
+    def square_sum(U1, U2):
+        return np.float_power(U1[:, 0], 2) + np.float_power(U2[:, 0], 2)
 
-    def F2(k, u1, u2):
-        t1, t2 = _sc(u1), _sc(u2)
-        return -2.0 * t1 * math.cos(t1**2 + t2**2) * w(k)
+    def F(K, U1, U2):
+        return -np.sin(square_sum(U1, U2)) * weights[K - 1]
 
-    def F3(k, u1, u2):
-        t1, t2 = _sc(u1), _sc(u2)
-        return -2.0 * t2 * math.cos(t1**2 + t2**2) * w(k)
+    def F2(K, U1, U2):
+        return (-2.0 * U1[:, 0] * np.cos(square_sum(U1, U2)) * weights[K - 1])[:, None]
 
-    nl = Nonlinearity(
-        m=m,
-        F=F,
-        F2_prime=F2,
-        F3_prime=F3,
-        n=1,
-        name="example3",
-        even_symmetric=True,
-    )
+    def F3(K, U1, U2):
+        return (-2.0 * U2[:, 0] * np.cos(square_sum(U1, U2)) * weights[K - 1])[:, None]
+
+    nl = Nonlinearity.from_arrays(m, F, F2, F3, name="example3", even_symmetric=True)
     bounds = BoundProfile(C=C, rho1=rho1, rho2=rho2, rho3=rho3)
     for report in check_bounds(nl, bounds, sample_budget=guard_budget, seed=7):
         if report.verdict == VIOLATED:
@@ -237,27 +240,28 @@ def make_power(
         raise ValueError("power coefficients must be >= 0")
     s_exp = _exponent_arg(s, m, "s")
     r_exp = _exponent_arg(r, m, "r")
+    s_vals, r_vals = s_exp.values, r_exp.values
 
-    def F(k, u1, u2):
-        t1, t2 = _sc(u1), _sc(u2)
-        return a * abs(t1) ** s_exp.at(k) + b * abs(t2) ** r_exp.at(k)
+    def F(K, U1, U2):
+        t1, t2 = np.abs(U1[:, 0]), np.abs(U2[:, 0])
+        return a * np.float_power(t1, s_vals[K - 1]) + b * np.float_power(t2, r_vals[K - 1])
 
-    def F2(k, u1, u2):
-        t1 = _sc(u1)
-        sk = s_exp.at(k)
-        return 0.0 if t1 == 0.0 else a * sk * abs(t1) ** (sk - 2.0) * t1
+    def partial(coeff, e, t):
+        # 0 at t = 0 exactly, as the limit of coeff * e * |t|^(e-2) * t
+        value = coeff * e * np.float_power(np.abs(t), e - 2.0) * t
+        return np.where(t == 0.0, 0.0, value)[:, None]
 
-    def F3(k, u1, u2):
-        t2 = _sc(u2)
-        rk = r_exp.at(k)
-        return 0.0 if t2 == 0.0 else b * rk * abs(t2) ** (rk - 2.0) * t2
+    def F2(K, U1, U2):
+        return partial(a, s_vals[K - 1], U1[:, 0])
 
-    nl = Nonlinearity(
-        m=m,
-        F=F,
-        F2_prime=F2,
-        F3_prime=F3,
-        n=1,
+    def F3(K, U1, U2):
+        return partial(b, r_vals[K - 1], U2[:, 0])
+
+    nl = Nonlinearity.from_arrays(
+        m,
+        F,
+        F2,
+        F3,
         name="power",
         is_zero=(a == 0.0 and b == 0.0),
         even_symmetric=True,

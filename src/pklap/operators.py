@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import EvaluationError, PeriodicSequence, Problem
+from .core import EvaluationError, PeriodicSequence, Problem, _read_only
 
 
 def forward_difference(u: PeriodicSequence) -> PeriodicSequence:
@@ -66,6 +66,26 @@ class Residual:
     norm: float
 
 
+def sequence_values(
+    u: PeriodicSequence | np.ndarray, prob: Problem, what: str = "residual"
+) -> np.ndarray:
+    """The (m, n) values of u, a PeriodicSequence or a raw array.
+
+    A raw array is returned as a read-only view, so a callback cannot write
+    into the caller's iterate.  Raises EvaluationError when a raw array has
+    a non-finite entry and ValueError when the shape is not (prob.m, prob.n).
+    """
+    if isinstance(u, PeriodicSequence):
+        vals = u.values
+    else:
+        vals = _read_only(u)
+        if not np.all(np.isfinite(vals)):
+            raise EvaluationError(f"{what} evaluated at a non-finite sequence")
+    if vals.shape != (prob.m, prob.n):
+        raise ValueError(f"sequence shape {vals.shape} does not match ({prob.m}, {prob.n})")
+    return vals
+
+
 def residual_values(
     u: PeriodicSequence | np.ndarray, prob: Problem, eps: float = 0.0
 ) -> np.ndarray:
@@ -74,28 +94,11 @@ def residual_values(
     Raises EvaluationError when the input or the output has a non-finite
     entry, and ValueError when the shape is not (prob.m, prob.n).
     """
-    if isinstance(u, PeriodicSequence):
-        vals = u.values
-    else:
-        # A read-only view, so a callback cannot write into the caller's iterate.
-        vals = np.asarray(u, dtype=float).view()
-        vals.flags.writeable = False
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError("residual evaluated at a non-finite sequence")
-    m = prob.m
-    if vals.shape != (m, prob.n):
-        raise ValueError(f"sequence shape {vals.shape} does not match ({m}, {prob.n})")
-    up = np.concatenate((vals[1:], vals[:1]))  # row k-1 holds u(k+1)
-    um = np.concatenate((vals[-1:], vals[:-1]))  # row k-1 holds u(k-1)
-    d = up - vals  # row k-1 holds Delta u(k)
+    vals = sequence_values(u, prob)
+    d = np.concatenate((vals[1:], vals[:1])) - vals  # row k-1 holds Delta u(k)
     a = _phi_rows(d, prob.exponent.values, eps=eps)
     lhs = a - np.concatenate((a[-1:], a[:-1]))  # phi(Delta u(k)) - phi(Delta u(k-1))
-
-    coupling = np.empty_like(vals)
-    for k in range(1, m + 1):
-        coupling[k - 1] = prob.nonlinearity.f(k, up[k - 1], vals[k - 1], um[k - 1])
-
-    out = lhs + prob.lam * coupling
+    out = lhs + prob.lam * prob.nonlinearity.coupling(vals)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("residual evaluation produced non-finite entries")
     return out

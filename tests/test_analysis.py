@@ -253,6 +253,16 @@ class TestThresholds:
         assert th.xi == pytest.approx(4.0)
         assert th.r2 is None
 
+    def test_unconverged_xi_is_flagged(self):
+        # at p_plus = 1.5 the descent stalls on the nonsmooth set Delta u = 0
+        nl, growth = make_power(8, a=1.0, b=1.0, s=2.0, r=2.0)
+        with pytest.warns(RuntimeWarning, match="upper bound"):
+            th = thresholds(_problem_from(nl, p=1.5), growth)
+        with pytest.warns(RuntimeWarning, match="upper bound"):
+            assert th.xi == xi_constant(8, 1, 1.5)
+        assert th.xi_converged is False
+        assert thresholds(_problem_from(nl), growth).xi_converged is True
+
     def test_minimum_selection(self):
         nl, _ = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)
         prob = _problem_from(nl)

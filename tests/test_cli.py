@@ -185,21 +185,37 @@ class TestCheck:
     @pytest.mark.parametrize("name", ["power_borderline", "example3_sweep"])
     def test_xi_computed_once(self, tmp_path, monkeypatch, name):
         # power_borderline has a growth profile, so thresholds() computes
-        # xi; example3_sweep has bounds only
+        # xi; example3_sweep has bounds only.  Both go through the search
+        # that xi_constant and thresholds share.
         calls = []
-        real = analysis.xi_constant
+        real = analysis._xi_search
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "xi_constant", counted)
-        monkeypatch.setattr(cli, "xi_constant", counted)
+        monkeypatch.setattr(analysis, "_xi_search", counted)
+        monkeypatch.setattr(cli, "_xi_search", counted)
         cfg = str(CONFIGS / f"{name}.json")
         out = str(tmp_path / "check.json")
         assert cli.main(["check", cfg, "--output", out]) == cli.EXIT_OK
         assert len(calls) == 1
-        assert json.loads(open(out).read())["xi"] == real(*calls[0])
+        payload = json.loads(open(out).read())
+        assert (payload["xi"], True) == real(*calls[0])
+        assert payload["xi"] == analysis.xi_constant(*calls[0])
+        assert "xi_converged" not in payload
+
+    def test_unconverged_xi_is_reported(self, tmp_path):
+        cfg = _config(tmp_path, m=8, p=1.5)
+        out = str(tmp_path / "check.json")
+        with pytest.warns(RuntimeWarning, match="upper bound"):
+            assert cli.main(["check", cfg, "--output", out]) == cli.EXIT_OK
+        text = open(out).read()
+        payload = json.loads(text)
+        assert payload["xi_converged"] is False
+        with pytest.warns(RuntimeWarning, match="upper bound"):
+            assert payload["xi"] == analysis.xi_constant(8, 1, 1.5)
+        assert '"xi_converged": false' in text
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _config(tmp_path)
