@@ -351,12 +351,10 @@ def cmd_check(args) -> int:
     r2 = None
     lam_star = None
     if spec.growth is not None:
-        rho1 = spec.bounds.rho1 if spec.bounds is not None else None
-        thr = thresholds(prob, spec.growth, rho1=rho1)
+        thr = thresholds(prob, spec.growth)
         xi, xi_converged = thr.xi, thr.xi_converged
         reports.extend(check_growth(prob.nonlinearity, spec.growth, seed=seed))
         reports.append(anticoercivity_probe(prob, seed=seed, optimize_worst=True))
-        r2 = thr.r2
     else:
         xi, xi_converged = _xi_search(prob.m, prob.n, prob.exponent.p_plus)
     if spec.bounds is not None:

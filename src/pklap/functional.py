@@ -74,17 +74,36 @@ def action(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
     return mu(u, prob) + prob.lam * potential(u, prob)
 
 
+def _require_smooth(prob: Problem, what: str) -> None:
+    if prob.exponent.p_minus <= 1.0:
+        raise NonsmoothExponentError(
+            f"{what} requires every p(k) > 1; got p_minus = {prob.exponent.p_minus}"
+        )
+
+
+def _central_difference(fn, x: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of fn at the flat point x, one per coordinate.
+
+    Entry (or column) i is (fn(x + step e_i) - fn(x - step e_i)) / (2 step);
+    a scalar fn gives a vector, a vector fn a matrix.
+    """
+    cols = []
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += step
+        xm[i] -= step
+        cols.append((fn(xp) - fn(xm)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
 def gradient(u: PeriodicSequence, prob: Problem) -> PeriodicSequence:
     """Euclidean gradient of the action; equals the negated residual.
 
     Defined for exponents p(k) > 1.  At p(k) = 1 the Dirichlet term is not
     differentiable where the forward difference vanishes.
     """
-    if prob.exponent.p_minus <= 1.0:
-        raise NonsmoothExponentError(
-            "gradient requires every p(k) > 1; got p_minus = "
-            f"{prob.exponent.p_minus}"
-        )
+    _require_smooth(prob, "gradient")
     return PeriodicSequence(-residual_values(u, prob))
 
 
@@ -95,16 +114,7 @@ def gradient_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) -
         # (sin of a quartic) have third derivatives far above |J| and the
         # truncation term dominates long before roundoff matters
         step = 1e-7 * max(1.0, euclidean_norm(u))
-    x = u.flat()
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        g[i] = (
-            action(xp.reshape(prob.m, prob.n), prob) - action(xm.reshape(prob.m, prob.n), prob)
-        ) / (2.0 * step)
+    g = _central_difference(lambda x: action(x.reshape(prob.m, prob.n), prob), u.flat(), step)
     return PeriodicSequence.from_flat(g, prob.m, prob.n)
 
 
@@ -114,7 +124,8 @@ def hessian_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) ->
     Columns are finite differences of the analytic gradient; the result is
     symmetrised and a warning is emitted if the raw asymmetry is large
     relative to the matrix norm, or if some p(k) < 2 (where second
-    derivatives may not exist at non-smooth points).
+    derivatives may not exist at non-smooth points).  Raises
+    NonsmoothExponentError, as gradient does, when some p(k) <= 1.
     """
     if prob.exponent.p_minus < 2.0:
         warnings.warn(
@@ -123,19 +134,12 @@ def hessian_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) ->
             RuntimeWarning,
             stacklevel=2,
         )
+    _require_smooth(prob, "hessian_fd")
     if step is None:
         step = HESSIAN_STEP_SCALE * max(1.0, euclidean_norm(u))
-    x = u.flat()
-    dim = x.size
-    h = np.zeros((dim, dim))
-    for i in range(dim):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        gp = gradient(PeriodicSequence.from_flat(xp, prob.m, prob.n), prob).values.reshape(-1)
-        gm = gradient(PeriodicSequence.from_flat(xm, prob.m, prob.n), prob).values.reshape(-1)
-        h[:, i] = (gp - gm) / (2.0 * step)
+    h = _central_difference(
+        lambda x: -residual_values(x.reshape(prob.m, prob.n), prob).reshape(-1), u.flat(), step
+    )
     asym = float(np.max(np.abs(h - h.T)))
     scale = max(1.0, float(np.max(np.abs(h))))
     if asym > 1e-4 * scale:

@@ -27,7 +27,7 @@ from .core import (
     euclidean_norm,
     in_Y,
 )
-from .functional import action, morse_summary
+from .functional import _central_difference, action, morse_summary
 from .operators import residual_values
 
 logger = logging.getLogger(__name__)
@@ -119,15 +119,7 @@ class _System:
         return gx if self.q is None else self.q.T @ gx
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
-        h = 1e-7 * max(1.0, float(np.linalg.norm(y)))
-        jac = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            yp = y.copy()
-            ym = y.copy()
-            yp[i] += h
-            ym[i] -= h
-            jac[:, i] = (self.g(yp) - self.g(ym)) / (2.0 * h)
-        return jac
+        return _central_difference(self.g, y, 1e-7 * max(1.0, float(np.linalg.norm(y))))
 
 
 def _newton_iterate(
@@ -260,8 +252,8 @@ def newton_solve(
             system = _System(prob, eps=eps)
             x, _, _, _ = _newton_iterate(system, x, cfg)
             eps *= 0.5
-        seq = PeriodicSequence.from_flat(x, prob.m, prob.n)
-        d = np.roll(seq.values, -1, axis=0) - seq.values
+        v = x.reshape(prob.m, prob.n)
+        d = np.roll(v, -1, axis=0) - v
         min_diff = float(np.min(np.linalg.norm(d, axis=1)))
         if min_diff > 10.0 * eps:
             x, ng, converged, _ = _newton_iterate(_System(prob), x, cfg)
@@ -442,10 +434,9 @@ def minimize(
     def fun(y: np.ndarray):
         if float(np.linalg.norm(y)) > guard:
             raise _Diverged
-        x = system.to_full(y)
-        seq = PeriodicSequence.from_flat(x, prob.m, prob.n)
-        val = sign * action(seq, prob)
-        grad = sign * system.to_reduced(-residual_values(seq, prob).reshape(-1))
+        v = system.to_full(y).reshape(prob.m, prob.n)
+        val = sign * action(v, prob)
+        grad = sign * system.to_reduced(-residual_values(v, prob).reshape(-1))
         return val, grad
 
     if u0 is not None:
@@ -469,14 +460,9 @@ def minimize(
             gnorm = float(np.linalg.norm(grad))
             if gnorm <= cfg.residual_tol:
                 break
-            h = 1e-6 * max(1.0, float(np.linalg.norm(y)))
-            hess = np.zeros((system.dim, system.dim))
-            for i in range(system.dim):
-                yp = y.copy()
-                ym = y.copy()
-                yp[i] += h
-                ym[i] -= h
-                hess[:, i] = (fun(yp)[1] - fun(ym)[1]) / (2.0 * h)
+            hess = _central_difference(
+                lambda v: fun(v)[1], y, 1e-6 * max(1.0, float(np.linalg.norm(y)))
+            )
             try:
                 delta = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -534,8 +520,7 @@ def mountain_pass(
     """
     a = u_a.flat()
     b = u_b.flat()
-    scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    if float(np.linalg.norm(a - b)) <= cfg.dedupe_tol * scale:
+    if _is_duplicate(a, b, cfg.dedupe_tol):
         raise ValueError("mountain_pass endpoints must be distinct")
     system = _System(prob)
     npts = cfg.path_points
@@ -543,11 +528,10 @@ def mountain_pass(
     path = np.array([a + t * (b - a) for t in ts])
 
     def j_of(x: np.ndarray) -> float:
-        return action(PeriodicSequence.from_flat(x, prob.m, prob.n), prob)
+        return action(x.reshape(prob.m, prob.n), prob)
 
     j_end = max(j_of(a), j_of(b))
     barrier_tol = 1e-9 * max(1.0, abs(j_end))
-    polish_from = None
     for _ in range(10 * cfg.max_iterations):
         j_vals = np.array([j_of(p) for p in path])
         i_star = 1 + int(np.argmax(j_vals[1:-1]))
@@ -578,9 +562,8 @@ def mountain_pass(
             for dim in range(new_path.shape[1]):
                 new_path[:, dim] = np.interp(targets, arc, new_path[:, dim])
         path = new_path
+    else:
         polish_from = path[1 + int(np.argmax([j_of(p) for p in path[1:-1]]))].copy()
-    if polish_from is None:
-        return None
     record = newton_solve(
         prob, PeriodicSequence.from_flat(polish_from, prob.m, prob.n), cfg
     )
@@ -631,6 +614,23 @@ def _canonical(x: np.ndarray, prob: Problem) -> np.ndarray:
     return x
 
 
+def _random_starts(cfg: SolverConfig, dim: int, key: int):
+    """Yield (i, start) for the random starts i < cfg.starts of one stage.
+
+    Start i is uniform in the ball of radius cfg.start_radius and is drawn
+    from its own stream rng_for(cfg.seed, key, i).  A zero normal draw is
+    skipped, so an index can be missing.
+    """
+    for i in range(cfg.starts):
+        rng = rng_for(cfg.seed, key, i)
+        v = rng.normal(size=dim)
+        nv = float(np.linalg.norm(v))
+        if nv == 0.0:
+            continue
+        radius = cfg.start_radius * rng.random() ** (1.0 / max(dim, 1))
+        yield i, radius * v / nv
+
+
 def find_multiple(
     prob: Problem,
     cfg: SolverConfig | None = None,
@@ -665,7 +665,7 @@ def find_multiple(
 
     def handle_candidate(y: np.ndarray, method: str, start_index=None) -> bool:
         x = system.to_full(y)
-        full_norm = float(np.linalg.norm(_System(prob).g_full(x)))
+        full_norm = float(np.linalg.norm(system.g_full(x)))
         if full_norm <= cfg.residual_tol:
             return try_add(_make_record(prob, x, method, cfg, start_index=start_index))
         if subspace == SUBSPACE_Y:
@@ -690,14 +690,7 @@ def find_multiple(
 
     # stage 1: warm starts (continuation) then multistart Newton
     start_pool: list[np.ndarray] = [system.to_reduced(np.asarray(w, float).reshape(-1)) for w in extra_starts]
-    for i in range(cfg.starts):
-        rng = rng_for(cfg.seed, 101, i)
-        v = rng.normal(size=system.dim)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        radius = cfg.start_radius * rng.random() ** (1.0 / max(system.dim, 1))
-        start_pool.append(radius * v / nv)
+    start_pool.extend(y0 for _, y0 in _random_starts(cfg, system.dim, 101))
     for idx, y0 in enumerate(start_pool):
         y, _, converged, _ = _newton_iterate(system, y0, cfg)
         if converged:
@@ -710,14 +703,7 @@ def find_multiple(
             break
         known = np.array([system.to_reduced(r.u.flat()) for r in records])
         g_defl, jac_defl = _deflated_system(system, known, cfg)
-        for i in range(cfg.starts):
-            rng = rng_for(cfg.seed, 211 + round_no, i)
-            v = rng.normal(size=system.dim)
-            nv = float(np.linalg.norm(v))
-            if nv == 0.0:
-                continue
-            radius = cfg.start_radius * rng.random() ** (1.0 / max(system.dim, 1))
-            y0 = radius * v / nv
+        for i, y0 in _random_starts(cfg, system.dim, 211 + round_no):
             y, ng, converged, _ = _newton_iterate(
                 system, y0, cfg, g_fn=g_defl, jac_fn=jac_defl
             )

@@ -1,0 +1,273 @@
+"""The shared central-difference helper and the shared random-start sampler.
+
+Each finite-difference caller (the Newton Jacobian, minimize's polish
+Hessian, gradient_fd, hessian_fd) and both start stages of find_multiple
+once carried a loop of their own.  The loops are kept here as the
+reference, and the callers must reproduce them bit for bit.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from pklap import solvers
+from pklap.analysis import rng_for
+from pklap.core import ExponentFunction, Nonlinearity, PeriodicSequence, Problem, euclidean_norm
+from pklap.functional import (
+    NonsmoothExponentError,
+    action,
+    gradient,
+    gradient_fd,
+    hessian_fd,
+    morse_summary,
+)
+from pklap.nonlinearities import make_example1, make_example3
+from pklap.operators import residual_values
+from pklap.solvers import (
+    SUBSPACE_FULL,
+    SUBSPACE_Y,
+    SolverConfig,
+    _random_starts,
+    _System,
+    find_multiple,
+    minimize,
+    mountain_pass,
+)
+
+
+def _loop_reference(fn, x, step):
+    """The coordinate loop each caller carried: a preallocated array filled
+    entry by entry (scalar fn) or column by column (vector fn)."""
+    out = None
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += step
+        xm[i] -= step
+        col = (fn(xp) - fn(xm)) / (2.0 * step)
+        if out is None:
+            out = np.zeros(np.shape(col) + (x.size,))
+        out[..., i] = col
+    return out
+
+
+def _inline_starts(cfg, dim, key):
+    """The start loop that stages 1 and 2 of find_multiple carried inline."""
+    out = []
+    for i in range(cfg.starts):
+        rng = rng_for(cfg.seed, key, i)
+        v = rng.normal(size=dim)
+        nv = float(np.linalg.norm(v))
+        if nv == 0.0:
+            continue
+        radius = cfg.start_radius * rng.random() ** (1.0 / max(dim, 1))
+        out.append((i, radius * v / nv))
+    return out
+
+
+def _well_nl2(m):
+    """n = 2 family F = |u1|^2 - |u1|^4 / 4 + u1 . u2 / 10 in array form."""
+
+    def F(K, U1, U2):
+        q = np.sum(U1 * U1, axis=1)
+        return q - 0.25 * q * q + 0.1 * np.sum(U1 * U2, axis=1)
+
+    def F2(K, U1, U2):
+        q = np.sum(U1 * U1, axis=1)
+        return (2.0 - q)[:, None] * U1 + 0.1 * U2
+
+    def F3(K, U1, U2):
+        return 0.1 * U1
+
+    return Nonlinearity.from_arrays(m, F, F2, F3, n=2)
+
+
+def _example1_problem(p=(2.0, 2.5, 3.0, 2.0)):
+    nl, _ = make_example1(4)
+    return Problem(m=4, n=1, exponent=ExponentFunction(np.array(p)), nonlinearity=nl, lam=1.0)
+
+
+def _example3_problem(m=4, lam=10.0):
+    nl, _ = make_example3(m)
+    return Problem(
+        m=m, n=1, exponent=ExponentFunction.constant(2.0, m), nonlinearity=nl, lam=lam
+    )
+
+
+def _n2_problem():
+    return Problem(
+        m=3,
+        n=2,
+        exponent=ExponentFunction(np.array([2.0, 2.5, 3.0])),
+        nonlinearity=_well_nl2(3),
+        lam=1.0,
+    )
+
+
+def _point(prob, seed):
+    return PeriodicSequence(np.random.default_rng(seed).normal(size=(prob.m, prob.n)))
+
+
+@pytest.mark.parametrize("make_prob", [_example1_problem, _n2_problem])
+@pytest.mark.parametrize("subspace", [SUBSPACE_FULL, SUBSPACE_Y])
+def test_system_jacobian_matches_loop(make_prob, subspace):
+    prob = make_prob()
+    system = _System(prob, subspace=subspace)
+    for seed in range(3):
+        y = system.to_reduced(_point(prob, seed).flat())
+        step = 1e-7 * max(1.0, float(np.linalg.norm(y)))
+        jac = system.jacobian(y)
+        assert jac.shape == (system.dim, system.dim)
+        assert np.array_equal(jac, _loop_reference(system.g, y, step))
+
+
+@pytest.mark.parametrize("make_prob", [_example1_problem, _n2_problem])
+def test_gradient_fd_matches_loop(make_prob):
+    prob = make_prob()
+
+    def act(x):
+        return action(x.reshape(prob.m, prob.n), prob)
+
+    for seed in range(3):
+        u = _point(prob, seed)
+        step = 1e-7 * max(1.0, euclidean_norm(u))
+        expect = _loop_reference(act, u.flat(), step)
+        assert np.array_equal(gradient_fd(u, prob).flat(), expect)
+        assert np.array_equal(gradient_fd(u, prob, step=1e-4).flat(), _loop_reference(act, u.flat(), 1e-4))
+
+
+@pytest.mark.parametrize("make_prob", [_example1_problem, _n2_problem])
+def test_hessian_fd_matches_loop_over_gradient(make_prob):
+    """Columns used to be differences of gradient() on a PeriodicSequence."""
+    prob = make_prob()
+
+    def grad(x):
+        return gradient(PeriodicSequence.from_flat(x, prob.m, prob.n), prob).values.reshape(-1)
+
+    for seed in range(3):
+        u = _point(prob, seed)
+        step = 1e-5 * max(1.0, euclidean_norm(u))
+        h = _loop_reference(grad, u.flat(), step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = hessian_fd(u, prob)
+        assert np.array_equal(got, 0.5 * (h + h.T))
+
+
+@pytest.mark.parametrize(
+    "make_prob, subspace",
+    [(_example3_problem, SUBSPACE_Y), (_n2_problem, SUBSPACE_FULL)],
+)
+def test_minimize_polish_hessian_matches_loop(monkeypatch, make_prob, subspace):
+    """Both cases run the Newton polish after L-BFGS at least once."""
+    prob = make_prob()
+    system = _System(prob, subspace=subspace)
+
+    def grad(y):
+        # the polish's objective gradient as minimize computed it before
+        seq = PeriodicSequence.from_flat(system.to_full(y), prob.m, prob.n)
+        return system.to_reduced(-residual_values(seq, prob).reshape(-1))
+
+    seen = []
+    real = solvers._central_difference
+
+    def spy(fn, x, step):
+        out = real(fn, x, step)
+        seen.append((x.copy(), step, out))
+        return out
+
+    monkeypatch.setattr(solvers, "_central_difference", spy)
+    assert minimize(prob, subspace=subspace, cfg=SolverConfig(seed=0)) is not None
+    assert seen
+    for y, step, hess in seen:
+        assert step == 1e-6 * max(1.0, float(np.linalg.norm(y)))
+        assert np.array_equal(hess, _loop_reference(grad, y, step))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+@pytest.mark.parametrize("key", [101, 211, 213])
+def test_random_starts_match_inline_draws(dim, key):
+    cfg = SolverConfig(starts=12, seed=5, start_radius=2.5)
+    got = list(_random_starts(cfg, dim, key))
+    expect = _inline_starts(cfg, dim, key)
+    assert [i for i, _ in got] == [i for i, _ in expect]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, expect))
+
+
+def test_find_multiple_start_pools_match_inline_draws(monkeypatch):
+    """Stage 1 runs the plain residual from the key-101 draws; deflation
+    round r runs the deflated residual from the key-(211 + r) draws."""
+    prob = _example3_problem(m=3, lam=10.0)
+    cfg = SolverConfig(starts=4, seed=2)
+    dim = _System(prob, subspace=SUBSPACE_Y).dim
+    plain, deflated = [], []
+    real = solvers._newton_iterate
+
+    def spy(system, y0, cfg, g_fn=None, jac_fn=None):
+        (plain if g_fn is None else deflated).append(np.array(y0, copy=True))
+        return real(system, y0, cfg, g_fn=g_fn, jac_fn=jac_fn)
+
+    monkeypatch.setattr(solvers, "_newton_iterate", spy)
+    find_multiple(prob, cfg, subspace=SUBSPACE_Y)
+    rounds = len(deflated) // cfg.starts
+    assert rounds >= 2
+    expect_plain = [y for _, y in _inline_starts(cfg, dim, 101)]
+    expect_deflated = [
+        y for r in range(rounds) for _, y in _inline_starts(cfg, dim, 211 + r)
+    ]
+    assert len(plain) == len(expect_plain)
+    assert len(deflated) == len(expect_deflated)
+    assert all(np.array_equal(a, b) for a, b in zip(plain, expect_plain))
+    assert all(np.array_equal(a, b) for a, b in zip(deflated, expect_deflated))
+
+
+def test_mountain_pass_evaluates_each_path_once_per_sweep(monkeypatch):
+    """The two lowest records of the shipped example1 m = 4 solve (seed 0).
+
+    The search runs 11 sweeps over 21 path points and finds no barrier.  It
+    evaluates J at both endpoints once and at every point of each sweep's
+    path once: 2 + 11 * 21 = 233 calls (423 when the interior was evaluated
+    again after each sweep)."""
+    nl, _ = make_example1(4)
+    prob = Problem(m=4, n=1, exponent=ExponentFunction.constant(2.0, 4), nonlinearity=nl, lam=1.0)
+    a = PeriodicSequence(
+        np.array([6.787248865406812, 5.153353455075127, -4.194778655199543, 2.041791330357071])
+    )
+    b = PeriodicSequence(
+        np.array([2.7203398617688643, -4.678518570095734, 2.6806956265306336, -2.0600983250148])
+    )
+    calls = []
+
+    def counting(u, p):
+        calls.append(1)
+        return action(u, p)
+
+    monkeypatch.setattr(solvers, "action", counting)
+    assert mountain_pass(prob, a, b, SolverConfig()) is None
+    assert len(calls) == 233
+
+
+class TestNonsmoothExponent:
+    """At p_minus = 1 the Dirichlet term has no derivative where a forward
+    difference vanishes, so every derivative entry point refuses."""
+
+    def _prob(self):
+        return _example1_problem(p=(1.0, 2.0, 2.0, 2.0))
+
+    def test_gradient_raises(self):
+        prob = self._prob()
+        with pytest.raises(NonsmoothExponentError, match="p_minus = 1.0"):
+            gradient(_point(prob, 0), prob)
+
+    def test_hessian_fd_warns_then_raises(self):
+        prob = self._prob()
+        with pytest.warns(RuntimeWarning, match="p_minus < 2"):
+            with pytest.raises(NonsmoothExponentError, match="p_minus = 1.0"):
+                hessian_fd(_point(prob, 0), prob)
+
+    def test_morse_summary_raises(self):
+        prob = self._prob()
+        with pytest.warns(RuntimeWarning, match="p_minus < 2"):
+            with pytest.raises(NonsmoothExponentError):
+                morse_summary(_point(prob, 0), prob)

@@ -1,0 +1,61 @@
+"""Write the CLI outputs of the shipped configs to one directory.
+
+    python tools/snapshot_outputs.py OUTDIR
+
+For each config in configs/ it runs `solve` (values and summary CSV),
+`check` (JSON) and a 50-point `gradcheck` (JSON); it also runs a 25-step
+`sweep` of example3_sweep over lambda in [0.1, 10].  The commands run
+against the src/ of the checkout this script sits in, so two checkouts give
+two snapshots, and `diff -r` between them shows any output that changed.
+stdout is discarded because it holds the output paths; stderr is passed
+through.  Exits 1 when a command fails.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = ("example1_m4", "example2_m3", "example3_sweep", "power_borderline")
+
+
+def _commands(outdir: str) -> list[list[str]]:
+    cmds = []
+    for name in CONFIGS:
+        config = os.path.join(ROOT, "configs", name + ".json")
+        out = os.path.join(outdir, name)
+        cmds.append(
+            ["solve", config, "--values-out", out + ".values.csv", "--summary-out", out + ".summary.csv"]
+        )
+        cmds.append(["check", config, "--output", out + ".check.json"])
+        cmds.append(["gradcheck", config, "--points", "50", "--output", out + ".gradcheck.json"])
+    config = os.path.join(ROOT, "configs", "example3_sweep.json")
+    cmds.append(
+        ["sweep", config, "--lambda-min", "0.1", "--lambda-max", "10", "--steps", "25",
+         "--output", os.path.join(outdir, "example3_sweep.sweep.csv")]
+    )
+    return cmds
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/snapshot_outputs.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = os.path.abspath(argv[0])
+    os.makedirs(outdir, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    status = 0
+    for cmd in _commands(outdir):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pklap.cli", *cmd], env=env, stdout=subprocess.DEVNULL
+        )
+        if proc.returncode != 0:
+            print(f"exit {proc.returncode}: pklap {' '.join(cmd)}", file=sys.stderr)
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
