@@ -272,18 +272,25 @@ def newton_solve(
 def _deflation_terms(
     y: np.ndarray, known: Sequence[np.ndarray], power: float, shift: float
 ) -> tuple[float, np.ndarray]:
-    """Deflation factor prod_i (||y - y_i||^-power + shift) and its gradient."""
-    factor = 1.0
-    log_grad = np.zeros_like(y)
-    for yi in known:
-        d = y - yi
-        nd2 = float(np.dot(d, d))
-        if nd2 == 0.0:
-            return math.inf, log_grad
-        mi = nd2 ** (-power / 2.0) + shift
-        dmi = -power * nd2 ** (-power / 2.0 - 1.0) * d
-        factor *= mi
-        log_grad = log_grad + dmi / mi
+    """Deflation factor prod_i (||y - y_i||^-power + shift) and its gradient.
+
+    known holds K >= 1 solutions, as a (K, dim) array or a sequence of
+    vectors.  All K terms are formed at once, and the product and the sum of
+    the log-gradients accumulate in the order of known, so the result is
+    bitwise that of a loop over the solutions: each squared norm is one dot
+    product (the stacked matmul), the powers go through C pow
+    (np.float_power, as Python's ** on floats), and cumprod/cumsum add one
+    term at a time.  The leading 0.0 + turns a -0.0 sum into +0.0, as adding
+    to a zero vector does.  At a known solution the factor is inf.
+    """
+    d = y - np.asarray(known, dtype=float)
+    nd2 = (d[:, None, :] @ d[:, :, None]).reshape(-1)
+    if np.any(nd2 == 0.0):
+        return math.inf, np.zeros_like(y)
+    mi = np.float_power(nd2, -power / 2.0) + shift
+    dmi = (-power * np.float_power(nd2, -power / 2.0 - 1.0))[:, None] * d
+    factor = float(np.cumprod(mi)[-1])
+    log_grad = 0.0 + np.cumsum(dmi / mi[:, None], axis=0)[-1]
     return factor, factor * log_grad
 
 
@@ -292,10 +299,11 @@ def _deflated_system(system: _System, known: np.ndarray, cfg: SolverConfig):
 
     known is a (K, dim) array of solutions in the system's coordinates and
     M(y) = prod_i (||y - y_i||^-power + shift).  g_defl raises EvaluationError
-    at a known solution.  Newton asks for the Jacobian at the point whose
-    deflated residual it has just accepted, so the factor, its gradient and
-    the residual of the last g_defl call are kept (keyed on the iterate's
-    bytes) and reused by jac_defl instead of being computed again.
+    at a known solution, or so near one that M or its gradient overflows.
+    Newton asks for the Jacobian at the point whose deflated residual it has
+    just accepted, so the factor, its gradient and the residual of the last
+    g_defl call are kept (keyed on the iterate's bytes) and reused by
+    jac_defl instead of being computed again.
     """
     last: dict = {}
 
@@ -305,7 +313,7 @@ def _deflated_system(system: _System, known: np.ndarray, cfg: SolverConfig):
             factor, dfactor = _deflation_terms(
                 y, known, cfg.deflation_power, cfg.deflation_shift
             )
-            if not math.isfinite(factor):
+            if not (math.isfinite(factor) and np.all(np.isfinite(dfactor))):
                 raise EvaluationError("deflated residual at a known solution")
             g = system.g(y)
             last.clear()
@@ -398,10 +406,29 @@ def _flat_connected(a: np.ndarray, b: np.ndarray, prob: Problem, bar: float) -> 
     return True
 
 
-def _same_solution(a: np.ndarray, b: np.ndarray, prob: Problem, cfg: SolverConfig) -> bool:
-    return _is_duplicate(a, b, cfg.dedupe_tol) or _flat_connected(
-        a, b, prob, 100.0 * cfg.residual_tol
-    )
+def _same_solution(
+    a: np.ndarray,
+    b: np.ndarray,
+    prob: Problem,
+    cfg: SolverConfig,
+    actions: Optional[tuple[float, float]] = None,
+) -> bool:
+    """Dedupe test: a and b are close, or joined by a flat segment.
+
+    actions, when given, are J(a) and J(b).  If the whole segment from a to
+    b stays in {|g| <= bar}, then |J(a) - J(b)| <= bar * ||a - b|| because
+    grad J = -g, so a larger action gap (beyond rounding slack) rules the
+    merge out without evaluating the residual on the segment.
+    """
+    if _is_duplicate(a, b, cfg.dedupe_tol):
+        return True
+    bar = 100.0 * cfg.residual_tol
+    if actions is not None:
+        j_a, j_b = actions
+        slack = 1e-12 * max(1.0, abs(j_a), abs(j_b))
+        if abs(j_a - j_b) > bar * float(np.linalg.norm(a - b)) + slack:
+            return False
+    return _flat_connected(a, b, prob, bar)
 
 
 class _Diverged(Exception):
@@ -431,13 +458,17 @@ def minimize(
     system = _System(prob, subspace=subspace)
     guard = DIVERGENCE_GUARD * max(1.0, cfg.start_radius)
 
-    def fun(y: np.ndarray):
+    def point(y: np.ndarray) -> np.ndarray:
         if float(np.linalg.norm(y)) > guard:
             raise _Diverged
-        v = system.to_full(y).reshape(prob.m, prob.n)
-        val = sign * action(v, prob)
-        grad = sign * system.to_reduced(-residual_values(v, prob).reshape(-1))
-        return val, grad
+        return system.to_full(y).reshape(prob.m, prob.n)
+
+    def grad_at(v: np.ndarray) -> np.ndarray:
+        return sign * system.to_reduced(-residual_values(v, prob).reshape(-1))
+
+    def fun(y: np.ndarray):
+        v = point(y)
+        return sign * action(v, prob), grad_at(v)
 
     if u0 is not None:
         y = system.to_reduced(u0.flat())
@@ -461,7 +492,7 @@ def minimize(
             if gnorm <= cfg.residual_tol:
                 break
             hess = _central_difference(
-                lambda v: fun(v)[1], y, 1e-6 * max(1.0, float(np.linalg.norm(y)))
+                lambda w: grad_at(point(w)), y, 1e-6 * max(1.0, float(np.linalg.norm(y)))
             )
             try:
                 delta = np.linalg.solve(hess, -grad)
@@ -533,9 +564,10 @@ def mountain_pass(
     j_end = max(j_of(a), j_of(b))
     barrier_tol = 1e-9 * max(1.0, abs(j_end))
     for _ in range(10 * cfg.max_iterations):
-        j_vals = np.array([j_of(p) for p in path])
-        i_star = 1 + int(np.argmax(j_vals[1:-1]))
-        if j_vals[i_star] <= j_end + barrier_tol:
+        # the endpoints never move, so only the interior is evaluated
+        j_inner = np.array([j_of(p) for p in path[1:-1]])
+        i_star = 1 + int(np.argmax(j_inner))
+        if j_inner[i_star - 1] <= j_end + barrier_tol:
             return None
         g_star = system.g_full(path[i_star])
         if float(np.linalg.norm(g_star)) <= 10.0 * cfg.residual_tol:
@@ -656,7 +688,9 @@ def find_multiple(
     def try_add(rec: SolutionRecord) -> bool:
         x = _canonical(rec.u.flat(), prob)
         for i, existing in enumerate(records):
-            if _same_solution(x, _canonical(existing.u.flat(), prob), prob, cfg):
+            # canonicalising subtracts a constant only when F == 0, which keeps J
+            actions = (rec.action_value, existing.action_value)
+            if _same_solution(x, _canonical(existing.u.flat(), prob), prob, cfg, actions):
                 if rec.residual_norm < existing.residual_norm:
                     records[i] = rec
                 return False
@@ -754,6 +788,9 @@ def lambda_sweep(
     """find_multiple along a lambda grid with warm-started continuation.
 
     Solutions found at one grid point seed the Newton starts at the next.
+    The warm pool is replaced, not extended: it holds exactly the records
+    of the previous grid point (of the last one that did not fail), so it
+    is bounded by that point's record count and does not accumulate.
     a_estimate lists the maximal grid intervals on which at least three
     distinct solutions were located.
     """
