@@ -135,6 +135,8 @@ def load_config(path: str) -> LoadedConfig:
         raise ConfigError("p must be a number or a list of numbers")
     if len(p_list) != m:
         raise ConfigError(f"p must have {m} entries, got {len(p_list)}")
+    if not all(x > 1.0 for x in p_list):
+        raise ConfigError(f"every p must be > 1, got min {min(p_list)}")
 
     lam = raw["lambda"]
     if isinstance(lam, bool) or not isinstance(lam, (int, float)):

@@ -1,11 +1,11 @@
 """Solvers that locate and classify multiple critical points of the action.
 
-The toolbox is deliberately plain: damped Newton on the residual with a
-finite-difference Jacobian, deflation to repel already-found solutions,
-subspace-restricted minimisation for the coercive routes, and a relaxed
-path (string) method for saddle points between two known critical points.
-All randomness is drawn from counter-keyed generators, so a fixed seed
-reproduces the same solution set bit for bit.
+The toolbox is deliberately plain: find_multiple runs damped Newton on the
+residual with a finite-difference Jacobian and deflation to repel found
+solutions; minimize (on a subspace, for the coercive routes) and
+mountain_pass (a relaxed path between two critical points) are only called
+directly.  All randomness is drawn from counter-keyed generators, so a
+fixed seed reproduces the same solution set bit for bit.
 """
 
 from __future__ import annotations
@@ -45,10 +45,17 @@ DIVERGENCE_GUARD = 1e6
 # so iterates escape flat basins instead of stopping at the tolerance boundary.
 _POLISH_BUDGET = 200
 
+# Points on the discretised mountain-pass path, endpoints included.
+_PATH_POINTS = 21
+
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    """Shared knobs for every solver in this module."""
+    """Shared knobs for every solver in this module; int fields reject bools
+    and float fields must be finite.  regularization_eps is read only by
+    newton_solve, which mountain_pass and deflated_solve (with nothing
+    known) call; find_multiple and lambda_sweep ignore it.
+    """
 
     starts: int = 16
     max_iterations: int = 100
@@ -58,15 +65,18 @@ class SolverConfig:
     deflation_shift: float = 1.0
     regularization_eps: float = 0.0
     start_radius: float = 3.0
-    path_points: int = 21
-    use_mountain_pass: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise TypeError(f"{field.name} must be an integer, got {value!r}")
+            if field.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
+        for field in ("starts", "max_iterations"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be >= 1")
         for field in ("residual_tol", "dedupe_tol", "start_radius"):
             if not getattr(self, field) > 0:
                 raise ValueError(f"{field} must be positive")
@@ -74,8 +84,6 @@ class SolverConfig:
             raise ValueError("deflation parameters must be positive (shift >= 0)")
         if self.regularization_eps < 0:
             raise ValueError("regularization_eps must be >= 0")
-        if self.path_points < 5:
-            raise ValueError("path_points must be >= 5")
 
 
 def subspace_basis(m: int, n: int, subspace: str) -> np.ndarray:
@@ -554,8 +562,7 @@ def mountain_pass(
     if _is_duplicate(a, b, cfg.dedupe_tol):
         raise ValueError("mountain_pass endpoints must be distinct")
     system = _System(prob)
-    npts = cfg.path_points
-    ts = np.linspace(0.0, 1.0, npts)
+    ts = np.linspace(0.0, 1.0, _PATH_POINTS)
     path = np.array([a + t * (b - a) for t in ts])
 
     def j_of(x: np.ndarray) -> float:
@@ -576,7 +583,7 @@ def mountain_pass(
         seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
         spacing = float(np.mean(seg))
         new_path = path.copy()
-        for i in range(1, npts - 1):
+        for i in range(1, _PATH_POINTS - 1):
             tangent = path[i + 1] - path[i - 1]
             tn = float(np.linalg.norm(tangent))
             if tn > 0.0:
@@ -590,7 +597,7 @@ def mountain_pass(
         deltas = np.linalg.norm(np.diff(new_path, axis=0), axis=1)
         arc = np.concatenate([[0.0], np.cumsum(deltas)])
         if arc[-1] > 0.0:
-            targets = np.linspace(0.0, arc[-1], npts)
+            targets = np.linspace(0.0, arc[-1], _PATH_POINTS)
             for dim in range(new_path.shape[1]):
                 new_path[:, dim] = np.interp(targets, arc, new_path[:, dim])
         path = new_path
@@ -671,9 +678,9 @@ def find_multiple(
 ) -> SolutionSet:
     """Multistart Newton + deflation pipeline returning a deduplicated set.
 
-    Stages: the zero sequence, multistart Newton, deflation rounds until a
-    full round adds nothing, and optionally a saddle search between the two
-    lowest critical points.  With subspace="Y" the iteration runs on the
+    Stages: the zero sequence, multistart Newton, then deflation rounds
+    until a full round adds nothing.  Every record's method is "newton" or
+    "deflated".  With subspace="Y" the iteration runs on the
     zero-mean reduction; every candidate is still verified against the full
     residual, and reduced-critical points failing that test are reported in
     y_discrepancies instead of records.
@@ -749,16 +756,6 @@ def find_multiple(
                 added = True
         if not added:
             break
-
-    # stage 3: saddle search between the two lowest records
-    if cfg.use_mountain_pass and subspace == SUBSPACE_FULL and len(records) >= 2:
-        ordered = sorted(records, key=lambda r: r.action_value)
-        try:
-            mp = mountain_pass(prob, ordered[0].u, ordered[1].u, cfg)
-        except ValueError:
-            mp = None
-        if mp is not None and mp.converged:
-            try_add(mp)
 
     symmetry_ok = None
     if prob.nonlinearity.even_symmetric and records:

@@ -79,7 +79,7 @@ def _points(draw, n):
 
 
 class TestBatchedEqualsPerPoint:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(name=st.sampled_from(sorted(BUILTINS)), pts=_points(1))
     def test_F_many_builtins(self, name, pts):
         nl = _builtin(name).nonlinearity
@@ -89,7 +89,7 @@ class TestBatchedEqualsPerPoint:
             looped = [nl.F_at(int(k), u1, u2) for k, u1, u2 in zip(K, U1, U2)]
         assert _same_bits(batched, looped)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(name=st.sampled_from(sorted(BUILTINS)), data=st.data())
     def test_coupling_builtins(self, name, data):
         nl = _builtin(name).nonlinearity
@@ -102,7 +102,7 @@ class TestBatchedEqualsPerPoint:
             )
         assert _same_bits(batched, looped)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(pts=_points(2), data=st.data())
     def test_per_point_family_n2(self, pts, data):
         nl = _product_nl(3)
@@ -114,7 +114,7 @@ class TestBatchedEqualsPerPoint:
             rows = [nl.f(k, vals[k % 3], vals[k - 1], vals[k - 2]) for k in range(1, 4)]
             assert _same_bits(nl.coupling(vals), np.array(rows))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         name=st.sampled_from(sorted(BUILTINS)),
         k=st.integers(1, 5),

@@ -77,6 +77,20 @@ class TestLoadConfig:
             {"seed": 1.5},
             {"n": 0},
             {"typo_key": 1},
+            {"p": 1},
+            {"p": [2, 1]},
+            {"solver": {"use_mountain_pass": False}},
+            {"solver": {"path_points": 21}},
+            {"solver": {"starts": 2.5}},
+            {"solver": {"starts": True}},
+            {"solver": {"max_iterations": 10.5}},
+            {"solver": {"seed": 1.5}},
+            {"solver": {"residual_tol": math.inf}},
+            {"solver": {"dedupe_tol": math.inf}},
+            {"solver": {"deflation_power": math.inf}},
+            {"solver": {"deflation_shift": math.inf}},
+            {"solver": {"regularization_eps": math.inf}},
+            {"solver": {"start_radius": math.inf}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, overrides):
@@ -115,6 +129,12 @@ class TestExitCodes:
         cfg = _config(tmp_path)
         out = str(tmp_path / "g.json")
         assert cli.main(["gradcheck", cfg, "--points", "0", "--output", out]) == cli.EXIT_CONFIG
+
+    def test_non_finite_tol_flag(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        argv = ["solve", _config(tmp_path), "--tol", "inf"]
+        argv += ["--values-out", out, "--summary-out", out]
+        assert cli.main(argv) == cli.EXIT_CONFIG
 
     def test_solve_without_solutions_is_compute_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

@@ -79,7 +79,7 @@ _POWERS = st.sampled_from([1.0, 2.0, 3.0, 2.5])
 _SHIFTS = st.sampled_from([0.0, 1.0])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     dim=st.integers(1, 8),
     k=st.integers(1, 130),
@@ -116,7 +116,7 @@ _ELEMENTS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(data=st.data(), power=_POWERS, shift=_SHIFTS)
 def test_deflation_terms_match_loop_on_drawn_values(data, power, shift):
     """Every component drawn by hypothesis, small K and dim."""

@@ -320,13 +320,34 @@ class TestFindMultiple:
         assert len(sols.records) == 1
         assert np.allclose(sols.records[0].u.values, 0.0)
 
+    def test_pipeline_does_not_call_mountain_pass(self, monkeypatch):
+        """Newton and deflation alone find both wells and the saddle between
+        them; find_multiple never calls mountain_pass."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("find_multiple called mountain_pass")
+
+        monkeypatch.setattr(solvers, "mountain_pass", fail)
+        sols = find_multiple(_double_well(), SolverConfig(starts=8, seed=0))
+        got = [
+            (r.u.values.reshape(-1).tolist(), r.action_value, r.method, r.start_index)
+            for r in sols.records
+        ]
+        assert got == [
+            ([-1.0, -1.0], -0.5, "newton", 0),
+            ([1.0, 1.0], -0.5, "newton", 5),
+            ([0.0, 0.0], 0.0, "newton", None),
+        ]
+        assert [r.morse_index for r in sols.records] == [0, 0, 1]
+        assert all(r.residual_norm == 0.0 for r in sols.records)
+
     def test_subspace_validation(self):
         with pytest.raises(ValueError):
             find_multiple(_double_well(), subspace=SUBSPACE_W)
 
     def test_extra_starts_seed_known_solution(self):
         prob = _double_well()
-        cfg = SolverConfig(starts=1, seed=0, use_mountain_pass=False)
+        cfg = SolverConfig(starts=1, seed=0)
         sols = find_multiple(prob, cfg, extra_starts=[np.array([0.9, 1.1])])
         flats = [tuple(np.round(r.u.values.reshape(-1), 8)) for r in sols.records]
         assert (1.0, 1.0) in flats
