@@ -115,18 +115,29 @@ def _entry_norms(u: PeriodicSequence) -> np.ndarray:
     return np.linalg.norm(u.values, axis=1)
 
 
+def _inequality_report(name: str, margin: float, slack: float, witness: dict) -> CheckReport:
+    """Report of one norm inequality, keeping the witness only for a violation.
+
+    A NaN margin (both sides overflowed) decides nothing, and C.1 - C.3 are
+    theorems, so it is inconclusive rather than a violation.  The scalar
+    right-hand sides use np.float_power, the C pow that Python's float **
+    calls: finite values keep their bits, and an overflow gives inf.
+    """
+    if math.isnan(margin):
+        verdict = INCONCLUSIVE
+    else:
+        verdict = HOLDS if margin >= -slack else VIOLATED
+    return CheckReport(name, verdict, margin, witness if verdict == VIOLATED else None, samples=1)
+
+
 def check_c1(u: PeriodicSequence, s: float, slack: float = 1e-10) -> CheckReport:
     """sum_k |u(k)|^s <= m * ||u||^s for any s > 0."""
     if not s > 0:
         raise ValueError(f"C.1 requires s > 0, got {s}")
     lhs = float(np.sum(_entry_norms(u) ** s))
-    rhs = u.m * euclidean_norm(u) ** s
-    margin = rhs - lhs
-    verdict = HOLDS if margin >= -slack else VIOLATED
-    witness = None
-    if verdict == VIOLATED:
-        witness = {"u": u.values, "s": s, "lhs": lhs, "rhs": rhs}
-    return CheckReport("C.1", verdict, margin, witness, samples=1)
+    rhs = u.m * float(np.float_power(euclidean_norm(u), s))
+    witness = {"u": u.values, "s": s, "lhs": lhs, "rhs": rhs}
+    return _inequality_report("C.1", rhs - lhs, slack, witness)
 
 
 def check_c2(u: PeriodicSequence, s: float, slack: float = 1e-10) -> CheckReport:
@@ -134,13 +145,9 @@ def check_c2(u: PeriodicSequence, s: float, slack: float = 1e-10) -> CheckReport
     if s < 2:
         raise ValueError(f"C.2 requires s >= 2, got {s}")
     lhs = float(np.sum(_entry_norms(u) ** s))
-    rhs = u.m ** ((2.0 - s) / 2.0) * euclidean_norm(u) ** s
-    margin = lhs - rhs
-    verdict = HOLDS if margin >= -slack else VIOLATED
-    witness = None
-    if verdict == VIOLATED:
-        witness = {"u": u.values, "s": s, "lhs": lhs, "rhs": rhs}
-    return CheckReport("C.2", verdict, margin, witness, samples=1)
+    rhs = float(np.float_power(u.m, (2.0 - s) / 2.0) * np.float_power(euclidean_norm(u), s))
+    witness = {"u": u.values, "s": s, "lhs": lhs, "rhs": rhs}
+    return _inequality_report("C.2", lhs - rhs, slack, witness)
 
 
 def check_c3(u: PeriodicSequence, p: ExponentFunction, slack: float = 1e-10) -> CheckReport:
@@ -150,13 +157,8 @@ def check_c3(u: PeriodicSequence, p: ExponentFunction, slack: float = 1e-10) -> 
     d = np.roll(u.values, -1, axis=0) - u.values
     lhs = float(np.sum(np.linalg.norm(d, axis=1) ** p.values))
     pp = p.p_plus
-    rhs = u.m * (2.0**pp * euclidean_norm(u) ** pp + 1.0)
-    margin = rhs - lhs
-    verdict = HOLDS if margin >= -slack else VIOLATED
-    witness = None
-    if verdict == VIOLATED:
-        witness = {"u": u.values, "lhs": lhs, "rhs": rhs}
-    return CheckReport("C.3", verdict, margin, witness, samples=1)
+    rhs = u.m * float(np.float_power(2.0, pp) * np.float_power(euclidean_norm(u), pp) + 1.0)
+    return _inequality_report("C.3", rhs - lhs, slack, {"u": u.values, "lhs": lhs, "rhs": rhs})
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +455,8 @@ def thresholds(prob: Problem, growth: GrowthProfile, rho1: float | None = None) 
     """
     pp = prob.exponent.p_plus
     pm = prob.exponent.p_minus
-    num = 2.0**pp * prob.m ** (pp / 2.0)
+    # C pow, so a huge p_plus gives an infinite threshold instead of raising
+    num = float(np.float_power(2.0, pp) * np.float_power(prob.m, pp / 2.0))
 
     def ratio(denom: float) -> float:
         return num / (pm * denom) if denom > 0.0 else math.inf

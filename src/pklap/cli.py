@@ -35,6 +35,7 @@ import numpy as np
 
 from .analysis import (
     HOLDS,
+    INCONCLUSIVE,
     VIOLATED,
     CheckReport,
     _jsonable,
@@ -230,8 +231,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _sampled_c_reports(prob: Problem, seed: int, count: int = 300) -> list[CheckReport]:
-    """Aggregate the three norm inequalities over seeded random samples."""
+    """Aggregate the three norm inequalities over seeded random samples; one
+    whose every margin is NaN (both sides overflowed) is inconclusive."""
     worst = {"C.1": (math.inf, None), "C.2": (math.inf, None), "C.3": (math.inf, None)}
+    decided = set()
     for i in range(count):
         rng = rng_for(seed, 41, i)
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
@@ -242,11 +245,13 @@ def _sampled_c_reports(prob: Problem, seed: int, count: int = 300) -> list[Check
             check_c3(u, prob.exponent),
         )
         for rep in trio:
+            if rep.verdict != INCONCLUSIVE:
+                decided.add(rep.name)
             if rep.margin < worst[rep.name][0]:
                 worst[rep.name] = (rep.margin, rep.witness)
     out = []
     for name, (margin, witness) in worst.items():
-        verdict = VIOLATED if margin < -1e-10 else HOLDS
+        verdict = VIOLATED if margin < -1e-10 else HOLDS if name in decided else INCONCLUSIVE
         out.append(
             CheckReport(name, verdict, margin, witness, samples=count, seed=seed)
         )
@@ -482,10 +487,8 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     loaded = load_config(args.config)
-    if not (0.0 < args.lambda_min):
-        raise ConfigError("--lambda-min must be positive")
-    if not (args.lambda_min < args.lambda_max):
-        raise ConfigError("--lambda-min must be below --lambda-max")
+    if not (0.0 < args.lambda_min < args.lambda_max < math.inf):
+        raise ConfigError("the lambda bounds must satisfy 0 < --lambda-min < --lambda-max < inf")
     if args.steps < 1:
         raise ConfigError("--steps must be >= 1")
     grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
@@ -524,16 +527,19 @@ def cmd_gradcheck(args) -> int:
     prob = loaded.problem
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
-    if args.step is not None and not args.step > 0:
-        raise ConfigError("--step must be positive")
+    if args.step is not None and not (args.step > 0 and math.isfinite(args.step)):
+        raise ConfigError("--step must be positive and finite")
 
     worst_err = 0.0
     worst_point = None
     for i in range(args.points):
         rng = rng_for(loaded.solver.seed, 31, i)
         u = PeriodicSequence(rng.normal(size=(prob.m, prob.n)))
-        g = gradient(u, prob).flat()
-        g_fd = gradient_fd(u, prob, step=args.step).flat()
+        try:
+            g = gradient(u, prob).flat()
+            g_fd = gradient_fd(u, prob, step=args.step).flat()
+        except EvaluationError as exc:
+            raise ComputationError(f"gradcheck failed: {exc}") from exc
         err = float(np.linalg.norm(g - g_fd)) / max(1.0, float(np.linalg.norm(g)))
         if err > worst_err:
             worst_err = err

@@ -43,18 +43,11 @@ def phi_p(a, p: float):
     return out
 
 
-def _phi_rows(rows: np.ndarray, p_values: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """phi_{p(k)} applied to each row of an (m, n) array.
-
-    With eps > 0 the regularised magnitude (|a|^2 + eps^2)^((p-2)/2) is used,
-    which smooths the singularity of exponents p < 2 at a = 0.
-    """
+def _phi_rows(rows: np.ndarray, p_values: np.ndarray) -> np.ndarray:
+    """phi_{p(k)} applied to each row of an (m, n) array; phi_p(0) = 0 for every p > 1."""
     norms = np.linalg.norm(rows, axis=1)
-    if eps > 0.0:
-        mags = (norms**2 + eps**2) ** ((p_values - 2.0) / 2.0)
-    else:
-        with np.errstate(divide="ignore"):
-            mags = np.where(norms > 0.0, norms ** (p_values - 2.0), 0.0)
+    with np.errstate(divide="ignore"):
+        mags = np.where(norms > 0.0, norms ** (p_values - 2.0), 0.0)
     return mags[:, None] * rows
 
 
@@ -86,17 +79,16 @@ def sequence_values(
     return vals
 
 
-def residual_values(
-    u: PeriodicSequence | np.ndarray, prob: Problem, eps: float = 0.0
-) -> np.ndarray:
+def residual_values(u: PeriodicSequence | np.ndarray, prob: Problem) -> np.ndarray:
     """Raw (m, n) residual array at u, a PeriodicSequence or an (m, n) array.
 
-    Raises EvaluationError when the input or the output has a non-finite
-    entry, and ValueError when the shape is not (prob.m, prob.n).
+    phi_p is exact at every p > 1, unsmoothed at 0 for p < 2.  Raises
+    EvaluationError when the input or the output has a non-finite entry, and
+    ValueError when the shape is not (prob.m, prob.n).
     """
     vals = sequence_values(u, prob)
     d = np.concatenate((vals[1:], vals[:1])) - vals  # row k-1 holds Delta u(k)
-    a = _phi_rows(d, prob.exponent.values, eps=eps)
+    a = _phi_rows(d, prob.exponent.values)
     lhs = a - np.concatenate((a[-1:], a[:-1]))  # phi(Delta u(k)) - phi(Delta u(k-1))
     out = lhs + prob.lam * prob.nonlinearity.coupling(vals)
     if not np.all(np.isfinite(out)):
@@ -104,11 +96,11 @@ def residual_values(
     return out
 
 
-def residual(u: PeriodicSequence, prob: Problem, eps: float = 0.0) -> Residual:
+def residual(u: PeriodicSequence, prob: Problem) -> Residual:
     """Residual of the full difference system at u.
 
     Entry k is  phi_{p(k)}(Delta u(k)) - phi_{p(k-1)}(Delta u(k-1))
-    + lam * f(k, u(k+1), u(k), u(k-1)).
+    + lam * f(k, u(k+1), u(k), u(k-1)), evaluated by residual_values.
     """
-    out = residual_values(u, prob, eps=eps)
+    out = residual_values(u, prob)
     return Residual(values=PeriodicSequence(out), norm=float(np.linalg.norm(out)))

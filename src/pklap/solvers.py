@@ -48,23 +48,27 @@ _POLISH_BUDGET = 200
 # Points on the discretised mountain-pass path, endpoints included.
 _PATH_POINTS = 21
 
+# Newton steps before the tolerance is met (minimize and mountain_pass budget
+# multiples of it); power and shift of the deflation operator of Farrell,
+# Birkisson & Funke (SIAM J. Sci. Comput. 37, 2015); radius of the ball the
+# random starts are drawn from.
+_MAX_ITERATIONS = 100
+_DEFLATION_POWER = 2.0
+_DEFLATION_SHIFT = 1.0
+_START_RADIUS = 3.0
+
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    """Shared knobs for every solver in this module; int fields reject bools
-    and float fields must be finite.  regularization_eps is read only by
-    newton_solve, which mountain_pass and deflated_solve (with nothing
-    known) call; find_multiple and lambda_sweep ignore it.
+    """Settings shared by every solver in this module: random starts per
+    stage (>= 1), the residual norm a solution must meet, the relative
+    distance under which two solutions are one, and the seed of every random
+    draw.  int fields reject bools; float fields must be finite and positive.
     """
 
     starts: int = 16
-    max_iterations: int = 100
     residual_tol: float = 1e-10
     dedupe_tol: float = 1e-6
-    deflation_power: float = 2.0
-    deflation_shift: float = 1.0
-    regularization_eps: float = 0.0
-    start_radius: float = 3.0
     seed: int = 0
 
     def __post_init__(self):
@@ -72,18 +76,10 @@ class SolverConfig:
             value = getattr(self, field.name)
             if field.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
                 raise TypeError(f"{field.name} must be an integer, got {value!r}")
-            if field.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
-        for field in ("starts", "max_iterations"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be >= 1")
-        for field in ("residual_tol", "dedupe_tol", "start_radius"):
-            if not getattr(self, field) > 0:
-                raise ValueError(f"{field} must be positive")
-        if self.deflation_power <= 0 or self.deflation_shift < 0:
-            raise ValueError("deflation parameters must be positive (shift >= 0)")
-        if self.regularization_eps < 0:
-            raise ValueError("regularization_eps must be >= 0")
+            if field.type == "float" and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{field.name} must be finite and positive, got {value!r}")
+        if self.starts < 1:
+            raise ValueError("starts must be >= 1")
 
 
 def subspace_basis(m: int, n: int, subspace: str) -> np.ndarray:
@@ -105,9 +101,8 @@ def subspace_basis(m: int, n: int, subspace: str) -> np.ndarray:
 class _System:
     """Flat view of the residual system, optionally reduced to a subspace."""
 
-    def __init__(self, prob: Problem, subspace: str = SUBSPACE_FULL, eps: float = 0.0):
+    def __init__(self, prob: Problem, subspace: str = SUBSPACE_FULL):
         self.prob = prob
-        self.eps = eps
         self.subspace = subspace
         self.q = None if subspace == SUBSPACE_FULL else subspace_basis(prob.m, prob.n, subspace)
         self.dim = prob.dim if self.q is None else self.q.shape[1]
@@ -119,7 +114,7 @@ class _System:
         return x if self.q is None else self.q.T @ x
 
     def g_full(self, x: np.ndarray) -> np.ndarray:
-        vals = residual_values(x.reshape(self.prob.m, self.prob.n), self.prob, eps=self.eps)
+        vals = residual_values(x.reshape(self.prob.m, self.prob.n), self.prob)
         return vals.reshape(-1)
 
     def g(self, y: np.ndarray) -> np.ndarray:
@@ -165,7 +160,7 @@ def _newton_iterate(
             # neighbourhood; only the stagnation point is the actual root.
             if polish_left <= 0:
                 break
-        elif it >= cfg.max_iterations:
+        elif it >= _MAX_ITERATIONS:
             break
         try:
             jac = jac_fn(y)
@@ -246,35 +241,14 @@ def newton_solve(
     """Damped Newton on the full residual system from the given start.
 
     Returns a verified solution record (full residual norm <= residual_tol)
-    or None.  For exponents with p_minus < 2 and regularization_eps > 0, a
-    continuation over shrinking smoothing parameters runs first, with the
-    unregularised polish applied only when no forward difference sits inside
-    the smoothing region; otherwise the record is flagged "regularized".
+    or None.  Every exponent p > 1 runs the same iteration on the exact
+    residual, the singular range p < 2 included.
     """
-    x0 = u0.flat()
-    flags: tuple = ()
-    if prob.exponent.p_minus < 2.0 and cfg.regularization_eps > 0.0:
-        x = x0
-        eps = cfg.regularization_eps
-        for _ in range(4):
-            system = _System(prob, eps=eps)
-            x, _, _, _ = _newton_iterate(system, x, cfg)
-            eps *= 0.5
-        v = x.reshape(prob.m, prob.n)
-        d = np.roll(v, -1, axis=0) - v
-        min_diff = float(np.min(np.linalg.norm(d, axis=1)))
-        if min_diff > 10.0 * eps:
-            x, ng, converged, _ = _newton_iterate(_System(prob), x, cfg)
-        else:
-            flags = ("regularized",)
-            ng = float(np.linalg.norm(_System(prob).g_full(x)))
-            converged = ng <= cfg.residual_tol
-    else:
-        x, ng, converged, _ = _newton_iterate(_System(prob), x0, cfg)
+    x, ng, converged, _ = _newton_iterate(_System(prob), u0.flat(), cfg)
     if not converged:
         logger.debug("newton_solve failed: best residual %.3e", ng)
         return None
-    return _make_record(prob, x, "newton", cfg, flags=flags)
+    return _make_record(prob, x, "newton", cfg)
 
 
 def _deflation_terms(
@@ -302,12 +276,13 @@ def _deflation_terms(
     return factor, factor * log_grad
 
 
-def _deflated_system(system: _System, known: np.ndarray, cfg: SolverConfig):
+def _deflated_system(system: _System, known: np.ndarray):
     """Deflated residual M(y) g(y) and its Jacobian M J + g (grad M)^T.
 
     known is a (K, dim) array of solutions in the system's coordinates and
-    M(y) = prod_i (||y - y_i||^-power + shift).  g_defl raises EvaluationError
-    at a known solution, or so near one that M or its gradient overflows.
+    M(y) = prod_i (||y - y_i||^-power + shift), at _DEFLATION_POWER and
+    _DEFLATION_SHIFT.  g_defl raises EvaluationError at a known solution, or
+    so near one that M or its gradient overflows.
     Newton asks for the Jacobian at the point whose deflated residual it has
     just accepted, so the factor, its gradient and the residual of the last
     g_defl call are kept (keyed on the iterate's bytes) and reused by
@@ -318,9 +293,7 @@ def _deflated_system(system: _System, known: np.ndarray, cfg: SolverConfig):
     def terms(y: np.ndarray):
         key = y.tobytes()
         if key not in last:
-            factor, dfactor = _deflation_terms(
-                y, known, cfg.deflation_power, cfg.deflation_shift
-            )
+            factor, dfactor = _deflation_terms(y, known, _DEFLATION_POWER, _DEFLATION_SHIFT)
             if not (math.isfinite(factor) and np.all(np.isfinite(dfactor))):
                 raise EvaluationError("deflated residual at a known solution")
             g = system.g(y)
@@ -355,7 +328,7 @@ def deflated_solve(
     if not known_flat:
         return newton_solve(prob, u0, cfg)
     system = _System(prob)
-    g_defl, jac_defl = _deflated_system(system, np.array(known_flat), cfg)
+    g_defl, jac_defl = _deflated_system(system, np.array(known_flat))
     x, _, converged, _ = _newton_iterate(
         system, u0.flat(), cfg, g_fn=g_defl, jac_fn=jac_defl
     )
@@ -464,7 +437,7 @@ def minimize(
         raise ValueError(f"unknown objective {objective!r}")
     sign = -1.0 if objective == OBJECTIVE_NEG_ACTION else 1.0
     system = _System(prob, subspace=subspace)
-    guard = DIVERGENCE_GUARD * max(1.0, cfg.start_radius)
+    guard = DIVERGENCE_GUARD * _START_RADIUS
 
     def point(y: np.ndarray) -> np.ndarray:
         if float(np.linalg.norm(y)) > guard:
@@ -482,14 +455,14 @@ def minimize(
         y = system.to_reduced(u0.flat())
     else:
         rng = rng_for(cfg.seed, 31)
-        y = cfg.start_radius * rng.normal(size=system.dim) / math.sqrt(max(system.dim, 1))
+        y = _START_RADIUS * rng.normal(size=system.dim) / math.sqrt(max(system.dim, 1))
     try:
         result = scipy_minimize(
             fun,
             y,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": 50 * cfg.max_iterations, "ftol": 1e-18, "gtol": 1e-12},
+            options={"maxiter": 50 * _MAX_ITERATIONS, "ftol": 1e-18, "gtol": 1e-12},
         )
         y = result.x
         # polish: Newton on the projected gradient, accepted only while the
@@ -570,7 +543,7 @@ def mountain_pass(
 
     j_end = max(j_of(a), j_of(b))
     barrier_tol = 1e-9 * max(1.0, abs(j_end))
-    for _ in range(10 * cfg.max_iterations):
+    for _ in range(10 * _MAX_ITERATIONS):
         # the endpoints never move, so only the interior is evaluated
         j_inner = np.array([j_of(p) for p in path[1:-1]])
         i_star = 1 + int(np.argmax(j_inner))
@@ -656,7 +629,7 @@ def _canonical(x: np.ndarray, prob: Problem) -> np.ndarray:
 def _random_starts(cfg: SolverConfig, dim: int, key: int):
     """Yield (i, start) for the random starts i < cfg.starts of one stage.
 
-    Start i is uniform in the ball of radius cfg.start_radius and is drawn
+    Start i is uniform in the ball of radius _START_RADIUS and is drawn
     from its own stream rng_for(cfg.seed, key, i).  A zero normal draw is
     skipped, so an index can be missing.
     """
@@ -666,7 +639,7 @@ def _random_starts(cfg: SolverConfig, dim: int, key: int):
         nv = float(np.linalg.norm(v))
         if nv == 0.0:
             continue
-        radius = cfg.start_radius * rng.random() ** (1.0 / max(dim, 1))
+        radius = _START_RADIUS * rng.random() ** (1.0 / max(dim, 1))
         yield i, radius * v / nv
 
 
@@ -743,7 +716,7 @@ def find_multiple(
         if not records:
             break
         known = np.array([system.to_reduced(r.u.flat()) for r in records])
-        g_defl, jac_defl = _deflated_system(system, known, cfg)
+        g_defl, jac_defl = _deflated_system(system, known)
         for i, y0 in _random_starts(cfg, system.dim, 211 + round_no):
             y, ng, converged, _ = _newton_iterate(
                 system, y0, cfg, g_fn=g_defl, jac_fn=jac_defl

@@ -90,6 +90,20 @@ class TestNormComparisons:
             assert check_c2(u, s).verdict == HOLDS
             assert check_c3(u, p).verdict == HOLDS
 
+    def test_overflow_gives_inf_or_inconclusive(self):
+        # (1, 1) at p = 1100: 2^p overflows, so the C.3 bound is inf and holds
+        p = ExponentFunction.constant(1100.0, 2)
+        with np.errstate(over="ignore"):
+            rep = check_c3(PeriodicSequence(np.array([1.0, 1.0])), p)
+        assert rep.verdict == HOLDS
+        assert rep.margin == math.inf
+        # (100, -100): both sides overflow, and inf - inf decides nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = check_c3(PeriodicSequence(np.array([100.0, -100.0])), p)
+        assert rep.verdict == INCONCLUSIVE
+        assert math.isnan(rep.margin)
+        assert rep.witness is None
+
     def test_parameter_validation(self):
         u = PeriodicSequence(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):

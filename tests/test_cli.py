@@ -83,14 +83,14 @@ class TestLoadConfig:
             {"solver": {"path_points": 21}},
             {"solver": {"starts": 2.5}},
             {"solver": {"starts": True}},
-            {"solver": {"max_iterations": 10.5}},
+            {"solver": {"max_iterations": 50}},
             {"solver": {"seed": 1.5}},
             {"solver": {"residual_tol": math.inf}},
             {"solver": {"dedupe_tol": math.inf}},
-            {"solver": {"deflation_power": math.inf}},
-            {"solver": {"deflation_shift": math.inf}},
-            {"solver": {"regularization_eps": math.inf}},
-            {"solver": {"start_radius": math.inf}},
+            {"solver": {"deflation_power": 2.0}},
+            {"solver": {"deflation_shift": 1.0}},
+            {"solver": {"regularization_eps": 0.001}},
+            {"solver": {"start_radius": 3.0}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, overrides):
@@ -178,6 +178,21 @@ class TestCheck:
         by_name = {rep["name"]: rep for rep in payload["reports"]}
         assert by_name["C.1"]["verdict"] == "holds_on_samples"
         assert by_name["A.4"]["verdict"] == "holds_on_samples"
+
+    @pytest.mark.parametrize("p", [200.0, 1100.0])
+    def test_huge_exponent_report(self, tmp_path, p):
+        """2^p and ||u||^p overflow: the scalar right-hand sides become inf
+        instead of raising OverflowError, and C.1-C.3 still hold."""
+        cfg = _config(tmp_path, p=p)
+        out = str(tmp_path / "check.json")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["check", cfg, "--output", out]) == cli.EXIT_OK
+        payload = json.loads(open(out).read())
+        by_name = {rep["name"]: rep for rep in payload["reports"]}
+        for name in ("C.1", "C.2", "C.3"):
+            assert by_name[name]["verdict"] == "holds_on_samples"
+        if p > 1024.0:
+            assert payload["thresholds"]["lambda1"] == "inf"
 
     def test_bounded_family_report(self, tmp_path):
         cfg = _config(
@@ -359,6 +374,15 @@ class TestSweep:
             == cli.EXIT_CONFIG
         )
 
+    @pytest.mark.parametrize(
+        "bounds", [("1", "inf"), ("1", "nan"), ("inf", "inf"), ("nan", "2")]
+    )
+    def test_non_finite_bounds_are_config_errors(self, tmp_path, capsys, bounds):
+        cfg = self._quartic_config(tmp_path)
+        argv = ["sweep", cfg, "--lambda-min", bounds[0], "--lambda-max", bounds[1]]
+        assert cli.main(argv + ["--output", str(tmp_path / "sweep.csv")]) == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_sweep_rows_and_estimate(self, tmp_path):
         cfg = self._quartic_config(tmp_path)
         out = str(tmp_path / "sweep.csv")
@@ -425,6 +449,22 @@ class TestGradcheck:
         assert payload["passed"] is True
         assert payload["max_relative_error"] <= 1e-5
         assert payload["points"] == 25
+
+    @pytest.mark.parametrize("step", ["inf", "nan", "-inf"])
+    def test_non_finite_step_is_config_error(self, tmp_path, capsys, step):
+        out = str(tmp_path / "grad.json")
+        argv = ["gradcheck", _config(tmp_path), "--step", step, "--output", out]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_overflowing_step_is_compute_error(self, tmp_path, capsys):
+        out = str(tmp_path / "grad.json")
+        argv = ["gradcheck", _config(tmp_path), "--step", "1e300", "--output", out]
+        with np.errstate(over="ignore"):
+            assert cli.main(argv) == cli.EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert "gradcheck failed" in err
+        assert "Traceback" not in err
 
     def test_detects_corrupted_derivative(self, tmp_path, monkeypatch, capsys):
         real = make_builtin("power", 2, {"a": 1.0, "b": 1.0, "s": 2.0, "r": 2.0})

@@ -139,7 +139,7 @@ def test_deflation_terms_signed_zero_gradient():
 
 
 @pytest.mark.parametrize("power, finite_factor", [(2.0, False), (1.0, True)])
-def test_deflated_residual_rejects_overflow_near_known_point(power, finite_factor):
+def test_deflated_residual_rejects_overflow_near_known_point(power, finite_factor, monkeypatch):
     """At a squared distance of about 1e-320 the loop's Python ** raised
     OverflowError.  Now the power overflows to inf (with numpy's warning):
     in the factor at power 2, only in the gradient at power 1.  Either way
@@ -153,8 +153,9 @@ def test_deflated_residual_rejects_overflow_near_known_point(power, finite_facto
         factor, grad = _deflation_terms(y, known, power, 0.0)
         assert math.isfinite(factor) == finite_factor
         assert not np.all(np.isfinite(grad))
-        cfg = SolverConfig(deflation_power=power, deflation_shift=0.0)
-        g_defl, jac_defl = _deflated_system(_System(_example1_problem()), known, cfg)
+        monkeypatch.setattr(solvers, "_DEFLATION_POWER", power)
+        monkeypatch.setattr(solvers, "_DEFLATION_SHIFT", 0.0)
+        g_defl, jac_defl = _deflated_system(_System(_example1_problem()), known)
         with pytest.raises(EvaluationError):
             g_defl(y)
         with pytest.raises(EvaluationError):

@@ -7,18 +7,28 @@
   constant p, s and r), shifting u shifts the residual.  The residual is
   row-local arithmetic, so the shift holds bitwise; the action sums the same
   terms in another order, so it holds to rounding.
+
+Two contracts of the solver's output close the file: every record solves
+the full system to residual_tol, and dedupe is idempotent, so no two
+records of one set are the same solution by the test that merged them.
 """
 
 import functools
+import itertools
+import pathlib
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pklap.cli import load_config
 from pklap.core import ExponentFunction, Problem
 from pklap.functional import action, mu, potential
 from pklap.nonlinearities import make_builtin, make_power
 from pklap.operators import residual_values
+from pklap.solvers import _canonical, _same_solution, find_multiple, lambda_sweep
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 BUILTINS = {
     "example1": (4, {}),
@@ -74,3 +84,27 @@ def test_power_family_cyclic_shift(m, p, s, r, a, b, lam, data):
     # the reordered sums round differently; bound by the size of their terms
     scale = mu(u, prob) + lam * abs(potential(u, prob))
     assert abs(action(shifted, prob) - action(u, prob)) <= 1e-12 * scale
+
+
+def _solved_sets():
+    """(problem, config, solution set) of the example3 sweep on Y at three
+    lambdas and of the power_borderline solve."""
+    loaded = load_config(str(CONFIGS / "example3_sweep.json"))
+    sweep = lambda_sweep(loaded.problem, (0.5, 4.0, 10.0), loaded.solver, loaded.subspace)
+    assert not sweep.failures
+    for lam, sol in zip(sweep.lambda_grid, sweep.solution_sets):
+        yield loaded.problem.with_lambda(lam), loaded.solver, sol
+    loaded = load_config(str(CONFIGS / "power_borderline.json"))
+    yield loaded.problem, loaded.solver, find_multiple(loaded.problem, loaded.solver)
+
+
+def test_records_verify_and_dedupe_is_idempotent():
+    total = 0
+    for prob, cfg, sol in _solved_sets():
+        total += len(sol.records)
+        for rec in sol.records:
+            assert float(np.linalg.norm(residual_values(rec.u, prob))) <= cfg.residual_tol
+        points = [(_canonical(r.u.flat(), prob), r.action_value) for r in sol.records]
+        for (a, j_a), (b, j_b) in itertools.combinations(points, 2):
+            assert not _same_solution(a, b, prob, cfg, (j_a, j_b))
+    assert total > 100

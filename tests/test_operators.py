@@ -168,16 +168,6 @@ class TestResidual:
         vals = residual_values(u, prob)
         assert np.all(np.isfinite(vals))
 
-    def test_eps_regularisation_converges_to_plain_residual(self):
-        u, prob = _problem([1.0, 2.0, 4.0, 1.0], p=2.5)
-        exact = residual_values(u, prob)
-        errs = [
-            float(np.max(np.abs(residual_values(u, prob, eps=e) - exact)))
-            for e in (1e-2, 1e-4, 1e-6)
-        ]
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[2] < 1e-10
-
     def test_overflow_raises_evaluation_error(self):
         u, prob = _problem([1e200, -1e200], p=4.0)
         with np.errstate(over="ignore"), pytest.raises(EvaluationError):
@@ -205,10 +195,10 @@ def test_residual_agrees_with_componentwise_definition():
         assert np.allclose(got[k - 1], expect, atol=1e-12)
 
 
-def _roll_residual(vals, prob, eps):
+def _roll_residual(vals, prob):
     """Reference: the residual written with np.roll shifts, row by row."""
     d = np.roll(vals, -1, axis=0) - vals
-    a = _phi_rows(d, prob.exponent.values, eps=eps)
+    a = _phi_rows(d, prob.exponent.values)
     lhs = a - np.roll(a, 1, axis=0)
     up = np.roll(vals, -1, axis=0)
     um = np.roll(vals, 1, axis=0)
@@ -237,17 +227,16 @@ class TestRawArrayInput:
         return Problem(m=m, n=nl.n, exponent=p, nonlinearity=nl, lam=0.7)
 
     @pytest.mark.parametrize("name,m,params", CASES)
-    @pytest.mark.parametrize("eps", [0.0, 1e-3])
-    def test_raw_array_matches_sequence_path_exactly(self, name, m, params, eps):
+    def test_raw_array_matches_sequence_path_exactly(self, name, m, params):
         prob = self._case(name, m, params)
         rng = np.random.default_rng(11)
         for _ in range(5):
             arr = rng.normal(size=(m, prob.n))
             arr[1] = arr[0]  # a vanishing forward difference
-            from_seq = residual_values(PeriodicSequence(arr), prob, eps=eps)
-            from_raw = residual_values(arr, prob, eps=eps)
+            from_seq = residual_values(PeriodicSequence(arr), prob)
+            from_raw = residual_values(arr, prob)
             assert np.array_equal(from_raw, from_seq)
-            assert np.array_equal(from_raw, _roll_residual(arr, prob, eps))
+            assert np.array_equal(from_raw, _roll_residual(arr, prob))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raw_input_raises(self, bad):

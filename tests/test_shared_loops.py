@@ -61,7 +61,7 @@ def _inline_starts(cfg, dim, key):
         nv = float(np.linalg.norm(v))
         if nv == 0.0:
             continue
-        radius = cfg.start_radius * rng.random() ** (1.0 / max(dim, 1))
+        radius = 3.0 * rng.random() ** (1.0 / max(dim, 1))
         out.append((i, radius * v / nv))
     return out
 
@@ -225,7 +225,7 @@ def test_minimize_polish_hessian_skips_the_action(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 3, 8])
 @pytest.mark.parametrize("key", [101, 211, 213])
 def test_random_starts_match_inline_draws(dim, key):
-    cfg = SolverConfig(starts=12, seed=5, start_radius=2.5)
+    cfg = SolverConfig(starts=12, seed=5)
     got = list(_random_starts(cfg, dim, key))
     expect = _inline_starts(cfg, dim, key)
     assert [i for i, _ in got] == [i for i, _ in expect]

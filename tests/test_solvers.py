@@ -99,9 +99,10 @@ class TestNewtonSolve:
         assert rec.morse_index == 0
         assert rec.method == "newton"
 
-    def test_none_when_capped_iterations_miss(self):
+    def test_none_when_capped_iterations_miss(self, monkeypatch):
         prob = _double_well()
-        cfg = SolverConfig(max_iterations=1, residual_tol=1e-14)
+        monkeypatch.setattr(solvers, "_MAX_ITERATIONS", 1)
+        cfg = SolverConfig(residual_tol=1e-14)
         rec = newton_solve(prob, PeriodicSequence(np.array([5.0, -7.0])), cfg)
         assert rec is None
 
@@ -123,7 +124,7 @@ class TestNewtonSolve:
         target = PeriodicSequence(np.array([a, -a]))
         assert float(np.linalg.norm(residual_values(target, prob))) < 1e-12
 
-        cfg = SolverConfig(regularization_eps=1e-3, residual_tol=1e-9)
+        cfg = SolverConfig(residual_tol=1e-9)
         with pytest.warns(RuntimeWarning, match="p_minus < 2"):
             rec = newton_solve(prob, PeriodicSequence(np.array([0.5, -0.5])), cfg)
         assert rec is not None
@@ -169,15 +170,14 @@ class TestDeflation:
 
     def test_deflated_system_raises_at_known_point(self):
         system = _System(_double_well())
-        g_defl, _ = _deflated_system(system, np.array([[1.0, 1.0]]), SolverConfig())
+        g_defl, _ = _deflated_system(system, np.array([[1.0, 1.0]]))
         with pytest.raises(EvaluationError):
             g_defl(np.array([1.0, 1.0]))
 
     def test_deflated_jacobian_matches_central_difference(self):
         system = _System(_double_well())
         known = np.array([[1.0, 1.0], [-1.0, -1.0]])
-        cfg = SolverConfig()
-        g_defl, jac_defl = _deflated_system(system, known, cfg)
+        g_defl, jac_defl = _deflated_system(system, known)
         y = np.array([0.3, -0.7])
         h = 1e-6
         fd = np.column_stack(
@@ -189,7 +189,7 @@ class TestDeflation:
         # after g_defl(y) the Jacobian reuses its terms and must not change
         g_defl(y)
         assert np.array_equal(jac_defl(y), cold)
-        _, fresh_jac = _deflated_system(system, known, cfg)
+        _, fresh_jac = _deflated_system(system, known)
         assert np.array_equal(fresh_jac(y), cold)
 
     def test_deflated_solve_escapes_known_well(self):
