@@ -32,7 +32,7 @@ from .core import (
     Problem,
     euclidean_norm,
 )
-from .functional import action, mu, potential
+from .functional import mu, potential
 from .operators import residual_values
 
 HOLDS = "holds_on_samples"
@@ -409,7 +409,8 @@ class BoundProfile:
     """Radii and bound for the sign conditions of a bounded potential.
 
     F <= C everywhere; F < 0 on the punctured box 0 < |u1|, |u2| <= rho1;
-    F > 0 on the annulus rho2 < |u1|, |u2| <= rho3.
+    F > 0 on the annulus rho2 < |u1|, |u2| <= rho3.  C and the radii must
+    be finite.
     """
 
     C: float
@@ -418,11 +419,11 @@ class BoundProfile:
     rho3: float
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if not (0.0 < self.rho1 < self.rho2 <= self.rho3):
+        if not 0.0 < self.C < math.inf:
+            raise ValueError(f"C must be finite and positive, got {self.C}")
+        if not (0.0 < self.rho1 < self.rho2 <= self.rho3 < math.inf):
             raise ValueError(
-                f"radii must satisfy 0 < rho1 < rho2 <= rho3, got "
+                f"radii must satisfy 0 < rho1 < rho2 <= rho3 < inf, got "
                 f"({self.rho1}, {self.rho2}, {self.rho3})"
             )
 
@@ -435,23 +436,21 @@ class Thresholds:
     lambda2: float
     lambda3: float
     xi: float
-    r2: Optional[float] = None
     # False when xi's descent did not converge and xi is only an upper bound
     xi_converged: bool = True
 
 
-def thresholds(prob: Problem, growth: GrowthProfile, rho1: float | None = None) -> Thresholds:
+def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
     """Sufficient lambda thresholds from the growth profile.
 
     lambda_i = 2^p_plus * m^(p_plus/2) / (p_minus * a) with a the relevant
     minimum of alpha1, alpha2 or their sum; infinite when a vanishes.  Also
     computes the sharp embedding constant xi with xi_constant's defaults
     (2 - 2*cos(2*pi/m) in closed form at p_plus = 2, otherwise a 32-start
-    projected descent run on all starts at once), and, when rho1 is given,
-    the sublevel radius r2 = sum_k (1/p(k)) (2*rho1)^p(k).  `pklap check`
-    takes xi from here rather than computing it a second time.  When no
-    start of the descent converges, xi is only an upper bound on the sharp
-    constant: a RuntimeWarning is issued and xi_converged is False.
+    projected descent run on all starts at once).  `pklap check` takes xi
+    from here rather than computing it a second time.  When no start of
+    the descent converges, xi is only an upper bound on the sharp constant:
+    a RuntimeWarning is issued and xi_converged is False.
     """
     pp = prob.exponent.p_plus
     pm = prob.exponent.p_minus
@@ -463,19 +462,12 @@ def thresholds(prob: Problem, growth: GrowthProfile, rho1: float | None = None) 
 
     a1 = growth.alpha1_min
     a2 = growth.alpha2_min
-    r2 = None
-    if rho1 is not None:
-        if not rho1 > 0:
-            raise ValueError(f"rho1 must be positive, got {rho1}")
-        p = prob.exponent.values
-        r2 = float(np.sum((2.0 * rho1) ** p / p))
     xi, xi_converged = _xi_search(prob.m, prob.n, pp)
     return Thresholds(
         lambda1=ratio(a1),
         lambda2=ratio(a2),
         lambda3=ratio(a1 + a2),
         xi=xi,
-        r2=r2,
         xi_converged=xi_converged,
     )
 
@@ -522,11 +514,14 @@ def _sampled_condition(
     fields from margin(F, K, extra) -> (margins, {field: values}).  The
     worst margin is the first minimum; NaN margins are ignored.  The
     condition holds when the worst margin is >= -SAMPLE_SLACK, and a
-    violation carries its sample as the witness.
+    violation carries its sample as the witness.  When every margin is NaN
+    no sample decided the condition: the verdict is inconclusive and the
+    margin stays inf.
     """
     K, U1, U2, extra = _draw(rng, count, nl.n, draw)
     vals, fields = margin(nl.F_many(K, U1, U2), K, extra)
-    candidates = np.where(np.isnan(vals), math.inf, vals)
+    undecided = np.isnan(vals)
+    candidates = np.where(undecided, math.inf, vals)
     i = int(np.argmin(candidates))
     worst = math.inf
     witness = None
@@ -534,7 +529,10 @@ def _sampled_condition(
         worst = float(vals[i])
         witness = {"k": int(K[i]), "u1": U1[i].copy(), "u2": U2[i].copy()}
         witness.update({key: float(v[i]) for key, v in fields.items()})
-    verdict = HOLDS if worst >= -SAMPLE_SLACK else VIOLATED
+    if undecided.all():
+        verdict = INCONCLUSIVE
+    else:
+        verdict = HOLDS if worst >= -SAMPLE_SLACK else VIOLATED
     return CheckReport(
         name,
         verdict,
@@ -712,12 +710,23 @@ def check_bounds(
 # ---------------------------------------------------------------------------
 
 
-def _action_or_neg_inf(x: np.ndarray, prob: Problem) -> float:
+def _action_or_limit(x: np.ndarray, prob: Problem) -> float:
+    """The action at x, with an overflowing term replaced by its limit.
+
+    mu >= 0, so its overflow gives +inf (no decrease); an overflowing
+    potential with a finite mu gives -inf.  Finite values are mu + lam *
+    potential, the expression of action, so they keep action's bits.
+    """
+    v = x.reshape(prob.m, prob.n)
     try:
-        val = action(x.reshape(prob.m, prob.n), prob)
+        energy = mu(v, prob)
+    except EvaluationError:
+        return math.inf
+    try:
+        pot = potential(v, prob)
     except EvaluationError:
         return -math.inf
-    return val
+    return energy + prob.lam * pot
 
 
 def _ascend_terminal_action(
@@ -730,7 +739,7 @@ def _ascend_terminal_action(
     measure-zero set.
     """
     d = d0 / np.linalg.norm(d0)
-    val = _action_or_neg_inf(t_last * d, prob)
+    val = _action_or_limit(t_last * d, prob)
     step = 0.1
     for _ in range(max_iter):
         try:
@@ -745,7 +754,7 @@ def _ascend_terminal_action(
         while step > 1e-16:
             cand = d + step * g / max(gnorm, 1e-300)
             cand = cand / np.linalg.norm(cand)
-            cand_val = _action_or_neg_inf(t_last * cand, prob)
+            cand_val = _action_or_limit(t_last * cand, prob)
             if cand_val > val:
                 d, val = cand, cand_val
                 step = min(step * 1.5, 1.0)
@@ -771,7 +780,9 @@ def anticoercivity_probe(
     given increasing radii t.  A direction passes when the values strictly
     decrease from the second radius onward and the last value undercuts the
     first by drop_margin.  Overflow of the potential at large radii counts
-    as decrease (the ray provides -infinity evidence).
+    as decrease (the ray provides -infinity evidence); overflow of the
+    Dirichlet term mu does not.  detail["overflow"] reports whether any
+    value was non-finite.
 
     With optimize_worst the direction pool is augmented by gradient-ascent
     maximisation of the terminal value, which can expose rays of
@@ -786,7 +797,7 @@ def anticoercivity_probe(
         for _ in range(directions)
     ]
     if optimize_worst:
-        ranked = sorted(pool, key=lambda d: -_action_or_neg_inf(radii[-1] * d, prob))
+        ranked = sorted(pool, key=lambda d: -_action_or_limit(radii[-1] * d, prob))
         for d0 in ranked[:4]:
             pool.append(_ascend_terminal_action(d0, prob, radii[-1]))
 
@@ -799,8 +810,8 @@ def anticoercivity_probe(
     witness = None
     overflow = False
     for idx, d in enumerate(pool):
-        vals = [_action_or_neg_inf(t * d, prob) for t in radii]
-        overflow = overflow or any(v == -math.inf for v in vals)
+        vals = [_action_or_limit(t * d, prob) for t in radii]
+        overflow = overflow or not all(math.isfinite(v) for v in vals)
         tail_ok = all(decreases(vals[i], vals[i + 1]) for i in range(1, len(vals) - 1))
         drop = vals[0] - vals[-1] - drop_margin
         if not tail_ok or not drop > 0.0:

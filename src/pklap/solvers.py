@@ -426,9 +426,12 @@ def minimize(
     """Minimise the action (or its negation) over a subspace.
 
     objective "J_m" minimises the action and "neg_J_m" maximises it.
-    Runs L-BFGS followed by a reduced Newton polish on the projected
-    gradient.  Iterates escaping a large ball trigger the divergence guard:
-    the objective is reported as non-coercive and None is returned.
+    Runs L-BFGS, then polishes its point with find_multiple's damped Newton
+    (_newton_iterate) on the projected residual.  The polished point is
+    kept only if Newton converged and the objective did not rise, so the
+    result stays at the minimiser.  Iterates escaping a large ball trigger
+    the divergence guard: the objective is reported as non-coercive and
+    None is returned.
     """
     from scipy.optimize import minimize as scipy_minimize
 
@@ -444,12 +447,10 @@ def minimize(
             raise _Diverged
         return system.to_full(y).reshape(prob.m, prob.n)
 
-    def grad_at(v: np.ndarray) -> np.ndarray:
-        return sign * system.to_reduced(-residual_values(v, prob).reshape(-1))
-
     def fun(y: np.ndarray):
         v = point(y)
-        return sign * action(v, prob), grad_at(v)
+        grad = system.to_reduced(-residual_values(v, prob).reshape(-1))
+        return sign * action(v, prob), sign * grad
 
     if u0 is not None:
         y = system.to_reduced(u0.flat())
@@ -465,33 +466,12 @@ def minimize(
             options={"maxiter": 50 * _MAX_ITERATIONS, "ftol": 1e-18, "gtol": 1e-12},
         )
         y = result.x
-        # polish: Newton on the projected gradient, accepted only while the
-        # objective does not increase (stay at the minimiser)
-        for _ in range(40):
-            val, grad = fun(y)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm <= cfg.residual_tol:
-                break
-            hess = _central_difference(
-                lambda w: grad_at(point(w)), y, 1e-6 * max(1.0, float(np.linalg.norm(y)))
-            )
-            try:
-                delta = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                delta, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
-            alpha, accepted = 1.0, False
-            for _ in range(25):
-                y_new = y + alpha * delta
-                val_new, grad_new = fun(y_new)
-                if (
-                    float(np.linalg.norm(grad_new)) < gnorm
-                    and val_new <= val + 1e-10 * max(1.0, abs(val))
-                ):
-                    y, accepted = y_new, True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                break
+        # polish: kept only if it converged and the objective did not rise
+        y_new, _, converged, _ = _newton_iterate(system, y, cfg)
+        if converged:
+            val = fun(y)[0]
+            if fun(y_new)[0] <= val + 1e-10 * max(1.0, abs(val)):
+                y = y_new
     except _Diverged:
         warnings.warn(
             f"minimize({objective} on {subspace}): iterates escaped the guard "
@@ -551,7 +531,7 @@ def mountain_pass(
             return None
         g_star = system.g_full(path[i_star])
         if float(np.linalg.norm(g_star)) <= 10.0 * cfg.residual_tol:
-            polish_from = path[i_star].copy()
+            polish_from = path[i_star]
             break
         seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
         spacing = float(np.mean(seg))
@@ -575,16 +555,13 @@ def mountain_pass(
                 new_path[:, dim] = np.interp(targets, arc, new_path[:, dim])
         path = new_path
     else:
-        polish_from = path[1 + int(np.argmax([j_of(p) for p in path[1:-1]]))].copy()
-    record = newton_solve(
-        prob, PeriodicSequence.from_flat(polish_from, prob.m, prob.n), cfg
-    )
-    if record is None:
+        polish_from = path[1 + int(np.argmax([j_of(p) for p in path[1:-1]]))]
+    x, _, converged, _ = _newton_iterate(system, polish_from, cfg)
+    if not converged:
         return None
-    x = record.u.flat()
     if _is_duplicate(x, a, cfg.dedupe_tol) or _is_duplicate(x, b, cfg.dedupe_tol):
         return None
-    return dataclasses.replace(record, method="mountain_pass")
+    return _make_record(prob, x, "mountain_pass", cfg)
 
 
 @dataclasses.dataclass(frozen=True)

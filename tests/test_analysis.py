@@ -24,7 +24,9 @@ from pklap.analysis import (
     thresholds,
     xi_constant,
 )
+from pklap.analysis import _action_or_limit
 from pklap.core import ExponentFunction, Nonlinearity, PeriodicSequence, Problem
+from pklap.functional import action
 from pklap.nonlinearities import make_example1, make_example3, make_power
 
 
@@ -254,6 +256,13 @@ class TestProfiles:
         with pytest.raises(ValueError):
             BoundProfile(C=0.0, rho1=0.5, rho2=1.0, rho3=2.0)
 
+    @pytest.mark.parametrize("field", ["C", "rho1", "rho2", "rho3"])
+    def test_bound_profile_rejects_non_finite(self, field):
+        values = dict(C=1.0, rho1=0.5, rho2=1.0, rho3=2.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                BoundProfile(**dict(values, **{field: bad}))
+
 
 class TestThresholds:
     def test_power_family_oracle(self):
@@ -265,7 +274,6 @@ class TestThresholds:
         assert th.lambda2 == pytest.approx(4.0)
         assert th.lambda3 == pytest.approx(2.0)
         assert th.xi == pytest.approx(4.0)
-        assert th.r2 is None
 
     def test_unconverged_xi_is_flagged(self):
         # at p_plus = 1.5 the descent stalls on the nonsmooth set Delta u = 0
@@ -313,15 +321,6 @@ class TestThresholds:
         th = thresholds(prob, g)
         assert th.lambda1 == math.inf
         assert th.lambda3 < math.inf
-
-    def test_r2_radius(self):
-        nl, growth = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)
-        prob = _problem_from(nl)
-        th = thresholds(prob, growth, rho1=0.5)
-        # sum over k of (1/2) * (2 * 0.5)^2 = 1
-        assert th.r2 == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            thresholds(prob, growth, rho1=0.0)
 
 
 class TestCheckGrowth:
@@ -389,6 +388,20 @@ class TestCheckBounds:
         assert reports["A.9"].verdict == VIOLATED
         assert reports["A.9"].witness["F"] < 0.0
 
+    def test_all_nan_margins_are_inconclusive(self):
+        """At rho3 = 1e200 every A.9 sample squares to inf and sin(inf) is
+        NaN, so no sample decides A.9."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            nl, bounds = make_example3(2, rho3=1e200)
+            reports = {r.name: r for r in check_bounds(nl, bounds, sample_budget=500)}
+        a9 = reports["A.9"]
+        assert a9.verdict == INCONCLUSIVE
+        assert a9.margin == math.inf
+        assert a9.witness is None
+        assert a9.samples == 500
+        assert reports["A.7"].verdict == HOLDS
+        assert reports["A.8"].verdict == HOLDS
+
 
 class TestAnticoercivityProbe:
     def test_radii_validation(self):
@@ -425,6 +438,20 @@ class TestAnticoercivityProbe:
         nl, _ = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)
         rep = anticoercivity_probe(_problem_from(nl, lam=1.0), seed=0)
         assert rep.verdict == HOLDS  # a false pass, by design of the probe
+
+    def test_overflow_goes_to_the_overflowing_terms_limit(self):
+        """mu >= 0 overflowing is J -> +inf; the potential overflowing with
+        a finite mu is J -> -inf; a finite value is action's, bit for bit."""
+        nl, _ = make_power(2, a=1.0, b=1.0, s=400.0, r=400.0)
+        with np.errstate(over="ignore"):
+            # |Delta u|^1100 overflows
+            assert _action_or_limit(np.array([1e3, -1e3]), _problem_from(nl, p=1100.0)) == math.inf
+            # Delta u = 0, so mu = 0, and |t|^400 overflows
+            assert _action_or_limit(np.array([1e3, 1e3]), _problem_from(nl)) == -math.inf
+        nl, _ = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)
+        prob = _problem_from(nl, lam=5.0)
+        x = np.array([0.3, -1.7])
+        assert _action_or_limit(x, prob) == action(x.reshape(2, 1), prob)
 
 
 class TestCheckB2B3:

@@ -91,6 +91,8 @@ class TestLoadConfig:
             {"solver": {"deflation_shift": 1.0}},
             {"solver": {"regularization_eps": 0.001}},
             {"solver": {"start_radius": 3.0}},
+            {"nonlinearity": {"builtin": "example3", "params": {"rho3": math.inf}}},
+            {"nonlinearity": {"builtin": "example3", "params": {"C": math.inf}}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, overrides):
@@ -182,7 +184,9 @@ class TestCheck:
     @pytest.mark.parametrize("p", [200.0, 1100.0])
     def test_huge_exponent_report(self, tmp_path, p):
         """2^p and ||u||^p overflow: the scalar right-hand sides become inf
-        instead of raising OverflowError, and C.1-C.3 still hold."""
+        instead of raising OverflowError, and C.1-C.3 still hold.  J is
+        coercive (s < p): an overflowing Dirichlet term is J -> +inf, not
+        -inf, so the anti-coercivity probe must report a violation."""
         cfg = _config(tmp_path, p=p)
         out = str(tmp_path / "check.json")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -191,6 +195,7 @@ class TestCheck:
         by_name = {rep["name"]: rep for rep in payload["reports"]}
         for name in ("C.1", "C.2", "C.3"):
             assert by_name[name]["verdict"] == "holds_on_samples"
+        assert by_name["anticoercivity"]["verdict"] == "violated"
         if p > 1024.0:
             assert payload["thresholds"]["lambda1"] == "inf"
 

@@ -1,9 +1,9 @@
 """The shared central-difference helper and the shared random-start sampler.
 
-Each finite-difference caller (the Newton Jacobian, minimize's polish
-Hessian, gradient_fd, hessian_fd) and both start stages of find_multiple
-once carried a loop of their own.  The loops are kept here as the
-reference, and the callers must reproduce them bit for bit.
+Each finite-difference caller (the Newton Jacobian, gradient_fd,
+hessian_fd) and both start stages of find_multiple once carried a loop of
+their own.  The loops are kept here as the reference, and the callers must
+reproduce them bit for bit.
 """
 
 import warnings
@@ -23,7 +23,6 @@ from pklap.functional import (
     morse_summary,
 )
 from pklap.nonlinearities import make_example1, make_example3
-from pklap.operators import residual_values
 from pklap.solvers import (
     SUBSPACE_FULL,
     SUBSPACE_Y,
@@ -31,7 +30,6 @@ from pklap.solvers import (
     _random_starts,
     _System,
     find_multiple,
-    minimize,
     mountain_pass,
 )
 
@@ -153,73 +151,6 @@ def test_hessian_fd_matches_loop_over_gradient(make_prob):
             warnings.simplefilter("ignore", RuntimeWarning)
             got = hessian_fd(u, prob)
         assert np.array_equal(got, 0.5 * (h + h.T))
-
-
-@pytest.mark.parametrize(
-    "make_prob, subspace",
-    [(_example3_problem, SUBSPACE_Y), (_n2_problem, SUBSPACE_FULL)],
-)
-def test_minimize_polish_hessian_matches_loop(monkeypatch, make_prob, subspace):
-    """Both cases run the Newton polish after L-BFGS at least once."""
-    prob = make_prob()
-    system = _System(prob, subspace=subspace)
-
-    def grad(y):
-        # the polish's objective gradient as minimize computed it before
-        seq = PeriodicSequence.from_flat(system.to_full(y), prob.m, prob.n)
-        return system.to_reduced(-residual_values(seq, prob).reshape(-1))
-
-    seen = []
-    real = solvers._central_difference
-
-    def spy(fn, x, step):
-        out = real(fn, x, step)
-        seen.append((x.copy(), step, out))
-        return out
-
-    monkeypatch.setattr(solvers, "_central_difference", spy)
-    assert minimize(prob, subspace=subspace, cfg=SolverConfig(seed=0)) is not None
-    assert seen
-    for y, step, hess in seen:
-        assert step == 1e-6 * max(1.0, float(np.linalg.norm(y)))
-        assert np.array_equal(hess, _loop_reference(grad, y, step))
-
-
-def test_minimize_polish_hessian_skips_the_action(monkeypatch):
-    """The polish Hessian differences the gradient alone.
-
-    It used to difference the objective closure's gradient, which computed
-    the action too and threw it away: 65 action calls in minimize of
-    example3 m = 4 on Y (seed 0), 6 of them in the Hessian columns.  Each
-    Hessian must equal the one that closure gave, bit for bit."""
-    prob = _example3_problem()
-    system = _System(prob, subspace=SUBSPACE_Y)
-
-    def old_fun(y):
-        v = system.to_full(y).reshape(prob.m, prob.n)
-        return action(v, prob), system.to_reduced(-residual_values(v, prob).reshape(-1))
-
-    calls, seen = [], []
-    real_cd = solvers._central_difference
-
-    def counting(u, p):
-        calls.append(1)
-        return action(u, p)
-
-    def spy(fn, x, step):
-        n_before = len(calls)
-        out = real_cd(fn, x, step)
-        assert len(calls) == n_before
-        seen.append((x.copy(), step, out))
-        return out
-
-    monkeypatch.setattr(solvers, "action", counting)
-    monkeypatch.setattr(solvers, "_central_difference", spy)
-    assert minimize(prob, subspace=SUBSPACE_Y, cfg=SolverConfig(seed=0)) is not None
-    assert len(calls) == 59
-    assert seen
-    for y, step, hess in seen:
-        assert np.array_equal(hess, real_cd(lambda v: old_fun(v)[1], y, step))
 
 
 @pytest.mark.parametrize("dim", [1, 3, 8])

@@ -263,8 +263,38 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(_double_well(), objective="J")
 
+    def test_polish_is_one_shared_newton_call(self, monkeypatch):
+        """The polish is find_multiple's Newton loop on the plain residual:
+        one call per minimize that reaches it, none when L-BFGS escapes the
+        guard ball first."""
+        calls = []
+        real = solvers._newton_iterate
 
-def test_mountain_pass_between_wells():
+        def spy(system, y0, cfg, g_fn=None, jac_fn=None):
+            calls.append((system.subspace, g_fn, jac_fn))
+            return real(system, y0, cfg, g_fn=g_fn, jac_fn=jac_fn)
+
+        monkeypatch.setattr(solvers, "_newton_iterate", spy)
+        for subspace in (SUBSPACE_W, SUBSPACE_FULL):
+            assert minimize(_double_well(), subspace=subspace, cfg=SolverConfig(seed=0)) is not None
+        assert calls == [(SUBSPACE_W, None, None), (SUBSPACE_FULL, None, None)]
+        nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
+        prob = Problem(
+            m=2, n=1, exponent=ExponentFunction.constant(2.0, 2), nonlinearity=nl, lam=1.0
+        )
+        with pytest.warns(RuntimeWarning, match="unbounded below"):
+            assert minimize(prob, cfg=SolverConfig(seed=3)) is None
+        assert len(calls) == 2
+
+
+def test_mountain_pass_between_wells(monkeypatch):
+    """The saddle at 0; the polish runs the shared Newton loop directly,
+    not through newton_solve."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("mountain_pass called newton_solve")
+
+    monkeypatch.setattr(solvers, "newton_solve", fail)
     prob = _double_well()
     cfg = SolverConfig(seed=0)
     rec = mountain_pass(

@@ -4,7 +4,11 @@
 
 For each config in configs/ it runs `solve` (values and summary CSV),
 `check` (JSON) and a 50-point `gradcheck` (JSON); it also runs a 25-step
-`sweep` of example3_sweep over lambda in [0.1, 10].  The commands run
+`sweep` of example3_sweep over lambda in [0.1, 10].  It then runs `check`
+and a 50-point `gradcheck` on the nine configs of the benchmark's check
+batch, `perfbench.workloads.check_configs(seed)`, at seeds 1 and 2: 53
+files in all.  The benchmark configs are imported, not copied, and are
+written to a temporary directory, not to OUTDIR.  The commands run
 against the src/ of the checkout this script sits in, so two checkouts give
 two snapshots, and `diff -r` between them shows any output that changed.
 stdout is discarded because it holds the output paths; stderr is passed
@@ -13,15 +17,22 @@ through.  Exits 1 when a command fails.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+from perfbench.workloads import GRADCHECK_POINTS, check_configs  # noqa: E402
+
 CONFIGS = ("example1_m4", "example2_m3", "example3_sweep", "power_borderline")
+CHECK_SEEDS = (1, 2)
 
 
-def _commands(outdir: str) -> list[list[str]]:
+def _commands(outdir: str, cfgdir: str) -> list[list[str]]:
     cmds = []
     for name in CONFIGS:
         config = os.path.join(ROOT, "configs", name + ".json")
@@ -36,6 +47,18 @@ def _commands(outdir: str) -> list[list[str]]:
         ["sweep", config, "--lambda-min", "0.1", "--lambda-max", "10", "--steps", "25",
          "--output", os.path.join(outdir, "example3_sweep.sweep.csv")]
     )
+    for seed in CHECK_SEEDS:
+        for name, cfg in check_configs(seed).items():
+            name = f"bench_s{seed}_{name}"
+            config = os.path.join(cfgdir, name + ".json")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh, indent=1, sort_keys=True)
+            out = os.path.join(outdir, name)
+            cmds.append(["check", config, "--output", out + ".check.json"])
+            cmds.append(
+                ["gradcheck", config, "--points", str(GRADCHECK_POINTS),
+                 "--output", out + ".gradcheck.json"]
+            )
     return cmds
 
 
@@ -47,13 +70,14 @@ def main(argv: list[str]) -> int:
     os.makedirs(outdir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     status = 0
-    for cmd in _commands(outdir):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pklap.cli", *cmd], env=env, stdout=subprocess.DEVNULL
-        )
-        if proc.returncode != 0:
-            print(f"exit {proc.returncode}: pklap {' '.join(cmd)}", file=sys.stderr)
-            status = 1
+    with tempfile.TemporaryDirectory() as cfgdir:
+        for cmd in _commands(outdir, cfgdir):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pklap.cli", *cmd], env=env, stdout=subprocess.DEVNULL
+            )
+            if proc.returncode != 0:
+                print(f"exit {proc.returncode}: pklap {' '.join(cmd)}", file=sys.stderr)
+                status = 1
     return status
 
 
