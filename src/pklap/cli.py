@@ -489,8 +489,9 @@ def cmd_sweep(args) -> int:
     loaded = load_config(args.config)
     if not (0.0 < args.lambda_min < args.lambda_max < math.inf):
         raise ConfigError("the lambda bounds must satisfy 0 < --lambda-min < --lambda-max < inf")
-    if args.steps < 1:
-        raise ConfigError("--steps must be >= 1")
+    if args.steps < 2:
+        # a one-point grid would be --lambda-min alone, silently dropping --lambda-max
+        raise ConfigError("--steps must be >= 2: the grid runs from --lambda-min to --lambda-max")
     grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
 
     try:

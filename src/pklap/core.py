@@ -216,9 +216,10 @@ class Nonlinearity:
 
     Every hot caller evaluates the potential through the batched methods
     F_many (F on N points at once) and coupling (f on every row of a
-    sequence).  A family built with from_arrays supplies array callables
-    and is evaluated in one call each; a family given only the per-point
-    callbacks above is looped over point by point, with the same checks.
+    sequence, or of a stack of sequences).  A family built with from_arrays
+    supplies array callables and is evaluated in one call each; a family
+    given only the per-point callbacks above is looped over point by point,
+    with the same checks.
     """
 
     m: int
@@ -326,25 +327,29 @@ class Nonlinearity:
 
     def coupling(self, vals) -> np.ndarray:
         """Coupling term f(k, u(k+1), u(k), u(k-1)) on every row of an (m, n)
-        sequence array; row k-1 holds entry k.  Bitwise equal to calling f
-        row by row.
+        sequence array, or of each sequence in a (B, m, n) stack; row k-1
+        holds entry k.  Bitwise equal to calling f row by row.
         """
         vals = _read_only(vals)
-        if vals.shape != (self.m, self.n):
+        if vals.ndim not in (2, 3) or vals.shape[-2:] != (self.m, self.n):
             raise ValueError(f"sequence shape {vals.shape} does not match ({self.m}, {self.n})")
-        up = np.concatenate((vals[1:], vals[:1]))  # row k-1 holds u(k+1)
-        um = np.concatenate((vals[-1:], vals[:-1]))  # row k-1 holds u(k-1)
+        stack = vals.reshape(-1, self.m, self.n)
+        up = np.concatenate((stack[:, 1:], stack[:, :1]), axis=1)  # row k-1 holds u(k+1)
+        um = np.concatenate((stack[:, -1:], stack[:, :-1]), axis=1)  # row k-1 holds u(k-1)
         if self.arrays is not None:
-            K = np.arange(1, self.m + 1)
+            # the m periods of every sequence of the stack, as one array of points
+            K = np.tile(np.arange(1, self.m + 1), len(stack))
             K_prev = K - 1
-            K_prev[0] = self.m
-            a = _rows(self.arrays[1](K_prev, vals, um), vals.shape, "F2_prime")
-            b = _rows(self.arrays[2](K, up, vals), vals.shape, "F3_prime")
-            return a + b
-        out = np.empty(vals.shape)
-        for k in range(1, self.m + 1):
-            out[k - 1] = self.f(k, up[k - 1], vals[k - 1], um[k - 1])
-        return out
+            K_prev[:: self.m] = self.m
+            flat = (K.size, self.n)
+            a = _rows(self.arrays[1](K_prev, stack.reshape(flat), um.reshape(flat)), flat, "F2_prime")
+            b = _rows(self.arrays[2](K, up.reshape(flat), stack.reshape(flat)), flat, "F3_prime")
+            return (a + b).reshape(vals.shape)
+        out = np.empty(stack.shape)
+        for b in range(len(stack)):
+            for k in range(1, self.m + 1):
+                out[b, k - 1] = self.f(k, up[b, k - 1], stack[b, k - 1], um[b, k - 1])
+        return out.reshape(vals.shape)
 
 
 @dataclasses.dataclass(frozen=True)

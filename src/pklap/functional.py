@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .core import EvaluationError, PeriodicSequence, Problem, euclidean_norm
-from .operators import residual_values, sequence_values
+from .operators import _residual_rows, residual_values, sequence_values
 
 HESSIAN_STEP_SCALE = 1e-5
 MORSE_ZERO_TOL_SCALE = 1e-7
@@ -81,20 +81,28 @@ def _require_smooth(prob: Problem, what: str) -> None:
         )
 
 
-def _central_difference(fn, x: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of fn at the flat point x, one per coordinate.
+def _central_difference(fn, x: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences of a rows function at B base points, in one call.
 
-    Entry (or column) i is (fn(x + step e_i) - fn(x - step e_i)) / (2 step);
-    a scalar fn gives a vector, a vector fn a matrix.
+    x is (B, dim) and step (B,), one step per base point.  fn maps an
+    (N, dim) array of points to N values (a scalar function) or N rows (a
+    vector function); it is called once, on the 2 * dim stencil points of
+    every base point.  Returns (d, ok): entry (or column) i of d[b] is
+    (fn(x_b + step_b e_i) - fn(x_b - step_b e_i)) / (2 step_b), so d is
+    (B, dim) or (B, out, dim), and ok[b] is False when a stencil value of
+    base point b is not finite.
     """
-    cols = []
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        cols.append((fn(xp) - fn(xm)) / (2.0 * step))
-    return np.stack(cols, axis=-1)
+    B, dim = x.shape
+    idx = np.arange(dim)
+    points = np.repeat(x[:, None, :], 2 * dim, axis=1)  # (B, 2 dim, dim)
+    points[:, idx, idx] += step[:, None]
+    points[:, dim + idx, idx] -= step[:, None]
+    vals = np.asarray(fn(points.reshape(-1, dim)))
+    vals = vals.reshape((B, 2, dim) + vals.shape[1:])
+    ok = np.all(np.isfinite(vals.reshape(B, -1)), axis=1)
+    scale = (2.0 * step).reshape((B, 1) + (1,) * (vals.ndim - 3))
+    d = (vals[:, 0] - vals[:, 1]) / scale
+    return np.moveaxis(d, 1, -1), ok
 
 
 def gradient(u: PeriodicSequence, prob: Problem) -> PeriodicSequence:
@@ -114,7 +122,12 @@ def gradient_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) -
         # (sin of a quartic) have third derivatives far above |J| and the
         # truncation term dominates long before roundoff matters
         step = 1e-7 * max(1.0, euclidean_norm(u))
-    g = _central_difference(lambda x: action(x.reshape(prob.m, prob.n), prob), u.flat(), step)
+
+    def actions(points: np.ndarray) -> np.ndarray:
+        return np.array([action(x.reshape(prob.m, prob.n), prob) for x in points])
+
+    g, _ = _central_difference(actions, u.flat()[None], np.array([step]))
+    g = g[0]
     return PeriodicSequence.from_flat(g, prob.m, prob.n)
 
 
@@ -137,9 +150,15 @@ def hessian_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) ->
     _require_smooth(prob, "hessian_fd")
     if step is None:
         step = HESSIAN_STEP_SCALE * max(1.0, euclidean_norm(u))
-    h = _central_difference(
-        lambda x: -residual_values(x.reshape(prob.m, prob.n), prob).reshape(-1), u.flat(), step
-    )
+
+    def gradients(points: np.ndarray) -> np.ndarray:
+        out, ok = _residual_rows(points.reshape(-1, prob.m, prob.n), prob)
+        if not np.all(ok):
+            raise EvaluationError("residual evaluation produced non-finite entries")
+        return -out.reshape(points.shape)
+
+    h, _ = _central_difference(gradients, u.flat()[None], np.array([step]))
+    h = h[0]
     asym = float(np.max(np.abs(h - h.T)))
     scale = max(1.0, float(np.max(np.abs(h))))
     if asym > 1e-4 * scale:

@@ -44,11 +44,12 @@ def phi_p(a, p: float):
 
 
 def _phi_rows(rows: np.ndarray, p_values: np.ndarray) -> np.ndarray:
-    """phi_{p(k)} applied to each row of an (m, n) array; phi_p(0) = 0 for every p > 1."""
-    norms = np.linalg.norm(rows, axis=1)
+    """phi_{p(k)} applied to each row (the last axis) of a (..., m, n) array;
+    phi_p(0) = 0 for every p > 1."""
+    norms = np.linalg.norm(rows, axis=-1)
     with np.errstate(divide="ignore"):
         mags = np.where(norms > 0.0, norms ** (p_values - 2.0), 0.0)
-    return mags[:, None] * rows
+    return mags[..., None] * rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,21 +80,47 @@ def sequence_values(
     return vals
 
 
+def _residual_rows(vals: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of a (B, m, n) stack of sequences, one per row, and per-row flags.
+
+    Returns (out, ok): out[b] is the (m, n) residual of row b, and ok[b] is
+    False when row b's input or output has a non-finite entry.  Rows with a
+    non-finite input never reach the nonlinearity's callbacks; their out row
+    is NaN.  Every operation acts row by row, so out[b] is bitwise the
+    residual of row b evaluated alone.  Raises ValueError when the stack is
+    not (B, prob.m, prob.n), and EvaluationError when a callback returns a
+    malformed value.
+    """
+    vals = _read_only(vals)
+    if vals.ndim != 3 or vals.shape[1:] != (prob.m, prob.n):
+        raise ValueError(f"sequence stack shape {vals.shape} does not match (B, {prob.m}, {prob.n})")
+    ok = np.isfinite(vals).all(axis=(1, 2))
+    x = vals if ok.all() else vals[ok]
+    if x.shape[0] == 0:
+        return np.full(vals.shape, np.nan), ok
+    d = np.concatenate((x[:, 1:], x[:, :1]), axis=1) - x  # entry k-1 holds Delta u(k)
+    a = _phi_rows(d, prob.exponent.values)
+    lhs = a - np.concatenate((a[:, -1:], a[:, :-1]), axis=1)  # phi(Delta u(k)) - phi(Delta u(k-1))
+    out = lhs + prob.lam * prob.nonlinearity.coupling(x)
+    if x is not vals:
+        out, part = np.full(vals.shape, np.nan), out
+        out[ok] = part
+    return out, ok & np.isfinite(out).all(axis=(1, 2))
+
+
 def residual_values(u: PeriodicSequence | np.ndarray, prob: Problem) -> np.ndarray:
     """Raw (m, n) residual array at u, a PeriodicSequence or an (m, n) array.
 
-    phi_p is exact at every p > 1, unsmoothed at 0 for p < 2.  Raises
-    EvaluationError when the input or the output has a non-finite entry, and
-    ValueError when the shape is not (prob.m, prob.n).
+    The one-row case of _residual_rows.  phi_p is exact at every p > 1,
+    unsmoothed at 0 for p < 2.  Raises EvaluationError when the input or the
+    output has a non-finite entry, and ValueError when the shape is not
+    (prob.m, prob.n).
     """
     vals = sequence_values(u, prob)
-    d = np.concatenate((vals[1:], vals[:1])) - vals  # row k-1 holds Delta u(k)
-    a = _phi_rows(d, prob.exponent.values)
-    lhs = a - np.concatenate((a[-1:], a[:-1]))  # phi(Delta u(k)) - phi(Delta u(k-1))
-    out = lhs + prob.lam * prob.nonlinearity.coupling(vals)
-    if not np.all(np.isfinite(out)):
+    out, ok = _residual_rows(vals[None], prob)
+    if not ok[0]:
         raise EvaluationError("residual evaluation produced non-finite entries")
-    return out
+    return out[0]
 
 
 def residual(u: PeriodicSequence, prob: Problem) -> Residual:

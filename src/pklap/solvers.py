@@ -2,7 +2,8 @@
 
 The toolbox is deliberately plain: find_multiple runs damped Newton on the
 residual with a finite-difference Jacobian and deflation to repel found
-solutions; minimize (on a subspace, for the coercive routes) and
+solutions, all starts of a stage in lock step so that their residuals are
+evaluated together, one call per stacked batch; minimize (on a subspace, for the coercive routes) and
 mountain_pass (a relaxed path between two critical points) are only called
 directly.  All randomness is drawn from counter-keyed generators, so a
 fixed seed reproduces the same solution set bit for bit.
@@ -28,7 +29,7 @@ from .core import (
     in_Y,
 )
 from .functional import _central_difference, action, morse_summary
-from .operators import residual_values
+from .operators import _residual_rows, residual_values
 
 logger = logging.getLogger(__name__)
 
@@ -98,6 +99,15 @@ def subspace_basis(m: int, n: int, subspace: str) -> np.ndarray:
     raise ValueError(f"unknown subspace {subspace!r}")
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (B, dim) array.
+
+    One dot product per row (the stacked matmul) and its square root, so
+    entry b is bitwise float(np.linalg.norm(rows[b])).
+    """
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))
+
+
 class _System:
     """Flat view of the residual system, optionally reduced to a subspace."""
 
@@ -121,85 +131,209 @@ class _System:
         gx = self.g_full(self.to_full(y))
         return gx if self.q is None else self.q.T @ gx
 
+    def rows(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g at each row of a (B, dim) array, in one residual call: (g, ok).
+
+        ok[b] is False, and row b of g is NaN or not finite, when the
+        residual at y_b is not finite or a callback raised EvaluationError
+        there; other rows are unaffected.  Off H_m the stacked products
+        q @ y_b and q.T @ g_b are one matrix-vector product per row, as in
+        g, so row b is bitwise g(y_b).
+        """
+        prob = self.prob
+        x = y if self.q is None else (self.q @ y[:, :, None])[:, :, 0]
+        try:
+            out, ok = _residual_rows(x.reshape(len(y), prob.m, prob.n), prob)
+        except EvaluationError:
+            if len(y) == 1:
+                return np.full(y.shape, np.nan), np.zeros(1, dtype=bool)
+            parts = [self.rows(y[b : b + 1]) for b in range(len(y))]
+            return np.concatenate([g for g, _ in parts]), np.concatenate([ok for _, ok in parts])
+        g = out.reshape(len(y), -1)
+        if self.q is not None:
+            g = (self.q.T @ g[:, :, None])[:, :, 0]
+        return g, ok
+
+    def jacobians(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Central-difference Jacobians of g at each row of a (B, dim) array,
+        every stencil point in one rows call: (jac, ok), ok[b] False when a
+        stencil residual of row b failed.  Row b is bitwise jacobian(y_b).
+        """
+        step = 1e-7 * np.maximum(1.0, _row_norms(y))
+        return _central_difference(lambda points: self.rows(points)[0], y, step)
+
     def jacobian(self, y: np.ndarray) -> np.ndarray:
-        return _central_difference(self.g, y, 1e-7 * max(1.0, float(np.linalg.norm(y))))
+        jac, ok = self.jacobians(np.asarray(y, dtype=float)[None])
+        if not ok[0]:
+            raise EvaluationError("residual evaluation produced non-finite entries")
+        return jac[0]
+
+
+def _deflated_rows(system: _System, known: np.ndarray, y: np.ndarray):
+    """Deflated residuals M(y_b) g(y_b) at each row of a (B, dim) array.
+
+    known is a (K, dim) array of solutions in the system's coordinates and
+    M(y) = prod_i (||y - y_i||^-power + shift), at _DEFLATION_POWER and
+    _DEFLATION_SHIFT.  Returns (M g, ok, terms), where terms = (M, grad M,
+    g) are what _deflated_jacobians needs at the same rows.  ok[b] is
+    False at a known solution, or so near one that M or its gradient
+    overflows (those rows never reach the residual), and where g fails.
+    """
+    factor, dfactor = _deflation_terms(y, known, _DEFLATION_POWER, _DEFLATION_SHIFT)
+    ok = np.isfinite(factor) & np.all(np.isfinite(dfactor), axis=1)
+    g = np.full(y.shape, np.nan)
+    if np.any(ok):
+        g_ok, ok_g = system.rows(y[ok])
+        g[ok] = g_ok
+        ok[ok] = ok_g
+    return factor[:, None] * g, ok, (factor, dfactor, g)
+
+
+def _deflated_jacobians(jac: np.ndarray, factor, dfactor, g) -> np.ndarray:
+    """Jacobians M J + g (grad M)^T of the deflated residual, from the plain
+    Jacobians jac (B, dim, dim) and the terms _deflated_rows gave at the
+    same rows."""
+    return factor[:, None, None] * jac + g[:, :, None] * dfactor[:, None, :]
+
+
+def _newton_step(jac: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
+    """Newton direction solving jac @ delta = -g; the minimum-norm
+    least-squares step when jac is singular, None when neither is finite."""
+    try:
+        delta = np.linalg.solve(jac, -g)
+        if not np.all(np.isfinite(delta)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        delta, *_ = np.linalg.lstsq(jac, -g, rcond=None)
+    return delta if np.all(np.isfinite(delta)) else None
+
+
+# The line search's 30 step lengths 2^-j, tried in blocks of these sizes:
+# every start still searching puts its next block into one residual call.
+_STEP_LENGTHS = np.ldexp(1.0, -np.arange(30))
+_SEARCH_BLOCKS = (1, 2, 4, 8, 15)
+
+
+def _line_search(evaluate, y, g, ng, terms, starts: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Backtracking line search of the given starts, in lock step.
+
+    Start s = starts[i] tries y_s + 2^-j deltas[i] for j = 0..29 and takes
+    the first trial whose residual norm is below (1 - 1e-4 2^-j) ng_s; a
+    trial whose evaluation fails is rejected.  A trial equal to y_s byte for
+    byte ends the search unaccepted: every shorter step gives the same
+    point.  Each block of _SEARCH_BLOCKS is one evaluate call over the
+    trials of all starts still searching, up to each one's first byte-equal
+    trial, and a start takes its first accepted trial, so it sees the trials
+    of the sequential loop.  An accepted trial's point, residual, norm and
+    terms are written into y, g, ng and terms.  Returns the accepted mask.
+    """
+    accepted = np.zeros(len(starts), dtype=bool)
+    searching = np.ones(len(starts), dtype=bool)
+    first = 0
+    for size in _SEARCH_BLOCKS:
+        idx = np.flatnonzero(searching)
+        if idx.size == 0:
+            break
+        alpha = _STEP_LENGTHS[first : first + size]
+        first += size
+        s = starts[idx]
+        base = y[s]
+        trials = base[:, None, :] + alpha[:, None] * deltas[idx][:, None, :]
+        same = np.all(trials.view(np.uint64) == base.view(np.uint64)[:, None, :], axis=2)
+        live = np.cumsum(same, axis=1) == 0  # the trials before the first byte-equal one
+        points = trials[live]
+        hit = np.zeros(idx.size, dtype=bool)
+        if len(points):
+            g_new, ok, terms_new = evaluate(points)
+            ng_new = _row_norms(g_new)
+            good = np.zeros(live.shape, dtype=bool)
+            good[live] = ok & (ng_new < ((1.0 - 1e-4 * alpha) * ng[s][:, None])[live])
+            hit = good.any(axis=1)
+            row = (np.cumsum(live) - 1).reshape(live.shape)[hit, good[hit].argmax(axis=1)]
+            t = s[hit]
+            y[t], g[t], ng[t] = points[row], g_new[row], ng_new[row]
+            for state, new in zip(terms, terms_new):
+                state[t] = new[row]
+            accepted[idx[hit]] = True
+        searching[idx[hit | ~live.all(axis=1)]] = False
+    return accepted
+
+
+def _newton_rows(
+    system: _System, y0: np.ndarray, cfg: SolverConfig, known: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton from each row of y0 (S, dim), all starts in lock step.
+
+    Returns (best iterates, their norms, converged flags, iterations), one
+    per start.  known, a (K, dim) array, deflates the residual (see
+    _deflated_rows); convergence is then judged on the deflated norm.
+
+    Each start runs its own iteration: a central-difference Jacobian, a
+    Newton step (least squares when the Jacobian is singular), then the
+    line search of _line_search.  Lock step only shares residual calls, one
+    for all Jacobians of a round and one per line-search block, so every
+    start's iterates are bitwise those of running it alone.  A start stops
+    when its Jacobian or step fails, when the line search accepts nothing,
+    when its norm passes 1e8, after _MAX_ITERATIONS steps above
+    residual_tol, or after _POLISH_BUDGET steps below it: residuals with
+    high-order flatness (e.g. degree-7 growth around the zero solution) dip
+    below any fixed tolerance on a whole neighbourhood, and only the
+    stagnation point is the actual root.  A deflated start carries the
+    terms of its accepted trial into its next Jacobian.
+    """
+    if known is None:
+
+        def evaluate(y):
+            g, ok = system.rows(y)
+            return g, ok, ()
+
+    else:
+
+        def evaluate(y):
+            return _deflated_rows(system, known, y)
+
+    y = np.array(y0, dtype=float)
+    g, ok, terms = evaluate(y)
+    ng = np.where(ok, _row_norms(g), math.inf)
+    best_y, best_ng = y.copy(), ng.copy()
+    iters = np.zeros(len(y), dtype=int)
+    polish_left = np.full(len(y), _POLISH_BUDGET)
+    active = ok.copy()
+    while True:
+        below_tol = ng <= cfg.residual_tol
+        active &= np.where(below_tol, polish_left > 0, iters < _MAX_ITERATIONS)
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        jac, ok = system.jacobians(y[rows])
+        if known is not None:
+            jac = _deflated_jacobians(jac, *(state[rows] for state in terms))
+        steps = [_newton_step(jac[j], g[s]) if ok[j] else None for j, s in enumerate(rows)]
+        stepped = np.array([delta is not None for delta in steps])
+        active[rows[~stepped]] = False
+        rows = rows[stepped]
+        if rows.size == 0:
+            continue
+        deltas = np.array([delta for delta in steps if delta is not None])
+        accepted = _line_search(evaluate, y, g, ng, terms, rows, deltas)
+        active[rows[~accepted]] = False
+        rows = rows[accepted]
+        escaped = _row_norms(y[rows]) > 1e8
+        active[rows[escaped]] = False
+        rows = rows[~escaped]
+        iters[rows] += 1
+        polish_left[rows[below_tol[rows]]] -= 1
+        better = rows[ng[rows] < best_ng[rows]]
+        best_y[better], best_ng[better] = y[better], ng[better]
+    return best_y, best_ng, best_ng <= cfg.residual_tol, iters
 
 
 def _newton_iterate(
-    system: _System,
-    y0: np.ndarray,
-    cfg: SolverConfig,
-    g_fn=None,
-    jac_fn=None,
+    system: _System, y0: np.ndarray, cfg: SolverConfig, known: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, float, bool, int]:
-    """Damped Newton iteration; returns (best iterate, its norm, converged, iters).
-
-    g_fn/jac_fn override the system functions (used by deflation); the
-    default is the plain residual.  A singular Jacobian falls back to the
-    minimum-norm least-squares step.  The line search stops as soon as a
-    trial point equals the iterate byte for byte: every shorter step gives
-    the same point and the same rejection.
-    """
-    g_fn = g_fn or system.g
-    jac_fn = jac_fn or system.jacobian
-    y = np.asarray(y0, dtype=float).copy()
-    try:
-        g = g_fn(y)
-    except EvaluationError:
-        return y, math.inf, False, 0
-    ng = float(np.linalg.norm(g))
-    best_y, best_ng = y.copy(), ng
-    it = 0
-    polish_left = _POLISH_BUDGET
-    while True:
-        below_tol = ng <= cfg.residual_tol
-        if below_tol:
-            # Keep stepping past the tolerance until the iteration stalls.
-            # Residuals with high-order flatness (e.g. degree-7 growth around
-            # the zero solution) dip below any fixed tolerance on a whole
-            # neighbourhood; only the stagnation point is the actual root.
-            if polish_left <= 0:
-                break
-        elif it >= _MAX_ITERATIONS:
-            break
-        try:
-            jac = jac_fn(y)
-        except EvaluationError:
-            break
-        try:
-            delta = np.linalg.solve(jac, -g)
-            if not np.all(np.isfinite(delta)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(jac, -g, rcond=None)
-        if not np.all(np.isfinite(delta)):
-            break
-        alpha = 1.0
-        accepted = False
-        y_bytes = y.tobytes()
-        for _ in range(30):
-            y_new = y + alpha * delta
-            if y_new.tobytes() == y_bytes:
-                break
-            try:
-                g_new = g_fn(y_new)
-            except EvaluationError:
-                alpha *= 0.5
-                continue
-            ng_new = float(np.linalg.norm(g_new))
-            if ng_new < (1.0 - 1e-4 * alpha) * ng:
-                y, g, ng = y_new, g_new, ng_new
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted or float(np.linalg.norm(y)) > 1e8:
-            break
-        it += 1
-        if below_tol:
-            polish_left -= 1
-        if ng < best_ng:
-            best_y, best_ng = y.copy(), ng
-    return best_y, best_ng, best_ng <= cfg.residual_tol, it
+    """_newton_rows from one start: (best iterate, its norm, converged, iters)."""
+    y, ng, converged, iters = _newton_rows(system, np.asarray(y0, dtype=float)[None], cfg, known)
+    return y[0], float(ng[0]), bool(converged[0]), int(iters[0])
 
 
 def _make_record(
@@ -253,63 +387,32 @@ def newton_solve(
 
 def _deflation_terms(
     y: np.ndarray, known: Sequence[np.ndarray], power: float, shift: float
-) -> tuple[float, np.ndarray]:
-    """Deflation factor prod_i (||y - y_i||^-power + shift) and its gradient.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deflation factors prod_i (||y_b - y_i||^-power + shift) and their
+    gradients, for each row y_b of a (B, dim) array.
 
     known holds K >= 1 solutions, as a (K, dim) array or a sequence of
-    vectors.  All K terms are formed at once, and the product and the sum of
-    the log-gradients accumulate in the order of known, so the result is
-    bitwise that of a loop over the solutions: each squared norm is one dot
-    product (the stacked matmul), the powers go through C pow
+    vectors.  All B x K terms are formed at once, and each row's product
+    and sum of log-gradients accumulate in the order of known, so row b is
+    bitwise that of a loop over the solutions at y_b: each squared norm is
+    one dot product (the stacked matmul), the powers go through C pow
     (np.float_power, as Python's ** on floats), and cumprod/cumsum add one
     term at a time.  The leading 0.0 + turns a -0.0 sum into +0.0, as adding
-    to a zero vector does.  At a known solution the factor is inf.
+    to a zero vector does.  At a known solution the factor is inf and the
+    gradient 0.
     """
-    d = y - np.asarray(known, dtype=float)
-    nd2 = (d[:, None, :] @ d[:, :, None]).reshape(-1)
-    if np.any(nd2 == 0.0):
-        return math.inf, np.zeros_like(y)
+    d = y[:, None, :] - np.asarray(known, dtype=float)
+    nd2 = (d[..., None, :] @ d[..., :, None]).reshape(d.shape[:2])
+    hit = np.any(nd2 == 0.0, axis=1)
+    nd2[hit] = 1.0
     mi = np.float_power(nd2, -power / 2.0) + shift
-    dmi = (-power * np.float_power(nd2, -power / 2.0 - 1.0))[:, None] * d
-    factor = float(np.cumprod(mi)[-1])
-    log_grad = 0.0 + np.cumsum(dmi / mi[:, None], axis=0)[-1]
-    return factor, factor * log_grad
-
-
-def _deflated_system(system: _System, known: np.ndarray):
-    """Deflated residual M(y) g(y) and its Jacobian M J + g (grad M)^T.
-
-    known is a (K, dim) array of solutions in the system's coordinates and
-    M(y) = prod_i (||y - y_i||^-power + shift), at _DEFLATION_POWER and
-    _DEFLATION_SHIFT.  g_defl raises EvaluationError at a known solution, or
-    so near one that M or its gradient overflows.
-    Newton asks for the Jacobian at the point whose deflated residual it has
-    just accepted, so the factor, its gradient and the residual of the last
-    g_defl call are kept (keyed on the iterate's bytes) and reused by
-    jac_defl instead of being computed again.
-    """
-    last: dict = {}
-
-    def terms(y: np.ndarray):
-        key = y.tobytes()
-        if key not in last:
-            factor, dfactor = _deflation_terms(y, known, _DEFLATION_POWER, _DEFLATION_SHIFT)
-            if not (math.isfinite(factor) and np.all(np.isfinite(dfactor))):
-                raise EvaluationError("deflated residual at a known solution")
-            g = system.g(y)
-            last.clear()
-            last[key] = (factor, dfactor, g)
-        return last[key]
-
-    def g_defl(y: np.ndarray) -> np.ndarray:
-        factor, _, g = terms(y)
-        return factor * g
-
-    def jac_defl(y: np.ndarray) -> np.ndarray:
-        factor, dfactor, g = terms(y)
-        return factor * system.jacobian(y) + np.outer(g, dfactor)
-
-    return g_defl, jac_defl
+    dmi = (-power * np.float_power(nd2, -power / 2.0 - 1.0))[..., None] * d
+    factor = np.cumprod(mi, axis=1)[:, -1]
+    log_grad = 0.0 + np.cumsum(dmi / mi[..., None], axis=1)[:, -1]
+    grad = factor[:, None] * log_grad
+    factor[hit] = math.inf
+    grad[hit] = 0.0
+    return factor, grad
 
 
 def deflated_solve(
@@ -328,10 +431,7 @@ def deflated_solve(
     if not known_flat:
         return newton_solve(prob, u0, cfg)
     system = _System(prob)
-    g_defl, jac_defl = _deflated_system(system, np.array(known_flat))
-    x, _, converged, _ = _newton_iterate(
-        system, u0.flat(), cfg, g_fn=g_defl, jac_fn=jac_defl
-    )
+    x, _, converged, _ = _newton_iterate(system, u0.flat(), cfg, known=np.array(known_flat))
     if not converged:
         return None
     true_norm = float(np.linalg.norm(system.g_full(x)))
@@ -629,7 +729,10 @@ def find_multiple(
     """Multistart Newton + deflation pipeline returning a deduplicated set.
 
     Stages: the zero sequence, multistart Newton, then deflation rounds
-    until a full round adds nothing.  Every record's method is "newton" or
+    until a full round adds nothing.  The starts of a stage (the warm and
+    random starts of stage 1, or one deflation round's starts against the
+    records known when the round begins) run as one lock-step batch, and
+    their candidates are then handled in start order.  Every record's method is "newton" or
     "deflated".  With subspace="Y" the iteration runs on the
     zero-mean reduction; every candidate is still verified against the full
     residual, and reduced-critical points failing that test are reported in
@@ -679,26 +782,26 @@ def find_multiple(
     if float(np.linalg.norm(system.g_full(np.zeros(prob.dim)))) <= cfg.residual_tol:
         try_add(_make_record(prob, np.zeros(prob.dim), "newton", cfg))
 
-    # stage 1: warm starts (continuation) then multistart Newton
+    # stage 1: warm starts (continuation) then multistart Newton, one batch;
+    # candidates are handled in start order
     start_pool: list[np.ndarray] = [system.to_reduced(np.asarray(w, float).reshape(-1)) for w in extra_starts]
     start_pool.extend(y0 for _, y0 in _random_starts(cfg, system.dim, 101))
-    for idx, y0 in enumerate(start_pool):
-        y, _, converged, _ = _newton_iterate(system, y0, cfg)
-        if converged:
-            handle_candidate(y, "newton", start_index=idx)
+    if start_pool:
+        ys, _, converged, _ = _newton_rows(system, np.array(start_pool), cfg)
+        for idx in np.flatnonzero(converged).tolist():
+            handle_candidate(ys[idx], "newton", start_index=idx)
 
-    # stage 2: deflation rounds until a round adds nothing new
+    # stage 2: deflation rounds until a round adds nothing new; each round is
+    # one batch against the records known when it starts
     for round_no in range(10):
         added = False
-        if not records:
+        starts = list(_random_starts(cfg, system.dim, 211 + round_no))
+        if not records or not starts:
             break
         known = np.array([system.to_reduced(r.u.flat()) for r in records])
-        g_defl, jac_defl = _deflated_system(system, known)
-        for i, y0 in _random_starts(cfg, system.dim, 211 + round_no):
-            y, ng, converged, _ = _newton_iterate(
-                system, y0, cfg, g_fn=g_defl, jac_fn=jac_defl
-            )
-            if not converged:
+        ys, _, converged, _ = _newton_rows(system, np.array([y0 for _, y0 in starts]), cfg, known)
+        for (i, _), y, ok in zip(starts, ys, converged.tolist()):
+            if not ok:
                 continue
             if float(np.linalg.norm(system.g(y))) > cfg.residual_tol:
                 continue

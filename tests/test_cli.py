@@ -417,29 +417,15 @@ class TestSweep:
             assert int(nontriv) >= 2
         assert lines[-1] == "# A_estimate: 0.5,1.5"
 
-    def test_single_point_grid(self, tmp_path):
+    def test_single_step_grid_is_a_config_error(self, tmp_path, capsys):
+        """np.linspace(1, 2, 1) is [1.0]: one step would drop --lambda-max
+        silently, so it is refused and nothing is written."""
         cfg = self._quartic_config(tmp_path)
-        out = str(tmp_path / "one.csv")
-        code = cli.main(
-            [
-                "sweep",
-                cfg,
-                "--lambda-min",
-                "1.0",
-                "--lambda-max",
-                "2.0",
-                "--steps",
-                "1",
-                "--output",
-                out,
-            ]
-        )
-        assert code == cli.EXIT_OK
-        data = [
-            ln for ln in open(out).read().splitlines() if not ln.startswith("#")
-        ][1:]
-        assert len(data) == 1
-        assert data[0].startswith("1.0,")
+        out = tmp_path / "one.csv"
+        argv = ["sweep", cfg, "--lambda-min", "1.0", "--lambda-max", "2.0", "--steps", "1"]
+        assert cli.main(argv + ["--output", str(out)]) == cli.EXIT_CONFIG
+        assert "--steps must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheck:

@@ -1,8 +1,8 @@
 """The vectorised deflation factor and dedupe's action-gap prefilter.
 
-_deflation_terms once looped over the known solutions; the loop is kept
-here as the reference and the vectorised body must reproduce it bit for
-bit.  The prefilter must never reject a pair that the segment test merges,
+_deflation_terms once looped over the known solutions at one point; the
+loop is kept here as the reference and the vectorised body, which takes a
+(B, dim) stack of points, must reproduce it bit for bit on each row.  The prefilter must never reject a pair that the segment test merges,
 and must reject a pair with a large action gap without a residual call.
 """
 
@@ -18,13 +18,14 @@ from hypothesis.extra import numpy as hnp
 
 from pklap import solvers
 from pklap.cli import load_config
-from pklap.core import EvaluationError, ExponentFunction, Problem
+from pklap.core import ExponentFunction, Problem
 from pklap.functional import action
 from pklap.nonlinearities import make_example1
 from pklap.solvers import (
     SolverConfig,
-    _deflated_system,
+    _deflated_rows,
     _deflation_terms,
+    _newton_iterate,
     _same_solution,
     _System,
     find_multiple,
@@ -53,7 +54,8 @@ def _assert_same_terms(y, known, power, shift):
     # overflow warnings are expected at tiny distances; the values decide
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        got_f, got_g = _deflation_terms(y, known, power, shift)
+        factors, grads = _deflation_terms(y[None], known, power, shift)
+        got_f, got_g = factors[0], grads[0]
         try:
             ref_f, ref_g = _loop_deflation_terms(y, known, power, shift)
         except OverflowError:
@@ -64,7 +66,7 @@ def _assert_same_terms(y, known, power, shift):
         # which the deflated residual reports as an EvaluationError
         assert not (math.isfinite(got_f) and np.all(np.isfinite(got_g)))
         return
-    assert type(got_f) is float
+    assert factors.shape == (1,) and factors.dtype == np.float64
     assert np.array([got_f]).tobytes() == np.array([ref_f]).tobytes()
     if any(float(np.dot(y - yi, y - yi)) == 0.0 for yi in known):
         # at a known solution (a zero squared distance) the loop returned a
@@ -131,7 +133,8 @@ def test_deflation_terms_signed_zero_gradient():
     """A gradient component that sums to -0.0 comes out as +0.0."""
     y = np.array([0.0, 1.0])
     known = np.array([[0.0, 0.0], [0.0, 2.0]])
-    got_f, got_g = _deflation_terms(y, known, 2.0, 1.0)
+    factors, grads = _deflation_terms(y[None], known, 2.0, 1.0)
+    got_f, got_g = factors[0], grads[0]
     ref_f, ref_g = _loop_deflation_terms(y, known, 2.0, 1.0)
     assert got_f == ref_f
     assert got_g.tobytes() == ref_g.tobytes()
@@ -143,23 +146,29 @@ def test_deflated_residual_rejects_overflow_near_known_point(power, finite_facto
     """At a squared distance of about 1e-320 the loop's Python ** raised
     OverflowError.  Now the power overflows to inf (with numpy's warning):
     in the factor at power 2, only in the gradient at power 1.  Either way
-    the deflated residual raises EvaluationError, as at a known point."""
+    the deflated residual fails that row, as at a known point, without
+    evaluating the residual there, and a Newton start there ends at once."""
     y = np.array([1e-160, 0.0, 0.0, 0.0])
     known = np.zeros((1, 4))
     with pytest.raises(OverflowError):
         _loop_deflation_terms(y, known, power, 0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        factor, grad = _deflation_terms(y, known, power, 0.0)
-        assert math.isfinite(factor) == finite_factor
-        assert not np.all(np.isfinite(grad))
+        factors, grads = _deflation_terms(y[None], known, power, 0.0)
+        assert math.isfinite(factors[0]) == finite_factor
+        assert not np.all(np.isfinite(grads[0]))
         monkeypatch.setattr(solvers, "_DEFLATION_POWER", power)
         monkeypatch.setattr(solvers, "_DEFLATION_SHIFT", 0.0)
-        g_defl, jac_defl = _deflated_system(_System(_example1_problem()), known)
-        with pytest.raises(EvaluationError):
-            g_defl(y)
-        with pytest.raises(EvaluationError):
-            jac_defl(y)
+        system = _System(_example1_problem())
+        rows = []
+        real_rows = system.rows
+        monkeypatch.setattr(system, "rows", lambda pts: rows.append(len(pts)) or real_rows(pts))
+        g, ok, _ = _deflated_rows(system, known, np.stack([y, np.ones(4)]))
+        assert ok.tolist() == [False, True]
+        assert rows == [1]
+        assert not np.all(np.isfinite(g[0]))
+        _, ng, converged, iters = _newton_iterate(system, y, SolverConfig(), known)
+        assert (ng, converged, iters) == (math.inf, False, 0)
     assert any("overflow" in str(w.message) for w in caught)
 
 

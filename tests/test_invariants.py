@@ -8,6 +8,11 @@
   row-local arithmetic, so the shift holds bitwise; the action sums the same
   terms in another order, so it holds to rounding.
 
+- Gradient: the Euclidean gradient of J is the negated residual, so the
+  central-difference gradient of the action matches -residual to the
+  truncation and rounding error of the differences (exponents >= 2, where
+  J is twice differentiable).
+
 Two contracts of the solver's output close the file: every record solves
 the full system to residual_tol, and dedupe is idempotent, so no two
 records of one set are the same solution by the test that merged them.
@@ -22,8 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pklap.cli import load_config
-from pklap.core import ExponentFunction, Problem
-from pklap.functional import action, mu, potential
+from pklap.core import ExponentFunction, PeriodicSequence, Problem
+from pklap.functional import action, gradient_fd, mu, potential
 from pklap.nonlinearities import make_builtin, make_power
 from pklap.operators import residual_values
 from pklap.solvers import _canonical, _same_solution, find_multiple, lambda_sweep
@@ -84,6 +89,20 @@ def test_power_family_cyclic_shift(m, p, s, r, a, b, lam, data):
     # the reordered sums round differently; bound by the size of their terms
     scale = mu(u, prob) + lam * abs(potential(u, prob))
     assert abs(action(shifted, prob) - action(u, prob)) <= 1e-12 * scale
+
+
+@settings(max_examples=100)
+@given(name=st.sampled_from(sorted(BUILTINS)), lam=lambdas, data=st.data())
+def test_gradient_fd_matches_negated_residual(name, lam, data):
+    nl = _builtin(name)
+    m = nl.m
+    p = data.draw(st.lists(st.floats(2.0, 4.0), min_size=m, max_size=m))
+    u = np.array(data.draw(st.lists(st.floats(-1.5, 1.5), min_size=m, max_size=m)))
+    prob = Problem(m=m, n=1, exponent=ExponentFunction(np.array(p)), nonlinearity=nl, lam=lam)
+    g_fd = gradient_fd(PeriodicSequence(u), prob).values
+    g = -residual_values(u.reshape(m, 1), prob)
+    # the gradcheck command's error measure and tolerance
+    assert np.linalg.norm(g_fd - g) <= 1e-5 * max(1.0, float(np.linalg.norm(g)))
 
 
 def _solved_sets():

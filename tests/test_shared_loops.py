@@ -164,22 +164,25 @@ def test_random_starts_match_inline_draws(dim, key):
 
 
 def test_find_multiple_start_pools_match_inline_draws(monkeypatch):
-    """Stage 1 runs the plain residual from the key-101 draws; deflation
-    round r runs the deflated residual from the key-(211 + r) draws."""
+    """Stage 1 runs the plain residual from the key-101 draws as one batch;
+    deflation round r runs the deflated residual from the key-(211 + r)
+    draws as one batch."""
     prob = _example3_problem(m=3, lam=10.0)
     cfg = SolverConfig(starts=4, seed=2)
     dim = _System(prob, subspace=SUBSPACE_Y).dim
-    plain, deflated = [], []
-    real = solvers._newton_iterate
+    plain, deflated, batches = [], [], []
+    real = solvers._newton_rows
 
-    def spy(system, y0, cfg, g_fn=None, jac_fn=None):
-        (plain if g_fn is None else deflated).append(np.array(y0, copy=True))
-        return real(system, y0, cfg, g_fn=g_fn, jac_fn=jac_fn)
+    def spy(system, y0, cfg, known=None):
+        (plain if known is None else deflated).extend(np.array(y0, copy=True))
+        batches.append((known is None, len(y0)))
+        return real(system, y0, cfg, known)
 
-    monkeypatch.setattr(solvers, "_newton_iterate", spy)
+    monkeypatch.setattr(solvers, "_newton_rows", spy)
     find_multiple(prob, cfg, subspace=SUBSPACE_Y)
     rounds = len(deflated) // cfg.starts
     assert rounds >= 2
+    assert batches == [(True, cfg.starts)] + [(False, cfg.starts)] * rounds
     expect_plain = [y for _, y in _inline_starts(cfg, dim, 101)]
     expect_deflated = [
         y for r in range(rounds) for _, y in _inline_starts(cfg, dim, 211 + r)

@@ -21,7 +21,8 @@ from pklap.solvers import (
     SolutionSet,
     SolverConfig,
     SweepResult,
-    _deflated_system,
+    _deflated_jacobians,
+    _deflated_rows,
     _deflation_terms,
     _flat_connected,
     _newton_iterate,
@@ -131,23 +132,30 @@ class TestNewtonSolve:
         assert np.allclose(np.abs(rec.u.values.reshape(-1)), a, atol=1e-7)
 
 
-def test_converged_newton_skips_dead_line_search_steps():
+def test_converged_newton_skips_dead_line_search_steps(monkeypatch):
     """The closing line search of a converged start stops at the first trial
     point that equals the iterate, well before its 30 halvings."""
     system = _System(_double_well())
     calls = []
+    in_jacobian = []
+    real_rows, real_jacobians = system.rows, system.jacobians
 
-    def g_fn(y):
-        calls.append("g")
-        return system.g(y)
+    def rows(y):
+        if not in_jacobian:
+            calls.extend(["g"] * len(y))
+        return real_rows(y)
 
-    def jac_fn(y):
+    def jacobians(y):
         calls.append("jac")
-        return system.jacobian(y)
+        in_jacobian.append(1)
+        try:
+            return real_jacobians(y)
+        finally:
+            in_jacobian.pop()
 
-    y, _, converged, _ = _newton_iterate(
-        system, np.array([0.9, 1.1]), SolverConfig(), g_fn=g_fn, jac_fn=jac_fn
-    )
+    monkeypatch.setattr(system, "rows", rows)
+    monkeypatch.setattr(system, "jacobians", jacobians)
+    y, _, converged, _ = _newton_iterate(system, np.array([0.9, 1.1]), SolverConfig())
     assert converged
     assert np.allclose(y, [1.0, 1.0], atol=1e-9)
     last_jac = len(calls) - 1 - calls[::-1].index("jac")
@@ -160,37 +168,46 @@ class TestDeflation:
         # distance 1 from the known point: factor = 1 + shift = 2,
         # gradient = factor * d(log factor) = -2 * (y - y0)
         y = np.array([1.0, 0.0])
-        factor, grad = _deflation_terms(y, [np.zeros(2)], 2.0, 1.0)
-        assert factor == pytest.approx(2.0)
-        assert np.allclose(grad, [-2.0, 0.0])
+        factor, grad = _deflation_terms(y[None], [np.zeros(2)], 2.0, 1.0)
+        assert factor[0] == pytest.approx(2.0)
+        assert np.allclose(grad[0], [-2.0, 0.0])
 
     def test_exact_hit_is_infinite(self):
-        factor, _ = _deflation_terms(np.zeros(2), [np.zeros(2)], 2.0, 1.0)
-        assert factor == math.inf
+        factor, _ = _deflation_terms(np.zeros((1, 2)), [np.zeros(2)], 2.0, 1.0)
+        assert factor[0] == math.inf
 
     def test_deflated_system_raises_at_known_point(self):
+        """A known solution fails its row of the deflated residual; the
+        other rows of the same call are evaluated."""
         system = _System(_double_well())
-        g_defl, _ = _deflated_system(system, np.array([[1.0, 1.0]]))
-        with pytest.raises(EvaluationError):
-            g_defl(np.array([1.0, 1.0]))
+        g, ok, _ = _deflated_rows(system, np.array([[1.0, 1.0]]), np.array([[1.0, 1.0], [0.5, 1.0]]))
+        assert ok.tolist() == [False, True]
+        assert not np.all(np.isfinite(g[0]))
+        assert np.all(np.isfinite(g[1]))
 
     def test_deflated_jacobian_matches_central_difference(self):
         system = _System(_double_well())
         known = np.array([[1.0, 1.0], [-1.0, -1.0]])
-        g_defl, jac_defl = _deflated_system(system, known)
         y = np.array([0.3, -0.7])
         h = 1e-6
+
+        def g_defl(x):
+            g, ok, _ = _deflated_rows(system, known, x[None])
+            assert ok[0]
+            return g[0]
+
         fd = np.column_stack(
             [(g_defl(y + h * e) - g_defl(y - h * e)) / (2.0 * h) for e in np.eye(2)]
         )
-        # the last g_defl call was at another point: jac_defl recomputes
-        cold = jac_defl(y)
+        # the terms evaluated at y alone give the Jacobian at y
+        _, _, terms = _deflated_rows(system, known, y[None])
+        cold = _deflated_jacobians(system.jacobian(y)[None], *terms)[0]
         assert np.allclose(cold, fd, rtol=1e-6, atol=1e-6)
-        # after g_defl(y) the Jacobian reuses its terms and must not change
-        g_defl(y)
-        assert np.array_equal(jac_defl(y), cold)
-        _, fresh_jac = _deflated_system(system, known)
-        assert np.array_equal(fresh_jac(y), cold)
+        # terms carried from a call at several points, y among them, give
+        # the same Jacobian
+        _, _, terms = _deflated_rows(system, known, np.stack([y + 0.25, y, y - 0.5]))
+        carried = _deflated_jacobians(system.jacobians(y[None])[0], *(t[1:2] for t in terms))
+        assert np.array_equal(carried[0], cold)
 
     def test_deflated_solve_escapes_known_well(self):
         prob = _double_well()
@@ -270,14 +287,14 @@ class TestMinimize:
         calls = []
         real = solvers._newton_iterate
 
-        def spy(system, y0, cfg, g_fn=None, jac_fn=None):
-            calls.append((system.subspace, g_fn, jac_fn))
-            return real(system, y0, cfg, g_fn=g_fn, jac_fn=jac_fn)
+        def spy(system, y0, cfg, known=None):
+            calls.append((system.subspace, np.shape(y0), known))
+            return real(system, y0, cfg, known)
 
         monkeypatch.setattr(solvers, "_newton_iterate", spy)
         for subspace in (SUBSPACE_W, SUBSPACE_FULL):
             assert minimize(_double_well(), subspace=subspace, cfg=SolverConfig(seed=0)) is not None
-        assert calls == [(SUBSPACE_W, None, None), (SUBSPACE_FULL, None, None)]
+        assert calls == [(SUBSPACE_W, (1,), None), (SUBSPACE_FULL, (2,), None)]
         nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
         prob = Problem(
             m=2, n=1, exponent=ExponentFunction.constant(2.0, 2), nonlinearity=nl, lam=1.0

@@ -4,11 +4,14 @@
 
 For each config in configs/ it runs `solve` (values and summary CSV),
 `check` (JSON) and a 50-point `gradcheck` (JSON); it also runs a 25-step
-`sweep` of example3_sweep over lambda in [0.1, 10].  It then runs `check`
-and a 50-point `gradcheck` on the nine configs of the benchmark's check
-batch, `perfbench.workloads.check_configs(seed)`, at seeds 1 and 2: 53
-files in all.  The benchmark configs are imported, not copied, and are
-written to a temporary directory, not to OUTDIR.  The commands run
+`sweep` of example3_sweep over lambda in [0.1, 10].  The sweep CSV holds
+only counts and minimum actions, so it also runs `solve` on example3_sweep
+at lambda = 10 with 8 starts (the benchmark's sweep point), whose values
+CSV holds every record's bits.  It then runs `check` and a 50-point
+`gradcheck` on the nine configs of the benchmark's check batch,
+`perfbench.workloads.check_configs(seed)`, at seeds 1 and 2: 55 files in
+all.  The generated configs are written to a temporary directory, not to
+OUTDIR; the benchmark configs are imported, not copied.  The commands run
 against the src/ of the checkout this script sits in, so two checkouts give
 two snapshots, and `diff -r` between them shows any output that changed.
 stdout is discarded because it holds the output paths; stderr is passed
@@ -46,6 +49,16 @@ def _commands(outdir: str, cfgdir: str) -> list[list[str]]:
     cmds.append(
         ["sweep", config, "--lambda-min", "0.1", "--lambda-max", "10", "--steps", "25",
          "--output", os.path.join(outdir, "example3_sweep.sweep.csv")]
+    )
+    with open(config, encoding="utf-8") as fh:
+        cfg = dict(json.load(fh), solver={"starts": 8})
+    cfg["lambda"] = 10.0
+    config = os.path.join(cfgdir, "example3_lam10.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh, indent=1, sort_keys=True)
+    out = os.path.join(outdir, "example3_lam10")
+    cmds.append(
+        ["solve", config, "--values-out", out + ".values.csv", "--summary-out", out + ".summary.csv"]
     )
     for seed in CHECK_SEEDS:
         for name, cfg in check_configs(seed).items():
