@@ -30,9 +30,9 @@ from .core import (
     Nonlinearity,
     PeriodicSequence,
     Problem,
-    euclidean_norm,
+    _row_norms,
 )
-from .functional import mu, potential
+from .functional import _action_rows, mu, potential
 from .operators import residual_values
 
 HOLDS = "holds_on_samples"
@@ -58,6 +58,23 @@ def _unit_direction(rng: np.random.Generator, m: int, n: int, zero_mean: bool) -
         norm = np.linalg.norm(v)
         if norm > 1e-12:
             return v / norm
+
+
+def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count random unit vectors in R^n, as a (count, n) array.
+
+    The same stream and values as count sequential _unit_direction(rng, n,
+    1, zero_mean=False) calls: the normals are drawn in one call, rows too
+    short to normalise are dropped, and the missing rows are drawn again in
+    order.
+    """
+    out = np.empty((0, n))
+    while len(out) < count:
+        v = rng.normal(size=(count - len(out), n))
+        norms = _row_norms(v)
+        kept = norms > 1e-12
+        out = np.concatenate((out, v[kept] / norms[kept, None]))
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,17 +128,11 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 
-def _entry_norms(u: PeriodicSequence) -> np.ndarray:
-    return np.linalg.norm(u.values, axis=1)
-
-
 def _inequality_report(name: str, margin: float, slack: float, witness: dict) -> CheckReport:
     """Report of one norm inequality, keeping the witness only for a violation.
 
     A NaN margin (both sides overflowed) decides nothing, and C.1 - C.3 are
-    theorems, so it is inconclusive rather than a violation.  The scalar
-    right-hand sides use np.float_power, the C pow that Python's float **
-    calls: finite values keep their bits, and an overflow gives inf.
+    theorems, so it is inconclusive rather than a violation.
     """
     if math.isnan(margin):
         verdict = INCONCLUSIVE
@@ -130,35 +141,72 @@ def _inequality_report(name: str, margin: float, slack: float, witness: dict) ->
     return CheckReport(name, verdict, margin, witness if verdict == VIOLATED else None, samples=1)
 
 
+# The three inequalities are evaluated on a (B, m, n) stack of sequences and
+# return (margins, lhs, rhs), one entry per row; every operation acts row by
+# row, so row b is bitwise the check of that sequence alone.  The Euclidean
+# norm takes one dot product per row (core._row_norms), as np.linalg.norm
+# does, and the scalar right-hand sides use np.float_power, the C pow that
+# Python's float ** calls: finite values keep their bits, and an overflow
+# gives inf (or a NaN margin), not a numpy warning.
+
+
+def _power_sums(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k |u(k)|^s of each row, with exponent s[b] for row b."""
+    return np.sum(np.linalg.norm(u, axis=2) ** s[:, None], axis=1)
+
+
+def _c1_rows(u: np.ndarray, s: np.ndarray):
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = _power_sums(u, s)
+        rhs = u.shape[1] * np.float_power(_row_norms(u), s)
+        return rhs - lhs, lhs, rhs
+
+
+def _c2_rows(u: np.ndarray, s: np.ndarray):
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = _power_sums(u, s)
+        rhs = np.float_power(u.shape[1], (2.0 - s) / 2.0) * np.float_power(_row_norms(u), s)
+        return lhs - rhs, lhs, rhs
+
+
+def _c3_rows(u: np.ndarray, p: ExponentFunction):
+    d = np.roll(u, -1, axis=1) - u
+    pp = p.p_plus
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.sum(np.linalg.norm(d, axis=2) ** p.values, axis=1)
+        rhs = u.shape[1] * (np.float_power(2.0, pp) * np.float_power(_row_norms(u), pp) + 1.0)
+        return rhs - lhs, lhs, rhs
+
+
+def _c_witness(u: np.ndarray, s, lhs: float, rhs: float) -> dict:
+    """Witness of a C.1 - C.3 violation; s is None for C.3."""
+    witness = {"u": u} if s is None else {"u": u, "s": s}
+    witness.update(lhs=lhs, rhs=rhs)
+    return witness
+
+
 def check_c1(u: PeriodicSequence, s: float, slack: float = 1e-10) -> CheckReport:
     """sum_k |u(k)|^s <= m * ||u||^s for any s > 0."""
     if not s > 0:
         raise ValueError(f"C.1 requires s > 0, got {s}")
-    lhs = float(np.sum(_entry_norms(u) ** s))
-    rhs = u.m * float(np.float_power(euclidean_norm(u), s))
-    witness = {"u": u.values, "s": s, "lhs": lhs, "rhs": rhs}
-    return _inequality_report("C.1", rhs - lhs, slack, witness)
+    margin, lhs, rhs = (x.item() for x in _c1_rows(u.values[None], np.array([s], dtype=float)))
+    return _inequality_report("C.1", margin, slack, _c_witness(u.values, s, lhs, rhs))
 
 
 def check_c2(u: PeriodicSequence, s: float, slack: float = 1e-10) -> CheckReport:
     """sum_k |u(k)|^s >= m^((2-s)/2) * ||u||^s for s >= 2."""
     if s < 2:
         raise ValueError(f"C.2 requires s >= 2, got {s}")
-    lhs = float(np.sum(_entry_norms(u) ** s))
-    rhs = float(np.float_power(u.m, (2.0 - s) / 2.0) * np.float_power(euclidean_norm(u), s))
-    witness = {"u": u.values, "s": s, "lhs": lhs, "rhs": rhs}
-    return _inequality_report("C.2", lhs - rhs, slack, witness)
+    margin, lhs, rhs = (x.item() for x in _c2_rows(u.values[None], np.array([s], dtype=float)))
+    return _inequality_report("C.2", margin, slack, _c_witness(u.values, s, lhs, rhs))
 
 
 def check_c3(u: PeriodicSequence, p: ExponentFunction, slack: float = 1e-10) -> CheckReport:
     """sum_k |Delta u(k)|^p(k) <= m * (2^p_plus * ||u||^p_plus + 1)."""
     if p.m != u.m:
         raise ValueError("exponent and sequence periods differ")
-    d = np.roll(u.values, -1, axis=0) - u.values
-    lhs = float(np.sum(np.linalg.norm(d, axis=1) ** p.values))
-    pp = p.p_plus
-    rhs = u.m * float(np.float_power(2.0, pp) * np.float_power(euclidean_norm(u), pp) + 1.0)
-    return _inequality_report("C.3", rhs - lhs, slack, {"u": u.values, "lhs": lhs, "rhs": rhs})
+    margin, lhs, rhs = (x.item() for x in _c3_rows(u.values[None], p))
+    return _inequality_report("C.3", margin, slack, _c_witness(u.values, None, lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +233,6 @@ def _difference_energy_grad(u: np.ndarray, p: float) -> np.ndarray:
     return p * (np.roll(a, 1, axis=1) - a)
 
 
-def _start_norms(u: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each start.
-
-    A stacked matmul of 1 x mn by mn x 1 takes one BLAS dot per start, the
-    same sum np.linalg.norm takes of a single start; norm(..., axis=(1, 2))
-    and einsum sum in another order and differ in the last bits.
-    """
-    f = u.reshape(len(u), math.prod(u.shape[1:]))
-    return np.sqrt(f[:, None, :] @ f[:, :, None]).reshape(-1)
-
-
 def _projected_gradient(u: np.ndarray, p: float) -> np.ndarray:
     """Gradient of the difference energy projected onto the sphere's tangent space."""
     g = _difference_energy_grad(u, p)
@@ -213,7 +250,7 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
     converged.
     """
     u = u0 - u0.mean(axis=1, keepdims=True)
-    u = u / _start_norms(u)[:, None, None]
+    u = u / _row_norms(u)[:, None, None]
     val = _difference_energy(u, p_plus)
     step = np.full(len(u), 0.1)
     g = np.empty_like(u)
@@ -224,7 +261,7 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
         if not active.any():
             break
         g[active] = _projected_gradient(u[active], p_plus)
-        gnorm = _start_norms(g[active])
+        gnorm = _row_norms(g[active])
         met_tol[active] = gnorm <= tol
         # squared by C pow on Python floats, not numpy's x*x: the two differ
         # in the last bit for about one value in a thousand, and at a near
@@ -236,7 +273,7 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
             ids = np.flatnonzero(searching)
             cand = u[ids] - step[ids, None, None] * g[ids]
             cand = cand - cand.mean(axis=1, keepdims=True)
-            nc = _start_norms(cand)
+            nc = _row_norms(cand)
             with np.errstate(divide="ignore", invalid="ignore"):
                 cand = cand / nc[:, None, None]
             cand_val = _difference_energy(cand, p_plus)
@@ -255,7 +292,7 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
             searching[spent] = False
     converged = met_tol.copy()
     rest = ~met_tol
-    gnorm = _start_norms(_projected_gradient(u[rest], p_plus))
+    gnorm = _row_norms(_projected_gradient(u[rest], p_plus))
     # at value stagnation the projected gradient floors near
     # sqrt(eps * curvature * val); 1e-7 relative leaves the value itself
     # accurate to ~gnorm^2, far inside any tolerance used downstream
@@ -455,7 +492,8 @@ def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
     pp = prob.exponent.p_plus
     pm = prob.exponent.p_minus
     # C pow, so a huge p_plus gives an infinite threshold instead of raising
-    num = float(np.float_power(2.0, pp) * np.float_power(prob.m, pp / 2.0))
+    with np.errstate(over="ignore"):
+        num = float(np.float_power(2.0, pp) * np.float_power(prob.m, pp / 2.0))
 
     def ratio(denom: float) -> float:
         return num / (pm * denom) if denom > 0.0 else math.inf
@@ -514,12 +552,14 @@ def _sampled_condition(
     fields from margin(F, K, extra) -> (margins, {field: values}).  The
     worst margin is the first minimum; NaN margins are ignored.  The
     condition holds when the worst margin is >= -SAMPLE_SLACK, and a
-    violation carries its sample as the witness.  When every margin is NaN
+    violation carries its sample as the witness.  An overflow shows as an
+    inf or NaN margin, not as a numpy warning.  When every margin is NaN
     no sample decided the condition: the verdict is inconclusive and the
     margin stays inf.
     """
     K, U1, U2, extra = _draw(rng, count, nl.n, draw)
-    vals, fields = margin(nl.F_many(K, U1, U2), K, extra)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, fields = margin(nl.F_many(K, U1, U2), K, extra)
     undecided = np.isnan(vals)
     candidates = np.where(undecided, math.inf, vals)
     i = int(np.argmin(candidates))
@@ -551,9 +591,11 @@ def check_growth(
 ) -> list[CheckReport]:
     """Sampled verification of A.4, A.5 and the quotient limits A.6.1 - A.6.3.
 
-    Samples are drawn point by point from seeded streams, and F is
-    evaluated on each condition's samples with one Nonlinearity.F_many call
-    (one per variant for A.6.x); the bound of A.4 and the quotient
+    Samples are drawn from seeded streams, and F is evaluated on each
+    condition's samples with one Nonlinearity.F_many call (one per variant
+    for A.6.x).  A.4 and A.5 draw point by point; A.6.x draws each shell's
+    t values, signs (n = 1) or directions (n > 1) with one call each, the
+    same stream as point-by-point draws.  The bound of A.4 and the quotient
     denominators are computed with C pow, as Python's ** does, so the
     margins are bitwise those of a point-by-point loop.
     """
@@ -608,14 +650,17 @@ def check_growth(
         U1 = np.empty((K.size, n))
         U2 = np.empty((K.size, n))
         T = np.empty(K.size)
-        i = 0
-        for shell in shells:
-            for t in [0.0, 0.5, 1.0] + [rng.random() for _ in range(per_shell)]:
-                for _ in range(m):
-                    U1[i] = _signed_point(rng, t * shell, n)
-                    U2[i] = _signed_point(rng, (1.0 - t) * shell, n)
-                    T[i] = t
-                    i += 1
+        for j, shell in enumerate(shells):
+            # each t is shared by m samples, and each sample draws its u1,
+            # then its u2, as _signed_point does
+            t = np.repeat(np.concatenate(([0.0, 0.5, 1.0], rng.random(per_shell))), m)
+            mags = np.stack((t * shell, (1.0 - t) * shell), axis=1).reshape(-1, 1)
+            if n == 1:
+                points = mags * np.where(rng.random(2 * rows) < 0.5, 1.0, -1.0)[:, None]
+            else:
+                points = mags * _unit_directions(rng, 2 * rows, n)
+            block = slice(j * rows, (j + 1) * rows)
+            U1[block], U2[block], T[block] = points[0::2], points[1::2], t
         S = np.repeat(shells, rows)
         denom = np.float_power(T * S, e1) + np.float_power((1.0 - T) * S, e2)
         kept = ~(denom <= 0.0)
@@ -710,23 +755,23 @@ def check_bounds(
 # ---------------------------------------------------------------------------
 
 
-def _action_or_limit(x: np.ndarray, prob: Problem) -> float:
-    """The action at x, with an overflowing term replaced by its limit.
+def _action_or_limit_rows(x: np.ndarray, prob: Problem) -> np.ndarray:
+    """The action at each flat point of x, with an overflowing term replaced by its limit.
 
     mu >= 0, so its overflow gives +inf (no decrease); an overflowing
     potential with a finite mu gives -inf.  Finite values are mu + lam *
-    potential, the expression of action, so they keep action's bits.
+    potential, the expression of action, so they keep action's bits.  All
+    points go through one _action_rows call.
     """
-    v = x.reshape(prob.m, prob.n)
-    try:
-        energy = mu(v, prob)
-    except EvaluationError:
-        return math.inf
-    try:
-        pot = potential(v, prob)
-    except EvaluationError:
-        return -math.inf
-    return energy + prob.lam * pot
+    mus, pots, mu_ok, pot_ok = _action_rows(x.reshape(-1, prob.m, prob.n), prob)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = mus + prob.lam * pots
+    return np.where(mu_ok, np.where(pot_ok, vals, -math.inf), math.inf)
+
+
+def _action_or_limit(x: np.ndarray, prob: Problem) -> float:
+    """_action_or_limit_rows at one flat point x."""
+    return float(_action_or_limit_rows(x[None], prob)[0])
 
 
 def _ascend_terminal_action(
@@ -777,9 +822,9 @@ def anticoercivity_probe(
     """Probe whether the action falls off to -infinity along rays.
 
     Evaluates the action at t*d for each sampled unit direction d and the
-    given increasing radii t.  A direction passes when the values strictly
-    decrease from the second radius onward and the last value undercuts the
-    first by drop_margin.  Overflow of the potential at large radii counts
+    given increasing radii t, all in one stacked call.  A direction passes
+    when the values strictly decrease from the second radius onward and the
+    last value undercuts the first by drop_margin.  Overflow of the potential at large radii counts
     as decrease (the ray provides -infinity evidence); overflow of the
     Dirichlet term mu does not.  detail["overflow"] reports whether any
     value was non-finite.
@@ -797,9 +842,13 @@ def anticoercivity_probe(
         for _ in range(directions)
     ]
     if optimize_worst:
-        ranked = sorted(pool, key=lambda d: -_action_or_limit(radii[-1] * d, prob))
-        for d0 in ranked[:4]:
-            pool.append(_ascend_terminal_action(d0, prob, radii[-1]))
+        terminal = _action_or_limit_rows(radii[-1] * np.reshape(pool, (-1, prob.dim)), prob).tolist()
+        ranked = sorted(range(directions), key=lambda i: -terminal[i])
+        for i in ranked[:4]:
+            pool.append(_ascend_terminal_action(pool[i], prob, radii[-1]))
+    table = _action_or_limit_rows(
+        np.array(radii)[None, :, None] * np.reshape(pool, (-1, 1, prob.dim)), prob
+    ).reshape(len(pool), len(radii))
 
     def decreases(a: float, c: float) -> bool:
         if c == -math.inf:
@@ -810,7 +859,7 @@ def anticoercivity_probe(
     witness = None
     overflow = False
     for idx, d in enumerate(pool):
-        vals = [_action_or_limit(t * d, prob) for t in radii]
+        vals = table[idx].tolist()
         overflow = overflow or not all(math.isfinite(v) for v in vals)
         tail_ok = all(decreases(vals[i], vals[i + 1]) for i in range(1, len(vals) - 1))
         drop = vals[0] - vals[-1] - drop_margin
@@ -846,18 +895,58 @@ def anticoercivity_probe(
 # ---------------------------------------------------------------------------
 
 
+def _mu_or_inf(x: np.ndarray, prob: Problem) -> float:
+    """mu at x, or inf where it overflows."""
+    try:
+        return mu(x, prob)
+    except EvaluationError:
+        return math.inf
+
+
 def _level_radius(prob: Problem, v: np.ndarray, r: float) -> float:
-    """t > 0 with mu(t*v) = r, for a nonzero zero-mean direction v."""
+    """t > 0 with mu(t*v) = r, for a nonzero zero-mean direction v.
+
+    The bracket's top doubles from t = 1 until mu(t*v) >= r.  Where mu
+    overflows at the top, the top is bisected toward the last t below r
+    until mu is finite there; EvaluationError when the two ends meet.
+    """
     from scipy.optimize import brentq
 
-    t_hi = 1.0
-    while mu(t_hi * v, prob) < r:
-        t_hi *= 2.0
+    t_lo, t_hi = 0.0, 1.0
+    val = _mu_or_inf(t_hi * v, prob)
+    while val < r:
+        t_lo, t_hi = t_hi, 2.0 * t_hi
         if t_hi > 1e12:
             raise EvaluationError("could not bracket the sublevel radius")
-    if mu(t_hi * v, prob) == r:
+        val = _mu_or_inf(t_hi * v, prob)
+    while val == math.inf:
+        mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < mid < t_hi:
+            raise EvaluationError("mu overflows on every bracket of the sublevel radius")
+        mid_val = _mu_or_inf(mid * v, prob)
+        if mid_val < r:
+            t_lo = mid
+        else:
+            t_hi, val = mid, mid_val
+    if val == r:
         return t_hi
     return float(brentq(lambda t: mu(t * v, prob) - r, 0.0, t_hi, xtol=1e-14))
+
+
+def _stack_values(stack: np.ndarray, prob: Problem, mu_needed=False) -> tuple[list, list]:
+    """(mus, pots) of a (B, m, n) stack as float lists, from one _action_rows call.
+
+    Raises what potential(row), and then mu(row) where mu_needed[row], raise
+    at the first row, in stack order, whose value is not finite, as a loop
+    over the rows would.
+    """
+    mus, pots, mu_ok, pot_ok = _action_rows(stack, prob)
+    failed = ~pot_ok | (mu_needed & ~mu_ok)
+    if failed.any():
+        row = stack[np.argmax(failed)]
+        potential(row, prob)
+        mu(row, prob)
+    return mus.tolist(), pots.tolist()
 
 
 def check_b2_b3(
@@ -875,6 +964,9 @@ def check_b2_b3(
     ball) lies strictly below its infimum over the sublevel {mu < r}.
     B.3: J(0) lies strictly below the infimum of J over the level set
     {mu = r} (and mu(0) = 0 < r holds trivially).
+
+    Per direction, the level point and its 2 * per_dir samples go through
+    one stacked potential call, and the infima are folded in draw order.
     """
     if not r > 0:
         raise ValueError(f"sublevel radius r must be positive, got {r}")
@@ -891,22 +983,26 @@ def check_b2_b3(
     for _ in range(ndirs):
         v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
         t_r = _level_radius(prob, v, r)
-        jl = potential(t_r * v, prob)
-        inf_level = min(inf_level, jl)
-        for _ in range(per_dir):
-            t = rng.random() * t_r
-            val = potential(t * v, prob)
+        # the level point, then each sample's t and t_big, in draw order
+        draws = rng.random(2 * per_dir)
+        t = np.empty(2 * per_dir + 1)
+        t[0] = t_r
+        t[1::2] = draws[0::2] * t_r
+        t[2::2] = draws[1::2] * expand * t_r
+        points = t[:, None, None] * v
+        _, vals = _stack_values(points, prob)
+        inf_level = min(inf_level, vals[0])
+        for j in range(1, len(vals), 2):
+            val, val_big = vals[j], vals[j + 1]
             if val < inf_sub:
                 inf_sub = val
-                arg_sub = t * v
+                arg_sub = points[j]
             if val < inf_global:
                 inf_global = val
-                arg_global = t * v
-            t_big = rng.random() * expand * t_r
-            val_big = potential(t_big * v, prob)
+                arg_global = points[j]
             if val_big < inf_global:
                 inf_global = val_big
-                arg_global = t_big * v
+                arg_global = points[j + 1]
 
     samples = ndirs * (2 * per_dir + 1)
     margin_b2 = inf_sub - inf_global
@@ -979,6 +1075,9 @@ def lambda_star_estimate(
     one strictly inside, and form
 
         phi(r) = min over interior u of (sup J - J(u)) / (r - mu(u)).
+
+    Per radius, the level and interior points of all samples go through one
+    stacked call once their level radii are found.
     """
     r_grid = [float(r) for r in r_grid]
     if not r_grid or any(r <= 0 for r in r_grid):
@@ -986,17 +1085,29 @@ def lambda_star_estimate(
     phi_values = []
     sup_values = []
     for ir, r in enumerate(r_grid):
-        sup_j = potential(np.zeros((prob.m, prob.n)), prob)
-        interior: list[tuple[float, float]] = [(sup_j, 0.0)]
+        # 0, then each sample's level point and interior point
+        points = [np.zeros((prob.m, prob.n))]
+        failure = None
         for i in range(samples_per_r):
             rng = rng_for(seed, ir, i)
             v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
-            t_r = _level_radius(prob, v, r)
-            sup_j = max(sup_j, potential(t_r * v, prob))
-            t = rng.random() * t_r
-            u = t * v
-            interior.append((potential(u, prob), mu(u, prob)))
-            sup_j = max(sup_j, interior[-1][0])
+            try:
+                t_r = _level_radius(prob, v, r)
+            except EvaluationError as exc:
+                failure = exc  # raised after the points before it are evaluated
+                break
+            points += [t_r * v, (rng.random() * t_r) * v]
+        interior_row = np.arange(len(points)) % 2 == 0
+        interior_row[0] = False
+        mus, pots = _stack_values(np.stack(points), prob, interior_row)
+        if failure is not None:
+            raise failure
+        sup_j = pots[0]
+        interior: list[tuple[float, float]] = [(sup_j, 0.0)]
+        for j in range(1, len(points), 2):
+            sup_j = max(sup_j, pots[j])
+            interior.append((pots[j + 1], mus[j + 1]))
+            sup_j = max(sup_j, pots[j + 1])
         phi = math.inf
         for j_val, mu_val in interior:
             denom = r - mu_val

@@ -38,14 +38,15 @@ from .analysis import (
     INCONCLUSIVE,
     VIOLATED,
     CheckReport,
+    _c1_rows,
+    _c2_rows,
+    _c3_rows,
+    _c_witness,
     _jsonable,
     _xi_search,
     anticoercivity_probe,
     check_b2_b3,
     check_bounds,
-    check_c1,
-    check_c2,
-    check_c3,
     check_growth,
     lambda_star_estimate,
     rng_for,
@@ -56,10 +57,11 @@ from .core import (
     ExponentFunction,
     PeriodicSequence,
     Problem,
-    euclidean_norm,
+    _row_norms,
 )
-from .functional import gradient, gradient_fd
+from .functional import _gradient_fd_rows, gradient
 from .nonlinearities import BuiltinSpec, make_builtin
+from .operators import _residual_rows
 from .solvers import (
     SUBSPACE_FULL,
     SUBSPACE_Y,
@@ -231,30 +233,40 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _sampled_c_reports(prob: Problem, seed: int, count: int = 300) -> list[CheckReport]:
-    """Aggregate the three norm inequalities over seeded random samples; one
-    whose every margin is NaN (both sides overflowed) is inconclusive."""
-    worst = {"C.1": (math.inf, None), "C.2": (math.inf, None), "C.3": (math.inf, None)}
-    decided = set()
+    """Aggregate the three norm inequalities over seeded random samples.
+
+    Each sample keeps its own stream; the inequalities are evaluated on all
+    samples at once, and the worst margin of each is the first minimum in
+    sample order.  One whose every margin is NaN (both sides overflowed) is
+    inconclusive.
+    """
+    u = np.empty((count, prob.m, prob.n))
+    s1 = np.empty(count)
+    s2 = np.empty(count)
     for i in range(count):
         rng = rng_for(seed, 41, i)
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
-        u = PeriodicSequence(scale * rng.normal(size=(prob.m, prob.n)))
-        trio = (
-            check_c1(u, 0.5 + 5.5 * rng.random()),
-            check_c2(u, 2.0 + 4.0 * rng.random()),
-            check_c3(u, prob.exponent),
-        )
-        for rep in trio:
-            if rep.verdict != INCONCLUSIVE:
-                decided.add(rep.name)
-            if rep.margin < worst[rep.name][0]:
-                worst[rep.name] = (rep.margin, rep.witness)
+        u[i] = scale * rng.normal(size=(prob.m, prob.n))
+        s1[i] = 0.5 + 5.5 * rng.random()
+        s2[i] = 2.0 + 4.0 * rng.random()
+    sides = {
+        "C.1": (_c1_rows(u, s1), s1),
+        "C.2": (_c2_rows(u, s2), s2),
+        "C.3": (_c3_rows(u, prob.exponent), None),
+    }
     out = []
-    for name, (margin, witness) in worst.items():
-        verdict = VIOLATED if margin < -1e-10 else HOLDS if name in decided else INCONCLUSIVE
-        out.append(
-            CheckReport(name, verdict, margin, witness, samples=count, seed=seed)
-        )
+    for name, ((margins, lhs, rhs), s) in sides.items():
+        margin, worst = math.inf, None
+        for i, x in enumerate(margins.tolist()):
+            if x < margin:
+                margin, worst = x, i
+        witness = None
+        if margin < -1e-10:
+            verdict = VIOLATED
+            witness = _c_witness(u[worst], None if s is None else s[worst], lhs[worst], rhs[worst])
+        else:
+            verdict = INCONCLUSIVE if np.isnan(margins).all() else HOLDS
+        out.append(CheckReport(name, verdict, margin, witness, samples=count, seed=seed))
     return out
 
 
@@ -348,6 +360,16 @@ def _routing(prob: Problem, spec: BuiltinSpec, thr, lam_star) -> list[dict]:
 
 def cmd_check(args) -> int:
     loaded = load_config(args.config)
+    try:
+        payload = _check_payload(loaded)
+    except EvaluationError as exc:
+        raise ComputationError(f"check failed: {exc}") from exc
+    _write_json(args.output, payload)
+    print(f"check report written to {args.output}")
+    return EXIT_OK
+
+
+def _check_payload(loaded: LoadedConfig) -> dict:
     prob = loaded.problem
     spec = loaded.builtin
     seed = loaded.solver.seed
@@ -378,7 +400,7 @@ def cmd_check(args) -> int:
         )
         lam_star = est.estimate
 
-    payload = {
+    return {
         "m": prob.m,
         "n": prob.n,
         "lambda": prob.lam,
@@ -398,9 +420,6 @@ def cmd_check(args) -> int:
         "routing": _routing(prob, spec, thr, lam_star),
         "reports": [rep.to_dict() for rep in reports],
     }
-    _write_json(args.output, payload)
-    print(f"check report written to {args.output}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +542,32 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Bound on the entries of one stacked gradcheck stencil.  Each point adds
+# 2 * dim stencil points of dim entries, so at m = 256 and 100 points one
+# stack would take about 100 MB; at this bound (4 MB of float64) it holds 8
+# points at m = 256 and every point of the benchmark's configs.
+_GRADCHECK_STACK_ENTRIES = 1 << 19
+
+
+def _gradcheck_errors(u: np.ndarray, prob: Problem, step) -> list[float]:
+    """|g - g_fd| / max(1, |g|) at each point of a (B, m, n) stack.
+
+    The gradients take one residual call and the FD stencils of all points
+    one action call.  A failure raises the EvaluationError that the
+    one-point path (gradient, then gradient_fd, point by point) raises at
+    the first failing point.
+    """
+    x = u.reshape(len(u), prob.dim)
+    out, ok = _residual_rows(u, prob)
+    if not ok.all():
+        first = int(np.argmin(ok))
+        if first:
+            _gradient_fd_rows(x[:first], prob, step)  # raises for an earlier point
+        gradient(PeriodicSequence(u[first]), prob)  # raises the residual's error
+    g = -out.reshape(x.shape)
+    return (_row_norms(g - _gradient_fd_rows(x, prob, step)) / np.maximum(1.0, _row_norms(g))).tolist()
+
+
 def cmd_gradcheck(args) -> int:
     loaded = load_config(args.config)
     prob = loaded.problem
@@ -531,20 +576,23 @@ def cmd_gradcheck(args) -> int:
     if args.step is not None and not (args.step > 0 and math.isfinite(args.step)):
         raise ConfigError("--step must be positive and finite")
 
+    seed = loaded.solver.seed
+    points = np.stack(
+        [rng_for(seed, 31, i).normal(size=(prob.m, prob.n)) for i in range(args.points)]
+    )
+    chunk = max(1, _GRADCHECK_STACK_ENTRIES // (2 * prob.dim * prob.dim))
+    errors = []
+    try:
+        for lo in range(0, args.points, chunk):
+            errors += _gradcheck_errors(points[lo : lo + chunk], prob, args.step)
+    except EvaluationError as exc:
+        raise ComputationError(f"gradcheck failed: {exc}") from exc
     worst_err = 0.0
     worst_point = None
-    for i in range(args.points):
-        rng = rng_for(loaded.solver.seed, 31, i)
-        u = PeriodicSequence(rng.normal(size=(prob.m, prob.n)))
-        try:
-            g = gradient(u, prob).flat()
-            g_fd = gradient_fd(u, prob, step=args.step).flat()
-        except EvaluationError as exc:
-            raise ComputationError(f"gradcheck failed: {exc}") from exc
-        err = float(np.linalg.norm(g - g_fd)) / max(1.0, float(np.linalg.norm(g)))
+    for u, err in zip(points, errors):
         if err > worst_err:
             worst_err = err
-            worst_point = u.values
+            worst_point = u
     ok = worst_err <= 1e-5
     payload = {
         "max_relative_error": worst_err,

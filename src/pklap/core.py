@@ -115,6 +115,18 @@ def euclidean_norm(u: PeriodicSequence) -> float:
     return float(np.linalg.norm(u.values))
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (B, ...) stack, such as (B, dim) or (B, m, n).
+
+    One dot product per row (a stacked matmul of 1 x d by d x 1) and its
+    square root, so entry b is bitwise float(np.linalg.norm(rows[b])), which
+    also takes one dot product; norm(..., axis=1) and einsum sum in another
+    order and differ in the last bits.
+    """
+    f = rows.reshape(len(rows), math.prod(rows.shape[1:]))
+    return np.sqrt((f[:, None, :] @ f[:, :, None]).reshape(-1))
+
+
 def project_W(u: PeriodicSequence) -> PeriodicSequence:
     """Orthogonal projection onto the constant sequences."""
     mean = u.values.mean(axis=0)

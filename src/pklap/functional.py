@@ -18,7 +18,14 @@ import warnings
 
 import numpy as np
 
-from .core import EvaluationError, PeriodicSequence, Problem, euclidean_norm
+from .core import (
+    EvaluationError,
+    PeriodicSequence,
+    Problem,
+    _read_only,
+    _row_norms,
+    euclidean_norm,
+)
 from .operators import _residual_rows, residual_values, sequence_values
 
 HESSIAN_STEP_SCALE = 1e-5
@@ -34,17 +41,77 @@ class NonsmoothExponentError(ValueError):
     """Raised when a derivative is requested but some p(k) <= 1 makes it undefined."""
 
 
+# The two terms of the action on a (B, m, n) stack x of finite sequences,
+# one value per row, given up, the stack shifted by one period (row k-1
+# holds u(k+1)).  Every operation acts row by row, so row b is bitwise the
+# value of that sequence evaluated alone.  Callers evaluate them under
+# np.errstate: an overflow shows as a non-finite value, not a warning.
+
+
+def _shifted(x: np.ndarray) -> np.ndarray:
+    return np.concatenate((x[:, 1:], x[:, :1]), axis=1)
+
+
+def _mu_values(x: np.ndarray, up: np.ndarray, prob: Problem) -> np.ndarray:
+    d = up - x  # row k-1 holds Delta u(k)
+    # the Euclidean norm of each row of d, as np.linalg.norm(d, axis=2)
+    # computes it, without its per-call checks
+    norms = np.sqrt(np.add.reduce(d * d, axis=2))
+    p = prob.exponent.values
+    return np.sum(norms**p / p, axis=1)
+
+
+def _potential_values(x: np.ndarray, up: np.ndarray, prob: Problem) -> np.ndarray:
+    """F on every point of the stack in one Nonlinearity.F_many call; each
+    row's m values are subtracted in order k = 1..m, as a loop over F_at
+    would."""
+    m, n = prob.m, prob.n
+    K = np.arange(1, len(x) * m + 1)  # F_many wraps these into the periods 1..m
+    F = prob.nonlinearity.F_many(K, up.reshape(-1, n), x.reshape(-1, n))
+    return np.subtract.reduce(F.reshape(len(x), m), axis=1, initial=0.0)
+
+
+def _term_values(x: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """(mus, pots) of a stack of finite sequences."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = _shifted(x)
+        return _mu_values(x, up, prob), _potential_values(x, up, prob)
+
+
+def _action_rows(vals, prob: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """mu and potential of each sequence of a (B, m, n) stack, with per-row flags.
+
+    Returns (mus, pots, mu_ok, pot_ok); mu_ok[b] (pot_ok[b]) is False when
+    row b's input or its mu (potential) is not finite.  Rows with a
+    non-finite input never reach F; their values are NaN.  Row b is bitwise
+    the value of that row evaluated alone.  Overflow is reported through
+    the flags, not as a numpy warning.  Raises ValueError when the stack is
+    not (B, prob.m, prob.n), and EvaluationError when F returns a malformed
+    value.
+    """
+    vals = _read_only(vals)
+    if vals.ndim != 3 or vals.shape[1:] != (prob.m, prob.n):
+        raise ValueError(f"sequence stack shape {vals.shape} does not match (B, {prob.m}, {prob.n})")
+    finite = np.isfinite(vals).all(axis=(1, 2))
+    if finite.all():
+        mus, pots = _term_values(vals, prob)
+    else:
+        mus, pots = np.full(len(vals), np.nan), np.full(len(vals), np.nan)
+        if finite.any():
+            mus[finite], pots[finite] = _term_values(vals[finite], prob)
+    return mus, pots, np.isfinite(mus), np.isfinite(pots)
+
+
 def mu(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
     """Anisotropic Dirichlet energy sum_k (1/p(k)) |Delta u(k)|^p(k).
 
     u is a PeriodicSequence or a raw (m, n) array, validated as in
-    residual_values.
+    residual_values.  Evaluated by _mu_values, the formula _action_rows
+    applies to every row of a stack.
     """
-    vals = sequence_values(u, prob, "mu")
-    d = np.concatenate((vals[1:], vals[:1])) - vals
-    norms = np.linalg.norm(d, axis=1)
-    p = prob.exponent.values
-    total = float(np.sum(norms**p / p))
+    x = sequence_values(u, prob, "mu")[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(_mu_values(x, _shifted(x), prob)[0])
     if not math.isfinite(total):
         raise EvaluationError("mu evaluated to a non-finite value")
     return total
@@ -54,16 +121,14 @@ def potential(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
     """Potential part -sum_k F(k, u(k+1), u(k)).
 
     u is a PeriodicSequence or a raw (m, n) array, validated as in
-    residual_values.  The m values of F come from one Nonlinearity.F_many
-    call and are subtracted in order k = 1..m, so the sum is bitwise the
-    same as a loop over F_at.
+    residual_values.  Evaluated by _potential_values, the formula
+    _action_rows applies to every row of a stack: the m values of F come
+    from one Nonlinearity.F_many call and are subtracted in order k = 1..m,
+    so the sum is bitwise the same as a loop over F_at.
     """
-    vals = sequence_values(u, prob, "potential")
-    up = np.concatenate((vals[1:], vals[:1]))
-    values = prob.nonlinearity.F_many(np.arange(1, prob.m + 1), up, vals)
-    total = 0.0
-    for v in values.tolist():
-        total -= v
+    x = sequence_values(u, prob, "potential")[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(_potential_values(x, _shifted(x), prob)[0])
     if not math.isfinite(total):
         raise EvaluationError("potential evaluated to a non-finite value")
     return total
@@ -115,19 +180,47 @@ def gradient(u: PeriodicSequence, prob: Problem) -> PeriodicSequence:
     return PeriodicSequence(-residual_values(u, prob))
 
 
-def gradient_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) -> PeriodicSequence:
-    """Central finite-difference gradient of the action (verification oracle)."""
+def _action_values(points: np.ndarray, prob: Problem) -> np.ndarray:
+    """The action at N flat points, one _action_rows call.
+
+    Raises the EvaluationError that action raises at the first point,
+    in row order, whose mu or potential is not finite.
+    """
+    stack = points.reshape(-1, prob.m, prob.n)
+    mus, pots, mu_ok, pot_ok = _action_rows(stack, prob)
+    failed = ~(mu_ok & pot_ok)
+    if failed.any():
+        action(stack[np.argmax(failed)], prob)
+    with np.errstate(over="ignore"):
+        return mus + prob.lam * pots
+
+
+def _gradient_fd_rows(x: np.ndarray, prob: Problem, step: float | None = None) -> np.ndarray:
+    """Central finite-difference gradients of the action at B flat points.
+
+    x is (B, dim); the stencils of all B points are evaluated with one
+    _action_values call.  Each point takes its own default step, so row b
+    is bitwise gradient_fd at that point.  Raises the EvaluationError of
+    the first stencil point, in row order, where the action fails.
+    """
     if step is None:
         # smaller than the usual cbrt(eps) scale: oscillatory potentials
         # (sin of a quartic) have third derivatives far above |J| and the
         # truncation term dominates long before roundoff matters
-        step = 1e-7 * max(1.0, euclidean_norm(u))
+        steps = 1e-7 * np.maximum(1.0, _row_norms(x))
+    else:
+        steps = np.full(len(x), float(step))
+    g, _ = _central_difference(lambda points: _action_values(points, prob), x, steps)
+    return g
 
-    def actions(points: np.ndarray) -> np.ndarray:
-        return np.array([action(x.reshape(prob.m, prob.n), prob) for x in points])
 
-    g, _ = _central_difference(actions, u.flat()[None], np.array([step]))
-    g = g[0]
+def gradient_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) -> PeriodicSequence:
+    """Central finite-difference gradient of the action (verification oracle).
+
+    The one-row case of _gradient_fd_rows: all 2 * dim stencil points are
+    evaluated in one call.
+    """
+    g = _gradient_fd_rows(u.flat()[None], prob, step)[0]
     return PeriodicSequence.from_flat(g, prob.m, prob.n)
 
 

@@ -47,9 +47,11 @@ def _phi_rows(rows: np.ndarray, p_values: np.ndarray) -> np.ndarray:
     """phi_{p(k)} applied to each row (the last axis) of a (..., m, n) array;
     phi_p(0) = 0 for every p > 1."""
     norms = np.linalg.norm(rows, axis=-1)
-    with np.errstate(divide="ignore"):
+    # an overflowing |a|^(p-2) gives inf or NaN entries, which the residual
+    # reports through its flags rather than as a numpy warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         mags = np.where(norms > 0.0, norms ** (p_values - 2.0), 0.0)
-    return mags[..., None] * rows
+        return mags[..., None] * rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,7 +91,8 @@ def _residual_rows(vals: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndar
     is NaN.  Every operation acts row by row, so out[b] is bitwise the
     residual of row b evaluated alone.  Raises ValueError when the stack is
     not (B, prob.m, prob.n), and EvaluationError when a callback returns a
-    malformed value.
+    malformed value.  Overflow is reported through ok, not as a numpy
+    warning.
     """
     vals = _read_only(vals)
     if vals.ndim != 3 or vals.shape[1:] != (prob.m, prob.n):
@@ -100,8 +103,9 @@ def _residual_rows(vals: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndar
         return np.full(vals.shape, np.nan), ok
     d = np.concatenate((x[:, 1:], x[:, :1]), axis=1) - x  # entry k-1 holds Delta u(k)
     a = _phi_rows(d, prob.exponent.values)
-    lhs = a - np.concatenate((a[:, -1:], a[:, :-1]), axis=1)  # phi(Delta u(k)) - phi(Delta u(k-1))
-    out = lhs + prob.lam * prob.nonlinearity.coupling(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = a - np.concatenate((a[:, -1:], a[:, :-1]), axis=1)  # phi(Delta u(k)) - phi(Delta u(k-1))
+        out = lhs + prob.lam * prob.nonlinearity.coupling(x)
     if x is not vals:
         out, part = np.full(vals.shape, np.nan), out
         out[ok] = part

@@ -25,6 +25,7 @@ from .core import (
     PeriodicSequence,
     Problem,
     SolutionRecord,
+    _row_norms,
     euclidean_norm,
     in_Y,
 )
@@ -97,15 +98,6 @@ def subspace_basis(m: int, n: int, subspace: str) -> np.ndarray:
             b[j, j - 1] = -j * scale
         return np.kron(b, np.eye(n))
     raise ValueError(f"unknown subspace {subspace!r}")
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a (B, dim) array.
-
-    One dot product per row (the stacked matmul) and its square root, so
-    entry b is bitwise float(np.linalg.norm(rows[b])).
-    """
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))
 
 
 class _System:

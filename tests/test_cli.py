@@ -1,14 +1,16 @@
 import filecmp
+import hashlib
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 import pklap.analysis as analysis
 import pklap.cli as cli
-from pklap.core import Nonlinearity
+from pklap.core import EvaluationError, Nonlinearity
 from pklap.nonlinearities import BuiltinSpec, make_builtin, make_power
 from pklap.solvers import SolutionSet
 
@@ -198,6 +200,51 @@ class TestCheck:
         assert by_name["anticoercivity"]["verdict"] == "violated"
         if p > 1024.0:
             assert payload["thresholds"]["lambda1"] == "inf"
+
+    def test_huge_exponent_is_quiet_and_unchanged(self, tmp_path):
+        """Overflow at p = 1100 shows in the report (inf thresholds and
+        margins), not as numpy warnings; the bytes are those the per-point
+        implementation wrote."""
+        cfg = _config(tmp_path, p=1100.0)
+        out = tmp_path / "check.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_OK
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "8605414e05d04e141af6fbd8b9fc027a4e707cc009cec24b6f6a665f834e73f1"
+
+    def test_bounded_family_at_huge_exponent(self, tmp_path, capsys):
+        """mu overflows at the doubled top of B.2's level-radius bracket;
+        the bracket is bisected instead of failing the check."""
+        cfg = _config(
+            tmp_path,
+            m=4,
+            p=1100,
+            seed=3,
+            subspace="Y",
+            **{"lambda": 1},
+            nonlinearity={"builtin": "example3"},
+        )
+        out = str(tmp_path / "check.json")
+        with np.errstate(over="ignore"):
+            assert cli.main(["check", cfg, "--output", out]) == cli.EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        by_name = {rep["name"]: rep for rep in json.loads(open(out).read())["reports"]}
+        assert by_name["B.2"]["verdict"] == "holds_on_samples"
+        assert by_name["B.3"]["verdict"] == "holds_on_samples"
+
+    def test_evaluation_failure_is_compute_error(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise EvaluationError("could not bracket the sublevel radius")
+
+        monkeypatch.setattr(cli, "check_b2_b3", failing)
+        cfg = str(CONFIGS / "example3_sweep.json")
+        out = tmp_path / "check.json"
+        assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert err == "error: check failed: could not bracket the sublevel radius\n"
+        assert not out.exists()
 
     def test_bounded_family_report(self, tmp_path):
         cfg = _config(

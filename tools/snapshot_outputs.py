@@ -9,7 +9,9 @@ only counts and minimum actions, so it also runs `solve` on example3_sweep
 at lambda = 10 with 8 starts (the benchmark's sweep point), whose values
 CSV holds every record's bits.  It then runs `check` and a 50-point
 `gradcheck` on the nine configs of the benchmark's check batch,
-`perfbench.workloads.check_configs(seed)`, at seeds 1 and 2: 55 files in
+`perfbench.workloads.check_configs(seed)`, at seeds 1 and 2, and `check` on
+power_borderline raised to p = 1100, where mu, the thresholds and the C.3
+right-hand side overflow (infinite thresholds and C.3 margin): 56 files in
 all.  The generated configs are written to a temporary directory, not to
 OUTDIR; the benchmark configs are imported, not copied.  The commands run
 against the src/ of the checkout this script sits in, so two checkouts give
@@ -60,6 +62,12 @@ def _commands(outdir: str, cfgdir: str) -> list[list[str]]:
     cmds.append(
         ["solve", config, "--values-out", out + ".values.csv", "--summary-out", out + ".summary.csv"]
     )
+    with open(os.path.join(ROOT, "configs", "power_borderline.json"), encoding="utf-8") as fh:
+        cfg = dict(json.load(fh), p=1100)
+    config = os.path.join(cfgdir, "power_p1100.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh, indent=1, sort_keys=True)
+    cmds.append(["check", config, "--output", os.path.join(outdir, "power_p1100.check.json")])
     for seed in CHECK_SEEDS:
         for name, cfg in check_configs(seed).items():
             name = f"bench_s{seed}_{name}"
