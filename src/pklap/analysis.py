@@ -32,7 +32,7 @@ from .core import (
     Problem,
     _row_norms,
 )
-from .functional import _action_rows, mu, potential
+from .functional import _action_rows, _mu_values, _shifted, mu, potential
 from .operators import residual_values
 
 HOLDS = "holds_on_samples"
@@ -249,54 +249,56 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
     after max_iter steps.  Returns each start's final value and whether it
     converged.
     """
-    u = u0 - u0.mean(axis=1, keepdims=True)
-    u = u / _row_norms(u)[:, None, None]
-    val = _difference_energy(u, p_plus)
-    step = np.full(len(u), 0.1)
-    g = np.empty_like(u)
-    gnorm_sq = np.empty(len(u))
-    met_tol = np.zeros(len(u), dtype=bool)
-    active = np.ones(len(u), dtype=bool)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        g[active] = _projected_gradient(u[active], p_plus)
-        gnorm = _row_norms(g[active])
-        met_tol[active] = gnorm <= tol
-        # squared by C pow on Python floats, not numpy's x*x: the two differ
-        # in the last bit for about one value in a thousand, and at a near
-        # tie the Armijo test could then accept another step
-        gnorm_sq[active] = [x**2 for x in gnorm.tolist()]
-        active &= ~met_tol
-        searching = active.copy()
-        while searching.any():
-            ids = np.flatnonzero(searching)
-            cand = u[ids] - step[ids, None, None] * g[ids]
-            cand = cand - cand.mean(axis=1, keepdims=True)
-            nc = _row_norms(cand)
-            with np.errstate(divide="ignore", invalid="ignore"):
+    # at large exponents a gradient's norm can overflow to inf, which meets
+    # neither the tolerance nor the Armijo test; it is not a numpy warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = u0 - u0.mean(axis=1, keepdims=True)
+        u = u / _row_norms(u)[:, None, None]
+        val = _difference_energy(u, p_plus)
+        step = np.full(len(u), 0.1)
+        g = np.empty_like(u)
+        gnorm_sq = np.empty(len(u))
+        met_tol = np.zeros(len(u), dtype=bool)
+        active = np.ones(len(u), dtype=bool)
+        for _ in range(max_iter):
+            if not active.any():
+                break
+            g[active] = _projected_gradient(u[active], p_plus)
+            gnorm = _row_norms(g[active])
+            met_tol[active] = gnorm <= tol
+            # squared by C pow on Python floats, not numpy's x*x: the two differ
+            # in the last bit for about one value in a thousand, and at a near
+            # tie the Armijo test could then accept another step
+            gnorm_sq[active] = [x**2 for x in gnorm.tolist()]
+            active &= ~met_tol
+            searching = active.copy()
+            while searching.any():
+                ids = np.flatnonzero(searching)
+                cand = u[ids] - step[ids, None, None] * g[ids]
+                cand = cand - cand.mean(axis=1, keepdims=True)
+                nc = _row_norms(cand)
                 cand = cand / nc[:, None, None]
-            cand_val = _difference_energy(cand, p_plus)
-            accept = (nc > 1e-12) & (
-                cand_val < val[ids] - 1e-4 * step[ids] * gnorm_sq[ids]
-            )
-            took = ids[accept]
-            u[took] = cand[accept]
-            val[took] = cand_val[accept]
-            step[took] = np.minimum(step[took] * 1.3, 1.0)
-            missed = ids[~accept]
-            step[missed] *= 0.5
-            spent = missed[step[missed] <= 1e-18]
-            active[spent] = False
-            searching[took] = False
-            searching[spent] = False
-    converged = met_tol.copy()
-    rest = ~met_tol
-    gnorm = _row_norms(_projected_gradient(u[rest], p_plus))
-    # at value stagnation the projected gradient floors near
-    # sqrt(eps * curvature * val); 1e-7 relative leaves the value itself
-    # accurate to ~gnorm^2, far inside any tolerance used downstream
-    converged[rest] = gnorm <= np.maximum(tol, 1e-7 * np.maximum(1.0, np.abs(val[rest])))
+                cand_val = _difference_energy(cand, p_plus)
+                accept = (nc > 1e-12) & (
+                    cand_val < val[ids] - 1e-4 * step[ids] * gnorm_sq[ids]
+                )
+                took = ids[accept]
+                u[took] = cand[accept]
+                val[took] = cand_val[accept]
+                step[took] = np.minimum(step[took] * 1.3, 1.0)
+                missed = ids[~accept]
+                step[missed] *= 0.5
+                spent = missed[step[missed] <= 1e-18]
+                active[spent] = False
+                searching[took] = False
+                searching[spent] = False
+        converged = met_tol.copy()
+        rest = ~met_tol
+        gnorm = _row_norms(_projected_gradient(u[rest], p_plus))
+        # at value stagnation the projected gradient floors near
+        # sqrt(eps * curvature * val); 1e-7 relative leaves the value itself
+        # accurate to ~gnorm^2, far inside any tolerance used downstream
+        converged[rest] = gnorm <= np.maximum(tol, 1e-7 * np.maximum(1.0, np.abs(val[rest])))
     return val, converged
 
 
@@ -895,42 +897,181 @@ def anticoercivity_probe(
 # ---------------------------------------------------------------------------
 
 
-def _mu_or_inf(x: np.ndarray, prob: Problem) -> float:
-    """mu at x, or inf where it overflows."""
-    try:
-        return mu(x, prob)
-    except EvaluationError:
-        return math.inf
+# Brent's root finder (Brent, Algorithms for Minimization Without
+# Derivatives, 1973, ch. 4) as scipy.optimize.brentq runs it, with xtol
+# 1e-14 and brentq's defaults: rtol 4 * eps and at most 100 iterations.
+_BRENT_XTOL = 1e-14
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+# the outcome of each row of _brentq_rows
+_CONVERGED, _NONFINITE, _CONVERR, _SIGNERR = 0, 1, 2, 3
+
+
+def _brentq_rows(f, xa: np.ndarray, xb: np.ndarray, maxiter: int = _BRENT_MAXITER):
+    """Brent roots of S scalar functions, function i on the bracket [xa[i], xb[i]].
+
+    f(x, rows) returns the value of function rows[j] at x[j] for each j.
+    The rows run in lock step: every round calls f once, on the rows that
+    still iterate.  Each row follows the arithmetic of scipy's C brentq on
+    that row alone, so its iterates, and its root, are bit for bit those of
+    scipy.optimize.brentq(f_i, xa[i], xb[i], xtol=1e-14).  Returns (roots,
+    status); status[i] is _CONVERGED, _SIGNERR when f_i(xa[i]) and
+    f_i(xb[i]) have the same sign (root 0, as brentq returns before it
+    raises), _CONVERR after maxiter iterations (root is the last iterate),
+    or _NONFINITE when a value of f_i is not finite, where the caller's f
+    would raise (root NaN).
+    """
+    xa, xb = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
+    S = len(xa)
+    roots = np.full(S, np.nan)
+    status = np.full(S, _CONVERGED, dtype=np.int8)
+    if not S:
+        return roots, status
+    ends = f(np.concatenate((xa, xb)), np.concatenate((np.arange(S), np.arange(S))))
+    fpre, fcur = ends[:S], ends[S:]
+    bad = ~(np.isfinite(fpre) & np.isfinite(fcur))
+    status[bad] = _NONFINITE
+    at_a = ~bad & (fpre == 0.0)
+    at_b = ~bad & ~at_a & (fcur == 0.0)
+    same = ~(bad | at_a | at_b) & (np.signbit(fpre) == np.signbit(fcur))
+    roots[at_a], roots[at_b], roots[same] = xa[at_a], xb[at_b], 0.0
+    status[same] = _SIGNERR
+    live = ~(bad | at_a | at_b | same)
+    ids, xpre, xcur, fpre, fcur = np.flatnonzero(live), xa[live], xb[live], fpre[live], fcur[live]
+    xblk, fblk, spre, scur = (np.zeros(len(ids)) for _ in range(4))
+    with np.errstate(all="ignore"):
+        for _ in range(maxiter):
+            if not len(ids):
+                break
+            flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk = np.where(flip, xpre, xblk)
+            fblk = np.where(flip, fpre, fblk)
+            spre = np.where(flip, xcur - xpre, spre)
+            scur = np.where(flip, spre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+
+            delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2.0
+            sbis = (xblk - xcur) / 2.0
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            roots[ids[done]] = xcur[done]
+            go = ~done
+            ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                a[go] for a in (ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+            )
+
+            # interpolate where the previous point is the block point,
+            # otherwise extrapolate; keep the step if it is short enough
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
+            )
+            lim_pre, lim_bis = np.abs(spre), 3.0 * np.abs(sbis) - delta
+            short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+            short &= 2.0 * np.abs(stry) < np.where(lim_pre < lim_bis, lim_pre, lim_bis)
+            spre = np.where(short, scur, sbis)
+            scur = np.where(short, stry, sbis)
+
+            xpre, fpre = xcur, fcur
+            xcur = np.where(np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0.0, delta, -delta))
+            fcur = f(xcur, ids)
+            bad = ~np.isfinite(fcur)
+            status[ids[bad]] = _NONFINITE
+            go = ~bad
+            ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+                a[go] for a in (ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
+            )
+    roots[ids] = xcur
+    status[ids] = _CONVERR
+    return roots, status
+
+
+def _mu_rows(stack: np.ndarray, prob: Problem) -> np.ndarray:
+    """mu of each row of a (B, m, n) stack, inf where it is not finite.
+
+    The formula of mu (functional._mu_values), so a finite row is bitwise
+    mu of that row alone; F is never called.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _mu_values(stack, _shifted(stack), prob)
+    return np.where(np.isfinite(vals), vals, math.inf)
+
+
+def _level_radii(prob: Problem, V: np.ndarray, r: float) -> tuple[np.ndarray, dict]:
+    """t > 0 with mu(t * V[i]) = r for each row of a (S, m, n) stack V of
+    nonzero zero-mean directions, all rows in lock step.
+
+    Per row, the bracket's top doubles from t = 1 until mu(t * v) >= r, a
+    non-finite mu counting as inf.  Where mu overflows at the top, the top
+    is bisected toward the last t below r until mu is finite there.  Then
+    Brent's method (_brentq_rows) finds the root on [0, top].  Every round
+    evaluates mu once, over the rows still live.  Returns (radii, errors):
+    errors maps each row that failed to the exception it fails with (its
+    radius is NaN), an EvaluationError when the top passes 1e12, when the
+    bisected ends meet, or when mu is not finite inside Brent's bracket.
+    Each row's radius and error are those it gets alone.
+    """
+    S = len(V)
+    t_lo, t_hi = np.zeros(S), np.ones(S)
+    val = _mu_rows(t_hi[:, None, None] * V, prob)
+    errors: dict = {}
+    live = np.flatnonzero((val < r) | (val == math.inf))
+    while live.size:
+        grow = live[val[live] < r]
+        t_lo[grow] = t_hi[grow]
+        t_hi[grow] *= 2.0
+        for i in grow[t_hi[grow] > 1e12].tolist():
+            errors[i] = EvaluationError("could not bracket the sublevel radius")
+        grow = grow[t_hi[grow] <= 1e12]
+        split = live[val[live] == math.inf]
+        mid = 0.5 * (t_lo[split] + t_hi[split])
+        met = ~((t_lo[split] < mid) & (mid < t_hi[split]))
+        for i in split[met].tolist():
+            errors[i] = EvaluationError("mu overflows on every bracket of the sublevel radius")
+        split, mid = split[~met], mid[~met]
+        t = np.concatenate((t_hi[grow], mid))
+        vals = _mu_rows(t[:, None, None] * V[np.concatenate((grow, split))], prob)
+        val[grow] = vals[: len(grow)]
+        mid_val = vals[len(grow) :]
+        below = mid_val < r
+        t_lo[split[below]] = mid[below]
+        t_hi[split[~below]] = mid[~below]
+        val[split[~below]] = mid_val[~below]
+        live = np.concatenate((grow, split))
+        live = live[(val[live] < r) | (val[live] == math.inf)]
+
+    radii = np.full(S, np.nan)
+    solved = np.ones(S, dtype=bool)
+    solved[list(errors)] = False
+    exact = solved & (val == r)
+    radii[exact] = t_hi[exact]
+    rows = np.flatnonzero(solved & ~exact)
+    W = V[rows]
+    # f(0) = -r < 0 < f(top) on every row, so no row ends with _SIGNERR
+    roots, status = _brentq_rows(
+        lambda x, ids: _mu_rows(x[:, None, None] * W[ids], prob) - r, np.zeros(len(rows)), t_hi[rows]
+    )
+    radii[rows] = np.where(status == _CONVERGED, roots, np.nan)
+    for i, s in zip(rows.tolist(), status.tolist()):
+        if s == _NONFINITE:
+            errors[i] = EvaluationError("mu evaluated to a non-finite value")
+        elif s == _CONVERR:
+            errors[i] = RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+    return radii, errors
 
 
 def _level_radius(prob: Problem, v: np.ndarray, r: float) -> float:
-    """t > 0 with mu(t*v) = r, for a nonzero zero-mean direction v.
-
-    The bracket's top doubles from t = 1 until mu(t*v) >= r.  Where mu
-    overflows at the top, the top is bisected toward the last t below r
-    until mu is finite there; EvaluationError when the two ends meet.
-    """
-    from scipy.optimize import brentq
-
-    t_lo, t_hi = 0.0, 1.0
-    val = _mu_or_inf(t_hi * v, prob)
-    while val < r:
-        t_lo, t_hi = t_hi, 2.0 * t_hi
-        if t_hi > 1e12:
-            raise EvaluationError("could not bracket the sublevel radius")
-        val = _mu_or_inf(t_hi * v, prob)
-    while val == math.inf:
-        mid = 0.5 * (t_lo + t_hi)
-        if not t_lo < mid < t_hi:
-            raise EvaluationError("mu overflows on every bracket of the sublevel radius")
-        mid_val = _mu_or_inf(mid * v, prob)
-        if mid_val < r:
-            t_lo = mid
-        else:
-            t_hi, val = mid, mid_val
-    if val == r:
-        return t_hi
-    return float(brentq(lambda t: mu(t * v, prob) - r, 0.0, t_hi, xtol=1e-14))
+    """t > 0 with mu(t*v) = r for one nonzero zero-mean direction v: the
+    one-row case of _level_radii, raising the row's error."""
+    radii, errors = _level_radii(prob, v[None], r)
+    if errors:
+        raise errors[0]
+    return float(radii[0])
 
 
 def _stack_values(stack: np.ndarray, prob: Problem, mu_needed=False) -> tuple[list, list]:
@@ -965,8 +1106,12 @@ def check_b2_b3(
     B.3: J(0) lies strictly below the infimum of J over the level set
     {mu = r} (and mu(0) = 0 < r holds trivially).
 
-    Per direction, the level point and its 2 * per_dir samples go through
-    one stacked potential call, and the infima are folded in draw order.
+    The directions and their samples' draws are taken from the stream
+    first, and the level radii of all directions are found in one
+    _level_radii call.  Per direction, the level point and its 2 * per_dir
+    samples go through one stacked potential call, and the infima are
+    folded in draw order.  A direction whose level radius fails raises its
+    error after the directions before it are evaluated.
     """
     if not r > 0:
         raise ValueError(f"sublevel radius r must be positive, got {r}")
@@ -980,11 +1125,15 @@ def check_b2_b3(
     inf_global = j0
     arg_global = None
     arg_sub = None
+    dirs, draws_of = [], []
     for _ in range(ndirs):
-        v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
-        t_r = _level_radius(prob, v, r)
+        dirs.append(_unit_direction(rng, prob.m, prob.n, zero_mean=True))
+        draws_of.append(rng.random(2 * per_dir))
+    radii, errors = _level_radii(prob, np.stack(dirs), r)
+    for i, (v, t_r, draws) in enumerate(zip(dirs, radii, draws_of)):
+        if i in errors:
+            raise errors[i]
         # the level point, then each sample's t and t_big, in draw order
-        draws = rng.random(2 * per_dir)
         t = np.empty(2 * per_dir + 1)
         t[0] = t_r
         t[1::2] = draws[0::2] * t_r
@@ -1076,8 +1225,12 @@ def lambda_star_estimate(
 
         phi(r) = min over interior u of (sup J - J(u)) / (r - mu(u)).
 
-    Per radius, the level and interior points of all samples go through one
-    stacked call once their level radii are found.
+    Per radius, the directions of all samples are drawn first and their
+    level radii found in one _level_radii call; then each sample draws its
+    interior t.  The level and interior points of all samples go through
+    one stacked call.  The first sample, in sample order, whose level
+    radius fails raises its error after the points before it are
+    evaluated.
     """
     r_grid = [float(r) for r in r_grid]
     if not r_grid or any(r <= 0 for r in r_grid):
@@ -1085,23 +1238,26 @@ def lambda_star_estimate(
     phi_values = []
     sup_values = []
     for ir, r in enumerate(r_grid):
+        rngs = [rng_for(seed, ir, i) for i in range(samples_per_r)]
+        V = np.reshape(
+            [_unit_direction(rng, prob.m, prob.n, zero_mean=True) for rng in rngs],
+            (samples_per_r, prob.m, prob.n),
+        )
+        radii, errors = _level_radii(prob, V, r)
+        count = min(errors, default=samples_per_r)  # samples before the first failure
+        failure = errors.get(count)
+        if failure is not None and not isinstance(failure, EvaluationError):
+            raise failure
+        t_in = np.array([rng.random() for rng in rngs[:count]]) * radii[:count]
         # 0, then each sample's level point and interior point
-        points = [np.zeros((prob.m, prob.n))]
-        failure = None
-        for i in range(samples_per_r):
-            rng = rng_for(seed, ir, i)
-            v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
-            try:
-                t_r = _level_radius(prob, v, r)
-            except EvaluationError as exc:
-                failure = exc  # raised after the points before it are evaluated
-                break
-            points += [t_r * v, (rng.random() * t_r) * v]
+        points = np.zeros((2 * count + 1, prob.m, prob.n))
+        points[1::2] = radii[:count, None, None] * V[:count]
+        points[2::2] = t_in[:, None, None] * V[:count]
         interior_row = np.arange(len(points)) % 2 == 0
         interior_row[0] = False
-        mus, pots = _stack_values(np.stack(points), prob, interior_row)
+        mus, pots = _stack_values(points, prob, interior_row)
         if failure is not None:
-            raise failure
+            raise failure  # after the points before it are evaluated
         sup_j = pots[0]
         interior: list[tuple[float, float]] = [(sup_j, 0.0)]
         for j in range(1, len(points), 2):

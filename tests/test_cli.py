@@ -234,6 +234,27 @@ class TestCheck:
         assert by_name["B.2"]["verdict"] == "holds_on_samples"
         assert by_name["B.3"]["verdict"] == "holds_on_samples"
 
+    def test_bounded_family_at_huge_exponent_is_quiet_and_unchanged(self, tmp_path):
+        """The xi descent's gradient norms overflow at p = 1100; that shows
+        in no numpy warning, and the bytes are those written before the
+        level radii were stacked."""
+        cfg = _config(
+            tmp_path,
+            m=4,
+            p=1100,
+            seed=3,
+            subspace="Y",
+            **{"lambda": 1},
+            nonlinearity={"builtin": "example3"},
+        )
+        out = tmp_path / "check.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_OK
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "468ae4cf3842447084e3997c8b2d142dcec1adbb08190f0e681abe620ea79831"
+
     def test_evaluation_failure_is_compute_error(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):
             raise EvaluationError("could not bracket the sublevel radius")

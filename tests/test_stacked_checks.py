@@ -632,23 +632,25 @@ def test_lambda_star_matches_the_point_loop(m, p, seed):
 
 def test_lambda_star_raises_the_first_failure_in_sample_order(monkeypatch):
     """A level radius that fails stops the radius after the points before
-    it were evaluated, as the loop did."""
+    it were evaluated, as the loop did: the third sample fails, so the
+    points of the first two are evaluated, and a later failure is not
+    raised."""
     import pklap.analysis as analysis
 
     prob = _example3_problem(2)
-    calls = []
-    real = analysis._level_radius
+    real = analysis._level_radii
 
-    def failing(prob_, v, r):
-        calls.append(r)
-        if len(calls) == 3:
-            raise EvaluationError("could not bracket the sublevel radius")
-        return real(prob_, v, r)
+    def failing(prob_, V, r):
+        radii, errors = real(prob_, V, r)
+        errors[6] = RuntimeError("a later failure")
+        errors[2] = EvaluationError("could not bracket the sublevel radius")
+        return radii, errors
 
-    monkeypatch.setattr(analysis, "_level_radius", failing)
+    monkeypatch.setattr(analysis, "_level_radii", failing)
+    stacks = _spy_stacks(monkeypatch)
     with pytest.raises(EvaluationError, match="could not bracket"):
         lambda_star_estimate(prob, [0.5], samples_per_r=10, seed=0)
-    assert len(calls) == 3
+    assert len(stacks) == 1 and len(stacks[0]) == 1 + 2 * 2  # 0, then two samples
 
 
 def _loop_probe(prob, directions=32, radii=(1.0, 10.0, 100.0, 1000.0), seed=0, drop_margin=1.0,

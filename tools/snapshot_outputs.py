@@ -11,9 +11,12 @@ CSV holds every record's bits.  It then runs `check` and a 50-point
 `gradcheck` on the nine configs of the benchmark's check batch,
 `perfbench.workloads.check_configs(seed)`, at seeds 1 and 2, and `check` on
 power_borderline raised to p = 1100, where mu, the thresholds and the C.3
-right-hand side overflow (infinite thresholds and C.3 margin): 56 files in
-all.  The generated configs are written to a temporary directory, not to
-OUTDIR; the benchmark configs are imported, not copied.  The commands run
+right-hand side overflow (infinite thresholds and C.3 margin), and
+`check` on example3 at m = 4, p = 1100 on the zero-mean subspace, where
+mu overflows at the doubled top of the level radius's bracket and the top
+is bisected, in B.2/B.3 and in lambda-star: 57 files in all.  The
+generated configs are written to a temporary directory, not to OUTDIR;
+the benchmark configs are imported, not copied.  The commands run
 against the src/ of the checkout this script sits in, so two checkouts give
 two snapshots, and `diff -r` between them shows any output that changed.
 stdout is discarded because it holds the output paths; stderr is passed
@@ -68,6 +71,12 @@ def _commands(outdir: str, cfgdir: str) -> list[list[str]]:
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=1, sort_keys=True)
     cmds.append(["check", config, "--output", os.path.join(outdir, "power_p1100.check.json")])
+    cfg = {"m": 4, "p": 1100, "nonlinearity": {"builtin": "example3"}, "subspace": "Y", "seed": 3,
+           "lambda": 1}
+    config = os.path.join(cfgdir, "example3_p1100.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh, indent=1, sort_keys=True)
+    cmds.append(["check", config, "--output", os.path.join(outdir, "example3_p1100.check.json")])
     for seed in CHECK_SEEDS:
         for name, cfg in check_configs(seed).items():
             name = f"bench_s{seed}_{name}"
