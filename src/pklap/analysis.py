@@ -30,10 +30,11 @@ from .core import (
     Nonlinearity,
     PeriodicSequence,
     Problem,
+    _row_dots,
     _row_norms,
 )
 from .functional import _action_rows, _mu_values, _shifted, mu, potential
-from .operators import residual_values
+from .operators import _residual_rows
 
 HOLDS = "holds_on_samples"
 VIOLATED = "violated"
@@ -771,46 +772,96 @@ def _action_or_limit_rows(x: np.ndarray, prob: Problem) -> np.ndarray:
     return np.where(mu_ok, np.where(pot_ok, vals, -math.inf), math.inf)
 
 
-def _action_or_limit(x: np.ndarray, prob: Problem) -> float:
-    """_action_or_limit_rows at one flat point x."""
-    return float(_action_or_limit_rows(x[None], prob)[0])
+# The ascent's iteration cap, and its line search's trials step * 2^-j,
+# tried in blocks of these sizes: every row still searching puts its next
+# block into one action call.  A step never exceeds 1, so its at most 54
+# trials above 1e-16 fit in the 62 of the blocks.
+_ASCENT_MAX_ITER = 400
+_ASCENT_BLOCKS = (2, 4, 8, 16, 32)
+_ASCENT_HALVINGS = np.ldexp(1.0, -np.arange(sum(_ASCENT_BLOCKS)))
 
 
-def _ascend_terminal_action(
-    d0: np.ndarray, prob: Problem, t_last: float, max_iter: int = 400
-) -> np.ndarray:
-    """Gradient ascent of d -> action(t_last * d) over the unit sphere.
+def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
+    """Gradient ascent of d -> action(t_last * d) over the unit sphere, from each row of D0.
 
     Used to hunt for worst-case directions where the action fails to fall
     off; random directions almost surely miss them when they form a
-    measure-zero set.
+    measure-zero set.  All rows of the (S, dim) stack ascend in lock step,
+    each with its own step, value and active flag: a round evaluates the
+    residual of every row still ascending in one call, and its line search
+    evaluates the trials of every row still searching in one action call
+    per block of _ASCENT_BLOCKS.  A row moves to its first trial above its
+    value, and dots and norms are one dot product per row (_row_dots,
+    _row_norms), so each row follows the iterates of the ascent run alone
+    bit for bit.  A row stops when its residual fails, when its projected
+    gradient is below 1e-10 max(1, |J|), when no trial above step 1e-16
+    increases J, or after _ASCENT_MAX_ITER rounds.  Returns the final
+    directions as an (S, dim) array.
     """
-    d = d0 / np.linalg.norm(d0)
-    val = _action_or_limit(t_last * d, prob)
-    step = 0.1
-    for _ in range(max_iter):
-        try:
-            g = -t_last * residual_values((t_last * d).reshape(prob.m, prob.n), prob).reshape(-1)
-        except EvaluationError:
-            break
-        g = g - float(np.dot(g, d)) * d
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= 1e-10 * max(1.0, abs(val)):
-            break
-        improved = False
-        while step > 1e-16:
-            cand = d + step * g / max(gnorm, 1e-300)
-            cand = cand / np.linalg.norm(cand)
-            cand_val = _action_or_limit(t_last * cand, prob)
-            if cand_val > val:
-                d, val = cand, cand_val
-                step = min(step * 1.5, 1.0)
-                improved = True
+    # an overflowing gradient norm turns the step into 0 and the row stalls
+    # at its start; the probe reports the values it reaches, not a warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = D0 / _row_norms(D0)[:, None]
+        val = _action_or_limit_rows(t_last * d, prob)
+        step = np.full(len(d), 0.1)
+        active = np.ones(len(d), dtype=bool)
+        for _ in range(_ASCENT_MAX_ITER):
+            ids = np.flatnonzero(active)
+            if ids.size == 0:
                 break
-            step *= 0.5
-        if not improved:
-            break
+            try:
+                r, ok = _residual_rows((t_last * d[ids]).reshape(-1, prob.m, prob.n), prob)
+            except EvaluationError:  # a malformed callback value fails every row
+                break
+            active[ids[~ok]] = False
+            ids, dk = ids[ok], d[ids[ok]]
+            g = -t_last * r[ok].reshape(len(ids), prob.dim)
+            g = g - _row_dots(g, dk)[:, None] * dk
+            gnorm = _row_norms(g)
+            flat = gnorm <= 1e-10 * np.maximum(1.0, np.abs(val[ids]))
+            active[ids[flat]] = False
+            ids, g, gnorm = ids[~flat], g[~flat], gnorm[~flat]
+            improved = _ascent_search(prob, t_last, d, val, step, ids, g, np.maximum(gnorm, 1e-300))
+            active[ids[~improved]] = False
     return d
+
+
+def _ascent_search(prob, t_last, d, val, step, ids, g, gscale) -> np.ndarray:
+    """One line search of the ascent for rows ids of d, in blocks.
+
+    Row i = ids[k] tries d_i + s g_k / gscale_k, normalised, for s =
+    step_i * 2^-j (j = 0, 1, ... while s > 1e-16), and takes the first trial
+    whose action exceeds val_i: d, val and step are updated in place, step
+    to min(1.5 s, 1).  Each block evaluates the trials of all rows still
+    searching in one _action_or_limit_rows call.  Returns the mask of rows
+    that moved.
+    """
+    improved = np.zeros(len(ids), dtype=bool)
+    searching = np.ones(len(ids), dtype=bool)
+    first = 0
+    for size in _ASCENT_BLOCKS:
+        sel = np.flatnonzero(searching)
+        rows = ids[sel]
+        steps = step[rows][:, None] * _ASCENT_HALVINGS[first : first + size]
+        first += size
+        live = steps > 1e-16  # each row's trials above the floor, a prefix of the block
+        if not live.any():
+            break
+        cand = d[rows][:, None, :] + steps[:, :, None] * g[sel][:, None, :] / gscale[sel][:, None, None]
+        cand = cand[live]
+        cand = cand / _row_norms(cand)[:, None]
+        cand_val = _action_or_limit_rows(t_last * cand, prob)
+        good = np.zeros(live.shape, dtype=bool)
+        good[live] = cand_val > np.repeat(val[rows], live.sum(axis=1))
+        hit = good.any(axis=1)
+        j = good[hit].argmax(axis=1)
+        pos = (np.cumsum(live) - 1).reshape(live.shape)[hit, j]
+        moved = rows[hit]
+        d[moved], val[moved] = cand[pos], cand_val[pos]
+        step[moved] = np.minimum(steps[hit, j] * 1.5, 1.0)
+        improved[sel[hit]] = True
+        searching[sel[hit | ~live[:, -1]]] = False
+    return improved
 
 
 def anticoercivity_probe(
@@ -832,22 +883,30 @@ def anticoercivity_probe(
     value was non-finite.
 
     With optimize_worst the direction pool is augmented by gradient-ascent
-    maximisation of the terminal value, which can expose rays of
-    non-decrease that random sampling almost never hits.
+    maximisation of the terminal value from the four directions with the
+    highest terminal values, all four ascending at once (_ascend_rows),
+    which can expose rays of non-decrease that random sampling almost never
+    hits.  Raises ValueError when the radii are not finite and strictly
+    increasing or when directions is negative.
     """
     radii = [float(t) for t in radii]
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing with at least two entries")
+    if (
+        len(radii) < 2
+        or not all(math.isfinite(t) for t in radii)
+        or any(b <= a for a, b in zip(radii, radii[1:]))
+    ):
+        raise ValueError("radii must be finite and strictly increasing with at least two entries")
+    if directions < 0:
+        raise ValueError(f"directions must be >= 0, got {directions}")
     rng = rng_for(seed, 17)
     pool = [
         _unit_direction(rng, prob.m, prob.n, zero_mean=False).reshape(-1)
         for _ in range(directions)
     ]
-    if optimize_worst:
+    if optimize_worst and pool:
         terminal = _action_or_limit_rows(radii[-1] * np.reshape(pool, (-1, prob.dim)), prob).tolist()
         ranked = sorted(range(directions), key=lambda i: -terminal[i])
-        for i in ranked[:4]:
-            pool.append(_ascend_terminal_action(pool[i], prob, radii[-1]))
+        pool.extend(_ascend_rows(np.array([pool[i] for i in ranked[:4]]), prob, radii[-1]))
     table = _action_or_limit_rows(
         np.array(radii)[None, :, None] * np.reshape(pool, (-1, 1, prob.dim)), prob
     ).reshape(len(pool), len(radii))

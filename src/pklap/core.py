@@ -115,16 +115,27 @@ def euclidean_norm(u: PeriodicSequence) -> float:
     return float(np.linalg.norm(u.values))
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b, two (B, d) stacks.
+
+    A stacked matmul of 1 x d by d x 1, which numpy computes as one dot
+    product per row, so entry i is bitwise float(np.dot(a[i], b[i])); a
+    sum of a * b along the rows adds in another order and differs in the
+    last bits.
+    """
+    return (a[:, None, :] @ b[:, :, None]).reshape(-1)
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (B, ...) stack, such as (B, dim) or (B, m, n).
 
-    One dot product per row (a stacked matmul of 1 x d by d x 1) and its
-    square root, so entry b is bitwise float(np.linalg.norm(rows[b])), which
-    also takes one dot product; norm(..., axis=1) and einsum sum in another
-    order and differ in the last bits.
+    One dot product per row (_row_dots) and its square root, so entry b is
+    bitwise float(np.linalg.norm(rows[b])), which also takes one dot
+    product; norm(..., axis=1) and einsum sum in another order and differ
+    in the last bits.
     """
     f = rows.reshape(len(rows), math.prod(rows.shape[1:]))
-    return np.sqrt((f[:, None, :] @ f[:, :, None]).reshape(-1))
+    return np.sqrt(_row_dots(f, f))
 
 
 def project_W(u: PeriodicSequence) -> PeriodicSequence:

@@ -24,7 +24,7 @@ from pklap.analysis import (
     thresholds,
     xi_constant,
 )
-from pklap.analysis import _action_or_limit
+from pklap.analysis import _action_or_limit_rows
 from pklap.core import ExponentFunction, Nonlinearity, PeriodicSequence, Problem
 from pklap.functional import action
 from pklap.nonlinearities import make_example1, make_example3, make_power
@@ -412,6 +412,19 @@ class TestAnticoercivityProbe:
         with pytest.raises(ValueError):
             anticoercivity_probe(prob, radii=(1.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize("radii", [(math.nan, 1.0, 2.0), (1.0, math.nan), (1.0, 10.0, math.inf)])
+    def test_non_finite_radii_are_rejected(self, radii):
+        """A NaN radius passes the strictly-increasing test and its ray
+        point counts as J = +inf; an infinite radius gives no ray point."""
+        nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
+        with pytest.raises(ValueError, match="finite"):
+            anticoercivity_probe(_problem_from(nl), radii=radii, optimize_worst=True)
+
+    def test_negative_directions_are_rejected(self):
+        nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
+        with pytest.raises(ValueError, match="directions"):
+            anticoercivity_probe(_problem_from(nl), directions=-3)
+
     def test_quartic_forcing_drives_action_down(self):
         # lam * |u|^4 beats the quadratic mu term on every ray
         nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
@@ -445,13 +458,13 @@ class TestAnticoercivityProbe:
         nl, _ = make_power(2, a=1.0, b=1.0, s=400.0, r=400.0)
         with np.errstate(over="ignore"):
             # |Delta u|^1100 overflows
-            assert _action_or_limit(np.array([1e3, -1e3]), _problem_from(nl, p=1100.0)) == math.inf
+            assert _action_or_limit_rows(np.array([[1e3, -1e3]]), _problem_from(nl, p=1100.0))[0] == math.inf
             # Delta u = 0, so mu = 0, and |t|^400 overflows
-            assert _action_or_limit(np.array([1e3, 1e3]), _problem_from(nl)) == -math.inf
+            assert _action_or_limit_rows(np.array([[1e3, 1e3]]), _problem_from(nl))[0] == -math.inf
         nl, _ = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)
         prob = _problem_from(nl, lam=5.0)
         x = np.array([0.3, -1.7])
-        assert _action_or_limit(x, prob) == action(x.reshape(2, 1), prob)
+        assert _action_or_limit_rows(x[None], prob)[0] == action(x.reshape(2, 1), prob)
 
 
 class TestCheckB2B3:

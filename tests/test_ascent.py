@@ -1,0 +1,141 @@
+"""The anticoercivity probe's ascent, all directions in lock step.
+
+`analysis._ascend_rows` ascends every row of an (S, dim) stack at once, with
+one residual call per round and one action call per line-search block.
+Each row must follow the iterates of the one-direction-at-a-time loop it
+replaced (`test_stacked_checks._loop_ascend`) bit for bit and leave by the
+same exit.
+"""
+
+import math
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pklap.analysis as analysis
+import pklap.cli as cli
+from pklap.analysis import _ascend_rows, anticoercivity_probe
+from pklap.core import ExponentFunction, Nonlinearity, Problem
+from pklap.nonlinearities import make_power
+from test_lockstep import FAMILIES, _problem, _same_bits
+from test_stacked_checks import _dumps, _loop_ascend, _loop_probe
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def _power_problem(m, s, p):
+    nl, _ = make_power(m, a=1.0, b=1.0, s=s, r=s)
+    return Problem(m=m, n=1, exponent=ExponentFunction.constant(p, m), nonlinearity=nl, lam=1.0)
+
+
+# drawn directions leave these ascents by the line search after 10 to 40 rounds
+POWER2 = _power_problem(2, 2.0, 2.0)
+POWER3 = _power_problem(3, 3.0, 2.5)
+
+
+def _compare(D0, prob, t_last, max_iter=400):
+    """Run _ascend_rows on D0, assert each row is bitwise the loop's, and
+    return the rows and the loop's exits."""
+    got = _ascend_rows(D0, prob, t_last)
+    assert got.shape == D0.shape
+    exits = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for row, d0 in zip(got, D0):
+            ref, exit_ = _loop_ascend(d0, prob, t_last, max_iter)
+            assert _same_bits(row, ref)
+            exits.append(exit_)
+    return got, exits
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_ascent_rows_match_the_point_loop(name):
+    """The four built-ins, a per-point family and the n = 2 family, at the
+    probe's terminal radius."""
+    prob = _problem(FAMILIES[name])
+    D0 = np.random.default_rng(5).normal(size=(4, prob.dim))
+    _compare(D0, prob, 1000.0)
+
+
+def test_each_row_leaves_by_its_own_exit(monkeypatch):
+    """One stack whose rows leave by the line search, the iteration cap, the
+    gradient test and a failed residual (a NaN direction); the failing row
+    does not disturb the others, and each row alone gives the same bits."""
+    monkeypatch.setattr(analysis, "_ASCENT_MAX_ITER", 15)
+    D0 = np.vstack((np.random.default_rng(0).normal(size=(2, 2)), [[1.0, 1.0], [math.nan, math.nan]]))
+    got, exits = _compare(D0, POWER2, 10.0, max_iter=15)
+    assert exits == ["search", "cap", "gradient", "residual"]
+    assert np.isnan(got[3]).all()
+    for i in range(len(D0)):
+        assert _same_bits(_ascend_rows(D0[i : i + 1], POWER2, 10.0), got[i : i + 1])
+
+
+def test_malformed_callback_fails_every_row_as_alone():
+    """F2 returns two components at n = 1: the residual raises
+    EvaluationError, which ends each row's ascent at its start direction,
+    as the loop's does, instead of leaving the probe."""
+    nl = Nonlinearity(
+        m=2,
+        F=lambda k, u1, u2: u1[0] ** 2,
+        F2_prime=lambda k, u1, u2: np.array([1.0, 2.0]),
+        F3_prime=lambda k, u1, u2: np.array([0.0]),
+    )
+    prob = Problem(m=2, n=1, exponent=ExponentFunction.constant(2.0, 2), nonlinearity=nl, lam=1.0)
+    _, exits = _compare(np.array([[1.0, 2.0], [3.0, -1.0]]), prob, 10.0)
+    assert exits == ["residual", "residual"]
+
+
+def test_cap_leaves_rows_where_the_loop_stops(monkeypatch):
+    """A cap below every row's search length stops all rows after that many
+    rounds, as the loop's max_iter does."""
+    monkeypatch.setattr(analysis, "_ASCENT_MAX_ITER", 3)
+    D0 = np.random.default_rng(1).normal(size=(4, 3))
+    _, exits = _compare(D0, POWER3, 10.0, max_iter=3)
+    assert exits == ["cap"] * 4
+
+
+_DIRECTION = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: math.hypot(*v) > 1e-3
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_DIRECTION, min_size=1, max_size=4), st.sampled_from([1.0, 10.0, 1000.0]))
+def test_ascent_rows_match_on_drawn_directions(rows, t_last):
+    _compare(np.array(rows), POWER3, t_last)
+
+
+@pytest.mark.parametrize("directions", [1, 3])
+def test_probe_with_fewer_than_four_directions_ascends_them_all(directions):
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _loop_probe(POWER2, directions=directions, seed=0, optimize_worst=True)
+    got = anticoercivity_probe(POWER2, directions=directions, seed=0, optimize_worst=True)
+    assert got.samples == 2 * directions
+    assert _dumps(got) == _dumps(ref)
+
+
+def test_probe_makes_few_stacked_calls(monkeypatch):
+    """On the shipped example1_m4 the probe makes one residual call per
+    ascent round and one action call per line-search block, plus the
+    ranking, the ascent's start values and the table (the one-direction
+    loop made 227 one-row residual calls and 561 action calls).
+    Counts, not timings, so the host's load does not matter."""
+    loaded = cli.load_config(str(CONFIGS / "example1_m4.json"))
+    calls = {"residual": 0, "action": 0}
+
+    def counting(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(analysis, "_residual_rows", counting("residual", analysis._residual_rows))
+    monkeypatch.setattr(
+        analysis, "_action_or_limit_rows", counting("action", analysis._action_or_limit_rows)
+    )
+    anticoercivity_probe(loaded.problem, seed=loaded.solver.seed, optimize_worst=True)
+    assert 0 < calls["residual"] <= 88
+    assert 0 < calls["action"] <= 124

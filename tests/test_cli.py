@@ -214,6 +214,23 @@ class TestCheck:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "8605414e05d04e141af6fbd8b9fc027a4e707cc009cec24b6f6a665f834e73f1"
 
+    def test_overflowing_ascent_is_quiet_and_unchanged(self, tmp_path):
+        """At p = 60 the anti-coercivity ascent's gradient norms overflow;
+        that shows in no numpy warning, and the bytes are those the
+        one-direction-at-a-time ascent wrote."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "m": 2, "n": 1, "p": [60, 60], "lambda": 5.0, "seed": 3,
+            "nonlinearity": {"builtin": "power", "params": {"a": 1.0, "b": 1.0, "s": 2.0, "r": 2.0}},
+        }))
+        out = tmp_path / "check.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["check", str(cfg), "--output", str(out)]) == cli.EXIT_OK
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "5b654f8f867b5fea4358be9444788abe032d5490f26f4b5eec1b0f31cc8fc5d7"
+
     def test_bounded_family_at_huge_exponent(self, tmp_path, capsys):
         """mu overflows at the doubled top of B.2's level-radius bracket;
         the bracket is bisected instead of failing the check."""

@@ -24,9 +24,7 @@ from pklap.analysis import (
     CheckReport,
     GrowthProfile,
     LambdaStarEstimate,
-    _action_or_limit,
     _action_or_limit_rows,
-    _ascend_terminal_action,
     _c1_rows,
     _c2_rows,
     _c3_rows,
@@ -54,6 +52,7 @@ from pklap.core import (
 )
 from pklap.functional import _action_rows, _gradient_fd_rows, action, gradient, gradient_fd, mu, potential
 from pklap.nonlinearities import BuiltinSpec, make_builtin, make_example3, make_power
+from pklap.operators import residual_values
 from test_lockstep import BUILTINS, _problem, _same_bits
 from test_shared_loops import _well_nl2
 
@@ -97,6 +96,36 @@ def _loop_action_or_limit(x, prob):
     if not math.isfinite(pot):
         return -math.inf
     return energy + prob.lam * pot
+
+
+def _loop_ascend(d0, prob, t_last, max_iter=400):
+    """The anticoercivity ascent from one direction, one point at a time:
+    (final direction, exit), exit one of "residual", "gradient", "search"
+    and "cap"."""
+    d = d0 / np.linalg.norm(d0)
+    val = _loop_action_or_limit(t_last * d, prob)
+    step = 0.1
+    for _ in range(max_iter):
+        try:
+            g = -t_last * residual_values((t_last * d).reshape(prob.m, prob.n), prob).reshape(-1)
+        except EvaluationError:
+            return d, "residual"
+        g = g - float(np.dot(g, d)) * d
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= 1e-10 * max(1.0, abs(val)):
+            return d, "gradient"
+        while step > 1e-16:
+            cand = d + step * g / max(gnorm, 1e-300)
+            cand = cand / np.linalg.norm(cand)
+            cand_val = _loop_action_or_limit(t_last * cand, prob)
+            if cand_val > val:
+                d, val = cand, cand_val
+                step = min(step * 1.5, 1.0)
+                break
+            step *= 0.5
+        else:
+            return d, "search"
+    return d, "cap"
 
 
 def _recording_family(m, seen):
@@ -662,7 +691,7 @@ def _loop_probe(prob, directions=32, radii=(1.0, 10.0, 100.0, 1000.0), seed=0, d
     if optimize_worst:
         ranked = sorted(pool, key=lambda d: -_loop_action_or_limit(radii[-1] * d, prob))
         for d0 in ranked[:4]:
-            pool.append(_ascend_terminal_action(d0, prob, radii[-1]))
+            pool.append(_loop_ascend(d0, prob, radii[-1])[0])
     worst_margin, overflow = math.inf, False
     for idx, d in enumerate(pool):
         vals = [_loop_action_or_limit(t * d, prob) for t in radii]
@@ -699,7 +728,7 @@ def test_probe_table_matches_the_point_loop(name, m, params, p, lam, optimize_wo
     got = anticoercivity_probe(prob, seed=3, optimize_worst=optimize_worst)
     assert _dumps(got) == _dumps(ref)
     x = np.linspace(-1.0, 2.0, prob.dim)
-    assert _same_bits(_action_or_limit(x, prob), _loop_action_or_limit(x, prob))
+    assert _same_bits(_action_or_limit_rows(x[None], prob)[0], _loop_action_or_limit(x, prob))
 
 
 def test_probe_with_no_directions_holds_trivially():

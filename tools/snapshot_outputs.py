@@ -14,11 +14,13 @@ power_borderline raised to p = 1100, where mu, the thresholds and the C.3
 right-hand side overflow (infinite thresholds and C.3 margin), and
 `check` on example3 at m = 4, p = 1100 on the zero-mean subspace, where
 mu overflows at the doubled top of the level radius's bracket and the top
-is bisected, in B.2/B.3 and in lambda-star: 57 files in all.  The
-generated configs are written to a temporary directory, not to OUTDIR;
-the benchmark configs are imported, not copied.  The commands run
-against the src/ of the checkout this script sits in, so two checkouts give
-two snapshots, and `diff -r` between them shows any output that changed.
+is bisected, in B.2/B.3 and in lambda-star, and `check` on the power
+family at m = 2, p = 60, where the gradient norms of the anti-coercivity
+ascent overflow: 58 files in all.  The generated configs are written to a
+temporary directory, not to OUTDIR; the benchmark configs are imported,
+not copied.  The commands run against the src/ of the checkout this
+script sits in, so two checkouts give two snapshots, and `diff -r` between
+them shows any output that changed.
 stdout is discarded because it holds the output paths; stderr is passed
 through.  Exits 1 when a command fails.
 """
@@ -77,6 +79,12 @@ def _commands(outdir: str, cfgdir: str) -> list[list[str]]:
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=1, sort_keys=True)
     cmds.append(["check", config, "--output", os.path.join(outdir, "example3_p1100.check.json")])
+    cfg = {"m": 2, "n": 1, "p": [60, 60], "lambda": 5.0, "seed": 3,
+           "nonlinearity": {"builtin": "power", "params": {"a": 1.0, "b": 1.0, "s": 2.0, "r": 2.0}}}
+    config = os.path.join(cfgdir, "power_p60.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh, indent=1, sort_keys=True)
+    cmds.append(["check", config, "--output", os.path.join(outdir, "power_p60.check.json")])
     for seed in CHECK_SEEDS:
         for name, cfg in check_configs(seed).items():
             name = f"bench_s{seed}_{name}"
