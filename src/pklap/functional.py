@@ -224,25 +224,28 @@ def gradient_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) -
     return PeriodicSequence.from_flat(g, prob.m, prob.n)
 
 
-def hessian_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) -> np.ndarray:
-    """Symmetrised central finite-difference Hessian of the action.
+def _hessian_rows(x: np.ndarray, prob: Problem, steps: np.ndarray) -> np.ndarray:
+    """Symmetrised central-difference Hessians of the action at B flat points.
 
-    Columns are finite differences of the analytic gradient; the result is
-    symmetrised and a warning is emitted if the raw asymmetry is large
-    relative to the matrix norm, or if some p(k) < 2 (where second
-    derivatives may not exist at non-smooth points).  Raises
-    NonsmoothExponentError, as gradient does, when some p(k) <= 1.
+    x is (B, dim) and steps (B,), one step per point.  The columns are
+    differences of the analytic gradient (the negated residual), and the
+    stencil residuals of all B points go through one _residual_rows call,
+    so H[b] is bitwise the Hessian of x_b alone.  Warns, once per point,
+    when some p(k) < 2 (where second derivatives may not exist at non-smooth
+    points) and, in row order, for each point whose raw asymmetry is large
+    relative to its matrix norm.  Raises NonsmoothExponentError, as
+    gradient does, when some p(k) <= 1, and EvaluationError when a stencil
+    residual is not finite.
     """
     if prob.exponent.p_minus < 2.0:
-        warnings.warn(
-            "hessian_fd with p_minus < 2: second derivatives can be singular "
-            "where forward differences vanish",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        for _ in range(len(x)):
+            warnings.warn(
+                "hessian_fd with p_minus < 2: second derivatives can be singular "
+                "where forward differences vanish",
+                RuntimeWarning,
+                stacklevel=3,
+            )
     _require_smooth(prob, "hessian_fd")
-    if step is None:
-        step = HESSIAN_STEP_SCALE * max(1.0, euclidean_norm(u))
 
     def gradients(points: np.ndarray) -> np.ndarray:
         out, ok = _residual_rows(points.reshape(-1, prob.m, prob.n), prob)
@@ -250,17 +253,28 @@ def hessian_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) ->
             raise EvaluationError("residual evaluation produced non-finite entries")
         return -out.reshape(points.shape)
 
-    h, _ = _central_difference(gradients, u.flat()[None], np.array([step]))
-    h = h[0]
-    asym = float(np.max(np.abs(h - h.T)))
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if asym > 1e-4 * scale:
+    h, _ = _central_difference(gradients, x, steps)
+    ht = np.swapaxes(h, 1, 2)
+    asym = np.max(np.abs(h - ht), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
+    for value in asym[asym > 1e-4 * scale].tolist():
         warnings.warn(
-            f"finite-difference Hessian asymmetry {asym:.3e} exceeds 1e-4 of its scale",
+            f"finite-difference Hessian asymmetry {value:.3e} exceeds 1e-4 of its scale",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return 0.5 * (h + h.T)
+    return 0.5 * (h + ht)
+
+
+def hessian_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) -> np.ndarray:
+    """Symmetrised central finite-difference Hessian of the action.
+
+    The one-row case of _hessian_rows, which says when it warns and raises;
+    the default step is HESSIAN_STEP_SCALE * max(1, |u|).
+    """
+    if step is None:
+        step = HESSIAN_STEP_SCALE * max(1.0, euclidean_norm(u))
+    return _hessian_rows(u.flat()[None], prob, np.array([step]))[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -288,26 +302,38 @@ class SpectralSummary:
         return CLASS_SADDLE
 
 
+def _morse_summaries(
+    x: np.ndarray, prob: Problem, zero_tol: float | None = None
+) -> list[SpectralSummary]:
+    """Spectral summaries at B flat points (B, dim), in stacks.
+
+    Each point's Hessian takes the default step of hessian_fd; all come from
+    one _hessian_rows call and one stacked eigvalsh, which gives each matrix
+    the bits of its own call, so summary b is that of x_b alone.
+    Eigenvalues within zero_tol of zero count as zero; the default tolerance
+    scales with each point's spectral radius.
+    """
+    steps = HESSIAN_STEP_SCALE * np.maximum(1.0, _row_norms(x))
+    eig = np.linalg.eigvalsh(_hessian_rows(x, prob, steps))
+    if zero_tol is None:
+        tol = MORSE_ZERO_TOL_SCALE * np.maximum(1.0, np.max(np.abs(eig), axis=1))
+    else:
+        tol = np.full(len(x), float(zero_tol))
+    t = tol[:, None]
+    counts = [np.sum(c, axis=1).tolist() for c in (eig < -t, np.abs(eig) <= t, eig > t)]
+    return [
+        SpectralSummary(
+            eigenvalues=eig[b], negative_count=neg, zero_count=zero, positive_count=pos, zero_tol=z
+        )
+        for b, (neg, zero, pos, z) in enumerate(zip(*counts, tol.tolist()))
+    ]
+
+
 def morse_summary(
     u: PeriodicSequence, prob: Problem, zero_tol: float | None = None
 ) -> SpectralSummary:
     """Classify a candidate critical point by the Hessian eigenvalue signs.
 
-    Eigenvalues within zero_tol of zero count as zero; the default tolerance
-    scales with the spectral radius.
+    The one-row case of _morse_summaries.
     """
-    h = hessian_fd(u, prob)
-    eig = np.linalg.eigvalsh(h)
-    if zero_tol is None:
-        radius = float(np.max(np.abs(eig))) if eig.size else 0.0
-        zero_tol = MORSE_ZERO_TOL_SCALE * max(1.0, radius)
-    neg = int(np.sum(eig < -zero_tol))
-    zero = int(np.sum(np.abs(eig) <= zero_tol))
-    pos = int(np.sum(eig > zero_tol))
-    return SpectralSummary(
-        eigenvalues=eig,
-        negative_count=neg,
-        zero_count=zero,
-        positive_count=pos,
-        zero_tol=float(zero_tol),
-    )
+    return _morse_summaries(u.flat()[None], prob, zero_tol)[0]

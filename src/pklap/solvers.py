@@ -29,7 +29,7 @@ from .core import (
     euclidean_norm,
     in_Y,
 )
-from .functional import _central_difference, action, morse_summary
+from .functional import _action_values, _central_difference, _morse_summaries, action
 from .operators import _residual_rows, residual_values
 
 logger = logging.getLogger(__name__)
@@ -123,17 +123,24 @@ class _System:
         gx = self.g_full(self.to_full(y))
         return gx if self.q is None else self.q.T @ gx
 
+    def to_full_rows(self, y: np.ndarray) -> np.ndarray:
+        """to_full of each row of a (B, dim) array; the stacked product is
+        one matrix-vector product per row, so row b is bitwise to_full(y_b)."""
+        return y if self.q is None else (self.q @ y[:, :, None])[:, :, 0]
+
+    def to_reduced_rows(self, x: np.ndarray) -> np.ndarray:
+        """to_reduced of each row of a (B, prob.dim) array, bitwise per row."""
+        return x if self.q is None else (self.q.T @ x[:, :, None])[:, :, 0]
+
     def rows(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """g at each row of a (B, dim) array, in one residual call: (g, ok).
 
         ok[b] is False, and row b of g is NaN or not finite, when the
         residual at y_b is not finite or a callback raised EvaluationError
-        there; other rows are unaffected.  Off H_m the stacked products
-        q @ y_b and q.T @ g_b are one matrix-vector product per row, as in
-        g, so row b is bitwise g(y_b).
+        there; other rows are unaffected.  Row b is bitwise g(y_b).
         """
         prob = self.prob
-        x = y if self.q is None else (self.q @ y[:, :, None])[:, :, 0]
+        x = self.to_full_rows(y)
         try:
             out, ok = _residual_rows(x.reshape(len(y), prob.m, prob.n), prob)
         except EvaluationError:
@@ -141,10 +148,7 @@ class _System:
                 return np.full(y.shape, np.nan), np.zeros(1, dtype=bool)
             parts = [self.rows(y[b : b + 1]) for b in range(len(y))]
             return np.concatenate([g for g, _ in parts]), np.concatenate([ok for _, ok in parts])
-        g = out.reshape(len(y), -1)
-        if self.q is not None:
-            g = (self.q.T @ g[:, :, None])[:, :, 0]
-        return g, ok
+        return self.to_reduced_rows(out.reshape(len(y), -1)), ok
 
     def jacobians(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Central-difference Jacobians of g at each row of a (B, dim) array,
@@ -198,6 +202,27 @@ def _newton_step(jac: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
     except np.linalg.LinAlgError:
         delta, *_ = np.linalg.lstsq(jac, -g, rcond=None)
     return delta if np.all(np.isfinite(delta)) else None
+
+
+def _newton_steps(jac: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton directions of a stack, jac (B, dim, dim) and g (B, dim), in one
+    solve: (deltas, ok).  Row b is bitwise _newton_step(jac[b], g[b]), and
+    ok[b] is False where that is None.  The stacked solve gives each row the
+    bits of its own solve; the rows where it is not finite, or every row when
+    it raises (one singular matrix suffices), take _newton_step.
+    """
+    try:
+        deltas = np.linalg.solve(jac, -g[..., None])[..., 0]
+        redo = np.flatnonzero(~np.all(np.isfinite(deltas), axis=1)).tolist()
+    except np.linalg.LinAlgError:
+        deltas, redo = np.empty_like(g), range(len(g))
+    ok = np.ones(len(g), dtype=bool)
+    for b in redo:
+        delta = _newton_step(jac[b], g[b])
+        ok[b] = delta is not None
+        if ok[b]:
+            deltas[b] = delta
+    return deltas, ok
 
 
 # The line search's 30 step lengths 2^-j, tried in blocks of these sizes:
@@ -262,8 +287,9 @@ def _newton_rows(
 
     Each start runs its own iteration: a central-difference Jacobian, a
     Newton step (least squares when the Jacobian is singular), then the
-    line search of _line_search.  Lock step only shares residual calls, one
-    for all Jacobians of a round and one per line-search block, so every
+    line search of _line_search.  Lock step only shares calls, one residual
+    call for all Jacobians of a round, one solve for all its steps
+    (_newton_steps) and one residual call per line-search block, so every
     start's iterates are bitwise those of running it alone.  A start stops
     when its Jacobian or step fails, when the line search accepts nothing,
     when its norm passes 1e8, after _MAX_ITERATIONS steps above
@@ -300,13 +326,13 @@ def _newton_rows(
         jac, ok = system.jacobians(y[rows])
         if known is not None:
             jac = _deflated_jacobians(jac, *(state[rows] for state in terms))
-        steps = [_newton_step(jac[j], g[s]) if ok[j] else None for j, s in enumerate(rows)]
-        stepped = np.array([delta is not None for delta in steps])
+        active[rows[~ok]] = False
+        rows = rows[ok]
+        deltas, stepped = _newton_steps(jac[ok], g[rows])
         active[rows[~stepped]] = False
-        rows = rows[stepped]
+        rows, deltas = rows[stepped], deltas[stepped]
         if rows.size == 0:
             continue
-        deltas = np.array([delta for delta in steps if delta is not None])
         accepted = _line_search(evaluate, y, g, ng, terms, rows, deltas)
         active[rows[~accepted]] = False
         rows = rows[accepted]
@@ -328,6 +354,55 @@ def _newton_iterate(
     return y[0], float(ng[0]), bool(converged[0]), int(iters[0])
 
 
+def _make_records(
+    prob: Problem,
+    xs: np.ndarray,
+    method: str,
+    cfg: SolverConfig,
+    start_indices: Optional[Sequence] = None,
+    flags: tuple = (),
+    classify: bool = True,
+    residual_norms: Optional[np.ndarray] = None,
+) -> list[SolutionRecord]:
+    """Records of the B flat points of xs (B, prob.dim), built in stacks.
+
+    One residual call (skipped when the caller passes the full residual
+    norms it already has), one _morse_summaries call and one _action_values
+    call serve all B points, and each stacked kernel gives every row the
+    bits of its own call, so record b is that of x_b alone.  Raises
+    EvaluationError when a residual or an action is not finite.
+    """
+    if residual_norms is None:
+        out, ok = _residual_rows(xs.reshape(-1, prob.m, prob.n), prob)
+        if not np.all(ok):
+            raise EvaluationError("residual evaluation produced non-finite entries")
+        residual_norms = _row_norms(out)
+    summaries = _morse_summaries(xs, prob) if classify else [None] * len(xs)
+    actions = _action_values(xs, prob).tolist()
+    if start_indices is None:
+        start_indices = [None] * len(xs)
+    records = []
+    for x, res_norm, summary, action_value, start_index in zip(
+        xs, residual_norms.tolist(), summaries, actions, start_indices
+    ):
+        u = PeriodicSequence.from_flat(x, prob.m, prob.n)
+        records.append(
+            SolutionRecord(
+                u=u,
+                residual_norm=res_norm,
+                action_value=action_value,
+                morse_index=summary.morse_index if classify else 0,
+                in_Y=in_Y(u),
+                classification=summary.classification if classify else "unclassified",
+                method=method,
+                start_index=start_index,
+                converged=res_norm <= cfg.residual_tol,
+                flags=flags,
+            )
+        )
+    return records
+
+
 def _make_record(
     prob: Problem,
     x: np.ndarray,
@@ -337,28 +412,9 @@ def _make_record(
     flags: tuple = (),
     classify: bool = True,
 ) -> SolutionRecord:
-    u = PeriodicSequence.from_flat(x, prob.m, prob.n)
-    res = residual_values(u, prob)
-    res_norm = float(np.linalg.norm(res))
-    if classify:
-        summary = morse_summary(u, prob)
-        morse_index = summary.morse_index
-        classification = summary.classification
-    else:
-        morse_index = 0
-        classification = "unclassified"
-    return SolutionRecord(
-        u=u,
-        residual_norm=res_norm,
-        action_value=action(u, prob),
-        morse_index=morse_index,
-        in_Y=in_Y(u),
-        classification=classification,
-        method=method,
-        start_index=start_index,
-        converged=res_norm <= cfg.residual_tol,
-        flags=flags,
-    )
+    """The one-row case of _make_records."""
+    xs = np.asarray(x, dtype=float)[None]
+    return _make_records(prob, xs, method, cfg, [start_index], flags, classify)[0]
 
 
 def newton_solve(
@@ -429,9 +485,8 @@ def deflated_solve(
     true_norm = float(np.linalg.norm(system.g_full(x)))
     if true_norm > cfg.residual_tol:
         return None
-    for yi in known_flat:
-        if _same_solution(x, yi, prob, cfg):
-            return None
+    if _first_match(x, np.array(known_flat), prob, cfg) is not None:
+        return None
     return _make_record(prob, x, "deflated", cfg)
 
 
@@ -453,9 +508,21 @@ def _known_flats(known, prob: Problem) -> list[np.ndarray]:
     return out
 
 
+def _close_rows(a: np.ndarray, known: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distance test of a against each row of known (K, dim): (close, dist).
+
+    close[i] is |a - known_i| <= tol * max(1, |a|, |known_i|), and dist[i]
+    is |a - known_i|.  Every norm is one dot product per row (_row_norms),
+    bitwise np.linalg.norm.
+    """
+    dist = _row_norms(a - known)
+    scale = np.maximum(max(1.0, float(np.linalg.norm(a))), _row_norms(known))
+    return dist <= tol * scale, dist
+
+
 def _is_duplicate(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    return float(np.linalg.norm(a - b)) <= tol * scale
+    """The one-row case of _close_rows."""
+    return bool(_close_rows(a, np.asarray(b)[None], tol)[0][0])
 
 
 def _flat_connected(a: np.ndarray, b: np.ndarray, prob: Problem, bar: float) -> bool:
@@ -479,6 +546,39 @@ def _flat_connected(a: np.ndarray, b: np.ndarray, prob: Problem, bar: float) -> 
     return True
 
 
+def _first_match(
+    a: np.ndarray,
+    known: np.ndarray,
+    prob: Problem,
+    cfg: SolverConfig,
+    actions: Optional[tuple] = None,
+) -> Optional[int]:
+    """Index of the first row of known (K, dim) that is the same solution as
+    a, or None: the first row that is close to a (_close_rows) or joined to
+    it by a flat segment (_flat_connected).
+
+    actions, when given, are J(a) and the (K,) actions of the rows.  If the
+    whole segment from a to b stays in {|g| <= bar}, then |J(a) - J(b)| <=
+    bar * ||a - b|| because grad J = -g, so a larger action gap (beyond
+    rounding slack) rules the merge out without evaluating the residual on
+    the segment.  The distances and the gap test are one vector test over
+    the rows; the segment test runs, in row order, only on the rows before
+    the first close one that the gap does not rule out.
+    """
+    close, dist = _close_rows(a, known, cfg.dedupe_tol)
+    first_close = int(np.argmax(close)) if close.any() else len(known)
+    bar = 100.0 * cfg.residual_tol
+    segment = np.ones(first_close, dtype=bool)
+    if actions is not None:
+        j_a, j_b = actions[0], actions[1][:first_close]
+        slack = 1e-12 * np.maximum(max(1.0, abs(j_a)), np.abs(j_b))
+        segment = ~(np.abs(j_a - j_b) > bar * dist[:first_close] + slack)
+    for i in np.flatnonzero(segment).tolist():
+        if _flat_connected(a, known[i], prob, bar):
+            return i
+    return first_close if first_close < len(known) else None
+
+
 def _same_solution(
     a: np.ndarray,
     b: np.ndarray,
@@ -486,22 +586,12 @@ def _same_solution(
     cfg: SolverConfig,
     actions: Optional[tuple[float, float]] = None,
 ) -> bool:
-    """Dedupe test: a and b are close, or joined by a flat segment.
-
-    actions, when given, are J(a) and J(b).  If the whole segment from a to
-    b stays in {|g| <= bar}, then |J(a) - J(b)| <= bar * ||a - b|| because
-    grad J = -g, so a larger action gap (beyond rounding slack) rules the
-    merge out without evaluating the residual on the segment.
+    """Dedupe test: a and b are close, or joined by a flat segment.  The
+    one-row case of _first_match; actions, when given, are J(a) and J(b).
     """
-    if _is_duplicate(a, b, cfg.dedupe_tol):
-        return True
-    bar = 100.0 * cfg.residual_tol
     if actions is not None:
-        j_a, j_b = actions
-        slack = 1e-12 * max(1.0, abs(j_a), abs(j_b))
-        if abs(j_a - j_b) > bar * float(np.linalg.norm(a - b)) + slack:
-            return False
-    return _flat_connected(a, b, prob, bar)
+        actions = (actions[0], np.array([actions[1]], dtype=float))
+    return _first_match(a, np.asarray(b)[None], prob, cfg, actions) == 0
 
 
 class _Diverged(Exception):
@@ -695,6 +785,49 @@ def _canonical(x: np.ndarray, prob: Problem) -> np.ndarray:
     return x
 
 
+def _sign_flip_ok(prob: Problem, values: np.ndarray, bar: float) -> bool:
+    """Whether the residual at -u has norm <= bar for every u of a (K, m, n)
+    stack, judged in row order with one _residual_rows call: False at the
+    first row above bar, unless a row before it has a non-finite residual,
+    which raises EvaluationError as residual_values does.
+    """
+    out, ok = _residual_rows(-values, prob)
+    stop = ~ok | (_row_norms(out) > bar)
+    if not stop.any():
+        return True
+    if not ok[np.argmax(stop)]:
+        raise EvaluationError("residual evaluation produced non-finite entries")
+    return False
+
+
+class _KnownSolutions:
+    """The records found so far, with the dedupe representative (_canonical)
+    and the action of each stacked beside them, so that a candidate is
+    compared with all of them at once."""
+
+    def __init__(self, prob: Problem, cfg: SolverConfig):
+        self.prob, self.cfg = prob, cfg
+        self.records: list[SolutionRecord] = []
+        self.canon = np.empty((0, prob.dim))
+        self.actions = np.empty(0)
+
+    def add(self, rec: SolutionRecord) -> bool:
+        """Append rec unless it is the same solution as a known record
+        (_first_match), which it then replaces if its residual norm is
+        smaller.  True when rec was appended."""
+        x = _canonical(rec.u.flat(), self.prob)
+        # canonicalising subtracts a constant only when F == 0, which keeps J
+        i = _first_match(x, self.canon, self.prob, self.cfg, (rec.action_value, self.actions))
+        if i is None:
+            self.records.append(rec)
+            self.canon, self.actions = np.vstack((self.canon, x)), np.append(self.actions, rec.action_value)
+            return True
+        if rec.residual_norm < self.records[i].residual_norm:
+            self.records[i] = rec
+            self.canon[i], self.actions[i] = x, rec.action_value
+        return False
+
+
 def _random_starts(cfg: SolverConfig, dim: int, key: int):
     """Yield (i, start) for the random starts i < cfg.starts of one stage.
 
@@ -723,52 +856,53 @@ def find_multiple(
     Stages: the zero sequence, multistart Newton, then deflation rounds
     until a full round adds nothing.  The starts of a stage (the warm and
     random starts of stage 1, or one deflation round's starts against the
-    records known when the round begins) run as one lock-step batch, and
-    their candidates are then handled in start order.  Every record's method is "newton" or
-    "deflated".  With subspace="Y" the iteration runs on the
-    zero-mean reduction; every candidate is still verified against the full
-    residual, and reduced-critical points failing that test are reported in
+    records known when the round begins) run as one lock-step batch.  Its
+    converged candidates are then verified with one residual call, and
+    their records built and classified with one _make_records call, before
+    each is deduplicated against all known records at once (_first_match),
+    in start order.  Every record's method is "newton" or "deflated".  With
+    subspace="Y" the iteration runs on the zero-mean reduction; every
+    candidate is still verified against the full residual, and
+    reduced-critical points failing that test are reported in
     y_discrepancies instead of records.
     """
     cfg = cfg or SolverConfig()
     if subspace not in (SUBSPACE_FULL, SUBSPACE_Y):
         raise ValueError(f"find_multiple supports subspaces H_m and Y, got {subspace!r}")
     system = _System(prob, subspace=subspace)
-    records: list[SolutionRecord] = []
+    found = _KnownSolutions(prob, cfg)
+    records, try_add = found.records, found.add
     discrepancies: list[SolutionRecord] = []
 
-    def try_add(rec: SolutionRecord) -> bool:
-        x = _canonical(rec.u.flat(), prob)
-        for i, existing in enumerate(records):
-            # canonicalising subtracts a constant only when F == 0, which keeps J
-            actions = (rec.action_value, existing.action_value)
-            if _same_solution(x, _canonical(existing.u.flat(), prob), prob, cfg, actions):
-                if rec.residual_norm < existing.residual_norm:
-                    records[i] = rec
-                return False
-        records.append(rec)
-        return True
-
-    def handle_candidate(y: np.ndarray, method: str, start_index=None) -> bool:
-        x = system.to_full(y)
-        full_norm = float(np.linalg.norm(system.g_full(x)))
-        if full_norm <= cfg.residual_tol:
-            return try_add(_make_record(prob, x, method, cfg, start_index=start_index))
-        if subspace == SUBSPACE_Y:
-            rec = _make_record(
-                prob,
-                x,
-                method,
-                cfg,
-                start_index=start_index,
-                flags=("y_critical_only",),
-                classify=False,
-            )
-            for existing in discrepancies:
-                if _is_duplicate(x, existing.u.flat(), cfg.dedupe_tol):
-                    return False
-            discrepancies.append(rec)
-        return False
+    def handle_stage(ys: np.ndarray, start_indices: list, method: str) -> bool:
+        """Verify, record and dedupe a stage's converged rows ys (B, dim), in
+        start order; True when a record was added.  A deflated stage's rows
+        must first meet the tolerance on the undeflated reduced residual."""
+        xs = system.to_full_rows(ys)
+        out, ok = _residual_rows(xs.reshape(len(xs), prob.m, prob.n), prob)
+        if not np.all(ok):
+            raise EvaluationError("residual evaluation produced non-finite entries")
+        g = out.reshape(len(xs), -1)
+        full_norms = _row_norms(g)
+        kept = np.ones(len(xs), dtype=bool)
+        if method == "deflated":
+            kept = _row_norms(system.to_reduced_rows(g)) <= cfg.residual_tol
+        solved = kept & (full_norms <= cfg.residual_tol)
+        y_only = kept & ~solved & (subspace == SUBSPACE_Y)
+        made = {}
+        for mask, flags, classify in ((solved, (), True), (y_only, ("y_critical_only",), False)):
+            idx = np.flatnonzero(mask).tolist()
+            if idx:
+                starts = [start_indices[i] for i in idx]
+                recs = _make_records(prob, xs[idx], method, cfg, starts, flags, classify, full_norms[idx])
+                made.update(zip(idx, recs))
+        added = False
+        for i in sorted(made):
+            if solved[i]:
+                added |= try_add(made[i])
+            elif not any(_is_duplicate(xs[i], d.u.flat(), cfg.dedupe_tol) for d in discrepancies):
+                discrepancies.append(made[i])
+        return added
 
     # stage 0: the zero sequence
     if float(np.linalg.norm(system.g_full(np.zeros(prob.dim)))) <= cfg.residual_tol:
@@ -780,36 +914,26 @@ def find_multiple(
     start_pool.extend(y0 for _, y0 in _random_starts(cfg, system.dim, 101))
     if start_pool:
         ys, _, converged, _ = _newton_rows(system, np.array(start_pool), cfg)
-        for idx in np.flatnonzero(converged).tolist():
-            handle_candidate(ys[idx], "newton", start_index=idx)
+        idx = np.flatnonzero(converged)
+        if idx.size:
+            handle_stage(ys[idx], idx.tolist(), "newton")
 
     # stage 2: deflation rounds until a round adds nothing new; each round is
     # one batch against the records known when it starts
     for round_no in range(10):
-        added = False
         starts = list(_random_starts(cfg, system.dim, 211 + round_no))
         if not records or not starts:
             break
         known = np.array([system.to_reduced(r.u.flat()) for r in records])
         ys, _, converged, _ = _newton_rows(system, np.array([y0 for _, y0 in starts]), cfg, known)
-        for (i, _), y, ok in zip(starts, ys, converged.tolist()):
-            if not ok:
-                continue
-            if float(np.linalg.norm(system.g(y))) > cfg.residual_tol:
-                continue
-            if handle_candidate(y, "deflated", start_index=i):
-                added = True
-        if not added:
+        idx = np.flatnonzero(converged).tolist()
+        if not (idx and handle_stage(ys[idx], [starts[i][0] for i in idx], "deflated")):
             break
 
     symmetry_ok = None
     if prob.nonlinearity.even_symmetric and records:
-        symmetry_ok = True
-        for rec in records:
-            norm = float(np.linalg.norm(residual_values(-rec.u.values, prob)))
-            if norm > 10.0 * cfg.residual_tol:
-                symmetry_ok = False
-                break
+        bar = 10.0 * cfg.residual_tol
+        symmetry_ok = _sign_flip_ok(prob, np.array([r.u.values for r in records]), bar)
 
     records.sort(key=lambda r: (r.action_value, tuple(r.u.values.reshape(-1))))
     return SolutionSet(

@@ -434,6 +434,39 @@ class TestSolve:
         assert filecmp.cmp(pairs[0][0], pairs[1][0], shallow=False)
         assert filecmp.cmp(pairs[0][1], pairs[1][1], shallow=False)
 
+    @pytest.mark.parametrize(
+        "name, lam, values_digest, summary_digest",
+        [
+            (
+                "example2_m3",
+                None,
+                "a05f8f48effefd0c068818b4cb000b345ff7bc80651599c6c6dff04a8808573c",
+                "1ef40cee0aecb65d429f2741d3885e6af9811eedf9329e984361c998120e3f42",
+            ),
+            (
+                # the benchmark's sweep point: lambda = 10 at the shipped 8 starts
+                "example3_sweep",
+                10.0,
+                "6236f84d940e1024a5b0a0cd3e4db60c2d318f3bfe4b57c33208deae62cebaaa",
+                "cbd4d405d69bcef195221112217d49daf06b14f6f9fe9ae37d234134c8d3eb08",
+            ),
+        ],
+    )
+    def test_solve_bytes_unchanged(self, tmp_path, name, lam, values_digest, summary_digest):
+        """The solve outputs are those of the per-record solver tail: the
+        stacked checks, records, dedupe and Newton solves keep every record,
+        merge and output byte."""
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        if lam is not None:
+            cfg["lambda"] = lam
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        values, summary = tmp_path / "v.csv", tmp_path / "s.csv"
+        argv = ["solve", str(path), "--values-out", str(values), "--summary-out", str(summary)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert hashlib.sha256(values.read_bytes()).hexdigest() == values_digest
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_digest
+
     def test_tol_override_rejects_nonsense(self, tmp_path):
         cfg = _config(tmp_path)
         assert cli.main(["solve", cfg, "--tol", "-1"]) == cli.EXIT_CONFIG

@@ -178,40 +178,57 @@ def _example1_problem():
 
 
 def test_prefilter_keeps_every_segment_merge_of_example2_solve(monkeypatch):
-    """Run the shipped example2 m = 3 solve with the segment test on every
-    pair, as before the prefilter, and check that the prefilter gives the
-    same verdict on each pair: in particular it passes every pair that the
-    segment test merges."""
+    """Run the shipped example2 m = 3 solve and, at each stacked dedupe
+    call, replay the pairwise loop over the known records with the segment
+    test on every pair, as before the prefilter.  The prefilter gives the
+    same verdict on each pair the loop visits: in particular it passes
+    every pair that the segment test merges.  The stacked call's first
+    match is the loop's."""
     loaded = load_config(os.path.join(CONFIGS, "example2_m3.json"))
-    real_same = solvers._same_solution
+    real_first = solvers._first_match
     real_flat = solvers._flat_connected
     flat_calls = []
-    segment_merges, prefiltered = [], []
+    segment_merges, prefiltered, matches = [], [], []
+    replaying = []
 
     def flat_spy(a, b, prob, bar):
         flat_calls.append(1)
         return real_flat(a, b, prob, bar)
 
-    def same_spy(a, b, prob, cfg, actions=None):
-        plain = real_same(a, b, prob, cfg)
-        if actions is not None:
+    def first_spy(a, known, prob, cfg, actions=None):
+        got = real_first(a, known, prob, cfg, actions)
+        if replaying or actions is None:
+            return got
+        replaying.append(1)
+        expect = None
+        for i, b in enumerate(known):
+            plain = _same_solution(a, b, prob, cfg)
             close = solvers._is_duplicate(a, b, cfg.dedupe_tol)
             before = len(flat_calls)
-            assert real_same(a, b, prob, cfg, actions) == plain, (a, b, actions)
+            pair_actions = (actions[0], float(actions[1][i]))
+            assert _same_solution(a, b, prob, cfg, pair_actions) == plain, (a, b, pair_actions)
             if plain and not close:
                 segment_merges.append(1)
             if not close and len(flat_calls) == before:
                 prefiltered.append(1)
-        return plain
+            if plain:
+                expect = i
+                break
+        replaying.pop()
+        assert got == expect
+        matches.append(got)
+        return got
 
     monkeypatch.setattr(solvers, "_flat_connected", flat_spy)
-    monkeypatch.setattr(solvers, "_same_solution", same_spy)
+    monkeypatch.setattr(solvers, "_first_match", first_spy)
     sol = find_multiple(loaded.problem, loaded.solver, subspace=loaded.subspace)
     assert len(sol.records) == 17
     # neither side is vacuous: the segment test merged many pairs, and the
     # prefilter decided many others on its own
     assert len(segment_merges) >= 50
     assert len(prefiltered) >= 50
+    # and the stacked calls both matched and appended records
+    assert None in matches and any(i is not None for i in matches)
 
 
 def test_large_action_gap_rejects_without_residual_calls(monkeypatch):
