@@ -265,7 +265,8 @@ def test_stacked_dedupe_matches_pairwise_loop(name, k, seed, near, shuffle_actio
         if kind == 0:
             known[i] = rng.normal()  # a constant
         elif kind == 1:
-            known[i] = a + near * max(1.0, float(np.linalg.norm(a))) * rng.normal(size=prob.dim) / np.sqrt(prob.dim)
+            step = near * max(1.0, float(np.linalg.norm(a))) / np.sqrt(prob.dim)
+            known[i] = a + step * rng.normal(size=prob.dim)
         else:
             known[i] = 2.0 * rng.normal(size=prob.dim)
     j_a = float(_action_values(a[None], prob)[0])
