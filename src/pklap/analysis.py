@@ -30,6 +30,7 @@ from .core import (
     Nonlinearity,
     PeriodicSequence,
     Problem,
+    _block_search,
     _row_dots,
     _row_norms,
 )
@@ -241,14 +242,25 @@ def _projected_gradient(u: np.ndarray, p: float) -> np.ndarray:
     return g - np.sum(g * u, axis=(1, 2))[:, None, None] * u
 
 
+# The xi descent's Armijo trials step * 2^-j, tried in blocks of these
+# sizes: every start still searching puts its next block into one energy
+# call.  A step never exceeds 1, so its at most 60 trials above 1e-18 fit
+# in the 62 of the blocks.
+_XI_BLOCKS = (2, 4, 8, 16, 32)
+
+
 def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
     """Projected gradient descent on the unit sphere of the zero-mean subspace.
 
     Runs every start of the stack u0 at once.  Each start keeps its own step
-    size and Armijo line search, and leaves the descent when its projected
-    gradient meets tol, when its line search halves the step below 1e-18, or
-    after max_iter steps.  Returns each start's final value and whether it
-    converged.
+    size and backtracking line search: it tries step * 2^-j in order, takes
+    the first trial below val - 1e-4 step |g|^2 (Armijo's test), and grows
+    its step by 1.3, up to 1.  The trials of all starts still searching go
+    through one energy call per block of _XI_BLOCKS (_block_search), so
+    each start follows the iterates of its descent run alone bit for bit.
+    A start leaves when its projected gradient meets tol, when no trial
+    above step 1e-18 passes the test, or after max_iter steps.  Returns each
+    start's final value and whether it converged.
     """
     # at large exponents a gradient's norm can overflow to inf, which meets
     # neither the tolerance nor the Armijo test; it is not a numpy warning
@@ -261,6 +273,24 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
         gnorm_sq = np.empty(len(u))
         met_tol = np.zeros(len(u), dtype=bool)
         active = np.ones(len(u), dtype=bool)
+
+        # the line search of the rows ids of this round
+        def trial(rows, s):
+            i = ids[rows]
+            return u[i, None] - s[:, :, None, None] * g[i, None]
+
+        def evaluate(cand, rows, s):
+            cand = cand - cand.mean(axis=1, keepdims=True)
+            nc = _row_norms(cand)
+            cand = cand / nc[:, None, None]
+            cand_val = _difference_energy(cand, p_plus)
+            i = ids[rows]
+            return (nc > 1e-12) & (cand_val < val[i] - 1e-4 * s * gnorm_sq[i]), cand, cand_val
+
+        def take(rows, s, cand, cand_val):
+            i = ids[rows]
+            u[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.3, 1.0)
+
         for _ in range(max_iter):
             if not active.any():
                 break
@@ -272,27 +302,9 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
             # tie the Armijo test could then accept another step
             gnorm_sq[active] = [x**2 for x in gnorm.tolist()]
             active &= ~met_tol
-            searching = active.copy()
-            while searching.any():
-                ids = np.flatnonzero(searching)
-                cand = u[ids] - step[ids, None, None] * g[ids]
-                cand = cand - cand.mean(axis=1, keepdims=True)
-                nc = _row_norms(cand)
-                cand = cand / nc[:, None, None]
-                cand_val = _difference_energy(cand, p_plus)
-                accept = (nc > 1e-12) & (
-                    cand_val < val[ids] - 1e-4 * step[ids] * gnorm_sq[ids]
-                )
-                took = ids[accept]
-                u[took] = cand[accept]
-                val[took] = cand_val[accept]
-                step[took] = np.minimum(step[took] * 1.3, 1.0)
-                missed = ids[~accept]
-                step[missed] *= 0.5
-                spent = missed[step[missed] <= 1e-18]
-                active[spent] = False
-                searching[took] = False
-                searching[spent] = False
+            ids = np.flatnonzero(active)
+            moved = _block_search(step[ids], _XI_BLOCKS, trial, evaluate, take, floor=1e-18)
+            active[ids[~moved]] = False
         converged = met_tol.copy()
         rest = ~met_tol
         gnorm = _row_norms(_projected_gradient(u[rest], p_plus))
@@ -317,7 +329,10 @@ def xi_constant(
 
     Computed as the minimum of the difference energy over the unit sphere of
     the zero-mean subspace, by projected gradient descent from `starts`
-    random starts (at least 1), all run at once as one stacked array.  For
+    random starts (at least 1), all run at once as one stacked array, with
+    a backtracking Armijo line search whose trials of all starts are
+    evaluated in blocks (_xi_descent); each start's result is that of its
+    descent run alone.  For
     p_plus = 2 the minimum is the smallest nonzero eigenvalue of the cycle
     Laplacian, 2 - 2*cos(2*pi/m), which "auto" returns directly; pass
     method="optimize" to force the optimizer (the eigenvalue then serves as
@@ -487,7 +502,8 @@ def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
     minimum of alpha1, alpha2 or their sum; infinite when a vanishes.  Also
     computes the sharp embedding constant xi with xi_constant's defaults
     (2 - 2*cos(2*pi/m) in closed form at p_plus = 2, otherwise a 32-start
-    projected descent run on all starts at once).  `pklap check` takes xi
+    projected descent run on all starts at once, its Armijo trials tried in
+    blocks, see _xi_descent).  `pklap check` takes xi
     from here rather than computing it a second time.  When no start of
     the descent converges, xi is only an upper bound on the sharp constant:
     a RuntimeWarning is issued and xi_converged is False.
@@ -778,7 +794,6 @@ def _action_or_limit_rows(x: np.ndarray, prob: Problem) -> np.ndarray:
 # trials above 1e-16 fit in the 62 of the blocks.
 _ASCENT_MAX_ITER = 400
 _ASCENT_BLOCKS = (2, 4, 8, 16, 32)
-_ASCENT_HALVINGS = np.ldexp(1.0, -np.arange(sum(_ASCENT_BLOCKS)))
 
 
 def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
@@ -789,11 +804,12 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
     measure-zero set.  All rows of the (S, dim) stack ascend in lock step,
     each with its own step, value and active flag: a round evaluates the
     residual of every row still ascending in one call, and its line search
-    evaluates the trials of every row still searching in one action call
-    per block of _ASCENT_BLOCKS.  A row moves to its first trial above its
-    value, and dots and norms are one dot product per row (_row_dots,
-    _row_norms), so each row follows the iterates of the ascent run alone
-    bit for bit.  A row stops when its residual fails, when its projected
+    (_block_search) evaluates the trials of every row still searching in one
+    action call per block of _ASCENT_BLOCKS.  Row i tries d_i + s g_i /
+    |g_i|, normalised, for s = step_i * 2^-j while s > 1e-16, moves to its
+    first trial above its value, and sets its step to min(1.5 s, 1).  Dots
+    and norms are one dot product per row (_row_dots, _row_norms), so each
+    row follows the iterates of the ascent run alone bit for bit.  A row stops when its residual fails, when its projected
     gradient is below 1e-10 max(1, |J|), when no trial above step 1e-16
     increases J, or after _ASCENT_MAX_ITER rounds.  Returns the final
     directions as an (S, dim) array.
@@ -805,6 +821,20 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
         val = _action_or_limit_rows(t_last * d, prob)
         step = np.full(len(d), 0.1)
         active = np.ones(len(d), dtype=bool)
+
+        # the line search of the rows ids of a round, along g / gscale
+        def trial(rows, s):
+            return d[ids[rows], None] + s[:, :, None] * g[rows, None] / gscale[rows, None, None]
+
+        def evaluate(cand, rows, s):
+            cand = cand / _row_norms(cand)[:, None]
+            cand_val = _action_or_limit_rows(t_last * cand, prob)
+            return cand_val > val[ids[rows]], cand, cand_val
+
+        def take(rows, s, cand, cand_val):
+            i = ids[rows]
+            d[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.5, 1.0)
+
         for _ in range(_ASCENT_MAX_ITER):
             ids = np.flatnonzero(active)
             if ids.size == 0:
@@ -820,48 +850,10 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
             gnorm = _row_norms(g)
             flat = gnorm <= 1e-10 * np.maximum(1.0, np.abs(val[ids]))
             active[ids[flat]] = False
-            ids, g, gnorm = ids[~flat], g[~flat], gnorm[~flat]
-            improved = _ascent_search(prob, t_last, d, val, step, ids, g, np.maximum(gnorm, 1e-300))
-            active[ids[~improved]] = False
+            ids, g, gscale = ids[~flat], g[~flat], np.maximum(gnorm[~flat], 1e-300)
+            moved = _block_search(step[ids], _ASCENT_BLOCKS, trial, evaluate, take, floor=1e-16)
+            active[ids[~moved]] = False
     return d
-
-
-def _ascent_search(prob, t_last, d, val, step, ids, g, gscale) -> np.ndarray:
-    """One line search of the ascent for rows ids of d, in blocks.
-
-    Row i = ids[k] tries d_i + s g_k / gscale_k, normalised, for s =
-    step_i * 2^-j (j = 0, 1, ... while s > 1e-16), and takes the first trial
-    whose action exceeds val_i: d, val and step are updated in place, step
-    to min(1.5 s, 1).  Each block evaluates the trials of all rows still
-    searching in one _action_or_limit_rows call.  Returns the mask of rows
-    that moved.
-    """
-    improved = np.zeros(len(ids), dtype=bool)
-    searching = np.ones(len(ids), dtype=bool)
-    first = 0
-    for size in _ASCENT_BLOCKS:
-        sel = np.flatnonzero(searching)
-        rows = ids[sel]
-        steps = step[rows][:, None] * _ASCENT_HALVINGS[first : first + size]
-        first += size
-        live = steps > 1e-16  # each row's trials above the floor, a prefix of the block
-        if not live.any():
-            break
-        cand = d[rows][:, None, :] + steps[:, :, None] * g[sel][:, None, :] / gscale[sel][:, None, None]
-        cand = cand[live]
-        cand = cand / _row_norms(cand)[:, None]
-        cand_val = _action_or_limit_rows(t_last * cand, prob)
-        good = np.zeros(live.shape, dtype=bool)
-        good[live] = cand_val > np.repeat(val[rows], live.sum(axis=1))
-        hit = good.any(axis=1)
-        j = good[hit].argmax(axis=1)
-        pos = (np.cumsum(live) - 1).reshape(live.shape)[hit, j]
-        moved = rows[hit]
-        d[moved], val[moved] = cand[pos], cand_val[pos]
-        step[moved] = np.minimum(steps[hit, j] * 1.5, 1.0)
-        improved[sel[hit]] = True
-        searching[sel[hit | ~live[:, -1]]] = False
-    return improved
 
 
 def anticoercivity_probe(
@@ -1122,15 +1114,6 @@ def _level_radii(prob: Problem, V: np.ndarray, r: float) -> tuple[np.ndarray, di
         elif s == _CONVERR:
             errors[i] = RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
     return radii, errors
-
-
-def _level_radius(prob: Problem, v: np.ndarray, r: float) -> float:
-    """t > 0 with mu(t*v) = r for one nonzero zero-mean direction v: the
-    one-row case of _level_radii, raising the row's error."""
-    radii, errors = _level_radii(prob, v[None], r)
-    if errors:
-        raise errors[0]
-    return float(radii[0])
 
 
 def _stack_values(stack: np.ndarray, prob: Problem, mu_needed=False) -> tuple[list, list]:

@@ -25,6 +25,7 @@ from .core import (
     PeriodicSequence,
     Problem,
     SolutionRecord,
+    _block_search,
     _row_norms,
     euclidean_norm,
     in_Y,
@@ -227,7 +228,6 @@ def _newton_steps(jac: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 # The line search's 30 step lengths 2^-j, tried in blocks of these sizes:
 # every start still searching puts its next block into one residual call.
-_STEP_LENGTHS = np.ldexp(1.0, -np.arange(30))
 _SEARCH_BLOCKS = (1, 2, 4, 8, 15)
 
 
@@ -239,41 +239,29 @@ def _line_search(evaluate, y, g, ng, terms, starts: np.ndarray, deltas: np.ndarr
     trial whose evaluation fails is rejected.  A trial equal to y_s byte for
     byte ends the search unaccepted: every shorter step gives the same
     point.  Each block of _SEARCH_BLOCKS is one evaluate call over the
-    trials of all starts still searching, up to each one's first byte-equal
-    trial, and a start takes its first accepted trial, so it sees the trials
-    of the sequential loop.  An accepted trial's point, residual, norm and
-    terms are written into y, g, ng and terms.  Returns the accepted mask.
+    trials of all starts still searching (_block_search), so a start sees
+    the trials of the sequential loop.  An accepted trial's point, residual,
+    norm and terms are written into y, g, ng and terms.  Returns the
+    accepted mask.
     """
-    accepted = np.zeros(len(starts), dtype=bool)
-    searching = np.ones(len(starts), dtype=bool)
-    first = 0
-    for size in _SEARCH_BLOCKS:
-        idx = np.flatnonzero(searching)
-        if idx.size == 0:
-            break
-        alpha = _STEP_LENGTHS[first : first + size]
-        first += size
-        s = starts[idx]
-        base = y[s]
-        trials = base[:, None, :] + alpha[:, None] * deltas[idx][:, None, :]
-        same = np.all(trials.view(np.uint64) == base.view(np.uint64)[:, None, :], axis=2)
-        live = np.cumsum(same, axis=1) == 0  # the trials before the first byte-equal one
-        points = trials[live]
-        hit = np.zeros(idx.size, dtype=bool)
-        if len(points):
-            g_new, ok, terms_new = evaluate(points)
-            ng_new = _row_norms(g_new)
-            good = np.zeros(live.shape, dtype=bool)
-            good[live] = ok & (ng_new < ((1.0 - 1e-4 * alpha) * ng[s][:, None])[live])
-            hit = good.any(axis=1)
-            row = (np.cumsum(live) - 1).reshape(live.shape)[hit, good[hit].argmax(axis=1)]
-            t = s[hit]
-            y[t], g[t], ng[t] = points[row], g_new[row], ng_new[row]
-            for state, new in zip(terms, terms_new):
-                state[t] = new[row]
-            accepted[idx[hit]] = True
-        searching[idx[hit | ~live.all(axis=1)]] = False
-    return accepted
+
+    def trial(rows, t):
+        return y[starts[rows], None] + t[:, :, None] * deltas[rows, None]
+
+    def evaluate_trials(points, rows, t):
+        g_new, ok, terms_new = evaluate(points)
+        ng_new = _row_norms(g_new)
+        good = ok & (ng_new < (1.0 - 1e-4 * t) * ng[starts[rows]])
+        return good, points, g_new, ng_new, *terms_new
+
+    def take(rows, t, points, g_new, ng_new, *terms_new):
+        s = starts[rows]
+        y[s], g[s], ng[s] = points, g_new, ng_new
+        for state, new in zip(terms, terms_new):
+            state[s] = new
+
+    steps = np.ones(len(starts))
+    return _block_search(steps, _SEARCH_BLOCKS, trial, evaluate_trials, take, base=y[starts])
 
 
 def _newton_rows(

@@ -29,7 +29,7 @@ from pklap.analysis import (
     _c2_rows,
     _c3_rows,
     _jsonable,
-    _level_radius,
+    _level_radii,
     _signed_point,
     _unit_direction,
     _unit_directions,
@@ -539,7 +539,7 @@ def _loop_b2_b3(prob, r, sample_budget=2000, seed=0, expand=5.0):
     arg_global = arg_sub = None
     for _ in range(ndirs):
         v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
-        t_r = _level_radius(prob, v, r)
+        t_r = float(_level_radii(prob, v[None], r)[0][0])
         inf_level = min(inf_level, _loop_potential(t_r * v, prob))
         for _ in range(per_dir):
             t = rng.random() * t_r
@@ -580,7 +580,7 @@ def _loop_b2_b3_points(prob, r, sample_budget, seed, expand=5.0):
     points = []
     for _ in range(ndirs):
         v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
-        t_r = _level_radius(prob, v, r)
+        t_r = float(_level_radii(prob, v[None], r)[0][0])
         points.append(t_r * v)
         for _ in range(per_dir):
             points.append((rng.random() * t_r) * v)
@@ -621,7 +621,7 @@ def test_lambda_star_evaluates_the_loops_points_in_one_call_per_radius(monkeypat
         for i in range(15):
             rng = rng_for(5, ir, i)
             v = _unit_direction(rng, 4, 1, zero_mean=True)
-            t_r = _level_radius(prob, v, r)
+            t_r = float(_level_radii(prob, v[None], r)[0][0])
             ref += [t_r * v, (rng.random() * t_r) * v]
         assert _same_bits(stack, np.stack(ref))
 
@@ -634,7 +634,7 @@ def _loop_lambda_star(prob, r_grid, samples_per_r, seed):
         for i in range(samples_per_r):
             rng = rng_for(seed, ir, i)
             v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
-            t_r = _level_radius(prob, v, r)
+            t_r = float(_level_radii(prob, v[None], r)[0][0])
             sup_j = max(sup_j, _loop_potential(t_r * v, prob))
             u = (rng.random() * t_r) * v
             interior.append((_loop_potential(u, prob), _loop_mu(u, prob)))
@@ -752,7 +752,8 @@ def test_level_radius_bisects_an_overflowing_bracket():
     assert mu(v, prob) < r
     with pytest.raises(EvaluationError, match="mu evaluated to a non-finite value"):
         mu(2.0 * v, prob)
-    t = _level_radius(prob, v, r)
+    (t,), errors = _level_radii(prob, v[None], r)
+    assert not errors
     assert 1.0 < t < 2.0
     assert mu(t * v, prob) == pytest.approx(r, rel=1e-9)
 
@@ -760,7 +761,8 @@ def test_level_radius_bisects_an_overflowing_bracket():
 def test_level_radius_keeps_the_doubling_bracket():
     prob = _example3_problem(4, p=2.0)
     v = _unit_direction(rng_for(3, 23), 4, 1, zero_mean=True)
-    t = _level_radius(prob, v, 50.0)
+    (t,), errors = _level_radii(prob, v[None], 50.0)
+    assert not errors
     assert t > 1.0 and mu(t * v, prob) == pytest.approx(50.0, rel=1e-12)
 
 
@@ -768,8 +770,9 @@ def test_level_radius_fails_where_mu_jumps_to_overflow():
     """No finite mu reaches the largest float: the bracket's ends meet."""
     prob = _example3_problem(4, p=1100.0)
     v = _unit_direction(rng_for(3, 23), 4, 1, zero_mean=True)
-    with pytest.raises(EvaluationError, match="overflows"):
-        _level_radius(prob, v, 1.7976931348623157e308)
+    radii, errors = _level_radii(prob, v[None], 1.7976931348623157e308)
+    assert isinstance(errors[0], EvaluationError) and "overflows" in str(errors[0])
+    assert math.isnan(radii[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ right-hand side overflow (infinite thresholds and C.3 margin), and
 mu overflows at the doubled top of the level radius's bracket and the top
 is bisected, in B.2/B.3 and in lambda-star, and `check` on the power
 family at m = 2, p = 60, where the gradient norms of the anti-coercivity
-ascent overflow: 58 files in all.  The generated configs are written to a
+ascent overflow, and `check` on the same family at m = 8, p = 1.5, where no
+start of the xi descent converges and xi is reported as an upper bound
+(`xi_converged` false): 59 files in all.  The generated configs are written to a
 temporary directory, not to OUTDIR; the benchmark configs are imported,
 not copied.  The commands run against the src/ of the checkout this
 script sits in, so two checkouts give two snapshots, and `diff -r` between
@@ -85,6 +87,11 @@ def _commands(outdir: str, cfgdir: str) -> list[list[str]]:
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=1, sort_keys=True)
     cmds.append(["check", config, "--output", os.path.join(outdir, "power_p60.check.json")])
+    cfg = dict(cfg, m=8, p=1.5)
+    config = os.path.join(cfgdir, "power_m8_p1.5.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh, indent=1, sort_keys=True)
+    cmds.append(["check", config, "--output", os.path.join(outdir, "power_m8_p1.5.check.json")])
     for seed in CHECK_SEEDS:
         for name, cfg in check_configs(seed).items():
             name = f"bench_s{seed}_{name}"
