@@ -809,13 +809,14 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
     |g_i|, normalised, for s = step_i * 2^-j while s > 1e-16, moves to its
     first trial above its value, and sets its step to min(1.5 s, 1).  Dots
     and norms are one dot product per row (_row_dots, _row_norms), so each
-    row follows the iterates of the ascent run alone bit for bit.  A row stops when its residual fails, when its projected
-    gradient is below 1e-10 max(1, |J|), when no trial above step 1e-16
-    increases J, or after _ASCENT_MAX_ITER rounds.  Returns the final
-    directions as an (S, dim) array.
+    row follows the iterates of the ascent run alone bit for bit.  Where
+    |g_i| overflows, g_i is first divided by its largest |entry|.  A row
+    stops when its residual fails, when its projected gradient is below
+    1e-10 max(1, |J|), when no trial above step 1e-16 increases J, or after
+    _ASCENT_MAX_ITER rounds.  Returns the final directions as an (S, dim)
+    array.
     """
-    # an overflowing gradient norm turns the step into 0 and the row stalls
-    # at its start; the probe reports the values it reaches, not a warning
+    # the probe reports the values the rows reach, not overflow warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d = D0 / _row_norms(D0)[:, None]
         val = _action_or_limit_rows(t_last * d, prob)
@@ -850,7 +851,13 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
             gnorm = _row_norms(g)
             flat = gnorm <= 1e-10 * np.maximum(1.0, np.abs(val[ids]))
             active[ids[flat]] = False
-            ids, g, gscale = ids[~flat], g[~flat], np.maximum(gnorm[~flat], 1e-300)
+            ids, g, gnorm = ids[~flat], g[~flat], gnorm[~flat]
+            # where the norm overflows, g / |g| would be 0 and the row would
+            # stall: scale g by its largest entry first
+            big = np.isinf(gnorm)
+            g[big] /= np.abs(g[big]).max(axis=1)[:, None]
+            gnorm[big] = _row_norms(g[big])
+            gscale = np.maximum(gnorm, 1e-300)
             moved = _block_search(step[ids], _ASCENT_BLOCKS, trial, evaluate, take, floor=1e-16)
             active[ids[~moved]] = False
     return d

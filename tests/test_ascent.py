@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 import pklap.analysis as analysis
 import pklap.cli as cli
-from pklap.analysis import _ascend_rows, anticoercivity_probe
-from pklap.core import ExponentFunction, Nonlinearity, Problem
+from pklap.analysis import _action_or_limit_rows, _ascend_rows, anticoercivity_probe
+from pklap.core import ExponentFunction, Nonlinearity, Problem, _row_norms
 from pklap.nonlinearities import make_power
+from pklap.operators import _residual_rows
 from test_lockstep import FAMILIES, _problem, _same_bits
 from test_stacked_checks import _dumps, _loop_ascend, _loop_probe
 
@@ -105,6 +106,25 @@ _DIRECTION = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
 @given(st.lists(_DIRECTION, min_size=1, max_size=4), st.sampled_from([1.0, 10.0, 1000.0]))
 def test_ascent_rows_match_on_drawn_directions(rows, t_last):
     _compare(np.array(rows), POWER3, t_last)
+
+
+def test_overflowing_gradient_norm_still_moves_the_ascent():
+    """At p = 60 and radius 1000 the gradient's entries are near 1e189, so
+    its norm overflows.  Each row's gradient is scaled by its largest entry
+    before the norm, so every row moves off its start and raises J, as the
+    loop does, instead of stalling there."""
+    prob = _power_problem(2, 2.0, 60.0)
+    D0 = np.random.default_rng(3).normal(size=(4, 2))
+    start = D0 / _row_norms(D0)[:, None]
+    with np.errstate(over="ignore"):
+        r, ok = _residual_rows((1000.0 * start).reshape(-1, 2, 1), prob)
+        assert ok.all() and np.all(np.isinf(_row_norms(1000.0 * r.reshape(4, 2))))
+    got, exits = _compare(D0, prob, 1000.0)
+    assert not np.any(np.all(got == start, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(
+            _action_or_limit_rows(1000.0 * got, prob) > _action_or_limit_rows(1000.0 * start, prob)
+        )
 
 
 @pytest.mark.parametrize("directions", [1, 3])

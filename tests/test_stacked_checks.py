@@ -114,6 +114,9 @@ def _loop_ascend(d0, prob, t_last, max_iter=400):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= 1e-10 * max(1.0, abs(val)):
             return d, "gradient"
+        if math.isinf(gnorm):
+            g = g / np.max(np.abs(g))
+            gnorm = float(np.linalg.norm(g))
         while step > 1e-16:
             cand = d + step * g / max(gnorm, 1e-300)
             cand = cand / np.linalg.norm(cand)
