@@ -242,10 +242,9 @@ def _projected_gradient(u: np.ndarray, p: float) -> np.ndarray:
     return g - np.sum(g * u, axis=(1, 2))[:, None, None] * u
 
 
-# The xi descent's Armijo trials step * 2^-j, tried in blocks of these
-# sizes: every start still searching puts its next block into one energy
-# call.  A step never exceeds 1, so its at most 60 trials above 1e-18 fit
-# in the 62 of the blocks.
+# The xi descent's Armijo trials step * 2^-j go in blocks of these sizes,
+# one energy call per block.  A step never exceeds 1, so its at most 60
+# trials above 1e-18 fit in the 62 of the blocks.
 _XI_BLOCKS = (2, 4, 8, 16, 32)
 
 
@@ -269,42 +268,37 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
         u = u / _row_norms(u)[:, None, None]
         val = _difference_energy(u, p_plus)
         step = np.full(len(u), 0.1)
-        g = np.empty_like(u)
-        gnorm_sq = np.empty(len(u))
         met_tol = np.zeros(len(u), dtype=bool)
-        active = np.ones(len(u), dtype=bool)
+        ids = np.arange(len(u))
 
-        # the line search of the rows ids of this round
-        def trial(rows, s):
-            i = ids[rows]
-            return u[i, None] - s[:, :, None, None] * g[i, None]
+        # the line search of the rows ids of a round, along -g
+        def trial(k, s):
+            return u[ids[k], None] - s[:, :, None, None] * g[k, None]
 
-        def evaluate(cand, rows, s):
+        def evaluate(cand, k, s):
             cand = cand - cand.mean(axis=1, keepdims=True)
             nc = _row_norms(cand)
             cand = cand / nc[:, None, None]
             cand_val = _difference_energy(cand, p_plus)
-            i = ids[rows]
-            return (nc > 1e-12) & (cand_val < val[i] - 1e-4 * s * gnorm_sq[i]), cand, cand_val
+            return (nc > 1e-12) & (cand_val < val[ids[k]] - 1e-4 * s * gnorm_sq[k]), cand, cand_val
 
-        def take(rows, s, cand, cand_val):
-            i = ids[rows]
+        def take(k, s, cand, cand_val):
+            i = ids[k]
             u[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.3, 1.0)
 
         for _ in range(max_iter):
-            if not active.any():
+            if ids.size == 0:
                 break
-            g[active] = _projected_gradient(u[active], p_plus)
-            gnorm = _row_norms(g[active])
-            met_tol[active] = gnorm <= tol
+            g = _projected_gradient(u[ids], p_plus)
+            gnorm = _row_norms(g)
+            met = gnorm <= tol
+            met_tol[ids[met]] = True
+            ids, g = ids[~met], g[~met]
             # squared by C pow on Python floats, not numpy's x*x: the two differ
             # in the last bit for about one value in a thousand, and at a near
             # tie the Armijo test could then accept another step
-            gnorm_sq[active] = [x**2 for x in gnorm.tolist()]
-            active &= ~met_tol
-            ids = np.flatnonzero(active)
-            moved = _block_search(step[ids], _XI_BLOCKS, trial, evaluate, take, floor=1e-18)
-            active[ids[~moved]] = False
+            gnorm_sq = np.array([x**2 for x in gnorm[~met].tolist()])
+            ids = ids[_block_search(step[ids], _XI_BLOCKS, trial, evaluate, take, floor=1e-18)]
         converged = met_tol.copy()
         rest = ~met_tol
         gnorm = _row_norms(_projected_gradient(u[rest], p_plus))
@@ -329,10 +323,8 @@ def xi_constant(
 
     Computed as the minimum of the difference energy over the unit sphere of
     the zero-mean subspace, by projected gradient descent from `starts`
-    random starts (at least 1), all run at once as one stacked array, with
-    a backtracking Armijo line search whose trials of all starts are
-    evaluated in blocks (_xi_descent); each start's result is that of its
-    descent run alone.  For
+    random starts (at least 1), all run at once as one stacked array, their
+    Armijo line-search trials evaluated in blocks (_xi_descent).  For
     p_plus = 2 the minimum is the smallest nonzero eigenvalue of the cycle
     Laplacian, 2 - 2*cos(2*pi/m), which "auto" returns directly; pass
     method="optimize" to force the optimizer (the eigenvalue then serves as
@@ -823,17 +815,17 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
         step = np.full(len(d), 0.1)
         active = np.ones(len(d), dtype=bool)
 
-        # the line search of the rows ids of a round, along g / gscale
-        def trial(rows, s):
-            return d[ids[rows], None] + s[:, :, None] * g[rows, None] / gscale[rows, None, None]
+        # the line search of the rows ids of a round, along g / gnorm
+        def trial(k, s):
+            return d[ids[k], None] + s[:, :, None] * g[k, None] / gnorm[k, None, None]
 
-        def evaluate(cand, rows, s):
+        def evaluate(cand, k, s):
             cand = cand / _row_norms(cand)[:, None]
             cand_val = _action_or_limit_rows(t_last * cand, prob)
-            return cand_val > val[ids[rows]], cand, cand_val
+            return cand_val > val[ids[k]], cand, cand_val
 
-        def take(rows, s, cand, cand_val):
-            i = ids[rows]
+        def take(k, s, cand, cand_val):
+            i = ids[k]
             d[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.5, 1.0)
 
         for _ in range(_ASCENT_MAX_ITER):
@@ -852,12 +844,10 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
             flat = gnorm <= 1e-10 * np.maximum(1.0, np.abs(val[ids]))
             active[ids[flat]] = False
             ids, g, gnorm = ids[~flat], g[~flat], gnorm[~flat]
-            # where the norm overflows, g / |g| would be 0 and the row would
-            # stall: scale g by its largest entry first
+            # an overflowing |g| would make every step 0 and stall the row
             big = np.isinf(gnorm)
             g[big] /= np.abs(g[big]).max(axis=1)[:, None]
             gnorm[big] = _row_norms(g[big])
-            gscale = np.maximum(gnorm, 1e-300)
             moved = _block_search(step[ids], _ASCENT_BLOCKS, trial, evaluate, take, floor=1e-16)
             active[ids[~moved]] = False
     return d

@@ -141,46 +141,46 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 def _block_search(step, blocks, trial, evaluate, take, floor=0.0, base=None) -> np.ndarray:
     """Backtracking search of B rows in lock step, their trials tried in blocks.
 
-    Row i tries the steps t = step[i] * 2^-j, j = 0 .. sum(blocks) - 1, in
-    order and takes its first accepted trial.  A trial is live while t >
-    floor and, when base is given, while no trial of the row so far equals
-    base[i] byte for byte; a row whose live trials end stops unaccepted.
-    Per block, trial(rows, t) gives the (R, size, ...) points of the rows
-    still searching, one evaluate(points, rows, t) call gets their live
-    trials flattened in row order and returns (accepted, *outputs), one
-    entry per trial, and take(rows, t, *outputs) gets each accepting row's
-    first accepted trial.  So a row takes the trial of its own sequential
-    loop.  Returns the accepted mask.
+    Row i tries t = step[i] * 2^-j, j = 0 .. sum(blocks) - 1, in order and
+    takes its first accepted trial, as its own sequential loop would.  A
+    trial is live while t > floor and, when base is given, while no trial of
+    the row so far equals base[i] byte for byte; a row whose live trials end
+    stops unaccepted.  Per block, trial(k, t) gives the (R, size, ...)
+    points of the rows k still searching, one evaluate(points, k, t) call
+    takes their live trials flattened in row order and returns (accepted,
+    *outputs) per trial, and take(k, t, *outputs) gets each accepting row's
+    first accepted trial.  Returns the accepted mask.
     """
     halvings = np.ldexp(1.0, -np.arange(sum(blocks)))
     found = np.zeros(len(step), dtype=bool)
     searching = np.ones(len(step), dtype=bool)
     first = 0
     for size in blocks:
-        rows = np.flatnonzero(searching)
-        if rows.size == 0:
+        k = searching.nonzero()[0]
+        if k.size == 0:
             break
-        t = step[rows][:, None] * halvings[first : first + size]
+        t = step[k][:, None] * halvings[first : first + size]
         first += size
-        points = trial(rows, t)
+        points = trial(k, t)
         live = t > floor
         if base is not None:
             bits = points.reshape(*t.shape, -1).view(np.uint64)
-            same = np.all(bits == base[rows].reshape(rows.size, 1, -1).view(np.uint64), axis=2)
-            live &= np.cumsum(same, axis=1) == 0
+            same = (bits == base[k].reshape(k.size, 1, -1).view(np.uint64)).all(axis=2)
+            live &= same.cumsum(axis=1) == 0
         counts = live.sum(axis=1)  # live trials are a prefix of each row's block
-        hit = np.zeros(rows.size, dtype=bool)
+        stop = counts < size
         if counts.any():
             t_live = t[live]
-            good, *outs = evaluate(points[live], np.repeat(rows, counts), t_live)
+            good, *outs = evaluate(points[live], k.repeat(counts), t_live)
             accepted = np.zeros(live.shape, dtype=bool)
             accepted[live] = good
             j = accepted.argmax(axis=1)
-            hit = accepted[np.arange(rows.size), j]
-            pos = (np.cumsum(counts) - counts + j)[hit]
-            take(rows[hit], t_live[pos], *(out[pos] for out in outs))
-            found[rows[hit]] = True
-        searching[rows[hit | (counts < size)]] = False
+            hit = accepted[np.arange(k.size), j]
+            pos = (counts.cumsum() - counts + j)[hit]
+            take(k[hit], t_live[pos], *(out[pos] for out in outs))
+            found[k[hit]] = True
+            stop |= hit
+        searching[k[stop]] = False
     return found
 
 

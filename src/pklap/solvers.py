@@ -231,39 +231,6 @@ def _newton_steps(jac: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
 _SEARCH_BLOCKS = (1, 2, 4, 8, 15)
 
 
-def _line_search(evaluate, y, g, ng, terms, starts: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Backtracking line search of the given starts, in lock step.
-
-    Start s = starts[i] tries y_s + 2^-j deltas[i] for j = 0..29 and takes
-    the first trial whose residual norm is below (1 - 1e-4 2^-j) ng_s; a
-    trial whose evaluation fails is rejected.  A trial equal to y_s byte for
-    byte ends the search unaccepted: every shorter step gives the same
-    point.  Each block of _SEARCH_BLOCKS is one evaluate call over the
-    trials of all starts still searching (_block_search), so a start sees
-    the trials of the sequential loop.  An accepted trial's point, residual,
-    norm and terms are written into y, g, ng and terms.  Returns the
-    accepted mask.
-    """
-
-    def trial(rows, t):
-        return y[starts[rows], None] + t[:, :, None] * deltas[rows, None]
-
-    def evaluate_trials(points, rows, t):
-        g_new, ok, terms_new = evaluate(points)
-        ng_new = _row_norms(g_new)
-        good = ok & (ng_new < (1.0 - 1e-4 * t) * ng[starts[rows]])
-        return good, points, g_new, ng_new, *terms_new
-
-    def take(rows, t, points, g_new, ng_new, *terms_new):
-        s = starts[rows]
-        y[s], g[s], ng[s] = points, g_new, ng_new
-        for state, new in zip(terms, terms_new):
-            state[s] = new
-
-    steps = np.ones(len(starts))
-    return _block_search(steps, _SEARCH_BLOCKS, trial, evaluate_trials, take, base=y[starts])
-
-
 def _newton_rows(
     system: _System, y0: np.ndarray, cfg: SolverConfig, known: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -274,11 +241,15 @@ def _newton_rows(
     _deflated_rows); convergence is then judged on the deflated norm.
 
     Each start runs its own iteration: a central-difference Jacobian, a
-    Newton step (least squares when the Jacobian is singular), then the
-    line search of _line_search.  Lock step only shares calls, one residual
-    call for all Jacobians of a round, one solve for all its steps
-    (_newton_steps) and one residual call per line-search block, so every
-    start's iterates are bitwise those of running it alone.  A start stops
+    Newton step delta (least squares when the Jacobian is singular), then a
+    backtracking line search (_block_search): it tries y + 2^-j delta for j
+    = 0..29 and takes the first trial whose residual norm is below (1 -
+    1e-4 2^-j) times its own; a trial whose evaluation fails is rejected,
+    and a trial equal to y byte for byte ends the search unaccepted, since
+    every shorter step gives the same point.  Lock step only shares calls,
+    one residual call for all Jacobians of a round, one solve for all its
+    steps (_newton_steps) and one residual call per line-search block, so
+    every start's iterates are bitwise those of running it alone.  A start stops
     when its Jacobian or step fails, when the line search accepts nothing,
     when its norm passes 1e8, after _MAX_ITERATIONS steps above
     residual_tol, or after _POLISH_BUDGET steps below it: residuals with
@@ -297,6 +268,21 @@ def _newton_rows(
 
         def evaluate(y):
             return _deflated_rows(system, known, y)
+
+    # the line search of the starts rows of a round, along their deltas
+    def trial(k, t):
+        return y[rows[k], None] + t[:, :, None] * deltas[k, None]
+
+    def evaluate_trials(points, k, t):
+        g_new, ok, terms_new = evaluate(points)
+        ng_new = _row_norms(g_new)
+        return ok & (ng_new < (1.0 - 1e-4 * t) * ng[rows[k]]), points, g_new, ng_new, *terms_new
+
+    def take(k, t, points, g_new, ng_new, *terms_new):
+        s = rows[k]
+        y[s], g[s], ng[s] = points, g_new, ng_new
+        for state, new in zip(terms, terms_new):
+            state[s] = new
 
     y = np.array(y0, dtype=float)
     g, ok, terms = evaluate(y)
@@ -319,9 +305,8 @@ def _newton_rows(
         deltas, stepped = _newton_steps(jac[ok], g[rows])
         active[rows[~stepped]] = False
         rows, deltas = rows[stepped], deltas[stepped]
-        if rows.size == 0:
-            continue
-        accepted = _line_search(evaluate, y, g, ng, terms, rows, deltas)
+        steps = np.ones(rows.size)
+        accepted = _block_search(steps, _SEARCH_BLOCKS, trial, evaluate_trials, take, base=y[rows])
         active[rows[~accepted]] = False
         rows = rows[accepted]
         escaped = _row_norms(y[rows]) > 1e8
