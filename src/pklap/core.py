@@ -138,37 +138,37 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(f, f))
 
 
-def _block_search(step, blocks, trial, evaluate, take, floor=0.0, base=None) -> np.ndarray:
+def _block_search(step, blocks, trial, evaluate, take, floor=None, base=None) -> np.ndarray:
     """Backtracking search of B rows in lock step, their trials tried in blocks.
 
     Row i tries t = step[i] * 2^-j, j = 0 .. sum(blocks) - 1, in order and
     takes its first accepted trial, as its own sequential loop would.  A
-    trial is live while t > floor and, when base is given, while no trial of
-    the row so far equals base[i] byte for byte; a row whose live trials end
-    stops unaccepted.  Per block, trial(k, t) gives the (R, size, ...)
+    trial is live while t > floor or, given base instead, while no trial of
+    the row so far equals base[i] byte for byte; a row stops unaccepted when
+    its live trials end.  Per block, trial(k, t) gives the (R, size, ...)
     points of the rows k still searching, one evaluate(points, k, t) call
-    takes their live trials flattened in row order and returns (accepted,
+    gets their live trials flattened in row order and returns (accepted,
     *outputs) per trial, and take(k, t, *outputs) gets each accepting row's
     first accepted trial.  Returns the accepted mask.
     """
     halvings = np.ldexp(1.0, -np.arange(sum(blocks)))
+    if base is not None:
+        base = base.reshape(len(base), 1, -1).view(np.uint64)
     found = np.zeros(len(step), dtype=bool)
     searching = np.ones(len(step), dtype=bool)
-    first = 0
-    for size in blocks:
+    for first, size in zip(np.cumsum((0, *blocks)), blocks):
         k = searching.nonzero()[0]
         if k.size == 0:
             break
         t = step[k][:, None] * halvings[first : first + size]
-        first += size
         points = trial(k, t)
-        live = t > floor
-        if base is not None:
-            bits = points.reshape(*t.shape, -1).view(np.uint64)
-            same = (bits == base[k].reshape(k.size, 1, -1).view(np.uint64)).all(axis=2)
-            live &= same.cumsum(axis=1) == 0
+        if base is None:
+            live = t > floor
+        else:
+            same = (points.reshape(*t.shape, -1).view(np.uint64) == base[k]).all(axis=2)
+            live = same.cumsum(axis=1) == 0
         counts = live.sum(axis=1)  # live trials are a prefix of each row's block
-        stop = counts < size
+        searching[k] = counts == size
         if counts.any():
             t_live = t[live]
             good, *outs = evaluate(points[live], k.repeat(counts), t_live)
@@ -177,10 +177,9 @@ def _block_search(step, blocks, trial, evaluate, take, floor=0.0, base=None) -> 
             j = accepted.argmax(axis=1)
             hit = accepted[np.arange(k.size), j]
             pos = (counts.cumsum() - counts + j)[hit]
-            take(k[hit], t_live[pos], *(out[pos] for out in outs))
-            found[k[hit]] = True
-            stop |= hit
-        searching[k[stop]] = False
+            k = k[hit]
+            take(k, t_live[pos], *(out[pos] for out in outs))
+            found[k], searching[k] = True, False
     return found
 
 

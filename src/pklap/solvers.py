@@ -242,14 +242,14 @@ def _newton_rows(
 
     Each start runs its own iteration: a central-difference Jacobian, a
     Newton step delta (least squares when the Jacobian is singular), then a
-    backtracking line search (_block_search): it tries y + 2^-j delta for j
-    = 0..29 and takes the first trial whose residual norm is below (1 -
-    1e-4 2^-j) times its own; a trial whose evaluation fails is rejected,
-    and a trial equal to y byte for byte ends the search unaccepted, since
-    every shorter step gives the same point.  Lock step only shares calls,
-    one residual call for all Jacobians of a round, one solve for all its
-    steps (_newton_steps) and one residual call per line-search block, so
-    every start's iterates are bitwise those of running it alone.  A start stops
+    backtracking line search (_block_search) over y + 2^-j delta, j =
+    0..29, taking the first trial whose residual norm is below (1 - 1e-4
+    2^-j) times its own; a trial whose evaluation fails is rejected, and
+    one equal to y byte for byte ends the search unaccepted, since every
+    shorter step gives the same point.  Lock step only shares calls, one
+    residual call for all Jacobians of a round, one solve for all its steps
+    (_newton_steps) and one residual call per line-search block, so every
+    start's iterates are bitwise those of running it alone.  A start stops
     when its Jacobian or step fails, when the line search accepts nothing,
     when its norm passes 1e8, after _MAX_ITERATIONS steps above
     residual_tol, or after _POLISH_BUDGET steps below it: residuals with
@@ -269,14 +269,14 @@ def _newton_rows(
         def evaluate(y):
             return _deflated_rows(system, known, y)
 
-    # the line search of the starts rows of a round, along their deltas
+    # the line search of the starts rows of a round, from y_base along deltas
     def trial(k, t):
-        return y[rows[k], None] + t[:, :, None] * deltas[k, None]
+        return y_base[k, None] + t[:, :, None] * deltas[k, None]
 
     def evaluate_trials(points, k, t):
         g_new, ok, terms_new = evaluate(points)
         ng_new = _row_norms(g_new)
-        return ok & (ng_new < (1.0 - 1e-4 * t) * ng[rows[k]]), points, g_new, ng_new, *terms_new
+        return ok & (ng_new < (1.0 - 1e-4 * t) * ng_base[k]), points, g_new, ng_new, *terms_new
 
     def take(k, t, points, g_new, ng_new, *terms_new):
         s = rows[k]
@@ -305,8 +305,8 @@ def _newton_rows(
         deltas, stepped = _newton_steps(jac[ok], g[rows])
         active[rows[~stepped]] = False
         rows, deltas = rows[stepped], deltas[stepped]
-        steps = np.ones(rows.size)
-        accepted = _block_search(steps, _SEARCH_BLOCKS, trial, evaluate_trials, take, base=y[rows])
+        y_base, ng_base, steps = y[rows], ng[rows], np.ones(rows.size)
+        accepted = _block_search(steps, _SEARCH_BLOCKS, trial, evaluate_trials, take, base=y_base)
         active[rows[~accepted]] = False
         rows = rows[accepted]
         escaped = _row_norms(y[rows]) > 1e8

@@ -22,10 +22,12 @@ from pklap.core import _block_search
 
 
 def _loop_search(x, direction, step, trials, accept, floor, byte_rule):
-    """One row alone: (j, point) of its first accepted trial, or None."""
+    """One row alone: (j, point) of its first accepted trial, or None.  The
+    search ends at the first trial byte-equal to x under byte_rule, else at
+    the first step not above floor."""
     for j in range(trials):
         t = step * 2.0**-j
-        if not t > floor:
+        if not byte_rule and not t > floor:
             return None
         point = x + t * direction
         if byte_rule and point.tobytes() == x.tobytes():
@@ -52,9 +54,10 @@ def _run_block_search(X, D, step, blocks, accept, floor, byte_rule):
     def take(rows, t, points):
         taken_t[rows], taken[rows] = t, points
 
-    found = _block_search(
-        step, blocks, trial, evaluate, take, floor=floor, base=X if byte_rule else None
-    )
+    if byte_rule:
+        found = _block_search(step, blocks, trial, evaluate, take, base=X)
+    else:
+        found = _block_search(step, blocks, trial, evaluate, take, floor=floor)
     return found, taken_t, taken, calls
 
 
