@@ -495,10 +495,10 @@ def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
     computes the sharp embedding constant xi with xi_constant's defaults
     (2 - 2*cos(2*pi/m) in closed form at p_plus = 2, otherwise a 32-start
     projected descent run on all starts at once, its Armijo trials tried in
-    blocks, see _xi_descent).  `pklap check` takes xi
-    from here rather than computing it a second time.  When no start of
-    the descent converges, xi is only an upper bound on the sharp constant:
-    a RuntimeWarning is issued and xi_converged is False.
+    blocks, see _xi_descent).  `pklap check` takes xi from here rather than
+    computing it a second time.  When no start of the descent converges, xi
+    is only an upper bound on the sharp constant: a RuntimeWarning is
+    issued and xi_converged is False.
     """
     pp = prob.exponent.p_plus
     pm = prob.exponent.p_minus

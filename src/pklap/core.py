@@ -153,7 +153,7 @@ def _block_search(step, blocks, trial, evaluate, take, floor=None, base=None) ->
     """
     halvings = np.ldexp(1.0, -np.arange(sum(blocks)))
     if base is not None:
-        base = base.reshape(len(base), 1, -1).view(np.uint64)
+        base = base.reshape(len(base), 1, math.prod(base.shape[1:])).view(np.uint64)
     found = np.zeros(len(step), dtype=bool)
     searching = np.ones(len(step), dtype=bool)
     for first, size in zip(np.cumsum((0, *blocks)), blocks):

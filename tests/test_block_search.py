@@ -110,6 +110,16 @@ def test_byte_equal_trial_ends_the_row_unaccepted():
     assert not found[0] and calls == []
 
 
+@pytest.mark.parametrize("byte_rule", [False, True])
+def test_no_rows_make_no_calls(byte_rule):
+    """A round whose every Newton step failed searches no rows."""
+    X, D = np.empty((0, 3)), np.empty((0, 3))
+    found, _, _, calls = _run_block_search(
+        X, D, np.ones(0), (1, 2, 4), lambda p, t: True, 0.0, byte_rule
+    )
+    assert found.shape == (0,) and calls == []
+
+
 def test_rows_leave_at_the_floor_without_evaluating_below_it():
     """Steps 1, 1/2, ... 1/8 lie above the floor 0.1: four trials, in the
     first block of 2 and the second of 4, then the row stops."""
