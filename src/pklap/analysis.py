@@ -537,15 +537,126 @@ def _signed_point(rng: np.random.Generator, magnitude: float, n: int):
     return magnitude * v
 
 
-def _draw(rng: np.random.Generator, count: int, n: int, draw):
-    """count samples of draw(rng) -> (k, u1, u2, *extra), taken in order
-    from the stream and stored in preallocated arrays K, U1, U2, extra."""
+class _ScalarDraws:
+    """One sample's draws, each a scalar call on rng: the per-sample stream."""
+
+    def __init__(self, rng: np.random.Generator, m: int, n: int):
+        self.rng, self.m, self.n = rng, m, n
+
+    def k(self):
+        return int(self.rng.integers(1, self.m + 1))
+
+    def u(self):
+        return self.rng.random()
+
+    def point(self, magnitude):
+        return _signed_point(self.rng, magnitude, self.n)
+
+    def box(self, lo, hi):
+        return self.rng.uniform(lo, hi, size=self.n)
+
+
+class _BlockDraws:
+    """The draws of all samples of an n = 1 block, as columns.
+
+    k() is the column of k values and each u() the next column of doubles;
+    point and box spend one column each and apply the scalar draws'
+    expressions to it, so every entry keeps its scalar draw's bits.
+    """
+
+    def __init__(self, K: np.ndarray, D: np.ndarray):
+        self.K = K
+        self._columns = iter(D)
+
+    def k(self):
+        return self.K
+
+    def u(self):
+        return next(self._columns)
+
+    def point(self, magnitude):
+        return magnitude * np.where(self.u() < 0.5, 1.0, -1.0)
+
+    def box(self, lo, hi):
+        span = hi - lo
+        if not math.isfinite(span):
+            raise OverflowError("Range exceeds valid bounds")  # as Generator.uniform
+        return lo + span * self.u()
+
+
+def _lemire_threshold(m: int) -> int:
+    """The low product below which rng.integers(1, m + 1) rejects a 32-bit draw."""
+    return (2**32 - m) % m
+
+
+def _decoded_draws(rng: np.random.Generator, count: int, m: int, doubles: int):
+    """count samples of one k in [1, m] and then doubles uniforms each,
+    decoded from rng's raw PCG64 words; None where the stream cannot be
+    decoded, with rng as it was.
+
+    numpy draws the k with Lemire's multiply-shift method on 32-bit halves
+    of a word (Lemire, ACM TOMACS 29, 2019): a sample whose k finds no half
+    buffered takes the low half of a fresh word and leaves the high half
+    for the next sample's k, so each pair of samples spends 2 doubles + 1
+    words.  A uniform is the top 53 bits of its own word times 2^-53.  A k
+    whose low product u m mod 2^32 falls below _lemire_threshold(m) is
+    drawn again by numpy, a chance of at most m / 2^32 per sample, and a
+    generator that holds a buffered half starts the pairs one half later:
+    both return None.  Returns K (int64) and a (doubles, count) array of
+    uniforms, and leaves rng where the scalar draws would.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    if state["has_uint32"]:
+        return None
+    width = 2 * doubles + 1
+    pairs = -(-count // 2)
+    used = count // 2 * width + count % 2 * (doubles + 1)
+    words = np.zeros(pairs * width, dtype=np.uint64)
+    words[:used] = bitgen.random_raw(used)
+    words = words.reshape(pairs, width)
+    halves = np.stack((words[:, 0] & 0xFFFFFFFF, words[:, 0] >> 32), axis=1).reshape(-1)[:count]
+    product = halves * np.uint64(m)
+    if np.any((product & 0xFFFFFFFF) < _lemire_threshold(m)):
+        bitgen.state = state
+        return None
+    # the scalar draws leave the last k-word's high half in the buffer, used
+    # up by the last k at an even count
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = count % 2, int(words[-1, 0] >> 32)
+    bitgen.state = state
+    K = (product >> 32).astype(np.int64) + 1
+    D = (words[:, 1:].reshape(2 * pairs, doubles)[:count] >> 11) * 2.0**-53
+    return K, D.T
+
+
+def _draw(rng: np.random.Generator, count: int, m: int, n: int, doubles: int, draw):
+    """count samples of draw(source) -> (k, u1, u2, *extra), taken in order
+    from the stream and returned as arrays K, U1, U2 and extra (None when
+    draw returns no extra values).
+
+    draw writes a condition's sampling formula once, over a source with
+    k() (a period index in [1, m]), u() (a uniform in [0, 1)),
+    point(magnitude) (a point of that magnitude with a random sign, or a
+    random direction at n > 1) and box(lo, hi) (a point uniform in
+    [lo, hi)^n); doubles is the number of uniforms one sample spends, one
+    per u(), point (at n = 1) and box.  At n = 1 the whole block is decoded
+    at once (_decoded_draws) and draw runs once on its columns; otherwise,
+    or where the block cannot be decoded, draw runs once per sample on
+    scalar draws.  Both give the same bits.
+    """
+    if n == 1:
+        block = _decoded_draws(rng, count, m, doubles)
+        if block is not None:
+            K, u1, u2, *rest = draw(_BlockDraws(*block))
+            return K, u1[:, None], u2[:, None], np.stack(rest, axis=1) if rest else None
+    source = _ScalarDraws(rng, m, n)
     K = np.empty(count, dtype=np.int64)
     U1 = np.empty((count, n))
     U2 = np.empty((count, n))
     extra = None
     for i in range(count):
-        K[i], U1[i], U2[i], *rest = draw(rng)
+        K[i], U1[i], U2[i], *rest = draw(source)
         if rest:
             if extra is None:
                 extra = np.empty((count, len(rest)))
@@ -554,11 +665,19 @@ def _draw(rng: np.random.Generator, count: int, n: int, draw):
 
 
 def _sampled_condition(
-    name: str, nl: Nonlinearity, rng: np.random.Generator, count: int, seed: int, draw, margin
+    name: str,
+    nl: Nonlinearity,
+    rng: np.random.Generator,
+    count: int,
+    seed: int,
+    doubles: int,
+    draw,
+    margin,
 ) -> CheckReport:
-    """Shared sampling loop of A.4, A.5 and A.7 - A.9.
+    """Shared sampling step of A.4, A.5 and A.7 - A.9.
 
-    Draws count samples with draw (see _draw), evaluates F on all of them
+    Draws count samples with draw, each spending doubles uniforms (see
+    _draw: one block at n = 1, one sample at a time at n > 1), evaluates F on all of them
     with one F_many call and gets the per-sample margins and witness
     fields from margin(F, K, extra) -> (margins, {field: values}).  The
     worst margin is the first minimum; NaN margins are ignored.  The
@@ -568,7 +687,7 @@ def _sampled_condition(
     no sample decided the condition: the verdict is inconclusive and the
     margin stays inf.
     """
-    K, U1, U2, extra = _draw(rng, count, nl.n, draw)
+    K, U1, U2, extra = _draw(rng, count, nl.m, nl.n, doubles, draw)
     with np.errstate(over="ignore", invalid="ignore"):
         vals, fields = margin(nl.F_many(K, U1, U2), K, extra)
     undecided = np.isnan(vals)
@@ -604,11 +723,13 @@ def check_growth(
 
     Samples are drawn from seeded streams, and F is evaluated on each
     condition's samples with one Nonlinearity.F_many call (one per variant
-    for A.6.x).  A.4 and A.5 draw point by point; A.6.x draws each shell's
-    t values, signs (n = 1) or directions (n > 1) with one call each, the
-    same stream as point-by-point draws.  The bound of A.4 and the quotient
-    denominators are computed with C pow, as Python's ** does, so the
-    margins are bitwise those of a point-by-point loop.
+    for A.6.x).  At n = 1, A.4 and A.5 decode all their samples from one
+    block of raw words, and at n > 1 they draw point by point (see _draw);
+    A.6.x draws each shell's t values, signs (n = 1) or directions (n > 1)
+    with one call each.  Either way the stream is that of point-by-point
+    draws.  The bound of A.4 and the quotient denominators are computed
+    with C pow, as Python's ** does, so the margins are bitwise those of a
+    point-by-point loop.
     """
     if nl.m != g.m:
         raise ValueError("nonlinearity and profile periods differ")
@@ -616,11 +737,11 @@ def check_growth(
     count = max(sample_budget, 100)
 
     # A.4: lower growth bound for |u1|, |u2| >= M.
-    def draw_a4(rng):
-        k = int(rng.integers(1, m + 1))
-        m1 = g.M + 10.0 * rng.random()
-        m2 = g.M + 10.0 * rng.random()
-        return k, _signed_point(rng, m1, n), _signed_point(rng, m2, n), m1, m2
+    def draw_a4(src):
+        k = src.k()
+        m1 = g.M + 10.0 * src.u()
+        m2 = g.M + 10.0 * src.u()
+        return k, src.point(m1), src.point(m2), m1, m2
 
     def margin_a4(F, K, extra):
         i = K - 1
@@ -633,16 +754,16 @@ def check_growth(
         return vals, {"F": vals + bound, "bound": bound}
 
     # A.5: F >= 0 on |u1| + |u2| <= 2*eta.
-    def draw_a5(rng):
-        k = int(rng.integers(1, m + 1))
-        total = 2.0 * g.eta * rng.random()
-        t = rng.random()
-        return k, _signed_point(rng, t * total, n), _signed_point(rng, (1.0 - t) * total, n)
+    def draw_a5(src):
+        k = src.k()
+        total = 2.0 * g.eta * src.u()
+        t = src.u()
+        return k, src.point(t * total), src.point((1.0 - t) * total)
 
     reports = [
-        _sampled_condition("A.4", nl, rng_for(seed, 4), count, seed, draw_a4, margin_a4),
+        _sampled_condition("A.4", nl, rng_for(seed, 4), count, seed, 4, draw_a4, margin_a4),
         _sampled_condition(
-            "A.5", nl, rng_for(seed, 5), count, seed, draw_a5, lambda F, K, x: (F, {"F": F})
+            "A.5", nl, rng_for(seed, 5), count, seed, 4, draw_a5, lambda F, K, x: (F, {"F": F})
         ),
     ]
 
@@ -719,44 +840,46 @@ def check_bounds(
     """Sampled verification of the bound and sign conditions A.7 - A.9.
 
     Sign conditions are checked up to a small slack, so a potential that
-    merely touches zero on the sampled region still passes.  F is evaluated
-    on each condition's samples with one Nonlinearity.F_many call.
+    merely touches zero on the sampled region still passes.  Each
+    condition's samples come from its own seeded stream, decoded in one
+    block at n = 1 and drawn point by point at n > 1, with the same values
+    either way (see _draw), and F is evaluated on them with one
+    Nonlinearity.F_many call.
     """
-    m, n = nl.m, nl.n
     count = max(sample_budget, 100)
 
     # A.7: F <= C on a large box.
-    def draw_a7(rng):
-        k = int(rng.integers(1, m + 1))
-        u1 = rng.uniform(-box_halfwidth, box_halfwidth, size=n)
-        return k, u1, rng.uniform(-box_halfwidth, box_halfwidth, size=n)
+    def draw_a7(src):
+        k = src.k()
+        u1 = src.box(-box_halfwidth, box_halfwidth)
+        return k, u1, src.box(-box_halfwidth, box_halfwidth)
 
     def margin_a7(F, K, extra):
         vals = b.C - F
         return vals, {"F": b.C - vals}
 
     # A.8: F < 0 for 0 < |u1|, |u2| <= rho1.
-    def draw_a8(rng):
-        k = int(rng.integers(1, m + 1))
-        u1 = _signed_point(rng, b.rho1 * (1.0 - rng.random() * 0.999999), n)
-        return k, u1, _signed_point(rng, b.rho1 * (1.0 - rng.random() * 0.999999), n)
+    def draw_a8(src):
+        k = src.k()
+        u1 = src.point(b.rho1 * (1.0 - src.u() * 0.999999))
+        return k, u1, src.point(b.rho1 * (1.0 - src.u() * 0.999999))
 
     def margin_a8(F, K, extra):
         vals = -F
         return vals, {"F": -vals}
 
     # A.9: F > 0 for rho2 < |u1|, |u2| <= rho3.
-    def draw_a9(rng):
-        k = int(rng.integers(1, m + 1))
-        r1 = b.rho2 + (b.rho3 - b.rho2) * (1.0 - rng.random() * 0.999999)
-        r2 = b.rho2 + (b.rho3 - b.rho2) * (1.0 - rng.random() * 0.999999)
-        return k, _signed_point(rng, r1, n), _signed_point(rng, r2, n)
+    def draw_a9(src):
+        k = src.k()
+        r1 = b.rho2 + (b.rho3 - b.rho2) * (1.0 - src.u() * 0.999999)
+        r2 = b.rho2 + (b.rho3 - b.rho2) * (1.0 - src.u() * 0.999999)
+        return k, src.point(r1), src.point(r2)
 
     return [
-        _sampled_condition("A.7", nl, rng_for(seed, 7), count, seed, draw_a7, margin_a7),
-        _sampled_condition("A.8", nl, rng_for(seed, 8), count, seed, draw_a8, margin_a8),
+        _sampled_condition("A.7", nl, rng_for(seed, 7), count, seed, 2, draw_a7, margin_a7),
+        _sampled_condition("A.8", nl, rng_for(seed, 8), count, seed, 4, draw_a8, margin_a8),
         _sampled_condition(
-            "A.9", nl, rng_for(seed, 9), count, seed, draw_a9, lambda F, K, x: (F, {"F": F})
+            "A.9", nl, rng_for(seed, 9), count, seed, 4, draw_a9, lambda F, K, x: (F, {"F": F})
         ),
     ]
 

@@ -189,3 +189,80 @@ def test_rng_for_builds_a_pcg64_generator():
     rng = rng_for(3, 4)
     assert isinstance(rng, np.random.Generator)
     assert type(rng.bit_generator) is np.random.PCG64
+
+
+# Direct _draw calls: A.4's formula over _draw's source, and its scalar reference.
+GROWTH = make_power(2, 1.0, 2.0, 3.0, 2.5)[1]
+
+
+def _a4_formula(src):
+    k = src.k()
+    m1 = GROWTH.M + 10.0 * src.u()
+    m2 = GROWTH.M + 10.0 * src.u()
+    return k, src.point(m1), src.point(m2), m1, m2
+
+
+def _a4_reference(m):
+    return _growth_draws(GROWTH, m, 1)[0][1]
+
+
+def _assert_same_draws(got, want):
+    for name, a, b in zip(("K", "U1", "U2", "extra"), got, want):
+        assert _same(a, b), f"{name} differs"
+
+
+def test_forced_rejection_falls_back_to_the_loop_on_the_restored_stream():
+    # every k is rejected, so each condition restores its generator and loops
+    nl, g, b = _families(12)
+    asked = []
+
+    def threshold(m):
+        asked.append(m)
+        return 2**32
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_lemire_threshold", threshold)
+        got = _caught_draws(lambda: check_growth(nl, g, sample_budget=301, seed=5))
+        _assert_draws_match(got, _growth_draws(g, 12, 1), 301, 1, 5)
+        got = _caught_draws(lambda: check_bounds(nl, b, sample_budget=301, seed=5))
+        _assert_draws_match(got, _bound_draws(b, 12, 1), 301, 1, 5)
+    assert asked == [12] * 5
+
+
+def test_a_large_period_rejects_and_falls_back():
+    # (2^32 - m) % m = 2^30 at m = 3 * 2^30: a quarter of the 32-bit draws is rejected
+    m = 3 * 2**30
+    rng = rng_for(0, 1)
+    state = rng.bit_generator.state
+    assert analysis._decoded_draws(rng, 101, m, 4) is None
+    assert rng.bit_generator.state == state
+    got = analysis._draw(rng_for(0, 1), 101, m, 1, 4, _a4_formula)
+    _assert_same_draws(got, _loop_draw(rng_for(0, 1), 101, 1, _a4_reference(m)))
+
+
+@pytest.mark.parametrize("count", [100, 101])
+def test_the_decoded_block_leaves_the_generator_where_the_loop_does(count):
+    rng, ref = rng_for(2, 4), rng_for(2, 4)
+    got = analysis._draw(rng, count, 9, 1, 4, _a4_formula)
+    _assert_same_draws(got, _loop_draw(ref, count, 1, _a4_reference(9)))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+    assert rng.integers(1, 10) == ref.integers(1, 10)
+
+
+def test_a_buffered_half_word_falls_back_to_the_loop():
+    rng, ref = rng_for(4, 4), rng_for(4, 4)
+    rng.integers(1, 5)
+    ref.integers(1, 5)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    got = analysis._draw(rng, 100, 9, 1, 4, _a4_formula)
+    _assert_same_draws(got, _loop_draw(ref, 100, 1, _a4_reference(9)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_infinite_box_raises_as_uniform_does(n):
+    def draw(src):
+        return src.k(), src.box(-1e308, 1e308), src.box(-1e308, 1e308)
+
+    with pytest.raises(OverflowError):
+        analysis._draw(rng_for(0, 7), 100, 5, n, 2, draw)
