@@ -998,8 +998,11 @@ def anticoercivity_probe(
     maximisation of the terminal value from the four directions with the
     highest terminal values, all four ascending at once (_ascend_rows),
     which can expose rays of non-decrease that random sampling almost never
-    hits.  Raises ValueError when the radii are not finite and strictly
-    increasing or when directions is negative.
+    hits.  The ascended rays follow the sampled ones, and the report stops
+    at its first failing ray, so the ascent runs only when every sampled ray
+    passes; samples counts the ascended rays either way.  Raises ValueError
+    when the radii are not finite and strictly increasing or when
+    directions is negative.
     """
     radii = [float(t) for t in radii]
     if (
@@ -1011,17 +1014,27 @@ def anticoercivity_probe(
     if directions < 0:
         raise ValueError(f"directions must be >= 0, got {directions}")
     rng = rng_for(seed, 17)
-    pool = [
-        _unit_direction(rng, prob.m, prob.n, zero_mean=False).reshape(-1)
-        for _ in range(directions)
-    ]
-    if optimize_worst and pool:
-        terminal = _action_or_limit_rows(radii[-1] * np.reshape(pool, (-1, prob.dim)), prob).tolist()
-        ranked = sorted(range(directions), key=lambda i: -terminal[i])
-        pool.extend(_ascend_rows(np.array([pool[i] for i in ranked[:4]]), prob, radii[-1]))
-    table = _action_or_limit_rows(
-        np.array(radii)[None, :, None] * np.reshape(pool, (-1, 1, prob.dim)), prob
-    ).reshape(len(pool), len(radii))
+    sampled = np.reshape(
+        [_unit_direction(rng, prob.m, prob.n, zero_mean=False) for _ in range(directions)],
+        (-1, prob.dim),
+    )
+    samples = directions + (min(directions, 4) if optimize_worst else 0)
+
+    def table(D):
+        return _action_or_limit_rows(
+            np.array(radii)[None, :, None] * D[:, None, :], prob
+        ).reshape(len(D), len(radii))
+
+    def pool():
+        # the report stops at its first failing ray, so the ascended rays,
+        # which follow the sampled ones, are made only when all of those pass
+        values = table(sampled)
+        yield from zip(sampled, values)
+        if optimize_worst and directions:
+            terminal = values[:, -1].tolist()
+            ranked = sorted(range(directions), key=lambda i: -terminal[i])
+            ascended = _ascend_rows(sampled[ranked[:4]], prob, radii[-1])
+            yield from zip(ascended, table(ascended))
 
     def decreases(a: float, c: float) -> bool:
         if c == -math.inf:
@@ -1029,10 +1042,9 @@ def anticoercivity_probe(
         return c < a
 
     worst_margin = math.inf
-    witness = None
     overflow = False
-    for idx, d in enumerate(pool):
-        vals = table[idx].tolist()
+    for idx, (d, row) in enumerate(pool()):
+        vals = row.tolist()
         overflow = overflow or not all(math.isfinite(v) for v in vals)
         tail_ok = all(decreases(vals[i], vals[i + 1]) for i in range(1, len(vals) - 1))
         drop = vals[0] - vals[-1] - drop_margin
@@ -1047,7 +1059,7 @@ def anticoercivity_probe(
                     "values": vals,
                     "optimized": idx >= directions,
                 },
-                samples=len(pool),
+                samples=samples,
                 seed=seed,
                 detail={"overflow": overflow},
             )
@@ -1057,7 +1069,7 @@ def anticoercivity_probe(
         HOLDS,
         worst_margin,
         None,
-        samples=len(pool),
+        samples=samples,
         seed=seed,
         detail={"overflow": overflow},
     )

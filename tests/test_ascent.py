@@ -7,6 +7,7 @@ replaced (`test_stacked_checks._loop_ascend`) bit for bit and leave by the
 same exit.
 """
 
+import json
 import math
 import pathlib
 
@@ -159,3 +160,31 @@ def test_probe_makes_few_stacked_calls(monkeypatch):
     anticoercivity_probe(loaded.problem, seed=loaded.solver.seed, optimize_worst=True)
     assert 0 < calls["residual"] <= 88
     assert 0 < calls["action"] <= 124
+
+
+@pytest.mark.parametrize(
+    "cfg,ascends",
+    [
+        # the snapshot's power_p60 and power_p1100: a sampled ray is the witness
+        ({"m": 2, "n": 1, "p": [60, 60], "lambda": 5.0, "seed": 3,
+          "nonlinearity": {"builtin": "power", "params": {"a": 1.0, "b": 1.0, "s": 2.0, "r": 2.0}}},
+         False),
+        (dict(json.loads((CONFIGS / "power_borderline.json").read_text()), p=1100), False),
+        # example2_m3: the witness is an ascended ray
+        (json.loads((CONFIGS / "example2_m3.json").read_text()), True),
+    ],
+)
+def test_probe_ascends_only_when_every_sampled_ray_passes(tmp_path, monkeypatch, cfg, ascends):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    loaded = cli.load_config(str(path))
+    calls = []
+    real = analysis._ascend_rows
+    monkeypatch.setattr(analysis, "_ascend_rows", lambda *a: calls.append(a) or real(*a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _loop_probe(loaded.problem, seed=loaded.solver.seed, optimize_worst=True)
+    got = anticoercivity_probe(loaded.problem, seed=loaded.solver.seed, optimize_worst=True)
+    assert len(calls) == int(ascends)
+    assert got.verdict == "violated" and got.witness["optimized"] == ascends
+    assert got.samples == 36
+    assert _dumps(got) == _dumps(ref)
