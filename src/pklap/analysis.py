@@ -677,15 +677,15 @@ def _sampled_condition(
     """Shared sampling step of A.4, A.5 and A.7 - A.9.
 
     Draws count samples with draw, each spending doubles uniforms (see
-    _draw: one block at n = 1, one sample at a time at n > 1), evaluates F on all of them
-    with one F_many call and gets the per-sample margins and witness
-    fields from margin(F, K, extra) -> (margins, {field: values}).  The
-    worst margin is the first minimum; NaN margins are ignored.  The
-    condition holds when the worst margin is >= -SAMPLE_SLACK, and a
-    violation carries its sample as the witness.  An overflow shows as an
-    inf or NaN margin, not as a numpy warning.  When every margin is NaN
-    no sample decided the condition: the verdict is inconclusive and the
-    margin stays inf.
+    _draw: one block at n = 1, one sample at a time at n > 1), evaluates F
+    on all of them with one F_many call and gets the per-sample margins
+    and witness fields from margin(F, K, extra) -> (margins, {field:
+    values}).  The worst margin is the first minimum; NaN margins are
+    ignored.  The condition holds when the worst margin is >=
+    -SAMPLE_SLACK, and a violation carries its sample as the witness.  An
+    overflow shows as an inf or NaN margin, not as a numpy warning.  When
+    every margin is NaN no sample decided the condition: the verdict is
+    inconclusive and the margin stays inf.
     """
     K, U1, U2, extra = _draw(rng, count, nl.m, nl.n, doubles, draw)
     with np.errstate(over="ignore", invalid="ignore"):
