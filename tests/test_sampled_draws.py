@@ -105,12 +105,16 @@ def _same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _assert_same_draws(got, want, what=""):
+    for name, a, b in zip(("K", "U1", "U2", "extra"), got, want):
+        assert _same(a, b), f"{what}{name} differs"
+
+
 def _assert_draws_match(got, draws, count, n, seed):
     assert len(got) == len(draws)
     for out, (key, draw) in zip(got, draws):
         want = _loop_draw(rng_for(seed, key), count, n, draw)
-        for name, a, b in zip(("K", "U1", "U2", "extra"), out, want):
-            assert _same(a, b), f"A.{key} {name} differs (seed {seed}, count {count})"
+        _assert_same_draws(out, want, f"seed {seed}, count {count}: A.{key} ")
 
 
 _CACHE = {}
@@ -204,11 +208,6 @@ def _a4_formula(src):
 
 def _a4_reference(m):
     return _growth_draws(GROWTH, m, 1)[0][1]
-
-
-def _assert_same_draws(got, want):
-    for name, a, b in zip(("K", "U1", "U2", "extra"), got, want):
-        assert _same(a, b), f"{name} differs"
 
 
 def test_forced_rejection_falls_back_to_the_loop_on_the_restored_stream():
