@@ -7,7 +7,10 @@ of `_loop_draw` below: one sample at a time, each with its own scalar
 `rng.integers`, `rng.random` and `rng.uniform` calls, in the order the five
 draw functions below make them.  The tests catch `_draw`'s results with a
 spy while the checks run and compare them with that loop on a fresh
-generator of the same key.
+generator of the same key.  The last tests call `_draw` directly: where a
+block cannot be decoded (a k numpy would draw again, or a half word left
+in the generator's buffer) it must restore the generator and loop, and a
+decoded block must leave the generator where the loop does.
 """
 
 import numpy as np
