@@ -140,16 +140,18 @@ def test_probe_with_fewer_than_four_directions_ascends_them_all(directions):
 def test_probe_makes_few_stacked_calls(monkeypatch):
     """On the shipped example1_m4 the probe makes one residual call per
     ascent round and one action call per line-search block, plus the
-    ranking, the ascent's start values and the table (the one-direction
-    loop made 227 one-row residual calls and 561 action calls).
-    Counts, not timings, so the host's load does not matter."""
+    table of the sampled rays and the ascent's start values (the
+    one-direction loop made 227 one-row residual calls and 561 action
+    calls).  Counts, not timings, so the host's load does not matter; the
+    rows pin that every block evaluates the same trials."""
     loaded = cli.load_config(str(CONFIGS / "example1_m4.json"))
-    calls = {"residual": 0, "action": 0}
+    calls = {"residual": 0, "residual rows": 0, "action": 0, "action rows": 0}
 
     def counting(key, real):
-        def wrapper(*args):
+        def wrapper(x, prob):
             calls[key] += 1
-            return real(*args)
+            calls[f"{key} rows"] += x.size // prob.dim
+            return real(x, prob)
 
         return wrapper
 
@@ -158,8 +160,7 @@ def test_probe_makes_few_stacked_calls(monkeypatch):
         analysis, "_action_or_limit_rows", counting("action", analysis._action_or_limit_rows)
     )
     anticoercivity_probe(loaded.problem, seed=loaded.solver.seed, optimize_worst=True)
-    assert 0 < calls["residual"] <= 88
-    assert 0 < calls["action"] <= 124
+    assert calls == {"residual": 88, "residual rows": 227, "action": 124, "action rows": 872}
 
 
 @pytest.mark.parametrize(
