@@ -31,10 +31,13 @@ from .core import (
     PeriodicSequence,
     Problem,
     _block_search,
+    _entry_norms,
     _row_dots,
     _row_norms,
+    _shifted,
+    _shifted_back,
 )
-from .functional import _action_rows, _mu_values, _shifted, mu, potential
+from .functional import _action_rows, _mu_values, mu, potential
 from .operators import _residual_rows
 
 HOLDS = "holds_on_samples"
@@ -222,17 +225,16 @@ def check_c3(u: PeriodicSequence, p: ExponentFunction, slack: float = 1e-10) -> 
 
 
 def _difference_energy(u: np.ndarray, p: float) -> np.ndarray:
-    d = np.roll(u, -1, axis=1) - u
-    return np.sum(np.linalg.norm(d, axis=2) ** p, axis=1)
+    return np.sum(_entry_norms(_shifted(u) - u) ** p, axis=1)
 
 
 def _difference_energy_grad(u: np.ndarray, p: float) -> np.ndarray:
-    d = np.roll(u, -1, axis=1) - u
-    norms = np.linalg.norm(d, axis=2)
+    d = _shifted(u) - u
+    norms = _entry_norms(d)
     with np.errstate(divide="ignore"):
         mags = np.where(norms > 0.0, norms ** (p - 2.0), 0.0)
     a = mags[:, :, None] * d
-    return p * (np.roll(a, 1, axis=1) - a)
+    return p * (_shifted_back(a) - a)
 
 
 def _projected_gradient(u: np.ndarray, p: float) -> np.ndarray:
@@ -936,7 +938,7 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
         d = D0 / _row_norms(D0)[:, None]
         val = _action_or_limit_rows(t_last * d, prob)
         step = np.full(len(d), 0.1)
-        active = np.ones(len(d), dtype=bool)
+        ids = np.arange(len(d))  # the rows still ascending
 
         # the line search of the rows ids of a round, along g / gnorm
         def trial(k, s):
@@ -952,27 +954,25 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
             d[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.5, 1.0)
 
         for _ in range(_ASCENT_MAX_ITER):
-            ids = np.flatnonzero(active)
             if ids.size == 0:
                 break
             try:
                 r, ok = _residual_rows((t_last * d[ids]).reshape(-1, prob.m, prob.n), prob)
             except EvaluationError:  # a malformed callback value fails every row
                 break
-            active[ids[~ok]] = False
-            ids, dk = ids[ok], d[ids[ok]]
+            ids = ids[ok]
+            dk = d[ids]
             g = -t_last * r[ok].reshape(len(ids), prob.dim)
             g = g - _row_dots(g, dk)[:, None] * dk
             gnorm = _row_norms(g)
             flat = gnorm <= 1e-10 * np.maximum(1.0, np.abs(val[ids]))
-            active[ids[flat]] = False
             ids, g, gnorm = ids[~flat], g[~flat], gnorm[~flat]
             # an overflowing |g| would make every step 0 and stall the row
             big = np.isinf(gnorm)
-            g[big] /= np.abs(g[big]).max(axis=1)[:, None]
-            gnorm[big] = _row_norms(g[big])
-            moved = _block_search(step[ids], _ASCENT_BLOCKS, trial, evaluate, take, floor=1e-16)
-            active[ids[~moved]] = False
+            if big.any():
+                g[big] /= np.abs(g[big]).max(axis=1)[:, None]
+                gnorm[big] = _row_norms(g[big])
+            ids = ids[_block_search(step[ids], _ASCENT_BLOCKS, trial, evaluate, take, floor=1e-16)]
     return d
 
 

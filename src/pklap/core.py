@@ -10,6 +10,7 @@ sequences W and the zero-mean sequences Y.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional
 
@@ -138,6 +139,30 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(f, f))
 
 
+def _shifted(x: np.ndarray) -> np.ndarray:
+    """A (B, m, n) stack shifted by one period, row k-1 holding u(k+1): the
+    copy np.roll(x, -1, axis=1) makes, bitwise, at less cost per call;
+    _shifted_back is np.roll(x, 1, axis=1), row k-1 holding u(k-1)."""
+    return np.concatenate((x[:, 1:], x[:, :1]), axis=1)
+
+
+def _shifted_back(x: np.ndarray) -> np.ndarray:
+    return np.concatenate((x[:, -1:], x[:, :-1]), axis=1)
+
+
+def _entry_norms(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(d, axis=-1) as numpy computes it for real d, bitwise, without its checks."""
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
+@functools.lru_cache(maxsize=16)
+def _block_halvings(blocks: tuple) -> tuple:
+    """2^-j, j = 0 .. sum(blocks) - 1, one read-only slice per block, made once per blocks."""
+    halvings = np.ldexp(1.0, -np.arange(sum(blocks)))
+    halvings.flags.writeable = False
+    return tuple(np.split(halvings, np.cumsum(blocks)[:-1]))
+
+
 def _block_search(step, blocks, trial, evaluate, take, floor=None, base=None) -> np.ndarray:
     """Backtracking search of B rows in lock step, their trials tried in blocks.
 
@@ -146,40 +171,40 @@ def _block_search(step, blocks, trial, evaluate, take, floor=None, base=None) ->
     trial is live while t > floor or, given base instead, while no trial of
     the row so far equals base[i] byte for byte; a row stops unaccepted when
     its live trials end.  Per block, trial(k, t) gives the (R, size, ...)
-    points of the rows k still searching, one evaluate(points, k, t) call
-    gets their live trials flattened in row order and returns (accepted,
-    *outputs) per trial, and take(k, t, *outputs) gets each accepting row's
-    first accepted trial.  Returns the accepted mask.
+    points of the rows k still searching (an index array that shrinks from
+    block to block), one evaluate(points, k, t) call gets their live trials
+    flattened in row order and returns (accepted, *outputs) per trial, and
+    take(k, t, *outputs) gets each accepting row's first accepted trial.
+    Returns the accepted mask.
     """
-    halvings = np.ldexp(1.0, -np.arange(sum(blocks)))
     if base is not None:
         base = base.reshape(len(base), 1, math.prod(base.shape[1:])).view(np.uint64)
     found = np.zeros(len(step), dtype=bool)
-    searching = np.ones(len(step), dtype=bool)
-    for first, size in zip(np.cumsum((0, *blocks)), blocks):
-        k = searching.nonzero()[0]
+    k = np.arange(len(step))
+    for halvings in _block_halvings(blocks):
         if k.size == 0:
             break
-        t = step[k][:, None] * halvings[first : first + size]
+        t = step[k][:, None] * halvings
         points = trial(k, t)
         if base is None:
             live = t > floor
         else:
             same = (points.reshape(*t.shape, -1).view(np.uint64) == base[k]).all(axis=2)
             live = same.cumsum(axis=1) == 0
-        counts = live.sum(axis=1)  # live trials are a prefix of each row's block
-        searching[k] = counts == size
-        if counts.any():
-            t_live = t[live]
-            good, *outs = evaluate(points[live], k.repeat(counts), t_live)
-            accepted = np.zeros(live.shape, dtype=bool)
-            accepted[live] = good
-            j = accepted.argmax(axis=1)
-            hit = accepted[np.arange(k.size), j]
-            pos = (counts.cumsum() - counts + j)[hit]
-            k = k[hit]
-            take(k, t_live[pos], *(out[pos] for out in outs))
-            found[k], searching[k] = True, False
+        t_live = t[live]  # live trials are a prefix of each row's block
+        if t_live.size == 0:
+            break
+        counts = live.sum(axis=1)
+        good, *outs = evaluate(points[live], k.repeat(counts), t_live)
+        accepted = np.zeros(live.shape, dtype=bool)
+        accepted[live] = good
+        j = accepted.argmax(axis=1)
+        hit = accepted.any(axis=1)
+        pos = (counts.cumsum() - counts + j)[hit]
+        taking = k[hit]
+        take(taking, t_live[pos], *(out[pos] for out in outs))
+        found[taking] = True
+        k = k[live[:, -1] & ~hit]
     return found
 
 
@@ -263,6 +288,22 @@ def _read_only(arr) -> np.ndarray:
     view = np.asarray(arr, dtype=float).view()
     view.flags.writeable = False
     return view
+
+
+_PERIODS: dict = {}  # m -> (K, K_prev) of the largest stack coupling has seen
+
+
+def _stack_periods(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The periods 1..m of count stacked sequences, and each k - 1 wrapped into
+    1..m: read-only prefixes of arrays made once per m, grown for a larger stack."""
+    K, K_prev = _PERIODS.get(m, (np.empty(0), None))
+    if K.size < m * count:
+        K = np.tile(np.arange(1, m + 1), count)
+        K_prev = K - 1
+        K_prev[::m] = m
+        K.flags.writeable = K_prev.flags.writeable = False
+        _PERIODS[m] = K, K_prev
+    return K[: m * count], K_prev[: m * count]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -402,13 +443,9 @@ class Nonlinearity:
         if vals.ndim not in (2, 3) or vals.shape[-2:] != (self.m, self.n):
             raise ValueError(f"sequence shape {vals.shape} does not match ({self.m}, {self.n})")
         stack = vals.reshape(-1, self.m, self.n)
-        up = np.concatenate((stack[:, 1:], stack[:, :1]), axis=1)  # row k-1 holds u(k+1)
-        um = np.concatenate((stack[:, -1:], stack[:, :-1]), axis=1)  # row k-1 holds u(k-1)
+        up, um = _shifted(stack), _shifted_back(stack)
         if self.arrays is not None:
-            # the m periods of every sequence of the stack, as one array of points
-            K = np.tile(np.arange(1, self.m + 1), len(stack))
-            K_prev = K - 1
-            K_prev[:: self.m] = self.m
+            K, K_prev = _stack_periods(self.m, len(stack))
             flat = (K.size, self.n)
             a = _rows(self.arrays[1](K_prev, stack.reshape(flat), um.reshape(flat)), flat, "F2_prime")
             b = _rows(self.arrays[2](K, up.reshape(flat), stack.reshape(flat)), flat, "F3_prime")

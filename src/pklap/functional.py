@@ -22,8 +22,10 @@ from .core import (
     EvaluationError,
     PeriodicSequence,
     Problem,
+    _entry_norms,
     _read_only,
     _row_norms,
+    _shifted,
     euclidean_norm,
 )
 from .operators import _residual_rows, residual_values, sequence_values
@@ -48,15 +50,8 @@ class NonsmoothExponentError(ValueError):
 # np.errstate: an overflow shows as a non-finite value, not a warning.
 
 
-def _shifted(x: np.ndarray) -> np.ndarray:
-    return np.concatenate((x[:, 1:], x[:, :1]), axis=1)
-
-
 def _mu_values(x: np.ndarray, up: np.ndarray, prob: Problem) -> np.ndarray:
-    d = up - x  # row k-1 holds Delta u(k)
-    # the Euclidean norm of each row of d, as np.linalg.norm(d, axis=2)
-    # computes it, without its per-call checks
-    norms = np.sqrt(np.add.reduce(d * d, axis=2))
+    norms = _entry_norms(up - x)  # row k-1 holds |Delta u(k)|
     p = prob.exponent.values
     return np.sum(norms**p / p, axis=1)
 

@@ -16,7 +16,15 @@ import dataclasses
 
 import numpy as np
 
-from .core import EvaluationError, PeriodicSequence, Problem, _read_only
+from .core import (
+    EvaluationError,
+    PeriodicSequence,
+    Problem,
+    _entry_norms,
+    _read_only,
+    _shifted,
+    _shifted_back,
+)
 
 
 def forward_difference(u: PeriodicSequence) -> PeriodicSequence:
@@ -46,7 +54,7 @@ def phi_p(a, p: float):
 def _phi_rows(rows: np.ndarray, p_values: np.ndarray) -> np.ndarray:
     """phi_{p(k)} applied to each row (the last axis) of a (..., m, n) array;
     phi_p(0) = 0 for every p > 1."""
-    norms = np.linalg.norm(rows, axis=-1)
+    norms = _entry_norms(rows)
     # an overflowing |a|^(p-2) gives inf or NaN entries, which the residual
     # reports through its flags rather than as a numpy warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -101,10 +109,10 @@ def _residual_rows(vals: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndar
     x = vals if ok.all() else vals[ok]
     if x.shape[0] == 0:
         return np.full(vals.shape, np.nan), ok
-    d = np.concatenate((x[:, 1:], x[:, :1]), axis=1) - x  # entry k-1 holds Delta u(k)
+    d = _shifted(x) - x  # entry k-1 holds Delta u(k)
     a = _phi_rows(d, prob.exponent.values)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = a - np.concatenate((a[:, -1:], a[:, :-1]), axis=1)  # phi(Delta u(k)) - phi(Delta u(k-1))
+        lhs = a - _shifted_back(a)  # phi(Delta u(k)) - phi(Delta u(k-1))
         out = lhs + prob.lam * prob.nonlinearity.coupling(x)
     if x is not vals:
         out, part = np.full(vals.shape, np.nan), out

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pklap.analysis import check_bounds, check_growth
-from pklap.core import EvaluationError, ExponentFunction, Nonlinearity, Problem
+from pklap.core import EvaluationError, ExponentFunction, Nonlinearity, Problem, _stack_periods
 from pklap.functional import action, mu, potential
 from pklap.nonlinearities import make_builtin
 
@@ -140,6 +140,21 @@ class TestBatchedEqualsPerPoint:
             ref = 1.0 * abs(t1) ** s + 0.5 * abs(t2) ** 2.5
         got = nl.F_many(np.array([k, k]), np.array([[t1], [0.5]]), np.array([[t2], [0.5]]))
         assert _same_bits(got[:1], [ref])
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_stack_periods_are_the_tiled_periods_and_read_only(m):
+    """coupling's periods of a stack of count sequences, kept per m and
+    grown for a larger stack, are the np.tile construction coupling made
+    on every call, and no callable can write into them."""
+    for count in (3, 1, 5, 2, 5):
+        K, K_prev = _stack_periods(m, count)
+        ref = np.tile(np.arange(1, m + 1), count)
+        ref_prev = ref - 1
+        ref_prev[::m] = m
+        assert np.array_equal(K, ref) and np.array_equal(K_prev, ref_prev)
+        assert K.dtype == ref.dtype and K_prev.dtype == ref.dtype
+        assert not K.flags.writeable and not K_prev.flags.writeable
 
 
 class TestPinnedValues:

@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pklap.core import EvaluationError, ExponentFunction, Nonlinearity, Problem
+from pklap.core import (
+    EvaluationError,
+    ExponentFunction,
+    Nonlinearity,
+    Problem,
+    _entry_norms,
+    _shifted,
+    _shifted_back,
+)
 from pklap.functional import _central_difference
 from pklap.nonlinearities import make_builtin
 from pklap.operators import _residual_rows, residual_values
@@ -250,6 +258,27 @@ def test_row_norms_match_linalg_norm(rows, dim, seed):
     norms = _row_norms(x)
     for b in range(rows):
         assert _same_bits(norms[b], float(np.linalg.norm(x[b])))
+
+
+# entries where a cheaper form could part from numpy's: signed zeros,
+# subnormals, 1e200 (its square overflows) and NaN, beside ordinary values
+EDGE_ENTRIES = [0.0, -0.0, 5e-324, -3e-310, 1e200, -1e200, math.nan, 1.5, -2.0]
+
+
+def edge_stack(n, seed=0):
+    """A (6, 5, n) stack of EDGE_ENTRIES, each of them present."""
+    x = np.random.default_rng(seed).choice(EDGE_ENTRIES, size=(6, 5, n))
+    x.flat[: len(EDGE_ENTRIES)] = EDGE_ENTRIES
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_entry_norms_and_shifts_are_linalg_norm_and_roll(n):
+    x = edge_stack(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(_entry_norms(x), np.linalg.norm(x, axis=-1))
+    assert _same_bits(_shifted(x), np.roll(x, -1, axis=1))
+    assert _same_bits(_shifted_back(x), np.roll(x, 1, axis=1))
 
 
 def _sequential_newton(system, y0, cfg, known=None):

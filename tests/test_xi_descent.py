@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 
 from pklap.analysis import (
     _difference_energy,
+    _difference_energy_grad,
     _projected_gradient,
     _unit_direction,
     _xi_descent,
     rng_for,
 )
 from pklap.core import _row_norms
-from test_lockstep import _same_bits
+from test_lockstep import _same_bits, edge_stack
 
 
 def _loop_xi_descent(u0, p_plus, tol, max_iter):
@@ -147,3 +148,24 @@ def test_unconverged_rows_keep_the_loops_value_at_the_cap():
     vals, converged = _compare(_starts(6, 1, 3), 1.5, max_iter=300)
     assert not converged.any()
     assert np.all(np.isfinite(vals)) and math.isfinite(float(vals.min()))
+
+
+def _roll_energy_and_grad(u, p):
+    """The difference energy and its gradient written with np.roll and
+    np.linalg.norm, the forms the kernels replaced."""
+    d = np.roll(u, -1, axis=1) - u
+    norms = np.linalg.norm(d, axis=2)
+    mags = np.where(norms > 0.0, norms ** (p - 2.0), 0.0)
+    a = mags[:, :, None] * d
+    return np.sum(norms**p, axis=1), p * (np.roll(a, 1, axis=1) - a)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [1.5, 3.0, 1100.0])
+def test_energies_are_their_roll_and_linalg_norm_forms(n, p):
+    """Bitwise, also at zero, subnormal, overflowing and NaN entries."""
+    for u in (edge_stack(n), _starts(6, n, 4)):
+        with np.errstate(all="ignore"):
+            energy, grad = _roll_energy_and_grad(u, p)
+            assert _same_bits(_difference_energy(u, p), energy)
+            assert _same_bits(_difference_energy_grad(u, p), grad)
