@@ -960,8 +960,7 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
                 r, ok = _residual_rows((t_last * d[ids]).reshape(-1, prob.m, prob.n), prob)
             except EvaluationError:  # a malformed callback value fails every row
                 break
-            ids = ids[ok]
-            dk = d[ids]
+            ids, dk = ids[ok], d[ids[ok]]
             g = -t_last * r[ok].reshape(len(ids), prob.dim)
             g = g - _row_dots(g, dk)[:, None] * dk
             gnorm = _row_norms(g)

@@ -191,10 +191,10 @@ def _block_search(step, blocks, trial, evaluate, take, floor=None, base=None) ->
         else:
             same = (points.reshape(*t.shape, -1).view(np.uint64) == base[k]).all(axis=2)
             live = same.cumsum(axis=1) == 0
-        t_live = t[live]  # live trials are a prefix of each row's block
+        t_live = t[live]
         if t_live.size == 0:
             break
-        counts = live.sum(axis=1)
+        counts = live.sum(axis=1)  # live trials are a prefix of each row's block
         good, *outs = evaluate(points[live], k.repeat(counts), t_live)
         accepted = np.zeros(live.shape, dtype=bool)
         accepted[live] = good
@@ -296,8 +296,8 @@ _PERIODS: dict = {}  # m -> (K, K_prev) of the largest stack coupling has seen
 def _stack_periods(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The periods 1..m of count stacked sequences, and each k - 1 wrapped into
     1..m: read-only prefixes of arrays made once per m, grown for a larger stack."""
-    K, K_prev = _PERIODS.get(m, (np.empty(0), None))
-    if K.size < m * count:
+    K, K_prev = _PERIODS.get(m, (None, None))
+    if K is None or K.size < m * count:
         K = np.tile(np.arange(1, m + 1), count)
         K_prev = K - 1
         K_prev[::m] = m

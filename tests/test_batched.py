@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pklap.core as core
 from pklap.analysis import check_bounds, check_growth
 from pklap.core import EvaluationError, ExponentFunction, Nonlinearity, Problem, _stack_periods
 from pklap.functional import action, mu, potential
@@ -143,11 +144,12 @@ class TestBatchedEqualsPerPoint:
 
 
 @pytest.mark.parametrize("m", [2, 3, 8])
-def test_stack_periods_are_the_tiled_periods_and_read_only(m):
+def test_stack_periods_are_the_tiled_periods_and_read_only(monkeypatch, m):
     """coupling's periods of a stack of count sequences, kept per m and
     grown for a larger stack, are the np.tile construction coupling made
     on every call, and no callable can write into them."""
-    for count in (3, 1, 5, 2, 5):
+    monkeypatch.setattr(core, "_PERIODS", {})
+    for count in (0, 3, 1, 5, 2, 5):
         K, K_prev = _stack_periods(m, count)
         ref = np.tile(np.arange(1, m + 1), count)
         ref_prev = ref - 1
