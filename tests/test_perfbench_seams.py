@@ -3,8 +3,8 @@
 `perfbench/tracer.py` wraps package functions and methods by name while a
 traced pass runs, and `perfbench/layers.py` reports a seam that the package
 no longer has as a null metric, so a rename in `src/pklap` turns a traced
-run's metrics into nulls.  These tests load both files as they are (they
-edit neither) and check every name they reach for.
+run's metrics into nulls.  These tests import both files unchanged and
+check that every name they reach for resolves.
 """
 
 import importlib
