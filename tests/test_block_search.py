@@ -5,10 +5,12 @@ anticoercivity ascent and the xi descent.  Each row tries step * 2^-j in
 order and takes its first accepted trial, while the trials of all rows still
 searching are evaluated in blocks.  The property below pins it to the
 one-row loop; the schedule tests pin that each caller's blocks hold its
-whole trial sequence; the call-count spy pins the xi descent's energy calls
-and rows, which depend only on the arithmetic, not on the host's load.
+whole trial sequence; the call-count spies pin the Newton search's
+deflated-residual calls and the xi descent's energy calls, with their rows,
+which depend only on the arithmetic, not on the host's load.
 """
 
+import pathlib
 import warnings
 
 import numpy as np
@@ -18,7 +20,10 @@ from hypothesis import strategies as st
 
 import pklap.analysis as analysis
 import pklap.solvers as solvers
+from pklap.cli import load_config
 from pklap.core import _block_search
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _loop_search(x, direction, step, trials, accept, floor, byte_rule):
@@ -178,3 +183,35 @@ def test_xi_descent_energy_calls_and_rows(monkeypatch, m, p, calls, rows):
         _, converged = analysis._xi_search(m, 1, p)
     assert converged
     assert seen == {"calls": calls, "rows": rows}
+
+
+def _record_bytes(sol):
+    return [
+        (r.u.flat().tobytes(), r.residual_norm, r.action_value, r.morse_index, r.method, r.start_index)
+        for r in sol.records
+    ]
+
+
+def test_newton_deflated_calls_and_rows(monkeypatch):
+    """find_multiple on the shipped example3_sweep at lambda = 10 on Y (the
+    sweep benchmark's last grid point, without its warm pool) makes this
+    many _deflated_rows calls over this many rows, and its 54 records are
+    bitwise those of a search that tries one trial per call."""
+    loaded = load_config(str(CONFIGS / "example3_sweep.json"))
+    prob = loaded.problem.with_lambda(10.0)
+    seen = {"calls": 0, "rows": 0}
+    real = solvers._deflated_rows
+
+    def spy(system, known, y):
+        seen["calls"] += 1
+        seen["rows"] += len(y)
+        return real(system, known, y)
+
+    monkeypatch.setattr(solvers, "_deflated_rows", spy)
+    sol = solvers.find_multiple(prob, loaded.solver, subspace=loaded.subspace)
+    assert seen == {"calls": 361, "rows": 2372}
+    assert len(sol.records) == 54 and not sol.y_discrepancies
+
+    monkeypatch.setattr(solvers, "_SEARCH_BLOCKS", (1,) * 30)
+    one_by_one = solvers.find_multiple(prob, loaded.solver, subspace=loaded.subspace)
+    assert _record_bytes(sol) == _record_bytes(one_by_one)
