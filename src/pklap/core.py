@@ -377,25 +377,37 @@ class Nonlinearity:
             raise ValueError(f"period m must be >= 2, got {self.m}")
         if self.n < 1:
             raise ValueError(f"component dimension n must be >= 1, got {self.n}")
-        zero = np.zeros(self.n)
-        for k in range(1, self.m + 1):
-            val = _scalar(self.F(k, zero, zero), f"F({k}, 0, 0)")
-            if abs(val) > ZERO_AT_ZERO_TOL:
-                raise ValueError(
-                    f"potential must vanish at the origin: |F({k},0,0)| = {abs(val):.3e}"
-                )
+        zero = np.zeros((self.m, self.n))
+        at_zero = np.abs(self.F_many(np.arange(1, self.m + 1), zero, zero))
+        for k in np.flatnonzero(at_zero > ZERO_AT_ZERO_TOL)[:1].tolist():
+            raise ValueError(
+                f"potential must vanish at the origin: |F({k + 1},0,0)| = {at_zero[k]:.3e}"
+            )
         if self.f_direct is not None:
             self._check_assembly()
 
     def _check_assembly(self, points: int = 100, seed: int = 20240) -> None:
+        """Compare f_direct with the assembled coupling term at random points,
+        each drawn as a period k and then a (3, n) normal block.  f_direct is
+        called per point; an array family assembles all points in one call
+        per partial gradient.  A point whose deviation is NaN is skipped."""
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(points):
-            k = int(rng.integers(-2 * self.m, 2 * self.m + 1))
-            u1, u2, u3 = rng.normal(size=(3, self.n))
-            direct = _vector(self.f_direct(k, u1, u2, u3), self.n, "f_direct")
-            assembled = self.f(k, u1, u2, u3)
-            worst = max(worst, float(np.max(np.abs(direct - assembled))))
+        K = np.empty(points, dtype=np.int64)
+        U = np.empty((points, 3, self.n))
+        for i in range(points):
+            K[i] = rng.integers(-2 * self.m, 2 * self.m + 1)
+            U[i] = rng.normal(size=(3, self.n))
+        direct = np.array(
+            [_vector(self.f_direct(k, *u), self.n, "f_direct") for k, u in zip(K.tolist(), U)]
+        )
+        if self.arrays is None:
+            assembled = np.array([self.f(k, *u) for k, u in zip(K.tolist(), U)])
+        else:
+            flat = (points, self.n)
+            a = self.arrays[1]((K - 2) % self.m + 1, U[:, 1], U[:, 2])
+            b = self.arrays[2]((K - 1) % self.m + 1, U[:, 0], U[:, 1])
+            assembled = _rows(a, flat, "F2_prime") + _rows(b, flat, "F3_prime")
+        worst = float(np.fmax.reduce(np.max(np.abs(direct - assembled), axis=1), initial=0.0))
         if worst > ASSEMBLY_TOL:
             raise ValueError(
                 f"f_direct disagrees with the assembled coupling term "

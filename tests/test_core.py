@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,38 @@ def _linear_nl(m, slope=1.0):
     return Nonlinearity(m=m, F=F, F2_prime=F2, F3_prime=F3, n=1)
 
 
+_WEIGHTS = np.array([1.0, 2.0, 3.0])
+
+
+def _bilinear_nl(kind, f_direct):
+    """F(k, u1, u2) = w_k u1 u2 at m = 3, n = 1, as per-point callbacks or
+    from arrays; its period dependence makes a shifted k visible."""
+    w = _WEIGHTS
+    if kind == "arrays":
+        return Nonlinearity.from_arrays(
+            3,
+            lambda K, U1, U2: w[K - 1] * U1[:, 0] * U2[:, 0],
+            lambda K, U1, U2: w[K - 1, None] * U2,
+            lambda K, U1, U2: w[K - 1, None] * U1,
+            f_direct=f_direct,
+        )
+    return Nonlinearity(
+        m=3,
+        F=lambda k, u1, u2: w[k - 1] * u1[0] * u2[0],
+        F2_prime=lambda k, u1, u2: w[k - 1] * u2,
+        F3_prime=lambda k, u1, u2: w[k - 1] * u1,
+        f_direct=f_direct,
+    )
+
+
+def _bilinear_coupling(k, u1, u2, u3, swap=False):
+    """f = w_{k-1} u3 + w_k u1, or with the two weights swapped."""
+    a, b = _WEIGHTS[(k - 2) % 3], _WEIGHTS[(k - 1) % 3]
+    if swap:
+        a, b = b, a
+    return a * u3 + b * u1
+
+
 class TestNonlinearity:
     def test_assembled_coupling(self):
         nl = _linear_nl(3)
@@ -168,6 +202,38 @@ class TestNonlinearity:
                 F3_prime=lambda k, u1, u2: float(np.asarray(u2).reshape(())),
                 f_direct=wrong_f,
             )
+
+    @pytest.mark.parametrize("kind", ["per_point", "arrays"])
+    def test_direct_formula_mismatch_is_caught_for_either_kind(self, kind):
+        _bilinear_nl(kind, _bilinear_coupling)
+        with pytest.raises(ValueError, match="f_direct disagrees"):
+            _bilinear_nl(kind, functools.partial(_bilinear_coupling, swap=True))
+
+    def test_either_kind_checks_the_same_points(self):
+        """The array family assembles its check points in one call per
+        partial gradient, the per-point family one point at a time; both
+        draw the same points, so both report the same worst deviation."""
+        messages = []
+        for kind in ("per_point", "arrays"):
+            with pytest.raises(ValueError) as err:
+                _bilinear_nl(kind, functools.partial(_bilinear_coupling, swap=True))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("kind", ["per_point", "arrays"])
+    def test_zero_at_zero_names_the_first_failing_period(self, kind):
+        if kind == "arrays":
+            zero = lambda K, U1, U2: np.zeros_like(U1)  # noqa: E731
+            build = functools.partial(
+                Nonlinearity.from_arrays, 3, lambda K, U1, U2: (K >= 2) * 1.0, zero, zero
+            )
+        else:
+            build = functools.partial(
+                Nonlinearity, m=3, F=lambda k, u1, u2: float(k >= 2),
+                F2_prime=lambda *a: 0.0, F3_prime=lambda *a: 0.0,
+            )
+        with pytest.raises(ValueError, match=r"\|F\(2,0,0\)\| = 1\.000e\+00"):
+            build()
 
     def test_F_at_wraps_period(self):
         calls = []
