@@ -221,11 +221,18 @@ def check_c3(u: PeriodicSequence, p: ExponentFunction, slack: float = 1e-10) -> 
 
 # The descent below works on a stack u of shape (starts, m, n); every
 # reduction is taken per start, so a start's arithmetic does not depend on
-# which other starts share the stack.
+# which other starts share the stack.  Its sums call np.add.reduce, the
+# ufunc that np.sum and ndarray.mean call, for their bits without the cost
+# of their wrappers.
 
 
 def _difference_energy(u: np.ndarray, p: float) -> np.ndarray:
-    return np.sum(_entry_norms(_shifted(u) - u) ** p, axis=1)
+    return np.add.reduce(_entry_norms(_shifted(u) - u) ** p, axis=1)
+
+
+def _period_means(u: np.ndarray) -> np.ndarray:
+    """u.mean(axis=1, keepdims=True), bitwise: the sum over k divided by m."""
+    return np.add.reduce(u, axis=1, keepdims=True) / u.shape[1]
 
 
 def _difference_energy_grad(u: np.ndarray, p: float) -> np.ndarray:
@@ -240,8 +247,8 @@ def _difference_energy_grad(u: np.ndarray, p: float) -> np.ndarray:
 def _projected_gradient(u: np.ndarray, p: float) -> np.ndarray:
     """Gradient of the difference energy projected onto the sphere's tangent space."""
     g = _difference_energy_grad(u, p)
-    g = g - g.mean(axis=1, keepdims=True)
-    return g - np.sum(g * u, axis=(1, 2))[:, None, None] * u
+    g = g - _period_means(g)
+    return g - np.add.reduce(g * u, axis=(1, 2))[:, None, None] * u
 
 
 # The xi descent's Armijo trials step * 2^-j go in blocks of these sizes,
@@ -266,7 +273,7 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
     # at large exponents a gradient's norm can overflow to inf, which meets
     # neither the tolerance nor the Armijo test; it is not a numpy warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u = u0 - u0.mean(axis=1, keepdims=True)
+        u = u0 - _period_means(u0)
         u = u / _row_norms(u)[:, None, None]
         val = _difference_energy(u, p_plus)
         step = np.full(len(u), 0.1)
@@ -278,7 +285,7 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
             return u[ids[k], None] - s[:, :, None, None] * g[k, None]
 
         def evaluate(cand, k, s):
-            cand = cand - cand.mean(axis=1, keepdims=True)
+            cand = cand - _period_means(cand)
             nc = _row_norms(cand)
             cand = cand / nc[:, None, None]
             cand_val = _difference_energy(cand, p_plus)
