@@ -81,7 +81,7 @@ _ROW = st.tuples(
 @settings(max_examples=60)
 @given(
     st.lists(_ROW, min_size=1, max_size=6),
-    st.sampled_from([(1,), (2, 4), (1, 2, 4, 8, 15), (2, 4, 8, 16, 32), (3, 3, 3)]),
+    st.sampled_from([(1,), (2, 4), (2, 8, 20), (1, 2, 4, 8, 15), (2, 4, 8, 16, 32), (3, 3, 3)]),
     st.sampled_from([0.0, 1e-3, 0.3]),
     st.booleans(),
 )

@@ -1,5 +1,5 @@
 """Every fenced python block of README.md runs as written, and the README's
-list of solver keys matches SolverConfig."""
+list of solver keys and its line-search block sizes match the code."""
 
 import dataclasses
 import os
@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from pklap import analysis, solvers
 from pklap.solvers import SolverConfig
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -40,3 +41,33 @@ def test_readme_solver_keys_match_solver_config():
     listed = re.findall(r"`(\w+)`", match.group(1))
     assert len(listed) == len(set(listed))
     assert set(listed) == {f.name for f in dataclasses.fields(SolverConfig)}
+
+
+# Each line search's block sizes, by the word that names its owner in the
+# README paragraph that quotes them.
+_BLOCK_OWNERS = {
+    r"\bNewton\b": solvers._SEARCH_BLOCKS,
+    r"\bascent\b": analysis._ASCENT_BLOCKS,
+    r"\bxi\b": analysis._XI_BLOCKS,
+}
+
+
+def test_readme_block_sizes_match_the_code():
+    """Every "blocks of a, b and c" in the README sits in a paragraph that
+    names exactly one line search (Newton's, the ascent's or xi's), and
+    equals that search's blocks; every search's blocks are quoted."""
+    with open(README, encoding="utf-8") as fh:
+        paragraphs = re.split(r"\n\s*\n", fh.read())
+    quoted = set()
+    for text in paragraphs:
+        text = " ".join(text.split())
+        quotes = re.findall(r"blocks of (\d+(?:, \d+)* and \d+)", text)
+        if not quotes:
+            continue
+        owners = [word for word in _BLOCK_OWNERS if re.search(word, text)]
+        assert len(owners) == 1, text
+        for quote in quotes:
+            sizes = tuple(int(v) for v in re.findall(r"\d+", quote))
+            assert sizes == _BLOCK_OWNERS[owners[0]], text
+        quoted.add(owners[0])
+    assert quoted == set(_BLOCK_OWNERS)
