@@ -377,12 +377,15 @@ class Nonlinearity:
             raise ValueError(f"period m must be >= 2, got {self.m}")
         if self.n < 1:
             raise ValueError(f"component dimension n must be >= 1, got {self.n}")
-        zero = np.zeros((self.m, self.n))
-        at_zero = np.abs(self.F_many(np.arange(1, self.m + 1), zero, zero))
-        for k in np.flatnonzero(at_zero > ZERO_AT_ZERO_TOL)[:1].tolist():
-            raise ValueError(
-                f"potential must vanish at the origin: |F({k + 1},0,0)| = {at_zero[k]:.3e}"
-            )
+        # per point: F_many would reject an array F of a malformed shape
+        # here, which evaluation reports when it is first called
+        zero = np.zeros(self.n)
+        for k in range(1, self.m + 1):
+            val = _scalar(self.F(k, zero, zero), f"F({k}, 0, 0)")
+            if abs(val) > ZERO_AT_ZERO_TOL:
+                raise ValueError(
+                    f"potential must vanish at the origin: |F({k},0,0)| = {abs(val):.3e}"
+                )
         if self.f_direct is not None:
             self._check_assembly()
 
