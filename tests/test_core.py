@@ -203,37 +203,17 @@ class TestNonlinearity:
                 f_direct=wrong_f,
             )
 
-    @pytest.mark.parametrize("kind", ["per_point", "arrays"])
-    def test_direct_formula_mismatch_is_caught_for_either_kind(self, kind):
-        _bilinear_nl(kind, _bilinear_coupling)
-        with pytest.raises(ValueError, match="f_direct disagrees"):
-            _bilinear_nl(kind, functools.partial(_bilinear_coupling, swap=True))
-
-    def test_either_kind_checks_the_same_points(self):
-        """The array family assembles its check points in one call per
-        partial gradient, the per-point family one point at a time; both
+    def test_direct_formula_mismatch_is_caught_on_the_same_points_for_either_kind(self):
+        """An array family assembles its check points in one call per
+        partial gradient, a per-point family one point at a time; both
         draw the same points, so both report the same worst deviation."""
+        _bilinear_nl("arrays", _bilinear_coupling)
         messages = []
         for kind in ("per_point", "arrays"):
-            with pytest.raises(ValueError) as err:
+            with pytest.raises(ValueError, match="f_direct disagrees") as err:
                 _bilinear_nl(kind, functools.partial(_bilinear_coupling, swap=True))
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-
-    @pytest.mark.parametrize("kind", ["per_point", "arrays"])
-    def test_zero_at_zero_names_the_first_failing_period(self, kind):
-        if kind == "arrays":
-            zero = lambda K, U1, U2: np.zeros_like(U1)  # noqa: E731
-            build = functools.partial(
-                Nonlinearity.from_arrays, 3, lambda K, U1, U2: (K >= 2) * 1.0, zero, zero
-            )
-        else:
-            build = functools.partial(
-                Nonlinearity, m=3, F=lambda k, u1, u2: float(k >= 2),
-                F2_prime=lambda *a: 0.0, F3_prime=lambda *a: 0.0,
-            )
-        with pytest.raises(ValueError, match=r"\|F\(2,0,0\)\| = 1\.000e\+00"):
-            build()
 
     def test_F_at_wraps_period(self):
         calls = []
