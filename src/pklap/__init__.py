@@ -37,8 +37,6 @@ from .core import (
     SolutionRecord,
     euclidean_norm,
     in_Y,
-    project_W,
-    project_Y,
     wrap_index,
 )
 from .functional import (
@@ -60,17 +58,14 @@ from .nonlinearities import (
     make_example3,
     make_power,
 )
-from .operators import Residual, forward_difference, phi_p, residual
+from .operators import phi_p, residual_values
 from .solvers import (
     SolutionSet,
     SolverConfig,
     SweepResult,
-    deflated_solve,
     find_multiple,
     lambda_sweep,
-    minimize,
     mountain_pass,
-    newton_solve,
     subspace_basis,
 )
 
@@ -90,7 +85,6 @@ __all__ = [
     "Nonlinearity",
     "PeriodicSequence",
     "Problem",
-    "Residual",
     "SolutionRecord",
     "SolutionSet",
     "SolverConfig",
@@ -106,10 +100,8 @@ __all__ = [
     "check_c2",
     "check_c3",
     "check_growth",
-    "deflated_solve",
     "euclidean_norm",
     "find_multiple",
-    "forward_difference",
     "gradient",
     "gradient_fd",
     "hessian_fd",
@@ -121,16 +113,12 @@ __all__ = [
     "make_example2",
     "make_example3",
     "make_power",
-    "minimize",
     "morse_summary",
     "mountain_pass",
     "mu",
-    "newton_solve",
     "phi_p",
     "potential",
-    "project_W",
-    "project_Y",
-    "residual",
+    "residual_values",
     "rng_for",
     "subspace_basis",
     "thresholds",

@@ -208,17 +208,6 @@ def _block_search(step, blocks, trial, evaluate, take, floor=None, base=None) ->
     return found
 
 
-def project_W(u: PeriodicSequence) -> PeriodicSequence:
-    """Orthogonal projection onto the constant sequences."""
-    mean = u.values.mean(axis=0)
-    return PeriodicSequence(np.tile(mean, (u.m, 1)))
-
-
-def project_Y(u: PeriodicSequence) -> PeriodicSequence:
-    """Orthogonal projection onto the zero-mean sequences."""
-    return PeriodicSequence(u.values - u.values.mean(axis=0))
-
-
 def in_Y(u: PeriodicSequence, tol: float = MEAN_TOL) -> bool:
     """Whether u has (numerically) zero mean, relative to its size."""
     mean_norm = float(np.linalg.norm(u.values.mean(axis=0))) * math.sqrt(u.m)
@@ -290,6 +279,19 @@ def _read_only(arr) -> np.ndarray:
     return view
 
 
+def _point_kernel(fn: Callable, shape: tuple, check: Callable) -> Callable:
+    """An array kernel (K, U1, U2) -> (N, *shape) over a per-point callback:
+    it calls fn at each point and stores check(value, k)."""
+
+    def kernel(K, U1, U2):
+        out = np.empty((K.size, *shape))
+        for i, k in enumerate(K.tolist()):
+            out[i] = check(fn(k, U1[i], U2[i]), k)
+        return out
+
+    return kernel
+
+
 _PERIODS: dict = {}  # m -> (K, K_prev) of the largest stack coupling has seen
 
 
@@ -325,10 +327,10 @@ class Nonlinearity:
 
     Every hot caller evaluates the potential through the batched methods
     F_many (F on N points at once) and coupling (f on every row of a
-    sequence, or of a stack of sequences).  A family built with from_arrays
-    supplies array callables and is evaluated in one call each; a family
-    given only the per-point callbacks above is looped over point by point,
-    with the same checks.
+    sequence, or of a stack of sequences).  Both call three array kernels
+    (K, U1, U2) -> values, chosen once at construction: the callables of a
+    from_arrays family, or, for a family given only the per-point callbacks
+    above, adapters that call them point by point with the same checks.
     """
 
     m: int
@@ -342,6 +344,9 @@ class Nonlinearity:
     even_symmetric: bool = False
     # (F, F2_prime, F3_prime) in array form, set by from_arrays
     arrays: Optional[tuple] = dataclasses.field(default=None, repr=False)
+    # the array kernels F_many and coupling call: arrays, or adapters over the
+    # per-point callbacks; not an init field, so dataclasses.replace rebuilds it
+    _kernels: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_arrays(
@@ -377,6 +382,13 @@ class Nonlinearity:
             raise ValueError(f"period m must be >= 2, got {self.m}")
         if self.n < 1:
             raise ValueError(f"component dimension n must be >= 1, got {self.n}")
+        n = self.n
+        kernels = self.arrays or (
+            _point_kernel(self.F, (), lambda v, k: _scalar(v, f"F({k},.,.)")),
+            _point_kernel(self.F2_prime, (n,), lambda v, k: _vector(v, n, "F2_prime")),
+            _point_kernel(self.F3_prime, (n,), lambda v, k: _vector(v, n, "F3_prime")),
+        )
+        object.__setattr__(self, "_kernels", kernels)
         # per point: F_many would reject an array F of a malformed shape
         # here, which evaluation reports when it is first called
         zero = np.zeros(self.n)
@@ -392,8 +404,8 @@ class Nonlinearity:
     def _check_assembly(self, points: int = 100, seed: int = 20240) -> None:
         """Compare f_direct with the assembled coupling term at random points,
         each drawn as a period k and then a (3, n) normal block.  f_direct is
-        called per point; an array family assembles all points in one call
-        per partial gradient.  A point whose deviation is NaN is skipped."""
+        called per point; the partial gradients take all points in one kernel
+        call each.  A non-finite deviation fails the check."""
         rng = np.random.default_rng(seed)
         K = np.empty(points, dtype=np.int64)
         U = np.empty((points, 3, self.n))
@@ -403,14 +415,18 @@ class Nonlinearity:
         direct = np.array(
             [_vector(self.f_direct(k, *u), self.n, "f_direct") for k, u in zip(K.tolist(), U)]
         )
-        if self.arrays is None:
-            assembled = np.array([self.f(k, *u) for k, u in zip(K.tolist(), U)])
-        else:
-            flat = (points, self.n)
-            a = self.arrays[1]((K - 2) % self.m + 1, U[:, 1], U[:, 2])
-            b = self.arrays[2]((K - 1) % self.m + 1, U[:, 0], U[:, 1])
-            assembled = _rows(a, flat, "F2_prime") + _rows(b, flat, "F3_prime")
-        worst = float(np.fmax.reduce(np.max(np.abs(direct - assembled), axis=1), initial=0.0))
+        flat = (points, self.n)
+        a = self._kernels[1]((K - 2) % self.m + 1, U[:, 1], U[:, 2])
+        b = self._kernels[2]((K - 1) % self.m + 1, U[:, 0], U[:, 1])
+        assembled = _rows(a, flat, "F2_prime") + _rows(b, flat, "F3_prime")
+        deviation = np.max(np.abs(direct - assembled), axis=1)
+        bad = np.count_nonzero(~np.isfinite(deviation))
+        if bad:
+            raise ValueError(
+                f"f_direct disagrees with the assembled coupling term "
+                f"(deviation not finite at {bad} of {points} check points)"
+            )
+        worst = float(deviation.max())
         if worst > ASSEMBLY_TOL:
             raise ValueError(
                 f"f_direct disagrees with the assembled coupling term "
@@ -442,12 +458,7 @@ class Nonlinearity:
         U1, U2 = _read_only(U1), _read_only(U2)
         if U1.shape != shape or U2.shape != shape:
             raise ValueError(f"point arrays {U1.shape}, {U2.shape} do not match {shape}")
-        if self.arrays is not None:
-            return _rows(self.arrays[0](K, U1, U2), (K.size,), "F")
-        out = np.empty(K.size)
-        for i, k in enumerate(K.tolist()):
-            out[i] = _scalar(self.F(k, U1[i], U2[i]), f"F({k},.,.)")
-        return out
+        return _rows(self._kernels[0](K, U1, U2), (K.size,), "F")
 
     def coupling(self, vals) -> np.ndarray:
         """Coupling term f(k, u(k+1), u(k), u(k-1)) on every row of an (m, n)
@@ -459,17 +470,11 @@ class Nonlinearity:
             raise ValueError(f"sequence shape {vals.shape} does not match ({self.m}, {self.n})")
         stack = vals.reshape(-1, self.m, self.n)
         up, um = _shifted(stack), _shifted_back(stack)
-        if self.arrays is not None:
-            K, K_prev = _stack_periods(self.m, len(stack))
-            flat = (K.size, self.n)
-            a = _rows(self.arrays[1](K_prev, stack.reshape(flat), um.reshape(flat)), flat, "F2_prime")
-            b = _rows(self.arrays[2](K, up.reshape(flat), stack.reshape(flat)), flat, "F3_prime")
-            return (a + b).reshape(vals.shape)
-        out = np.empty(stack.shape)
-        for b in range(len(stack)):
-            for k in range(1, self.m + 1):
-                out[b, k - 1] = self.f(k, up[b, k - 1], stack[b, k - 1], um[b, k - 1])
-        return out.reshape(vals.shape)
+        K, K_prev = _stack_periods(self.m, len(stack))
+        flat = (K.size, self.n)
+        a = _rows(self._kernels[1](K_prev, stack.reshape(flat), um.reshape(flat)), flat, "F2_prime")
+        b = _rows(self._kernels[2](K, up.reshape(flat), stack.reshape(flat)), flat, "F3_prime")
+        return (a + b).reshape(vals.shape)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,8 +12,6 @@ when the residual vanishes.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .core import (
@@ -25,12 +23,6 @@ from .core import (
     _shifted,
     _shifted_back,
 )
-
-
-def forward_difference(u: PeriodicSequence) -> PeriodicSequence:
-    """Periodic forward difference, w(k) = u(k+1) - u(k)."""
-    vals = u.values
-    return PeriodicSequence(np.roll(vals, -1, axis=0) - vals)
 
 
 def phi_p(a, p: float):
@@ -60,14 +52,6 @@ def _phi_rows(rows: np.ndarray, p_values: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         mags = np.where(norms > 0.0, norms ** (p_values - 2.0), 0.0)
         return mags[..., None] * rows
-
-
-@dataclasses.dataclass(frozen=True)
-class Residual:
-    """Entrywise residual of the difference system at a given sequence."""
-
-    values: PeriodicSequence
-    norm: float
 
 
 def sequence_values(
@@ -133,13 +117,3 @@ def residual_values(u: PeriodicSequence | np.ndarray, prob: Problem) -> np.ndarr
     if not ok[0]:
         raise EvaluationError("residual evaluation produced non-finite entries")
     return out[0]
-
-
-def residual(u: PeriodicSequence, prob: Problem) -> Residual:
-    """Residual of the full difference system at u.
-
-    Entry k is  phi_{p(k)}(Delta u(k)) - phi_{p(k-1)}(Delta u(k-1))
-    + lam * f(k, u(k+1), u(k), u(k-1)), evaluated by residual_values.
-    """
-    out = residual_values(u, prob)
-    return Residual(values=PeriodicSequence(out), norm=float(np.linalg.norm(out)))

@@ -3,18 +3,17 @@
 The toolbox is deliberately plain: find_multiple runs damped Newton on the
 residual with a finite-difference Jacobian and deflation to repel found
 solutions, all starts of a stage in lock step so that their residuals are
-evaluated together, one call per stacked batch; minimize (on a subspace, for the coercive routes) and
-mountain_pass (a relaxed path between two critical points) are only called
-directly.  All randomness is drawn from counter-keyed generators, so a
-fixed seed reproduces the same solution set bit for bit.
+evaluated together, one call per stacked batch, and lambda_sweep runs it
+along a lambda grid.  mountain_pass (a relaxed path between two critical
+points, polished by the same Newton loop) is only called directly.  All
+randomness is drawn from counter-keyed generators, so a fixed seed
+reproduces the same solution set bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
-import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,16 +32,9 @@ from .core import (
 from .functional import _action_values, _central_difference, _morse_summaries, action
 from .operators import _residual_rows, residual_values
 
-logger = logging.getLogger(__name__)
-
 SUBSPACE_FULL = "H_m"
 SUBSPACE_Y = "Y"
 SUBSPACE_W = "W"
-
-OBJECTIVE_ACTION = "J_m"
-OBJECTIVE_NEG_ACTION = "neg_J_m"
-
-DIVERGENCE_GUARD = 1e6
 
 # Extra damped-Newton steps allowed after the residual tolerance is first met,
 # so iterates escape flat basins instead of stopping at the tolerance boundary.
@@ -51,8 +43,8 @@ _POLISH_BUDGET = 200
 # Points on the discretised mountain-pass path, endpoints included.
 _PATH_POINTS = 21
 
-# Newton steps before the tolerance is met (minimize and mountain_pass budget
-# multiples of it); power and shift of the deflation operator of Farrell,
+# Newton steps before the tolerance is met (mountain_pass budgets a multiple
+# of it); power and shift of the deflation operator of Farrell,
 # Birkisson & Funke (SIAM J. Sci. Comput. 37, 2015); radius of the ball the
 # random starts are drawn from.
 _MAX_ITERATIONS = 100
@@ -400,22 +392,6 @@ def _make_record(
     return _make_records(prob, xs, method, cfg, [start_index], flags, classify)[0]
 
 
-def newton_solve(
-    prob: Problem, u0: PeriodicSequence, cfg: SolverConfig
-) -> Optional[SolutionRecord]:
-    """Damped Newton on the full residual system from the given start.
-
-    Returns a verified solution record (full residual norm <= residual_tol)
-    or None.  Every exponent p > 1 runs the same iteration on the exact
-    residual, the singular range p < 2 included.
-    """
-    x, ng, converged, _ = _newton_iterate(_System(prob), u0.flat(), cfg)
-    if not converged:
-        logger.debug("newton_solve failed: best residual %.3e", ng)
-        return None
-    return _make_record(prob, x, "newton", cfg)
-
-
 def _deflation_terms(
     y: np.ndarray, known: Sequence[np.ndarray], power: float, shift: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -444,51 +420,6 @@ def _deflation_terms(
     factor[hit] = math.inf
     grad[hit] = 0.0
     return factor, grad
-
-
-def deflated_solve(
-    prob: Problem,
-    known,
-    u0: PeriodicSequence,
-    cfg: SolverConfig,
-) -> Optional[SolutionRecord]:
-    """Newton on the deflated residual, repelled from already-known solutions.
-
-    known is a SolutionSet or any iterable of PeriodicSequence / flat arrays.
-    Convergence is judged on the undeflated residual, and a result landing
-    back on a known solution (within dedupe_tol) is rejected.
-    """
-    known_flat = _known_flats(known, prob)
-    if not known_flat:
-        return newton_solve(prob, u0, cfg)
-    system = _System(prob)
-    x, _, converged, _ = _newton_iterate(system, u0.flat(), cfg, known=np.array(known_flat))
-    if not converged:
-        return None
-    true_norm = float(np.linalg.norm(system.g_full(x)))
-    if true_norm > cfg.residual_tol:
-        return None
-    if _first_match(x, np.array(known_flat), prob, cfg) is not None:
-        return None
-    return _make_record(prob, x, "deflated", cfg)
-
-
-def _known_flats(known, prob: Problem) -> list[np.ndarray]:
-    if known is None:
-        return []
-    if isinstance(known, SolutionSet):
-        entries = [r.u for r in known.records]
-    else:
-        entries = list(known)
-    out = []
-    for e in entries:
-        if isinstance(e, SolutionRecord):
-            out.append(e.u.flat())
-        elif isinstance(e, PeriodicSequence):
-            out.append(e.flat())
-        else:
-            out.append(np.asarray(e, dtype=float).reshape(-1))
-    return out
 
 
 def _close_rows(a: np.ndarray, known: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -575,89 +506,6 @@ def _same_solution(
     if actions is not None:
         actions = (actions[0], np.array([actions[1]], dtype=float))
     return _first_match(a, np.asarray(b)[None], prob, cfg, actions) == 0
-
-
-class _Diverged(Exception):
-    pass
-
-
-def minimize(
-    prob: Problem,
-    subspace: str = SUBSPACE_FULL,
-    objective: str = OBJECTIVE_ACTION,
-    cfg: SolverConfig | None = None,
-    u0: PeriodicSequence | None = None,
-) -> Optional[SolutionRecord]:
-    """Minimise the action (or its negation) over a subspace.
-
-    objective "J_m" minimises the action and "neg_J_m" maximises it.
-    Runs L-BFGS, then polishes its point with find_multiple's damped Newton
-    (_newton_iterate) on the projected residual.  The polished point is
-    kept only if Newton converged and the objective did not rise, so the
-    result stays at the minimiser.  Iterates escaping a large ball trigger
-    the divergence guard: the objective is reported as non-coercive and
-    None is returned.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-
-    cfg = cfg or SolverConfig()
-    if objective not in (OBJECTIVE_ACTION, OBJECTIVE_NEG_ACTION):
-        raise ValueError(f"unknown objective {objective!r}")
-    sign = -1.0 if objective == OBJECTIVE_NEG_ACTION else 1.0
-    system = _System(prob, subspace=subspace)
-    guard = DIVERGENCE_GUARD * _START_RADIUS
-
-    def point(y: np.ndarray) -> np.ndarray:
-        if float(np.linalg.norm(y)) > guard:
-            raise _Diverged
-        return system.to_full(y).reshape(prob.m, prob.n)
-
-    def fun(y: np.ndarray):
-        v = point(y)
-        grad = system.to_reduced(-residual_values(v, prob).reshape(-1))
-        return sign * action(v, prob), sign * grad
-
-    if u0 is not None:
-        y = system.to_reduced(u0.flat())
-    else:
-        rng = rng_for(cfg.seed, 31)
-        y = _START_RADIUS * rng.normal(size=system.dim) / math.sqrt(max(system.dim, 1))
-    try:
-        result = scipy_minimize(
-            fun,
-            y,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 50 * _MAX_ITERATIONS, "ftol": 1e-18, "gtol": 1e-12},
-        )
-        y = result.x
-        # polish: kept only if it converged and the objective did not rise
-        y_new, _, converged, _ = _newton_iterate(system, y, cfg)
-        if converged:
-            val = fun(y)[0]
-            if fun(y_new)[0] <= val + 1e-10 * max(1.0, abs(val)):
-                y = y_new
-    except _Diverged:
-        warnings.warn(
-            f"minimize({objective} on {subspace}): iterates escaped the guard "
-            f"ball; the objective appears unbounded below (anti-coercive)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-
-    val, grad = fun(y)
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm > cfg.residual_tol:
-        logger.debug("minimize stalled with projected gradient %.3e", gnorm)
-        return None
-    x = system.to_full(y)
-    record = _make_record(prob, x, "subspace_min", cfg)
-    if subspace != SUBSPACE_FULL and record.residual_norm > cfg.residual_tol:
-        record = dataclasses.replace(
-            record, flags=record.flags + ("subspace_critical_only",)
-        )
-    return record
 
 
 def mountain_pass(

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -11,10 +12,10 @@ from pklap.core import (
     Problem,
     euclidean_norm,
     in_Y,
-    project_W,
-    project_Y,
     wrap_index,
 )
+from pklap.nonlinearities import make_builtin
+from pklap.solvers import SUBSPACE_W, SUBSPACE_Y, subspace_basis
 
 
 def test_wrap_index_one_based():
@@ -82,9 +83,13 @@ def test_euclidean_norm_oracle():
 
 
 def test_projection_splits_mean_and_oscillation():
+    """The W and Y bases the solvers reduce onto split a sequence into its
+    mean and its oscillation, orthogonally."""
     u = PeriodicSequence(np.array([1.0, 2.0, 4.0, 1.0]))
-    w = project_W(u)
-    y = project_Y(u)
+    qw, qy = subspace_basis(4, 1, SUBSPACE_W), subspace_basis(4, 1, SUBSPACE_Y)
+    w = PeriodicSequence(qw @ (qw.T @ u.flat()))
+    y = PeriodicSequence(qy @ (qy.T @ u.flat()))
+    assert in_Y(y) and not in_Y(w)
     assert np.allclose(w.values.reshape(-1), [2.0, 2.0, 2.0, 2.0])
     assert np.allclose(y.values.reshape(-1), [-1.0, 0.0, 2.0, -1.0])
     # orthogonal decomposition
@@ -214,6 +219,31 @@ class TestNonlinearity:
                 _bilinear_nl(kind, functools.partial(_bilinear_coupling, swap=True))
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+    def test_non_finite_direct_formula_is_rejected(self):
+        """An f_direct that is NaN at every check point does not pass."""
+        nl = make_builtin("example1", 4, {}).nonlinearity
+        with pytest.raises(ValueError, match="not finite at 100 of 100 check points"):
+            dataclasses.replace(nl, f_direct=lambda k, u1, u2, u3: np.full(1, np.nan))
+
+    def test_replace_rebuilds_the_per_point_kernels(self):
+        """dataclasses.replace of the per-point partials reaches coupling and
+        F_many, bitwise a loop over f and F_at on the new callbacks."""
+        nl = dataclasses.replace(
+            _bilinear_nl("per_point", None),
+            F=lambda k, u1, u2: _WEIGHTS[k - 1] * u1[0] ** 2 * u2[0],
+            F2_prime=lambda k, u1, u2: 2.0 * _WEIGHTS[k - 1] * u1 * u2,
+            F3_prime=lambda k, u1, u2: _WEIGHTS[k - 1] * u1**2,
+        )
+        vals = np.random.default_rng(5).normal(size=(2, 3, 1))
+        loop = np.array(
+            [[nl.f(k, v[k % 3], v[k - 1], v[k - 2]) for k in range(1, 4)] for v in vals]
+        )
+        assert np.array_equal(nl.coupling(vals), loop)
+        K, U1, U2 = np.array([1, 5, -3]), vals[0], vals[1]
+        loop_F = np.array([nl.F_at(k, a, b) for k, a, b in zip(K.tolist(), U1, U2)])
+        assert np.array_equal(nl.F_many(K, U1, U2), loop_F)
+        assert not np.array_equal(loop, _bilinear_nl("per_point", None).coupling(vals))
 
     def test_F_at_wraps_period(self):
         calls = []

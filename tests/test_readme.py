@@ -1,5 +1,6 @@
 """Every fenced python block of README.md runs as written, and the README's
-list of solver keys and its line-search block sizes match the code."""
+list of solver keys, its line-search block sizes and its entry points match
+the code."""
 
 import dataclasses
 import os
@@ -7,6 +8,7 @@ import re
 
 import pytest
 
+import pklap
 from pklap import analysis, solvers
 from pklap.solvers import SolverConfig
 
@@ -71,3 +73,15 @@ def test_readme_block_sizes_match_the_code():
             assert sizes == _BLOCK_OWNERS[owners[0]], text
         quoted.add(owners[0])
     assert quoted == set(_BLOCK_OWNERS)
+
+
+def test_readme_entry_points_resolve():
+    """Every backticked name of the README's "Useful entry points" paragraph,
+    and every name in pklap.__all__, is an attribute of pklap."""
+    with open(README, encoding="utf-8") as fh:
+        paragraphs = re.split(r"\n\s*\n", fh.read())
+    entry = [p for p in paragraphs if p.startswith("Useful entry points:")]
+    assert len(entry) == 1
+    names = re.findall(r"`([^`]+)`", entry[0])
+    assert names
+    assert [n for n in names + list(pklap.__all__) if not hasattr(pklap, n)] == []

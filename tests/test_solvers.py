@@ -13,9 +13,6 @@ from pklap.core import (
 )
 from pklap.operators import residual_values
 from pklap.solvers import (
-    OBJECTIVE_ACTION,
-    OBJECTIVE_NEG_ACTION,
-    SUBSPACE_FULL,
     SUBSPACE_W,
     SUBSPACE_Y,
     SolutionSet,
@@ -25,17 +22,15 @@ from pklap.solvers import (
     _deflated_rows,
     _deflation_terms,
     _flat_connected,
+    _make_record,
     _newton_iterate,
     _System,
-    deflated_solve,
     find_multiple,
     lambda_sweep,
-    minimize,
     mountain_pass,
-    newton_solve,
     subspace_basis,
 )
-from pklap.nonlinearities import make_example2, make_example3, make_power
+from pklap.nonlinearities import make_example3, make_power
 
 
 def _double_well(lam=1.0, p=2.0):
@@ -92,20 +87,22 @@ class TestNewtonSolve:
     def test_well_from_nearby_start(self):
         prob = _double_well()
         cfg = SolverConfig(starts=4, seed=0)
-        rec = newton_solve(prob, PeriodicSequence(np.array([0.9, 1.1])), cfg)
-        assert rec is not None
-        assert np.allclose(rec.u.values.reshape(-1), [1.0, 1.0], atol=1e-9)
+        x, _, converged, _ = _newton_iterate(_System(prob), np.array([0.9, 1.1]), cfg)
+        assert converged
+        assert np.allclose(x, [1.0, 1.0], atol=1e-9)
+        rec = _make_record(prob, x, "newton", cfg)
         assert rec.residual_norm <= cfg.residual_tol
         assert rec.classification == "minimum"
         assert rec.morse_index == 0
-        assert rec.method == "newton"
 
     def test_none_when_capped_iterations_miss(self, monkeypatch):
         prob = _double_well()
         monkeypatch.setattr(solvers, "_MAX_ITERATIONS", 1)
         cfg = SolverConfig(residual_tol=1e-14)
-        rec = newton_solve(prob, PeriodicSequence(np.array([5.0, -7.0])), cfg)
-        assert rec is None
+        _, ng, converged, iters = _newton_iterate(_System(prob), np.array([5.0, -7.0]), cfg)
+        assert not converged
+        assert ng > cfg.residual_tol
+        assert iters <= 1
 
     def test_alternating_solution_singular_exponent(self):
         """p = 1.5, cubic wells: u = (a, -a) with a = (sqrt(2)/3)^(2/3).
@@ -126,10 +123,9 @@ class TestNewtonSolve:
         assert float(np.linalg.norm(residual_values(target, prob))) < 1e-12
 
         cfg = SolverConfig(residual_tol=1e-9)
-        with pytest.warns(RuntimeWarning, match="p_minus < 2"):
-            rec = newton_solve(prob, PeriodicSequence(np.array([0.5, -0.5])), cfg)
-        assert rec is not None
-        assert np.allclose(np.abs(rec.u.values.reshape(-1)), a, atol=1e-7)
+        x, _, converged, _ = _newton_iterate(_System(prob), np.array([0.5, -0.5]), cfg)
+        assert converged
+        assert np.allclose(np.abs(x), a, atol=1e-7)
 
 
 def test_converged_newton_skips_dead_line_search_steps(monkeypatch):
@@ -212,106 +208,25 @@ class TestDeflation:
     def test_deflated_solve_escapes_known_well(self):
         prob = _double_well()
         cfg = SolverConfig(starts=4, seed=0)
-        known = [np.array([1.0, 1.0])]
-        rec = deflated_solve(prob, known, PeriodicSequence(np.array([0.9, 1.1])), cfg)
-        assert rec is not None
-        assert rec.method == "deflated"
+        known = np.array([[1.0, 1.0]])
+        x, _, converged, _ = _newton_iterate(_System(prob), np.array([0.9, 1.1]), cfg, known=known)
+        assert converged
         # repelled from (1, 1); must land on a different critical point
-        assert np.linalg.norm(rec.u.values.reshape(-1) - np.array([1.0, 1.0])) > 0.5
-        assert rec.residual_norm <= cfg.residual_tol
-
-    def test_no_known_falls_back_to_newton(self):
-        prob = _double_well()
-        cfg = SolverConfig()
-        rec = deflated_solve(prob, None, PeriodicSequence(np.array([0.9, 1.1])), cfg)
-        assert rec is not None
-        assert rec.method == "newton"
-
-    def test_accepts_solution_set_input(self):
-        prob = _double_well()
-        cfg = SolverConfig(starts=6, seed=0)
-        sols = find_multiple(prob, cfg)
-        rec = deflated_solve(prob, sols, PeriodicSequence(np.array([3.0, -2.0])), cfg)
-        # every critical point is already known, so nothing new may appear
-        if rec is not None:
-            flats = [r.u.flat() for r in sols.records]
-            assert all(np.linalg.norm(rec.u.flat() - f) > cfg.dedupe_tol for f in flats)
-
-
-class TestMinimize:
-    def test_constant_well_minimum(self):
-        prob = _double_well()
-        cfg = SolverConfig(seed=0)
-        rec = minimize(prob, subspace=SUBSPACE_W, cfg=cfg)
-        assert rec is not None
-        assert rec.action_value == pytest.approx(-0.5, abs=1e-10)
-        assert np.allclose(np.abs(rec.u.values), 1.0, atol=1e-8)
-
-    def test_unbounded_objective_returns_none(self):
-        # quartic forcing: J -> -inf along every nonconstant ray
-        nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
-        prob = Problem(
-            m=2,
-            n=1,
-            exponent=ExponentFunction.constant(2.0, 2),
-            nonlinearity=nl,
-            lam=1.0,
-        )
-        with pytest.warns(RuntimeWarning, match="unbounded below"):
-            rec = minimize(prob, cfg=SolverConfig(seed=3))
-        assert rec is None
-
-    def test_neg_action_unbounded_on_axes(self):
-        """The weighted quartic coupling vanishes on coordinate axes, so the
-        action grows without bound there and maximisation must fail."""
-        nl, _ = make_example2(3)
-        prob = Problem(
-            m=3,
-            n=1,
-            exponent=ExponentFunction.constant(2.0, 3),
-            nonlinearity=nl,
-            lam=1.0,
-        )
-        with pytest.warns(RuntimeWarning, match="unbounded below"):
-            rec = minimize(prob, objective=OBJECTIVE_NEG_ACTION, cfg=SolverConfig(seed=1))
-        assert rec is None
-
-    def test_unknown_objective(self):
-        with pytest.raises(ValueError):
-            minimize(_double_well(), objective="J")
-
-    def test_polish_is_one_shared_newton_call(self, monkeypatch):
-        """The polish is find_multiple's Newton loop on the plain residual:
-        one call per minimize that reaches it, none when L-BFGS escapes the
-        guard ball first."""
-        calls = []
-        real = solvers._newton_iterate
-
-        def spy(system, y0, cfg, known=None):
-            calls.append((system.subspace, np.shape(y0), known))
-            return real(system, y0, cfg, known)
-
-        monkeypatch.setattr(solvers, "_newton_iterate", spy)
-        for subspace in (SUBSPACE_W, SUBSPACE_FULL):
-            assert minimize(_double_well(), subspace=subspace, cfg=SolverConfig(seed=0)) is not None
-        assert calls == [(SUBSPACE_W, (1,), None), (SUBSPACE_FULL, (2,), None)]
-        nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
-        prob = Problem(
-            m=2, n=1, exponent=ExponentFunction.constant(2.0, 2), nonlinearity=nl, lam=1.0
-        )
-        with pytest.warns(RuntimeWarning, match="unbounded below"):
-            assert minimize(prob, cfg=SolverConfig(seed=3)) is None
-        assert len(calls) == 2
+        assert np.linalg.norm(x - known[0]) > 0.5
+        assert np.linalg.norm(residual_values(x.reshape(2, 1), prob)) <= cfg.residual_tol
 
 
 def test_mountain_pass_between_wells(monkeypatch):
-    """The saddle at 0; the polish runs the shared Newton loop directly,
-    not through newton_solve."""
+    """The saddle at 0; the polish is one call of the shared Newton loop,
+    undeflated."""
+    calls = []
+    real = solvers._newton_iterate
 
-    def fail(*args, **kwargs):
-        raise AssertionError("mountain_pass called newton_solve")
+    def spy(system, y0, cfg, known=None):
+        calls.append(known)
+        return real(system, y0, cfg, known)
 
-    monkeypatch.setattr(solvers, "newton_solve", fail)
+    monkeypatch.setattr(solvers, "_newton_iterate", spy)
     prob = _double_well()
     cfg = SolverConfig(seed=0)
     rec = mountain_pass(
@@ -325,6 +240,7 @@ def test_mountain_pass_between_wells(monkeypatch):
     assert rec.action_value == pytest.approx(0.0, abs=1e-10)
     assert rec.morse_index == 1
     assert rec.method == "mountain_pass"
+    assert calls == [None]
 
 
 class TestFindMultiple:
