@@ -16,6 +16,18 @@ from pklap.solvers import SolutionSet
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
+_H, _V = "holds_on_samples", "violated"
+_C = [("C.1", _H), ("C.2", _H), ("C.3", _H)]
+SHIPPED_VERDICTS = {
+    "example1_m4": _C + [("A.4", _H), ("A.5", _H), ("A.6.1", _V), ("A.6.2", _V), ("A.6.3", _H),
+                         ("anticoercivity", _H)],
+    "example2_m3": _C + [("A.4", _H), ("A.5", _H), ("A.6.1", _H), ("A.6.2", _H), ("A.6.3", _H),
+                         ("anticoercivity", _V)],
+    "example3_sweep": _C + [("A.7", _H), ("A.8", _H), ("A.9", _H), ("B.2", _H), ("B.3", _H)],
+    "power_borderline": _C + [("A.4", _H), ("A.5", _H), ("A.6.1", _V), ("A.6.2", _V), ("A.6.3", _V),
+                              ("anticoercivity", _H)],
+}
+
 
 def _config(tmp_path, name="cfg.json", **overrides):
     base = {
@@ -341,6 +353,16 @@ class TestCheck:
         with pytest.warns(RuntimeWarning, match="upper bound"):
             assert payload["xi"] == analysis.xi_constant(8, 1, 1.5)
         assert '"xi_converged": false' in text
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_VERDICTS))
+    def test_shipped_config_verdicts(self, tmp_path, name):
+        """Every report's verdict on a shipped config, at the config's own
+        seed, in report order: a change to how the checks draw their
+        samples must not flip one."""
+        out = tmp_path / "check.json"
+        assert cli.main(["check", str(CONFIGS / f"{name}.json"), "--output", str(out)]) == cli.EXIT_OK
+        reports = json.loads(out.read_text())["reports"]
+        assert [(rep["name"], rep["verdict"]) for rep in reports] == SHIPPED_VERDICTS[name]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _config(tmp_path)
