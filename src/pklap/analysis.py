@@ -49,36 +49,31 @@ QUOTIENT_TOL = 1e-3
 
 
 def rng_for(seed: int, *keys: int) -> np.random.Generator:
-    """Deterministic generator keyed by (seed, keys); used for per-sample streams."""
+    """Deterministic generator keyed by (seed, keys): one per sampled check,
+    and one per sample of lambda_star_estimate's counter-keyed streams."""
     entropy = [int(seed) & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in keys]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _unit_direction(rng: np.random.Generator, m: int, n: int, zero_mean: bool) -> np.ndarray:
-    """Random unit vector in R^(m*n), optionally constrained to zero mean."""
-    while True:
-        v = rng.normal(size=(m, n))
-        if zero_mean:
-            v = v - v.mean(axis=0)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return v / norm
+def _unit_directions(
+    rng: np.random.Generator, count: int, shape: tuple, zero_mean: bool = False
+) -> np.ndarray:
+    """count random unit vectors of the given shape, as a (count, *shape) array.
 
-
-def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """count random unit vectors in R^n, as a (count, n) array.
-
-    The same stream and values as count sequential _unit_direction(rng, n,
-    1, zero_mean=False) calls: the normals are drawn in one call, rows too
-    short to normalise are dropped, and the missing rows are drawn again in
-    order.
+    With zero_mean each vector has its mean over its first axis removed
+    before it is normalised.  The normals are drawn in one call, vectors too
+    short to normalise are dropped, and the missing ones are drawn again in
+    order, so the stream and values are those of count draws made one at a
+    time.
     """
-    out = np.empty((0, n))
+    out = np.empty((0, *shape))
     while len(out) < count:
-        v = rng.normal(size=(count - len(out), n))
-        norms = _row_norms(v)
+        v = rng.normal(size=(count - len(out), *shape))
+        if zero_mean:
+            v = v - v.mean(axis=1, keepdims=True)
+        norms = _row_norms(v.reshape(len(v), -1))
         kept = norms > 1e-12
-        out = np.concatenate((out, v[kept] / norms[kept, None]))
+        out = np.concatenate((out, v[kept] / norms[kept].reshape(-1, *[1] * len(shape))))
     return out
 
 
@@ -373,7 +368,7 @@ def _xi_search(
         return 2.0 - 2.0 * math.cos(2.0 * math.pi / m), True
 
     rng = rng_for(seed, m, n)
-    u0 = np.stack([_unit_direction(rng, m, n, zero_mean=True) for _ in range(starts)])
+    u0 = _unit_directions(rng, starts, (m, n), zero_mean=True)
     vals, converged = _xi_descent(u0, p_plus, tol, max_iter)
     if not converged.any():
         warnings.warn(
@@ -535,170 +530,49 @@ def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
 # ---------------------------------------------------------------------------
 
 
-def _signed_point(rng: np.random.Generator, magnitude: float, n: int):
-    """A vector of the given Euclidean magnitude with random orientation.
+def _signed_points(rng: np.random.Generator, mags: np.ndarray, n: int) -> np.ndarray:
+    """Points of the Euclidean magnitudes mags, as a (*mags.shape, n) array.
 
-    For n = 1 the single component is returned as a float.
+    The orientations take one draw call, in the C order of mags: a sign per
+    point at n = 1 (+ where a uniform falls below 1/2), a random unit
+    direction per point at n > 1 (_unit_directions).
     """
     if n == 1:
-        return magnitude * (1.0 if rng.random() < 0.5 else -1.0)
-    v = _unit_direction(rng, n, 1, zero_mean=False).reshape(-1)
-    return magnitude * v
+        return (mags * np.where(rng.random(mags.shape) < 0.5, 1.0, -1.0))[..., None]
+    return mags[..., None] * _unit_directions(rng, mags.size, (n,)).reshape(*mags.shape, n)
 
 
-class _ScalarDraws:
-    """One sample's draws, each a scalar call on rng: the per-sample stream."""
+def _signed_samples(nl: Nonlinearity, rng: np.random.Generator, count: int, magnitudes):
+    """count samples of a condition whose points have random magnitudes and orientations.
 
-    def __init__(self, rng: np.random.Generator, m: int, n: int):
-        self.rng, self.m, self.n = rng, m, n
-
-    def k(self):
-        return int(self.rng.integers(1, self.m + 1))
-
-    def u(self):
-        return self.rng.random()
-
-    def point(self, magnitude):
-        return _signed_point(self.rng, magnitude, self.n)
-
-    def box(self, lo, hi):
-        return self.rng.uniform(lo, hi, size=self.n)
-
-
-class _BlockDraws:
-    """The draws of all samples of an n = 1 block, as columns.
-
-    k() is the column of k values and each u() the next column of doubles;
-    point and box spend one column each and apply the scalar draws'
-    expressions to it, so every entry keeps its scalar draw's bits.
+    Draws the periods K with one rng.integers call, a (2, count) block D of
+    uniforms with one rng.random call, and points of the magnitudes mags =
+    magnitudes(D) (row 0 for u1, row 1 for u2) with one _signed_points call:
+    the same calls at every n and every count.  Returns (K, mags, U), U the
+    (2, count, n) stack of u1 and u2.
     """
-
-    def __init__(self, K: np.ndarray, D: np.ndarray):
-        self.K = K
-        self._columns = iter(D)
-
-    def k(self):
-        return self.K
-
-    def u(self):
-        return next(self._columns)
-
-    def point(self, magnitude):
-        return magnitude * np.where(self.u() < 0.5, 1.0, -1.0)
-
-    def box(self, lo, hi):
-        span = hi - lo
-        if not math.isfinite(span):
-            raise OverflowError("Range exceeds valid bounds")  # as Generator.uniform
-        return lo + span * self.u()
-
-
-def _lemire_threshold(m: int) -> int:
-    """The low product below which rng.integers(1, m + 1) rejects a 32-bit draw."""
-    return (2**32 - m) % m
-
-
-def _decoded_draws(rng: np.random.Generator, count: int, m: int, doubles: int):
-    """count samples of one k in [1, m] and then doubles uniforms each,
-    decoded from rng's raw PCG64 words; None where the stream cannot be
-    decoded, with rng as it was.
-
-    numpy draws the k with Lemire's multiply-shift method on 32-bit halves
-    of a word (Lemire, ACM TOMACS 29, 2019): a sample whose k finds no half
-    buffered takes the low half of a fresh word and leaves the high half
-    for the next sample's k, so each pair of samples spends 2 doubles + 1
-    words.  A uniform is the top 53 bits of its own word times 2^-53.  A k
-    whose low product u m mod 2^32 falls below _lemire_threshold(m) is
-    drawn again by numpy, a chance of at most m / 2^32 per sample, and a
-    generator that holds a buffered half starts the pairs one half later:
-    both return None.  Returns K (int64) and a (doubles, count) array of
-    uniforms, and leaves rng where the scalar draws would.
-    """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    if state["has_uint32"]:
-        return None
-    width = 2 * doubles + 1
-    pairs = -(-count // 2)
-    used = count // 2 * width + count % 2 * (doubles + 1)
-    words = np.zeros(pairs * width, dtype=np.uint64)
-    words[:used] = bitgen.random_raw(used)
-    words = words.reshape(pairs, width)
-    halves = np.stack((words[:, 0] & 0xFFFFFFFF, words[:, 0] >> 32), axis=1).reshape(-1)[:count]
-    product = halves * np.uint64(m)
-    if np.any((product & 0xFFFFFFFF) < _lemire_threshold(m)):
-        bitgen.state = state
-        return None
-    # the scalar draws leave the last k-word's high half in the buffer, used
-    # up by the last k at an even count
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = count % 2, int(words[-1, 0] >> 32)
-    bitgen.state = state
-    K = (product >> 32).astype(np.int64) + 1
-    D = (words[:, 1:].reshape(2 * pairs, doubles)[:count] >> 11) * 2.0**-53
-    return K, D.T
-
-
-def _draw(rng: np.random.Generator, count: int, m: int, n: int, doubles: int, draw):
-    """count samples of draw(source) -> (k, u1, u2, *extra), taken in order
-    from the stream and returned as arrays K, U1, U2 and extra (None when
-    draw returns no extra values).
-
-    draw writes a condition's sampling formula once, over a source with
-    k() (a period index in [1, m]), u() (a uniform in [0, 1)),
-    point(magnitude) (a point of that magnitude with a random sign, or a
-    random direction at n > 1) and box(lo, hi) (a point uniform in
-    [lo, hi)^n); doubles is the number of uniforms one sample spends, one
-    per u(), point (at n = 1) and box.  At n = 1 the whole block is decoded
-    at once (_decoded_draws) and draw runs once on its columns; otherwise,
-    or where the block cannot be decoded, draw runs once per sample on
-    scalar draws.  Both give the same bits.
-    """
-    if n == 1:
-        block = _decoded_draws(rng, count, m, doubles)
-        if block is not None:
-            K, u1, u2, *rest = draw(_BlockDraws(*block))
-            return K, u1[:, None], u2[:, None], np.stack(rest, axis=1) if rest else None
-    source = _ScalarDraws(rng, m, n)
-    K = np.empty(count, dtype=np.int64)
-    U1 = np.empty((count, n))
-    U2 = np.empty((count, n))
-    extra = None
-    for i in range(count):
-        K[i], U1[i], U2[i], *rest = draw(source)
-        if rest:
-            if extra is None:
-                extra = np.empty((count, len(rest)))
-            extra[i] = rest
-    return K, U1, U2, extra
+    K = rng.integers(1, nl.m + 1, size=count)
+    mags = magnitudes(rng.random((2, count)))
+    return K, mags, _signed_points(rng, mags, nl.n)
 
 
 def _sampled_condition(
-    name: str,
-    nl: Nonlinearity,
-    rng: np.random.Generator,
-    count: int,
-    seed: int,
-    doubles: int,
-    draw,
-    margin,
+    name: str, nl: Nonlinearity, K: np.ndarray, U: np.ndarray, seed: int, margin
 ) -> CheckReport:
-    """Shared sampling step of A.4, A.5 and A.7 - A.9.
+    """Shared evaluation step of A.4, A.5 and A.7 - A.9.
 
-    Draws count samples with draw, each spending doubles uniforms (see
-    _draw: one block at n = 1, one sample at a time at n > 1), evaluates F
-    on all of them with one F_many call and gets the per-sample margins
-    and witness fields from margin(F, K, extra) -> (margins, {field:
-    values}).  The worst margin is the first minimum; NaN margins are
-    ignored.  The condition holds when the worst margin is >=
+    K holds the drawn periods and U the (2, count, n) stack of the drawn
+    points u1 and u2.  F is evaluated on all samples with one F_many call,
+    and margin(F) -> (margins, {field: values}) gives the per-sample margins
+    and witness fields.  The worst margin is the first minimum; NaN margins
+    are ignored.  The condition holds when the worst margin is >=
     -SAMPLE_SLACK, and a violation carries its sample as the witness.  An
     overflow shows as an inf or NaN margin, not as a numpy warning.  When
     every margin is NaN no sample decided the condition: the verdict is
     inconclusive and the margin stays inf.
     """
-    K, U1, U2, extra = _draw(rng, count, nl.m, nl.n, doubles, draw)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, fields = margin(nl.F_many(K, U1, U2), K, extra)
+        vals, fields = margin(nl.F_many(K, U[0], U[1]))
     undecided = np.isnan(vals)
     candidates = np.where(undecided, math.inf, vals)
     i = int(np.argmin(candidates))
@@ -706,7 +580,7 @@ def _sampled_condition(
     witness = None
     if candidates[i] < math.inf:
         worst = float(vals[i])
-        witness = {"k": int(K[i]), "u1": U1[i].copy(), "u2": U2[i].copy()}
+        witness = {"k": int(K[i]), "u1": U[0, i].copy(), "u2": U[1, i].copy()}
         witness.update({key: float(v[i]) for key, v in fields.items()})
     if undecided.all():
         verdict = INCONCLUSIVE
@@ -717,7 +591,7 @@ def _sampled_condition(
         verdict,
         worst,
         witness if verdict == VIOLATED else None,
-        samples=count,
+        samples=len(K),
         seed=seed,
     )
 
@@ -730,15 +604,15 @@ def check_growth(
 ) -> list[CheckReport]:
     """Sampled verification of A.4, A.5 and the quotient limits A.6.1 - A.6.3.
 
-    Samples are drawn from seeded streams, and F is evaluated on each
-    condition's samples with one Nonlinearity.F_many call (one per variant
-    for A.6.x).  At n = 1, A.4 and A.5 decode all their samples from one
-    block of raw words, and at n > 1 they draw point by point (see _draw);
-    A.6.x draws each shell's t values, signs (n = 1) or directions (n > 1)
-    with one call each.  Either way the stream is that of point-by-point
-    draws.  The bound of A.4 and the quotient denominators are computed
-    with C pow, as Python's ** does, so the margins are bitwise those of a
-    point-by-point loop.
+    Each condition draws from its own seeded generator.  A.4 and A.5 draw
+    all their periods, magnitudes and orientations with one array call each
+    (_signed_samples), the same calls at every n, and evaluate F on them
+    with one Nonlinearity.F_many call.  A.6.x draws each shell's t values,
+    signs (n = 1) or directions (n > 1) with one call each, and evaluates F
+    with one F_many call per variant.  The bound of A.4 and the quotient
+    denominators are computed with C pow, as Python's ** does, so the
+    margins are bitwise those of a point-by-point loop over the same
+    samples.
     """
     if nl.m != g.m:
         raise ValueError("nonlinearity and profile periods differ")
@@ -746,35 +620,24 @@ def check_growth(
     count = max(sample_budget, 100)
 
     # A.4: lower growth bound for |u1|, |u2| >= M.
-    def draw_a4(src):
-        k = src.k()
-        m1 = g.M + 10.0 * src.u()
-        m2 = g.M + 10.0 * src.u()
-        return k, src.point(m1), src.point(m2), m1, m2
+    K, mags, U = _signed_samples(nl, rng_for(seed, 4), count, lambda D: g.M + 10.0 * D)
 
-    def margin_a4(F, K, extra):
+    def margin_a4(F):
         i = K - 1
         bound = (
-            g.alpha1[i] * np.float_power(extra[:, 0], g.s.values[i])
-            + g.alpha2[i] * np.float_power(extra[:, 1], g.r.values[i])
+            g.alpha1[i] * np.float_power(mags[0], g.s.values[i])
+            + g.alpha2[i] * np.float_power(mags[1], g.r.values[i])
             + g.alpha3[i]
         )
-        vals = F - bound
-        return vals, {"F": vals + bound, "bound": bound}
+        return F - bound, {"F": F, "bound": bound}
 
-    # A.5: F >= 0 on |u1| + |u2| <= 2*eta.
-    def draw_a5(src):
-        k = src.k()
-        total = 2.0 * g.eta * src.u()
-        t = src.u()
-        return k, src.point(t * total), src.point((1.0 - t) * total)
+    reports = [_sampled_condition("A.4", nl, K, U, seed, margin_a4)]
 
-    reports = [
-        _sampled_condition("A.4", nl, rng_for(seed, 4), count, seed, 4, draw_a4, margin_a4),
-        _sampled_condition(
-            "A.5", nl, rng_for(seed, 5), count, seed, 4, draw_a5, lambda F, K, x: (F, {"F": F})
-        ),
-    ]
+    # A.5: F >= 0 on |u1| + |u2| <= 2*eta; D[0] draws the sum, D[1] its split.
+    K, _, U = _signed_samples(
+        nl, rng_for(seed, 5), count, lambda D: 2.0 * g.eta * D[0] * np.stack((D[1], 1.0 - D[1]))
+    )
+    reports.append(_sampled_condition("A.5", nl, K, U, seed, lambda F: (F, {"F": F})))
 
     # A.6.x: quotients of F against mixed powers must vanish at the origin.
     variants = [
@@ -792,16 +655,12 @@ def check_growth(
         U2 = np.empty((K.size, n))
         T = np.empty(K.size)
         for j, shell in enumerate(shells):
-            # each t is shared by m samples, and each sample draws its u1,
-            # then its u2, as _signed_point does
+            # each t is shared by m samples, and each sample's u1 is drawn
+            # before its u2
             t = np.repeat(np.concatenate(([0.0, 0.5, 1.0], rng.random(per_shell))), m)
-            mags = np.stack((t * shell, (1.0 - t) * shell), axis=1).reshape(-1, 1)
-            if n == 1:
-                points = mags * np.where(rng.random(2 * rows) < 0.5, 1.0, -1.0)[:, None]
-            else:
-                points = mags * _unit_directions(rng, 2 * rows, n)
+            points = _signed_points(rng, np.stack((t * shell, (1.0 - t) * shell), axis=1), n)
             block = slice(j * rows, (j + 1) * rows)
-            U1[block], U2[block], T[block] = points[0::2], points[1::2], t
+            U1[block], U2[block], T[block] = points[:, 0], points[:, 1], t
         S = np.repeat(shells, rows)
         denom = np.float_power(T * S, e1) + np.float_power((1.0 - T) * S, e2)
         kept = ~(denom <= 0.0)
@@ -849,48 +708,30 @@ def check_bounds(
     """Sampled verification of the bound and sign conditions A.7 - A.9.
 
     Sign conditions are checked up to a small slack, so a potential that
-    merely touches zero on the sampled region still passes.  Each
-    condition's samples come from its own seeded stream, decoded in one
-    block at n = 1 and drawn point by point at n > 1, with the same values
-    either way (see _draw), and F is evaluated on them with one
-    Nonlinearity.F_many call.
+    merely touches zero on the sampled region still passes.  Each condition
+    draws from its own seeded generator: its periods, its magnitudes or box
+    coordinates, and its orientations with one array call each, the same
+    calls at every n (_signed_samples; A.7 draws its box with one
+    rng.uniform call, which raises OverflowError on an infinite box).  F is
+    evaluated on each condition's samples with one Nonlinearity.F_many call.
     """
     count = max(sample_budget, 100)
 
     # A.7: F <= C on a large box.
-    def draw_a7(src):
-        k = src.k()
-        u1 = src.box(-box_halfwidth, box_halfwidth)
-        return k, u1, src.box(-box_halfwidth, box_halfwidth)
-
-    def margin_a7(F, K, extra):
-        vals = b.C - F
-        return vals, {"F": b.C - vals}
+    rng = rng_for(seed, 7)
+    K = rng.integers(1, nl.m + 1, size=count)
+    U = rng.uniform(-box_halfwidth, box_halfwidth, size=(2, count, nl.n))
+    a7 = _sampled_condition("A.7", nl, K, U, seed, lambda F: (b.C - F, {"F": F}))
 
     # A.8: F < 0 for 0 < |u1|, |u2| <= rho1.
-    def draw_a8(src):
-        k = src.k()
-        u1 = src.point(b.rho1 * (1.0 - src.u() * 0.999999))
-        return k, u1, src.point(b.rho1 * (1.0 - src.u() * 0.999999))
-
-    def margin_a8(F, K, extra):
-        vals = -F
-        return vals, {"F": -vals}
+    K, _, U = _signed_samples(nl, rng_for(seed, 8), count, lambda D: b.rho1 * (1.0 - D * 0.999999))
+    a8 = _sampled_condition("A.8", nl, K, U, seed, lambda F: (-F, {"F": F}))
 
     # A.9: F > 0 for rho2 < |u1|, |u2| <= rho3.
-    def draw_a9(src):
-        k = src.k()
-        r1 = b.rho2 + (b.rho3 - b.rho2) * (1.0 - src.u() * 0.999999)
-        r2 = b.rho2 + (b.rho3 - b.rho2) * (1.0 - src.u() * 0.999999)
-        return k, src.point(r1), src.point(r2)
-
-    return [
-        _sampled_condition("A.7", nl, rng_for(seed, 7), count, seed, 2, draw_a7, margin_a7),
-        _sampled_condition("A.8", nl, rng_for(seed, 8), count, seed, 4, draw_a8, margin_a8),
-        _sampled_condition(
-            "A.9", nl, rng_for(seed, 9), count, seed, 4, draw_a9, lambda F, K, x: (F, {"F": F})
-        ),
-    ]
+    K, _, U = _signed_samples(
+        nl, rng_for(seed, 9), count, lambda D: b.rho2 + (b.rho3 - b.rho2) * (1.0 - D * 0.999999)
+    )
+    return [a7, a8, _sampled_condition("A.9", nl, K, U, seed, lambda F: (F, {"F": F}))]
 
 
 # ---------------------------------------------------------------------------
@@ -1020,10 +861,7 @@ def anticoercivity_probe(
     if directions < 0:
         raise ValueError(f"directions must be >= 0, got {directions}")
     rng = rng_for(seed, 17)
-    sampled = np.reshape(
-        [_unit_direction(rng, prob.m, prob.n, zero_mean=False) for _ in range(directions)],
-        (-1, prob.dim),
-    )
+    sampled = _unit_directions(rng, directions, (prob.m, prob.n)).reshape(-1, prob.dim)
     samples = directions + (min(directions, 4) if optimize_worst else 0)
 
     def table(D):
@@ -1307,7 +1145,7 @@ def check_b2_b3(
     arg_sub = None
     dirs, draws_of = [], []
     for _ in range(ndirs):
-        dirs.append(_unit_direction(rng, prob.m, prob.n, zero_mean=True))
+        dirs.append(_unit_directions(rng, 1, (prob.m, prob.n), zero_mean=True)[0])
         draws_of.append(rng.random(2 * per_dir))
     radii, errors = _level_radii(prob, np.stack(dirs), r)
     for i, (v, t_r, draws) in enumerate(zip(dirs, radii, draws_of)):
@@ -1420,7 +1258,7 @@ def lambda_star_estimate(
     for ir, r in enumerate(r_grid):
         rngs = [rng_for(seed, ir, i) for i in range(samples_per_r)]
         V = np.reshape(
-            [_unit_direction(rng, prob.m, prob.n, zero_mean=True) for rng in rngs],
+            [_unit_directions(rng, 1, (prob.m, prob.n), zero_mean=True) for rng in rngs],
             (samples_per_r, prob.m, prob.n),
         )
         radii, errors = _level_radii(prob, V, r)

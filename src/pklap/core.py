@@ -402,16 +402,14 @@ class Nonlinearity:
             self._check_assembly()
 
     def _check_assembly(self, points: int = 100, seed: int = 20240) -> None:
-        """Compare f_direct with the assembled coupling term at random points,
-        each drawn as a period k and then a (3, n) normal block.  f_direct is
-        called per point; the partial gradients take all points in one kernel
-        call each.  A non-finite deviation fails the check."""
+        """Compare f_direct with the assembled coupling term at random points:
+        all their periods are drawn with one call, and then all their (3, n)
+        normal blocks with one call.  f_direct is called per point, as the
+        independent derivation; the partial gradients take all points in one
+        kernel call each.  A non-finite deviation fails the check."""
         rng = np.random.default_rng(seed)
-        K = np.empty(points, dtype=np.int64)
-        U = np.empty((points, 3, self.n))
-        for i in range(points):
-            K[i] = rng.integers(-2 * self.m, 2 * self.m + 1)
-            U[i] = rng.normal(size=(3, self.n))
+        K = rng.integers(-2 * self.m, 2 * self.m + 1, size=points)
+        U = rng.normal(size=(points, 3, self.n))
         direct = np.array(
             [_vector(self.f_direct(k, *u), self.n, "f_direct") for k, u in zip(K.tolist(), U)]
         )

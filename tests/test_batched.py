@@ -160,14 +160,16 @@ def test_stack_periods_are_the_tiled_periods_and_read_only(monkeypatch, m):
 
 
 class TestPinnedValues:
-    """Values computed point by point before the batched path existed."""
+    """Values computed point by point: the A.4, A.5 and A.7 margins by a loop
+    of F_at calls over the samples of each condition's stream, one sample at
+    a time."""
 
     def test_example1_growth(self):
         spec = _builtin("example1")
         reports = {
             r.name: r for r in check_growth(spec.nonlinearity, spec.growth, sample_budget=1500)
         }
-        assert reports["A.4"].margin == 8.886217045755984e-06
+        assert reports["A.4"].margin == 4.021237572260361e-06
         assert reports["A.6.3"].margin == 0.0009999999999998
         assert reports["A.6.1"].verdict == "violated"
         witness = reports["A.6.1"].witness
@@ -179,12 +181,12 @@ class TestPinnedValues:
     def test_example3_bounds(self):
         spec = _builtin("example3")
         reports = {r.name: r for r in check_bounds(spec.nonlinearity, spec.bounds, 1500)}
-        assert reports["A.7"].margin == 5.349600256110421e-07
+        assert reports["A.7"].margin == 3.554007695583117e-05
 
     def test_power_growth(self):
         spec = _builtin("power")
         reports = {r.name: r for r in check_growth(spec.nonlinearity, spec.growth, 1000)}
-        assert reports["A.5"].margin == 2.08513905220051e-11
+        assert reports["A.5"].margin == 3.4833153159588685e-12
         # the bound holds with equality, and is computed with the same pow
         assert reports["A.4"].margin == 0.0
 

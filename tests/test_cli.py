@@ -10,8 +10,9 @@ import pytest
 
 import pklap.analysis as analysis
 import pklap.cli as cli
-from pklap.core import EvaluationError, Nonlinearity
+from pklap.core import EvaluationError, Nonlinearity, _row_norms
 from pklap.nonlinearities import BuiltinSpec, make_builtin, make_power
+from pklap.operators import _residual_rows
 from pklap.solvers import SolutionSet
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -215,8 +216,9 @@ class TestCheck:
 
     def test_huge_exponent_is_quiet_and_unchanged(self, tmp_path):
         """Overflow at p = 1100 shows in the report (inf thresholds and
-        margins), not as numpy warnings; the bytes are those the per-point
-        implementation wrote."""
+        margins), not as numpy warnings; the bytes are pinned.  They last
+        moved with the array-call sample streams, in the C.1, C.2 and A.5
+        margins only."""
         cfg = _config(tmp_path, p=1100.0)
         out = tmp_path / "check.json"
         with warnings.catch_warnings(record=True) as caught:
@@ -224,12 +226,13 @@ class TestCheck:
             assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_OK
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "8605414e05d04e141af6fbd8b9fc027a4e707cc009cec24b6f6a665f834e73f1"
+        assert digest == "995cfc4b14c1c6d8236384e5d9666c02206db8517b8e820a5e825c3c08e76eb0"
 
     def test_overflowing_ascent_is_quiet_and_unchanged(self, tmp_path):
         """At p = 60 the anti-coercivity ascent's gradient norms overflow;
-        that shows in no numpy warning, and the bytes are those the
-        one-direction-at-a-time ascent wrote."""
+        that shows in no numpy warning, and the bytes are pinned.  They last
+        moved with the array-call sample streams, in the C.1, C.2 and A.5
+        margins only."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "m": 2, "n": 1, "p": [60, 60], "lambda": 5.0, "seed": 3,
@@ -241,7 +244,7 @@ class TestCheck:
             assert cli.main(["check", str(cfg), "--output", str(out)]) == cli.EXIT_OK
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "5b654f8f867b5fea4358be9444788abe032d5490f26f4b5eec1b0f31cc8fc5d7"
+        assert digest == "eeb9aeff1543a11e136f336cb60351f7b2aa058dc62d142704b6aea52cad5445"
 
     def test_bounded_family_at_huge_exponent(self, tmp_path, capsys):
         """mu overflows at the doubled top of B.2's level-radius bracket;
@@ -265,8 +268,9 @@ class TestCheck:
 
     def test_bounded_family_at_huge_exponent_is_quiet_and_unchanged(self, tmp_path):
         """The xi descent's gradient norms overflow at p = 1100; that shows
-        in no numpy warning, and the bytes are those written before the
-        level radii were stacked."""
+        in no numpy warning, and the bytes are pinned.  They last moved with
+        the array-call sample streams, in the C.1, C.2 and A.7 margins
+        only."""
         cfg = _config(
             tmp_path,
             m=4,
@@ -282,7 +286,7 @@ class TestCheck:
             assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_OK
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "468ae4cf3842447084e3997c8b2d142dcec1adbb08190f0e681abe620ea79831"
+        assert digest == "722394c0c60d063d227a7746f7b7a158c1c89e16f79262d5f533a77e9b5822b1"
 
     def test_evaluation_failure_is_compute_error(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):
@@ -623,3 +627,35 @@ class TestGradcheck:
         assert payload["max_relative_error"] > 1e-5
         assert payload["worst_point"] is not None
         assert "worst point" in capsys.readouterr().err
+
+    def test_overflowing_gradient_norm_is_measured(self, tmp_path):
+        """At p = 400 the gradient's norm overflows at several of the 20
+        points, which made their error |g - g_fd| / inf = 0 (or NaN, then
+        skipped).  The norms are taken on the scaled point: every error is
+        finite, and no numpy warning is issued."""
+        cfg = _config(tmp_path, m=4, p=400.0, **{"lambda": 1.0})
+        prob = cli.load_config(cfg).problem
+        points = analysis.rng_for(0, 31).normal(size=(20, 4, 1))
+        with np.errstate(over="ignore"):
+            out, _ = _residual_rows(points, prob)
+            assert np.isinf(_row_norms(out.reshape(20, -1))).sum() >= 2
+        out = tmp_path / "grad.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            errors = cli._gradcheck_errors(points, prob, None)
+            assert cli.main(["gradcheck", cfg, "--points", "20", "--output", str(out)]) == cli.EXIT_OK
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert all(0.0 < e < 1e-5 for e in errors)
+        payload = json.loads(out.read_text())
+        assert payload["max_relative_error"] == max(errors) and payload["passed"] is True
+
+    def test_non_finite_error_fails_the_check(self, tmp_path, monkeypatch, capsys):
+        """A NaN error ranks above every number: it is the reported worst
+        point and fails the check, never skipped."""
+        monkeypatch.setattr(cli, "_gradcheck_errors", lambda u, prob, step: [1e-9, math.nan, 2e-9])
+        out = tmp_path / "grad.json"
+        assert cli.main(["gradcheck", _config(tmp_path), "--points", "3", "--output", str(out)]) == cli.EXIT_COMPUTE
+        payload = json.loads(out.read_text())
+        assert payload["passed"] is False and payload["max_relative_error"] == "nan"
+        assert payload["worst_point"] == analysis.rng_for(0, 31).normal(size=(3, 2, 1))[1].tolist()
+        assert "gradient mismatch nan" in capsys.readouterr().err

@@ -26,7 +26,7 @@ from pklap.analysis import (
     _SIGNERR,
     _brentq_rows,
     _level_radii,
-    _unit_direction,
+    _unit_directions,
     check_b2_b3,
     lambda_star_estimate,
     rng_for,
@@ -213,7 +213,7 @@ def _example3(m, p):
 
 def _directions(seed, count, m, n=1):
     rng = rng_for(seed, m, n)
-    return np.stack([_unit_direction(rng, m, n, zero_mean=True) for _ in range(count)])
+    return _unit_directions(rng, count, (m, n), zero_mean=True)
 
 
 @pytest.mark.parametrize(

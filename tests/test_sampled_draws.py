@@ -1,123 +1,113 @@
 """The sampled A.4 - A.9 draws against their per-sample reference.
 
-`check_growth` (A.4, A.5) and `check_bounds` (A.7 - A.9) take their samples
-from `analysis._draw`, one seeded generator per condition.  However it
-draws them, the arrays K, U1, U2 and extra it returns must be bitwise those
-of `_loop_draw` below: one sample at a time, each with its own scalar
-`rng.integers`, `rng.random` and `rng.uniform` calls, in the order the five
-draw functions below make them.  The tests catch `_draw`'s results with a
-spy while the checks run and compare them with that loop on a fresh
-generator of the same key.  The last tests call `_draw` directly: where a
-block cannot be decoded (a k numpy would draw again, or a half word left
-in the generator's buffer) it must restore the generator and loop, and a
-decoded block must leave the generator where the loop does.
+`check_growth` (A.4, A.5) and `check_bounds` (A.7 - A.9) draw each
+condition's samples from one seeded generator, one array call per drawn
+quantity and the same calls at every n: the periods K with one
+`rng.integers` call, a (2, count) block of uniforms with one `rng.random`
+call, and then the points' signs (n = 1, one `rng.random` call) or unit
+directions (n > 1, `_unit_directions`); A.7 draws its box with one
+`rng.uniform` call.  The tests catch the K and U that `_sampled_condition`
+receives with a spy while the checks run, and compare them bitwise with
+`_loop_draw` below, which takes the same stream one uniform, one sign and
+one direction at a time and builds each sample alone on Python floats.
+The last tests pin what the array calls guarantee: the same key gives the
+same samples, a condition makes as many generator calls at any budget, and
+a larger gradcheck `--points` extends its point set.
 """
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pklap.cli as cli
 from pklap import analysis
-from pklap.analysis import BoundProfile, _unit_direction, check_bounds, check_growth, rng_for
+from pklap.analysis import BoundProfile, check_bounds, check_growth, rng_for
 from pklap.core import Nonlinearity
 from pklap.nonlinearities import make_example3, make_power
+from test_stacked_checks import _unit_direction
 
 N1_PERIODS = (2, 3, 4, 5, 8, 9, 12)
 BOX = 1e3  # check_bounds' default box_halfwidth
 
 
-def _signed_point(rng, magnitude, n):
+def _loop_draw(rng, m, n, count, magnitudes):
+    """count samples of a signed-point condition, drawn one at a time: the
+    periods (one integers call), the 2 * count uniforms, then a sign or a
+    direction for each u1 and then for each u2.  magnitudes(d0, d1) gives
+    a sample's (|u1|, |u2|) from its two uniforms."""
+    K = rng.integers(1, m + 1, size=count)
+    D = [[rng.random() for _ in range(count)] for _ in range(2)]
     if n == 1:
-        return magnitude * (1.0 if rng.random() < 0.5 else -1.0)
-    v = _unit_direction(rng, n, 1, zero_mean=False).reshape(-1)
-    return magnitude * v
-
-
-def _loop_draw(rng, count, n, draw):
-    """count samples of draw(rng) -> (k, u1, u2, *extra), one at a time."""
-    K = np.empty(count, dtype=np.int64)
-    U1 = np.empty((count, n))
-    U2 = np.empty((count, n))
-    extra = None
+        orient = [[1.0 if rng.random() < 0.5 else -1.0 for _ in range(count)] for _ in range(2)]
+    else:
+        orient = [[_unit_direction(rng, n, 1, False).reshape(-1) for _ in range(count)] for _ in range(2)]
+    U = np.empty((2, count, n))
     for i in range(count):
-        K[i], U1[i], U2[i], *rest = draw(rng)
-        if rest:
-            if extra is None:
-                extra = np.empty((count, len(rest)))
-            extra[i] = rest
-    return K, U1, U2, extra
+        for j, mag in enumerate(magnitudes(D[0][i], D[1][i])):
+            U[j, i] = mag * orient[j][i]
+    return K, U
 
 
-def _growth_draws(g, m, n):
-    def draw_a4(rng):
-        k = int(rng.integers(1, m + 1))
-        m1 = g.M + 10.0 * rng.random()
-        m2 = g.M + 10.0 * rng.random()
-        return k, _signed_point(rng, m1, n), _signed_point(rng, m2, n), m1, m2
-
-    def draw_a5(rng):
-        k = int(rng.integers(1, m + 1))
-        total = 2.0 * g.eta * rng.random()
-        t = rng.random()
-        return k, _signed_point(rng, t * total, n), _signed_point(rng, (1.0 - t) * total, n)
-
-    return [(4, draw_a4), (5, draw_a5)]
+def _loop_box(rng, m, n, count):
+    """A.7's samples: the periods, then each box coordinate of each u1 and
+    then of each u2, one uniform call at a time."""
+    K = rng.integers(1, m + 1, size=count)
+    U = np.array([[[rng.uniform(-BOX, BOX) for _ in range(n)] for _ in range(count)] for _ in range(2)])
+    return K, U
 
 
-def _bound_draws(b, m, n):
-    def draw_a7(rng):
-        k = int(rng.integers(1, m + 1))
-        u1 = rng.uniform(-BOX, BOX, size=n)
-        return k, u1, rng.uniform(-BOX, BOX, size=n)
-
-    def draw_a8(rng):
-        k = int(rng.integers(1, m + 1))
-        u1 = _signed_point(rng, b.rho1 * (1.0 - rng.random() * 0.999999), n)
-        return k, u1, _signed_point(rng, b.rho1 * (1.0 - rng.random() * 0.999999), n)
-
-    def draw_a9(rng):
-        k = int(rng.integers(1, m + 1))
-        r1 = b.rho2 + (b.rho3 - b.rho2) * (1.0 - rng.random() * 0.999999)
-        r2 = b.rho2 + (b.rho3 - b.rho2) * (1.0 - rng.random() * 0.999999)
-        return k, _signed_point(rng, r1, n), _signed_point(rng, r2, n)
-
-    return [(7, draw_a7), (8, draw_a8), (9, draw_a9)]
+def _growth_refs(g):
+    return {
+        "A.4": (4, lambda d0, d1: (g.M + 10.0 * d0, g.M + 10.0 * d1)),
+        "A.5": (5, lambda d0, d1: (2.0 * g.eta * d0 * d1, 2.0 * g.eta * d0 * (1.0 - d1))),
+    }
 
 
-def _caught_draws(run):
-    """The results of every _draw call made while run() runs, in order."""
+def _bound_refs(b):
+    return {
+        "A.7": (7, None),
+        "A.8": (8, lambda d0, d1: (b.rho1 * (1.0 - d0 * 0.999999), b.rho1 * (1.0 - d1 * 0.999999))),
+        "A.9": (
+            9,
+            lambda d0, d1: (
+                b.rho2 + (b.rho3 - b.rho2) * (1.0 - d0 * 0.999999),
+                b.rho2 + (b.rho3 - b.rho2) * (1.0 - d1 * 0.999999),
+            ),
+        ),
+    }
+
+
+def _caught_samples(run):
+    """(name, K, U) of every _sampled_condition call made while run() runs."""
     seen = []
-    real = analysis._draw
+    real = analysis._sampled_condition
 
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        seen.append(out)
-        return out
+    def spy(name, nl, K, U, seed, margin):
+        seen.append((name, K, U))
+        return real(name, nl, K, U, seed, margin)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_draw", spy)
+        mp.setattr(analysis, "_sampled_condition", spy)
         run()
     return seen
 
 
 def _same(a, b):
-    if a is None or b is None:
-        return a is None and b is None
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_same_draws(got, want, what=""):
-    for name, a, b in zip(("K", "U1", "U2", "extra"), got, want):
-        assert _same(a, b), f"{what}{name} differs"
-
-
-def _assert_draws_match(got, draws, count, n, seed):
-    assert len(got) == len(draws)
-    for out, (key, draw) in zip(got, draws):
-        want = _loop_draw(rng_for(seed, key), count, n, draw)
-        _assert_same_draws(out, want, f"seed {seed}, count {count}: A.{key} ")
+def _assert_samples_match(got, refs, m, n, count, seed):
+    assert [name for name, _, _ in got] == list(refs)
+    for name, K, U in got:
+        key, magnitudes = refs[name]
+        rng = rng_for(seed, key)
+        want = _loop_box(rng, m, n, count) if magnitudes is None else _loop_draw(rng, m, n, count, magnitudes)
+        assert _same(K, want[0]), f"seed {seed}, count {count}: {name} K differs"
+        assert _same(U, want[1]), f"seed {seed}, count {count}: {name} U differs"
 
 
 _CACHE = {}
@@ -149,10 +139,10 @@ def _families(m, n=1):
 def _check_both(m, n, budget, seed):
     nl, g, b = _families(m, n)
     count = max(budget, 100)
-    got = _caught_draws(lambda: check_growth(nl, g, sample_budget=budget, seed=seed))
-    _assert_draws_match(got, _growth_draws(g, m, n), count, n, seed)
-    got = _caught_draws(lambda: check_bounds(nl, b, sample_budget=budget, seed=seed))
-    _assert_draws_match(got, _bound_draws(b, m, n), count, n, seed)
+    got = _caught_samples(lambda: check_growth(nl, g, sample_budget=budget, seed=seed))
+    _assert_samples_match(got, _growth_refs(g), m, n, count, seed)
+    got = _caught_samples(lambda: check_bounds(nl, b, sample_budget=budget, seed=seed))
+    _assert_samples_match(got, _bound_refs(b), m, n, count, seed)
 
 
 @pytest.mark.parametrize("m", N1_PERIODS)
@@ -170,9 +160,9 @@ def test_odd_and_default_counts_match_the_loop(m, budget):
 @pytest.mark.parametrize("m", [2, 5, 8])
 def test_example3_guard_draws_match_the_loop(m):
     # make_example3 re-checks its bound profile with check_bounds at budget 800, seed 7
-    got = _caught_draws(lambda: make_example3(m))
+    got = _caught_samples(lambda: make_example3(m))
     _, b = make_example3(m)
-    _assert_draws_match(got, _bound_draws(b, m, 1), 800, 1, 7)
+    _assert_samples_match(got, _bound_refs(b), m, 1, 800, 7)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -192,79 +182,118 @@ def test_draws_match_the_loop_property(seed, m, budget):
 
 
 def test_rng_for_builds_a_pcg64_generator():
-    # the block decoding of the n = 1 draws reads PCG64's raw words
+    # every pinned sample stream is a PCG64 stream
     rng = rng_for(3, 4)
     assert isinstance(rng, np.random.Generator)
     assert type(rng.bit_generator) is np.random.PCG64
 
 
-# Direct _draw calls: A.4's formula over _draw's source, and its scalar reference.
-GROWTH = make_power(2, 1.0, 2.0, 3.0, 2.5)[1]
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_infinite_box_raises_as_uniform_does(n):
+    nl, _, b = _families(5, n)
+    with pytest.raises(OverflowError):
+        check_bounds(nl, b, sample_budget=100, box_halfwidth=1e308)
 
 
-def _a4_formula(src):
-    k = src.k()
-    m1 = GROWTH.M + 10.0 * src.u()
-    m2 = GROWTH.M + 10.0 * src.u()
-    return k, src.point(m1), src.point(m2), m1, m2
+def test_the_same_key_gives_the_same_samples():
+    nl, g, b = _families(5, 2)
+
+    def samples(seed):
+        return _caught_samples(
+            lambda: (check_growth(nl, g, sample_budget=300, seed=seed), check_bounds(nl, b, 300, seed=seed))
+        )
+
+    first, again, other = samples(4), samples(4), samples(5)
+    assert len(first) == 5
+    for (name, K, U), (_, K2, U2), (_, K3, U3) in zip(first, again, other):
+        assert _same(K, K2) and _same(U, U2), name
+        assert not _same(U, U3), name
 
 
-def _a4_reference(m):
-    return _growth_draws(GROWTH, m, 1)[0][1]
+@pytest.mark.parametrize("name", ["A.4", "A.5", "A.8", "A.9"])
+def test_n2_points_have_the_drawn_magnitudes_and_unit_directions(name):
+    """Each n = 2 point is its drawn magnitude times a unit direction: the
+    magnitudes come from the condition's uniforms, in their range."""
+    nl, g, b = _families(4, 2)
+    caught = _caught_samples(
+        lambda: (check_growth(nl, g, sample_budget=500, seed=2), check_bounds(nl, b, 500, seed=2))
+    )
+    got = {condition: U for condition, _, U in caught}
+    refs = {**_growth_refs(g), **_bound_refs(b)}
+    key, magnitudes = refs[name]
+    rng = rng_for(2, key)
+    rng.integers(1, 5, size=500)
+    D = rng.random((2, 500))
+    mags = np.array([magnitudes(d0, d1) for d0, d1 in D.T.tolist()]).T
+    U = got[name]
+    norms = np.linalg.norm(U, axis=2)
+    np.testing.assert_allclose(norms, mags, rtol=4e-16, atol=0)
+    directions = U / mags[:, :, None]
+    np.testing.assert_allclose(np.linalg.norm(directions, axis=2), 1.0, rtol=4e-16)
+    # and the directions point every way: both signs in each component
+    assert (directions > 0).any(axis=(0, 1)).all() and (directions < 0).any(axis=(0, 1)).all()
 
 
-def test_forced_rejection_falls_back_to_the_loop_on_the_restored_stream():
-    # every k is rejected, so each condition restores its generator and loops
-    nl, g, b = _families(12)
-    asked = []
+class _CountingGenerator:
+    """A generator that counts the draw calls made on it."""
 
-    def threshold(m):
-        asked.append(m)
-        return 2**32
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def _calls_per_key(run):
+    calls = {}
+    real = analysis.rng_for
+
+    def counting(seed, *keys):
+        return _CountingGenerator(real(seed, *keys), calls.setdefault(keys, []))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_lemire_threshold", threshold)
-        got = _caught_draws(lambda: check_growth(nl, g, sample_budget=301, seed=5))
-        _assert_draws_match(got, _growth_draws(g, 12, 1), 301, 1, 5)
-        got = _caught_draws(lambda: check_bounds(nl, b, sample_budget=301, seed=5))
-        _assert_draws_match(got, _bound_draws(b, 12, 1), 301, 1, 5)
-    assert asked == [12] * 5
-
-
-def test_a_large_period_rejects_and_falls_back():
-    # (2^32 - m) % m = 2^30 at m = 3 * 2^30: a quarter of the 32-bit draws is rejected
-    m = 3 * 2**30
-    rng = rng_for(0, 1)
-    state = rng.bit_generator.state
-    assert analysis._decoded_draws(rng, 101, m, 4) is None
-    assert rng.bit_generator.state == state
-    got = analysis._draw(rng_for(0, 1), 101, m, 1, 4, _a4_formula)
-    _assert_same_draws(got, _loop_draw(rng_for(0, 1), 101, 1, _a4_reference(m)))
-
-
-@pytest.mark.parametrize("count", [100, 101])
-def test_the_decoded_block_leaves_the_generator_where_the_loop_does(count):
-    rng, ref = rng_for(2, 4), rng_for(2, 4)
-    got = analysis._draw(rng, count, 9, 1, 4, _a4_formula)
-    _assert_same_draws(got, _loop_draw(ref, count, 1, _a4_reference(9)))
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.random() == ref.random()
-    assert rng.integers(1, 10) == ref.integers(1, 10)
-
-
-def test_a_buffered_half_word_falls_back_to_the_loop():
-    rng, ref = rng_for(4, 4), rng_for(4, 4)
-    rng.integers(1, 5)
-    ref.integers(1, 5)
-    assert rng.bit_generator.state["has_uint32"] == 1
-    got = analysis._draw(rng, 100, 9, 1, 4, _a4_formula)
-    _assert_same_draws(got, _loop_draw(ref, 100, 1, _a4_reference(9)))
+        mp.setattr(analysis, "rng_for", counting)
+        run()
+    return calls
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_an_infinite_box_raises_as_uniform_does(n):
-    def draw(src):
-        return src.k(), src.box(-1e308, 1e308), src.box(-1e308, 1e308)
+def test_a_condition_makes_as_many_generator_calls_at_any_budget(n):
+    nl, g, b = _families(3, n)
 
-    with pytest.raises(OverflowError):
-        analysis._draw(rng_for(0, 7), 100, 5, n, 2, draw)
+    def counts(budget):
+        return _calls_per_key(
+            lambda: (check_growth(nl, g, sample_budget=budget), check_bounds(nl, b, budget))
+        )
+
+    small, large = counts(100), counts(4000)
+    assert small == large
+    for key in [(4,), (5,), (8,), (9,)]:
+        assert small[key] == ["integers", "random", "random" if n == 1 else "normal"]
+    assert small[(7,)] == ["integers", "uniform"]
+
+
+def test_a_larger_points_extends_the_gradcheck_point_set(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 3, "n": 1, "p": 2.5, "lambda": 1.0, "seed": 6,
+                               "nonlinearity": {"builtin": "example2"}}))
+    seen = []
+    real = cli._gradcheck_errors
+
+    def spy(u, prob, step):
+        seen.append(u.copy())
+        return real(u, prob, step)
+
+    monkeypatch.setattr(cli, "_gradcheck_errors", spy)
+    for points in (5, 12):
+        out = str(tmp_path / f"grad{points}.json")
+        assert cli.main(["gradcheck", str(cfg), "--points", str(points), "--output", out]) == cli.EXIT_OK
+    few, many = seen
+    assert few.shape == (5, 3, 1) and many.shape == (12, 3, 1)
+    assert _same(many[:5], few)

@@ -30,8 +30,6 @@ from pklap.analysis import (
     _c3_rows,
     _jsonable,
     _level_radii,
-    _signed_point,
-    _unit_direction,
     _unit_directions,
     anticoercivity_probe,
     check_b2_b3,
@@ -67,6 +65,26 @@ def _dumps(obj):
 # ---------------------------------------------------------------------------
 # Per-point references
 # ---------------------------------------------------------------------------
+
+
+def _unit_direction(rng, m, n, zero_mean):
+    """One random unit vector in R^(m*n), drawn alone: the draws that
+    analysis._unit_directions makes for many vectors at once."""
+    while True:
+        v = rng.normal(size=(m, n))
+        if zero_mean:
+            v = v - v.mean(axis=0)
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            return v / norm
+
+
+def _signed_point(rng, magnitude, n):
+    """A point of the given magnitude with a random sign (n = 1) or unit
+    direction (n > 1), drawn alone."""
+    if n == 1:
+        return magnitude * (1.0 if rng.random() < 0.5 else -1.0)
+    return magnitude * _unit_direction(rng, n, 1, zero_mean=False).reshape(-1)
 
 
 def _loop_mu(vals, prob):
@@ -355,15 +373,20 @@ def test_one_sequence_checks_keep_their_reports():
 
 
 def _loop_sampled_c_reports(prob, seed, count=300):
-    """The sample loop cli._sampled_c_reports carried."""
+    """cli._sampled_c_reports as a loop over its samples: the draws of
+    rng_for(seed, 41) (all scale exponents, all sequences, then both rows of
+    exponent uniforms), and each sample's arithmetic and inequalities on
+    Python floats, one sample at a time."""
+    rng = rng_for(seed, 41)
+    exponents = rng.uniform(-2.0, 2.0, size=count).tolist()
+    normals = rng.normal(size=(count, prob.m, prob.n))
+    d1, d2 = rng.random((2, count)).tolist()
     worst = {"C.1": (math.inf, None), "C.2": (math.inf, None), "C.3": (math.inf, None)}
     decided = set()
     for i in range(count):
-        rng = rng_for(seed, 41, i)
-        scale = 10.0 ** rng.uniform(-2.0, 2.0)
-        u = PeriodicSequence(scale * rng.normal(size=(prob.m, prob.n)))
-        s1 = 0.5 + 5.5 * rng.random()
-        s2 = 2.0 + 4.0 * rng.random()
+        u = PeriodicSequence(10.0 ** exponents[i] * normals[i])
+        s1 = 0.5 + 5.5 * d1[i]
+        s2 = 2.0 + 4.0 * d2[i]
         refs = _loop_c(u.values, s1, s2, prob.exponent)
         for name, s, (margin, lhs, rhs) in zip(("C.1", "C.2", "C.3"), (s1, s2, None), refs):
             if not math.isnan(margin):
@@ -409,7 +432,10 @@ def test_sampled_c_witness_of_a_violation(monkeypatch):
     [c1, _, _] = cli._sampled_c_reports(prob, 5)
     assert c1.verdict == VIOLATED
     assert list(c1.witness) == ["u", "s", "lhs", "rhs"]
-    assert c1.witness["rhs"] - c1.witness["lhs"] == c1.margin
+    # the witness is the sample of the margin: its sides, recomputed alone
+    w = c1.witness
+    margin, lhs, rhs = (x.item() for x in shifted(w["u"][None], np.array([w["s"]])))
+    assert (margin, lhs, rhs) == (c1.margin, w["lhs"], w["rhs"])
 
     def tied(u, s):
         margin, lhs, rhs = _c1_rows(u, s)
@@ -418,8 +444,8 @@ def test_sampled_c_witness_of_a_violation(monkeypatch):
     # every sample ties at the worst margin: the first one is the witness
     monkeypatch.setattr(cli, "_c1_rows", tied)
     [c1, _, _] = cli._sampled_c_reports(prob, 5)
-    rng = rng_for(5, 41, 0)
-    first = 10.0 ** rng.uniform(-2.0, 2.0) * rng.normal(size=(3, 1))
+    rng = rng_for(5, 41)
+    first = 10.0 ** rng.uniform(-2.0, 2.0, size=300)[0] * rng.normal(size=(300, 3, 1))[0]
     assert c1.margin == -1.0 and _same_bits(c1.witness["u"], first)
 
 
@@ -453,9 +479,24 @@ def test_unit_directions_match_sequential_draws(n, rejected):
     seq = _RejectingGenerator(4, n, rejected)
     ref = np.stack([_unit_direction(seq, n, 1, zero_mean=False).reshape(-1) for _ in range(count)])
     bulk = _RejectingGenerator(4, n, rejected)
-    got = _unit_directions(bulk, count, n)
+    got = _unit_directions(bulk, count, (n,))
     assert _same_bits(got, ref)
     assert bulk.drawn == seq.drawn == (count + len(rejected)) * n
+
+
+@pytest.mark.parametrize("zero_mean", [False, True])
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (5, 3), (12, 1), (39, 2), (128, 1), (256, 3)])
+def test_unit_directions_of_sequences_match_sequential_draws(m, n, zero_mean):
+    """The xi starts, the probe's rays and the level-set directions of
+    B.2/B.3 and lambda-star: (m, n) vectors, drawn in one call as one at a
+    time, a rejected vector drawn again in order."""
+    count, rejected = 9, [1, 6]
+    seq = _RejectingGenerator(m, m * n, rejected)
+    ref = np.stack([_unit_direction(seq, m, n, zero_mean) for _ in range(count)])
+    bulk = _RejectingGenerator(m, m * n, rejected)
+    got = _unit_directions(bulk, count, (m, n), zero_mean)
+    assert _same_bits(got, ref)
+    assert bulk.drawn == seq.drawn == (count + len(rejected)) * m * n
 
 
 def _loop_a6(nl, g, sample_budget, seed):
@@ -825,7 +866,7 @@ def test_gradcheck_reports_the_first_failing_point(tmp_path, monkeypatch, capsys
     cfg.write_text(json.dumps({"m": m, "p": 2.0, "lambda": 1.0, "seed": seed,
                                "nonlinearity": {"builtin": "power"}}))
     prob = Problem(m=m, n=1, exponent=ExponentFunction.constant(2.0, m), nonlinearity=nl, lam=1.0)
-    points = [rng_for(seed, 31, i).normal(size=(m, 1)) for i in range(count)]
+    points = rng_for(seed, 31).normal(size=(count, m, 1))
     expected = _loop_gradcheck_message(points, prob)
     out = str(tmp_path / "grad.json")
     code = cli.main(["gradcheck", str(cfg), "--points", str(count), "--output", out])
@@ -873,11 +914,13 @@ def test_gradcheck_chunks_give_the_same_bytes(tmp_path, monkeypatch):
 def test_gradcheck_errors_match_the_point_loop():
     nl = make_builtin("example1", 4, {}).nonlinearity
     prob = _problem(nl)
-    u = np.stack([rng_for(1, 31, i).normal(size=(4, 1)) for i in range(6)])
+    u = rng_for(1, 31).normal(size=(6, 4, 1))
     got = cli._gradcheck_errors(u, prob, None)
     for b in range(6):
         seq = PeriodicSequence(u[b])
         g = gradient(seq, prob).flat()
         g_fd = gradient_fd(seq, prob).flat()
-        err = float(np.linalg.norm(g - g_fd)) / max(1.0, float(np.linalg.norm(g)))
+        # |g - g_fd| / max(1, |g|), both norms taken on the point scaled by c
+        c = max(1.0, float(np.max(np.abs(g))))
+        err = float(np.linalg.norm((g - g_fd) / c)) / max(1.0 / c, float(np.linalg.norm(g / c)))
         assert _same_bits(got[b], err)

@@ -19,7 +19,7 @@ from pklap.analysis import (
     _difference_energy,
     _difference_energy_grad,
     _projected_gradient,
-    _unit_direction,
+    _unit_directions,
     _xi_descent,
     rng_for,
 )
@@ -81,7 +81,7 @@ def _loop_xi_descent(u0, p_plus, tol, max_iter):
 def _starts(m, n, count, seed=0):
     """The unit zero-mean starts _xi_search draws, first count of them."""
     rng = rng_for(seed, m, n)
-    return np.stack([_unit_direction(rng, m, n, zero_mean=True) for _ in range(count)])
+    return _unit_directions(rng, count, (m, n), zero_mean=True)
 
 
 def _compare(u0, p_plus, tol=1e-10, max_iter=5000):
