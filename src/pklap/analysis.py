@@ -32,10 +32,13 @@ from .core import (
     Problem,
     _block_search,
     _entry_norms,
+    _read_only,
     _row_dots,
     _row_norms,
+    _rows,
     _shifted,
     _shifted_back,
+    _stack_periods,
 )
 from .functional import _action_rows, _mu_values, mu, potential
 from .operators import _residual_rows
@@ -55,6 +58,17 @@ def rng_for(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def _unit_rows(v: np.ndarray, zero_mean: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a (count, *shape) stack of normals as unit vectors:
+    (the unit vectors of the rows long enough to normalise, their mask).
+    With zero_mean each row has its mean over its first axis removed first."""
+    if zero_mean:
+        v = v - v.mean(axis=1, keepdims=True)
+    norms = _row_norms(v)
+    kept = norms > 1e-12
+    return v[kept] / norms[kept].reshape(-1, *[1] * (v.ndim - 1)), kept
+
+
 def _unit_directions(
     rng: np.random.Generator, count: int, shape: tuple, zero_mean: bool = False
 ) -> np.ndarray:
@@ -68,13 +82,29 @@ def _unit_directions(
     """
     out = np.empty((0, *shape))
     while len(out) < count:
-        v = rng.normal(size=(count - len(out), *shape))
-        if zero_mean:
-            v = v - v.mean(axis=1, keepdims=True)
-        norms = _row_norms(v.reshape(len(v), -1))
-        kept = norms > 1e-12
-        out = np.concatenate((out, v[kept] / norms[kept].reshape(-1, *[1] * len(shape))))
+        units, _ = _unit_rows(rng.normal(size=(count - len(out), *shape)), zero_mean)
+        out = np.concatenate((out, units))
     return out
+
+
+def _stream_directions(rngs: list, shape: tuple) -> np.ndarray:
+    """One zero-mean unit vector of the given shape from each generator, as a
+    (len(rngs), *shape) stack.
+
+    Row i has the values and leaves rngs[i] where
+    _unit_directions(rngs[i], 1, shape, zero_mean=True) would: each
+    generator draws its normals with one call, they are normalised as one
+    stack, and a generator whose vector is too short to normalise draws
+    again alone.
+    """
+    V = np.empty((len(rngs), *shape))
+    units, kept = _unit_rows(
+        np.reshape([rng.normal(size=shape) for rng in rngs], V.shape), zero_mean=True
+    )
+    V[kept] = units
+    for i in np.flatnonzero(~kept).tolist():
+        V[i] = _unit_directions(rngs[i], 1, shape, zero_mean=True)[0]
+    return V
 
 
 @dataclasses.dataclass(frozen=True)
@@ -753,10 +783,73 @@ def _action_or_limit_rows(x: np.ndarray, prob: Problem) -> np.ndarray:
     return np.where(mu_ok, np.where(pot_ok, vals, -math.inf), math.inf)
 
 
+def _finite_action_residual(u: np.ndarray, prob: Problem):
+    """(action, residual) of a (B, m, n) stack of finite sequences; the
+    residual is None when a coupling kernel raises."""
+    m, n = prob.m, prob.n
+    nl, p = prob.nonlinearity, prob.exponent.values
+    K, K_prev = _stack_periods(m, len(u))
+    flat = (K.size, n)
+    up = _shifted(u)  # row k-1 holds u(k+1)
+    up.flags.writeable = False
+    d = up - u  # row k-1 holds Delta u(k)
+    norms = _entry_norms(d)
+    # mu + lam * potential, the terms of _action_rows
+    mus = np.add.reduce(norms**p / p, axis=1)
+    F = _rows(nl._kernels[0](K, up.reshape(flat), u.reshape(flat)), (K.size,), "F")
+    pots = np.subtract.reduce(F.reshape(len(u), m), axis=1, initial=0.0)
+    action = mus + prob.lam * pots
+    if not np.isfinite(action).all():
+        action = np.where(np.isfinite(mus), np.where(np.isfinite(pots), action, -math.inf), math.inf)
+    try:
+        a = nl._kernels[1](K_prev, u.reshape(flat), _shifted_back(u).reshape(flat))
+        b = nl._kernels[2](K, up.reshape(flat), u.reshape(flat))
+        coupling = (_rows(a, flat, "F2_prime") + _rows(b, flat, "F3_prime")).reshape(u.shape)
+    except Exception:  # left to _residual_rows, which raises it again
+        return action, None
+    # phi(Delta u(k)) - phi(Delta u(k-1)) + lam f, the terms of _residual_rows
+    phi = np.where(norms > 0.0, norms ** (p - 2.0), 0.0)[..., None] * d
+    return action, phi - _shifted_back(phi) + prob.lam * coupling
+
+
+def _action_residual_rows(x: np.ndarray, prob: Problem):
+    """_action_or_limit_rows and _residual_rows of the flat points x in one pass.
+
+    Returns (vals, r, ok): vals as _action_or_limit_rows gives them, and r
+    and ok as _residual_rows gives them, r as (B, dim), each row bitwise
+    the same.  The pass checks the input once, takes the forward
+    differences and their norms once for mu and phi, and calls the
+    family's F, F2 and F3 kernels once each on the periods of
+    _stack_periods; rows with a non-finite input never reach them.  F's
+    errors are raised as _action_or_limit_rows raises them; when a coupling
+    kernel raises, r and ok are None and the caller evaluates the residuals
+    it needs with _residual_rows, which raises that error again.  Callers
+    evaluate it under np.errstate, as the ascent does: an overflow shows in
+    the values and in ok, and is not meant as a warning.
+    """
+    vals = _read_only(x).reshape(-1, prob.m, prob.n)
+    finite = np.isfinite(vals.reshape(len(vals), prob.dim)).all(axis=1)
+    if finite.all():
+        action, r = _finite_action_residual(vals, prob)
+    else:
+        # a non-finite input has no decrease and no residual
+        action, r = np.full(len(vals), math.inf), np.full(vals.shape, np.nan)
+        if finite.any():
+            action[finite], part = _finite_action_residual(_read_only(vals[finite]), prob)
+            if part is None:
+                r = None
+            else:
+                r[finite] = part
+    if r is None:
+        return action, None, None
+    r = r.reshape(len(vals), prob.dim)
+    return action, r, finite & np.isfinite(r).all(axis=1)
+
+
 # The ascent's iteration cap, and its line search's trials step * 2^-j,
 # tried in blocks of these sizes: every row still searching puts its next
-# block into one action call.  A step never exceeds 1, so its at most 54
-# trials above 1e-16 fit in the 62 of the blocks.
+# block into one _action_residual_rows call.  A step never exceeds 1, so
+# its at most 54 trials above 1e-16 fit in the 62 of the blocks.
 _ASCENT_MAX_ITER = 400
 _ASCENT_BLOCKS = (2, 4, 8, 16, 32)
 
@@ -767,24 +860,38 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
     Used to hunt for worst-case directions where the action fails to fall
     off; random directions almost surely miss them when they form a
     measure-zero set.  All rows of the (S, dim) stack ascend in lock step,
-    each with its own step, value and active flag: a round evaluates the
-    residual of every row still ascending in one call, and its line search
-    (_block_search) evaluates the trials of every row still searching in one
-    action call per block of _ASCENT_BLOCKS.  Row i tries d_i + s g_i /
-    |g_i|, normalised, for s = step_i * 2^-j while s > 1e-16, moves to its
-    first trial above its value, and sets its step to min(1.5 s, 1).  Dots
-    and norms are one dot product per row (_row_dots, _row_norms), so each
-    row follows the iterates of the ascent run alone bit for bit.  Where
-    |g_i| overflows, g_i is first divided by its largest |entry|.  A row
-    stops when its residual fails, when its projected gradient is below
-    1e-10 max(1, |J|), when no trial above step 1e-16 increases J, or after
-    _ASCENT_MAX_ITER rounds.  Returns the final directions as an (S, dim)
-    array.
+    each with its own step, value and active flag.  Each round's line
+    search (_block_search) evaluates the trials of every row still
+    searching in one _action_residual_rows call per block of
+    _ASCENT_BLOCKS, and each row keeps the residual of the trial it takes,
+    so the next round needs no residual call of its own.  Only where a
+    coupling kernel raised inside a block does the next round evaluate the
+    residuals of the rows that took a trial of that block, in one
+    _residual_rows call, whose EvaluationError ends the ascent of every
+    row.  Row i tries d_i + s g_i / |g_i|, normalised, for s =
+    step_i * 2^-j while s > 1e-16, moves to its first trial above its
+    value, and sets its step to min(1.5 s, 1).  Dots and norms are one dot
+    product per row (_row_dots, _row_norms), so each row follows the
+    iterates of the ascent run alone bit for bit.  Where |g_i| overflows,
+    g_i is first divided by its largest |entry|.  A row stops when its
+    residual fails, when its projected gradient is below 1e-10 max(1, |J|),
+    when no trial above step 1e-16 increases J, or after _ASCENT_MAX_ITER
+    rounds.  Returns the final directions as an (S, dim) array.
     """
     # the probe reports the values the rows reach, not overflow warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+
+        def values(x):
+            # (action, residual, state): state is 1 where the residual is
+            # finite, 0 where it is not, and -1 where a coupling kernel
+            # raised, so that the residual is still to be evaluated
+            vals, r, ok = _action_residual_rows(x, prob)
+            if r is None:
+                return vals, np.empty(x.shape), np.full(len(x), -1, dtype=np.int8)
+            return vals, r, ok.view(np.int8)
+
         d = D0 / _row_norms(D0)[:, None]
-        val = _action_or_limit_rows(t_last * d, prob)
+        val, res, state = values(t_last * d)
         step = np.full(len(d), 0.1)
         ids = np.arange(len(d))  # the rows still ascending
 
@@ -794,22 +901,27 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
 
         def evaluate(cand, k, s):
             cand = cand / _row_norms(cand)[:, None]
-            cand_val = _action_or_limit_rows(t_last * cand, prob)
-            return cand_val > val[ids[k]], cand, cand_val
+            cand_val, *residual = values(t_last * cand)
+            return cand_val > val[ids[k]], cand, cand_val, *residual
 
-        def take(k, s, cand, cand_val):
+        def take(k, s, cand, cand_val, r, st):
             i = ids[k]
             d[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.5, 1.0)
+            res[i], state[i] = r, st
 
         for _ in range(_ASCENT_MAX_ITER):
             if ids.size == 0:
                 break
-            try:
-                r, ok = _residual_rows((t_last * d[ids]).reshape(-1, prob.m, prob.n), prob)
-            except EvaluationError:  # a malformed callback value fails every row
-                break
-            ids, dk = ids[ok], d[ids[ok]]
-            g = -t_last * r[ok].reshape(len(ids), prob.dim)
+            missing = ids[state[ids] < 0]
+            if missing.size:
+                try:
+                    r, ok = _residual_rows((t_last * d[missing]).reshape(-1, prob.m, prob.n), prob)
+                except EvaluationError:  # a malformed callback value fails every row
+                    break
+                res[missing], state[missing] = r.reshape(len(missing), prob.dim), ok
+            ids = ids[state[ids] > 0]
+            dk = d[ids]
+            g = -t_last * res[ids]
             g = g - _row_dots(g, dk)[:, None] * dk
             gnorm = _row_norms(g)
             flat = gnorm <= 1e-10 * np.maximum(1.0, np.abs(val[ids]))
@@ -1243,11 +1355,13 @@ def lambda_star_estimate(
 
         phi(r) = min over interior u of (sup J - J(u)) / (r - mu(u)).
 
-    Per radius, the directions of all samples are drawn first and their
-    level radii found in one _level_radii call; then each sample draws its
-    interior t.  The level and interior points of all samples go through
-    one stacked call.  The first sample, in sample order, whose level
-    radius fails raises its error after the points before it are
+    Per radius, each sample draws its direction's normals from its own
+    stream, all of them are normalised as one stack (_stream_directions; a
+    sample whose vector is too short draws again from its stream), and
+    their level radii are found in one _level_radii call; then each sample
+    draws its interior t.  The level and interior points of all samples go
+    through one stacked call.  The first sample, in sample order, whose
+    level radius fails raises its error after the points before it are
     evaluated.
     """
     r_grid = [float(r) for r in r_grid]
@@ -1257,10 +1371,7 @@ def lambda_star_estimate(
     sup_values = []
     for ir, r in enumerate(r_grid):
         rngs = [rng_for(seed, ir, i) for i in range(samples_per_r)]
-        V = np.reshape(
-            [_unit_directions(rng, 1, (prob.m, prob.n), zero_mean=True) for rng in rngs],
-            (samples_per_r, prob.m, prob.n),
-        )
+        V = _stream_directions(rngs, (prob.m, prob.n))
         radii, errors = _level_radii(prob, V, r)
         count = min(errors, default=samples_per_r)  # samples before the first failure
         failure = errors.get(count)

@@ -1,12 +1,15 @@
 """The anticoercivity probe's ascent, all directions in lock step.
 
 `analysis._ascend_rows` ascends every row of an (S, dim) stack at once, with
-one residual call per round and one action call per line-search block.
-Each row must follow the iterates of the one-direction-at-a-time loop it
-replaced (`test_stacked_checks._loop_ascend`) bit for bit and leave by the
-same exit.
+one call of `analysis._action_residual_rows` per line-search block, which
+gives the action and the residual of every trial; each row carries the
+residual of the trial it takes into its next round.  Each row must follow
+the iterates of the one-direction-at-a-time loop it replaced
+(`test_stacked_checks._loop_ascend`) bit for bit and leave by the same
+exit.
 """
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -18,8 +21,13 @@ from hypothesis import strategies as st
 
 import pklap.analysis as analysis
 import pklap.cli as cli
-from pklap.analysis import _action_or_limit_rows, _ascend_rows, anticoercivity_probe
-from pklap.core import ExponentFunction, Nonlinearity, Problem, _row_norms
+from pklap.analysis import (
+    _action_or_limit_rows,
+    _action_residual_rows,
+    _ascend_rows,
+    anticoercivity_probe,
+)
+from pklap.core import EvaluationError, ExponentFunction, Nonlinearity, Problem, _row_norms
 from pklap.nonlinearities import make_power
 from pklap.operators import _residual_rows
 from test_lockstep import FAMILIES, _problem, _same_bits
@@ -72,6 +80,120 @@ def test_each_row_leaves_by_its_own_exit(monkeypatch):
     assert np.isnan(got[3]).all()
     for i in range(len(D0)):
         assert _same_bits(_ascend_rows(D0[i : i + 1], POWER2, 10.0), got[i : i + 1])
+
+
+def _assert_fused_matches(x, prob):
+    """_action_residual_rows on the flat points x is, row by row and bitwise,
+    _action_or_limit_rows plus _residual_rows."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals, r, ok = _action_residual_rows(x, prob)
+        ref_vals = _action_or_limit_rows(x, prob)
+        ref_r, ref_ok = _residual_rows(x.reshape(-1, prob.m, prob.n), prob)
+    assert _same_bits(vals, ref_vals)
+    assert _same_bits(r, ref_r.reshape(len(x), prob.dim))
+    assert ok.tolist() == ref_ok.tolist()
+    return vals, ok
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_fused_pass_matches_action_and_residual(name):
+    """Every family, on a stack that holds a zero row, a -0.0 entry, rows up
+    to radius 1e200 (where the differences' norms overflow) and a NaN and
+    an infinite row, and on an empty stack."""
+    prob = _problem(FAMILIES[name])
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(10, prob.dim)) * np.array([1, 1, 0, 1, 10, 1e3, 1e5, 1e200, 1, 1])[:, None]
+    x[3, 0] = -0.0
+    x[8, 1] = math.nan
+    x[9, 0] = math.inf
+    _, ok = _assert_fused_matches(x, prob)
+    assert not ok[7:].any()
+    _assert_fused_matches(x[:0], prob)
+
+
+def test_fused_pass_matches_on_overflowing_rows():
+    """The power family at p = 60, where mu and the residual overflow past
+    radius 1000 (action +inf), and at s = 60, p = 2, where only the potential
+    overflows (action -inf)."""
+    x = np.random.default_rng(12).normal(size=(6, 2))
+    x /= _row_norms(x)[:, None]
+    x *= np.array([1.0, 1e3, 1e3, 1e5, 1e7, 1e9])[:, None]
+    vals, ok = _assert_fused_matches(x, _power_problem(2, 2.0, 60.0))
+    assert math.inf in vals.tolist() and not ok.all() and ok[:3].all()
+    vals, _ = _assert_fused_matches(x, _power_problem(2, 60.0, 2.0))
+    assert -math.inf in vals.tolist()
+
+
+def test_fused_pass_raises_a_malformed_potential_and_defers_a_malformed_coupling():
+    """F returning two values raises the EvaluationError of the action; F2
+    returning two components leaves the residual to _residual_rows (r and
+    ok are None), with the action values unchanged."""
+    x = np.array([[1.0, 2.0], [3.0, -1.0]])
+    bad_f = Nonlinearity(
+        m=2,
+        F=lambda k, u1, u2: np.array([0.0, 0.0]) if u1[0] else 0.0,
+        F2_prime=lambda k, u1, u2: np.array([0.0]),
+        F3_prime=lambda k, u1, u2: np.array([0.0]),
+    )
+    prob = Problem(m=2, n=1, exponent=ExponentFunction.constant(2.0, 2), nonlinearity=bad_f, lam=1.0)
+    with pytest.raises(EvaluationError) as fused:
+        _action_residual_rows(x, prob)
+    with pytest.raises(EvaluationError) as alone:
+        _action_or_limit_rows(x, prob)
+    assert str(fused.value) == str(alone.value)
+    x = np.array([[1.0, 2.0, 0.5], [3.0, -1.0, 0.0]])
+    prob = _malformed_problem(lambda u1: True)
+    vals, r, ok = _action_residual_rows(x, prob)
+    assert r is None and ok is None
+    assert _same_bits(vals, _action_or_limit_rows(x, prob))
+    with pytest.raises(EvaluationError):
+        _residual_rows(x.reshape(-1, 3, 1), prob)
+
+
+def _malformed_problem(bad, base=POWER3):
+    """base's family through per-point callbacks whose F2 returns two
+    components at n = 1 where bad(u1) holds."""
+    nl = base.nonlinearity
+
+    def F2(k, u1, u2):
+        g = nl.F2_prime(k, u1, u2)
+        return np.array([g[0], 0.0]) if bad(u1) else g
+
+    return dataclasses.replace(
+        base, nonlinearity=Nonlinearity(m=nl.m, F=nl.F, F2_prime=F2, F3_prime=nl.F3_prime)
+    )
+
+
+def _count_residual_calls(monkeypatch):
+    calls = []
+    real = analysis._residual_rows
+    monkeypatch.setattr(analysis, "_residual_rows", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_rejected_trial_in_a_malformed_region_does_not_end_the_ascent(monkeypatch):
+    """F2 is malformed only where |u1| > 0.9 at radius 1: a block of rejected
+    trials reaches there, so that block has no residuals, and the next round
+    evaluates the residuals of its rows with _residual_rows.  No accepted
+    iterate reaches the region, so every row leaves by its line search, bit
+    for bit as the loop's."""
+    calls = _count_residual_calls(monkeypatch)
+    prob = _malformed_problem(lambda u1: abs(u1[0]) > 0.9)
+    _, exits = _compare(np.random.default_rng(1).normal(size=(4, 3)), prob, 1.0)
+    assert exits == ["search"] * 4
+    assert len(calls) == 1
+
+
+def test_accepted_trial_in_a_malformed_region_ends_the_ascent_there(monkeypatch):
+    """At |u1| > 0.8 some rows take a trial in the malformed region: the next
+    round's _residual_rows raises and the row stops at that trial, as the
+    loop's does; the rows that stay outside leave by their line search."""
+    calls = _count_residual_calls(monkeypatch)
+    prob = _malformed_problem(lambda u1: abs(u1[0]) > 0.8)
+    D0 = np.random.default_rng(1).normal(size=(4, 3))
+    exits = [_compare(D0[i : i + 1], prob, 1.0)[1][0] for i in range(4)]
+    assert exits == ["residual", "search", "search", "residual"]
+    assert len(calls) == 2
 
 
 def test_malformed_callback_fails_every_row_as_alone():
@@ -138,12 +260,15 @@ def test_probe_with_fewer_than_four_directions_ascends_them_all(directions):
 
 
 def test_probe_makes_few_stacked_calls(monkeypatch):
-    """On the shipped example1_m4 the probe makes one residual call per
-    ascent round and one action call per line-search block, plus the
-    table of the sampled rays and the ascent's start values (the
-    one-direction loop made 227 one-row residual calls and 561 action
-    calls).  Counts, not timings, so the host's load does not matter; the
-    rows pin that every block evaluates the same trials."""
+    """On the shipped example1_m4 the probe makes one action call for the
+    table of the sampled rays, one for the ascended rays, and one fused
+    action and residual call for the ascent's start values and per
+    line-search block; the ascent carries each taken trial's residual, so
+    it makes no residual call of its own (the one-direction loop made 227
+    one-row residual calls and 561 action calls, and the ascent with one
+    residual call per round made 88 residual calls over 227 rows).  Counts,
+    not timings, so the host's load does not matter; the action rows pin
+    that every block evaluates the same trials."""
     loaded = cli.load_config(str(CONFIGS / "example1_m4.json"))
     calls = {"residual": 0, "residual rows": 0, "action": 0, "action rows": 0}
 
@@ -156,11 +281,10 @@ def test_probe_makes_few_stacked_calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(analysis, "_residual_rows", counting("residual", analysis._residual_rows))
-    monkeypatch.setattr(
-        analysis, "_action_or_limit_rows", counting("action", analysis._action_or_limit_rows)
-    )
+    for name in ("_action_or_limit_rows", "_action_residual_rows"):
+        monkeypatch.setattr(analysis, name, counting("action", getattr(analysis, name)))
     anticoercivity_probe(loaded.problem, seed=loaded.solver.seed, optimize_worst=True)
-    assert calls == {"residual": 88, "residual rows": 227, "action": 124, "action rows": 872}
+    assert calls == {"residual": 0, "residual rows": 0, "action": 124, "action rows": 872}
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pklap.analysis as analysis
 import pklap.cli as cli
 from pklap.analysis import (
     HOLDS,
@@ -634,8 +635,6 @@ def _loop_b2_b3_points(prob, r, sample_budget, seed, expand=5.0):
 
 def _spy_stacks(monkeypatch):
     """Record every stack that analysis passes to the action kernel."""
-    import pklap.analysis as analysis
-
     stacks = []
 
     def spy(vals, prob):
@@ -664,6 +663,68 @@ def test_lambda_star_evaluates_the_loops_points_in_one_call_per_radius(monkeypat
         ref = [np.zeros((4, 1))]
         for i in range(15):
             rng = rng_for(5, ir, i)
+            v = _unit_direction(rng, 4, 1, zero_mean=True)
+            t_r = float(_level_radii(prob, v[None], r)[0][0])
+            ref += [t_r * v, (rng.random() * t_r) * v]
+        assert _same_bits(stack, np.stack(ref))
+
+
+class _ConstantFirstStream:
+    """rng_for(*keys), except that its first normal draw is a constant
+    vector, which is zero once its mean is removed and so is drawn again;
+    calls records the order of the draws."""
+
+    def __init__(self, *keys):
+        self.rng = rng_for(*keys)
+        self.calls = []
+
+    def normal(self, size):
+        self.calls.append("normal")
+        return np.full(size, 0.5) if len(self.calls) == 1 else self.rng.normal(size=size)
+
+    def random(self):
+        self.calls.append("random")
+        return self.rng.random()
+
+
+def _streams(seed, ir, count, constant_first):
+    return [(_ConstantFirstStream if i in constant_first else rng_for)(seed, ir, i) for i in range(count)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [2, 3, 12, 39, 128, 256])
+def test_lambda_star_directions_match_per_sample_draws(m, n):
+    """lambda-star normalises the directions of all samples as one stack:
+    bitwise the per-sample _unit_directions draws, with two streams whose
+    first draw is rejected and drawn again, and every stream left where the
+    per-sample draw leaves it."""
+    got_streams = _streams(4, m, 9, {2, 5})
+    got = analysis._stream_directions(got_streams, (m, n))
+    ref_streams = _streams(4, m, 9, {2, 5})
+    ref = np.stack([_unit_directions(rng, 1, (m, n), zero_mean=True)[0] for rng in ref_streams])
+    assert _same_bits(got, ref)
+    assert [rng.random() for rng in got_streams] == [rng.random() for rng in ref_streams]
+    assert got_streams[2].calls == ["normal", "normal", "random"]
+    assert analysis._stream_directions([], (m, n)).shape == (0, m, n)
+
+
+def test_lambda_star_redraws_a_rejected_direction_before_its_interior_point(monkeypatch):
+    """A sample whose first direction is rejected draws it again from its own
+    stream, and then its interior t, as the per-sample loop did."""
+    prob = _example3_problem(4, 3.0)
+    streams = {}
+
+    def stream(seed, ir, i):
+        streams[ir, i] = (_ConstantFirstStream if i == 3 else rng_for)(seed, ir, i)
+        return streams[ir, i]
+
+    monkeypatch.setattr(analysis, "rng_for", stream)
+    stacks = _spy_stacks(monkeypatch)
+    lambda_star_estimate(prob, [0.25, 0.5], samples_per_r=6, seed=5)
+    for ir, (r, stack) in enumerate(zip([0.25, 0.5], stacks)):
+        assert streams[ir, 3].calls == ["normal", "normal", "random"]
+        ref = [np.zeros((4, 1))]
+        for rng in _streams(5, ir, 6, {3}):
             v = _unit_direction(rng, 4, 1, zero_mean=True)
             t_r = float(_level_radii(prob, v[None], r)[0][0])
             ref += [t_r * v, (rng.random() * t_r) * v]
@@ -708,8 +769,6 @@ def test_lambda_star_raises_the_first_failure_in_sample_order(monkeypatch):
     it were evaluated, as the loop did: the third sample fails, so the
     points of the first two are evaluated, and a later failure is not
     raised."""
-    import pklap.analysis as analysis
-
     prob = _example3_problem(2)
     real = analysis._level_radii
 
