@@ -10,6 +10,7 @@ exit.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -28,7 +29,7 @@ from pklap.analysis import (
     anticoercivity_probe,
 )
 from pklap.core import EvaluationError, ExponentFunction, Nonlinearity, Problem, _row_norms
-from pklap.nonlinearities import make_power
+from pklap.nonlinearities import make_builtin, make_power
 from pklap.operators import _residual_rows
 from test_lockstep import FAMILIES, _problem, _same_bits
 from test_stacked_checks import _dumps, _loop_ascend, _loop_probe
@@ -44,6 +45,14 @@ def _power_problem(m, s, p):
 # drawn directions leave these ascents by the line search after 10 to 40 rounds
 POWER2 = _power_problem(2, 2.0, 2.0)
 POWER3 = _power_problem(3, 3.0, 2.5)
+
+
+def _example1(m):
+    """example1 at lambda 1: p = 2 at m = 4, as shipped, and the benchmark's
+    p = 2, 2.5, 3, ... at m = 8."""
+    p = [2.0] * m if m == 4 else [(2.0, 2.5, 3.0)[k % 3] for k in range(m)]
+    nl = make_builtin("example1", m, {}).nonlinearity
+    return Problem(m=m, n=1, exponent=ExponentFunction(np.array(p)), nonlinearity=nl, lam=1.0)
 
 
 def _compare(D0, prob, t_last, max_iter=400):
@@ -80,6 +89,25 @@ def test_each_row_leaves_by_its_own_exit(monkeypatch):
     assert np.isnan(got[3]).all()
     for i in range(len(D0)):
         assert _same_bits(_ascend_rows(D0[i : i + 1], POWER2, 10.0), got[i : i + 1])
+
+
+# sha256 of the final directions of the ascent that accepts any rise in J,
+# on example1 from np.random.default_rng(m).normal(size=(4, m)) at radius
+# 1000: its rows leave by the line search and the iteration cap
+EXAMPLE1_DIGESTS = {
+    4: "1ea722e8bc1fbf4b357838eddf5ccb1ca8169a44854a7b3c518f8f747ea3db73",
+    8: "d0879a01c3e0617f5f9deb6b6d60ff961c64dfce81ca70d5948da22f7ac6e348",
+}
+
+
+@pytest.mark.parametrize("m", sorted(EXAMPLE1_DIGESTS))
+def test_zero_rise_tolerance_keeps_every_rise(monkeypatch, m):
+    """At a rise tolerance of 0 no rise stalls a row (raising=False: an
+    ascent without the tolerance is the same ascent)."""
+    monkeypatch.setattr(analysis, "_ASCENT_RISE_RTOL", 0.0, raising=False)
+    D0 = np.random.default_rng(m).normal(size=(4, m))
+    got = _ascend_rows(D0, _example1(m), 1000.0)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == EXAMPLE1_DIGESTS[m]
 
 
 def _assert_fused_matches(x, prob):

@@ -1,8 +1,10 @@
 import filecmp
 import hashlib
+import importlib.util
 import json
 import math
 import pathlib
+import sys
 import warnings
 
 import numpy as np
@@ -28,6 +30,30 @@ SHIPPED_VERDICTS = {
     "power_borderline": _C + [("A.4", _H), ("A.5", _H), ("A.6.1", _V), ("A.6.2", _V), ("A.6.3", _V),
                               ("anticoercivity", _H)],
 }
+# The benchmark's larger and variable-p configs share the verdicts of the
+# shipped config they grow from.
+BENCH_VERDICTS = dict(
+    SHIPPED_VERDICTS,
+    example1_m8_varp=SHIPPED_VERDICTS["example1_m4"],
+    example2_m9=SHIPPED_VERDICTS["example2_m3"],
+    example3_m8_Y=SHIPPED_VERDICTS["example3_sweep"],
+    power_m8_varp=SHIPPED_VERDICTS["power_borderline"],
+    power_m12_varp=SHIPPED_VERDICTS["power_borderline"],
+)
+
+
+def _bench_check_configs(seed):
+    """perfbench.workloads.check_configs(seed), loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench.workloads", CONFIGS.parent / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.check_configs(seed)
 
 
 def _config(tmp_path, name="cfg.json", **overrides):
@@ -367,6 +393,19 @@ class TestCheck:
         assert cli.main(["check", str(CONFIGS / f"{name}.json"), "--output", str(out)]) == cli.EXIT_OK
         reports = json.loads(out.read_text())["reports"]
         assert [(rep["name"], rep["verdict"]) for rep in reports] == SHIPPED_VERDICTS[name]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bench_config_verdicts(self, tmp_path, seed):
+        """Every report's verdict on the nine configs of the benchmark's check
+        batch at the snapshot's seeds 1 and 2 (tools/snapshot_outputs.py)."""
+        configs = _bench_check_configs(seed)
+        assert sorted(configs) == sorted(BENCH_VERDICTS)
+        for name, cfg in configs.items():
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.check.json"
+            path.write_text(json.dumps(cfg))
+            assert cli.main(["check", str(path), "--output", str(out)]) == cli.EXIT_OK
+            reports = json.loads(out.read_text())["reports"]
+            assert [(rep["name"], rep["verdict"]) for rep in reports] == BENCH_VERDICTS[name], name
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _config(tmp_path)
