@@ -849,9 +849,14 @@ def _action_residual_rows(x: np.ndarray, prob: Problem):
 # The ascent's iteration cap, and its line search's trials step * 2^-j,
 # tried in blocks of these sizes: every row still searching puts its next
 # block into one _action_residual_rows call.  A step never exceeds 1, so
-# its at most 54 trials above 1e-16 fit in the 62 of the blocks.
+# its at most 54 trials above 1e-16 fit in the 62 of the blocks.  A row
+# stops once it takes a trial whose finite rise in J is at most
+# _ASCENT_RISE_RTOL * max(1, |J|), about the rounding of J: on example1 the
+# rows would otherwise creep on to the cap with steps near 1e-13.  At 0.0
+# no rise stops a row.
 _ASCENT_MAX_ITER = 400
 _ASCENT_BLOCKS = (2, 4, 8, 16, 32)
+_ASCENT_RISE_RTOL = 1e-14
 
 
 def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
@@ -875,7 +880,9 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
     iterates of the ascent run alone bit for bit.  Where |g_i| overflows,
     g_i is first divided by its largest |entry|.  A row stops when its
     residual fails, when its projected gradient is below 1e-10 max(1, |J|),
-    when no trial above step 1e-16 increases J, or after _ASCENT_MAX_ITER
+    when no trial above step 1e-16 increases J, when the trial it takes
+    raises J by a finite amount of at most _ASCENT_RISE_RTOL max(1, |J|)
+    (it stalls there, keeping that trial), or after _ASCENT_MAX_ITER
     rounds.  Returns the final directions as an (S, dim) array.
     """
     # the probe reports the values the rows reach, not overflow warnings
@@ -893,6 +900,7 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
         d = D0 / _row_norms(D0)[:, None]
         val, res, state = values(t_last * d)
         step = np.full(len(d), 0.1)
+        stalled = np.zeros(len(d), dtype=bool)
         ids = np.arange(len(d))  # the rows still ascending
 
         # the line search of the rows ids of a round, along g / gnorm
@@ -906,6 +914,8 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
 
         def take(k, s, cand, cand_val, r, st):
             i = ids[k]
+            rise = cand_val - val[i]
+            stalled[i] = np.isfinite(rise) & (rise <= _ASCENT_RISE_RTOL * np.maximum(1.0, np.abs(val[i])))
             d[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.5, 1.0)
             res[i], state[i] = r, st
 
@@ -932,6 +942,7 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
                 g[big] /= np.abs(g[big]).max(axis=1)[:, None]
                 gnorm[big] = _row_norms(g[big])
             ids = ids[_block_search(step[ids], _ASCENT_BLOCKS, trial, evaluate, take, floor=1e-16)]
+            ids = ids[~stalled[ids]]
     return d
 
 
@@ -957,7 +968,9 @@ def anticoercivity_probe(
     maximisation of the terminal value from the four directions with the
     highest terminal values, all four ascending at once (_ascend_rows),
     which can expose rays of non-decrease that random sampling almost never
-    hits.  The ascended rays follow the sampled ones, and the report stops
+    hits.  An ascent also stops at its first rise within the rounding of J
+    (_ASCENT_RISE_RTOL), so an ascended ray is where it stalled, not
+    necessarily a local maximum.  The ascended rays follow the sampled ones, and the report stops
     at its first failing ray, so the ascent runs only when every sampled ray
     passes; samples counts the ascended rays either way.  Raises ValueError
     when the radii are not finite and strictly increasing or when

@@ -1,6 +1,6 @@
 """Every fenced python block of README.md runs as written, and the README's
-list of solver keys, its line-search block sizes and its entry points match
-the code."""
+list of solver keys, its line-search block sizes, the ascent's stall
+tolerance and its entry points match the code."""
 
 import dataclasses
 import os
@@ -73,6 +73,15 @@ def test_readme_block_sizes_match_the_code():
             assert sizes == _BLOCK_OWNERS[owners[0]], text
         quoted.add(owners[0])
     assert quoted == set(_BLOCK_OWNERS)
+
+
+def test_readme_stall_tolerance_matches_the_ascent():
+    """The tolerance in the README's "raises J by a finite amount of at most
+    T max(1, |J|)" is the ascent's _ASCENT_RISE_RTOL."""
+    with open(README, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    quotes = re.findall(r"raises J by a finite amount of at most (\S+) max\(1, \|J\|\)", text)
+    assert quotes and all(float(q) == analysis._ASCENT_RISE_RTOL for q in quotes)
 
 
 def test_readme_entry_points_resolve():

@@ -119,8 +119,8 @@ def _loop_action_or_limit(x, prob):
 
 def _loop_ascend(d0, prob, t_last, max_iter=400):
     """The anticoercivity ascent from one direction, one point at a time:
-    (final direction, exit), exit one of "residual", "gradient", "search"
-    and "cap"."""
+    (final direction, exit), exit one of "residual", "gradient", "search",
+    "stall" and "cap"."""
     d = d0 / np.linalg.norm(d0)
     val = _loop_action_or_limit(t_last * d, prob)
     step = 0.1
@@ -141,8 +141,12 @@ def _loop_ascend(d0, prob, t_last, max_iter=400):
             cand = cand / np.linalg.norm(cand)
             cand_val = _loop_action_or_limit(t_last * cand, prob)
             if cand_val > val:
+                rise = cand_val - val
+                stall = math.isfinite(rise) and rise <= analysis._ASCENT_RISE_RTOL * max(1.0, abs(val))
                 d, val = cand, cand_val
                 step = min(step * 1.5, 1.0)
+                if stall:
+                    return d, "stall"
                 break
             step *= 0.5
         else:
