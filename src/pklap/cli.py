@@ -199,6 +199,15 @@ def load_config(path: str) -> LoadedConfig:
 # ---------------------------------------------------------------------------
 
 
+def _check_output_dirs(*paths: str) -> None:
+    """Raise ConfigError, before any computation, for an output path whose
+    directory does not exist."""
+    for path in paths:
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise ConfigError(f"output directory does not exist: {directory}")
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pklap-")
@@ -356,6 +365,7 @@ def _routing(prob: Problem, spec: BuiltinSpec, thr, lam_star) -> list[dict]:
 
 
 def cmd_check(args) -> int:
+    _check_output_dirs(args.output)
     loaded = load_config(args.config)
     try:
         payload = _check_payload(loaded)
@@ -468,6 +478,7 @@ def _write_solutions(values_path, summary_path, sol) -> None:
 
 
 def cmd_solve(args) -> int:
+    _check_output_dirs(args.values_out, args.summary_out)
     loaded = load_config(args.config)
     overrides = {}
     if args.tol is not None:
@@ -502,6 +513,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_output_dirs(args.output)
     loaded = load_config(args.config)
     if not (0.0 < args.lambda_min < args.lambda_max < math.inf):
         raise ConfigError("the lambda bounds must satisfy 0 < --lambda-min < --lambda-max < inf")
@@ -572,6 +584,7 @@ def _gradcheck_errors(u: np.ndarray, prob: Problem, step) -> list[float]:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_output_dirs(args.output)
     loaded = load_config(args.config)
     prob = loaded.problem
     if args.points < 1:

@@ -165,6 +165,32 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,flag,computation",
+        [
+            ("check", "--output", "_check_payload"),
+            ("solve", "--values-out", "find_multiple"),
+            ("solve", "--summary-out", "find_multiple"),
+            ("sweep", "--output", "lambda_sweep"),
+            ("gradcheck", "--output", "_gradcheck_errors"),
+        ],
+    )
+    def test_missing_output_directory_fails_before_computing(
+        self, tmp_path, monkeypatch, capsys, command, flag, computation
+    ):
+        """An output whose directory does not exist is a usage error, found
+        before the command computes anything (before, check ran in full and
+        then exited 3 with a FileNotFoundError traceback)."""
+        monkeypatch.setattr(cli, computation, lambda *a, **k: pytest.fail(f"{computation} ran"))
+        missing = tmp_path / "absent"
+        argv = [command, _config(tmp_path), flag, str(missing / "out")]
+        if command == "sweep":
+            argv += ["--lambda-min", "1", "--lambda-max", "2"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+        assert not missing.exists()
+
     def test_no_command_is_usage_error(self):
         assert cli.main([]) == cli.EXIT_CONFIG
 
