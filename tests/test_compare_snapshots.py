@@ -1,0 +1,108 @@
+"""tools/compare_snapshots.py: its exit codes and its margin report.
+
+The tool compares two output snapshots.  It passes (exit 0) when outputs
+moved only in their numbers, and fails (exit 1) when a verdict or a
+gradcheck's `passed` changes, when a file is on one side only, or when a
+non-JSON file differs.
+"""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "compare_snapshots.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("compare_snapshots", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _check(margin, verdict="holds_on_samples", c1=0.5):
+    return {
+        "reports": [
+            {"name": "C.1", "verdict": "holds_on_samples", "margin": c1},
+            {"name": "anticoercivity", "verdict": verdict, "margin": margin},
+        ],
+        "xi": 0.25,
+    }
+
+
+def _snapshots(tmp_path, base_files, new_files):
+    dirs = []
+    for side, files in (("base", base_files), ("new", new_files)):
+        d = tmp_path / side
+        d.mkdir()
+        for name, content in files.items():
+            text = content if isinstance(content, str) else json.dumps(content)
+            (d / name).write_text(text)
+        dirs.append(str(d))
+    return dirs
+
+
+def _run(tool, capsys, tmp_path, base_files, new_files):
+    code = tool.main(_snapshots(tmp_path, base_files, new_files))
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_moved_numbers_pass_and_report_their_largest_margin_change(tool, capsys, tmp_path):
+    base = {"a.check.json": _check(1.0e11), "b.check.json": _check(2.0), "c.csv": "x\n"}
+    new = {"a.check.json": _check(1.0e11 + 4.0), "b.check.json": _check(2.0, c1=0.25), "c.csv": "x\n"}
+    code, out = _run(tool, capsys, tmp_path, base, new)
+    assert code == 0
+    assert "  margin anticoercivity: 100000000000.0 -> 100000000004.0 (relative 4e-11)" in out
+    assert "  margin C.1: 0.5 -> 0.25 (relative 0.5)" in out
+    assert out[-1] == "3 files, 2 differ, 0 fail, largest relative margin change 0.5"
+
+
+def test_identical_snapshots_pass(tool, capsys, tmp_path):
+    files = {"a.check.json": _check(1.0), "b.csv": "1,2\n"}
+    code, out = _run(tool, capsys, tmp_path, files, files)
+    assert code == 0
+    assert out == ["2 files, 0 differ, 0 fail, largest relative margin change 0"]
+
+
+def test_a_margin_that_becomes_infinite_is_an_infinite_change(tool, capsys, tmp_path):
+    code, out = _run(tool, capsys, tmp_path, {"a.check.json": _check(1.0)}, {"a.check.json": _check("inf")})
+    assert code == 0
+    assert out[-1].endswith("largest relative margin change inf")
+
+
+def test_a_changed_verdict_fails(tool, capsys, tmp_path):
+    code, out = _run(
+        tool, capsys, tmp_path, {"a.check.json": _check(1.0)}, {"a.check.json": _check(-1.0, "violated")}
+    )
+    assert code == 1
+    assert "  verdict anticoercivity: holds_on_samples -> violated" in out
+
+
+def test_a_file_on_one_side_only_fails(tool, capsys, tmp_path):
+    code, out = _run(tool, capsys, tmp_path, {"a.csv": "1\n", "b.csv": "2\n"}, {"a.csv": "1\n"})
+    assert code == 1
+    assert out[0].startswith("b.csv: only in ")
+
+
+def test_a_non_json_difference_fails(tool, capsys, tmp_path):
+    code, out = _run(tool, capsys, tmp_path, {"a.values.csv": "1.0\n"}, {"a.values.csv": "1.5\n"})
+    assert code == 1
+    assert out == ["a.values.csv: differs", "1 files, 1 differ, 1 fail, largest relative margin change 0"]
+
+
+def test_a_changed_gradcheck_pass_fails(tool, capsys, tmp_path):
+    base = {"max_relative_error": 1e-9, "passed": True}
+    new = {"max_relative_error": 2e-5, "passed": False}
+    code, out = _run(tool, capsys, tmp_path, {"a.gradcheck.json": base}, {"a.gradcheck.json": new})
+    assert code == 1
+    assert "  passed: True -> False" in out
+
+
+def test_a_moved_gradcheck_error_passes(tool, capsys, tmp_path):
+    base = {"max_relative_error": 1e-9, "passed": True}
+    new = {"max_relative_error": 3e-9, "passed": True}
+    code, _ = _run(tool, capsys, tmp_path, {"a.gradcheck.json": base}, {"a.gradcheck.json": new})
+    assert code == 0

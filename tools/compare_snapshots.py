@@ -5,7 +5,10 @@
 Prints each file that differs between the directories BASE and NEW, or that
 only one of them holds.  For a JSON file it also prints the top-level keys
 whose values differ and, for a `check` report, the names of the reports
-that differ, with each verdict that changed.  Ends with one summary line.
+that differ, with each verdict that changed and the relative change
+|new - old| / |old| of each margin that moved (inf when either margin is
+not a finite number or the old one is 0).  Ends with one summary line,
+which names the largest relative margin change.
 
 Exits 1 when a non-JSON file differs, when a file is in only one directory,
 when a report's verdict changes (a report present on one side only counts
@@ -16,6 +19,7 @@ outputs that moved only in their numbers pass.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -24,9 +28,22 @@ def _reports(payload: dict) -> dict:
     return {rep["name"]: rep for rep in payload.get("reports") or []}
 
 
-def _compare_json(base: dict, new: dict) -> tuple[list[str], bool]:
-    """Lines describing how two JSON payloads differ, and whether a verdict
-    or a gradcheck's `passed` changed."""
+def _relative_change(old, new) -> float:
+    """|new - old| / |old| of two JSON margins ("inf" and "nan" are strings)."""
+    if old == new:
+        return 0.0
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return math.inf
+    if not (math.isfinite(a) and math.isfinite(b)) or a == 0.0:
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def _compare_json(base: dict, new: dict) -> tuple[list[str], bool, float]:
+    """Lines describing how two JSON payloads differ, whether a verdict or a
+    gradcheck's `passed` changed, and the largest relative margin change."""
     keys = sorted(k for k in set(base) | set(new) if base.get(k) != new.get(k))
     lines = ["  keys: " + ", ".join(keys)]
     changed = base.get("passed") != new.get("passed")
@@ -36,18 +53,23 @@ def _compare_json(base: dict, new: dict) -> tuple[list[str], bool]:
     names = [n for n in dict.fromkeys([*a, *b]) if a.get(n) != b.get(n)]
     if names:
         lines.append("  reports: " + ", ".join(names))
+    largest = 0.0
     for name in names:
-        old = (a.get(name) or {}).get("verdict")
-        cur = (b.get(name) or {}).get("verdict")
-        if old != cur:
+        old, cur = a.get(name) or {}, b.get(name) or {}
+        if old.get("verdict") != cur.get("verdict"):
             changed = True
-            lines.append(f"  verdict {name}: {old} -> {cur}")
-    return lines, changed
+            lines.append(f"  verdict {name}: {old.get('verdict')} -> {cur.get('verdict')}")
+        if old.get("margin") != cur.get("margin"):
+            rel = _relative_change(old.get("margin"), cur.get("margin"))
+            largest = max(largest, rel)
+            lines.append(f"  margin {name}: {old.get('margin')} -> {cur.get('margin')} (relative {rel:.3g})")
+    return lines, changed, largest
 
 
 def compare(base_dir: str, new_dir: str) -> int:
     names = sorted(set(os.listdir(base_dir)) | set(os.listdir(new_dir)))
     differing = failures = 0
+    largest = 0.0
     for name in names:
         base_path, new_path = os.path.join(base_dir, name), os.path.join(new_dir, name)
         if not (os.path.isfile(base_path) and os.path.isfile(new_path)):
@@ -64,10 +86,14 @@ def compare(base_dir: str, new_dir: str) -> int:
         if not name.endswith(".json"):
             failures += 1
             continue
-        lines, changed = _compare_json(json.loads(base), json.loads(new))
+        lines, changed, rel = _compare_json(json.loads(base), json.loads(new))
         print("\n".join(lines))
         failures += changed
-    print(f"{len(names)} files, {differing} differ, {failures} fail")
+        largest = max(largest, rel)
+    print(
+        f"{len(names)} files, {differing} differ, {failures} fail, "
+        f"largest relative margin change {largest:.3g}"
+    )
     return 1 if failures else 0
 
 
