@@ -850,7 +850,7 @@ def _action_residual_rows(x: np.ndarray, prob: Problem):
 # tried in blocks of these sizes: every row still searching puts its next
 # block into one _action_residual_rows call.  A step never exceeds 1, so
 # its at most 54 trials above 1e-16 fit in the 62 of the blocks.  A row
-# stops once it takes a trial whose finite rise in J is at most
+# stops once it takes a trial that raises J by at most
 # _ASCENT_RISE_RTOL * max(1, |J|), about the rounding of J: on example1 the
 # rows would otherwise creep on to the cap with steps near 1e-13.  At 0.0
 # no rise stops a row.
@@ -881,9 +881,9 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
     g_i is first divided by its largest |entry|.  A row stops when its
     residual fails, when its projected gradient is below 1e-10 max(1, |J|),
     when no trial above step 1e-16 increases J, when the trial it takes
-    raises J by a finite amount of at most _ASCENT_RISE_RTOL max(1, |J|)
-    (it stalls there, keeping that trial), or after _ASCENT_MAX_ITER
-    rounds.  Returns the final directions as an (S, dim) array.
+    raises J by at most _ASCENT_RISE_RTOL max(1, |J|) (it stalls there,
+    keeping that trial), or after _ASCENT_MAX_ITER rounds.  Returns the
+    final directions as an (S, dim) array.
     """
     # the probe reports the values the rows reach, not overflow warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -914,8 +914,7 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
 
         def take(k, s, cand, cand_val, r, st):
             i = ids[k]
-            rise = cand_val - val[i]
-            stalled[i] = np.isfinite(rise) & (rise <= _ASCENT_RISE_RTOL * np.maximum(1.0, np.abs(val[i])))
+            stalled[i] = cand_val - val[i] <= _ASCENT_RISE_RTOL * np.maximum(1.0, np.abs(val[i]))
             d[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.5, 1.0)
             res[i], state[i] = r, st
 
@@ -970,9 +969,10 @@ def anticoercivity_probe(
     which can expose rays of non-decrease that random sampling almost never
     hits.  An ascent also stops at its first rise within the rounding of J
     (_ASCENT_RISE_RTOL), so an ascended ray is where it stalled, not
-    necessarily a local maximum.  The ascended rays follow the sampled ones, and the report stops
-    at its first failing ray, so the ascent runs only when every sampled ray
-    passes; samples counts the ascended rays either way.  Raises ValueError
+    necessarily a local maximum.  The ascended rays follow the sampled
+    ones, and the report stops at its first failing ray, so the ascent runs
+    only when every sampled ray passes; samples counts the ascended rays
+    either way.  Raises ValueError
     when the radii are not finite and strictly increasing or when
     directions is negative.
     """

@@ -31,8 +31,8 @@ from pklap.analysis import (
 from pklap.core import EvaluationError, ExponentFunction, Nonlinearity, Problem, _row_norms
 from pklap.nonlinearities import make_builtin, make_power
 from pklap.operators import _residual_rows
-from test_lockstep import FAMILIES, _problem, _same_bits
 from test_cli import _bench_check_configs
+from test_lockstep import FAMILIES, _problem, _same_bits
 from test_stacked_checks import _dumps, _loop_ascend, _loop_probe
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -103,8 +103,8 @@ EXAMPLE1_DIGESTS = {
 
 @pytest.mark.parametrize("m", sorted(EXAMPLE1_DIGESTS))
 def test_zero_rise_tolerance_keeps_every_rise(monkeypatch, m):
-    """At a rise tolerance of 0 no rise stalls a row (raising=False: an
-    ascent without the tolerance is the same ascent)."""
+    """At a rise tolerance of 0 no rise stalls a row: the ascent keeps every
+    rise, as it did before rows could stall."""
     monkeypatch.setattr(analysis, "_ASCENT_RISE_RTOL", 0.0)
     D0 = np.random.default_rng(m).normal(size=(4, m))
     got = _ascend_rows(D0, _example1(m), 1000.0)

@@ -76,11 +76,11 @@ def test_readme_block_sizes_match_the_code():
 
 
 def test_readme_stall_tolerance_matches_the_ascent():
-    """The tolerance in the README's "raises J by a finite amount of at most
-    T max(1, |J|)" is the ascent's _ASCENT_RISE_RTOL."""
+    """The tolerance in the README's "raises J by at most T max(1,
+    |J|)" is the ascent's _ASCENT_RISE_RTOL."""
     with open(README, encoding="utf-8") as fh:
         text = " ".join(fh.read().split())
-    quotes = re.findall(r"raises J by a finite amount of at most (\S+) max\(1, \|J\|\)", text)
+    quotes = re.findall(r"raises J by at most (\S+) max\(1, \|J\|\)", text)
     assert quotes and all(float(q) == analysis._ASCENT_RISE_RTOL for q in quotes)
 
 

@@ -141,8 +141,7 @@ def _loop_ascend(d0, prob, t_last, max_iter=400):
             cand = cand / np.linalg.norm(cand)
             cand_val = _loop_action_or_limit(t_last * cand, prob)
             if cand_val > val:
-                rise = cand_val - val
-                stall = math.isfinite(rise) and rise <= analysis._ASCENT_RISE_RTOL * max(1.0, abs(val))
+                stall = cand_val - val <= analysis._ASCENT_RISE_RTOL * max(1.0, abs(val))
                 d, val = cand, cand_val
                 step = min(step * 1.5, 1.0)
                 if stall:
