@@ -76,8 +76,8 @@ def test_readme_block_sizes_match_the_code():
 
 
 def test_readme_stall_tolerance_matches_the_ascent():
-    """The tolerance in the README's "raises J by at most T max(1,
-    |J|)" is the ascent's _ASCENT_RISE_RTOL."""
+    """The T of every "raises J by at most T max(1, |J|)" in the README is
+    the ascent's _ASCENT_RISE_RTOL."""
     with open(README, encoding="utf-8") as fh:
         text = " ".join(fh.read().split())
     quotes = re.findall(r"raises J by at most (\S+) max\(1, \|J\|\)", text)
