@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pklap.analysis import (
     HOLDS,
@@ -24,7 +26,7 @@ from pklap.analysis import (
     thresholds,
     xi_constant,
 )
-from pklap.analysis import _action_or_limit_rows
+from pklap.analysis import _action_or_limit_rows, _xi_search
 from pklap.core import ExponentFunction, Nonlinearity, PeriodicSequence, Problem
 from pklap.functional import action
 from pklap.nonlinearities import make_example1, make_example3, make_power
@@ -203,6 +205,24 @@ class TestXiConstant:
             xi_constant(3, method="nope")
         with pytest.raises(ValueError):
             xi_constant(3, p_plus=2.5, method="eigen")
+
+
+def _log_power_mean_bound(m, p):
+    """log L with L = m^(1 - p/2) lambda1^(p/2), lambda1 = 2 - 2cos(2 pi/m):
+    the power-mean lower bound on xi at p >= 2, equal to xi at n >= 2.  It
+    is taken in logs because L underflows at large p."""
+    lambda1 = 2.0 - 2.0 * math.cos(2.0 * math.pi / m)
+    return (1.0 - p / 2.0) * math.log(m) + (p / 2.0) * math.log(lambda1)
+
+
+@settings(max_examples=20)
+@given(st.integers(3, 12), st.sampled_from([1, 2, 3]), st.floats(2.0, 6.0))
+def test_xi_is_never_below_the_power_mean_bound(m, n, p):
+    """Sum_k a_k^p >= m^(1 - p/2) (sum_k a_k^2)^(p/2) >= m^(1 - p/2) lambda1^(p/2)
+    on the unit sphere of the zero-mean subspace, so no value the descent
+    reaches, converged or not, lies below L."""
+    xi, _ = _xi_search(m, n, p)
+    assert math.log(xi) >= _log_power_mean_bound(m, p) - 1e-12
 
 
 class TestProfiles:
