@@ -18,6 +18,7 @@ Conventions follow the labels used throughout the package:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from typing import Optional, Sequence
@@ -276,19 +277,67 @@ def _projected_gradient(u: np.ndarray, p: float) -> np.ndarray:
     return g - np.add.reduce(g * u, axis=(1, 2))[:, None, None] * u
 
 
+@functools.lru_cache(maxsize=16)
+def _cycle_laplacian_pinv(m: int) -> np.ndarray:
+    """The pseudo-inverse of the m-cycle Laplacian (2 on the diagonal, -1 on
+    the cyclic neighbours), read-only, made once per m from its closed form
+    (m^2 - 1) / (12 m) - d (m - d) / (2 m), d = |j - k|."""
+    d = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    pinv = (m * m - 1) / (12.0 * m) - d * (m - d) / (2.0 * m)
+    pinv.flags.writeable = False
+    return pinv
+
+
+def _sobolev_direction(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The descent direction of _xi_descent from the projected gradient g.
+
+    L+ g - alpha L+ u, with L+ the cycle Laplacian's pseudo-inverse applied
+    along k to each component and alpha = <u, L+ g> / <u, L+ u> per row: the
+    gradient in the metric of D^T D (D the cyclic difference) projected onto
+    the sphere's tangent space, zero-mean and orthogonal to u.  Its inner
+    product with g is positive unless g = 0 (Cauchy-Schwarz in the L+ inner
+    product, as g is orthogonal to u).
+    """
+    pinv = _cycle_laplacian_pinv(u.shape[1])
+    pg, pu = pinv @ g, pinv @ u
+    alpha = np.add.reduce(u * pg, axis=(1, 2)) / np.add.reduce(u * pu, axis=(1, 2))
+    return pg - alpha[:, None, None] * pu
+
+
+# The preconditioned direction's natural step is one over the energy's
+# curvature, about 1 / (p (p - 1) (val / m)^(1 - 2/p)) near a minimiser.  It
+# grows fast with p (near 1e7 at (m, n, p) = (8, 1, 20)), so the step may
+# grow past 1, up to this cap.  Over m in {3, 5, 8, 12, 16, 32}, n in
+# {1, 2, 3} and p in {2.5, 3, 4, 6, 20, 60}, a cap of 8 left 16 of the 108
+# descents unconverged after 5000 rounds, far above the minimum; at 2^20
+# all converged, in a quarter of the time.
+_XI_STEP_CAP = 2.0**20
+
 # The xi descent's Armijo trials step * 2^-j go in blocks of these sizes,
-# one energy call per block.  A step never exceeds 1, so its at most 60
-# trials above 1e-18 fit in the 62 of the blocks.
-_XI_BLOCKS = (2, 4, 8, 16, 32)
+# one energy call per block.  On the descents at (8, 1, 3) and (12, 1, 3),
+# 32 starts each, 2009 of 2849 accepted steps took the first trial and 772
+# the second; 56 took trials 2-9 and 12 a later one.  The 64 searches that
+# accept nothing (each start's last round) run down to the step floor, so
+# the last block holds the rest of the ladder: a step never exceeds
+# _XI_STEP_CAP, so its at most 80 trials above 1e-18 fit in the 80 of the
+# blocks.
+_XI_BLOCKS = (2, 8, 70)
 
 
 def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
-    """Projected gradient descent on the unit sphere of the zero-mean subspace.
+    """Preconditioned gradient descent on the unit sphere of the zero-mean subspace.
 
-    Runs every start of the stack u0 at once.  Each start keeps its own step
-    size and backtracking line search: it tries step * 2^-j in order, takes
-    the first trial below val - 1e-4 step |g|^2 (Armijo's test), and grows
-    its step by 1.3, up to 1.  The trials of all starts still searching go
+    Runs every start of the stack u0 at once.  A start's direction d is its
+    projected gradient g preconditioned by the inverse cycle Laplacian and
+    projected back onto the sphere's tangent space (_sobolev_direction).
+    The difference energy's Hessian is D^T W D, with D the cyclic
+    difference and W the weights |Delta u(k)|^(p - 2) and their derivatives,
+    so along g its condition number grows like m^2, while along d it is that
+    of W alone.  Each start keeps its
+    own step size and backtracking line search: it tries u - t d for
+    t = step * 2^-j in order, re-centred and normalised, takes the first
+    trial below val - 1e-4 t <g, d> (Armijo's test), and grows its step by
+    1.3, up to _XI_STEP_CAP.  The trials of all starts still searching go
     through one energy call per block of _XI_BLOCKS (_block_search), so
     each start follows the iterates of its descent run alone bit for bit.
     A start leaves when its projected gradient meets tol, when no trial
@@ -305,33 +354,30 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
         met_tol = np.zeros(len(u), dtype=bool)
         ids = np.arange(len(u))
 
-        # the line search of the rows ids of a round, along -g
+        # the line search of the rows ids of a round, along -d
         def trial(k, s):
-            return u[ids[k], None] - s[:, :, None, None] * g[k, None]
+            return u[ids[k], None] - s[:, :, None, None] * d[k, None]
 
         def evaluate(cand, k, s):
             cand = cand - _period_means(cand)
             nc = _row_norms(cand)
             cand = cand / nc[:, None, None]
             cand_val = _difference_energy(cand, p_plus)
-            return (nc > 1e-12) & (cand_val < val[ids[k]] - 1e-4 * s * gnorm_sq[k]), cand, cand_val
+            return (nc > 1e-12) & (cand_val < val[ids[k]] - 1e-4 * s * slope[k]), cand, cand_val
 
         def take(k, s, cand, cand_val):
             i = ids[k]
-            u[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.3, 1.0)
+            u[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.3, _XI_STEP_CAP)
 
         for _ in range(max_iter):
             if ids.size == 0:
                 break
             g = _projected_gradient(u[ids], p_plus)
-            gnorm = _row_norms(g)
-            met = gnorm <= tol
+            met = _row_norms(g) <= tol
             met_tol[ids[met]] = True
             ids, g = ids[~met], g[~met]
-            # squared by C pow on Python floats, not numpy's x*x: the two differ
-            # in the last bit for about one value in a thousand, and at a near
-            # tie the Armijo test could then accept another step
-            gnorm_sq = np.array([x**2 for x in gnorm[~met].tolist()])
+            d = _sobolev_direction(u[ids], g)
+            slope = np.add.reduce(g * d, axis=(1, 2))
             ids = ids[_block_search(step[ids], _XI_BLOCKS, trial, evaluate, take, floor=1e-18)]
         converged = met_tol.copy()
         rest = ~met_tol
@@ -356,15 +402,19 @@ def xi_constant(
     """Best constant xi with sum_k |Delta u(k)|^p_plus >= xi * ||u||^p_plus on zero-mean u.
 
     Computed as the minimum of the difference energy over the unit sphere of
-    the zero-mean subspace, by projected gradient descent from `starts`
-    random starts (at least 1), all run at once as one stacked array, their
-    Armijo line-search trials evaluated in blocks (_xi_descent).  For
-    p_plus = 2 the minimum is the smallest nonzero eigenvalue of the cycle
-    Laplacian, 2 - 2*cos(2*pi/m), which "auto" returns directly; pass
-    method="optimize" to force the optimizer (the eigenvalue then serves as
-    its cross-check).  When no start meets the gradient tolerance a
-    RuntimeWarning is issued and the best value found, an upper bound on
-    the sharp constant, is returned.
+    the zero-mean subspace, by gradient descent preconditioned with the
+    inverse cycle Laplacian from `starts` random starts (at least 1), all
+    run at once as one stacked array, their Armijo line-search trials
+    evaluated in blocks (_xi_descent).  Two cases have a closed form, which
+    "auto" returns directly: for p_plus = 2 the minimum is the smallest
+    nonzero eigenvalue of the cycle Laplacian, 2 - 2*cos(2*pi/m), and for
+    m = 2 the sphere is u = +-(v, -v), so xi = 2^(1 + p_plus/2) at every n
+    (by the descent where that overflows, from p_plus = 2046 on).  Pass
+    method="optimize" to force the optimizer (the closed form then serves
+    as its cross-check).  n must be >= 1 and p_plus finite and >= 1.  When
+    no start meets the gradient tolerance a RuntimeWarning is issued and
+    the best value found, an upper bound on the sharp constant, is
+    returned.
     """
     return _xi_search(m, n, p_plus, method, starts, tol, seed, max_iter)[0]
 
@@ -386,8 +436,10 @@ def _xi_search(
     """
     if m < 2:
         raise ValueError(f"period m must be >= 2, got {m}")
-    if p_plus < 1.0:
-        raise ValueError(f"exponent must be >= 1, got {p_plus}")
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
+    if not p_plus >= 1.0 or math.isinf(p_plus):
+        raise ValueError(f"exponent must be finite and >= 1, got {p_plus}")
     if method not in ("auto", "optimize", "eigen"):
         raise ValueError(f"unknown method {method!r}")
     if method == "eigen" and p_plus != 2.0:
@@ -396,6 +448,13 @@ def _xi_search(
         raise ValueError(f"starts must be >= 1, got {starts}")
     if p_plus == 2.0 and method in ("auto", "eigen"):
         return 2.0 - 2.0 * math.cos(2.0 * math.pi / m), True
+    if m == 2 and method == "auto":
+        # the sphere is u = +-(v, -v) with |v|^2 = 1/2, so |Delta u(k)| = sqrt(2)
+        # at both k; C pow, which overflows to inf from p_plus = 2046 on
+        with np.errstate(over="ignore"):
+            two_point = float(np.float_power(2.0, 1.0 + p_plus / 2.0))
+        if math.isfinite(two_point):
+            return two_point, True
 
     rng = rng_for(seed, m, n)
     u0 = _unit_directions(rng, starts, (m, n), zero_mean=True)
@@ -527,8 +586,9 @@ def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
     lambda_i = 2^p_plus * m^(p_plus/2) / (p_minus * a) with a the relevant
     minimum of alpha1, alpha2 or their sum; infinite when a vanishes.  Also
     computes the sharp embedding constant xi with xi_constant's defaults
-    (2 - 2*cos(2*pi/m) in closed form at p_plus = 2, otherwise a 32-start
-    projected descent run on all starts at once, its Armijo trials tried in
+    (2 - 2*cos(2*pi/m) in closed form at p_plus = 2 and 2^(1 + p_plus/2) at
+    m = 2, otherwise a 32-start descent preconditioned with the inverse
+    cycle Laplacian, run on all starts at once, its Armijo trials tried in
     blocks, see _xi_descent).  `pklap check` takes xi from here rather than
     computing it a second time.  When no start of the descent converges, xi
     is only an upper bound on the sharp constant: a RuntimeWarning is

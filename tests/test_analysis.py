@@ -132,13 +132,32 @@ class TestXiConstant:
             assert opt == pytest.approx(direct, abs=1e-7)
 
     def test_two_point_closed_form_general_p(self):
-        # m = 2 forces u = (a, -a); the quotient is 2^(1 + p/2) exactly
+        # m = 2 forces u = +-(v, -v); the quotient is 2^(1 + p/2) exactly
         assert xi_constant(2, p_plus=2.5, starts=8) == pytest.approx(
             2.0**2.25, abs=1e-7
         )
         assert xi_constant(2, p_plus=3.0, starts=8) == pytest.approx(
             2.0**2.5, abs=1e-7
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("pp", [1.5, 3.0, 60.0, 1100.0, 2045.0])
+    def test_two_point_value_is_returned_in_closed_form(self, n, pp):
+        """At m = 2, "auto" returns 2^(1 + p/2) by C pow at every n, without
+        a descent, converged and bit for bit."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi, converged = _xi_search(2, n, pp)
+        assert xi == float(np.float_power(2.0, 1.0 + pp / 2.0)) and converged
+        assert xi_constant(2, n, pp) == xi
+
+    def test_two_point_value_past_overflow_falls_back_to_the_descent(self):
+        """From p = 2046 on 2^(1 + p/2) overflows, and the descent runs."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            xi, _ = _xi_search(2, 1, 2046.0, starts=2)
+        assert xi == math.inf
+        assert all("no start met" in str(w.message) for w in caught)
 
     def test_inequality_on_samples(self):
         rng = np.random.default_rng(2)
@@ -177,21 +196,25 @@ class TestXiConstant:
     @pytest.mark.parametrize(
         "m, n, pp, expected",
         [
-            (8, 1, 3.0, 0.1755284184294037),
-            (12, 1, 3.0, 0.04509616718905767),
-            (5, 2, 3.0, 0.7265425280053608),
-            (9, 1, 4.0, 0.030784461948426864),
+            (8, 1, 3.0, 0.17552841842940362),
+            (12, 1, 3.0, 0.045096167189057554),
+            (5, 2, 3.0, 0.7265425280053607),
+            (9, 1, 4.0, 0.030784461948426788),
         ],
     )
     def test_pinned_values(self, m, n, pp, expected):
         # exact values of the default seed and starts; any change to the
-        # descent's arithmetic or to the start draws moves them
+        # descent's arithmetic or to the start draws moves them.  The
+        # preconditioned direction moved each of them down, by at most
+        # 2.6e-15 relative, from the plain projected gradient's values
+        # 0.1755284184294037, 0.04509616718905767, 0.7265425280053608 and
+        # 0.030784461948426864
         assert xi_constant(m, n, pp) == expected
 
     def test_unconverged_descent_warns_and_returns_best(self):
         with pytest.warns(RuntimeWarning, match="no start met the gradient tolerance"):
             xi = xi_constant(8, 1, 3.0, max_iter=1)
-        assert xi == 0.30327385805164697
+        assert xi == 0.44919997123659683
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -205,6 +228,18 @@ class TestXiConstant:
             xi_constant(3, method="nope")
         with pytest.raises(ValueError):
             xi_constant(3, p_plus=2.5, method="eigen")
+
+    def test_zero_dimension_raises(self):
+        with pytest.raises(ValueError, match="dimension"):
+            xi_constant(8, 0, 3.0)
+
+    def test_nan_exponent_raises(self):
+        with pytest.raises(ValueError, match="exponent"):
+            xi_constant(8, 1, math.nan)
+
+    def test_infinite_exponent_raises(self):
+        with pytest.raises(ValueError, match="exponent"):
+            xi_constant(8, 1, math.inf)
 
 
 def _log_power_mean_bound(m, p):
@@ -548,3 +583,14 @@ class TestLambdaStar:
         nl, _ = make_example3(2)
         est = lambda_star_estimate(_problem_from(nl), [0.5], samples_per_r=50)
         assert est.estimate > 0.0
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [3, 5, 8, 12])
+def test_xi_meets_the_power_mean_bound_at_two_or_more_components(m, n, p):
+    """At n >= 2 the bound is attained, by u(k) = (cos 2 pi k/m, sin 2 pi k/m, 0, ...)
+    normalised, so the descent converges to L itself."""
+    xi, converged = _xi_search(m, n, p)
+    assert converged
+    assert abs(math.log(xi) - _log_power_mean_bound(m, p)) <= 1e-12

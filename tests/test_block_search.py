@@ -135,10 +135,10 @@ def test_rows_leave_at_the_floor_without_evaluating_below_it():
     assert not found[0] and calls == [2, 2]
 
 
-def _trials_above(floor):
-    """How many steps 2^-j, j = 0, 1, ..., lie above floor: the longest
-    search of a caller whose step never exceeds 1."""
-    return int(np.sum(np.ldexp(1.0, -np.arange(1100)) > floor))
+def _trials_above(floor, cap=1.0):
+    """How many steps cap * 2^-j, j = 0, 1, ..., lie above floor: the
+    longest search of a caller whose step never exceeds cap."""
+    return int(np.sum(cap * np.ldexp(1.0, -np.arange(1100)) > floor))
 
 
 def test_newton_blocks_hold_its_thirty_trials():
@@ -147,28 +147,28 @@ def test_newton_blocks_hold_its_thirty_trials():
 
 
 @pytest.mark.parametrize(
-    "blocks,floor,trials",
-    [("_ASCENT_BLOCKS", 1e-16, 54), ("_XI_BLOCKS", 1e-18, 60)],
+    "blocks,floor,cap,trials",
+    [("_ASCENT_BLOCKS", 1e-16, 1.0, 54), ("_XI_BLOCKS", 1e-18, analysis._XI_STEP_CAP, 80)],
 )
-def test_floor_searches_reach_their_floor_inside_the_blocks(blocks, floor, trials):
-    """A step of at most 1 has this many trials above the floor, and the
-    blocks hold them all, so every unaccepted row leaves at the floor as
-    its sequential loop does, not when the blocks run out."""
-    assert _trials_above(floor) == trials
+def test_floor_searches_reach_their_floor_inside_the_blocks(blocks, floor, cap, trials):
+    """A step of at most cap (1 for the ascent, _XI_STEP_CAP for the xi
+    descent) has this many trials above the floor, and the blocks hold them
+    all, so every unaccepted row leaves at the floor as its sequential loop
+    does, not when the blocks run out."""
+    assert _trials_above(floor, cap) == trials
     assert sum(getattr(analysis, blocks)) >= trials
 
 
 @pytest.mark.parametrize(
     "m,p,calls,rows",
-    [(8, 3.0, 282, 12902), (12, 3.0, 748, 34551)],
+    [(8, 3.0, 74, 4514), (12, 3.0, 104, 5951), (32, 3.0, 171, 8730)],
 )
 def test_xi_descent_energy_calls_and_rows(monkeypatch, m, p, calls, rows):
     """The descent of _xi_search (32 starts, n = 1) makes this many
-    _difference_energy calls over this many rows.  The one-trial-per-call
-    search it replaced made 1473 calls over 9254 rows at m = 8 and 2795
-    calls over 24121 rows at m = 12: blocks of 2 trials evaluate a second
-    trial that most accepted steps do not need, and save the single-halving
-    calls of every start that descends to the step floor."""
+    _difference_energy calls over this many rows.  Along the plain
+    projected gradient, in blocks of (2, 4, 8, 16, 32), it made 282 calls
+    over 12902 rows at m = 8 and 748 calls over 34551 rows at m = 12, and
+    at m = 32 only 2 of its 32 starts converged in 5000 rounds."""
     seen = {"calls": 0, "rows": 0}
     real = analysis._difference_energy
 
@@ -183,6 +183,16 @@ def test_xi_descent_energy_calls_and_rows(monkeypatch, m, p, calls, rows):
         _, converged = analysis._xi_search(m, 1, p)
     assert converged
     assert seen == {"calls": calls, "rows": rows}
+
+
+def test_xi_descent_converges_on_every_start_at_m32():
+    """The preconditioned direction's rounds do not grow like m^2: at
+    (m, n, p) = (32, 1, 3) all 32 starts of _xi_search converge, to the
+    same value within 1e-14 relative."""
+    starts = analysis._unit_directions(analysis.rng_for(0, 32, 1), 32, (32, 1), zero_mean=True)
+    vals, converged = analysis._xi_descent(starts, 3.0, 1e-10, 5000)
+    assert converged.all()
+    assert vals.max() <= vals.min() * (1.0 + 1e-14)
 
 
 def _record_bytes(sol):

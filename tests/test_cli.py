@@ -269,8 +269,8 @@ class TestCheck:
     def test_huge_exponent_is_quiet_and_unchanged(self, tmp_path):
         """Overflow at p = 1100 shows in the report (inf thresholds and
         margins), not as numpy warnings; the bytes are pinned.  They last
-        moved with the array-call sample streams, in the C.1, C.2 and A.5
-        margins only."""
+        moved with the m = 2 closed form of xi, in xi only (to 2^551 exactly,
+        from the descent's 7.371020360980128e+165)."""
         cfg = _config(tmp_path, p=1100.0)
         out = tmp_path / "check.json"
         with warnings.catch_warnings(record=True) as caught:
@@ -278,13 +278,13 @@ class TestCheck:
             assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_OK
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "995cfc4b14c1c6d8236384e5d9666c02206db8517b8e820a5e825c3c08e76eb0"
+        assert digest == "a5671de463eadf6aaf657ec3aea3766cc3dce8fb1abc1e412cb8ed7cef5b852b"
 
     def test_overflowing_ascent_is_quiet_and_unchanged(self, tmp_path):
         """At p = 60 the anti-coercivity ascent's gradient norms overflow;
         that shows in no numpy warning, and the bytes are pinned.  They last
-        moved with the array-call sample streams, in the C.1, C.2 and A.5
-        margins only."""
+        moved with the m = 2 closed form of xi, in xi only (to 2^31 exactly,
+        from the descent's 2147483647.9999886)."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "m": 2, "n": 1, "p": [60, 60], "lambda": 5.0, "seed": 3,
@@ -296,7 +296,7 @@ class TestCheck:
             assert cli.main(["check", str(cfg), "--output", str(out)]) == cli.EXIT_OK
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "eeb9aeff1543a11e136f336cb60351f7b2aa058dc62d142704b6aea52cad5445"
+        assert digest == "c65821bc499a980f4db3f7f1cfd33956c441d0de69f3509a0cca30542374ad39"
 
     def test_bounded_family_at_huge_exponent(self, tmp_path, capsys):
         """mu overflows at the doubled top of B.2's level-radius bracket;

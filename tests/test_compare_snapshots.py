@@ -1,9 +1,9 @@
-"""tools/compare_snapshots.py: its exit codes and its margin report.
+"""tools/compare_snapshots.py: its exit codes and its margin and xi report.
 
 The tool compares two output snapshots.  It passes (exit 0) when outputs
-moved only in their numbers, and fails (exit 1) when a verdict or a
-gradcheck's `passed` changes, when a file is on one side only, or when a
-non-JSON file differs.
+moved only in their numbers, and fails (exit 1) when a verdict, a check's
+`xi_converged` or a gradcheck's `passed` changes, when a file is on one
+side only, or when a non-JSON file differs.
 """
 
 import importlib.util
@@ -23,13 +23,14 @@ def tool():
     return module
 
 
-def _check(margin, verdict="holds_on_samples", c1=0.5):
+def _check(margin, verdict="holds_on_samples", c1=0.5, xi=0.25, xi_converged=True):
     return {
         "reports": [
             {"name": "C.1", "verdict": "holds_on_samples", "margin": c1},
             {"name": "anticoercivity", "verdict": verdict, "margin": margin},
         ],
-        "xi": 0.25,
+        "xi": xi,
+        "xi_converged": xi_converged,
     }
 
 
@@ -57,20 +58,25 @@ def test_moved_numbers_pass_and_report_their_largest_margin_change(tool, capsys,
     assert code == 0
     assert "  margin anticoercivity: 100000000000.0 -> 100000000004.0 (relative 4e-11)" in out
     assert "  margin C.1: 0.5 -> 0.25 (relative 0.5)" in out
-    assert out[-1] == "3 files, 2 differ, 0 fail, largest relative margin change 0.5"
+    assert out[-1] == (
+        "3 files, 2 differ, 0 fail, largest relative margin change 0.5, "
+        "largest relative xi change 0"
+    )
 
 
 def test_identical_snapshots_pass(tool, capsys, tmp_path):
     files = {"a.check.json": _check(1.0), "b.csv": "1,2\n"}
     code, out = _run(tool, capsys, tmp_path, files, files)
     assert code == 0
-    assert out == ["2 files, 0 differ, 0 fail, largest relative margin change 0"]
+    assert out == [
+        "2 files, 0 differ, 0 fail, largest relative margin change 0, largest relative xi change 0"
+    ]
 
 
 def test_a_margin_that_becomes_infinite_is_an_infinite_change(tool, capsys, tmp_path):
     code, out = _run(tool, capsys, tmp_path, {"a.check.json": _check(1.0)}, {"a.check.json": _check("inf")})
     assert code == 0
-    assert out[-1].endswith("largest relative margin change inf")
+    assert out[-1].endswith("largest relative margin change inf, largest relative xi change 0")
 
 
 def test_a_changed_verdict_fails(tool, capsys, tmp_path):
@@ -90,7 +96,10 @@ def test_a_file_on_one_side_only_fails(tool, capsys, tmp_path):
 def test_a_non_json_difference_fails(tool, capsys, tmp_path):
     code, out = _run(tool, capsys, tmp_path, {"a.values.csv": "1.0\n"}, {"a.values.csv": "1.5\n"})
     assert code == 1
-    assert out == ["a.values.csv: differs", "1 files, 1 differ, 1 fail, largest relative margin change 0"]
+    assert out == [
+        "a.values.csv: differs",
+        "1 files, 1 differ, 1 fail, largest relative margin change 0, largest relative xi change 0",
+    ]
 
 
 def test_a_changed_gradcheck_pass_fails(tool, capsys, tmp_path):
@@ -106,3 +115,26 @@ def test_a_moved_gradcheck_error_passes(tool, capsys, tmp_path):
     new = {"max_relative_error": 3e-9, "passed": True}
     code, _ = _run(tool, capsys, tmp_path, {"a.gradcheck.json": base}, {"a.gradcheck.json": new})
     assert code == 0
+
+
+def test_a_moved_xi_passes_and_reports_its_relative_change(tool, capsys, tmp_path):
+    base = {"a.check.json": _check(1.0, xi=0.25), "b.check.json": _check(1.0, xi=4.0)}
+    new = {"a.check.json": _check(1.0, xi=0.2), "b.check.json": _check(1.0, xi=4.0 + 2.0**-50)}
+    code, out = _run(tool, capsys, tmp_path, base, new)
+    assert code == 0
+    assert "  keys: xi" in out
+    assert "  xi: 0.25 -> 0.2 (relative 0.2)" in out
+    assert "  xi: 4.0 -> 4.000000000000001 (relative 2.22e-16)" in out
+    assert out[-1] == (
+        "2 files, 2 differ, 0 fail, largest relative margin change 0, "
+        "largest relative xi change 0.2"
+    )
+
+
+def test_a_changed_xi_converged_fails(tool, capsys, tmp_path):
+    base = {"a.check.json": _check(1.0, xi=1.0)}
+    new = {"a.check.json": _check(1.0, xi=0.5, xi_converged=False)}
+    code, out = _run(tool, capsys, tmp_path, base, new)
+    assert code == 1
+    assert "  xi_converged: True -> False" in out
+    assert out[-1].startswith("1 files, 1 differ, 1 fail, ")

@@ -84,6 +84,15 @@ def test_readme_stall_tolerance_matches_the_ascent():
     assert quotes and all(float(q) == analysis._ASCENT_RISE_RTOL for q in quotes)
 
 
+def test_readme_step_cap_matches_the_xi_descent():
+    """The 2^k of every "step cap of 2^k" in the README is the xi descent's
+    _XI_STEP_CAP."""
+    with open(README, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    quotes = re.findall(r"step cap of 2\^(\d+)", text)
+    assert quotes and all(2.0 ** int(q) == analysis._XI_STEP_CAP for q in quotes)
+
+
 def test_readme_entry_points_resolve():
     """Every backticked name of the README's "Useful entry points" paragraph,
     and every name in pklap.__all__, is an attribute of pklap."""

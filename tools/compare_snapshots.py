@@ -4,16 +4,18 @@
 
 Prints each file that differs between the directories BASE and NEW, or that
 only one of them holds.  For a JSON file it also prints the top-level keys
-whose values differ and, for a `check` report, the names of the reports
-that differ, with each verdict that changed and the relative change
-|new - old| / |old| of each margin that moved (inf when either margin is
-not a finite number or the old one is 0).  Ends with one summary line,
-which names the largest relative margin change.
+whose values differ and, for a `check` report, the relative change of a
+moved `xi` and the names of the reports that differ, with each verdict
+that changed and the relative change of each margin that moved.  A
+relative change is |new - old| / |old|, inf when either number is not
+finite or the old one is 0.  Ends with one summary line, which names the
+largest relative margin change and the largest relative `xi` change.
 
 Exits 1 when a non-JSON file differs, when a file is in only one directory,
 when a report's verdict changes (a report present on one side only counts
-as a change), or when a gradcheck's `passed` changes; otherwise 0, so
-outputs that moved only in their numbers pass.
+as a change), when a check's `xi_converged` changes, or when a gradcheck's
+`passed` changes; otherwise 0, so outputs that moved only in their numbers
+pass.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def _reports(payload: dict) -> dict:
 
 
 def _relative_change(old, new) -> float:
-    """|new - old| / |old| of two JSON margins ("inf" and "nan" are strings)."""
+    """|new - old| / |old| of two JSON numbers ("inf" and "nan" are strings)."""
     if old == new:
         return 0.0
     try:
@@ -41,14 +43,21 @@ def _relative_change(old, new) -> float:
     return abs(b - a) / abs(a)
 
 
-def _compare_json(base: dict, new: dict) -> tuple[list[str], bool, float]:
-    """Lines describing how two JSON payloads differ, whether a verdict or a
-    gradcheck's `passed` changed, and the largest relative margin change."""
+def _compare_json(base: dict, new: dict) -> tuple[list[str], bool, float, float]:
+    """Lines describing how two JSON payloads differ, whether a verdict, a
+    check's `xi_converged` or a gradcheck's `passed` changed, the largest
+    relative margin change and the relative `xi` change."""
     keys = sorted(k for k in set(base) | set(new) if base.get(k) != new.get(k))
     lines = ["  keys: " + ", ".join(keys)]
-    changed = base.get("passed") != new.get("passed")
-    if changed:
-        lines.append(f"  passed: {base.get('passed')} -> {new.get('passed')}")
+    changed = False
+    for key in ("passed", "xi_converged"):
+        if base.get(key) != new.get(key):
+            changed = True
+            lines.append(f"  {key}: {base.get(key)} -> {new.get(key)}")
+    xi_rel = 0.0
+    if base.get("xi") != new.get("xi"):
+        xi_rel = _relative_change(base.get("xi"), new.get("xi"))
+        lines.append(f"  xi: {base.get('xi')} -> {new.get('xi')} (relative {xi_rel:.3g})")
     a, b = _reports(base), _reports(new)
     names = [n for n in dict.fromkeys([*a, *b]) if a.get(n) != b.get(n)]
     if names:
@@ -63,13 +72,13 @@ def _compare_json(base: dict, new: dict) -> tuple[list[str], bool, float]:
             rel = _relative_change(old.get("margin"), cur.get("margin"))
             largest = max(largest, rel)
             lines.append(f"  margin {name}: {old.get('margin')} -> {cur.get('margin')} (relative {rel:.3g})")
-    return lines, changed, largest
+    return lines, changed, largest, xi_rel
 
 
 def compare(base_dir: str, new_dir: str) -> int:
     names = sorted(set(os.listdir(base_dir)) | set(os.listdir(new_dir)))
     differing = failures = 0
-    largest = 0.0
+    largest = largest_xi = 0.0
     for name in names:
         base_path, new_path = os.path.join(base_dir, name), os.path.join(new_dir, name)
         if not (os.path.isfile(base_path) and os.path.isfile(new_path)):
@@ -86,13 +95,15 @@ def compare(base_dir: str, new_dir: str) -> int:
         if not name.endswith(".json"):
             failures += 1
             continue
-        lines, changed, rel = _compare_json(json.loads(base), json.loads(new))
+        lines, changed, rel, xi_rel = _compare_json(json.loads(base), json.loads(new))
         print("\n".join(lines))
         failures += changed
         largest = max(largest, rel)
+        largest_xi = max(largest_xi, xi_rel)
     print(
         f"{len(names)} files, {differing} differ, {failures} fail, "
-        f"largest relative margin change {largest:.3g}"
+        f"largest relative margin change {largest:.3g}, "
+        f"largest relative xi change {largest_xi:.3g}"
     )
     return 1 if failures else 0
 
