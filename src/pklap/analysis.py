@@ -331,15 +331,15 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
     projected gradient g preconditioned by the inverse cycle Laplacian and
     projected back onto the sphere's tangent space (_sobolev_direction).
     The difference energy's Hessian is D^T W D, with D the cyclic
-    difference and W the weights |Delta u(k)|^(p - 2) and their derivatives,
+    difference and W block diagonal in k, of size about |Delta u(k)|^(p - 2),
     so along g its condition number grows like m^2, while along d it is that
-    of W alone.  Each start keeps its
-    own step size and backtracking line search: it tries u - t d for
-    t = step * 2^-j in order, re-centred and normalised, takes the first
-    trial below val - 1e-4 t <g, d> (Armijo's test), and grows its step by
-    1.3, up to _XI_STEP_CAP.  The trials of all starts still searching go
-    through one energy call per block of _XI_BLOCKS (_block_search), so
-    each start follows the iterates of its descent run alone bit for bit.
+    of W alone.  Each start keeps its own step size and backtracking line
+    search: it tries u - t d for t = step * 2^-j in order, re-centred and
+    normalised, takes the first trial below val - 1e-4 t <g, d> (Armijo's
+    test), and grows its step by 1.3, up to _XI_STEP_CAP.  The trials of
+    all starts still searching go through one energy call per block of
+    _XI_BLOCKS (_block_search), so each start follows the iterates of its
+    descent run alone bit for bit.
     A start leaves when its projected gradient meets tol, when no trial
     above step 1e-18 passes the test, or after max_iter steps.  Returns each
     start's final value and whether it converged.

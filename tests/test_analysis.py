@@ -204,11 +204,7 @@ class TestXiConstant:
     )
     def test_pinned_values(self, m, n, pp, expected):
         # exact values of the default seed and starts; any change to the
-        # descent's arithmetic or to the start draws moves them.  The
-        # preconditioned direction moved each of them down, by at most
-        # 2.6e-15 relative, from the plain projected gradient's values
-        # 0.1755284184294037, 0.04509616718905767, 0.7265425280053608 and
-        # 0.030784461948426864
+        # descent's arithmetic or to the start draws moves them
         assert xi_constant(m, n, pp) == expected
 
     def test_unconverged_descent_warns_and_returns_best(self):
