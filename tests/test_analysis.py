@@ -157,7 +157,7 @@ class TestXiConstant:
             warnings.simplefilter("always")
             xi, _ = _xi_search(2, 1, 2046.0, starts=2)
         assert xi == math.inf
-        assert all("no start met" in str(w.message) for w in caught)
+        assert [str(w.message)[:31] for w in caught] == ["xi_constant: no start met the g"]
 
     def test_inequality_on_samples(self):
         rng = np.random.default_rng(2)
@@ -252,8 +252,22 @@ def test_xi_is_never_below_the_power_mean_bound(m, n, p):
     """Sum_k a_k^p >= m^(1 - p/2) (sum_k a_k^2)^(p/2) >= m^(1 - p/2) lambda1^(p/2)
     on the unit sphere of the zero-mean subspace, so no value the descent
     reaches, converged or not, lies below L."""
-    xi, _ = _xi_search(m, n, p)
+    with warnings.catch_warnings():
+        # near p = 2 at n >= 2 the descent can end unconverged, which warns
+        warnings.simplefilter("ignore", RuntimeWarning)
+        xi, _ = _xi_search(m, n, p)
     assert math.log(xi) >= _log_power_mean_bound(m, p) - 1e-12
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [3, 5, 8, 12])
+def test_xi_meets_the_power_mean_bound_at_two_or_more_components(m, n, p):
+    """At n >= 2 the bound is attained, by u(k) = (cos 2 pi k/m, sin 2 pi k/m, 0, ...)
+    normalised, so the descent converges to L itself."""
+    xi, converged = _xi_search(m, n, p)
+    assert converged
+    assert abs(math.log(xi) - _log_power_mean_bound(m, p)) <= 1e-12
 
 
 class TestProfiles:
@@ -580,13 +594,3 @@ class TestLambdaStar:
         est = lambda_star_estimate(_problem_from(nl), [0.5], samples_per_r=50)
         assert est.estimate > 0.0
 
-
-@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("m", [3, 5, 8, 12])
-def test_xi_meets_the_power_mean_bound_at_two_or_more_components(m, n, p):
-    """At n >= 2 the bound is attained, by u(k) = (cos 2 pi k/m, sin 2 pi k/m, 0, ...)
-    normalised, so the descent converges to L itself."""
-    xi, converged = _xi_search(m, n, p)
-    assert converged
-    assert abs(math.log(xi) - _log_power_mean_bound(m, p)) <= 1e-12
