@@ -33,16 +33,13 @@ from .core import (
     Problem,
     _block_search,
     _entry_norms,
-    _read_only,
     _row_dots,
     _row_norms,
-    _rows,
     _shifted,
     _shifted_back,
-    _stack_periods,
 )
-from .functional import _action_rows, _mu_values, mu, potential
-from .operators import _residual_rows
+from .functional import _action_rows, mu, potential
+from .operators import _phi_rows, _residual_rows, _stack_pass
 
 HOLDS = "holds_on_samples"
 VIOLATED = "violated"
@@ -201,10 +198,10 @@ def _c2_rows(u: np.ndarray, s: np.ndarray):
 
 
 def _c3_rows(u: np.ndarray, p: ExponentFunction):
-    d = np.roll(u, -1, axis=1) - u
+    d = _shifted(u) - u
     pp = p.p_plus
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = np.sum(np.linalg.norm(d, axis=2) ** p.values, axis=1)
+        lhs = np.sum(_entry_norms(d) ** p.values, axis=1)
         rhs = u.shape[1] * (np.float_power(2.0, pp) * np.float_power(_row_norms(u), pp) + 1.0)
         return rhs - lhs, lhs, rhs
 
@@ -263,10 +260,7 @@ def _period_means(u: np.ndarray) -> np.ndarray:
 
 def _difference_energy_grad(u: np.ndarray, p: float) -> np.ndarray:
     d = _shifted(u) - u
-    norms = _entry_norms(d)
-    with np.errstate(divide="ignore"):
-        mags = np.where(norms > 0.0, norms ** (p - 2.0), 0.0)
-    a = mags[:, :, None] * d
+    a = _phi_rows(d, _entry_norms(d), p)
     return p * (_shifted_back(a) - a)
 
 
@@ -405,16 +399,20 @@ def xi_constant(
     the zero-mean subspace, by gradient descent preconditioned with the
     inverse cycle Laplacian from `starts` random starts (at least 1), all
     run at once as one stacked array, their Armijo line-search trials
-    evaluated in blocks (_xi_descent).  Two cases have a closed form, which
-    "auto" returns directly: for p_plus = 2 the minimum is the smallest
-    nonzero eigenvalue of the cycle Laplacian, 2 - 2*cos(2*pi/m), and for
-    m = 2 the sphere is u = +-(v, -v), so xi = 2^(1 + p_plus/2) at every n
-    (by the descent where that overflows, from p_plus = 2046 on).  Pass
-    method="optimize" to force the optimizer (the closed form then serves
-    as its cross-check).  n must be >= 1 and p_plus finite and >= 1.  When
-    no start meets the gradient tolerance a RuntimeWarning is issued and
-    the best value found, an upper bound on the sharp constant, is
-    returned.
+    evaluated in blocks (_xi_descent).  Three cases have a closed form,
+    which "auto" returns directly.  For p_plus = 2 the minimum is the
+    smallest nonzero eigenvalue of the cycle Laplacian, lambda1 =
+    2 - 2*cos(2*pi/m).  At m = 2 (the sphere is u = +-(v, -v), and
+    xi = 2^(1 + p_plus/2) at every n), and at n >= 2 for p_plus > 2
+    (attained by u(k) = (cos 2 pi k/m, sin 2 pi k/m, 0, ...)), xi is the
+    power-mean bound m^(1 - p_plus/2) lambda1^(p_plus/2), computed as
+    m (lambda1/m)^(p_plus/2) by C pow; where that is not a normal double
+    (at m = 2 from p_plus = 2046 on, where it overflows) the descent runs.
+    Pass method="optimize" to force the optimizer (the closed form then
+    serves as its cross-check).  n must be >= 1 and p_plus finite and
+    >= 1.  When no start meets the gradient tolerance a RuntimeWarning is
+    issued and the best value found, an upper bound on the sharp constant,
+    is returned.
     """
     return _xi_search(m, n, p_plus, method, starts, tol, seed, max_iter)[0]
 
@@ -446,15 +444,19 @@ def _xi_search(
         raise ValueError("eigenvalue shortcut only applies to p_plus = 2")
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
+    lambda1 = 2.0 - 2.0 * math.cos(2.0 * math.pi / m)
     if p_plus == 2.0 and method in ("auto", "eigen"):
-        return 2.0 - 2.0 * math.cos(2.0 * math.pi / m), True
-    if m == 2 and method == "auto":
-        # the sphere is u = +-(v, -v) with |v|^2 = 1/2, so |Delta u(k)| = sqrt(2)
-        # at both k; C pow, which overflows to inf from p_plus = 2046 on
-        with np.errstate(over="ignore"):
-            two_point = float(np.float_power(2.0, 1.0 + p_plus / 2.0))
-        if math.isfinite(two_point):
-            return two_point, True
+        return lambda1, True
+    if method == "auto" and (m == 2 or (n >= 2 and p_plus > 2.0)):
+        # the power-mean bound m^(1 - p/2) lambda1^(p/2) is attained where a
+        # lambda1-eigenvector has all |Delta u(k)| equal: at m = 2 every
+        # u = +-(v, -v) on the sphere, and at n >= 2 the circle u(k) =
+        # (cos 2 pi k/m, sin 2 pi k/m, 0, ...).  C pow, which overflows to
+        # inf or underflows at large p_plus
+        with np.errstate(over="ignore", under="ignore"):
+            closed = m * float(np.float_power(lambda1 / m, p_plus / 2.0))
+        if np.finfo(float).tiny <= closed < math.inf:
+            return closed, True
 
     rng = rng_for(seed, m, n)
     u0 = _unit_directions(rng, starts, (m, n), zero_mean=True)
@@ -586,11 +588,12 @@ def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
     lambda_i = 2^p_plus * m^(p_plus/2) / (p_minus * a) with a the relevant
     minimum of alpha1, alpha2 or their sum; infinite when a vanishes.  Also
     computes the sharp embedding constant xi with xi_constant's defaults
-    (2 - 2*cos(2*pi/m) in closed form at p_plus = 2 and 2^(1 + p_plus/2) at
-    m = 2, otherwise a 32-start descent preconditioned with the inverse
-    cycle Laplacian, run on all starts at once, its Armijo trials tried in
-    blocks, see _xi_descent).  `pklap check` takes xi from here rather than
-    computing it a second time.  When no start of the descent converges, xi
+    (lambda1 = 2 - 2*cos(2*pi/m) at p_plus = 2, and the power-mean bound
+    m^(1 - p_plus/2) lambda1^(p_plus/2) at m = 2, 2^(1 + p_plus/2) there,
+    and at n >= 2, in closed form; otherwise a 32-start descent
+    preconditioned with the inverse cycle Laplacian, run on all starts at
+    once, its Armijo trials tried in blocks, see _xi_descent).  `pklap
+    check` takes xi from here rather than computing it a second time.  When no start of the descent converges, xi
     is only an upper bound on the sharp constant: a RuntimeWarning is
     issued and xi_converged is False.
     """
@@ -829,81 +832,39 @@ def check_bounds(
 # ---------------------------------------------------------------------------
 
 
+def _action_or_limit(mus: np.ndarray, pots: np.ndarray, prob: Problem) -> np.ndarray:
+    """mu + lam * potential per row, the expression of action (so a finite
+    value keeps action's bits), under the callers' np.errstate, with an
+    overflowing term at its limit: mu >= 0, so its overflow, or NaN terms
+    of a non-finite input, give +inf (no decrease), and an overflowing
+    potential with a finite mu gives -inf."""
+    vals = mus + prob.lam * pots
+    if np.isfinite(vals).all():  # then so are both terms
+        return vals
+    return np.where(np.isfinite(mus), np.where(np.isfinite(pots), vals, -math.inf), math.inf)
+
+
 def _action_or_limit_rows(x: np.ndarray, prob: Problem) -> np.ndarray:
-    """The action at each flat point of x, with an overflowing term replaced by its limit.
-
-    mu >= 0, so its overflow gives +inf (no decrease); an overflowing
-    potential with a finite mu gives -inf.  Finite values are mu + lam *
-    potential, the expression of action, so they keep action's bits.  All
-    points go through one _action_rows call.
-    """
-    mus, pots, mu_ok, pot_ok = _action_rows(x.reshape(-1, prob.m, prob.n), prob)
+    """The action at each flat point of x, overflowing terms at their limits
+    (_action_or_limit), all points in one terms pass of _stack_pass, whose
+    EvaluationError for a malformed F it raises."""
+    mus, pots, _ = _stack_pass(x.reshape(-1, prob.m, prob.n), prob, mu=True, potential=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = mus + prob.lam * pots
-    return np.where(mu_ok, np.where(pot_ok, vals, -math.inf), math.inf)
-
-
-def _finite_action_residual(u: np.ndarray, prob: Problem):
-    """(action, residual) of a (B, m, n) stack of finite sequences; the
-    residual is None when a coupling kernel raises."""
-    m, n = prob.m, prob.n
-    nl, p = prob.nonlinearity, prob.exponent.values
-    K, K_prev = _stack_periods(m, len(u))
-    flat = (K.size, n)
-    up = _shifted(u)  # row k-1 holds u(k+1)
-    up.flags.writeable = False
-    d = up - u  # row k-1 holds Delta u(k)
-    norms = _entry_norms(d)
-    # mu + lam * potential, the terms of _action_rows
-    mus = np.add.reduce(norms**p / p, axis=1)
-    F = _rows(nl._kernels[0](K, up.reshape(flat), u.reshape(flat)), (K.size,), "F")
-    pots = np.subtract.reduce(F.reshape(len(u), m), axis=1, initial=0.0)
-    action = mus + prob.lam * pots
-    if not np.isfinite(action).all():
-        action = np.where(np.isfinite(mus), np.where(np.isfinite(pots), action, -math.inf), math.inf)
-    try:
-        a = nl._kernels[1](K_prev, u.reshape(flat), _shifted_back(u).reshape(flat))
-        b = nl._kernels[2](K, up.reshape(flat), u.reshape(flat))
-        coupling = (_rows(a, flat, "F2_prime") + _rows(b, flat, "F3_prime")).reshape(u.shape)
-    except Exception:  # left to _residual_rows, which raises it again
-        return action, None
-    # phi(Delta u(k)) - phi(Delta u(k-1)) + lam f, the terms of _residual_rows
-    phi = np.where(norms > 0.0, norms ** (p - 2.0), 0.0)[..., None] * d
-    return action, phi - _shifted_back(phi) + prob.lam * coupling
+        return _action_or_limit(mus, pots, prob)
 
 
 def _action_residual_rows(x: np.ndarray, prob: Problem):
     """_action_or_limit_rows and _residual_rows of the flat points x in one pass.
 
     Returns (vals, r, ok): vals as _action_or_limit_rows gives them, and r
-    and ok as _residual_rows gives them, r as (B, dim), each row bitwise
-    the same.  The pass checks the input once, takes the forward
-    differences and their norms once for mu and phi, and calls the
-    family's F, F2 and F3 kernels once each on the periods of
-    _stack_periods; rows with a non-finite input never reach them.  F's
-    errors are raised as _action_or_limit_rows raises them; when a coupling
-    kernel raises, r and ok are None and the caller evaluates the residuals
-    it needs with _residual_rows, which raises that error again.  Callers
-    evaluate it under np.errstate, as the ascent does: an overflow shows in
-    the values and in ok, and is not meant as a warning.
+    (as (B, dim)) and ok as _residual_rows gives them, each row bitwise the
+    same.  Raises what the pass raises, F's error before the coupling
+    term's.  Callers evaluate it under np.errstate, as the ascent does.
     """
-    vals = _read_only(x).reshape(-1, prob.m, prob.n)
-    finite = np.isfinite(vals.reshape(len(vals), prob.dim)).all(axis=1)
-    if finite.all():
-        action, r = _finite_action_residual(vals, prob)
-    else:
-        # a non-finite input has no decrease and no residual
-        action, r = np.full(len(vals), math.inf), np.full(vals.shape, np.nan)
-        if finite.any():
-            action[finite], part = _finite_action_residual(_read_only(vals[finite]), prob)
-            if part is None:
-                r = None
-            else:
-                r[finite] = part
-    if r is None:
-        return action, None, None
-    r = r.reshape(len(vals), prob.dim)
-    return action, r, finite & np.isfinite(r).all(axis=1)
+    stack = x.reshape(-1, prob.m, prob.n)
+    mus, pots, r = _stack_pass(stack, prob, mu=True, potential=True, residual=True)
+    ok = np.isfinite(r).all(axis=(1, 2))
+    return _action_or_limit(mus, pots, prob), r.reshape(len(stack), prob.dim), ok
 
 
 # The ascent's iteration cap, and its line search's trials step * 2^-j,
@@ -950,11 +911,15 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
 
         def values(x):
             # (action, residual, state): state is 1 where the residual is
-            # finite, 0 where it is not, and -1 where a coupling kernel
-            # raised, so that the residual is still to be evaluated
-            vals, r, ok = _action_residual_rows(x, prob)
-            if r is None:
-                return vals, np.empty(x.shape), np.full(len(x), -1, dtype=np.int8)
+            # finite, 0 where it is not, and -1 where it is still to be
+            # evaluated.  When the fused pass raises, the action alone
+            # raises a malformed F's error again; a coupling kernel's error
+            # is left to the next round's _residual_rows, which raises it
+            # again only if a row takes one of these trials
+            try:
+                vals, r, ok = _action_residual_rows(x, prob)
+            except Exception:
+                return _action_or_limit_rows(x, prob), np.empty(x.shape), np.full(len(x), -1, np.int8)
             return vals, r, ok.view(np.int8)
 
         d = D0 / _row_norms(D0)[:, None]
@@ -1206,11 +1171,10 @@ def _brentq_rows(f, xa: np.ndarray, xb: np.ndarray, maxiter: int = _BRENT_MAXITE
 def _mu_rows(stack: np.ndarray, prob: Problem) -> np.ndarray:
     """mu of each row of a (B, m, n) stack, inf where it is not finite.
 
-    The formula of mu (functional._mu_values), so a finite row is bitwise
-    mu of that row alone; F is never called.
+    The mu pass of _stack_pass, the formula of mu, so a finite row is
+    bitwise mu of that row alone; F is never called.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _mu_values(stack, _shifted(stack), prob)
+    vals = _stack_pass(stack, prob, mu=True)[0]
     return np.where(np.isfinite(vals), vals, math.inf)
 
 

@@ -327,10 +327,13 @@ class Nonlinearity:
 
     Every hot caller evaluates the potential through the batched methods
     F_many (F on N points at once) and coupling (f on every row of a
-    sequence, or of a stack of sequences).  Both call three array kernels
-    (K, U1, U2) -> values, chosen once at construction: the callables of a
-    from_arrays family, or, for a family given only the per-point callbacks
-    above, adapters that call them point by point with the same checks.
+    sequence, or of a stack of sequences), or, on points whose periods and
+    shifted copies it has made (operators._stack_pass), through _F_points
+    and _assembled, which those two call.  They call three array kernels
+    (K, U1, U2) -> values, chosen once at construction, which no other
+    module reads: the callables of a from_arrays family, or, for a family
+    given only the per-point callbacks above, adapters that call them point
+    by point with the same checks.
     """
 
     m: int
@@ -413,10 +416,7 @@ class Nonlinearity:
         direct = np.array(
             [_vector(self.f_direct(k, *u), self.n, "f_direct") for k, u in zip(K.tolist(), U)]
         )
-        flat = (points, self.n)
-        a = self._kernels[1]((K - 2) % self.m + 1, U[:, 1], U[:, 2])
-        b = self._kernels[2]((K - 1) % self.m + 1, U[:, 0], U[:, 1])
-        assembled = _rows(a, flat, "F2_prime") + _rows(b, flat, "F3_prime")
+        assembled = self._assembled((K - 1) % self.m + 1, (K - 2) % self.m + 1, *U.swapaxes(0, 1))
         deviation = np.max(np.abs(direct - assembled), axis=1)
         bad = np.count_nonzero(~np.isfinite(deviation))
         if bad:
@@ -456,6 +456,11 @@ class Nonlinearity:
         U1, U2 = _read_only(U1), _read_only(U2)
         if U1.shape != shape or U2.shape != shape:
             raise ValueError(f"point arrays {U1.shape}, {U2.shape} do not match {shape}")
+        return self._F_points(K, U1, U2)
+
+    def _F_points(self, K, U1, U2) -> np.ndarray:
+        """F_many without its checks, for periods K already in 1..m and (N, n)
+        arrays U1 and U2 the caller made: one kernel call."""
         return _rows(self._kernels[0](K, U1, U2), (K.size,), "F")
 
     def coupling(self, vals) -> np.ndarray:
@@ -467,12 +472,21 @@ class Nonlinearity:
         if vals.ndim not in (2, 3) or vals.shape[-2:] != (self.m, self.n):
             raise ValueError(f"sequence shape {vals.shape} does not match ({self.m}, {self.n})")
         stack = vals.reshape(-1, self.m, self.n)
-        up, um = _shifted(stack), _shifted_back(stack)
         K, K_prev = _stack_periods(self.m, len(stack))
         flat = (K.size, self.n)
-        a = _rows(self._kernels[1](K_prev, stack.reshape(flat), um.reshape(flat)), flat, "F2_prime")
-        b = _rows(self._kernels[2](K, up.reshape(flat), stack.reshape(flat)), flat, "F3_prime")
-        return (a + b).reshape(vals.shape)
+        up, um = _shifted(stack).reshape(flat), _shifted_back(stack).reshape(flat)
+        return self._assembled(K, K_prev, up, stack.reshape(flat), um).reshape(vals.shape)
+
+    def _assembled(self, K, K_prev, up, u, um) -> np.ndarray:
+        """The coupling term F2_prime(k-1, u(k), u(k-1)) + F3_prime(k, u(k+1), u(k))
+        at N points, one call of each partial kernel.  K and K_prev hold the
+        periods k and k - 1 in 1..m, and up, u and um the (N, n) points
+        u(k+1), u(k) and u(k-1), already shifted by the caller.  Raises
+        EvaluationError on a malformed kernel value."""
+        flat = u.shape
+        a = _rows(self._kernels[1](K_prev, u, um), flat, "F2_prime")
+        b = _rows(self._kernels[2](K, up, u), flat, "F3_prime")
+        return a + b
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,17 +18,8 @@ import warnings
 
 import numpy as np
 
-from .core import (
-    EvaluationError,
-    PeriodicSequence,
-    Problem,
-    _entry_norms,
-    _read_only,
-    _row_norms,
-    _shifted,
-    euclidean_norm,
-)
-from .operators import _residual_rows, residual_values, sequence_values
+from .core import EvaluationError, PeriodicSequence, Problem, _row_norms, euclidean_norm
+from .operators import _residual_rows, _stack_pass, residual_values, sequence_values
 
 HESSIAN_STEP_SCALE = 1e-5
 MORSE_ZERO_TOL_SCALE = 1e-7
@@ -43,57 +34,20 @@ class NonsmoothExponentError(ValueError):
     """Raised when a derivative is requested but some p(k) <= 1 makes it undefined."""
 
 
-# The two terms of the action on a (B, m, n) stack x of finite sequences,
-# one value per row, given up, the stack shifted by one period (row k-1
-# holds u(k+1)).  Every operation acts row by row, so row b is bitwise the
-# value of that sequence evaluated alone.  Callers evaluate them under
-# np.errstate: an overflow shows as a non-finite value, not a warning.
-
-
-def _mu_values(x: np.ndarray, up: np.ndarray, prob: Problem) -> np.ndarray:
-    norms = _entry_norms(up - x)  # row k-1 holds |Delta u(k)|
-    p = prob.exponent.values
-    return np.sum(norms**p / p, axis=1)
-
-
-def _potential_values(x: np.ndarray, up: np.ndarray, prob: Problem) -> np.ndarray:
-    """F on every point of the stack in one Nonlinearity.F_many call; each
-    row's m values are subtracted in order k = 1..m, as a loop over F_at
-    would."""
-    m, n = prob.m, prob.n
-    K = np.arange(1, len(x) * m + 1)  # F_many wraps these into the periods 1..m
-    F = prob.nonlinearity.F_many(K, up.reshape(-1, n), x.reshape(-1, n))
-    return np.subtract.reduce(F.reshape(len(x), m), axis=1, initial=0.0)
-
-
-def _term_values(x: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """(mus, pots) of a stack of finite sequences."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        up = _shifted(x)
-        return _mu_values(x, up, prob), _potential_values(x, up, prob)
+# The two terms of the action, like the residual, are evaluated on a
+# (B, m, n) stack by one pass, operators._stack_pass, which gives each row
+# the bits of that sequence alone; the functions below are its call sites.
 
 
 def _action_rows(vals, prob: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """mu and potential of each sequence of a (B, m, n) stack, with per-row flags.
 
     Returns (mus, pots, mu_ok, pot_ok); mu_ok[b] (pot_ok[b]) is False when
-    row b's input or its mu (potential) is not finite.  Rows with a
-    non-finite input never reach F; their values are NaN.  Row b is bitwise
-    the value of that row evaluated alone.  Overflow is reported through
-    the flags, not as a numpy warning.  Raises ValueError when the stack is
-    not (B, prob.m, prob.n), and EvaluationError when F returns a malformed
-    value.
+    row b's input or its mu (potential) is not finite.  The terms pass of
+    _stack_pass, which says how non-finite rows, overflow, shapes and
+    malformed values of F are handled.
     """
-    vals = _read_only(vals)
-    if vals.ndim != 3 or vals.shape[1:] != (prob.m, prob.n):
-        raise ValueError(f"sequence stack shape {vals.shape} does not match (B, {prob.m}, {prob.n})")
-    finite = np.isfinite(vals).all(axis=(1, 2))
-    if finite.all():
-        mus, pots = _term_values(vals, prob)
-    else:
-        mus, pots = np.full(len(vals), np.nan), np.full(len(vals), np.nan)
-        if finite.any():
-            mus[finite], pots[finite] = _term_values(vals[finite], prob)
+    mus, pots, _ = _stack_pass(vals, prob, mu=True, potential=True)
     return mus, pots, np.isfinite(mus), np.isfinite(pots)
 
 
@@ -101,12 +55,11 @@ def mu(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
     """Anisotropic Dirichlet energy sum_k (1/p(k)) |Delta u(k)|^p(k).
 
     u is a PeriodicSequence or a raw (m, n) array, validated as in
-    residual_values.  Evaluated by _mu_values, the formula _action_rows
-    applies to every row of a stack.
+    residual_values.  The one-row case of _stack_pass's mu, the formula
+    _action_rows applies to every row of a stack; F is not evaluated.
     """
     x = sequence_values(u, prob, "mu")[None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(_mu_values(x, _shifted(x), prob)[0])
+    total = float(_stack_pass(x, prob, mu=True)[0][0])
     if not math.isfinite(total):
         raise EvaluationError("mu evaluated to a non-finite value")
     return total
@@ -116,14 +69,13 @@ def potential(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
     """Potential part -sum_k F(k, u(k+1), u(k)).
 
     u is a PeriodicSequence or a raw (m, n) array, validated as in
-    residual_values.  Evaluated by _potential_values, the formula
-    _action_rows applies to every row of a stack: the m values of F come
-    from one Nonlinearity.F_many call and are subtracted in order k = 1..m,
-    so the sum is bitwise the same as a loop over F_at.
+    residual_values.  The one-row case of _stack_pass's potential, the
+    formula _action_rows applies to every row of a stack: the m values of
+    F come from one kernel call and are subtracted in order k = 1..m, so
+    the sum is bitwise the same as a loop over F_at.
     """
     x = sequence_values(u, prob, "potential")[None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(_potential_values(x, _shifted(x), prob)[0])
+    total = float(_stack_pass(x, prob, potential=True)[1][0])
     if not math.isfinite(total):
         raise EvaluationError("potential evaluated to a non-finite value")
     return total

@@ -8,6 +8,10 @@ for an m-periodic sequence u, where Delta is the forward difference
 (Delta u)(k) = u(k+1) - u(k) and phi_p(a) = |a|^(p-2) a.  The residual
 below evaluates the left-hand side entrywise; u solves the system exactly
 when the residual vanishes.
+
+The stacked pass _stack_pass evaluates this residual and the two terms of
+the action (see functional) on a (B, m, n) stack; every caller goes through
+it, the one-row public functions too, so each formula is written here once.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .core import (
     _read_only,
     _shifted,
     _shifted_back,
+    _stack_periods,
 )
 
 
@@ -33,25 +38,21 @@ def phi_p(a, p: float):
     singular range p < 2.
     """
     arr = np.atleast_1d(np.asarray(a, dtype=float))
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
-        out = np.zeros_like(arr)
-    else:
-        out = norm ** (p - 2.0) * arr
-    if np.isscalar(a) or np.ndim(a) == 0:
-        return float(out[0]) if out.size == 1 else out
-    return out
-
-
-def _phi_rows(rows: np.ndarray, p_values: np.ndarray) -> np.ndarray:
-    """phi_{p(k)} applied to each row (the last axis) of a (..., m, n) array;
-    phi_p(0) = 0 for every p > 1."""
-    norms = _entry_norms(rows)
-    # an overflowing |a|^(p-2) gives inf or NaN entries, which the residual
-    # reports through its flags rather than as a numpy warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mags = np.where(norms > 0.0, norms ** (p_values - 2.0), 0.0)
-        return mags[..., None] * rows
+        out = _phi_rows(arr, _entry_norms(arr), p)
+    return float(out[0]) if np.ndim(a) == 0 else out
+
+
+def _phi_rows(rows: np.ndarray, norms: np.ndarray, p_values) -> np.ndarray:
+    """phi_p applied to each row (the last axis) of an array, given the rows'
+    Euclidean norms (_entry_norms(rows)); phi_p(0) = 0 for every p >= 1.
+    p_values is one exponent or one per row (p(k) on an (..., m, n) stack)."""
+    # callers evaluate it with divide, over and invalid ignored: 0^(p-2) at
+    # p < 2 divides by zero where the where() keeps 0, and an overflowing
+    # |a|^(p-2) gives inf or NaN entries, which the residual reports through
+    # its flags rather than as a numpy warning
+    mags = np.where(norms > 0.0, norms ** (p_values - 2.0), 0.0)
+    return mags[..., None] * rows
 
 
 def sequence_values(
@@ -74,34 +75,63 @@ def sequence_values(
     return vals
 
 
-def _residual_rows(vals: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of a (B, m, n) stack of sequences, one per row, and per-row flags.
+def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) -> tuple:
+    """mu, the potential and the residual of each sequence of a (B, m, n) stack, as asked.
 
-    Returns (out, ok): out[b] is the (m, n) residual of row b, and ok[b] is
-    False when row b's input or output has a non-finite entry.  Rows with a
-    non-finite input never reach the nonlinearity's callbacks; their out row
-    is NaN.  Every operation acts row by row, so out[b] is bitwise the
-    residual of row b evaluated alone.  Raises ValueError when the stack is
-    not (B, prob.m, prob.n), and EvaluationError when a callback returns a
-    malformed value.  Overflow is reported through ok, not as a numpy
-    warning.
+    Returns (mus, pots, r), shaped (B,), (B,) and (B, m, n), each None
+    unless its flag is set.  The shape is checked once; rows with a
+    non-finite entry never reach the kernels and are NaN in every output.
+    The finite rows are shifted, differenced and normed once, for mu and
+    phi alike; F (Nonlinearity._F_points) and then the coupling term
+    (Nonlinearity._assembled) take the shifted points, with the periods of
+    _stack_periods, and each row's m values of F are subtracted in order
+    k = 1..m, as a loop over F_at would.  Each output row is bitwise that
+    sequence evaluated alone.  Overflow gives non-finite values, not numpy
+    warnings.  Raises ValueError for a stack that is not (B, prob.m,
+    prob.n) and EvaluationError for a malformed kernel value.
     """
     vals = _read_only(vals)
     if vals.ndim != 3 or vals.shape[1:] != (prob.m, prob.n):
         raise ValueError(f"sequence stack shape {vals.shape} does not match (B, {prob.m}, {prob.n})")
-    ok = np.isfinite(vals).all(axis=(1, 2))
-    x = vals if ok.all() else vals[ok]
-    if x.shape[0] == 0:
-        return np.full(vals.shape, np.nan), ok
-    d = _shifted(x) - x  # entry k-1 holds Delta u(k)
-    a = _phi_rows(d, prob.exponent.values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = a - _shifted_back(a)  # phi(Delta u(k)) - phi(Delta u(k-1))
-        out = lhs + prob.lam * prob.nonlinearity.coupling(x)
+    finite = np.isfinite(vals).all(axis=(1, 2))
+    x = vals if finite.all() else _read_only(vals[finite])
+    m, p, nl = prob.m, prob.exponent.values, prob.nonlinearity
+    K, K_prev = _stack_periods(m, len(x))
+    flat = (K.size, prob.n)
+    out = [None, None, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        up = _shifted(x)  # row k-1 holds u(k+1)
+        up.flags.writeable = False
+        d = up - x  # row k-1 holds Delta u(k)
+        norms = _entry_norms(d)
+        if mu:
+            out[0] = np.add.reduce(norms**p / p, axis=1)
+        if potential:
+            F = nl._F_points(K, up.reshape(flat), x.reshape(flat)).reshape(len(x), m)
+            out[1] = np.subtract.reduce(F, axis=1, initial=0.0)
+        if residual:
+            um = _shifted_back(x).reshape(flat)
+            f = nl._assembled(K, K_prev, up.reshape(flat), x.reshape(flat), um).reshape(x.shape)
+            a = _phi_rows(d, norms, p)  # row k-1 holds phi(Delta u(k))
+            out[2] = a - _shifted_back(a) + prob.lam * f
     if x is not vals:
-        out, part = np.full(vals.shape, np.nan), out
-        out[ok] = part
-    return out, ok & np.isfinite(out).all(axis=(1, 2))
+        for i, part in enumerate(out):
+            if part is not None:
+                out[i] = np.full((len(vals),) + part.shape[1:], np.nan)
+                out[i][finite] = part
+    return tuple(out)
+
+
+def _residual_rows(vals: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of a (B, m, n) stack of sequences, one per row, and per-row flags.
+
+    Returns (out, ok): out[b] is the (m, n) residual of row b, bitwise as
+    row b alone, and ok[b] is False when row b's input or output has a
+    non-finite entry.  The residual pass of _stack_pass, which says how
+    non-finite rows, overflow and malformed callback values are handled.
+    """
+    out = _stack_pass(vals, prob, residual=True)[2]
+    return out, np.isfinite(out).all(axis=(1, 2))
 
 
 def residual_values(u: PeriodicSequence | np.ndarray, prob: Problem) -> np.ndarray:

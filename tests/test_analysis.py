@@ -203,9 +203,10 @@ class TestXiConstant:
         ],
     )
     def test_pinned_values(self, m, n, pp, expected):
-        # exact values of the default seed and starts; any change to the
-        # descent's arithmetic or to the start draws moves them
-        assert xi_constant(m, n, pp) == expected
+        # exact values of the descent at the default seed and starts; any
+        # change to its arithmetic or to the start draws moves them ("auto"
+        # gives n >= 2 in closed form, 1 ulp above at (5, 2, 3))
+        assert xi_constant(m, n, pp, method="optimize") == expected
 
     def test_unconverged_descent_warns_and_returns_best(self):
         with pytest.warns(RuntimeWarning, match="no start met the gradient tolerance"):
@@ -255,7 +256,7 @@ def test_xi_is_never_below_the_power_mean_bound(m, n, p):
     with warnings.catch_warnings():
         # near p = 2 at n >= 2 the descent can end unconverged, which warns
         warnings.simplefilter("ignore", RuntimeWarning)
-        xi, _ = _xi_search(m, n, p)
+        xi, _ = _xi_search(m, n, p, method="optimize")
     assert math.log(xi) >= _log_power_mean_bound(m, p) - 1e-12
 
 
@@ -264,10 +265,38 @@ def test_xi_is_never_below_the_power_mean_bound(m, n, p):
 @pytest.mark.parametrize("m", [3, 5, 8, 12])
 def test_xi_meets_the_power_mean_bound_at_two_or_more_components(m, n, p):
     """At n >= 2 the bound is attained, by u(k) = (cos 2 pi k/m, sin 2 pi k/m, 0, ...)
-    normalised, so the descent converges to L itself."""
-    xi, converged = _xi_search(m, n, p)
+    normalised, so the descent converges to L itself, and "auto" returns L."""
+    xi, converged = _xi_search(m, n, p, method="optimize")
     assert converged
     assert abs(math.log(xi) - _log_power_mean_bound(m, p)) <= 1e-12
+    closed, converged = _xi_search(m, n, p)
+    assert converged
+    assert abs(math.log(closed) - _log_power_mean_bound(m, p)) <= 1e-15
+
+
+@pytest.mark.parametrize("m, n, p", [(4, 2, 2.00001), (12, 3, 60.0), (3, 2, 1100.0)])
+def test_xi_at_two_or_more_components_is_the_bound_in_closed_form(m, n, p):
+    """"auto" returns L = m (lambda1/m)^(p/2) by C pow, converged and
+    without a descent: at (4, 2, 2.00001) the descent runs all 5000 rounds
+    and ends unconverged 1.6e-9 above L, and at m = 3, where lambda1 = m, L
+    stays near 3 at any p while m^(1 - p/2) alone would underflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xi, converged = _xi_search(m, n, p)
+    lambda1 = 2.0 - 2.0 * math.cos(2.0 * math.pi / m)
+    assert converged and xi == m * (lambda1 / m) ** (p / 2.0)
+    assert abs(math.log(xi) - _log_power_mean_bound(m, p)) <= 1e-12
+    assert xi_constant(m, n, p) == xi
+
+
+def test_xi_bound_below_the_normal_doubles_falls_back_to_the_descent():
+    """At (8, 2, 2000) L is about 1e-1130, below every double, and "auto"
+    runs the descent, as method="optimize" does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _xi_search(8, 2, 2000.0, starts=2, max_iter=3) == _xi_search(
+            8, 2, 2000.0, method="optimize", starts=2, max_iter=3
+        )
 
 
 class TestProfiles:

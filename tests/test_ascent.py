@@ -1,8 +1,9 @@
 """The anticoercivity probe's ascent, all directions in lock step.
 
 `analysis._ascend_rows` ascends every row of an (S, dim) stack at once, with
-one call of `analysis._action_residual_rows` per line-search block, which
-gives the action and the residual of every trial; each row carries the
+one call of `analysis._action_residual_rows` (one `operators._stack_pass`)
+per line-search block, which gives the action and the residual of every
+trial; each row carries the
 residual of the trial it takes into its next round.  Each row must follow
 the iterates of the one-direction-at-a-time loop it replaced
 (`test_stacked_checks._loop_ascend`) bit for bit and leave by the same
@@ -218,11 +219,14 @@ def test_fused_pass_matches_on_overflowing_rows():
     assert -math.inf in vals.tolist()
 
 
-def test_fused_pass_raises_a_malformed_potential_and_defers_a_malformed_coupling():
-    """F returning two values raises the EvaluationError of the action; F2
-    returning two components leaves the residual to _residual_rows (r and
-    ok are None), with the action values unchanged."""
+def test_fused_pass_raises_a_malformed_potential_and_defers_a_malformed_coupling(monkeypatch):
+    """F returning two values raises the EvaluationError of
+    _action_or_limit_rows, from the fused pass and from the ascent alike.  F2
+    returning two components raises from the fused pass as from
+    _residual_rows; the ascent leaves it to the next round's _residual_rows
+    call, which raises it again and ends every row at its start."""
     x = np.array([[1.0, 2.0], [3.0, -1.0]])
+    d = x / _row_norms(x)[:, None]
     bad_f = Nonlinearity(
         m=2,
         F=lambda k, u1, u2: np.array([0.0, 0.0]) if u1[0] else 0.0,
@@ -230,18 +234,22 @@ def test_fused_pass_raises_a_malformed_potential_and_defers_a_malformed_coupling
         F3_prime=lambda k, u1, u2: np.array([0.0]),
     )
     prob = Problem(m=2, n=1, exponent=ExponentFunction.constant(2.0, 2), nonlinearity=bad_f, lam=1.0)
-    with pytest.raises(EvaluationError) as fused:
-        _action_residual_rows(x, prob)
     with pytest.raises(EvaluationError) as alone:
-        _action_or_limit_rows(x, prob)
-    assert str(fused.value) == str(alone.value)
+        _action_or_limit_rows(d, prob)
+    for fused in (lambda: _action_residual_rows(d, prob), lambda: _ascend_rows(x, prob, 1.0)):
+        with pytest.raises(EvaluationError) as raised:
+            fused()
+        assert str(raised.value) == str(alone.value)
     x = np.array([[1.0, 2.0, 0.5], [3.0, -1.0, 0.0]])
     prob = _malformed_problem(lambda u1: True)
-    vals, r, ok = _action_residual_rows(x, prob)
-    assert r is None and ok is None
-    assert _same_bits(vals, _action_or_limit_rows(x, prob))
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError) as alone:
         _residual_rows(x.reshape(-1, 3, 1), prob)
+    with pytest.raises(EvaluationError) as fused:
+        _action_residual_rows(x, prob)
+    assert str(fused.value) == str(alone.value)
+    calls = _count_residual_calls(monkeypatch)
+    assert _same_bits(_ascend_rows(x, prob, 1.0), x / _row_norms(x)[:, None])
+    assert len(calls) == 1
 
 
 def _malformed_problem(bad, base=POWER3):

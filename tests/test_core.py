@@ -1,9 +1,12 @@
+import ast
 import dataclasses
 import functools
+import pathlib
 
 import numpy as np
 import pytest
 
+import pklap
 from pklap.core import (
     EvaluationError,
     ExponentFunction,
@@ -295,3 +298,18 @@ class TestProblem:
                 nonlinearity=nl,
                 lam=0.0,
             )
+
+
+def test_only_core_reads_the_array_kernels():
+    """Nonlinearity._kernels is read in core alone: every other module
+    reaches F and its partials through F_many, coupling or _assembled."""
+    modules = sorted(pathlib.Path(pklap.__file__).parent.glob("*.py"))
+    assert "core.py" in [path.name for path in modules] and len(modules) > 1
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_kernels"
+    )
+    assert readers == []

@@ -278,14 +278,16 @@ def test_level_radii_of_no_directions():
 
 
 def _count_mu_calls(monkeypatch):
+    """The stacks analysis passes to _stack_pass: _mu_rows's mu passes, as
+    the terms passes of _stack_values go through functional._action_rows."""
     calls = []
-    real = analysis._mu_values
+    real = analysis._stack_pass
 
-    def spy(x, up, prob):
-        calls.append(len(x))
-        return real(x, up, prob)
+    def spy(vals, prob, **outputs):
+        calls.append(len(vals))
+        return real(vals, prob, **outputs)
 
-    monkeypatch.setattr(analysis, "_mu_values", spy)
+    monkeypatch.setattr(analysis, "_stack_pass", spy)
     return calls
 
 
