@@ -276,10 +276,10 @@ def test_xi_meets_the_power_mean_bound_at_two_or_more_components(m, n, p):
 
 @pytest.mark.parametrize("m, n, p", [(4, 2, 2.00001), (12, 3, 60.0), (3, 2, 1100.0)])
 def test_xi_at_two_or_more_components_is_the_bound_in_closed_form(m, n, p):
-    """"auto" returns L = m (lambda1/m)^(p/2) by C pow, converged and
-    without a descent: at (4, 2, 2.00001) the descent runs all 5000 rounds
-    and ends unconverged 1.6e-9 above L, and at m = 3, where lambda1 = m, L
-    stays near 3 at any p while m^(1 - p/2) alone would underflow."""
+    """Under "auto", L = m (lambda1/m)^(p/2) by C pow, converged and without
+    a descent: at (4, 2, 2.00001) the descent runs all 5000 rounds and ends
+    unconverged 1.6e-9 above L, and at m = 3, where lambda1 = m, L stays
+    near 3 at any p while m^(1 - p/2) alone would underflow."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         xi, converged = _xi_search(m, n, p)

@@ -3,11 +3,10 @@
 `analysis._ascend_rows` ascends every row of an (S, dim) stack at once, with
 one call of `analysis._action_residual_rows` (one `operators._stack_pass`)
 per line-search block, which gives the action and the residual of every
-trial; each row carries the
-residual of the trial it takes into its next round.  Each row must follow
-the iterates of the one-direction-at-a-time loop it replaced
-(`test_stacked_checks._loop_ascend`) bit for bit and leave by the same
-exit.
+trial; each row carries the residual of the trial it takes into its next
+round.  Each row must follow the iterates of the one-direction-at-a-time
+loop it replaced (`test_stacked_checks._loop_ascend`) bit for bit and leave
+by the same exit.
 """
 
 import dataclasses
