@@ -1074,171 +1074,47 @@ def anticoercivity_probe(
 # ---------------------------------------------------------------------------
 
 
-# Brent's root finder (Brent, Algorithms for Minimization Without
-# Derivatives, 1973, ch. 4) as scipy.optimize.brentq runs it, with xtol
-# 1e-14 and brentq's defaults: rtol 4 * eps and at most 100 iterations.
-_BRENT_XTOL = 1e-14
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-_BRENT_MAXITER = 100
-
-# the outcome of each row of _brentq_rows
-_CONVERGED, _NONFINITE, _CONVERR, _SIGNERR = 0, 1, 2, 3
+# cap on the Newton iterations of _level_radii; a few suffice from its start
+_LEVEL_MAXITER = 50
 
 
-def _brentq_rows(f, xa: np.ndarray, xb: np.ndarray, maxiter: int = _BRENT_MAXITER):
-    """Brent roots of S scalar functions, function i on the bracket [xa[i], xb[i]].
-
-    f(x, rows) returns the value of function rows[j] at x[j] for each j.
-    The rows run in lock step: every round calls f once, on the rows that
-    still iterate.  Each row follows the arithmetic of scipy's C brentq on
-    that row alone, so its iterates, and its root, are bit for bit those of
-    scipy.optimize.brentq(f_i, xa[i], xb[i], xtol=1e-14).  Returns (roots,
-    status); status[i] is _CONVERGED, _SIGNERR when f_i(xa[i]) and
-    f_i(xb[i]) have the same sign (root 0, as brentq returns before it
-    raises), _CONVERR after maxiter iterations (root is the last iterate),
-    or _NONFINITE when a value of f_i is not finite, where the caller's f
-    would raise (root NaN).
-    """
-    xa, xb = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
-    S = len(xa)
-    roots = np.full(S, np.nan)
-    status = np.full(S, _CONVERGED, dtype=np.int8)
-    if not S:
-        return roots, status
-    ends = f(np.concatenate((xa, xb)), np.concatenate((np.arange(S), np.arange(S))))
-    fpre, fcur = ends[:S], ends[S:]
-    bad = ~(np.isfinite(fpre) & np.isfinite(fcur))
-    status[bad] = _NONFINITE
-    at_a = ~bad & (fpre == 0.0)
-    at_b = ~bad & ~at_a & (fcur == 0.0)
-    same = ~(bad | at_a | at_b) & (np.signbit(fpre) == np.signbit(fcur))
-    roots[at_a], roots[at_b], roots[same] = xa[at_a], xb[at_b], 0.0
-    status[same] = _SIGNERR
-    live = ~(bad | at_a | at_b | same)
-    ids, xpre, xcur, fpre, fcur = np.flatnonzero(live), xa[live], xb[live], fpre[live], fcur[live]
-    xblk, fblk, spre, scur = (np.zeros(len(ids)) for _ in range(4))
-    with np.errstate(all="ignore"):
-        for _ in range(maxiter):
-            if not len(ids):
-                break
-            flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk = np.where(flip, xpre, xblk)
-            fblk = np.where(flip, fpre, fblk)
-            spre = np.where(flip, xcur - xpre, spre)
-            scur = np.where(flip, spre, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-
-            delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2.0
-            sbis = (xblk - xcur) / 2.0
-            done = (fcur == 0.0) | (np.abs(sbis) < delta)
-            roots[ids[done]] = xcur[done]
-            go = ~done
-            ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                a[go] for a in (ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
-            )
-
-            # interpolate where the previous point is the block point,
-            # otherwise extrapolate; keep the step if it is short enough
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(
-                xpre == xblk,
-                -fcur * (xcur - xpre) / (fcur - fpre),
-                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
-            )
-            lim_pre, lim_bis = np.abs(spre), 3.0 * np.abs(sbis) - delta
-            short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-            short &= 2.0 * np.abs(stry) < np.where(lim_pre < lim_bis, lim_pre, lim_bis)
-            spre = np.where(short, scur, sbis)
-            scur = np.where(short, stry, sbis)
-
-            xpre, fpre = xcur, fcur
-            xcur = np.where(np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0.0, delta, -delta))
-            fcur = f(xcur, ids)
-            bad = ~np.isfinite(fcur)
-            status[ids[bad]] = _NONFINITE
-            go = ~bad
-            ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
-                a[go] for a in (ids, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
-            )
-    roots[ids] = xcur
-    status[ids] = _CONVERR
-    return roots, status
-
-
-def _mu_rows(stack: np.ndarray, prob: Problem) -> np.ndarray:
-    """mu of each row of a (B, m, n) stack, inf where it is not finite.
-
-    The mu pass of _stack_pass, the formula of mu, so a finite row is
-    bitwise mu of that row alone; F is never called.
-    """
-    vals = _stack_pass(stack, prob, mu=True)[0]
-    return np.where(np.isfinite(vals), vals, math.inf)
-
-
-def _level_radii(prob: Problem, V: np.ndarray, r: float) -> tuple[np.ndarray, dict]:
+def _level_radii(prob: Problem, V: np.ndarray, r: float) -> np.ndarray:
     """t > 0 with mu(t * V[i]) = r for each row of a (S, m, n) stack V of
     nonzero zero-mean directions, all rows in lock step.
 
-    Per row, the bracket's top doubles from t = 1 until mu(t * v) >= r, a
-    non-finite mu counting as inf.  Where mu overflows at the top, the top
-    is bisected toward the last t below r until mu is finite there.  Then
-    Brent's method (_brentq_rows) finds the root on [0, top].  Every round
-    evaluates mu once, over the rows still live.  Returns (radii, errors):
-    errors maps each row that failed to the exception it fails with (its
-    radius is NaN), an EvaluationError when the top passes 1e12, when the
-    bisected ends meet, or when mu is not finite inside Brent's bracket.
-    Each row's radius and error are those it gets alone.
+    With a the largest |Delta v| entry and s = log(a t), mu(t v) =
+    sum_k c_k exp(p(k) s), c_k = |Delta v(k) / a|^p(k) / p(k), so
+    h(s) = log mu - log r is a log-sum-exp of affine functions of s:
+    convex and increasing.  Newton's method starts at the least s where
+    one term alone equals r, so h >= 0 there, and its iterates fall
+    monotonically to the root; at constant p the first step lands on it.
+    A row stops once its step, clipped at 0, is at most 4 eps max(1, |s|),
+    or after _LEVEL_MAXITER steps.  mu is never evaluated.  Dividing by a
+    keeps the differences' squares finite and their norms away from
+    underflow; the radius exp(s) / a is inf where it overflows, so its
+    level point is not finite.
     """
-    S = len(V)
-    t_lo, t_hi = np.zeros(S), np.ones(S)
-    val = _mu_rows(t_hi[:, None, None] * V, prob)
-    errors: dict = {}
-    live = np.flatnonzero((val < r) | (val == math.inf))
-    while live.size:
-        grow = live[val[live] < r]
-        t_lo[grow] = t_hi[grow]
-        t_hi[grow] *= 2.0
-        for i in grow[t_hi[grow] > 1e12].tolist():
-            errors[i] = EvaluationError("could not bracket the sublevel radius")
-        grow = grow[t_hi[grow] <= 1e12]
-        split = live[val[live] == math.inf]
-        mid = 0.5 * (t_lo[split] + t_hi[split])
-        met = ~((t_lo[split] < mid) & (mid < t_hi[split]))
-        for i in split[met].tolist():
-            errors[i] = EvaluationError("mu overflows on every bracket of the sublevel radius")
-        split, mid = split[~met], mid[~met]
-        t = np.concatenate((t_hi[grow], mid))
-        vals = _mu_rows(t[:, None, None] * V[np.concatenate((grow, split))], prob)
-        val[grow] = vals[: len(grow)]
-        mid_val = vals[len(grow) :]
-        below = mid_val < r
-        t_lo[split[below]] = mid[below]
-        t_hi[split[~below]] = mid[~below]
-        val[split[~below]] = mid_val[~below]
-        live = np.concatenate((grow, split))
-        live = live[(val[live] < r) | (val[live] == math.inf)]
-
-    radii = np.full(S, np.nan)
-    solved = np.ones(S, dtype=bool)
-    solved[list(errors)] = False
-    exact = solved & (val == r)
-    radii[exact] = t_hi[exact]
-    rows = np.flatnonzero(solved & ~exact)
-    W = V[rows]
-    # f(0) = -r < 0 < f(top) on every row, so no row ends with _SIGNERR
-    roots, status = _brentq_rows(
-        lambda x, ids: _mu_rows(x[:, None, None] * W[ids], prob) - r, np.zeros(len(rows)), t_hi[rows]
-    )
-    radii[rows] = np.where(status == _CONVERGED, roots, np.nan)
-    for i, s in zip(rows.tolist(), status.tolist()):
-        if s == _NONFINITE:
-            errors[i] = EvaluationError("mu evaluated to a non-finite value")
-        elif s == _CONVERR:
-            errors[i] = RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
-    return radii, errors
+    p = prob.exponent.values
+    d = _shifted(V) - V
+    scale = np.abs(d).max(axis=(1, 2), initial=0.0)
+    log_r = math.log(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_c = p * np.log(_entry_norms(d / scale[:, None, None])) - np.log(p)
+        s = np.min((log_r - log_c) / p, axis=1)
+        live = np.flatnonzero(np.isfinite(s))
+        for _ in range(_LEVEL_MAXITER):
+            if not live.size:
+                break
+            z = log_c[live] + p * s[live, None]
+            top = z.max(axis=1)
+            w = np.exp(z - top[:, None])
+            total = np.add.reduce(w, axis=1)
+            # h / h' with h = top + log(total) - log r and h' = sum(w p) / total
+            step = np.maximum((top + np.log(total) - log_r) * total / np.add.reduce(w * p, axis=1), 0.0)
+            s[live] -= step
+            live = live[step > 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(s[live]))]
+        with np.errstate(over="ignore"):
+            return np.exp(s) / scale
 
 
 def _stack_values(stack: np.ndarray, prob: Problem, mu_needed=False) -> tuple[list, list]:
@@ -1277,11 +1153,13 @@ def check_b2_b3(
     first, and the level radii of all directions are found in one
     _level_radii call.  Per direction, the level point and its 2 * per_dir
     samples go through one stacked potential call, and the infima are
-    folded in draw order.  A direction whose level radius fails raises its
-    error after the directions before it are evaluated.
+    folded in draw order.  A direction whose level radius overflows has a
+    non-finite level point, whose EvaluationError is raised after the
+    directions before it are evaluated.  Raises ValueError unless r is
+    positive and finite.
     """
-    if not r > 0:
-        raise ValueError(f"sublevel radius r must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"sublevel radius r must be positive and finite, got {r}")
     ndirs = max(8, int(math.sqrt(sample_budget)))
     per_dir = max(4, sample_budget // ndirs)
     rng = rng_for(seed, 23)
@@ -1296,10 +1174,8 @@ def check_b2_b3(
     for _ in range(ndirs):
         dirs.append(_unit_directions(rng, 1, (prob.m, prob.n), zero_mean=True)[0])
         draws_of.append(rng.random(2 * per_dir))
-    radii, errors = _level_radii(prob, np.stack(dirs), r)
-    for i, (v, t_r, draws) in enumerate(zip(dirs, radii, draws_of)):
-        if i in errors:
-            raise errors[i]
+    radii = _level_radii(prob, np.stack(dirs), r)
+    for v, t_r, draws in zip(dirs, radii, draws_of):
         # the level point, then each sample's t and t_big, in draw order
         t = np.empty(2 * per_dir + 1)
         t[0] = t_r
@@ -1397,33 +1273,28 @@ def lambda_star_estimate(
     sample whose vector is too short draws again from its stream), and
     their level radii are found in one _level_radii call; then each sample
     draws its interior t.  The level and interior points of all samples go
-    through one stacked call.  The first sample, in sample order, whose
-    level radius fails raises its error after the points before it are
-    evaluated.
+    through one stacked call, which raises the EvaluationError of the first
+    point, in sample order, that is not finite (a level radius that
+    overflows) or whose value is not.  Raises ValueError unless every
+    radius of r_grid is positive and finite.
     """
     r_grid = [float(r) for r in r_grid]
-    if not r_grid or any(r <= 0 for r in r_grid):
-        raise ValueError("r_grid must contain positive radii")
+    if not r_grid or not all(0 < r < math.inf for r in r_grid):
+        raise ValueError("r_grid must contain positive finite radii")
     phi_values = []
     sup_values = []
     for ir, r in enumerate(r_grid):
         rngs = [rng_for(seed, ir, i) for i in range(samples_per_r)]
         V = _stream_directions(rngs, (prob.m, prob.n))
-        radii, errors = _level_radii(prob, V, r)
-        count = min(errors, default=samples_per_r)  # samples before the first failure
-        failure = errors.get(count)
-        if failure is not None and not isinstance(failure, EvaluationError):
-            raise failure
-        t_in = np.array([rng.random() for rng in rngs[:count]]) * radii[:count]
+        radii = _level_radii(prob, V, r)
+        t_in = np.array([rng.random() for rng in rngs]) * radii
         # 0, then each sample's level point and interior point
-        points = np.zeros((2 * count + 1, prob.m, prob.n))
-        points[1::2] = radii[:count, None, None] * V[:count]
-        points[2::2] = t_in[:, None, None] * V[:count]
+        points = np.zeros((2 * samples_per_r + 1, prob.m, prob.n))
+        points[1::2] = radii[:, None, None] * V
+        points[2::2] = t_in[:, None, None] * V
         interior_row = np.arange(len(points)) % 2 == 0
         interior_row[0] = False
         mus, pots = _stack_values(points, prob, interior_row)
-        if failure is not None:
-            raise failure  # after the points before it are evaluated
         sup_j = pots[0]
         interior: list[tuple[float, float]] = [(sup_j, 0.0)]
         for j in range(1, len(points), 2):

@@ -396,7 +396,10 @@ def _check_payload(loaded: LoadedConfig) -> dict:
     if spec.bounds is not None:
         reports.extend(check_bounds(prob.nonlinearity, spec.bounds, seed=seed))
         p = prob.exponent.values
-        r2 = float(np.sum((2.0 * spec.bounds.rho1) ** p / p))
+        with np.errstate(over="ignore"):
+            r2 = float(np.sum((2.0 * spec.bounds.rho1) ** p / p))
+        if not math.isfinite(r2):
+            raise ComputationError(f"check failed: r2 = sum (2 rho1)^p / p overflows ({r2})")
         b2, b3 = check_b2_b3(prob, r2 / 2.0, seed=seed)
         reports.extend([b2, b3])
         est = lambda_star_estimate(

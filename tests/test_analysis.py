@@ -582,8 +582,9 @@ class TestCheckB2B3:
 
     def test_radius_validation(self):
         nl, _ = make_example3(2)
-        with pytest.raises(ValueError):
-            check_b2_b3(_problem_from(nl), r=0.0)
+        for r in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                check_b2_b3(_problem_from(nl), r=r)
 
 
 class TestLambdaStar:

@@ -299,8 +299,8 @@ class TestCheck:
         assert digest == "c65821bc499a980f4db3f7f1cfd33956c441d0de69f3509a0cca30542374ad39"
 
     def test_bounded_family_at_huge_exponent(self, tmp_path, capsys):
-        """mu overflows at the doubled top of B.2's level-radius bracket;
-        the bracket is bisected instead of failing the check."""
+        """mu overflows at twice B.2's level radius; the radius is found
+        without evaluating mu, and the check passes."""
         cfg = _config(
             tmp_path,
             m=4,
@@ -321,8 +321,8 @@ class TestCheck:
     def test_bounded_family_at_huge_exponent_is_quiet_and_unchanged(self, tmp_path):
         """The xi descent's gradient norms overflow at p = 1100; that shows
         in no numpy warning, and the bytes are pinned.  They last moved with
-        the array-call sample streams, in the C.1, C.2 and A.7 margins
-        only."""
+        the level radii by Newton's method on log t, in lambda_star, the
+        bounded route's interval and the B.3 margin only."""
         cfg = _config(
             tmp_path,
             m=4,
@@ -338,18 +338,31 @@ class TestCheck:
             assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_OK
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "722394c0c60d063d227a7746f7b7a158c1c89e16f79262d5f533a77e9b5822b1"
+        assert digest == "97b5a3b1fc34572eb06cfef3939f3c7fdfbc0fd8176a40cd286764f593a6f1c7"
 
     def test_evaluation_failure_is_compute_error(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):
-            raise EvaluationError("could not bracket the sublevel radius")
+            raise EvaluationError("potential evaluated at a non-finite sequence")
 
         monkeypatch.setattr(cli, "check_b2_b3", failing)
         cfg = str(CONFIGS / "example3_sweep.json")
         out = tmp_path / "check.json"
         assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_COMPUTE
         err = capsys.readouterr().err
-        assert err == "error: check failed: could not bracket the sublevel radius\n"
+        assert err == "error: check failed: potential evaluated at a non-finite sequence\n"
+        assert not out.exists()
+
+    def test_overflowing_r2_is_compute_error(self, tmp_path, capsys):
+        """At rho1 = 1 and p = 1100, r2 = sum (2 rho1)^p / p overflows: the
+        check fails naming r2, with no numpy warning."""
+        cfg = _config(tmp_path, m=4, p=1100, seed=3, subspace="Y", **{"lambda": 1},
+                      nonlinearity={"builtin": "example3", "params": {"rho1": 1.0}})
+        out = tmp_path / "check.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_COMPUTE
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err == "error: check failed: r2 = sum (2 rho1)^p / p overflows (inf)\n"
         assert not out.exists()
 
     def test_bounded_family_report(self, tmp_path):

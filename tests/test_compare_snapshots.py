@@ -1,4 +1,4 @@
-"""tools/compare_snapshots.py: its exit codes and its margin and xi report.
+"""tools/compare_snapshots.py: its exit codes and its margin, xi and lambda_star report.
 
 The tool compares two output snapshots.  It passes (exit 0) when outputs
 moved only in their numbers, and fails (exit 1) when a verdict, a check's
@@ -23,7 +23,7 @@ def tool():
     return module
 
 
-def _check(margin, verdict="holds_on_samples", c1=0.5, xi=0.25, xi_converged=True):
+def _check(margin, verdict="holds_on_samples", c1=0.5, xi=0.25, xi_converged=True, lambda_star=None):
     return {
         "reports": [
             {"name": "C.1", "verdict": "holds_on_samples", "margin": c1},
@@ -31,6 +31,7 @@ def _check(margin, verdict="holds_on_samples", c1=0.5, xi=0.25, xi_converged=Tru
         ],
         "xi": xi,
         "xi_converged": xi_converged,
+        "lambda_star": lambda_star,
     }
 
 
@@ -60,7 +61,7 @@ def test_moved_numbers_pass_and_report_their_largest_margin_change(tool, capsys,
     assert "  margin C.1: 0.5 -> 0.25 (relative 0.5)" in out
     assert out[-1] == (
         "3 files, 2 differ, 0 fail, largest relative margin change 0.5, "
-        "largest relative xi change 0"
+        "largest relative xi change 0, largest relative lambda_star change 0"
     )
 
 
@@ -69,14 +70,17 @@ def test_identical_snapshots_pass(tool, capsys, tmp_path):
     code, out = _run(tool, capsys, tmp_path, files, files)
     assert code == 0
     assert out == [
-        "2 files, 0 differ, 0 fail, largest relative margin change 0, largest relative xi change 0"
+        "2 files, 0 differ, 0 fail, largest relative margin change 0, largest relative xi change 0, "
+        "largest relative lambda_star change 0"
     ]
 
 
 def test_a_margin_that_becomes_infinite_is_an_infinite_change(tool, capsys, tmp_path):
     code, out = _run(tool, capsys, tmp_path, {"a.check.json": _check(1.0)}, {"a.check.json": _check("inf")})
     assert code == 0
-    assert out[-1].endswith("largest relative margin change inf, largest relative xi change 0")
+    assert out[-1].endswith(
+        "largest relative margin change inf, largest relative xi change 0, largest relative lambda_star change 0"
+    )
 
 
 def test_a_changed_verdict_fails(tool, capsys, tmp_path):
@@ -98,7 +102,8 @@ def test_a_non_json_difference_fails(tool, capsys, tmp_path):
     assert code == 1
     assert out == [
         "a.values.csv: differs",
-        "1 files, 1 differ, 1 fail, largest relative margin change 0, largest relative xi change 0",
+        "1 files, 1 differ, 1 fail, largest relative margin change 0, largest relative xi change 0, "
+        "largest relative lambda_star change 0",
     ]
 
 
@@ -127,7 +132,7 @@ def test_a_moved_xi_passes_and_reports_its_relative_change(tool, capsys, tmp_pat
     assert "  xi: 4.0 -> 4.000000000000001 (relative 2.22e-16)" in out
     assert out[-1] == (
         "2 files, 2 differ, 0 fail, largest relative margin change 0, "
-        "largest relative xi change 0.2"
+        "largest relative xi change 0.2, largest relative lambda_star change 0"
     )
 
 
@@ -138,3 +143,25 @@ def test_a_changed_xi_converged_fails(tool, capsys, tmp_path):
     assert code == 1
     assert "  xi_converged: True -> False" in out
     assert out[-1].startswith("1 files, 1 differ, 1 fail, ")
+
+
+def test_a_moved_lambda_star_passes_and_reports_its_relative_change(tool, capsys, tmp_path):
+    base = {"a.check.json": _check(1.0, lambda_star=2.0), "b.check.json": _check(1.0, lambda_star=0.5)}
+    new = {"a.check.json": _check(1.0, lambda_star=2.5), "b.check.json": _check(1.0, lambda_star=0.5)}
+    code, out = _run(tool, capsys, tmp_path, base, new)
+    assert code == 0
+    assert out[:3] == ["a.check.json: differs", "  keys: lambda_star", "  lambda_star: 2.0 -> 2.5 (relative 0.25)"]
+    assert out[-1] == (
+        "2 files, 1 differ, 0 fail, largest relative margin change 0, "
+        "largest relative xi change 0, largest relative lambda_star change 0.25"
+    )
+
+
+def test_a_lambda_star_that_appears_or_becomes_infinite_is_an_infinite_change(tool, capsys, tmp_path):
+    base = {"a.check.json": _check(1.0), "b.check.json": _check(1.0, lambda_star=2.0)}
+    new = {"a.check.json": _check(1.0, lambda_star=2.0), "b.check.json": _check(1.0, lambda_star="inf")}
+    code, out = _run(tool, capsys, tmp_path, base, new)
+    assert code == 0
+    assert "  lambda_star: None -> 2.0 (relative inf)" in out
+    assert "  lambda_star: 2.0 -> inf (relative inf)" in out
+    assert out[-1].endswith("largest relative lambda_star change inf")

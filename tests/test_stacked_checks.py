@@ -587,7 +587,7 @@ def _loop_b2_b3(prob, r, sample_budget=2000, seed=0, expand=5.0):
     arg_global = arg_sub = None
     for _ in range(ndirs):
         v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
-        t_r = float(_level_radii(prob, v[None], r)[0][0])
+        t_r = float(_level_radii(prob, v[None], r)[0])
         inf_level = min(inf_level, _loop_potential(t_r * v, prob))
         for _ in range(per_dir):
             t = rng.random() * t_r
@@ -628,7 +628,7 @@ def _loop_b2_b3_points(prob, r, sample_budget, seed, expand=5.0):
     points = []
     for _ in range(ndirs):
         v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
-        t_r = float(_level_radii(prob, v[None], r)[0][0])
+        t_r = float(_level_radii(prob, v[None], r)[0])
         points.append(t_r * v)
         for _ in range(per_dir):
             points.append((rng.random() * t_r) * v)
@@ -667,7 +667,7 @@ def test_lambda_star_evaluates_the_loops_points_in_one_call_per_radius(monkeypat
         for i in range(15):
             rng = rng_for(5, ir, i)
             v = _unit_direction(rng, 4, 1, zero_mean=True)
-            t_r = float(_level_radii(prob, v[None], r)[0][0])
+            t_r = float(_level_radii(prob, v[None], r)[0])
             ref += [t_r * v, (rng.random() * t_r) * v]
         assert _same_bits(stack, np.stack(ref))
 
@@ -729,7 +729,7 @@ def test_lambda_star_redraws_a_rejected_direction_before_its_interior_point(monk
         ref = [np.zeros((4, 1))]
         for rng in _streams(5, ir, 6, {3}):
             v = _unit_direction(rng, 4, 1, zero_mean=True)
-            t_r = float(_level_radii(prob, v[None], r)[0][0])
+            t_r = float(_level_radii(prob, v[None], r)[0])
             ref += [t_r * v, (rng.random() * t_r) * v]
         assert _same_bits(stack, np.stack(ref))
 
@@ -742,7 +742,7 @@ def _loop_lambda_star(prob, r_grid, samples_per_r, seed):
         for i in range(samples_per_r):
             rng = rng_for(seed, ir, i)
             v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
-            t_r = float(_level_radii(prob, v[None], r)[0][0])
+            t_r = float(_level_radii(prob, v[None], r)[0])
             sup_j = max(sup_j, _loop_potential(t_r * v, prob))
             u = (rng.random() * t_r) * v
             interior.append((_loop_potential(u, prob), _loop_mu(u, prob)))
@@ -768,24 +768,28 @@ def test_lambda_star_matches_the_point_loop(m, p, seed):
 
 
 def test_lambda_star_raises_the_first_failure_in_sample_order(monkeypatch):
-    """A level radius that fails stops the radius after the points before
-    it were evaluated, as the loop did: the third sample fails, so the
-    points of the first two are evaluated, and a later failure is not
-    raised."""
-    prob = _example3_problem(2)
-    real = analysis._level_radii
+    """A level radius that overflows gives a non-finite level point, and
+    the stacked call raises for the first such point in sample order, as
+    the loop did: the third and the seventh sample's directions, scaled by
+    1e-300, have radii that overflow at p = 1.01 and r = 1e10, and the
+    error is the third sample's level point's."""
+    prob = _example3_problem(2, p=1.01)
+    real = analysis._stream_directions
 
-    def failing(prob_, V, r):
-        radii, errors = real(prob_, V, r)
-        errors[6] = RuntimeError("a later failure")
-        errors[2] = EvaluationError("could not bracket the sublevel radius")
-        return radii, errors
+    def scaled(rngs, shape):
+        V = real(rngs, shape)
+        V[[2, 6]] *= 1e-300
+        return V
 
-    monkeypatch.setattr(analysis, "_level_radii", failing)
+    monkeypatch.setattr(analysis, "_stream_directions", scaled)
     stacks = _spy_stacks(monkeypatch)
-    with pytest.raises(EvaluationError, match="could not bracket"):
-        lambda_star_estimate(prob, [0.5], samples_per_r=10, seed=0)
-    assert len(stacks) == 1 and len(stacks[0]) == 1 + 2 * 2  # 0, then two samples
+    raised = []
+    monkeypatch.setattr(analysis, "potential", lambda u, p_: raised.append(u) or potential(u, p_))
+    with pytest.raises(EvaluationError, match="potential evaluated at a non-finite sequence"):
+        lambda_star_estimate(prob, [1e10], samples_per_r=10, seed=0)
+    assert len(stacks) == 1 and len(stacks[0]) == 1 + 2 * 10
+    assert np.isfinite(stacks[0][:5]).all() and not np.isfinite(stacks[0][5]).all()
+    assert len(raised) == 1 and _same_bits(raised[0], stacks[0][5])
 
 
 def _loop_probe(prob, directions=32, radii=(1.0, 10.0, 100.0, 1000.0), seed=0, drop_margin=1.0,
@@ -845,40 +849,48 @@ def test_probe_with_no_directions_holds_trivially():
 
 
 # ---------------------------------------------------------------------------
-# The level radius bracket
+# The level radius where mu overflows
 # ---------------------------------------------------------------------------
 
 
 def test_level_radius_bisects_an_overflowing_bracket():
-    """example3 at p = 1100 with B.2's radius: mu(v) is below r and the
-    doubled bracket top overflows, so the top is bisected."""
+    """example3 at p = 1100 with B.2's radius: mu(v) is below r and mu(2 v)
+    overflows, where a doubling bracket's top had to be bisected; the
+    radius needs no bracket and mu meets r there."""
     prob = _example3_problem(4, p=1100.0)
     v = np.array([0.778400394751652, 0.017011599498357004, -0.5945095929186174, -0.20090240133139156])[:, None]
     r = 4.0 / 1100.0 / 2.0
     assert mu(v, prob) < r
     with pytest.raises(EvaluationError, match="mu evaluated to a non-finite value"):
         mu(2.0 * v, prob)
-    (t,), errors = _level_radii(prob, v[None], r)
-    assert not errors
+    (t,) = _level_radii(prob, v[None], r)
     assert 1.0 < t < 2.0
-    assert mu(t * v, prob) == pytest.approx(r, rel=1e-9)
+    assert mu(t * v, prob) == pytest.approx(r, rel=1e-12)
 
 
 def test_level_radius_keeps_the_doubling_bracket():
+    """A radius above 1, which a doubling bracket reached, meets r."""
     prob = _example3_problem(4, p=2.0)
     v = _unit_direction(rng_for(3, 23), 4, 1, zero_mean=True)
-    (t,), errors = _level_radii(prob, v[None], 50.0)
-    assert not errors
-    assert t > 1.0 and mu(t * v, prob) == pytest.approx(50.0, rel=1e-12)
+    (t,) = _level_radii(prob, v[None], 50.0)
+    assert t > 1.0 and mu(t * v, prob) == pytest.approx(50.0, rel=1e-14)
 
 
 def test_level_radius_fails_where_mu_jumps_to_overflow():
-    """No finite mu reaches the largest float: the bracket's ends meet."""
+    """At r the largest float, the bracket's ends used to meet with no
+    finite mu at r.  The radius is finite: |Delta(t v)|^1100 overflows
+    before the division by p, so mu(t v) is not finite, but the sum of
+    the terms' logarithms is log r."""
     prob = _example3_problem(4, p=1100.0)
     v = _unit_direction(rng_for(3, 23), 4, 1, zero_mean=True)
-    radii, errors = _level_radii(prob, v[None], 1.7976931348623157e308)
-    assert isinstance(errors[0], EvaluationError) and "overflows" in str(errors[0])
-    assert math.isnan(radii[0])
+    r = 1.7976931348623157e308
+    (t,) = _level_radii(prob, v[None], r)
+    assert 1.0 < t < 2.0
+    with pytest.raises(EvaluationError, match="mu evaluated to a non-finite value"):
+        mu(t * v, prob)
+    norms = np.abs(np.roll(t * v, -1, axis=0) - t * v)[:, 0]
+    log_mu = np.logaddexp.reduce(1100.0 * np.log(norms) - math.log(1100.0))
+    assert log_mu == pytest.approx(math.log(r), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

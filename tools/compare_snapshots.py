@@ -5,11 +5,12 @@
 Prints each file that differs between the directories BASE and NEW, or that
 only one of them holds.  For a JSON file it also prints the top-level keys
 whose values differ and, for a `check` report, the relative change of a
-moved `xi` and the names of the reports that differ, with each verdict
-that changed and the relative change of each margin that moved.  A
-relative change is |new - old| / |old|, inf when either number is not
-finite or the old one is 0.  Ends with one summary line, which names the
-largest relative margin change and the largest relative `xi` change.
+moved `xi` or `lambda_star` and the names of the reports that differ,
+with each verdict that changed and the relative change of each margin
+that moved.  A relative change is |new - old| / |old|, inf when either
+number is not finite or the old one is 0.  Ends with one summary line,
+which names the largest relative margin change and the largest relative
+`xi` and `lambda_star` changes.
 
 Exits 1 when a non-JSON file differs, when a file is in only one directory,
 when a report's verdict changes (a report present on one side only counts
@@ -24,6 +25,9 @@ import json
 import math
 import os
 import sys
+
+# top-level numbers of a check report whose relative change is reported
+NUMBERS = ("xi", "lambda_star")
 
 
 def _reports(payload: dict) -> dict:
@@ -43,10 +47,11 @@ def _relative_change(old, new) -> float:
     return abs(b - a) / abs(a)
 
 
-def _compare_json(base: dict, new: dict) -> tuple[list[str], bool, float, float]:
+def _compare_json(base: dict, new: dict) -> tuple[list[str], bool, float, dict]:
     """Lines describing how two JSON payloads differ, whether a verdict, a
     check's `xi_converged` or a gradcheck's `passed` changed, the largest
-    relative margin change and the relative `xi` change."""
+    relative margin change and the relative change of each moved key of
+    NUMBERS."""
     keys = sorted(k for k in set(base) | set(new) if base.get(k) != new.get(k))
     lines = ["  keys: " + ", ".join(keys)]
     changed = False
@@ -54,10 +59,11 @@ def _compare_json(base: dict, new: dict) -> tuple[list[str], bool, float, float]
         if base.get(key) != new.get(key):
             changed = True
             lines.append(f"  {key}: {base.get(key)} -> {new.get(key)}")
-    xi_rel = 0.0
-    if base.get("xi") != new.get("xi"):
-        xi_rel = _relative_change(base.get("xi"), new.get("xi"))
-        lines.append(f"  xi: {base.get('xi')} -> {new.get('xi')} (relative {xi_rel:.3g})")
+    moved = {}
+    for key in NUMBERS:
+        if base.get(key) != new.get(key):
+            moved[key] = _relative_change(base.get(key), new.get(key))
+            lines.append(f"  {key}: {base.get(key)} -> {new.get(key)} (relative {moved[key]:.3g})")
     a, b = _reports(base), _reports(new)
     names = [n for n in dict.fromkeys([*a, *b]) if a.get(n) != b.get(n)]
     if names:
@@ -72,13 +78,14 @@ def _compare_json(base: dict, new: dict) -> tuple[list[str], bool, float, float]
             rel = _relative_change(old.get("margin"), cur.get("margin"))
             largest = max(largest, rel)
             lines.append(f"  margin {name}: {old.get('margin')} -> {cur.get('margin')} (relative {rel:.3g})")
-    return lines, changed, largest, xi_rel
+    return lines, changed, largest, moved
 
 
 def compare(base_dir: str, new_dir: str) -> int:
     names = sorted(set(os.listdir(base_dir)) | set(os.listdir(new_dir)))
     differing = failures = 0
-    largest = largest_xi = 0.0
+    largest = 0.0
+    largest_of = dict.fromkeys(NUMBERS, 0.0)
     for name in names:
         base_path, new_path = os.path.join(base_dir, name), os.path.join(new_dir, name)
         if not (os.path.isfile(base_path) and os.path.isfile(new_path)):
@@ -95,15 +102,16 @@ def compare(base_dir: str, new_dir: str) -> int:
         if not name.endswith(".json"):
             failures += 1
             continue
-        lines, changed, rel, xi_rel = _compare_json(json.loads(base), json.loads(new))
+        lines, changed, rel, moved = _compare_json(json.loads(base), json.loads(new))
         print("\n".join(lines))
         failures += changed
         largest = max(largest, rel)
-        largest_xi = max(largest_xi, xi_rel)
+        for key, key_rel in moved.items():
+            largest_of[key] = max(largest_of[key], key_rel)
     print(
         f"{len(names)} files, {differing} differ, {failures} fail, "
         f"largest relative margin change {largest:.3g}, "
-        f"largest relative xi change {largest_xi:.3g}"
+        + ", ".join(f"largest relative {key} change {largest_of[key]:.3g}" for key in NUMBERS)
     )
     return 1 if failures else 0
 

@@ -13,8 +13,8 @@ CSV holds every record's bits.  It then runs `check` and a 50-point
 power_borderline raised to p = 1100, where mu, the thresholds and the C.3
 right-hand side overflow (infinite thresholds and C.3 margin), and
 `check` on example3 at m = 4, p = 1100 on the zero-mean subspace, where
-mu overflows at the doubled top of the level radius's bracket and the top
-is bisected, in B.2/B.3 and in lambda-star, and `check` on the power
+mu overflows at twice the level radius of B.2/B.3 and of lambda-star,
+which are found without evaluating mu, and `check` on the power
 family at m = 2, p = 60, where the gradient norms of the anti-coercivity
 ascent overflow, and `check` on the same family at m = 8, p = 1.5, where no
 start of the xi descent converges and xi is reported as an upper bound
