@@ -880,7 +880,7 @@ _ASCENT_BLOCKS = (2, 4, 8, 16, 32)
 _ASCENT_RISE_RTOL = 1e-14
 
 
-def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
+def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float, fails=None) -> np.ndarray:
     """Gradient ascent of d -> action(t_last * d) over the unit sphere, from each row of D0.
 
     Used to hunt for worst-case directions where the action fails to fall
@@ -903,8 +903,15 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
     residual fails, when its projected gradient is below 1e-10 max(1, |J|),
     when no trial above step 1e-16 increases J, when the trial it takes
     raises J by at most _ASCENT_RISE_RTOL max(1, |J|) (it stalls there,
-    keeping that trial), or after _ASCENT_MAX_ITER rounds.  Returns the
-    final directions as an (S, dim) array.
+    keeping that trial), or after _ASCENT_MAX_ITER rounds.
+
+    fails, the probe's verdict on its rays, is given the indices and final
+    directions of the rows that stopped in a round while a later row still
+    ascends, and returns whether each of those rays fails.  The probe reads
+    the rays in row order and stops at its first failing one, so once a
+    row's ray fails every later row stops where it is: rays after the
+    first failing one are never read.  Returns the final directions as an
+    (S, dim) array.
     """
     # the probe reports the values the rows reach, not overflow warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -925,48 +932,64 @@ def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float) -> np.ndarray:
         d = D0 / _row_norms(D0)[:, None]
         val, res, state = values(t_last * d)
         step = np.full(len(d), 0.1)
-        stalled = np.zeros(len(d), dtype=bool)
         ids = np.arange(len(d))  # the rows still ascending
 
-        # the line search of the rows ids of a round, along g / gnorm
+        # the line search of the rows ids of a round along g / gnorm, from
+        # their directions dk and values vk, gathered once per round; the
+        # first block searches every row, so it needs no gather
         def trial(k, s):
-            return d[ids[k], None] + s[:, :, None] * g[k, None] / gnorm[k, None, None]
+            if len(k) == len(ids):
+                return dk[:, None] + s[:, :, None] * g[:, None] / gnorm[:, None, None]
+            return dk[k, None] + s[:, :, None] * g[k, None] / gnorm[k, None, None]
 
         def evaluate(cand, k, s):
             cand = cand / _row_norms(cand)[:, None]
             cand_val, *residual = values(t_last * cand)
-            return cand_val > val[ids[k]], cand, cand_val, *residual
+            return cand_val > vk[k], cand, cand_val, *residual
 
         def take(k, s, cand, cand_val, r, st):
-            i = ids[k]
-            stalled[i] = cand_val - val[i] <= _ASCENT_RISE_RTOL * np.maximum(1.0, np.abs(val[i]))
+            i, v = ids[k], vk[k]
+            stalled[k] = cand_val - v <= _ASCENT_RISE_RTOL * np.maximum(1.0, np.abs(v))
             d[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.5, 1.0)
             res[i], state[i] = r, st
 
         for _ in range(_ASCENT_MAX_ITER):
             if ids.size == 0:
                 break
-            missing = ids[state[ids] < 0]
-            if missing.size:
-                try:
-                    r, ok = _residual_rows((t_last * d[missing]).reshape(-1, prob.m, prob.n), prob)
-                except EvaluationError:  # a malformed callback value fails every row
-                    break
-                res[missing], state[missing] = r.reshape(len(missing), prob.dim), ok
-            ids = ids[state[ids] > 0]
-            dk = d[ids]
+            before = ids
+            if state[ids].min() <= 0:
+                missing = ids[state[ids] < 0]
+                if missing.size:
+                    try:
+                        r, ok = _residual_rows((t_last * d[missing]).reshape(-1, prob.m, prob.n), prob)
+                    except EvaluationError:  # a malformed callback value fails every row
+                        break
+                    res[missing], state[missing] = r.reshape(len(missing), prob.dim), ok
+                ids = ids[state[ids] > 0]
+            dk, vk = d[ids], val[ids]
             g = -t_last * res[ids]
             g = g - _row_dots(g, dk)[:, None] * dk
             gnorm = _row_norms(g)
-            flat = gnorm <= 1e-10 * np.maximum(1.0, np.abs(val[ids]))
-            ids, g, gnorm = ids[~flat], g[~flat], gnorm[~flat]
+            flat = gnorm <= 1e-10 * np.maximum(1.0, np.abs(vk))
+            if flat.any():
+                ids, dk, vk, g, gnorm = ids[~flat], dk[~flat], vk[~flat], g[~flat], gnorm[~flat]
             # an overflowing |g| would make every step 0 and stall the row
             big = np.isinf(gnorm)
             if big.any():
                 g[big] /= np.abs(g[big]).max(axis=1)[:, None]
                 gnorm[big] = _row_norms(g[big])
-            ids = ids[_block_search(step[ids], _ASCENT_BLOCKS, trial, evaluate, take, floor=1e-16)]
-            ids = ids[~stalled[ids]]
+            stalled = np.zeros(len(ids), dtype=bool)
+            found = _block_search(step[ids], _ASCENT_BLOCKS, trial, evaluate, take, floor=1e-16)
+            ids = ids[found & ~stalled]
+            if fails is not None and 0 < ids.size < before.size:
+                # rows that stopped this round, judged while a later row ascends
+                stopped = np.ones(len(d), dtype=bool)
+                stopped[ids] = False
+                ended = before[stopped[before] & (before < ids[-1])]
+                if ended.size:
+                    failed = ended[fails(ended, d[ended])]
+                    if failed.size:
+                        ids = ids[ids < failed[0]]
     return d
 
 
@@ -1019,6 +1042,17 @@ def anticoercivity_probe(
             np.array(radii)[None, :, None] * D[:, None, :], prob
         ).reshape(len(D), len(radii))
 
+    def decreases(a: float, c: float) -> bool:
+        if c == -math.inf:
+            return True
+        return c < a
+
+    def verdict(vals: list) -> tuple[bool, float]:
+        """Whether the ray of the values vals fails, and its drop past drop_margin."""
+        tail_ok = all(decreases(vals[i], vals[i + 1]) for i in range(1, len(vals) - 1))
+        drop = vals[0] - vals[-1] - drop_margin
+        return not tail_ok or not drop > 0.0, drop
+
     def pool():
         # the report stops at its first failing ray, so the ascended rays,
         # which follow the sampled ones, are made only when all of those pass
@@ -1027,22 +1061,28 @@ def anticoercivity_probe(
         if optimize_worst and directions:
             terminal = values[:, -1].tolist()
             ranked = sorted(range(directions), key=lambda i: -terminal[i])
-            ascended = _ascend_rows(sampled[ranked[:4]], prob, radii[-1])
-            yield from zip(ascended, table(ascended))
+            tables = {}  # the tables of the rays the ascent judged, by row
 
-    def decreases(a: float, c: float) -> bool:
-        if c == -math.inf:
-            return True
-        return c < a
+            def fails(rows, D):
+                tables.update(zip(rows.tolist(), table(D)))
+                return np.array([verdict(tables[i].tolist())[0] for i in rows.tolist()])
+
+            ascended = _ascend_rows(sampled[ranked[:4]], prob, radii[-1], fails)
+            # the ascent stopped every row past a judged ray that fails, and
+            # the report reads none of them
+            read = next((i + 1 for i in sorted(tables) if verdict(tables[i].tolist())[0]), len(ascended))
+            rest = [i for i in range(read) if i not in tables]
+            if rest:
+                tables.update(zip(rest, table(ascended[rest])))
+            yield from ((ascended[i], tables[i]) for i in range(read))
 
     worst_margin = math.inf
     overflow = False
     for idx, (d, row) in enumerate(pool()):
         vals = row.tolist()
         overflow = overflow or not all(math.isfinite(v) for v in vals)
-        tail_ok = all(decreases(vals[i], vals[i + 1]) for i in range(1, len(vals) - 1))
-        drop = vals[0] - vals[-1] - drop_margin
-        if not tail_ok or not drop > 0.0:
+        failed, drop = verdict(vals)
+        if failed:
             return CheckReport(
                 "anticoercivity",
                 VIOLATED,
