@@ -399,15 +399,17 @@ def xi_constant(
     the zero-mean subspace, by gradient descent preconditioned with the
     inverse cycle Laplacian from `starts` random starts (at least 1), all
     run at once as one stacked array, their Armijo line-search trials
-    evaluated in blocks (_xi_descent).  Three cases have a closed form,
+    evaluated in blocks (_xi_descent).  Four cases have a closed form,
     which "auto" returns directly.  For p_plus = 2 the minimum is the
     smallest nonzero eigenvalue of the cycle Laplacian, lambda1 =
     2 - 2*cos(2*pi/m).  At m = 2 (the sphere is u = +-(v, -v), and
-    xi = 2^(1 + p_plus/2) at every n), and at n >= 2 for p_plus > 2
-    (attained by u(k) = (cos 2 pi k/m, sin 2 pi k/m, 0, ...)), xi is the
-    power-mean bound m^(1 - p_plus/2) lambda1^(p_plus/2), computed as
-    m (lambda1/m)^(p_plus/2) by C pow; where that is not a normal double
-    (at m = 2 from p_plus = 2046 on, where it overflows) the descent runs.
+    xi = 2^(1 + p_plus/2) at every n), and for p_plus > 2 at m = 4
+    (attained by u = (1, 0, -1, 0) / sqrt(2), xi = 4 * 2^(-p_plus/2)) and
+    at n >= 2 (attained by u(k) = (cos 2 pi k/m, sin 2 pi k/m, 0, ...)), xi
+    is the power-mean bound m^(1 - p_plus/2) lambda1^(p_plus/2), computed
+    as m (lambda1/m)^(p_plus/2) by C pow; where that is not a normal double
+    (at m = 2 from p_plus = 2046 on, where it overflows, and at m = 4 from
+    p_plus = 2048 on, where it underflows) the descent runs.
     Pass method="optimize" to force the optimizer (the closed form then
     serves as its cross-check).  n must be >= 1 and p_plus finite and
     >= 1.  When no start meets the gradient tolerance a RuntimeWarning is
@@ -447,10 +449,11 @@ def _xi_search(
     lambda1 = 2.0 - 2.0 * math.cos(2.0 * math.pi / m)
     if p_plus == 2.0 and method in ("auto", "eigen"):
         return lambda1, True
-    if method == "auto" and (m == 2 or (n >= 2 and p_plus > 2.0)):
+    if method == "auto" and (m == 2 or ((n >= 2 or m == 4) and p_plus > 2.0)):
         # the power-mean bound m^(1 - p/2) lambda1^(p/2) is attained where a
         # lambda1-eigenvector has all |Delta u(k)| equal: at m = 2 every
-        # u = +-(v, -v) on the sphere, and at n >= 2 the circle u(k) =
+        # u = +-(v, -v) on the sphere, at m = 4 u = (1, 0, -1, 0) / sqrt(2)
+        # in each component, and at n >= 2 the circle u(k) =
         # (cos 2 pi k/m, sin 2 pi k/m, 0, ...).  C pow, which overflows to
         # inf or underflows at large p_plus
         with np.errstate(over="ignore", under="ignore"):
@@ -1019,8 +1022,11 @@ def anticoercivity_probe(
     (_ASCENT_RISE_RTOL), so an ascended ray is where it stalled, not
     necessarily a local maximum.  The ascended rays follow the sampled
     ones, and the report stops at its first failing ray, so the ascent runs
-    only when every sampled ray passes; samples counts the ascended rays
-    either way.  Raises ValueError
+    only when every sampled ray passes, and the ascent judges each row's
+    ray once it stops while a later row still ascends: once one fails,
+    the rows after it stop where they are, and the report reuses the
+    judged rays' values.  samples counts the ascended rays either way.
+    Raises ValueError
     when the radii are not finite and strictly increasing or when
     directions is negative.
     """
@@ -1173,6 +1179,19 @@ def _stack_values(stack: np.ndarray, prob: Problem, mu_needed=False) -> tuple[li
     return mus.tolist(), pots.tolist()
 
 
+def _first_overflow(radii: np.ndarray, r: float, what: str) -> tuple[int, Optional[EvaluationError]]:
+    """The index of the first level radius of radii, one per direction,
+    that overflowed (len(radii) if none did), and the EvaluationError that
+    names r and that direction ("what i of len(radii)"), or None."""
+    over = np.flatnonzero(radii == math.inf)
+    if not over.size:
+        return len(radii), None
+    i = int(over[0])
+    return i, EvaluationError(
+        f"level radius overflowed: no finite t has mu(t v) = r = {r!r} for {what} {i + 1} of {len(radii)}"
+    )
+
+
 def check_b2_b3(
     prob: Problem,
     r: float,
@@ -1191,12 +1210,12 @@ def check_b2_b3(
 
     The directions and their samples' draws are taken from the stream
     first, and the level radii of all directions are found in one
-    _level_radii call.  Per direction, the level point and its 2 * per_dir
-    samples go through one stacked potential call, and the infima are
-    folded in draw order.  A direction whose level radius overflows has a
-    non-finite level point, whose EvaluationError is raised after the
-    directions before it are evaluated.  Raises ValueError unless r is
-    positive and finite.
+    _level_radii call.  Each direction's level point and its 2 * per_dir
+    samples, all directions in draw order, go through one stacked
+    potential call, and the infima are folded in draw order.  A direction
+    whose level radius overflows raises an EvaluationError that names it,
+    after the directions before it are evaluated, so their failures come
+    first.  Raises ValueError unless r is positive and finite.
     """
     if not 0 < r < math.inf:
         raise ValueError(f"sublevel radius r must be positive and finite, got {r}")
@@ -1210,31 +1229,36 @@ def check_b2_b3(
     inf_global = j0
     arg_global = None
     arg_sub = None
-    dirs, draws_of = [], []
+    dirs, draws = [], []
     for _ in range(ndirs):
         dirs.append(_unit_directions(rng, 1, (prob.m, prob.n), zero_mean=True)[0])
-        draws_of.append(rng.random(2 * per_dir))
-    radii = _level_radii(prob, np.stack(dirs), r)
-    for v, t_r, draws in zip(dirs, radii, draws_of):
-        # the level point, then each sample's t and t_big, in draw order
-        t = np.empty(2 * per_dir + 1)
-        t[0] = t_r
-        t[1::2] = draws[0::2] * t_r
-        t[2::2] = draws[1::2] * expand * t_r
-        points = t[:, None, None] * v
-        _, vals = _stack_values(points, prob)
-        inf_level = min(inf_level, vals[0])
-        for j in range(1, len(vals), 2):
-            val, val_big = vals[j], vals[j + 1]
+        draws.append(rng.random(2 * per_dir))
+    V, draws = np.stack(dirs), np.stack(draws)
+    radii = _level_radii(prob, V, r)
+    count, overflow = _first_overflow(radii, r, "direction")
+    # per direction, the level point, then each sample's t and t_big, in draw order
+    t = np.empty((count, 2 * per_dir + 1))
+    t[:, 0] = radii[:count]
+    t[:, 1::2] = draws[:count, 0::2] * radii[:count, None]
+    t[:, 2::2] = draws[:count, 1::2] * expand * radii[:count, None]
+    points = t[:, :, None, None] * V[:count, None]
+    _, vals = _stack_values(points.reshape(-1, prob.m, prob.n), prob)
+    if overflow is not None:
+        raise overflow
+    for i in range(count):
+        row = vals[i * t.shape[1] : (i + 1) * t.shape[1]]
+        inf_level = min(inf_level, row[0])
+        for j in range(1, len(row), 2):
+            val, val_big = row[j], row[j + 1]
             if val < inf_sub:
                 inf_sub = val
-                arg_sub = points[j]
+                arg_sub = points[i, j]
             if val < inf_global:
                 inf_global = val
-                arg_global = points[j]
+                arg_global = points[i, j]
             if val_big < inf_global:
                 inf_global = val_big
-                arg_global = points[j + 1]
+                arg_global = points[i, j + 1]
 
     samples = ndirs * (2 * per_dir + 1)
     margin_b2 = inf_sub - inf_global
@@ -1314,9 +1338,10 @@ def lambda_star_estimate(
     their level radii are found in one _level_radii call; then each sample
     draws its interior t.  The level and interior points of all samples go
     through one stacked call, which raises the EvaluationError of the first
-    point, in sample order, that is not finite (a level radius that
-    overflows) or whose value is not.  Raises ValueError unless every
-    radius of r_grid is positive and finite.
+    point, in sample order, whose value is not finite.  A sample whose
+    level radius overflows raises an EvaluationError that names it and r,
+    after the samples before it are evaluated.  Raises ValueError unless
+    every radius of r_grid is positive and finite.
     """
     r_grid = [float(r) for r in r_grid]
     if not r_grid or not all(0 < r < math.inf for r in r_grid):
@@ -1328,13 +1353,16 @@ def lambda_star_estimate(
         V = _stream_directions(rngs, (prob.m, prob.n))
         radii = _level_radii(prob, V, r)
         t_in = np.array([rng.random() for rng in rngs]) * radii
+        count, overflow = _first_overflow(radii, r, "sample")
         # 0, then each sample's level point and interior point
-        points = np.zeros((2 * samples_per_r + 1, prob.m, prob.n))
-        points[1::2] = radii[:, None, None] * V
-        points[2::2] = t_in[:, None, None] * V
+        points = np.zeros((2 * count + 1, prob.m, prob.n))
+        points[1::2] = radii[:count, None, None] * V[:count]
+        points[2::2] = t_in[:count, None, None] * V[:count]
         interior_row = np.arange(len(points)) % 2 == 0
         interior_row[0] = False
         mus, pots = _stack_values(points, prob, interior_row)
+        if overflow is not None:
+            raise overflow
         sup_j = pots[0]
         interior: list[tuple[float, float]] = [(sup_j, 0.0)]
         for j in range(1, len(points), 2):

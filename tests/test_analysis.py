@@ -289,6 +289,32 @@ def test_xi_at_two_or_more_components_is_the_bound_in_closed_form(m, n, p):
     assert xi_constant(m, n, p) == xi
 
 
+@pytest.mark.parametrize(
+    "p, expected", [(3.0, 1.414213562373095), (60.0, 3.7252902984619017e-09), (1100.0, 1.0853314206469442e-165)]
+)
+def test_xi_at_period_four_is_the_bound_in_closed_form(p, expected):
+    """At m = 4 and n = 1, u = (1, 0, -1, 0) / sqrt(2) has |Delta u(k)| =
+    1/sqrt(2) at every k, so it attains L = 4 (lambda1/4)^(p/2), about
+    4 * 2^(-p/2).  Under "auto" that value is returned, converged, without
+    a descent; at (4, 1, 1100) the descent returned 3.49e-120, marked
+    converged, 45 orders above L."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xi, converged = _xi_search(4, 1, p)
+    assert converged and xi == expected and xi_constant(4, 1, p) == xi
+    assert abs(math.log(xi) - _log_power_mean_bound(4, p)) <= 1e-12
+    u = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2.0)
+    assert abs(math.log(np.sum(np.abs(np.roll(u, -1) - u) ** p)) - math.log(xi)) <= 1e-12
+
+
+def test_xi_descent_at_period_four_meets_the_closed_form():
+    """The descent, forced with method="optimize", converges to within
+    1e-12 of the closed form at (4, 1, 3)."""
+    closed = xi_constant(4, 1, 3.0)
+    xi, converged = _xi_search(4, 1, 3.0, method="optimize")
+    assert converged and abs(xi - closed) <= 1e-12 * closed
+
+
 def test_xi_bound_below_the_normal_doubles_falls_back_to_the_descent():
     """At (8, 2, 2000) L is about 1e-1130, below every double, and "auto"
     runs the descent, as method="optimize" does."""

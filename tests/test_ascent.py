@@ -422,3 +422,116 @@ def test_probe_ascends_only_when_every_sampled_ray_passes(tmp_path, monkeypatch,
     assert got.verdict == "violated" and got.witness["optimized"] == ascends
     assert got.samples == 36
     assert _dumps(got) == _dumps(ref)
+
+
+# ---------------------------------------------------------------------------
+# Rays after the first failing ascended ray
+# ---------------------------------------------------------------------------
+
+
+def _bench_problem(tmp_path, seed, name):
+    cfg = _bench_check_configs(seed)[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return cli.load_config(str(path)).problem, cfg["seed"]
+
+
+def _run_to_the_end(monkeypatch):
+    """The ascent without the probe's verdict: every row runs to its own
+    end, and the report tabulates the four rays after it."""
+    real = analysis._ascend_rows
+    monkeypatch.setattr(analysis, "_ascend_rows", lambda D0, prob, t_last, fails=None: real(D0, prob, t_last))
+
+
+def _count_ascent(monkeypatch):
+    """Rounds of the ascent (line searches over at least one row), fused
+    calls and rows, and table calls and rows of one probe."""
+    counts = dict.fromkeys(("rounds", "fused", "fused rows", "table", "table rows"), 0)
+    search, fused, table = analysis._block_search, analysis._action_residual_rows, analysis._action_or_limit_rows
+
+    def counting_search(step, blocks, *args, **kwargs):
+        counts["rounds"] += blocks == analysis._ASCENT_BLOCKS and len(step) > 0
+        return search(step, blocks, *args, **kwargs)
+
+    def counting(key, real):
+        def wrapper(x, prob):
+            counts[key] += 1
+            counts[f"{key} rows"] += x.size // prob.dim
+            return real(x, prob)
+
+        return wrapper
+
+    monkeypatch.setattr(analysis, "_block_search", counting_search)
+    monkeypatch.setattr(analysis, "_action_residual_rows", counting("fused", fused))
+    monkeypatch.setattr(analysis, "_action_or_limit_rows", counting("table", table))
+    return counts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_probe_reports_match_the_ascent_run_to_the_end(tmp_path, monkeypatch, seed):
+    """On all nine benchmark check configs the report is byte for byte the
+    one of the ascent that runs every row to its end: witness, values,
+    margin, samples and overflow."""
+    for name in _bench_check_configs(seed):
+        prob, probe_seed = _bench_problem(tmp_path, seed, name)
+        got = anticoercivity_probe(prob, seed=probe_seed, optimize_worst=True)
+        with monkeypatch.context() as patch:
+            _run_to_the_end(patch)
+            ref = anticoercivity_probe(prob, seed=probe_seed, optimize_worst=True)
+        assert _dumps(got) == _dumps(ref), name
+
+
+def test_rows_after_the_first_failing_ray_stop(tmp_path, monkeypatch):
+    """example2_m9 of benchmark seed 3: every ascended ray fails, and the
+    first one's row stops at round 51.  The rows after it stop there too,
+    so the probe makes 51 rounds, 78 fused calls over 544 rows and 3 table
+    calls over 136 rows (the sampled rays', and two of the rays judged as
+    their rows stop); run to the end, the rows go on to 322 rounds, 349
+    fused calls over 1114 rows and 2 table calls over 144 rows.  The report
+    is the same."""
+    prob, probe_seed = _bench_problem(tmp_path, 3, "example2_m9")
+    reports, counts = [], []
+    for to_the_end in (False, True):
+        with monkeypatch.context() as patch:
+            if to_the_end:
+                _run_to_the_end(patch)
+            counts.append(_count_ascent(patch))
+            reports.append(anticoercivity_probe(prob, seed=probe_seed, optimize_worst=True))
+    assert counts == [
+        {"rounds": 51, "fused": 78, "fused rows": 544, "table": 3, "table rows": 136},
+        {"rounds": 322, "fused": 349, "fused rows": 1114, "table": 2, "table rows": 144},
+    ]
+    assert reports[0].witness["optimized"] and _dumps(reports[0]) == _dumps(reports[1])
+
+
+def test_an_earlier_ray_that_passes_ascends_to_its_end(tmp_path, monkeypatch):
+    """example1_m4 of benchmark seed 3 at drop_margin 5.2e11: every sampled
+    ray drops by more.  Alone, the ascended rows stop after 51, 10, 3 and
+    19 rounds, and their rays drop by 5.3e11, 5.0e11, 6.7e11 and 6.3e11.
+    Row 2 stops first and passes; row 1 stops at round 10 and fails, so row
+    3 stops there, as it would under a cap of 10 rounds, while row 0, before
+    it, ascends to its end, bit for bit as alone.  The report's witness is
+    row 1's ray, as for the ascent run to the end."""
+    prob, probe_seed = _bench_problem(tmp_path, 3, "example1_m4")
+    ascents = []
+    real = analysis._ascend_rows
+
+    def spy(D0, prob_, t_last, fails=None):
+        ascents.append((D0, real(D0, prob_, t_last, fails)))
+        return ascents[-1][1]
+
+    monkeypatch.setattr(analysis, "_ascend_rows", spy)
+    got = anticoercivity_probe(prob, seed=probe_seed, drop_margin=5.2e11, optimize_worst=True)
+    ((D0, rows),) = ascents
+    assert got.verdict == "violated" and got.witness["optimized"]
+    assert _same_bits(got.witness["direction"], rows[1])
+    for i in (0, 1, 2):
+        assert _same_bits(rows[i : i + 1], real(D0[i : i + 1], prob, 1000.0)), i
+    assert not _same_bits(rows[3:], real(D0[3:], prob, 1000.0))
+    monkeypatch.setattr(analysis, "_ASCENT_MAX_ITER", 10)
+    assert _same_bits(rows[3:], real(D0[3:], prob, 1000.0))
+    monkeypatch.setattr(analysis, "_ASCENT_MAX_ITER", 400)
+    with monkeypatch.context() as patch:
+        _run_to_the_end(patch)
+        ref = anticoercivity_probe(prob, seed=probe_seed, drop_margin=5.2e11, optimize_worst=True)
+    assert _dumps(got) == _dumps(ref)

@@ -25,7 +25,7 @@ from pklap.analysis import (
 )
 from pklap.core import EvaluationError, ExponentFunction, Problem
 from pklap.functional import _action_rows
-from pklap.nonlinearities import make_example3
+from pklap.nonlinearities import make_example3, make_power
 from test_lockstep import _same_bits
 from test_shared_loops import _well_nl2
 
@@ -211,9 +211,10 @@ def test_lambda_star_solves_its_radii_in_few_stacked_mu_calls(monkeypatch, p):
 
 def test_b2_b3_raise_the_first_failing_direction_after_the_ones_before(monkeypatch):
     """At p = 1.01 and r = 1e10, the fourth and the tenth direction,
-    scaled by 1e-300, have radii that overflow: the fourth direction's
-    non-finite level point raises after the three before it are
-    evaluated, and the tenth is never reached."""
+    scaled by 1e-300, have radii that overflow: the error names the fourth
+    direction and r, and comes after the three directions before it are
+    evaluated, in one stacked call of finite points; the fourth
+    direction's points and the tenth are never evaluated."""
     prob = _problem(4, 1.01)
     real, drawn = analysis._unit_directions, []
 
@@ -224,10 +225,52 @@ def test_b2_b3_raise_the_first_failing_direction_after_the_ones_before(monkeypat
     monkeypatch.setattr(analysis, "_unit_directions", scaled)
     stacks = []
     monkeypatch.setattr(analysis, "_action_rows", lambda vals, p_: stacks.append(vals) or _action_rows(vals, p_))
-    with pytest.raises(EvaluationError, match="potential evaluated at a non-finite sequence"):
+    with pytest.raises(EvaluationError) as raised:
         check_b2_b3(prob, 1e10, sample_budget=300, seed=7)
-    assert len(stacks) == 4
-    assert all(np.isfinite(s).all() for s in stacks[:3]) and not np.isfinite(stacks[3][0]).all()
+    assert str(raised.value) == (
+        "level radius overflowed: no finite t has mu(t v) = r = 10000000000.0 for direction 4 of 17"
+    )
+    per_dir = 300 // 17
+    assert len(stacks) == 1 and stacks[0].shape == (3 * (2 * per_dir + 1), 4, 1)
+    assert np.isfinite(stacks[0]).all()
+    V = np.concatenate(drawn[:3])
+    assert _same_bits(stacks[0][:: 2 * per_dir + 1], _level_radii(prob, V, 1e10)[:, None, None] * V)
+
+
+def _power_problem(m, p):
+    nl = make_power(m, a=1.0, b=1.0, s=3.0, r=3.0)[0]
+    return Problem(m=m, n=1, exponent=ExponentFunction.constant(p, m), nonlinearity=nl, lam=1.0)
+
+
+_OVERFLOW_CALLERS = {
+    "direction": lambda prob: check_b2_b3(prob, 1.0, sample_budget=300, seed=7),
+    "sample": lambda prob: lambda_star_estimate(prob, [1.0], samples_per_r=17, seed=7),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_OVERFLOW_CALLERS))
+@pytest.mark.parametrize("overflowing_value", [False, True])
+def test_level_radius_overflow_keeps_the_failure_order(monkeypatch, what, overflowing_value):
+    """The fourth direction's level radius overflows.  Where the second
+    direction's radius is 1e300, finite, its level point's potential
+    overflows (F = |u|^3), and that error, the first in stack order, is
+    raised; otherwise the fourth direction's overflow is."""
+    real = analysis._level_radii
+
+    def radii(prob, V, r):
+        out = real(prob, V, r)
+        out[3] = math.inf
+        if overflowing_value:
+            out[1] = 1e300
+        return out
+
+    monkeypatch.setattr(analysis, "_level_radii", radii)
+    with pytest.raises(EvaluationError) as raised:
+        _OVERFLOW_CALLERS[what](_power_problem(4, 2.0))
+    if overflowing_value:
+        assert str(raised.value) == "potential evaluated to a non-finite value"
+    else:
+        assert str(raised.value) == f"level radius overflowed: no finite t has mu(t v) = r = 1.0 for {what} 4 of 17"
 
 
 def test_lambda_star_raises_a_failure_outside_mu_at_once(monkeypatch):

@@ -648,13 +648,15 @@ def _spy_stacks(monkeypatch):
     return stacks
 
 
-def test_b2_b3_evaluate_the_loops_points_in_one_call_per_direction(monkeypatch):
+def test_b2_b3_evaluate_the_loops_points_in_one_call(monkeypatch):
+    """All 17 directions' points, in the loop's order, in one stacked call
+    (one call per direction before)."""
     prob = _example3_problem(4, 2.5)
     stacks = _spy_stacks(monkeypatch)
     check_b2_b3(prob, 0.3, sample_budget=300, seed=7)
     ref = _loop_b2_b3_points(prob, 0.3, 300, 7)
-    assert len(stacks) == 17  # one per direction
-    assert _same_bits(np.concatenate(stacks), ref)
+    assert len(stacks) == 1
+    assert _same_bits(stacks[0], ref)
 
 
 def test_lambda_star_evaluates_the_loops_points_in_one_call_per_radius(monkeypatch):
@@ -768,11 +770,12 @@ def test_lambda_star_matches_the_point_loop(m, p, seed):
 
 
 def test_lambda_star_raises_the_first_failure_in_sample_order(monkeypatch):
-    """A level radius that overflows gives a non-finite level point, and
-    the stacked call raises for the first such point in sample order, as
-    the loop did: the third and the seventh sample's directions, scaled by
-    1e-300, have radii that overflow at p = 1.01 and r = 1e10, and the
-    error is the third sample's level point's."""
+    """A level radius that overflows raises an EvaluationError that names
+    its sample and r, after the samples before it are evaluated, as the
+    loop's first non-finite point did: the third and the seventh sample's
+    directions, scaled by 1e-300, have radii that overflow at p = 1.01 and
+    r = 1e10, and the error is the third sample's.  The stacked call holds
+    0 and the two samples before it, all finite."""
     prob = _example3_problem(2, p=1.01)
     real = analysis._stream_directions
 
@@ -783,13 +786,13 @@ def test_lambda_star_raises_the_first_failure_in_sample_order(monkeypatch):
 
     monkeypatch.setattr(analysis, "_stream_directions", scaled)
     stacks = _spy_stacks(monkeypatch)
-    raised = []
-    monkeypatch.setattr(analysis, "potential", lambda u, p_: raised.append(u) or potential(u, p_))
-    with pytest.raises(EvaluationError, match="potential evaluated at a non-finite sequence"):
+    with pytest.raises(EvaluationError) as raised:
         lambda_star_estimate(prob, [1e10], samples_per_r=10, seed=0)
-    assert len(stacks) == 1 and len(stacks[0]) == 1 + 2 * 10
-    assert np.isfinite(stacks[0][:5]).all() and not np.isfinite(stacks[0][5]).all()
-    assert len(raised) == 1 and _same_bits(raised[0], stacks[0][5])
+    assert str(raised.value) == (
+        "level radius overflowed: no finite t has mu(t v) = r = 10000000000.0 for sample 3 of 10"
+    )
+    assert len(stacks) == 1 and len(stacks[0]) == 1 + 2 * 2
+    assert np.isfinite(stacks[0]).all()
 
 
 def _loop_probe(prob, directions=32, radii=(1.0, 10.0, 100.0, 1000.0), seed=0, drop_margin=1.0,
