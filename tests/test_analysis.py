@@ -315,6 +315,16 @@ def test_xi_descent_at_period_four_meets_the_closed_form():
     assert converged and abs(xi - closed) <= 1e-12 * closed
 
 
+def test_xi_descent_at_a_huge_exponent_is_quiet():
+    """At (4, 1, 1100) the descent's gradient norms overflow; forced with
+    method="optimize" ("auto" no longer runs it there) it shows no numpy
+    warning, and it ends no lower than the closed form."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xi, _ = _xi_search(4, 1, 1100.0, method="optimize")
+    assert xi >= xi_constant(4, 1, 1100.0)
+
+
 def test_xi_bound_below_the_normal_doubles_falls_back_to_the_descent():
     """At (8, 2, 2000) L is about 1e-1130, below every double, and "auto"
     runs the descent, as method="optimize" does."""
