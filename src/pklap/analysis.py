@@ -33,13 +33,12 @@ from .core import (
     Problem,
     _block_search,
     _entry_norms,
-    _row_dots,
     _row_norms,
     _shifted,
     _shifted_back,
 )
 from .functional import _action_rows, mu, potential
-from .operators import _phi_rows, _residual_rows, _stack_pass
+from .operators import _phi_rows, _stack_pass
 
 HOLDS = "holds_on_samples"
 VIOLATED = "violated"
@@ -856,144 +855,29 @@ def _action_or_limit_rows(x: np.ndarray, prob: Problem) -> np.ndarray:
         return _action_or_limit(mus, pots, prob)
 
 
-def _action_residual_rows(x: np.ndarray, prob: Problem):
-    """_action_or_limit_rows and _residual_rows of the flat points x in one pass.
+def _structured_rays(m: int, n: int) -> np.ndarray:
+    """The probe's fixed unit rays on (m, n) sequences, as a (2 n (m + T), m n) stack.
 
-    Returns (vals, r, ok): vals as _action_or_limit_rows gives them, and r
-    (as (B, dim)) and ok as _residual_rows gives them, each row bitwise the
-    same.  Raises what the pass raises, F's error before the coupling
-    term's.  Callers evaluate it under np.errstate, as the ascent does.
+    Component by component, the rays are +b, then -b, for the rows b of one
+    basis placed in that component: the m coordinate rays e_k, then the T
+    top eigenvectors of the m-cycle Laplacian, which maximise mu at p = 2.
+    Those are (-1)^k / sqrt(m) at even m (T = 1), the normalised cos and sin
+    of frequency (m - 1) / 2 at odd m > 1 (T = 2), and none at m = 1.  On a
+    coordinate ray every term F(k, u(k), u(k+1)) has a zero argument, so a
+    lower growth bound that needs |u1|, |u2| >= M never applies there.
     """
-    stack = x.reshape(-1, prob.m, prob.n)
-    mus, pots, r = _stack_pass(stack, prob, mu=True, potential=True, residual=True)
-    ok = np.isfinite(r).all(axis=(1, 2))
-    return _action_or_limit(mus, pots, prob), r.reshape(len(stack), prob.dim), ok
-
-
-# The ascent's iteration cap, and its line search's trials step * 2^-j,
-# tried in blocks of these sizes: every row still searching puts its next
-# block into one _action_residual_rows call.  A step never exceeds 1, so
-# its at most 54 trials above 1e-16 fit in the 62 of the blocks.  A row
-# stops once it takes a trial that raises J by at most
-# _ASCENT_RISE_RTOL * max(1, |J|), about the rounding of J: on example1 the
-# rows would otherwise creep on to the cap with steps near 1e-13.  At 0.0
-# no rise stops a row.
-_ASCENT_MAX_ITER = 400
-_ASCENT_BLOCKS = (2, 4, 8, 16, 32)
-_ASCENT_RISE_RTOL = 1e-14
-
-
-def _ascend_rows(D0: np.ndarray, prob: Problem, t_last: float, fails=None) -> np.ndarray:
-    """Gradient ascent of d -> action(t_last * d) over the unit sphere, from each row of D0.
-
-    Used to hunt for worst-case directions where the action fails to fall
-    off; random directions almost surely miss them when they form a
-    measure-zero set.  All rows of the (S, dim) stack ascend in lock step,
-    each with its own step, value and active flag.  Each round's line
-    search (_block_search) evaluates the trials of every row still
-    searching in one _action_residual_rows call per block of
-    _ASCENT_BLOCKS, and each row keeps the residual of the trial it takes,
-    so the next round needs no residual call of its own.  Only where a
-    coupling kernel raised inside a block does the next round evaluate the
-    residuals of the rows that took a trial of that block, in one
-    _residual_rows call, whose EvaluationError ends the ascent of every
-    row.  Row i tries d_i + s g_i / |g_i|, normalised, for s =
-    step_i * 2^-j while s > 1e-16, moves to its first trial above its
-    value, and sets its step to min(1.5 s, 1).  Dots and norms are one dot
-    product per row (_row_dots, _row_norms), so each row follows the
-    iterates of the ascent run alone bit for bit.  Where |g_i| overflows,
-    g_i is first divided by its largest |entry|.  A row stops when its
-    residual fails, when its projected gradient is below 1e-10 max(1, |J|),
-    when no trial above step 1e-16 increases J, when the trial it takes
-    raises J by at most _ASCENT_RISE_RTOL max(1, |J|) (it stalls there,
-    keeping that trial), or after _ASCENT_MAX_ITER rounds.
-
-    fails, the probe's verdict on its rays, is given the indices and final
-    directions of the rows that stopped in a round while a later row still
-    ascends, and returns whether each of those rays fails.  The probe reads
-    the rays in row order and stops at its first failing one, so once a
-    row's ray fails every later row stops where it is: rays after the
-    first failing one are never read.  Returns the final directions as an
-    (S, dim) array.
-    """
-    # the probe reports the values the rows reach, not overflow warnings
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-
-        def values(x):
-            # (action, residual, state): state is 1 where the residual is
-            # finite, 0 where it is not, and -1 where it is still to be
-            # evaluated.  When the fused pass raises, the action alone
-            # raises a malformed F's error again; a coupling kernel's error
-            # is left to the next round's _residual_rows, which raises it
-            # again only if a row takes one of these trials
-            try:
-                vals, r, ok = _action_residual_rows(x, prob)
-            except Exception:
-                return _action_or_limit_rows(x, prob), np.empty(x.shape), np.full(len(x), -1, np.int8)
-            return vals, r, ok.view(np.int8)
-
-        d = D0 / _row_norms(D0)[:, None]
-        val, res, state = values(t_last * d)
-        step = np.full(len(d), 0.1)
-        ids = np.arange(len(d))  # the rows still ascending
-
-        # the line search of the rows ids of a round along g / gnorm, from
-        # their directions dk and values vk, gathered once per round; the
-        # first block searches every row, so it needs no gather
-        def trial(k, s):
-            if len(k) == len(ids):
-                return dk[:, None] + s[:, :, None] * g[:, None] / gnorm[:, None, None]
-            return dk[k, None] + s[:, :, None] * g[k, None] / gnorm[k, None, None]
-
-        def evaluate(cand, k, s):
-            cand = cand / _row_norms(cand)[:, None]
-            cand_val, *residual = values(t_last * cand)
-            return cand_val > vk[k], cand, cand_val, *residual
-
-        def take(k, s, cand, cand_val, r, st):
-            i, v = ids[k], vk[k]
-            stalled[k] = cand_val - v <= _ASCENT_RISE_RTOL * np.maximum(1.0, np.abs(v))
-            d[i], val[i], step[i] = cand, cand_val, np.minimum(s * 1.5, 1.0)
-            res[i], state[i] = r, st
-
-        for _ in range(_ASCENT_MAX_ITER):
-            if ids.size == 0:
-                break
-            before = ids
-            if state[ids].min() <= 0:
-                missing = ids[state[ids] < 0]
-                if missing.size:
-                    try:
-                        r, ok = _residual_rows((t_last * d[missing]).reshape(-1, prob.m, prob.n), prob)
-                    except EvaluationError:  # a malformed callback value fails every row
-                        break
-                    res[missing], state[missing] = r.reshape(len(missing), prob.dim), ok
-                ids = ids[state[ids] > 0]
-            dk, vk = d[ids], val[ids]
-            g = -t_last * res[ids]
-            g = g - _row_dots(g, dk)[:, None] * dk
-            gnorm = _row_norms(g)
-            flat = gnorm <= 1e-10 * np.maximum(1.0, np.abs(vk))
-            if flat.any():
-                ids, dk, vk, g, gnorm = ids[~flat], dk[~flat], vk[~flat], g[~flat], gnorm[~flat]
-            # an overflowing |g| would make every step 0 and stall the row
-            big = np.isinf(gnorm)
-            if big.any():
-                g[big] /= np.abs(g[big]).max(axis=1)[:, None]
-                gnorm[big] = _row_norms(g[big])
-            stalled = np.zeros(len(ids), dtype=bool)
-            found = _block_search(step[ids], _ASCENT_BLOCKS, trial, evaluate, take, floor=1e-16)
-            ids = ids[found & ~stalled]
-            if fails is not None and 0 < ids.size < before.size:
-                # rows that stopped this round, judged while a later row ascends
-                stopped = np.ones(len(d), dtype=bool)
-                stopped[ids] = False
-                ended = before[stopped[before] & (before < ids[-1])]
-                if ended.size:
-                    failed = ended[fails(ended, d[ended])]
-                    if failed.size:
-                        ids = ids[ids < failed[0]]
-    return d
+    k = np.arange(m)
+    if m % 2 == 0:
+        top = [(-1.0) ** k]
+    else:
+        top = [np.cos(np.pi * (m - 1) / m * k), np.sin(np.pi * (m - 1) / m * k)] if m > 1 else []
+    basis = np.vstack([np.eye(m), *top])
+    basis = basis / _row_norms(basis)[:, None]
+    basis = np.concatenate((basis, 0.0 - basis))  # not -basis: its zeros would be -0.0
+    rays = np.zeros((n, len(basis), m, n))
+    for j in range(n):
+        rays[j, :, :, j] = basis
+    return rays.reshape(-1, m * n)
 
 
 def anticoercivity_probe(
@@ -1002,33 +886,23 @@ def anticoercivity_probe(
     radii: Sequence[float] = (1.0, 10.0, 100.0, 1000.0),
     seed: int = 0,
     drop_margin: float = 1.0,
-    optimize_worst: bool = False,
 ) -> CheckReport:
     """Probe whether the action falls off to -infinity along rays.
 
-    Evaluates the action at t*d for each sampled unit direction d and the
-    given increasing radii t, all in one stacked call.  A direction passes
-    when the values strictly decrease from the second radius onward and the
-    last value undercuts the first by drop_margin.  Overflow of the potential at large radii counts
+    Evaluates the action at t*d for the given increasing radii t and each
+    unit direction d of one pool, all in one stacked call: the sampled
+    directions, then the fixed structured rays (_structured_rays), such as
+    the coordinate rays on which example2 fails while random directions
+    almost surely pass.  A direction passes when the values strictly
+    decrease from the second radius onward and the last value undercuts the
+    first by drop_margin.  Overflow of the potential at large radii counts
     as decrease (the ray provides -infinity evidence); overflow of the
-    Dirichlet term mu does not.  detail["overflow"] reports whether any
-    value was non-finite.
-
-    With optimize_worst the direction pool is augmented by gradient-ascent
-    maximisation of the terminal value from the four directions with the
-    highest terminal values, all four ascending at once (_ascend_rows),
-    which can expose rays of non-decrease that random sampling almost never
-    hits.  An ascent also stops at its first rise within the rounding of J
-    (_ASCENT_RISE_RTOL), so an ascended ray is where it stalled, not
-    necessarily a local maximum.  The ascended rays follow the sampled
-    ones, and the report stops at its first failing ray, so the ascent runs
-    only when every sampled ray passes, and the ascent judges each row's
-    ray once it stops while a later row still ascends: once one fails,
-    the rows after it stop where they are, and the report reuses the
-    judged rays' values.  samples counts the ascended rays either way.
-    Raises ValueError
-    when the radii are not finite and strictly increasing or when
-    directions is negative.
+    Dirichlet term mu does not.  The report reads the rays in pool order
+    and stops at the first that fails; its witness says whether that ray is
+    structured.  samples counts both sets, detail["structured"] the
+    structured rays, and detail["overflow"] whether any value read was
+    non-finite.  Raises ValueError when the radii are not finite and
+    strictly increasing or when directions is negative.
     """
     radii = [float(t) for t in radii]
     if (
@@ -1039,79 +913,41 @@ def anticoercivity_probe(
         raise ValueError("radii must be finite and strictly increasing with at least two entries")
     if directions < 0:
         raise ValueError(f"directions must be >= 0, got {directions}")
-    rng = rng_for(seed, 17)
-    sampled = _unit_directions(rng, directions, (prob.m, prob.n)).reshape(-1, prob.dim)
-    samples = directions + (min(directions, 4) if optimize_worst else 0)
-
-    def table(D):
-        return _action_or_limit_rows(
-            np.array(radii)[None, :, None] * D[:, None, :], prob
-        ).reshape(len(D), len(radii))
-
-    def decreases(a: float, c: float) -> bool:
-        if c == -math.inf:
-            return True
-        return c < a
-
-    def verdict(vals: list) -> tuple[bool, float]:
-        """Whether the ray of the values vals fails, and its drop past drop_margin."""
-        tail_ok = all(decreases(vals[i], vals[i + 1]) for i in range(1, len(vals) - 1))
-        drop = vals[0] - vals[-1] - drop_margin
-        return not tail_ok or not drop > 0.0, drop
-
-    def pool():
-        # the report stops at its first failing ray, so the ascended rays,
-        # which follow the sampled ones, are made only when all of those pass
-        values = table(sampled)
-        yield from zip(sampled, values)
-        if optimize_worst and directions:
-            terminal = values[:, -1].tolist()
-            ranked = sorted(range(directions), key=lambda i: -terminal[i])
-            tables = {}  # the tables of the rays the ascent judged, by row
-
-            def fails(rows, D):
-                tables.update(zip(rows.tolist(), table(D)))
-                return np.array([verdict(tables[i].tolist())[0] for i in rows.tolist()])
-
-            ascended = _ascend_rows(sampled[ranked[:4]], prob, radii[-1], fails)
-            # the ascent stopped every row past a judged ray that fails, and
-            # the report reads none of them
-            read = next((i + 1 for i in sorted(tables) if verdict(tables[i].tolist())[0]), len(ascended))
-            rest = [i for i in range(read) if i not in tables]
-            if rest:
-                tables.update(zip(rest, table(ascended[rest])))
-            yield from ((ascended[i], tables[i]) for i in range(read))
-
-    worst_margin = math.inf
-    overflow = False
-    for idx, (d, row) in enumerate(pool()):
-        vals = row.tolist()
-        overflow = overflow or not all(math.isfinite(v) for v in vals)
-        failed, drop = verdict(vals)
-        if failed:
-            return CheckReport(
-                "anticoercivity",
-                VIOLATED,
-                min(worst_margin, drop if math.isfinite(drop) else 0.0),
-                witness={
-                    "direction": d.copy(),
-                    "radii": list(radii),
-                    "values": vals,
-                    "optimized": idx >= directions,
-                },
-                samples=samples,
-                seed=seed,
-                detail={"overflow": overflow},
-            )
-        worst_margin = min(worst_margin, drop)
+    sampled = _unit_directions(rng_for(seed, 17), directions, (prob.m, prob.n)).reshape(-1, prob.dim)
+    structured = _structured_rays(prob.m, prob.n)
+    rays = np.concatenate((sampled, structured))
+    vals = _action_or_limit_rows(np.array(radii)[None, :, None] * rays[:, None, :], prob)
+    vals = vals.reshape(len(rays), len(radii))
+    with np.errstate(invalid="ignore"):  # inf - inf where mu overflows at both ends
+        drops = vals[:, 0] - vals[:, -1] - drop_margin
+    tail = vals[:, 2:]
+    falls = ((tail < vals[:, 1:-1]) | (tail == -math.inf)).all(axis=1) & (drops > 0.0)
+    failing = np.flatnonzero(~falls)
+    if failing.size == 0:
+        return CheckReport(
+            "anticoercivity",
+            HOLDS,
+            float(np.min(drops)),
+            None,
+            samples=len(rays),
+            seed=seed,
+            detail={"overflow": not np.isfinite(vals).all(), "structured": len(structured)},
+        )
+    i = int(failing[0])
+    drop = float(drops[i])
     return CheckReport(
         "anticoercivity",
-        HOLDS,
-        worst_margin,
-        None,
-        samples=samples,
+        VIOLATED,
+        min(float(np.min(drops[:i], initial=math.inf)), drop if math.isfinite(drop) else 0.0),
+        witness={
+            "direction": rays[i].copy(),
+            "radii": list(radii),
+            "values": vals[i].tolist(),
+            "structured": i >= directions,
+        },
+        samples=len(rays),
         seed=seed,
-        detail={"overflow": overflow},
+        detail={"overflow": not np.isfinite(vals[: i + 1]).all(), "structured": len(structured)},
     )
 
 

@@ -390,7 +390,7 @@ def _check_payload(loaded: LoadedConfig) -> dict:
         thr = thresholds(prob, spec.growth)
         xi, xi_converged = thr.xi, thr.xi_converged
         reports.extend(check_growth(prob.nonlinearity, spec.growth, seed=seed))
-        reports.append(anticoercivity_probe(prob, seed=seed, optimize_worst=True))
+        reports.append(anticoercivity_probe(prob, seed=seed))
     else:
         xi, xi_converged = _xi_search(prob.m, prob.n, prob.exponent.p_plus)
     if spec.bounds is not None:

@@ -187,12 +187,8 @@ def test_criterion_05_threshold_bracketing():
     thr = thresholds(prob, growth)
     assert thr.lambda3 == pytest.approx(2.0)
 
-    below = anticoercivity_probe(
-        prob.with_lambda(0.5 * thr.lambda3), optimize_worst=True, seed=0
-    )
-    above = anticoercivity_probe(
-        prob.with_lambda(2.0 * thr.lambda3), optimize_worst=True, seed=0
-    )
+    below = anticoercivity_probe(prob.with_lambda(0.5 * thr.lambda3), seed=0)
+    above = anticoercivity_probe(prob.with_lambda(2.0 * thr.lambda3), seed=0)
     ok = below.verdict == VIOLATED and above.verdict == HOLDS
     _report(
         5,

@@ -548,7 +548,7 @@ class TestAnticoercivityProbe:
         point counts as J = +inf; an infinite radius gives no ray point."""
         nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
         with pytest.raises(ValueError, match="finite"):
-            anticoercivity_probe(_problem_from(nl), radii=radii, optimize_worst=True)
+            anticoercivity_probe(_problem_from(nl), radii=radii)
 
     def test_negative_directions_are_rejected(self):
         nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
@@ -566,21 +566,23 @@ class TestAnticoercivityProbe:
     def test_borderline_quadratic_depends_on_lambda(self):
         """s = r = p = 2 on two points: decay holds only above lambda_3 = 2."""
         nl, _ = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)
-        weak = anticoercivity_probe(
-            _problem_from(nl, lam=1.0), optimize_worst=True, seed=0
-        )
+        weak = anticoercivity_probe(_problem_from(nl, lam=1.0), seed=0)
         assert weak.verdict == VIOLATED
         assert weak.witness is not None
-        strong = anticoercivity_probe(
-            _problem_from(nl, lam=4.0), optimize_worst=True, seed=0
-        )
+        strong = anticoercivity_probe(_problem_from(nl, lam=4.0), seed=0)
         assert strong.verdict == HOLDS
 
     def test_random_directions_missing_worst_ray(self):
-        # without the ascent step the measure-zero bad directions are missed
+        """At lambda = 1 J vanishes on the rays +-(1, -1)/sqrt(2), which the
+        32 sampled rays miss; the structured ray (1, -1)/sqrt(2), the top
+        mode of the 2-cycle Laplacian, is the witness."""
         nl, _ = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)
         rep = anticoercivity_probe(_problem_from(nl, lam=1.0), seed=0)
-        assert rep.verdict == HOLDS  # a false pass, by design of the probe
+        assert rep.verdict == VIOLATED
+        assert rep.witness["structured"]
+        assert rep.witness["direction"].tolist() == [1 / math.sqrt(2), -1 / math.sqrt(2)]
+        assert rep.witness["values"] == [0.0] * 4
+        assert rep.samples == 32 + 6 and rep.detail == {"overflow": False, "structured": 6}
 
     def test_overflow_goes_to_the_overflowing_terms_limit(self):
         """mu >= 0 overflowing is J -> +inf; the potential overflowing with

@@ -1,7 +1,7 @@
 """The one lock-step backtracking search and the block schedules of its callers.
 
-`core._block_search` runs the line searches of the Newton solver, the
-anticoercivity ascent and the xi descent.  Each row tries step * 2^-j in
+`core._block_search` runs the line searches of the Newton solver and the
+xi descent.  Each row tries step * 2^-j in
 order and takes its first accepted trial, while the trials of all rows still
 searching are evaluated in blocks.  The property below pins it to the
 one-row loop; the schedule tests pin that each caller's blocks hold its
@@ -148,13 +148,13 @@ def test_newton_blocks_hold_its_thirty_trials():
 
 @pytest.mark.parametrize(
     "blocks,floor,cap,trials",
-    [("_ASCENT_BLOCKS", 1e-16, 1.0, 54), ("_XI_BLOCKS", 1e-18, analysis._XI_STEP_CAP, 80)],
+    [("_XI_BLOCKS", 1e-18, analysis._XI_STEP_CAP, 80)],
 )
 def test_floor_searches_reach_their_floor_inside_the_blocks(blocks, floor, cap, trials):
-    """A step of at most cap (1 for the ascent, _XI_STEP_CAP for the xi
-    descent) has this many trials above the floor, and the blocks hold them
-    all, so every unaccepted row leaves at the floor as its sequential loop
-    does, not when the blocks run out."""
+    """A step of at most cap (_XI_STEP_CAP for the xi descent) has this
+    many trials above the floor, and the blocks hold them all, so every
+    unaccepted row leaves at the floor as its sequential loop does, not when
+    the blocks run out."""
     assert _trials_above(floor, cap) == trials
     assert sum(getattr(analysis, blocks)) >= trials
 

@@ -269,7 +269,10 @@ class TestCheck:
     def test_huge_exponent_is_quiet_and_unchanged(self, tmp_path):
         """Overflow at p = 1100 shows in the report (inf thresholds and
         margins), not as numpy warnings; the bytes are pinned.  They last
-        moved with the m = 2 closed form of xi, in xi only (to 2^551 exactly,
+        moved when structured rays replaced the probe's ascent, in the
+        anticoercivity report only (samples 36 to 38, detail's structured
+        count, and the witness's optimized key renamed structured); before
+        that with the m = 2 closed form of xi, in xi only (to 2^551 exactly,
         from the descent's 7.371020360980128e+165)."""
         cfg = _config(tmp_path, p=1100.0)
         out = tmp_path / "check.json"
@@ -278,13 +281,15 @@ class TestCheck:
             assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_OK
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "a5671de463eadf6aaf657ec3aea3766cc3dce8fb1abc1e412cb8ed7cef5b852b"
+        assert digest == "14f61bba646b77373ded91df661c571967a7d70c31680762234496eb79394aa3"
 
-    def test_overflowing_ascent_is_quiet_and_unchanged(self, tmp_path):
-        """At p = 60 the anti-coercivity ascent's gradient norms overflow;
-        that shows in no numpy warning, and the bytes are pinned.  They last
-        moved with the m = 2 closed form of xi, in xi only (to 2^31 exactly,
-        from the descent's 2147483647.9999886)."""
+    def test_p60_check_is_quiet_and_unchanged(self, tmp_path):
+        """At p = 60 the probe's table reaches mu = 3.6e187 without
+        overflowing; no numpy warning shows, and the bytes are pinned.  They
+        last moved when structured rays replaced the probe's ascent, whose
+        gradient norms overflowed here, in the anticoercivity report only
+        (as at p = 1100); before that with the m = 2 closed form of xi, in
+        xi only (to 2^31 exactly, from the descent's 2147483647.9999886)."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "m": 2, "n": 1, "p": [60, 60], "lambda": 5.0, "seed": 3,
@@ -296,7 +301,7 @@ class TestCheck:
             assert cli.main(["check", str(cfg), "--output", str(out)]) == cli.EXIT_OK
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "c65821bc499a980f4db3f7f1cfd33956c441d0de69f3509a0cca30542374ad39"
+        assert digest == "213ad833e7eef5d0bfc451cd9cb60d6976e7ddc6a4e43af2829cab3ed57600cd"
 
     def test_bounded_family_at_huge_exponent(self, tmp_path, capsys):
         """mu overflows at twice B.2's level radius; the radius is found

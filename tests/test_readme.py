@@ -1,6 +1,6 @@
 """Every fenced python block of README.md runs as written, and the README's
-list of solver keys, its line-search block sizes, the ascent's stall
-tolerance and its entry points match the code."""
+list of solver keys, its line-search block sizes, the xi descent's step cap
+and its entry points match the code."""
 
 import dataclasses
 import os
@@ -49,14 +49,13 @@ def test_readme_solver_keys_match_solver_config():
 # README paragraph that quotes them.
 _BLOCK_OWNERS = {
     r"\bNewton\b": solvers._SEARCH_BLOCKS,
-    r"\bascent\b": analysis._ASCENT_BLOCKS,
     r"\bxi\b": analysis._XI_BLOCKS,
 }
 
 
 def test_readme_block_sizes_match_the_code():
     """Every "blocks of a, b and c" in the README sits in a paragraph that
-    names exactly one line search (Newton's, the ascent's or xi's), and
+    names exactly one line search (Newton's or xi's), and
     equals that search's blocks; every search's blocks are quoted."""
     with open(README, encoding="utf-8") as fh:
         paragraphs = re.split(r"\n\s*\n", fh.read())
@@ -73,15 +72,6 @@ def test_readme_block_sizes_match_the_code():
             assert sizes == _BLOCK_OWNERS[owners[0]], text
         quoted.add(owners[0])
     assert quoted == set(_BLOCK_OWNERS)
-
-
-def test_readme_stall_tolerance_matches_the_ascent():
-    """The T of every "raises J by at most T max(1, |J|)" in the README is
-    the ascent's _ASCENT_RISE_RTOL."""
-    with open(README, encoding="utf-8") as fh:
-        text = " ".join(fh.read().split())
-    quotes = re.findall(r"raises J by at most (\S+) max\(1, \|J\|\)", text)
-    assert quotes and all(float(q) == analysis._ASCENT_RISE_RTOL for q in quotes)
 
 
 def test_readme_step_cap_matches_the_xi_descent():

@@ -51,7 +51,6 @@ from pklap.core import (
 )
 from pklap.functional import _action_rows, _gradient_fd_rows, action, gradient, gradient_fd, mu, potential
 from pklap.nonlinearities import BuiltinSpec, make_builtin, make_example3, make_power
-from pklap.operators import residual_values
 from test_lockstep import BUILTINS, _problem, _same_bits
 from test_shared_loops import _well_nl2
 
@@ -115,42 +114,6 @@ def _loop_action_or_limit(x, prob):
     if not math.isfinite(pot):
         return -math.inf
     return energy + prob.lam * pot
-
-
-def _loop_ascend(d0, prob, t_last, max_iter=400):
-    """The anticoercivity ascent from one direction, one point at a time:
-    (final direction, exit), exit one of "residual", "gradient", "search",
-    "stall" and "cap"."""
-    d = d0 / np.linalg.norm(d0)
-    val = _loop_action_or_limit(t_last * d, prob)
-    step = 0.1
-    for _ in range(max_iter):
-        try:
-            g = -t_last * residual_values((t_last * d).reshape(prob.m, prob.n), prob).reshape(-1)
-        except EvaluationError:
-            return d, "residual"
-        g = g - float(np.dot(g, d)) * d
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= 1e-10 * max(1.0, abs(val)):
-            return d, "gradient"
-        if math.isinf(gnorm):
-            g = g / np.max(np.abs(g))
-            gnorm = float(np.linalg.norm(g))
-        while step > 1e-16:
-            cand = d + step * g / max(gnorm, 1e-300)
-            cand = cand / np.linalg.norm(cand)
-            cand_val = _loop_action_or_limit(t_last * cand, prob)
-            if cand_val > val:
-                stall = cand_val - val <= analysis._ASCENT_RISE_RTOL * max(1.0, abs(val))
-                d, val = cand, cand_val
-                step = min(step * 1.5, 1.0)
-                if stall:
-                    return d, "stall"
-                break
-            step *= 0.5
-        else:
-            return d, "search"
-    return d, "cap"
 
 
 def _recording_family(m, seen):
@@ -795,16 +758,14 @@ def test_lambda_star_raises_the_first_failure_in_sample_order(monkeypatch):
     assert np.isfinite(stacks[0]).all()
 
 
-def _loop_probe(prob, directions=32, radii=(1.0, 10.0, 100.0, 1000.0), seed=0, drop_margin=1.0,
-                optimize_worst=False):
-    """anticoercivity_probe as it evaluated its rays, one point at a time."""
+def _loop_probe(prob, directions=32, radii=(1.0, 10.0, 100.0, 1000.0), seed=0, drop_margin=1.0):
+    """anticoercivity_probe as it evaluated its sampled rays and then its
+    structured ones, one point at a time."""
     radii = [float(t) for t in radii]
     rng = rng_for(seed, 17)
     pool = [_unit_direction(rng, prob.m, prob.n, zero_mean=False).reshape(-1) for _ in range(directions)]
-    if optimize_worst:
-        ranked = sorted(pool, key=lambda d: -_loop_action_or_limit(radii[-1] * d, prob))
-        for d0 in ranked[:4]:
-            pool.append(_loop_ascend(d0, prob, radii[-1])[0])
+    structured = analysis._structured_rays(prob.m, prob.n)
+    pool += list(structured)
     worst_margin, overflow = math.inf, False
     for idx, d in enumerate(pool):
         vals = [_loop_action_or_limit(t * d, prob) for t in radii]
@@ -815,11 +776,12 @@ def _loop_probe(prob, directions=32, radii=(1.0, 10.0, 100.0, 1000.0), seed=0, d
             return CheckReport("anticoercivity", VIOLATED,
                                min(worst_margin, drop if math.isfinite(drop) else 0.0),
                                witness={"direction": d.copy(), "radii": list(radii), "values": vals,
-                                        "optimized": idx >= directions},
-                               samples=len(pool), seed=seed, detail={"overflow": overflow})
+                                        "structured": idx >= directions},
+                               samples=len(pool), seed=seed,
+                               detail={"overflow": overflow, "structured": len(structured)})
         worst_margin = min(worst_margin, drop)
     return CheckReport("anticoercivity", HOLDS, worst_margin, None, samples=len(pool), seed=seed,
-                       detail={"overflow": overflow})
+                       detail={"overflow": overflow, "structured": len(structured)})
 
 
 @pytest.mark.parametrize(
@@ -832,23 +794,28 @@ def _loop_probe(prob, directions=32, radii=(1.0, 10.0, 100.0, 1000.0), seed=0, d
         ("example2", 3, {}, 2.0, 1.0),
     ],
 )
-@pytest.mark.parametrize("optimize_worst", [False, True])
-def test_probe_table_matches_the_point_loop(name, m, params, p, lam, optimize_worst):
+@pytest.mark.parametrize("sampled", [False, True])
+def test_probe_table_matches_the_point_loop(name, m, params, p, lam, sampled):
+    """With the 32 sampled rays before the structured ones, and with the
+    structured rays alone."""
     nl = make_builtin(name, m, params).nonlinearity
     prob = Problem(m=m, n=1, exponent=ExponentFunction.constant(p, m), nonlinearity=nl, lam=lam)
+    directions = 32 if sampled else 0
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = _loop_probe(prob, seed=3, optimize_worst=optimize_worst)
-    got = anticoercivity_probe(prob, seed=3, optimize_worst=optimize_worst)
+        ref = _loop_probe(prob, directions=directions, seed=3)
+    got = anticoercivity_probe(prob, directions=directions, seed=3)
     assert _dumps(got) == _dumps(ref)
     x = np.linspace(-1.0, 2.0, prob.dim)
     assert _same_bits(_action_or_limit_rows(x[None], prob)[0], _loop_action_or_limit(x, prob))
 
 
 def test_probe_with_no_directions_holds_trivially():
+    """With no sampled rays the probe judges its six structured rays alone:
+    +-e_1, +-e_2 and +-(1, -1)/sqrt(2) at m = 2."""
     prob = Problem(m=2, n=1, exponent=ExponentFunction.constant(2.0, 2),
                    nonlinearity=make_power(2, 1.0, 1.0, 2.0, 2.0)[0], lam=5.0)
-    rep = anticoercivity_probe(prob, directions=0, optimize_worst=True)
-    assert rep.verdict == HOLDS and rep.samples == 0
+    rep = anticoercivity_probe(prob, directions=0)
+    assert rep.verdict == HOLDS and rep.samples == 6 and rep.detail["structured"] == 6
 
 
 # ---------------------------------------------------------------------------

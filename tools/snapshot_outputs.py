@@ -15,8 +15,8 @@ right-hand side overflow (infinite thresholds and C.3 margin), and
 `check` on example3 at m = 4, p = 1100 on the zero-mean subspace, where
 mu overflows at twice the level radius of B.2/B.3 and of lambda-star,
 which are found without evaluating mu, and `check` on the power
-family at m = 2, p = 60, where the gradient norms of the anti-coercivity
-ascent overflow, and `check` on the same family at m = 8, p = 1.5, where no
+family at m = 2, p = 60, where mu in the anti-coercivity probe's table
+reaches 3.6e187 without overflowing, and `check` on the same family at m = 8, p = 1.5, where no
 start of the xi descent converges and xi is reported as an upper bound
 (`xi_converged` false): 59 files in all.  The generated configs are written to a
 temporary directory, not to OUTDIR; the benchmark configs are imported,
