@@ -279,33 +279,31 @@ def _read_only(arr) -> np.ndarray:
     return view
 
 
-def _point_kernel(fn: Callable, shape: tuple, check: Callable) -> Callable:
+def _point_kernel(fn: Callable, shape: tuple) -> Callable:
     """An array kernel (K, U1, U2) -> (N, *shape) over a per-point callback:
-    it calls fn at each point and stores check(value, k)."""
+    it stores fn(k, u1, u2) at each point."""
 
     def kernel(K, U1, U2):
         out = np.empty((K.size, *shape))
         for i, k in enumerate(K.tolist()):
-            out[i] = check(fn(k, U1[i], U2[i]), k)
+            out[i] = fn(k, U1[i], U2[i])
         return out
 
     return kernel
 
 
-_PERIODS: dict = {}  # m -> (K, K_prev) of the largest stack coupling has seen
+_PERIODS: dict = {}  # m -> K of the largest stack coupling has seen
 
 
-def _stack_periods(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The periods 1..m of count stacked sequences, and each k - 1 wrapped into
-    1..m: read-only prefixes of arrays made once per m, grown for a larger stack."""
-    K, K_prev = _PERIODS.get(m, (None, None))
+def _stack_periods(m: int, count: int) -> np.ndarray:
+    """The periods 1..m of count stacked sequences: a read-only prefix of an
+    array made once per m, grown for a larger stack."""
+    K = _PERIODS.get(m)
     if K is None or K.size < m * count:
         K = np.tile(np.arange(1, m + 1), count)
-        K_prev = K - 1
-        K_prev[::m] = m
-        K.flags.writeable = K_prev.flags.writeable = False
-        _PERIODS[m] = K, K_prev
-    return K[: m * count], K_prev[: m * count]
+        K.flags.writeable = False
+        _PERIODS[m] = K
+    return K[: m * count]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -327,13 +325,14 @@ class Nonlinearity:
 
     Every hot caller evaluates the potential through the batched methods
     F_many (F on N points at once) and coupling (f on every row of a
-    sequence, or of a stack of sequences), or, on points whose periods and
-    shifted copies it has made (operators._stack_pass), through _F_points
-    and _assembled, which those two call.  They call three array kernels
-    (K, U1, U2) -> values, chosen once at construction, which no other
-    module reads: the callables of a from_arrays family, or, for a family
-    given only the per-point callbacks above, adapters that call them point
-    by point with the same checks.
+    sequence, or of a stack of sequences), or, on the pairs (k, u(k+1), u(k))
+    whose periods and shifted copies it has made (operators._stack_pass),
+    through _F_points and _assembled, which those two call.  They call two
+    array kernels on N pairs (K, U1, U2), chosen once at construction, which
+    no other module reads: F, giving the N values of F, and dF, giving both
+    partial gradients (F2, F3) at the same pairs.  These are the callables of
+    a from_arrays family or, for a family given only the per-point callbacks
+    above, adapters that call them point by point with the same checks.
     """
 
     m: int
@@ -345,22 +344,22 @@ class Nonlinearity:
     name: str = ""
     is_zero: bool = False
     even_symmetric: bool = False
-    # (F, F2_prime, F3_prime) in array form, set by from_arrays
+    # (F, dF) in array form, set by from_arrays
     arrays: Optional[tuple] = dataclasses.field(default=None, repr=False)
     # the array kernels F_many and coupling call: arrays, or adapters over the
     # per-point callbacks; not an init field, so dataclasses.replace rebuilds it
     _kernels: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     @classmethod
-    def from_arrays(
-        cls, m: int, F: Callable, F2: Callable, F3: Callable, n: int = 1, **kwargs
-    ) -> "Nonlinearity":
-        """A family given by array callables (K, U1, U2) -> values.
+    def from_arrays(cls, m: int, F: Callable, dF: Callable, n: int = 1, **kwargs) -> "Nonlinearity":
+        """A family given by array callables (K, U1, U2) on N pairs.
 
         K is an int array of N periods in 1..m, U1 and U2 are (N, n) arrays.
-        F returns N values, F2 and F3 return (N, n) gradients.  The per-point
-        F, F2_prime and F3_prime are adapters over these, so each formula is
-        written once.  Other keyword arguments are passed to the constructor.
+        F returns the N values of F, and dF the tuple (F2, F3) of the (N, n)
+        gradients in u1 and u2 at the same pairs, so the terms the two
+        partials share are computed once.  The per-point F, F2_prime and
+        F3_prime are adapters over these, so each formula is written once.
+        Other keyword arguments are passed to the constructor.
         """
 
         def point(fn):
@@ -373,10 +372,10 @@ class Nonlinearity:
         return cls(
             m=m,
             F=point(F),
-            F2_prime=point(F2),
-            F3_prime=point(F3),
+            F2_prime=point(lambda K, U1, U2: dF(K, U1, U2)[0]),
+            F3_prime=point(lambda K, U1, U2: dF(K, U1, U2)[1]),
             n=n,
-            arrays=(F, F2, F3),
+            arrays=(F, dF),
             **kwargs,
         )
 
@@ -385,12 +384,19 @@ class Nonlinearity:
             raise ValueError(f"period m must be >= 2, got {self.m}")
         if self.n < 1:
             raise ValueError(f"component dimension n must be >= 1, got {self.n}")
-        n = self.n
-        kernels = self.arrays or (
-            _point_kernel(self.F, (), lambda v, k: _scalar(v, f"F({k},.,.)")),
-            _point_kernel(self.F2_prime, (n,), lambda v, k: _vector(v, n, "F2_prime")),
-            _point_kernel(self.F3_prime, (n,), lambda v, k: _vector(v, n, "F3_prime")),
-        )
+        n, kernels = self.n, self.arrays
+        if kernels is None:
+            partials = _point_kernel(
+                lambda k, u1, u2: (
+                    _vector(self.F2_prime(k, u1, u2), n, "F2_prime"),
+                    _vector(self.F3_prime(k, u1, u2), n, "F3_prime"),
+                ),
+                (2, n),
+            )
+            kernels = (
+                _point_kernel(lambda k, u1, u2: _scalar(self.F(k, u1, u2), f"F({k},.,.)"), ()),
+                lambda K, U1, U2: tuple(partials(K, U1, U2).swapaxes(0, 1)),
+            )
         object.__setattr__(self, "_kernels", kernels)
         # per point: F_many would reject an array F of a malformed shape
         # here, which evaluation reports when it is first called
@@ -408,15 +414,19 @@ class Nonlinearity:
         """Compare f_direct with the assembled coupling term at random points:
         all their periods are drawn with one call, and then all their (3, n)
         normal blocks with one call.  f_direct is called per point, as the
-        independent derivation; the partial gradients take all points in one
-        kernel call each.  A non-finite deviation fails the check."""
+        independent derivation; the coupling term is assembled on one window
+        of two pairs per point, (k, u1, u2) and (k-1, u2, u3), so both partial
+        gradients take all points in one kernel call.  A non-finite deviation
+        fails the check."""
         rng = np.random.default_rng(seed)
         K = rng.integers(-2 * self.m, 2 * self.m + 1, size=points)
         U = rng.normal(size=(points, 3, self.n))
         direct = np.array(
             [_vector(self.f_direct(k, *u), self.n, "f_direct") for k, u in zip(K.tolist(), U)]
         )
-        assembled = self._assembled((K - 1) % self.m + 1, (K - 2) % self.m + 1, *U.swapaxes(0, 1))
+        # a window of two rows is its own cycle: the shift takes row 1's F2 to row 0
+        windows = np.stack(((K - 1) % self.m + 1, (K - 2) % self.m + 1), axis=1).reshape(-1)
+        assembled = self._assembled(windows, U[:, :2], U[:, 1:])[:, 0]
         deviation = np.max(np.abs(direct - assembled), axis=1)
         bad = np.count_nonzero(~np.isfinite(deviation))
         if bad:
@@ -472,21 +482,23 @@ class Nonlinearity:
         if vals.ndim not in (2, 3) or vals.shape[-2:] != (self.m, self.n):
             raise ValueError(f"sequence shape {vals.shape} does not match ({self.m}, {self.n})")
         stack = vals.reshape(-1, self.m, self.n)
-        K, K_prev = _stack_periods(self.m, len(stack))
-        flat = (K.size, self.n)
-        up, um = _shifted(stack).reshape(flat), _shifted_back(stack).reshape(flat)
-        return self._assembled(K, K_prev, up, stack.reshape(flat), um).reshape(vals.shape)
+        K = _stack_periods(self.m, len(stack))
+        return self._assembled(K, _shifted(stack), stack).reshape(vals.shape)
 
-    def _assembled(self, K, K_prev, up, u, um) -> np.ndarray:
+    def _assembled(self, K, up, u) -> np.ndarray:
         """The coupling term F2_prime(k-1, u(k), u(k-1)) + F3_prime(k, u(k+1), u(k))
-        at N points, one call of each partial kernel.  K and K_prev hold the
-        periods k and k - 1 in 1..m, and up, u and um the (N, n) points
-        u(k+1), u(k) and u(k-1), already shifted by the caller.  Raises
-        EvaluationError on a malformed kernel value."""
-        flat = u.shape
-        a = _rows(self._kernels[1](K_prev, u, um), flat, "F2_prime")
-        b = _rows(self._kernels[2](K, up, u), flat, "F3_prime")
-        return a + b
+        on every row of a (B, L, n) stack u of sequences, up holding u(k+1)
+        in row k-1 and K the B * L periods in 1..m: one dF call on the pairs
+        (K, up, u), whose F2 is then shifted by one row within each sequence,
+        as the row before k holds the pair k-1.  Raises EvaluationError on a
+        malformed kernel value."""
+        flat = (K.size, u.shape[-1])
+        pair = self._kernels[1](K, up.reshape(flat), u.reshape(flat))
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise EvaluationError(f"dF returned a {type(pair).__name__}, expected the tuple (F2, F3)")
+        a = _rows(pair[0], flat, "dF's F2").reshape(u.shape)
+        b = _rows(pair[1], flat, "dF's F3").reshape(u.shape)
+        return _shifted_back(a) + b
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,8 +3,10 @@
 All built-ins are scalar (n = 1).  Their formulas reduce the period index
 modulo m before any trigonometry, so they are exactly m-periodic in k and
 weights like |sin(pi*k/m)| vanish exactly where they should.  Each formula
-is written once, in array form (Nonlinearity.from_arrays); the closed-form
-f_direct cross-checks stay per-point, as an independent second derivation.
+is written once, in array form (Nonlinearity.from_arrays): F, and dF, which
+gives both partial gradients at the same pairs and computes the terms they
+share once.  The closed-form f_direct cross-checks stay per-point, as an
+independent second derivation.
 
 Powers are taken with np.float_power, which calls C pow on every element,
 as Python's ** does on floats.  numpy's ** (np.power) takes a SIMD pow on
@@ -65,13 +67,12 @@ def make_example1(m: int) -> tuple[Nonlinearity, GrowthProfile]:
         x = quartic(U1, U2)
         return x + signs[K - 1] * np.sin(x)
 
-    def F2(K, U1, U2):
+    def dF(K, U1, U2):
         weight = 1.0 + signs[K - 1] * np.cos(quartic(U1, U2))
-        return (4.0 * np.float_power(U1[:, 0], 3) * weight)[:, None]
-
-    def F3(K, U1, U2):
-        weight = 1.0 + signs[K - 1] * np.cos(quartic(U1, U2))
-        return (4.0 * np.float_power(U2[:, 0], 3) * weight)[:, None]
+        return (
+            (4.0 * np.float_power(U1[:, 0], 3) * weight)[:, None],
+            (4.0 * np.float_power(U2[:, 0], 3) * weight)[:, None],
+        )
 
     def f_direct(k, u1, u2, u3):
         t1, t2, t3 = _sc(u1), _sc(u2), _sc(u3)
@@ -80,13 +81,7 @@ def make_example1(m: int) -> tuple[Nonlinearity, GrowthProfile]:
         )
 
     nl = Nonlinearity.from_arrays(
-        m,
-        F,
-        F2,
-        F3,
-        f_direct=f_direct,
-        name="example1",
-        even_symmetric=True,
+        m, F, dF, f_direct=f_direct, name="example1", even_symmetric=True
     )
     exponents = ExponentFunction(
         np.array([4.0 if k % 2 == 0 else 2.0 for k in range(1, m + 1)])
@@ -127,26 +122,20 @@ def make_example2(m: int) -> tuple[Nonlinearity, GrowthProfile]:
         t1, t2 = U1[:, 0], U2[:, 0]
         return weights[K - 1] * np.float_power(t1, 4) * np.float_power(t2, 4)
 
-    def F2(K, U1, U2):
+    def dF(K, U1, U2):
         t1, t2 = U1[:, 0], U2[:, 0]
-        return (4.0 * weights[K - 1] * np.float_power(t1, 3) * np.float_power(t2, 4))[:, None]
-
-    def F3(K, U1, U2):
-        t1, t2 = U1[:, 0], U2[:, 0]
-        return (4.0 * weights[K - 1] * np.float_power(t1, 4) * np.float_power(t2, 3))[:, None]
+        w = 4.0 * weights[K - 1]
+        return (
+            (w * np.float_power(t1, 3) * np.float_power(t2, 4))[:, None],
+            (w * np.float_power(t1, 4) * np.float_power(t2, 3))[:, None],
+        )
 
     def f_direct(k, u1, u2, u3):
         t1, t2, t3 = _sc(u1), _sc(u2), _sc(u3)
         return 4.0 * t2**3 * (c2(k - 1) * t3**4 + c2(k) * t1**4)
 
     nl = Nonlinearity.from_arrays(
-        m,
-        F,
-        F2,
-        F3,
-        f_direct=f_direct,
-        name="example2",
-        even_symmetric=True,
+        m, F, dF, f_direct=f_direct, name="example2", even_symmetric=True
     )
     exponents = ExponentFunction(
         np.array([math.sin(math.pi * (k % m) / m) + 3.0 for k in range(1, m + 1)])
@@ -194,13 +183,11 @@ def make_example3(
     def F(K, U1, U2):
         return -np.sin(square_sum(U1, U2)) * weights[K - 1]
 
-    def F2(K, U1, U2):
-        return (-2.0 * U1[:, 0] * np.cos(square_sum(U1, U2)) * weights[K - 1])[:, None]
+    def dF(K, U1, U2):
+        c, w = np.cos(square_sum(U1, U2)), weights[K - 1]
+        return (-2.0 * U1[:, 0] * c * w)[:, None], (-2.0 * U2[:, 0] * c * w)[:, None]
 
-    def F3(K, U1, U2):
-        return (-2.0 * U2[:, 0] * np.cos(square_sum(U1, U2)) * weights[K - 1])[:, None]
-
-    nl = Nonlinearity.from_arrays(m, F, F2, F3, name="example3", even_symmetric=True)
+    nl = Nonlinearity.from_arrays(m, F, dF, name="example3", even_symmetric=True)
     bounds = BoundProfile(C=C, rho1=rho1, rho2=rho2, rho3=rho3)
     for report in check_bounds(nl, bounds, sample_budget=guard_budget, seed=7):
         if report.verdict == VIOLATED:
@@ -251,17 +238,13 @@ def make_power(
         value = coeff * e * np.float_power(np.abs(t), e - 2.0) * t
         return np.where(t == 0.0, 0.0, value)[:, None]
 
-    def F2(K, U1, U2):
-        return partial(a, s_vals[K - 1], U1[:, 0])
-
-    def F3(K, U1, U2):
-        return partial(b, r_vals[K - 1], U2[:, 0])
+    def dF(K, U1, U2):
+        return partial(a, s_vals[K - 1], U1[:, 0]), partial(b, r_vals[K - 1], U2[:, 0])
 
     nl = Nonlinearity.from_arrays(
         m,
         F,
-        F2,
-        F3,
+        dF,
         name="power",
         is_zero=(a == 0.0 and b == 0.0),
         even_symmetric=True,

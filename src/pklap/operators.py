@@ -83,12 +83,13 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
     non-finite entry never reach the kernels and are NaN in every output.
     The finite rows are shifted, differenced and normed once, for mu and
     phi alike; F (Nonlinearity._F_points) and then the coupling term
-    (Nonlinearity._assembled) take the shifted points, with the periods of
-    _stack_periods, and each row's m values of F are subtracted in order
-    k = 1..m, as a loop over F_at would.  Each output row is bitwise that
-    sequence evaluated alone.  Overflow gives non-finite values, not numpy
-    warnings.  Raises ValueError for a stack that is not (B, prob.m,
-    prob.n) and EvaluationError for a malformed kernel value.
+    (Nonlinearity._assembled, one call of the partials kernel dF) take the
+    same pairs (k, u(k+1), u(k)), with the periods of _stack_periods, and
+    each row's m values of F are subtracted in order k = 1..m, as a loop
+    over F_at would.  Each output row is bitwise that sequence evaluated
+    alone.  Overflow gives non-finite values, not numpy warnings.  Raises
+    ValueError for a stack that is not (B, prob.m, prob.n) and
+    EvaluationError for a malformed kernel value.
     """
     vals = _read_only(vals)
     if vals.ndim != 3 or vals.shape[1:] != (prob.m, prob.n):
@@ -96,7 +97,7 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
     finite = np.isfinite(vals).all(axis=(1, 2))
     x = vals if finite.all() else _read_only(vals[finite])
     m, p, nl = prob.m, prob.exponent.values, prob.nonlinearity
-    K, K_prev = _stack_periods(m, len(x))
+    K = _stack_periods(m, len(x))
     flat = (K.size, prob.n)
     out = [None, None, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -110,8 +111,7 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
             F = nl._F_points(K, up.reshape(flat), x.reshape(flat)).reshape(len(x), m)
             out[1] = np.subtract.reduce(F, axis=1, initial=0.0)
         if residual:
-            um = _shifted_back(x).reshape(flat)
-            f = nl._assembled(K, K_prev, up.reshape(flat), x.reshape(flat), um).reshape(x.shape)
+            f = nl._assembled(K, up, x)
             a = _phi_rows(d, norms, p)  # row k-1 holds phi(Delta u(k))
             out[2] = a - _shifted_back(a) + prob.lam * f
     if x is not vals:

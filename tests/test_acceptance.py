@@ -14,7 +14,6 @@ difference system, never the solver's own bookkeeping.
 import filecmp
 import math
 import pathlib
-import shutil
 import warnings
 
 import numpy as np

@@ -11,9 +11,7 @@ from pklap.analysis import (
     INCONCLUSIVE,
     VIOLATED,
     BoundProfile,
-    CheckReport,
     GrowthProfile,
-    LambdaStarEstimate,
     anticoercivity_probe,
     check_b2_b3,
     check_bounds,

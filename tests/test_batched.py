@@ -19,6 +19,7 @@ from pklap.analysis import check_bounds, check_growth
 from pklap.core import EvaluationError, ExponentFunction, Nonlinearity, Problem, _stack_periods
 from pklap.functional import action, mu, potential
 from pklap.nonlinearities import make_builtin
+from pklap.operators import residual_values
 
 BUILTINS = {
     "example1": (4, {}),
@@ -150,13 +151,11 @@ def test_stack_periods_are_the_tiled_periods_and_read_only(monkeypatch, m):
     on every call, and no callable can write into them."""
     monkeypatch.setattr(core, "_PERIODS", {})
     for count in (0, 3, 1, 5, 2, 5):
-        K, K_prev = _stack_periods(m, count)
+        K = _stack_periods(m, count)
         ref = np.tile(np.arange(1, m + 1), count)
-        ref_prev = ref - 1
-        ref_prev[::m] = m
-        assert np.array_equal(K, ref) and np.array_equal(K_prev, ref_prev)
-        assert K.dtype == ref.dtype and K_prev.dtype == ref.dtype
-        assert not K.flags.writeable and not K_prev.flags.writeable
+        assert np.array_equal(K, ref)
+        assert K.dtype == ref.dtype
+        assert not K.flags.writeable
 
 
 class TestPinnedValues:
@@ -219,14 +218,18 @@ def _vector_F_nl(m=2):
     return Nonlinearity(m=m, F=F, F2_prime=zero, F3_prime=zero)
 
 
-def _array_nl(F_shape, grad_shape):
+def _array_nl(F_shape, grad_shape, pair=True):
+    """An array family with zero F and gradients of the given shapes; dF
+    returns the pair (F2, F3), or with pair=False a single array."""
+
     def F(K, U1, U2):
         return np.zeros(F_shape(K.size))
 
-    def grad(K, U1, U2):
-        return np.zeros(grad_shape(K.size))
+    def dF(K, U1, U2):
+        grad = np.zeros(grad_shape(K.size))
+        return (grad, grad) if pair else grad
 
-    return Nonlinearity.from_arrays(2, F, grad, grad)
+    return Nonlinearity.from_arrays(2, F, dF)
 
 
 def _prob(nl):
@@ -254,8 +257,13 @@ class TestErrorPaths:
 
     def test_array_gradient_of_wrong_shape(self):
         nl = _array_nl(lambda N: (N,), lambda N: (N,))
-        with pytest.raises(EvaluationError, match="shape"):
+        with pytest.raises(EvaluationError, match="dF's F2 returned shape"):
             nl.coupling(np.ones((2, 1)))
+        nl = _array_nl(lambda N: (N,), lambda N: (N, 1), pair=False)
+        with pytest.raises(EvaluationError, match=r"expected the tuple \(F2, F3\)"):
+            nl.coupling(np.ones((2, 1)))
+        with pytest.raises(EvaluationError, match="expected the tuple"):
+            residual_values(np.ones((2, 1)), _prob(nl))
 
     def test_point_arrays_must_match(self):
         nl = _builtin("power").nonlinearity

@@ -13,7 +13,7 @@ import pytest
 import pklap.analysis as analysis
 import pklap.cli as cli
 from pklap.core import EvaluationError, Nonlinearity, _row_norms
-from pklap.nonlinearities import BuiltinSpec, make_builtin, make_power
+from pklap.nonlinearities import BuiltinSpec, make_builtin
 from pklap.operators import _residual_rows
 from pklap.solvers import SolutionSet
 

@@ -8,7 +8,6 @@ import pytest
 
 import pklap
 from pklap.core import (
-    EvaluationError,
     ExponentFunction,
     Nonlinearity,
     PeriodicSequence,
@@ -151,23 +150,28 @@ def _linear_nl(m, slope=1.0):
 _WEIGHTS = np.array([1.0, 2.0, 3.0])
 
 
-def _bilinear_nl(kind, f_direct):
+def _bilinear_nl(kind, f_direct, swap_partials=False):
     """F(k, u1, u2) = w_k u1 u2 at m = 3, n = 1, as per-point callbacks or
-    from arrays; its period dependence makes a shifted k visible."""
+    from arrays; its period dependence makes a shifted k visible.  With
+    swap_partials the gradients in u1 and u2 trade places, a wrong dF."""
     w = _WEIGHTS
     if kind == "arrays":
+
+        def dF(K, U1, U2):
+            a, b = w[K - 1, None] * U2, w[K - 1, None] * U1
+            return (b, a) if swap_partials else (a, b)
+
         return Nonlinearity.from_arrays(
-            3,
-            lambda K, U1, U2: w[K - 1] * U1[:, 0] * U2[:, 0],
-            lambda K, U1, U2: w[K - 1, None] * U2,
-            lambda K, U1, U2: w[K - 1, None] * U1,
-            f_direct=f_direct,
+            3, lambda K, U1, U2: w[K - 1] * U1[:, 0] * U2[:, 0], dF, f_direct=f_direct
         )
+    F2, F3 = (lambda k, u1, u2: w[k - 1] * u2), (lambda k, u1, u2: w[k - 1] * u1)
+    if swap_partials:
+        F2, F3 = F3, F2
     return Nonlinearity(
         m=3,
         F=lambda k, u1, u2: w[k - 1] * u1[0] * u2[0],
-        F2_prime=lambda k, u1, u2: w[k - 1] * u2,
-        F3_prime=lambda k, u1, u2: w[k - 1] * u1,
+        F2_prime=F2,
+        F3_prime=F3,
         f_direct=f_direct,
     )
 
@@ -212,16 +216,20 @@ class TestNonlinearity:
             )
 
     def test_direct_formula_mismatch_is_caught_on_the_same_points_for_either_kind(self):
-        """An array family assembles its check points in one call per
-        partial gradient, a per-point family one point at a time; both
-        draw the same points, so both report the same worst deviation."""
+        """An array family assembles its check points in one dF call, a
+        per-point family one point at a time; both draw the same points, so
+        both report the same worst deviation, whether f_direct is wrong or
+        the partial gradients are (F2 and F3 traded, in dF or per point)."""
         _bilinear_nl("arrays", _bilinear_coupling)
-        messages = []
-        for kind in ("per_point", "arrays"):
-            with pytest.raises(ValueError, match="f_direct disagrees") as err:
-                _bilinear_nl(kind, functools.partial(_bilinear_coupling, swap=True))
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        _bilinear_nl("per_point", _bilinear_coupling)
+        for swap_direct, swap_partials in ((True, False), (False, True)):
+            f_direct = functools.partial(_bilinear_coupling, swap=swap_direct)
+            messages = []
+            for kind in ("per_point", "arrays"):
+                with pytest.raises(ValueError, match="f_direct disagrees") as err:
+                    _bilinear_nl(kind, f_direct, swap_partials)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
 
     def test_non_finite_direct_formula_is_rejected(self):
         """An f_direct that is NaN at every check point does not pass."""

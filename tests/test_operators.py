@@ -9,7 +9,7 @@ from pklap.core import (
     Problem,
 )
 from pklap.nonlinearities import make_builtin
-from pklap.operators import _phi_rows, phi_p, residual_values
+from pklap.operators import _phi_rows, _residual_rows, phi_p, residual_values
 
 
 def _zero_nl(m, n=1):
@@ -229,3 +229,45 @@ class TestRawArrayInput:
         _, prob = _problem([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             residual_values(np.zeros((4, 1)), prob)
+
+
+def _spied_family(n, calls):
+    """A from_arrays family whose dF appends the size of each call to calls:
+    example1 at m = 4 for n = 1, and F = |u1|^2 |u2|^2 at m = 5 for n = 2."""
+    if n == 1:
+        base = make_builtin("example1", 4).nonlinearity
+        m, (F, dF) = base.m, base.arrays
+    else:
+        m = 5
+
+        def F(K, U1, U2):
+            return np.sum(U1 * U1, axis=1) * np.sum(U2 * U2, axis=1)
+
+        def dF(K, U1, U2):
+            a, b = np.sum(U1 * U1, axis=1)[:, None], np.sum(U2 * U2, axis=1)[:, None]
+            return 2.0 * U1 * b, a * 2.0 * U2
+
+    def spy(K, U1, U2):
+        calls.append(K.size)
+        return dF(K, U1, U2)
+
+    return Nonlinearity.from_arrays(m, F, spy, n=n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_residual_rows_make_one_partials_call_per_stack(n):
+    """One _residual_rows call on a stack of B sequences calls dF once, on
+    all B * m pairs (k, u(k+1), u(k)), and every row of its result is bitwise
+    the residual assembled row by row from the per-point f."""
+    calls = []
+    nl = _spied_family(n, calls)
+    p = ExponentFunction(np.linspace(1.5, 3.0, nl.m))
+    prob = Problem(m=nl.m, n=n, exponent=p, nonlinearity=nl, lam=0.7)
+    vals = np.random.default_rng(12).normal(size=(6, nl.m, n))
+    vals[2, 1] = vals[2, 0]  # a vanishing forward difference
+    calls.clear()
+    out, ok = _residual_rows(vals, prob)
+    assert calls == [6 * nl.m]
+    assert ok.all()
+    for row, got in zip(vals, out):
+        assert np.array_equal(got, _roll_residual(row, prob))

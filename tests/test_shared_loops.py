@@ -71,14 +71,11 @@ def _well_nl2(m):
         q = np.sum(U1 * U1, axis=1)
         return q - 0.25 * q * q + 0.1 * np.sum(U1 * U2, axis=1)
 
-    def F2(K, U1, U2):
+    def dF(K, U1, U2):
         q = np.sum(U1 * U1, axis=1)
-        return (2.0 - q)[:, None] * U1 + 0.1 * U2
+        return (2.0 - q)[:, None] * U1 + 0.1 * U2, 0.1 * U1
 
-    def F3(K, U1, U2):
-        return 0.1 * U1
-
-    return Nonlinearity.from_arrays(m, F, F2, F3, n=2)
+    return Nonlinearity.from_arrays(m, F, dF, n=2)
 
 
 def _example1_problem(p=(2.0, 2.5, 3.0, 2.0)):

@@ -15,7 +15,6 @@ from pklap.operators import residual_values
 from pklap.solvers import (
     SUBSPACE_W,
     SUBSPACE_Y,
-    SolutionSet,
     SolverConfig,
     SweepResult,
     _deflated_jacobians,
