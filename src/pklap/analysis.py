@@ -44,7 +44,10 @@ HOLDS = "holds_on_samples"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
+# the slack of a sampled A.4, A.5 or A.7 - A.9 margin
 SAMPLE_SLACK = 1e-9
+# the slack of a C.1 - C.3 margin, one-row or sampled
+INEQUALITY_SLACK = 1e-10
 QUOTIENT_TOL = 1e-3
 
 
@@ -150,6 +153,29 @@ def _jsonable(obj):
     return obj
 
 
+def _worst_report(
+    name: str, margins: np.ndarray, slack: float, witness_of, samples: int, seed: int
+) -> CheckReport:
+    """Report of a condition sampled with the given per-sample margins.
+
+    The worst margin is the first smallest one; NaN margins are ignored.
+    The condition holds when the worst margin is >= -slack, and a violation
+    carries witness_of(index of the worst sample).  When every margin is NaN
+    no sample decided the condition: the verdict is inconclusive and the
+    margin stays inf.
+    """
+    undecided = np.isnan(margins)
+    candidates = np.where(undecided, math.inf, margins)
+    i = int(np.argmin(candidates))
+    worst = float(candidates[i])
+    if undecided.all():
+        verdict = INCONCLUSIVE
+    else:
+        verdict = HOLDS if worst >= -slack else VIOLATED
+    witness = witness_of(i) if verdict == VIOLATED else None
+    return CheckReport(name, verdict, worst, witness, samples=samples, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # Norm comparison inequalities on one period
 # ---------------------------------------------------------------------------
@@ -159,7 +185,8 @@ def _inequality_report(name: str, margin: float, slack: float, witness: dict) ->
     """Report of one norm inequality, keeping the witness only for a violation.
 
     A NaN margin (both sides overflowed) decides nothing, and C.1 - C.3 are
-    theorems, so it is inconclusive rather than a violation.
+    theorems, so it is inconclusive rather than a violation; unlike a
+    sampled report (_worst_report), this one-row report keeps the NaN.
     """
     if math.isnan(margin):
         verdict = INCONCLUSIVE
@@ -212,7 +239,7 @@ def _c_witness(u: np.ndarray, s, lhs: float, rhs: float) -> dict:
     return witness
 
 
-def check_c1(u: PeriodicSequence, s: float, slack: float = 1e-10) -> CheckReport:
+def check_c1(u: PeriodicSequence, s: float, slack: float = INEQUALITY_SLACK) -> CheckReport:
     """sum_k |u(k)|^s <= m * ||u||^s for any s > 0."""
     if not s > 0:
         raise ValueError(f"C.1 requires s > 0, got {s}")
@@ -220,7 +247,7 @@ def check_c1(u: PeriodicSequence, s: float, slack: float = 1e-10) -> CheckReport
     return _inequality_report("C.1", margin, slack, _c_witness(u.values, s, lhs, rhs))
 
 
-def check_c2(u: PeriodicSequence, s: float, slack: float = 1e-10) -> CheckReport:
+def check_c2(u: PeriodicSequence, s: float, slack: float = INEQUALITY_SLACK) -> CheckReport:
     """sum_k |u(k)|^s >= m^((2-s)/2) * ||u||^s for s >= 2."""
     if s < 2:
         raise ValueError(f"C.2 requires s >= 2, got {s}")
@@ -228,12 +255,43 @@ def check_c2(u: PeriodicSequence, s: float, slack: float = 1e-10) -> CheckReport
     return _inequality_report("C.2", margin, slack, _c_witness(u.values, s, lhs, rhs))
 
 
-def check_c3(u: PeriodicSequence, p: ExponentFunction, slack: float = 1e-10) -> CheckReport:
+def check_c3(u: PeriodicSequence, p: ExponentFunction, slack: float = INEQUALITY_SLACK) -> CheckReport:
     """sum_k |Delta u(k)|^p(k) <= m * (2^p_plus * ||u||^p_plus + 1)."""
     if p.m != u.m:
         raise ValueError("exponent and sequence periods differ")
     margin, lhs, rhs = (x.item() for x in _c3_rows(u.values[None], p))
     return _inequality_report("C.3", margin, slack, _c_witness(u.values, None, lhs, rhs))
+
+
+def _sampled_c_reports(prob: Problem, seed: int, count: int = 300) -> list[CheckReport]:
+    """C.1 - C.3 over seeded random samples, each reported by _worst_report
+    at INEQUALITY_SLACK.
+
+    The samples come from one generator, rng_for(seed, 41): their scales,
+    their sequences and then their two exponents are drawn with one array
+    call each, and the inequalities are evaluated on all samples at once.
+    """
+    rng = rng_for(seed, 41)
+    scale = 10.0 ** rng.uniform(-2.0, 2.0, size=count)
+    u = scale[:, None, None] * rng.normal(size=(count, prob.m, prob.n))
+    d = rng.random((2, count))
+    s1, s2 = 0.5 + 5.5 * d[0], 2.0 + 4.0 * d[1]
+    sides = {
+        "C.1": (_c1_rows(u, s1), s1),
+        "C.2": (_c2_rows(u, s2), s2),
+        "C.3": (_c3_rows(u, prob.exponent), None),
+    }
+    return [
+        _worst_report(
+            name,
+            margins,
+            INEQUALITY_SLACK,
+            lambda i: _c_witness(u[i], None if s is None else s[i], lhs[i], rhs[i]),
+            count,
+            seed,
+        )
+        for name, ((margins, lhs, rhs), s) in sides.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -659,36 +717,19 @@ def _sampled_condition(
     K holds the drawn periods and U the (2, count, n) stack of the drawn
     points u1 and u2.  F is evaluated on all samples with one F_many call,
     and margin(F) -> (margins, {field: values}) gives the per-sample margins
-    and witness fields.  The worst margin is the first minimum; NaN margins
-    are ignored.  The condition holds when the worst margin is >=
-    -SAMPLE_SLACK, and a violation carries its sample as the witness.  An
-    overflow shows as an inf or NaN margin, not as a numpy warning.  When
-    every margin is NaN no sample decided the condition: the verdict is
-    inconclusive and the margin stays inf.
+    and witness fields.  They are reported by _worst_report at SAMPLE_SLACK,
+    a violation carrying its sample as the witness.  An overflow shows as
+    an inf or NaN margin, not as a numpy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         vals, fields = margin(nl.F_many(K, U[0], U[1]))
-    undecided = np.isnan(vals)
-    candidates = np.where(undecided, math.inf, vals)
-    i = int(np.argmin(candidates))
-    worst = math.inf
-    witness = None
-    if candidates[i] < math.inf:
-        worst = float(vals[i])
+
+    def witness_of(i):
         witness = {"k": int(K[i]), "u1": U[0, i].copy(), "u2": U[1, i].copy()}
         witness.update({key: float(v[i]) for key, v in fields.items()})
-    if undecided.all():
-        verdict = INCONCLUSIVE
-    else:
-        verdict = HOLDS if worst >= -SAMPLE_SLACK else VIOLATED
-    return CheckReport(
-        name,
-        verdict,
-        worst,
-        witness if verdict == VIOLATED else None,
-        samples=len(K),
-        seed=seed,
-    )
+        return witness
+
+    return _worst_report(name, vals, SAMPLE_SLACK, witness_of, len(K), seed)
 
 
 def check_growth(
@@ -762,29 +803,23 @@ def check_growth(
         q = np.zeros(K.size)
         q[kept] = np.abs(nl.F_many(K[kept], U1[kept], U2[kept])) / denom[kept]
         q[np.isnan(q)] = 0.0
-        trajectory = []
-        last_witness = None
-        for j, shell in enumerate(shells):
-            # the first largest quotient of the shell, if it is positive
-            w = j * rows + int(np.argmax(q[j * rows : (j + 1) * rows]))
-            trajectory.append(float(q[w]))
-            last_witness = None
-            if q[w] > 0.0:
-                last_witness = {
-                    "k": int(K[w]),
-                    "u1": U1[w].copy(),
-                    "u2": U2[w].copy(),
-                    "quotient": float(q[w]),
-                    "shell": shell,
-                }
+        # the first largest quotient of each shell; the last shell decides
+        q = q.reshape(len(shells), rows)
+        w = np.argmax(q, axis=1)
+        trajectory = q[np.arange(len(shells)), w].tolist()
         final = trajectory[-1]
         verdict = HOLDS if final <= QUOTIENT_TOL else VIOLATED
+        witness = None
+        if verdict == VIOLATED:
+            i = (len(shells) - 1) * rows + int(w[-1])
+            witness = {"k": int(K[i]), "u1": U1[i].copy(), "u2": U2[i].copy()}
+            witness.update(quotient=final, shell=shells[-1])
         reports.append(
             CheckReport(
                 tag,
                 verdict,
                 QUOTIENT_TOL - final,
-                last_witness if verdict == VIOLATED else None,
+                witness,
                 samples=len(shells) * rows,
                 seed=seed,
                 detail={"shell_quotients": trajectory},
@@ -999,8 +1034,8 @@ def _level_radii(prob: Problem, V: np.ndarray, r: float) -> np.ndarray:
             return np.exp(s) / scale
 
 
-def _stack_values(stack: np.ndarray, prob: Problem, mu_needed=False) -> tuple[list, list]:
-    """(mus, pots) of a (B, m, n) stack as float lists, from one _action_rows call.
+def _stack_values(stack: np.ndarray, prob: Problem, mu_needed=False) -> tuple[np.ndarray, np.ndarray]:
+    """(mus, pots) of a (B, m, n) stack, from one _action_rows call.
 
     Raises what potential(row), and then mu(row) where mu_needed[row], raise
     at the first row, in stack order, whose value is not finite, as a loop
@@ -1012,7 +1047,7 @@ def _stack_values(stack: np.ndarray, prob: Problem, mu_needed=False) -> tuple[li
         row = stack[np.argmax(failed)]
         potential(row, prob)
         mu(row, prob)
-    return mus.tolist(), pots.tolist()
+    return mus, pots
 
 
 def _first_overflow(radii: np.ndarray, r: float, what: str) -> tuple[int, Optional[EvaluationError]]:
@@ -1026,6 +1061,14 @@ def _first_overflow(radii: np.ndarray, r: float, what: str) -> tuple[int, Option
     return i, EvaluationError(
         f"level radius overflowed: no finite t has mu(t v) = r = {r!r} for {what} {i + 1} of {len(radii)}"
     )
+
+
+def _first_min(j0: float, vals: np.ndarray, points: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+    """The first smallest of j0 and then vals in C order, and the point of
+    that value (points holds one behind each entry of vals), None for j0."""
+    vals = np.concatenate(([j0], vals.ravel()))
+    i = int(np.argmin(vals))
+    return float(vals[i]), None if i == 0 else points.reshape(-1, *points.shape[-2:])[i - 1]
 
 
 def check_b2_b3(
@@ -1048,10 +1091,11 @@ def check_b2_b3(
     first, and the level radii of all directions are found in one
     _level_radii call.  Each direction's level point and its 2 * per_dir
     samples, all directions in draw order, go through one stacked
-    potential call, and the infima are folded in draw order.  A direction
-    whose level radius overflows raises an EvaluationError that names it,
-    after the directions before it are evaluated, so their failures come
-    first.  Raises ValueError unless r is positive and finite.
+    potential call.  Each infimum is the first smallest value in draw
+    order, taken as an array reduction; B.2's two start from J(0).  A
+    direction whose level radius overflows raises an EvaluationError that
+    names it, after the directions before it are evaluated, so their
+    failures come first.  Raises ValueError unless r is positive and finite.
     """
     if not 0 < r < math.inf:
         raise ValueError(f"sublevel radius r must be positive and finite, got {r}")
@@ -1060,11 +1104,6 @@ def check_b2_b3(
     rng = rng_for(seed, 23)
 
     j0 = potential(np.zeros((prob.m, prob.n)), prob)
-    inf_sub = j0
-    inf_level = math.inf
-    inf_global = j0
-    arg_global = None
-    arg_sub = None
     dirs, draws = [], []
     for _ in range(ndirs):
         dirs.append(_unit_directions(rng, 1, (prob.m, prob.n), zero_mean=True)[0])
@@ -1081,20 +1120,11 @@ def check_b2_b3(
     _, vals = _stack_values(points.reshape(-1, prob.m, prob.n), prob)
     if overflow is not None:
         raise overflow
-    for i in range(count):
-        row = vals[i * t.shape[1] : (i + 1) * t.shape[1]]
-        inf_level = min(inf_level, row[0])
-        for j in range(1, len(row), 2):
-            val, val_big = row[j], row[j + 1]
-            if val < inf_sub:
-                inf_sub = val
-                arg_sub = points[i, j]
-            if val < inf_global:
-                inf_global = val
-                arg_global = points[i, j]
-            if val_big < inf_global:
-                inf_global = val_big
-                arg_global = points[i, j + 1]
+    vals = vals.reshape(t.shape)
+    inf_level = float(vals[np.argmin(vals[:, 0]), 0])
+    # the sublevel infimum runs over the samples t, the global one over t and t_big
+    inf_sub, arg_sub = _first_min(j0, vals[:, 1::2], points[:, 1::2])
+    inf_global, arg_global = _first_min(j0, vals[:, 1:], points[:, 1:])
 
     samples = ndirs * (2 * per_dir + 1)
     margin_b2 = inf_sub - inf_global
@@ -1110,8 +1140,8 @@ def check_b2_b3(
         detail={
             "inf_global": inf_global,
             "inf_sublevel": inf_sub,
-            "argmin_global": None if arg_global is None else arg_global,
-            "argmin_sublevel": None if arg_sub is None else arg_sub,
+            "argmin_global": arg_global,
+            "argmin_sublevel": arg_sub,
         },
     )
     margin_b3 = inf_level - j0
@@ -1174,10 +1204,13 @@ def lambda_star_estimate(
     their level radii are found in one _level_radii call; then each sample
     draws its interior t.  The level and interior points of all samples go
     through one stacked call, which raises the EvaluationError of the first
-    point, in sample order, whose value is not finite.  A sample whose
-    level radius overflows raises an EvaluationError that names it and r,
-    after the samples before it are evaluated.  Raises ValueError unless
-    every radius of r_grid is positive and finite.
+    point, in sample order, whose value is not finite.  sup J is the first
+    largest potential of 0 and all points, and phi(r) the first smallest
+    ratio over 0 and the interior points with mu(u) < r, both taken in
+    sample order as array reductions.  A sample whose level radius
+    overflows raises an EvaluationError that names it and r, after the
+    samples before it are evaluated.  Raises ValueError unless every radius
+    of r_grid is positive and finite.
     """
     r_grid = [float(r) for r in r_grid]
     if not r_grid or not all(0 < r < math.inf for r in r_grid):
@@ -1194,24 +1227,16 @@ def lambda_star_estimate(
         points = np.zeros((2 * count + 1, prob.m, prob.n))
         points[1::2] = radii[:count, None, None] * V[:count]
         points[2::2] = t_in[:count, None, None] * V[:count]
-        interior_row = np.arange(len(points)) % 2 == 0
-        interior_row[0] = False
-        mus, pots = _stack_values(points, prob, interior_row)
+        # 0 and the interior points; mu(0) = 0 is finite
+        interior = np.arange(len(points)) % 2 == 0
+        mus, pots = _stack_values(points, prob, interior)
         if overflow is not None:
             raise overflow
-        sup_j = pots[0]
-        interior: list[tuple[float, float]] = [(sup_j, 0.0)]
-        for j in range(1, len(points), 2):
-            sup_j = max(sup_j, pots[j])
-            interior.append((pots[j + 1], mus[j + 1]))
-            sup_j = max(sup_j, pots[j + 1])
-        phi = math.inf
-        for j_val, mu_val in interior:
-            denom = r - mu_val
-            if denom <= 0.0:
-                continue
-            phi = min(phi, (sup_j - j_val) / denom)
-        phi_values.append(max(phi, 0.0))
+        sup_j = float(pots[np.argmax(pots)])
+        denom = r - mus[interior]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ratios = np.where(denom > 0.0, (sup_j - pots[interior]) / denom, math.inf)
+        phi_values.append(max(float(ratios[np.argmin(ratios)]), 0.0))
         sup_values.append(sup_j)
     phi_min = min(phi_values)
     estimate = math.inf if phi_min == 0.0 else 1.0 / phi_min

@@ -34,15 +34,8 @@ import traceback
 import numpy as np
 
 from .analysis import (
-    HOLDS,
-    INCONCLUSIVE,
-    VIOLATED,
-    CheckReport,
-    _c1_rows,
-    _c2_rows,
-    _c3_rows,
-    _c_witness,
     _jsonable,
+    _sampled_c_reports,
     _xi_search,
     anticoercivity_probe,
     check_b2_b3,
@@ -241,127 +234,39 @@ def _write_json(path: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sampled_c_reports(prob: Problem, seed: int, count: int = 300) -> list[CheckReport]:
-    """Aggregate the three norm inequalities over seeded random samples.
-
-    The samples come from one generator, rng_for(seed, 41): their scales,
-    their sequences and then their two exponents are drawn with one array
-    call each.  The inequalities are evaluated on all samples at once, and
-    the worst margin of each is the first minimum in sample order.  One
-    whose every margin is NaN (both sides overflowed) is inconclusive.
-    """
-    rng = rng_for(seed, 41)
-    scale = 10.0 ** rng.uniform(-2.0, 2.0, size=count)
-    u = scale[:, None, None] * rng.normal(size=(count, prob.m, prob.n))
-    d = rng.random((2, count))
-    s1, s2 = 0.5 + 5.5 * d[0], 2.0 + 4.0 * d[1]
-    sides = {
-        "C.1": (_c1_rows(u, s1), s1),
-        "C.2": (_c2_rows(u, s2), s2),
-        "C.3": (_c3_rows(u, prob.exponent), None),
-    }
-    out = []
-    for name, ((margins, lhs, rhs), s) in sides.items():
-        margin, worst = math.inf, None
-        for i, x in enumerate(margins.tolist()):
-            if x < margin:
-                margin, worst = x, i
-        witness = None
-        if margin < -1e-10:
-            verdict = VIOLATED
-            witness = _c_witness(u[worst], None if s is None else s[worst], lhs[worst], rhs[worst])
-        else:
-            verdict = INCONCLUSIVE if np.isnan(margins).all() else HOLDS
-        out.append(CheckReport(name, verdict, margin, witness, samples=count, seed=seed))
-    return out
-
-
-def _route_entry(route: str, reason: str, lo, hi, estimate: bool = False) -> dict:
-    entry = {"route": route, "reason": reason, "lambda_interval": [lo, hi]}
-    if estimate:
-        entry["interval_is_estimate"] = True
-    return entry
-
-
 def _routing(prob: Problem, spec: BuiltinSpec, thr, lam_star) -> list[dict]:
+    """The routes of the check report: the first growth route whose
+    condition holds (when the family has a growth profile), then the
+    bounded route (when it has a bound profile), or else "none"."""
     routes = []
     if spec.growth is not None:
-        s_min = spec.growth.s.p_minus
-        r_min = spec.growth.r.p_minus
-        pp = prob.exponent.p_plus
-        if s_min > pp + _EQ_TOL:
-            routes.append(
-                _route_entry(
-                    "any_lambda_via_s",
-                    f"s_min = {s_min} exceeds p_plus = {pp}",
-                    0.0,
-                    math.inf,
-                )
-            )
-        elif r_min > pp + _EQ_TOL:
-            routes.append(
-                _route_entry(
-                    "any_lambda_via_r",
-                    f"r_min = {r_min} exceeds p_plus = {pp}",
-                    0.0,
-                    math.inf,
-                )
-            )
-        elif abs(s_min - pp) <= _EQ_TOL and abs(r_min - pp) <= _EQ_TOL:
-            routes.append(
-                _route_entry(
-                    "above_lambda3",
-                    f"s_min = r_min = p_plus = {pp}",
-                    thr.lambda3,
-                    math.inf,
-                )
-            )
-        elif abs(s_min - pp) <= _EQ_TOL:
-            routes.append(
-                _route_entry(
-                    "above_lambda1",
-                    f"s_min = p_plus = {pp} with r_min = {r_min} below",
-                    thr.lambda1,
-                    math.inf,
-                )
-            )
-        elif abs(r_min - pp) <= _EQ_TOL:
-            routes.append(
-                _route_entry(
-                    "above_lambda2",
-                    f"r_min = p_plus = {pp} with s_min = {s_min} below",
-                    thr.lambda2,
-                    math.inf,
-                )
-            )
-        else:
-            routes.append(
-                {
-                    "route": "none",
-                    "reason": f"both growth exponents fall below p_plus = {pp}",
-                    "lambda_interval": None,
-                }
-            )
+        s_min, r_min, pp = spec.growth.s.p_minus, spec.growth.r.p_minus, prob.exponent.p_plus
+        s_at, r_at = abs(s_min - pp) <= _EQ_TOL, abs(r_min - pp) <= _EQ_TOL
+        # (condition, route, reason, lower end of the lambda interval), in
+        # order of precedence; a lower end of None claims no interval
+        table = (
+            (s_min > pp + _EQ_TOL, "any_lambda_via_s", f"s_min = {s_min} exceeds p_plus = {pp}", 0.0),
+            (r_min > pp + _EQ_TOL, "any_lambda_via_r", f"r_min = {r_min} exceeds p_plus = {pp}", 0.0),
+            (s_at and r_at, "above_lambda3", f"s_min = r_min = p_plus = {pp}", thr.lambda3),
+            (s_at, "above_lambda1", f"s_min = p_plus = {pp} with r_min = {r_min} below", thr.lambda1),
+            (r_at, "above_lambda2", f"r_min = p_plus = {pp} with s_min = {s_min} below", thr.lambda2),
+            (True, "none", f"both growth exponents fall below p_plus = {pp}", None),
+        )
+        _, route, reason, lo = next(row for row in table if row[0])
+        interval = None if lo is None else [lo, math.inf]
+        routes.append({"route": route, "reason": reason, "lambda_interval": interval})
     if spec.bounds is not None:
         routes.append(
-            _route_entry(
-                "bounded_three_solutions",
-                "bounded potential with sign wells; solutions on the "
-                "zero-mean subspace",
-                0.0,
-                lam_star if lam_star is not None else math.inf,
-                estimate=True,
-            )
-        )
-    if not routes:
-        routes.append(
             {
-                "route": "none",
-                "reason": "no growth or bound profile available",
-                "lambda_interval": None,
+                "route": "bounded_three_solutions",
+                "reason": "bounded potential with sign wells; solutions on the zero-mean subspace",
+                "lambda_interval": [0.0, lam_star if lam_star is not None else math.inf],
+                "interval_is_estimate": True,
             }
         )
-    return routes
+    return routes or [
+        {"route": "none", "reason": "no growth or bound profile available", "lambda_interval": None}
+    ]
 
 
 def cmd_check(args) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import hashlib
 import importlib.util
@@ -12,7 +13,7 @@ import pytest
 
 import pklap.analysis as analysis
 import pklap.cli as cli
-from pklap.core import EvaluationError, Nonlinearity, _row_norms
+from pklap.core import EvaluationError, ExponentFunction, Nonlinearity, Problem, _row_norms
 from pklap.nonlinearities import BuiltinSpec, make_builtin
 from pklap.operators import _residual_rows
 from pklap.solvers import SolutionSet
@@ -464,9 +465,6 @@ class TestCheck:
 class TestRouting:
     def _routes(self, m, p, s, r):
         spec = make_builtin("power", m, {"a": 1.0, "b": 1.0, "s": s, "r": r})
-        from pklap.analysis import thresholds
-        from pklap.core import ExponentFunction, Problem
-
         prob = Problem(
             m=m,
             n=1,
@@ -474,7 +472,7 @@ class TestRouting:
             nonlinearity=spec.nonlinearity,
             lam=1.0,
         )
-        thr = thresholds(prob, spec.growth)
+        thr = analysis.thresholds(prob, spec.growth)
         return cli._routing(prob, spec, thr, None), thr
 
     def test_super_p_growth_in_s(self):
@@ -500,6 +498,52 @@ class TestRouting:
         routes, _ = self._routes(2, 3.0, 2.5, 2.5)
         assert routes[0]["route"] == "none"
         assert routes[0]["lambda_interval"] is None
+
+    @pytest.mark.parametrize(
+        "p, s, r, entry",
+        [
+            (2.0, 4.0, 4.0, {"route": "any_lambda_via_s", "reason": "s_min = 4.0 exceeds p_plus = 2.0",
+                             "lambda_interval": [0.0, math.inf]}),
+            (2.0, 2.0, 4.0, {"route": "any_lambda_via_r", "reason": "r_min = 4.0 exceeds p_plus = 2.0",
+                             "lambda_interval": [0.0, math.inf]}),
+            (3.0, 3.0, 3.0, {"route": "above_lambda3", "reason": "s_min = r_min = p_plus = 3.0",
+                             "lambda_interval": [3.771236166328254, math.inf]}),
+            (3.0, 3.0, 2.0, {"route": "above_lambda1", "reason": "s_min = p_plus = 3.0 with r_min = 2.0 below",
+                             "lambda_interval": [7.542472332656508, math.inf]}),
+            (3.0, 2.0, 3.0, {"route": "above_lambda2", "reason": "r_min = p_plus = 3.0 with s_min = 2.0 below",
+                             "lambda_interval": [7.542472332656508, math.inf]}),
+            (3.0, 2.5, 2.5, {"route": "none", "reason": "both growth exponents fall below p_plus = 3.0",
+                             "lambda_interval": None}),
+        ],
+    )
+    def test_growth_route_entry_in_full(self, p, s, r, entry):
+        routes, _ = self._routes(2, p, s, r)
+        assert routes == [entry]
+
+    def test_bounded_and_no_profile_entries_in_full(self):
+        bounded = {
+            "route": "bounded_three_solutions",
+            "reason": "bounded potential with sign wells; solutions on the zero-mean subspace",
+            "lambda_interval": [0.0, 2.1491264790122098],
+            "interval_is_estimate": True,
+        }
+        spec = make_builtin("example3", 3, {})
+        prob = Problem(m=3, n=1, exponent=ExponentFunction.constant(2.0, 3), nonlinearity=spec.nonlinearity, lam=1.0)
+        assert cli._routing(prob, spec, None, 2.1491264790122098) == [bounded]
+        # without a lambda* estimate the interval is unbounded
+        assert cli._routing(prob, spec, None, None) == [dict(bounded, lambda_interval=[0.0, math.inf])]
+        bare = dataclasses.replace(spec, bounds=None)
+        assert cli._routing(prob, bare, None, None) == [
+            {"route": "none", "reason": "no growth or bound profile available", "lambda_interval": None}
+        ]
+        # a family with both profiles gets its growth route, then the bounded one
+        power = make_builtin("power", 3, {"a": 1.0, "b": 1.0, "s": 2.0, "r": 2.0})
+        both = dataclasses.replace(power, bounds=spec.bounds)
+        thr = analysis.thresholds(prob, power.growth)
+        assert cli._routing(prob, both, thr, 2.5) == [
+            {"route": "above_lambda3", "reason": "s_min = r_min = p_plus = 2.0", "lambda_interval": [3.0, math.inf]},
+            dict(bounded, lambda_interval=[0.0, 2.5]),
+        ]
 
 
 class TestSolve:

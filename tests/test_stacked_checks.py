@@ -340,7 +340,7 @@ def test_one_sequence_checks_keep_their_reports():
 
 
 def _loop_sampled_c_reports(prob, seed, count=300):
-    """cli._sampled_c_reports as a loop over its samples: the draws of
+    """analysis._sampled_c_reports as a loop over its samples: the draws of
     rng_for(seed, 41) (all scale exponents, all sequences, then both rows of
     exponent uniforms), and each sample's arithmetic and inequalities on
     Python floats, one sample at a time."""
@@ -395,7 +395,7 @@ def test_sampled_c_witness_of_a_violation(monkeypatch):
         margin, lhs, rhs = _c1_rows(u, s)
         return margin - 1e6, lhs, rhs - 1e6
 
-    monkeypatch.setattr(cli, "_c1_rows", shifted)
+    monkeypatch.setattr(analysis, "_c1_rows", shifted)
     [c1, _, _] = cli._sampled_c_reports(prob, 5)
     assert c1.verdict == VIOLATED
     assert list(c1.witness) == ["u", "s", "lhs", "rhs"]
@@ -409,7 +409,7 @@ def test_sampled_c_witness_of_a_violation(monkeypatch):
         return np.full_like(margin, -1.0), lhs, rhs
 
     # every sample ties at the worst margin: the first one is the witness
-    monkeypatch.setattr(cli, "_c1_rows", tied)
+    monkeypatch.setattr(analysis, "_c1_rows", tied)
     [c1, _, _] = cli._sampled_c_reports(prob, 5)
     rng = rng_for(5, 41)
     first = 10.0 ** rng.uniform(-2.0, 2.0, size=300)[0] * rng.normal(size=(300, 3, 1))[0]

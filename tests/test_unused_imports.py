@@ -1,0 +1,47 @@
+"""No module of the package (except `__init__.py`, which re-exports) or of
+the tests imports a name that it never reads.
+
+A moved function leaves its old imports behind where nothing else notices
+them.  An import whose statement carries `# noqa: F401` is kept on purpose
+(for its side effect of loading a module) and is exempt.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "pklap").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names that source's import statements bind and that no name
+    expression of the module reads, as "line: name"."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append(f"{node.lineno}: {name}")
+    return unused
+
+
+def test_the_scan_finds_an_unused_import():
+    source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(tau)\n"
+    assert _unused_imports(source) == ["1: os", "3: pi"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
