@@ -52,21 +52,10 @@ QUOTIENT_TOL = 1e-3
 
 
 def rng_for(seed: int, *keys: int) -> np.random.Generator:
-    """Deterministic generator keyed by (seed, keys): one per sampled check,
-    and one per sample of lambda_star_estimate's counter-keyed streams."""
+    """Deterministic generator keyed by (seed, keys), one per sampled check
+    (two per radius of lambda_star_estimate)."""
     entropy = [int(seed) & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in keys]
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _unit_rows(v: np.ndarray, zero_mean: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a (count, *shape) stack of normals as unit vectors:
-    (the unit vectors of the rows long enough to normalise, their mask).
-    With zero_mean each row has its mean over its first axis removed first."""
-    if zero_mean:
-        v = v - v.mean(axis=1, keepdims=True)
-    norms = _row_norms(v)
-    kept = norms > 1e-12
-    return v[kept] / norms[kept].reshape(-1, *[1] * (v.ndim - 1)), kept
 
 
 def _unit_directions(
@@ -82,29 +71,13 @@ def _unit_directions(
     """
     out = np.empty((0, *shape))
     while len(out) < count:
-        units, _ = _unit_rows(rng.normal(size=(count - len(out), *shape)), zero_mean)
-        out = np.concatenate((out, units))
+        v = rng.normal(size=(count - len(out), *shape))
+        if zero_mean:
+            v = v - v.mean(axis=1, keepdims=True)
+        norms = _row_norms(v)
+        kept = norms > 1e-12
+        out = np.concatenate((out, v[kept] / norms[kept].reshape(-1, *[1] * len(shape))))
     return out
-
-
-def _stream_directions(rngs: list, shape: tuple) -> np.ndarray:
-    """One zero-mean unit vector of the given shape from each generator, as a
-    (len(rngs), *shape) stack.
-
-    Row i has the values and leaves rngs[i] where
-    _unit_directions(rngs[i], 1, shape, zero_mean=True) would: each
-    generator draws its normals with one call, they are normalised as one
-    stack, and a generator whose vector is too short to normalise draws
-    again alone.
-    """
-    V = np.empty((len(rngs), *shape))
-    units, kept = _unit_rows(
-        np.reshape([rng.normal(size=shape) for rng in rngs], V.shape), zero_mean=True
-    )
-    V[kept] = units
-    for i in np.flatnonzero(~kept).tolist():
-        V[i] = _unit_directions(rngs[i], 1, shape, zero_mean=True)[0]
-    return V
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1172,7 +1145,7 @@ class LambdaStarEstimate:
     continuous potential over the open sublevel is attained in the limit),
     while the infimum runs over strictly interior samples.  Under-sampling
     the supremum biases the estimate upward; treat the result as an upper
-    estimate.
+    estimate.  No route of a check report reads it.
     """
 
     estimate: float
@@ -1191,26 +1164,26 @@ def lambda_star_estimate(
 ) -> LambdaStarEstimate:
     """Monte-Carlo estimate of the variational threshold lambda-star.
 
-    Per radius r, sample directions v on the zero-mean unit sphere with a
-    counter-keyed stream (so enlarging samples_per_r extends, never reshuffles,
-    the sample set), place one evaluation point on the level set mu = r and
-    one strictly inside, and form
+    Per radius r, sample directions v on the zero-mean unit sphere, place
+    one evaluation point on the level set mu = r and one strictly inside,
+    and form
 
         phi(r) = min over interior u of (sup J - J(u)) / (r - mu(u)).
 
-    Per radius, each sample draws its direction's normals from its own
-    stream, all of them are normalised as one stack (_stream_directions; a
-    sample whose vector is too short draws again from its stream), and
-    their level radii are found in one _level_radii call; then each sample
-    draws its interior t.  The level and interior points of all samples go
-    through one stacked call, which raises the EvaluationError of the first
-    point, in sample order, whose value is not finite.  sup J is the first
-    largest potential of 0 and all points, and phi(r) the first smallest
-    ratio over 0 and the interior points with mu(u) < r, both taken in
-    sample order as array reductions.  A sample whose level radius
-    overflows raises an EvaluationError that names it and r, after the
-    samples before it are evaluated.  Raises ValueError unless every radius
-    of r_grid is positive and finite.
+    Radius ir draws all its directions from rng_for(seed, 47, ir) with one
+    _unit_directions call (a rejected vector is drawn again, in order) and
+    all its interior fractions t from rng_for(seed, 48, ir) with one call,
+    so enlarging samples_per_r extends the sample set, never reshuffles it.
+    The level radii are found in one _level_radii call, and all level and
+    interior points go through one stacked call, which raises the
+    EvaluationError of the first point, in sample order, whose value is
+    not finite.  sup J is the first largest potential of 0 and all points,
+    and phi(r) the first smallest ratio over 0 and the interior points with
+    mu(u) < r, both in sample order; phi(r) is 0 whenever sup J sits at 0
+    or at an interior point.  A sample whose level radius overflows raises
+    an EvaluationError that names it and r, after the samples before it
+    are evaluated.  Raises ValueError unless every radius of r_grid is
+    positive and finite.
     """
     r_grid = [float(r) for r in r_grid]
     if not r_grid or not all(0 < r < math.inf for r in r_grid):
@@ -1218,10 +1191,9 @@ def lambda_star_estimate(
     phi_values = []
     sup_values = []
     for ir, r in enumerate(r_grid):
-        rngs = [rng_for(seed, ir, i) for i in range(samples_per_r)]
-        V = _stream_directions(rngs, (prob.m, prob.n))
+        V = _unit_directions(rng_for(seed, 47, ir), samples_per_r, (prob.m, prob.n), zero_mean=True)
         radii = _level_radii(prob, V, r)
-        t_in = np.array([rng.random() for rng in rngs]) * radii
+        t_in = rng_for(seed, 48, ir).random(samples_per_r) * radii
         count, overflow = _first_overflow(radii, r, "sample")
         # 0, then each sample's level point and interior point
         points = np.zeros((2 * count + 1, prob.m, prob.n))

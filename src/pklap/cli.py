@@ -234,10 +234,12 @@ def _write_json(path: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _routing(prob: Problem, spec: BuiltinSpec, thr, lam_star) -> list[dict]:
+def _routing(prob: Problem, spec: BuiltinSpec, thr) -> list[dict]:
     """The routes of the check report: the first growth route whose
     condition holds (when the family has a growth profile), then the
-    bounded route (when it has a bound profile), or else "none"."""
+    bounded route (when it has a bound profile), or else "none".  The
+    bounded route claims no interval: the side of lambda* it holds on is not
+    derived, and at m = 2, p = 2 example3 on Y has one solution below 2."""
     routes = []
     if spec.growth is not None:
         s_min, r_min, pp = spec.growth.s.p_minus, spec.growth.r.p_minus, prob.exponent.p_plus
@@ -259,9 +261,9 @@ def _routing(prob: Problem, spec: BuiltinSpec, thr, lam_star) -> list[dict]:
         routes.append(
             {
                 "route": "bounded_three_solutions",
-                "reason": "bounded potential with sign wells; solutions on the zero-mean subspace",
-                "lambda_interval": [0.0, lam_star if lam_star is not None else math.inf],
-                "interval_is_estimate": True,
+                "reason": "bounded potential with sign wells; solutions on the zero-mean subspace; "
+                "the lambda interval is unverified until its direction is derived",
+                "lambda_interval": None,
             }
         )
     return routes or [
@@ -332,7 +334,7 @@ def _check_payload(loaded: LoadedConfig) -> dict:
         else {"lambda1": thr.lambda1, "lambda2": thr.lambda2, "lambda3": thr.lambda3},
         "r2": r2,
         "lambda_star": lam_star,
-        "routing": _routing(prob, spec, thr, lam_star),
+        "routing": _routing(prob, spec, thr),
         "reports": [rep.to_dict() for rep in reports],
     }
 

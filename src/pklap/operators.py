@@ -87,8 +87,9 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
     same pairs (k, u(k+1), u(k)), with the periods of _stack_periods, and
     each row's m values of F are subtracted in order k = 1..m, as a loop
     over F_at would.  Each output row is bitwise that sequence evaluated
-    alone.  Overflow gives non-finite values, not numpy warnings.  Raises
-    ValueError for a stack that is not (B, prob.m, prob.n) and
+    alone.  A finite row whose mu overflows on the way takes it from
+    _scaled_mu.  Overflow gives non-finite values, not numpy warnings.
+    Raises ValueError for a stack that is not (B, prob.m, prob.n) and
     EvaluationError for a malformed kernel value.
     """
     vals = _read_only(vals)
@@ -106,7 +107,11 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
         d = up - x  # row k-1 holds Delta u(k)
         norms = _entry_norms(d)
         if mu:
-            out[0] = np.add.reduce(norms**p / p, axis=1)
+            mus = np.add.reduce(norms**p / p, axis=1)
+            big = ~np.isfinite(mus)
+            if big.any():
+                mus[big] = _scaled_mu(x[big], p)
+            out[0] = mus
         if potential:
             F = nl._F_points(K, up.reshape(flat), x.reshape(flat)).reshape(len(x), m)
             out[1] = np.subtract.reduce(F, axis=1, initial=0.0)
@@ -120,6 +125,17 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
                 out[i] = np.full((len(vals),) + part.shape[1:], np.nan)
                 out[i][finite] = part
     return tuple(out)
+
+
+def _scaled_mu(x: np.ndarray, p) -> np.ndarray:
+    """mu of each finite, nonconstant row of a (B, m, n) stack by log-sum-exp
+    of log(|Delta u(k)|^p / p) = p (log s + log |Delta (u / s)(k)|) - log p,
+    s the row's largest |entry|: inf only where mu is not a double."""
+    s = np.max(np.abs(x), axis=(1, 2))
+    y = x / s[:, None, None]
+    logs = p * (np.log(s)[:, None] + np.log(_entry_norms(_shifted(y) - y))) - np.log(p)
+    top = np.max(logs, axis=1)
+    return np.exp(top) * np.add.reduce(np.exp(logs - top[:, None]), axis=1)
 
 
 def _residual_rows(vals: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndarray]:

@@ -329,7 +329,7 @@ def test_criterion_10_lambda_star_estimator():
         b >= s for s, b in zip(small.sup_values, doubled.sup_values)
     )
 
-    frozen = 2.1491264790122098
+    frozen = 2.1429570158091105
     run_a = lambda_star_estimate(prob, [0.25, 0.5, 0.75], samples_per_r=200)
     run_b = lambda_star_estimate(prob, [0.25, 0.5, 0.75], samples_per_r=200)
     stable = run_a.estimate == run_b.estimate == frozen

@@ -645,14 +645,14 @@ class TestLambdaStar:
         nl, _ = make_example3(2)
         prob = _problem_from(nl)
         est = lambda_star_estimate(prob, [0.25, 0.5, 0.75], samples_per_r=200)
-        assert est.estimate == pytest.approx(2.149126479012437, rel=1e-12)
+        assert est.estimate == pytest.approx(2.1429570158091105, rel=1e-12)
 
     def test_sup_estimates_grow_with_samples(self):
         nl, _ = make_example3(3)
         prob = _problem_from(nl)
         small = lambda_star_estimate(prob, [0.5], samples_per_r=50)
         big = lambda_star_estimate(prob, [0.5], samples_per_r=100)
-        # counter-keyed streams make the larger run a superset of the smaller
+        # each radius draws from two streams, so the larger run extends the smaller
         assert big.sup_values[0] >= small.sup_values[0]
 
     def test_estimate_is_positive(self):

@@ -326,10 +326,11 @@ class TestCheck:
 
     def test_bounded_family_at_huge_exponent_is_quiet_and_unchanged(self, tmp_path):
         """At p = 1100 nothing shows a numpy warning, and the bytes are
-        pinned.  They last moved with xi in closed form at m = 4, in xi
-        only (3.49e-120, the descent's value, to 1.09e-165); before that
-        with the level radii by Newton's method on log t, in lambda_star,
-        the bounded route's interval and the B.3 margin only."""
+        pinned.  They last moved with lambda-star's two streams per radius
+        and the bounded route's null interval, in lambda_star
+        (0.003785910348486509 to 0.005555669434293961) and the bounded
+        route only; before that with xi in closed form at m = 4, in xi
+        only (3.49e-120, the descent's value, to 1.09e-165)."""
         cfg = _config(
             tmp_path,
             m=4,
@@ -345,7 +346,7 @@ class TestCheck:
             assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_OK
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "cab897651dae33c80e90b8f159921d404f8cb446115e054a8ce3a222daf583ee"
+        assert digest == "a9a2f6ce5b35c0452b13ea75f26737c4ee9b6bf15533bb44f2c80174f2b07121"
 
     def test_evaluation_failure_is_compute_error(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):
@@ -386,12 +387,11 @@ class TestCheck:
         payload = json.loads(open(out).read())
         assert payload["thresholds"] is None
         assert payload["r2"] == pytest.approx(1.0)
-        assert payload["lambda_star"] == pytest.approx(2.149126479012437)
+        assert payload["lambda_star"] == pytest.approx(2.1429570158091105)
         [route] = payload["routing"]
         assert route["route"] == "bounded_three_solutions"
-        assert route["interval_is_estimate"] is True
-        assert route["lambda_interval"][0] == 0.0
-        assert route["lambda_interval"][1] == pytest.approx(2.149126479012437)
+        assert route["lambda_interval"] is None
+        assert "interval_is_estimate" not in route
         names = {rep["name"] for rep in payload["reports"]}
         assert {"A.7", "A.8", "A.9", "B.2", "B.3"} <= names
 
@@ -473,7 +473,7 @@ class TestRouting:
             lam=1.0,
         )
         thr = analysis.thresholds(prob, spec.growth)
-        return cli._routing(prob, spec, thr, None), thr
+        return cli._routing(prob, spec, thr), thr
 
     def test_super_p_growth_in_s(self):
         routes, _ = self._routes(2, 2.0, 4.0, 4.0)
@@ -521,29 +521,39 @@ class TestRouting:
         assert routes == [entry]
 
     def test_bounded_and_no_profile_entries_in_full(self):
+        # the bounded route claims no interval: its direction is not derived
         bounded = {
             "route": "bounded_three_solutions",
-            "reason": "bounded potential with sign wells; solutions on the zero-mean subspace",
-            "lambda_interval": [0.0, 2.1491264790122098],
-            "interval_is_estimate": True,
+            "reason": "bounded potential with sign wells; solutions on the zero-mean subspace; "
+            "the lambda interval is unverified until its direction is derived",
+            "lambda_interval": None,
         }
         spec = make_builtin("example3", 3, {})
         prob = Problem(m=3, n=1, exponent=ExponentFunction.constant(2.0, 3), nonlinearity=spec.nonlinearity, lam=1.0)
-        assert cli._routing(prob, spec, None, 2.1491264790122098) == [bounded]
-        # without a lambda* estimate the interval is unbounded
-        assert cli._routing(prob, spec, None, None) == [dict(bounded, lambda_interval=[0.0, math.inf])]
+        assert cli._routing(prob, spec, None) == [bounded]
         bare = dataclasses.replace(spec, bounds=None)
-        assert cli._routing(prob, bare, None, None) == [
+        assert cli._routing(prob, bare, None) == [
             {"route": "none", "reason": "no growth or bound profile available", "lambda_interval": None}
         ]
         # a family with both profiles gets its growth route, then the bounded one
         power = make_builtin("power", 3, {"a": 1.0, "b": 1.0, "s": 2.0, "r": 2.0})
         both = dataclasses.replace(power, bounds=spec.bounds)
         thr = analysis.thresholds(prob, power.growth)
-        assert cli._routing(prob, both, thr, 2.5) == [
+        assert cli._routing(prob, both, thr) == [
             {"route": "above_lambda3", "reason": "s_min = r_min = p_plus = 2.0", "lambda_interval": [3.0, math.inf]},
-            dict(bounded, lambda_interval=[0.0, 2.5]),
+            bounded,
         ]
+
+    def test_shipped_bounded_check_claims_no_lambda_below_2(self, tmp_path):
+        """On the zero-mean subspace at m = 2, p = 2, example3 has only the
+        zero solution below lambda = 2 (tests/test_oracles.py), so no route
+        of the shipped example3_sweep check may claim a lambda below 2."""
+        out = str(tmp_path / "check.json")
+        assert cli.main(["check", str(CONFIGS / "example3_sweep.json"), "--output", out]) == cli.EXIT_OK
+        routes = json.loads(open(out).read())["routing"]
+        assert [route["route"] for route in routes] == ["bounded_three_solutions"]
+        for route in routes:
+            assert route["lambda_interval"] is None or route["lambda_interval"][0] >= 2.0
 
 
 class TestSolve:

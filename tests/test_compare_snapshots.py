@@ -1,4 +1,4 @@
-"""tools/compare_snapshots.py: its exit codes and its margin, xi and lambda_star report.
+"""tools/compare_snapshots.py: its exit codes and its margin, xi, lambda_star and route report.
 
 The tool compares two output snapshots.  It passes (exit 0) when outputs
 moved only in their numbers, and fails (exit 1) when a verdict, a check's
@@ -165,3 +165,30 @@ def test_a_lambda_star_that_appears_or_becomes_infinite_is_an_infinite_change(to
     assert "  lambda_star: None -> 2.0 (relative inf)" in out
     assert "  lambda_star: 2.0 -> inf (relative inf)" in out
     assert out[-1].endswith("largest relative lambda_star change inf")
+
+
+def test_a_moved_route_interval_passes_and_is_printed_old_to_new(tool, capsys, tmp_path):
+    def check(routing):
+        return dict(_check(1.0), routing=routing)
+
+    bounded = {"route": "bounded_three_solutions", "reason": "r", "lambda_interval": [0.0, 2.0]}
+    growth = {"route": "above_lambda1", "reason": "g", "lambda_interval": [3.0, "inf"]}
+    base = {"a.check.json": check([growth, bounded]), "b.check.json": check([growth])}
+    new = {
+        "a.check.json": check([growth, dict(bounded, lambda_interval=None)]),
+        "b.check.json": check([dict(growth, lambda_interval=[4.0, "inf"]), bounded]),
+    }
+    code, out = _run(tool, capsys, tmp_path, base, new)
+    assert code == 0
+    assert out[:3] == [
+        "a.check.json: differs",
+        "  keys: routing",
+        "  route bounded_three_solutions lambda_interval: [0.0, 2.0] -> None",
+    ]
+    assert out[3:7] == [
+        "b.check.json: differs",
+        "  keys: routing",
+        "  route above_lambda1 lambda_interval: [3.0, 'inf'] -> [4.0, 'inf']",
+        "  route bounded_three_solutions lambda_interval: None -> [0.0, 2.0]",
+    ]
+    assert out[-1].startswith("2 files, 2 differ, 0 fail, ")

@@ -8,8 +8,10 @@ from pklap.core import (
     PeriodicSequence,
     Problem,
 )
+from pklap.analysis import _level_radii
+from pklap.functional import _action_rows, mu
 from pklap.nonlinearities import make_builtin
-from pklap.operators import _phi_rows, _residual_rows, phi_p, residual_values
+from pklap.operators import _phi_rows, _residual_rows, _stack_pass, phi_p, residual_values
 
 
 def _zero_nl(m, n=1):
@@ -271,3 +273,52 @@ def test_residual_rows_make_one_partials_call_per_stack(n):
     assert ok.all()
     for row, got in zip(vals, out):
         assert np.array_equal(got, _roll_residual(row, prob))
+
+
+def _mu_problem(m, p, n=1):
+    return Problem(m=m, n=n, exponent=ExponentFunction(np.asarray(p, dtype=float)), nonlinearity=_zero_nl(m, n), lam=1.0)
+
+
+def test_mu_is_finite_where_the_square_of_a_difference_overflows():
+    """At m = 2, p = 1.5, u = (0, 1e160): |Delta u|^2 = 1e320 overflows, but
+    mu = 2 (1e160)^1.5 / 1.5 is a double."""
+    mus, _, mu_ok, _ = _action_rows(np.array([[[0.0], [1e160]]]), _mu_problem(2, [1.5, 1.5]))
+    assert mu_ok[0]
+    assert mus[0] == pytest.approx(2.0 * 1e240 / 1.5, rel=1e-12)
+
+
+def test_mu_is_finite_where_a_term_overflows_before_its_division_by_p():
+    """At p = 1100 the level radius of r = 1e306 has terms |Delta u|^p near
+    1e309, past the largest double, but their sum over p is r."""
+    prob = _mu_problem(4, [1100.0] * 4)
+    v = np.array([[1.0], [0.0], [-1.0], [0.0]]) / np.sqrt(2.0)
+    t = float(_level_radii(prob, v[None], 1e306)[0])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(np.abs(t * np.diff(np.append(v, v[:1]))) ** 1100.0))
+    assert mu(t * v, prob) == pytest.approx(1e306, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mu_rows_keep_their_bits_beside_scaled_rows(n):
+    """Only finite rows whose mu overflows on the way are evaluated again:
+    every other row of a stack is bitwise its one-row evaluation, and a
+    row whose true mu is not a double stays inf."""
+    m = 5
+    prob = _mu_problem(m, np.linspace(1.2, 1.8, m), n)
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(7, m, n))
+    stack[1] *= 1e160
+    stack[3] = np.nan
+    stack[4] = 0.0
+    stack[5] *= 1e300
+    mus, _, _ = _stack_pass(stack, prob, mu=True)
+    alone = np.array([_stack_pass(row[None], prob, mu=True)[0][0] for row in stack])
+    assert mus.tobytes() == alone.tobytes()
+    assert np.isfinite(mus[[0, 1, 2, 4, 6]]).all() and mus[4] == 0.0
+    assert np.isnan(mus[3]) and mus[5] == np.inf
+    p = prob.exponent.values
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(np.roll(stack, -1, axis=1) - stack, axis=2)
+        plain = np.add.reduce(norms**p / p, axis=1)
+    assert plain[[0, 2, 6]].tobytes() == mus[[0, 2, 6]].tobytes()
+    assert not np.isfinite(plain[1])

@@ -12,10 +12,12 @@ receives with a spy while the checks run, and compare them bitwise with
 one direction at a time and builds each sample alone on Python floats.
 The last tests pin what the array calls guarantee: the same key gives the
 same samples, a condition makes as many generator calls at any budget, and
-a larger gradcheck `--points` extends its point set.
+a larger gradcheck `--points` extends its point set; and they count the
+generators a check builds.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from pklap import analysis
 from pklap.analysis import BoundProfile, check_bounds, check_growth, rng_for
 from pklap.core import Nonlinearity
 from pklap.nonlinearities import make_example3, make_power
+from test_cli import CONFIGS, _bench_check_configs
 from test_stacked_checks import _unit_direction
 
 N1_PERIODS = (2, 3, 4, 5, 8, 9, 12)
@@ -294,3 +297,51 @@ def test_a_larger_points_extends_the_gradcheck_point_set(tmp_path, monkeypatch):
     few, many = seen
     assert few.shape == (5, 3, 1) and many.shape == (12, 3, 1)
     assert _same(many[:5], few)
+
+
+def _generator_keys(run):
+    """The keys of every generator that analysis and the CLI build while run runs."""
+    keys = []
+    real = analysis.rng_for
+
+    def counting(seed, *key):
+        keys.append(key)
+        return real(seed, *key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "rng_for", counting)
+        mp.setattr(cli, "rng_for", counting)
+        run()
+    return keys
+
+
+def test_a_bounded_check_builds_two_generators_per_lambda_star_radius(tmp_path):
+    """The shipped example3 check: the bound guard of its construction
+    (A.7 - A.9), C.1 - C.3, A.7 - A.9, B.2/B.3, and then lambda-star's
+    direction and fraction streams at each of its three radii."""
+    out = str(tmp_path / "check.json")
+    config = str(CONFIGS / "example3_sweep.json")
+    keys = _generator_keys(lambda: cli.main(["check", config, "--output", out]))
+    assert keys == [(7,), (8,), (9,), (41,), (7,), (8,), (9,), (23,)] + [
+        (key, ir) for ir in range(3) for key in (47, 48)
+    ]
+
+
+def test_a_check_batch_instance_builds_95_generators(tmp_path):
+    """check and a 50-point gradcheck on the nine configs of one benchmark
+    check batch build 95 generators (1283 when lambda-star drew one stream
+    per sample)."""
+
+    def run():
+        for name, cfg in _bench_check_configs(7).items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert cli.main(["check", str(path), "--output", str(tmp_path / "c.json")]) == cli.EXIT_OK
+            argv = ["gradcheck", str(path), "--points", "50", "--output", str(tmp_path / "g.json")]
+            assert cli.main(argv) == cli.EXIT_OK
+
+    keys = _generator_keys(run)
+    assert len(keys) == 95
+    assert sum(len(key) == 2 and key[0] in (47, 48) for key in keys) == 12

@@ -622,94 +622,145 @@ def test_b2_b3_evaluate_the_loops_points_in_one_call(monkeypatch):
     assert _same_bits(stacks[0], ref)
 
 
+def _lambda_star_streams(seed, ir):
+    """The two generators of lambda-star's radius ir: its directions and
+    its interior fractions."""
+    return rng_for(seed, 47, ir), rng_for(seed, 48, ir)
+
+
+def _loop_lambda_star_points(prob, r, ir, samples_per_r, seed, directions=None):
+    """0, then each sample's level point and interior point, drawn one
+    sample at a time: its direction from the direction stream, then its
+    interior fraction from the fraction stream."""
+    rng_v, rng_t = _lambda_star_streams(seed, ir)
+    rng_v = rng_v if directions is None else directions
+    ref = [np.zeros((prob.m, prob.n))]
+    for _ in range(samples_per_r):
+        v = _unit_direction(rng_v, prob.m, prob.n, zero_mean=True)
+        t_r = float(_level_radii(prob, v[None], r)[0])
+        ref += [t_r * v, (rng_t.random() * t_r) * v]
+    return np.stack(ref)
+
+
 def test_lambda_star_evaluates_the_loops_points_in_one_call_per_radius(monkeypatch):
     prob = _example3_problem(4, 3.0)
     stacks = _spy_stacks(monkeypatch)
     lambda_star_estimate(prob, [0.25, 0.5], samples_per_r=15, seed=5)
     assert len(stacks) == 2
     for ir, (r, stack) in enumerate(zip([0.25, 0.5], stacks)):
-        ref = [np.zeros((4, 1))]
-        for i in range(15):
-            rng = rng_for(5, ir, i)
-            v = _unit_direction(rng, 4, 1, zero_mean=True)
-            t_r = float(_level_radii(prob, v[None], r)[0])
-            ref += [t_r * v, (rng.random() * t_r) * v]
-        assert _same_bits(stack, np.stack(ref))
+        assert _same_bits(stack, _loop_lambda_star_points(prob, r, ir, 15, 5))
 
 
-class _ConstantFirstStream:
-    """rng_for(*keys), except that its first normal draw is a constant
-    vector, which is zero once its mean is removed and so is drawn again;
-    calls records the order of the draws."""
+class _ConstantVectorStream:
+    """rng_for(*keys), except that the vectors of its normal draws whose
+    places in the stream (counting every (m, n) vector drawn, over all
+    calls) are in `constant` are a constant, which is zero once its mean
+    is removed and so is drawn again; calls records the draws."""
 
-    def __init__(self, *keys):
+    def __init__(self, constant, *keys):
         self.rng = rng_for(*keys)
+        self.constant = constant
+        self.drawn = 0
         self.calls = []
 
     def normal(self, size):
         self.calls.append("normal")
-        return np.full(size, 0.5) if len(self.calls) == 1 else self.rng.normal(size=size)
+        out = self.rng.normal(size=size)
+        rows = out.reshape(-1, *size[-2:])
+        for j in range(len(rows)):
+            if self.drawn + j in self.constant:
+                rows[j] = 0.5
+        self.drawn += len(rows)
+        return out
 
-    def random(self):
+    def random(self, size=None):
         self.calls.append("random")
-        return self.rng.random()
-
-
-def _streams(seed, ir, count, constant_first):
-    return [(_ConstantFirstStream if i in constant_first else rng_for)(seed, ir, i) for i in range(count)]
+        return self.rng.random(size)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("m", [2, 3, 12, 39, 128, 256])
 def test_lambda_star_directions_match_per_sample_draws(m, n):
-    """lambda-star normalises the directions of all samples as one stack:
-    bitwise the per-sample _unit_directions draws, with two streams whose
-    first draw is rejected and drawn again, and every stream left where the
-    per-sample draw leaves it."""
-    got_streams = _streams(4, m, 9, {2, 5})
-    got = analysis._stream_directions(got_streams, (m, n))
-    ref_streams = _streams(4, m, 9, {2, 5})
-    ref = np.stack([_unit_directions(rng, 1, (m, n), zero_mean=True)[0] for rng in ref_streams])
+    """lambda-star draws the directions of one radius with one
+    _unit_directions call on one stream: bitwise the draws of one sample
+    at a time from that stream, with the stream's third and sixth vectors
+    rejected and drawn again in order, and the stream left where the
+    per-sample draws leave it."""
+    got_stream = _ConstantVectorStream({2, 5}, 4, 47, m)
+    got = _unit_directions(got_stream, 9, (m, n), zero_mean=True)
+    ref_stream = _ConstantVectorStream({2, 5}, 4, 47, m)
+    ref = np.stack([_unit_direction(ref_stream, m, n, zero_mean=True) for _ in range(9)])
     assert _same_bits(got, ref)
-    assert [rng.random() for rng in got_streams] == [rng.random() for rng in ref_streams]
-    assert got_streams[2].calls == ["normal", "normal", "random"]
-    assert analysis._stream_directions([], (m, n)).shape == (0, m, n)
+    assert _same_bits(got_stream.random(3), ref_stream.random(3))
+    assert got_stream.calls == ["normal", "normal", "random"]
+    assert got_stream.drawn == ref_stream.drawn == 11
+    assert _unit_directions(rng_for(4, 47, m), 0, (m, n), zero_mean=True).shape == (0, m, n)
 
 
 def test_lambda_star_redraws_a_rejected_direction_before_its_interior_point(monkeypatch):
-    """A sample whose first direction is rejected draws it again from its own
-    stream, and then its interior t, as the per-sample loop did."""
+    """A rejected direction is replaced by the next vector of the
+    direction stream, so every later sample's direction moves up one
+    vector, while the interior fractions come from their own stream and
+    stay with their samples: sample i keeps the i-th fraction."""
     prob = _example3_problem(4, 3.0)
     streams = {}
 
-    def stream(seed, ir, i):
-        streams[ir, i] = (_ConstantFirstStream if i == 3 else rng_for)(seed, ir, i)
-        return streams[ir, i]
+    def stream(seed, key, ir):
+        streams[key, ir] = _ConstantVectorStream({3} if key == 47 else set(), seed, key, ir)
+        return streams[key, ir]
 
     monkeypatch.setattr(analysis, "rng_for", stream)
     stacks = _spy_stacks(monkeypatch)
     lambda_star_estimate(prob, [0.25, 0.5], samples_per_r=6, seed=5)
+    assert sorted(streams) == [(47, 0), (47, 1), (48, 0), (48, 1)]
     for ir, (r, stack) in enumerate(zip([0.25, 0.5], stacks)):
-        assert streams[ir, 3].calls == ["normal", "normal", "random"]
-        ref = [np.zeros((4, 1))]
-        for rng in _streams(5, ir, 6, {3}):
-            v = _unit_direction(rng, 4, 1, zero_mean=True)
-            t_r = float(_level_radii(prob, v[None], r)[0])
-            ref += [t_r * v, (rng.random() * t_r) * v]
-        assert _same_bits(stack, np.stack(ref))
+        assert streams[47, ir].calls == ["normal", "normal"]
+        assert streams[48, ir].calls == ["random"]
+        ref = _loop_lambda_star_points(prob, r, ir, 6, 5, _ConstantVectorStream({3}, 5, 47, ir))
+        assert _same_bits(stack, ref)
+
+
+@pytest.mark.parametrize("nl", [make_example3(4)[0], _well_nl2(3)], ids=["n1", "n2"])
+def test_lambda_star_extends_its_samples_when_samples_per_r_grows(monkeypatch, nl):
+    """samples_per_r = N evaluates exactly the first N level and interior
+    points of the 2N run, radius by radius, and its sup J and phi(r) come
+    from those points alone."""
+    prob = _problem(nl)
+    stacks = _spy_stacks(monkeypatch)
+    small = lambda_star_estimate(prob, [0.25, 0.5], samples_per_r=20, seed=9)
+    large = lambda_star_estimate(prob, [0.25, 0.5], samples_per_r=40, seed=9)
+    assert [len(s) for s in stacks] == [41, 41, 81, 81]
+    for few, many in zip(stacks[:2], stacks[2:]):
+        assert _same_bits(many[:41], few)
+    assert all(b >= a for a, b in zip(small.sup_values, large.sup_values))
+
+
+def test_lambda_star_builds_two_generators_per_radius_at_any_budget(monkeypatch):
+    prob = _example3_problem(4, 2.5)
+    real = analysis.rng_for
+    for samples_per_r in (1, 7, 200):
+        keys = []
+
+        def counting(seed, *key):
+            keys.append(key)
+            return real(seed, *key)
+
+        monkeypatch.setattr(analysis, "rng_for", counting)
+        lambda_star_estimate(prob, [0.25, 0.5, 0.75], samples_per_r=samples_per_r)
+        assert keys == [(47, 0), (48, 0), (47, 1), (48, 1), (47, 2), (48, 2)]
 
 
 def _loop_lambda_star(prob, r_grid, samples_per_r, seed):
     phi_values, sup_values = [], []
     for ir, r in enumerate(r_grid):
+        rng_v, rng_t = _lambda_star_streams(seed, ir)
         sup_j = _loop_potential(np.zeros((prob.m, prob.n)), prob)
         interior = [(sup_j, 0.0)]
         for i in range(samples_per_r):
-            rng = rng_for(seed, ir, i)
-            v = _unit_direction(rng, prob.m, prob.n, zero_mean=True)
+            v = _unit_direction(rng_v, prob.m, prob.n, zero_mean=True)
             t_r = float(_level_radii(prob, v[None], r)[0])
             sup_j = max(sup_j, _loop_potential(t_r * v, prob))
-            u = (rng.random() * t_r) * v
+            u = (rng_t.random() * t_r) * v
             interior.append((_loop_potential(u, prob), _loop_mu(u, prob)))
             sup_j = max(sup_j, interior[-1][0])
         phi = math.inf
@@ -740,14 +791,14 @@ def test_lambda_star_raises_the_first_failure_in_sample_order(monkeypatch):
     r = 1e10, and the error is the third sample's.  The stacked call holds
     0 and the two samples before it, all finite."""
     prob = _example3_problem(2, p=1.01)
-    real = analysis._stream_directions
+    real = analysis._unit_directions
 
-    def scaled(rngs, shape):
-        V = real(rngs, shape)
+    def scaled(rng, count, shape, zero_mean=False):
+        V = real(rng, count, shape, zero_mean)
         V[[2, 6]] *= 1e-300
         return V
 
-    monkeypatch.setattr(analysis, "_stream_directions", scaled)
+    monkeypatch.setattr(analysis, "_unit_directions", scaled)
     stacks = _spy_stacks(monkeypatch)
     with pytest.raises(EvaluationError) as raised:
         lambda_star_estimate(prob, [1e10], samples_per_r=10, seed=0)

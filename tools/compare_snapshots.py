@@ -5,9 +5,10 @@
 Prints each file that differs between the directories BASE and NEW, or that
 only one of them holds.  For a JSON file it also prints the top-level keys
 whose values differ and, for a `check` report, the relative change of a
-moved `xi` or `lambda_star` and the names of the reports that differ,
-with each verdict that changed and the relative change of each margin
-that moved.  A relative change is |new - old| / |old|, inf when either
+moved `xi` or `lambda_star`, each route whose `lambda_interval` changed
+(old -> new, a route on one side only reading None on the other) and the
+names of the reports that differ, with each verdict that changed and the
+relative change of each margin that moved.  A relative change is |new - old| / |old|, inf when either
 number is not finite or the old one is 0.  Ends with one summary line,
 which names the largest relative margin change and the largest relative
 `xi` and `lambda_star` changes.
@@ -32,6 +33,10 @@ NUMBERS = ("xi", "lambda_star")
 
 def _reports(payload: dict) -> dict:
     return {rep["name"]: rep for rep in payload.get("reports") or []}
+
+
+def _intervals(payload: dict) -> dict:
+    return {route["route"]: route.get("lambda_interval") for route in payload.get("routing") or []}
 
 
 def _relative_change(old, new) -> float:
@@ -64,6 +69,10 @@ def _compare_json(base: dict, new: dict) -> tuple[list[str], bool, float, dict]:
         if base.get(key) != new.get(key):
             moved[key] = _relative_change(base.get(key), new.get(key))
             lines.append(f"  {key}: {base.get(key)} -> {new.get(key)} (relative {moved[key]:.3g})")
+    old_routes, new_routes = _intervals(base), _intervals(new)
+    for route in dict.fromkeys([*old_routes, *new_routes]):
+        if old_routes.get(route) != new_routes.get(route):
+            lines.append(f"  route {route} lambda_interval: {old_routes.get(route)} -> {new_routes.get(route)}")
     a, b = _reports(base), _reports(new)
     names = [n for n in dict.fromkeys([*a, *b]) if a.get(n) != b.get(n)]
     if names:
