@@ -34,7 +34,6 @@ from .operators import _residual_rows, residual_values
 
 SUBSPACE_FULL = "H_m"
 SUBSPACE_Y = "Y"
-SUBSPACE_W = "W"
 
 # Extra damped-Newton steps allowed after the residual tolerance is first met,
 # so iterates escape flat basins instead of stopping at the tolerance boundary.
@@ -81,8 +80,6 @@ def subspace_basis(m: int, n: int, subspace: str) -> np.ndarray:
     """Orthonormal basis (columns) of the requested subspace in flat coordinates."""
     if subspace == SUBSPACE_FULL:
         return np.eye(m * n)
-    if subspace == SUBSPACE_W:
-        return np.kron(np.full((m, 1), 1.0 / math.sqrt(m)), np.eye(n))
     if subspace == SUBSPACE_Y:
         b = np.zeros((m, m - 1))
         for j in range(1, m):
@@ -332,33 +329,27 @@ def _newton_iterate(
 def _make_records(
     prob: Problem,
     xs: np.ndarray,
-    method: str,
+    residual_norms: np.ndarray,
+    origins: Sequence[tuple],
     cfg: SolverConfig,
-    start_indices: Optional[Sequence] = None,
     flags: tuple = (),
     classify: bool = True,
-    residual_norms: Optional[np.ndarray] = None,
 ) -> list[SolutionRecord]:
     """Records of the B flat points of xs (B, prob.dim), built in stacks.
 
-    One residual call (skipped when the caller passes the full residual
-    norms it already has), one _morse_summaries call and one _action_values
-    call serve all B points, and each stacked kernel gives every row the
-    bits of its own call, so record b is that of x_b alone.  Raises
-    EvaluationError when a residual or an action is not finite.
+    residual_norms are the full residual norms of the points, and origins
+    their (method, start index) pairs.  One _morse_summaries call and one
+    _action_values call serve all B points, and each stacked kernel gives
+    every row the bits of its own call, so record b is that of x_b alone.
+    Raises EvaluationError when an action is not finite.
     """
-    if residual_norms is None:
-        out, ok = _residual_rows(xs.reshape(-1, prob.m, prob.n), prob)
-        if not np.all(ok):
-            raise EvaluationError("residual evaluation produced non-finite entries")
-        residual_norms = _row_norms(out)
+    if not len(xs):
+        return []
     summaries = _morse_summaries(xs, prob) if classify else [None] * len(xs)
     actions = _action_values(xs, prob).tolist()
-    if start_indices is None:
-        start_indices = [None] * len(xs)
     records = []
-    for x, res_norm, summary, action_value, start_index in zip(
-        xs, residual_norms.tolist(), summaries, actions, start_indices
+    for x, res_norm, summary, action_value, (method, start_index) in zip(
+        xs, residual_norms.tolist(), summaries, actions, origins
     ):
         u = PeriodicSequence.from_flat(x, prob.m, prob.n)
         records.append(
@@ -376,20 +367,6 @@ def _make_records(
             )
         )
     return records
-
-
-def _make_record(
-    prob: Problem,
-    x: np.ndarray,
-    method: str,
-    cfg: SolverConfig,
-    start_index: Optional[int] = None,
-    flags: tuple = (),
-    classify: bool = True,
-) -> SolutionRecord:
-    """The one-row case of _make_records."""
-    xs = np.asarray(x, dtype=float)[None]
-    return _make_records(prob, xs, method, cfg, [start_index], flags, classify)[0]
 
 
 def _deflation_terms(
@@ -432,11 +409,6 @@ def _close_rows(a: np.ndarray, known: np.ndarray, tol: float) -> tuple[np.ndarra
     dist = _row_norms(a - known)
     scale = np.maximum(max(1.0, float(np.linalg.norm(a))), _row_norms(known))
     return dist <= tol * scale, dist
-
-
-def _is_duplicate(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """The one-row case of _close_rows."""
-    return bool(_close_rows(a, np.asarray(b)[None], tol)[0][0])
 
 
 def _flat_connected(a: np.ndarray, b: np.ndarray, prob: Problem, bar: float) -> bool:
@@ -525,7 +497,7 @@ def mountain_pass(
     """
     a = u_a.flat()
     b = u_b.flat()
-    if _is_duplicate(a, b, cfg.dedupe_tol):
+    if _close_rows(a, b[None], cfg.dedupe_tol)[0][0]:
         raise ValueError("mountain_pass endpoints must be distinct")
     system = _System(prob)
     ts = np.linspace(0.0, 1.0, _PATH_POINTS)
@@ -569,12 +541,11 @@ def mountain_pass(
         path = new_path
     else:
         polish_from = path[1 + int(np.argmax([j_of(p) for p in path[1:-1]]))]
-    x, _, converged, _ = _newton_iterate(system, polish_from, cfg)
-    if not converged:
+    # on H_m, Newton's norm is the full residual norm, bit for bit
+    x, norm, converged, _ = _newton_iterate(system, polish_from, cfg)
+    if not converged or _close_rows(x, np.stack((a, b)), cfg.dedupe_tol)[0].any():
         return None
-    if _is_duplicate(x, a, cfg.dedupe_tol) or _is_duplicate(x, b, cfg.dedupe_tol):
-        return None
-    return _make_record(prob, x, "mountain_pass", cfg)
+    return _make_records(prob, x[None], np.array([norm]), [("mountain_pass", None)], cfg)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -632,30 +603,34 @@ def _sign_flip_ok(prob: Problem, values: np.ndarray, bar: float) -> bool:
 
 
 class _KnownSolutions:
-    """The records found so far, with the dedupe representative (_canonical)
-    and the action of each stacked beside them, so that a candidate is
-    compared with all of them at once."""
+    """The solutions found so far as flat stacks, so that a candidate is
+    compared with all of them at once: the points x (K, prob.dim), their
+    dedupe representatives (_canonical), actions and full residual norms,
+    and the (method, start index) origin of each."""
 
     def __init__(self, prob: Problem, cfg: SolverConfig):
         self.prob, self.cfg = prob, cfg
-        self.records: list[SolutionRecord] = []
+        self.x = np.empty((0, prob.dim))
         self.canon = np.empty((0, prob.dim))
         self.actions = np.empty(0)
+        self.norms = np.empty(0)
+        self.origins: list[tuple] = []
 
-    def add(self, rec: SolutionRecord) -> bool:
-        """Append rec unless it is the same solution as a known record
+    def add(self, x: np.ndarray, action_value: float, norm: float, origin: tuple) -> bool:
+        """Append the point x unless it is the same solution as a known one
         (_first_match), which it then replaces if its residual norm is
-        smaller.  True when rec was appended."""
-        x = _canonical(rec.u.flat(), self.prob)
+        smaller.  True when x was appended."""
+        canon = _canonical(x, self.prob)
         # canonicalising subtracts a constant only when F == 0, which keeps J
-        i = _first_match(x, self.canon, self.prob, self.cfg, (rec.action_value, self.actions))
+        i = _first_match(canon, self.canon, self.prob, self.cfg, (action_value, self.actions))
         if i is None:
-            self.records.append(rec)
-            self.canon, self.actions = np.vstack((self.canon, x)), np.append(self.actions, rec.action_value)
+            self.x, self.canon = np.vstack((self.x, x)), np.vstack((self.canon, canon))
+            self.actions, self.norms = np.append(self.actions, action_value), np.append(self.norms, norm)
+            self.origins.append(origin)
             return True
-        if rec.residual_norm < self.records[i].residual_norm:
-            self.records[i] = rec
-            self.canon[i], self.actions[i] = x, rec.action_value
+        if norm < self.norms[i]:
+            self.x[i], self.canon[i], self.actions[i], self.norms[i] = x, canon, action_value, norm
+            self.origins[i] = origin
         return False
 
 
@@ -685,30 +660,41 @@ def find_multiple(
     """Multistart Newton + deflation pipeline returning a deduplicated set.
 
     Stages: the zero sequence, multistart Newton, then deflation rounds
-    until a full round adds nothing.  The starts of a stage (the warm and
-    random starts of stage 1, or one deflation round's starts against the
-    records known when the round begins) run as one lock-step batch.  Its
-    converged candidates are then verified with one residual call, and
-    their records built and classified with one _make_records call, before
-    each is deduplicated against all known records at once (_first_match),
-    in start order.  Every record's method is "newton" or "deflated".  With
-    subspace="Y" the iteration runs on the zero-mean reduction; every
-    candidate is still verified against the full residual, and
-    reduced-critical points failing that test are reported in
-    y_discrepancies instead of records.
+    until a full round adds nothing.  The starts of a stage (the warm
+    extra_starts, each of m*n finite values, and the random starts of stage
+    1, or one deflation round's starts against the solutions known when the
+    round begins) run as one lock-step batch.  Its converged candidates are
+    then verified with one residual call and their actions taken with one
+    _action_values call, and each is deduplicated against all known
+    solutions at once (_first_match), in start order.  The kept solutions
+    stay flat arrays (_KnownSolutions) until the end, where one
+    _make_records call builds and classifies their records.  Every record's
+    method is "newton" or "deflated".  With subspace="Y" the iteration runs
+    on the zero-mean reduction; every candidate is still verified against
+    the full residual, and reduced-critical points failing that test are
+    reported, unclassified, in y_discrepancies instead of records.
     """
     cfg = cfg or SolverConfig()
     if subspace not in (SUBSPACE_FULL, SUBSPACE_Y):
         raise ValueError(f"find_multiple supports subspaces H_m and Y, got {subspace!r}")
+    warm = [np.asarray(w, dtype=float).reshape(-1) for w in extra_starts]
+    for i, w in enumerate(warm):
+        if w.size != prob.dim:
+            raise ValueError(f"extra_starts[{i}] has {w.size} values, not m*n = {prob.dim}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"extra_starts[{i}] is not finite")
     system = _System(prob, subspace=subspace)
     found = _KnownSolutions(prob, cfg)
-    records, try_add = found.records, found.add
-    discrepancies: list[SolutionRecord] = []
+    # the y-only points, with the full residual norm and origin of each
+    y_only_x = np.empty((0, prob.dim))
+    y_only_norms: list[float] = []
+    y_only_origins: list[tuple] = []
 
     def handle_stage(ys: np.ndarray, start_indices: list, method: str) -> bool:
-        """Verify, record and dedupe a stage's converged rows ys (B, dim), in
-        start order; True when a record was added.  A deflated stage's rows
-        must first meet the tolerance on the undeflated reduced residual."""
+        """Verify and dedupe a stage's converged rows ys (B, dim), in start
+        order; True when a solution was added.  A deflated stage's rows must
+        first meet the tolerance on the undeflated reduced residual."""
+        nonlocal y_only_x
         xs = system.to_full_rows(ys)
         out, ok = _residual_rows(xs.reshape(len(xs), prob.m, prob.n), prob)
         if not np.all(ok):
@@ -719,29 +705,29 @@ def find_multiple(
         if method == "deflated":
             kept = _row_norms(system.to_reduced_rows(g)) <= cfg.residual_tol
         solved = kept & (full_norms <= cfg.residual_tol)
-        y_only = kept & ~solved & (subspace == SUBSPACE_Y)
-        made = {}
-        for mask, flags, classify in ((solved, (), True), (y_only, ("y_critical_only",), False)):
-            idx = np.flatnonzero(mask).tolist()
-            if idx:
-                starts = [start_indices[i] for i in idx]
-                recs = _make_records(prob, xs[idx], method, cfg, starts, flags, classify, full_norms[idx])
-                made.update(zip(idx, recs))
+        idx = np.flatnonzero(kept if subspace == SUBSPACE_Y else solved).tolist()
+        if not idx:
+            return False
         added = False
-        for i in sorted(made):
+        for i, action_value in zip(idx, _action_values(xs[idx], prob).tolist()):
+            origin = (method, start_indices[i])
             if solved[i]:
-                added |= try_add(made[i])
-            elif not any(_is_duplicate(xs[i], d.u.flat(), cfg.dedupe_tol) for d in discrepancies):
-                discrepancies.append(made[i])
+                added |= found.add(xs[i], action_value, full_norms[i], origin)
+            elif not _close_rows(xs[i], y_only_x, cfg.dedupe_tol)[0].any():
+                y_only_x = np.vstack((y_only_x, xs[i]))
+                y_only_norms.append(full_norms[i])
+                y_only_origins.append(origin)
         return added
 
     # stage 0: the zero sequence
-    if float(np.linalg.norm(system.g_full(np.zeros(prob.dim)))) <= cfg.residual_tol:
-        try_add(_make_record(prob, np.zeros(prob.dim), "newton", cfg))
+    zero = np.zeros((1, prob.dim))
+    zero_norm = float(np.linalg.norm(system.g_full(zero[0])))
+    if zero_norm <= cfg.residual_tol:
+        found.add(zero[0], float(_action_values(zero, prob)[0]), zero_norm, ("newton", None))
 
     # stage 1: warm starts (continuation) then multistart Newton, one batch;
     # candidates are handled in start order
-    start_pool: list[np.ndarray] = [system.to_reduced(np.asarray(w, float).reshape(-1)) for w in extra_starts]
+    start_pool = [system.to_reduced(w) for w in warm]
     start_pool.extend(y0 for _, y0 in _random_starts(cfg, system.dim, 101))
     if start_pool:
         ys, _, converged, _ = _newton_rows(system, np.array(start_pool), cfg)
@@ -750,23 +736,27 @@ def find_multiple(
             handle_stage(ys[idx], idx.tolist(), "newton")
 
     # stage 2: deflation rounds until a round adds nothing new; each round is
-    # one batch against the records known when it starts
+    # one batch against the solutions known when it starts
     for round_no in range(10):
         starts = list(_random_starts(cfg, system.dim, 211 + round_no))
-        if not records or not starts:
+        if not len(found.x) or not starts:
             break
-        known = np.array([system.to_reduced(r.u.flat()) for r in records])
+        known = system.to_reduced_rows(found.x)
         ys, _, converged, _ = _newton_rows(system, np.array([y0 for _, y0 in starts]), cfg, known)
         idx = np.flatnonzero(converged).tolist()
         if not (idx and handle_stage(ys[idx], [starts[i][0] for i in idx], "deflated")):
             break
 
     symmetry_ok = None
-    if prob.nonlinearity.even_symmetric and records:
+    if prob.nonlinearity.even_symmetric and len(found.x):
         bar = 10.0 * cfg.residual_tol
-        symmetry_ok = _sign_flip_ok(prob, np.array([r.u.values for r in records]), bar)
+        symmetry_ok = _sign_flip_ok(prob, found.x.reshape(-1, prob.m, prob.n), bar)
 
+    records = _make_records(prob, found.x, found.norms, found.origins, cfg)
     records.sort(key=lambda r: (r.action_value, tuple(r.u.values.reshape(-1))))
+    discrepancies = _make_records(
+        prob, y_only_x, np.array(y_only_norms), y_only_origins, cfg, ("y_critical_only",), classify=False
+    )
     return SolutionSet(
         records=tuple(records),
         y_discrepancies=tuple(discrepancies),

@@ -1,4 +1,4 @@
-"""tools/compare_snapshots.py: its exit codes and its margin, xi, lambda_star and route report.
+"""tools/compare_snapshots.py: its exit codes, its CSV line report and its margin, xi, lambda_star and route report.
 
 The tool compares two output snapshots.  It passes (exit 0) when outputs
 moved only in their numbers, and fails (exit 1) when a verdict, a check's
@@ -102,9 +102,33 @@ def test_a_non_json_difference_fails(tool, capsys, tmp_path):
     assert code == 1
     assert out == [
         "a.values.csv: differs",
+        "  lines: 1 -> 1, first difference at line 1",
         "1 files, 1 differ, 1 fail, largest relative margin change 0, largest relative xi change 0, "
         "largest relative lambda_star change 0",
     ]
+
+
+def test_a_differing_csv_prints_its_line_counts_and_first_differing_line(tool, capsys, tmp_path):
+    base = {"a.sweep.csv": "lambda,count\n0.5,1\n1.0,3\n1.5,3\n", "b.values.csv": "1.0\n2.0\n", "c.txt": "x\n"}
+    new = {"a.sweep.csv": "lambda,count\n0.5,1\n1.0,5\n1.5,3\n2.0,3\n", "b.values.csv": "1.0\n2.0", "c.txt": "y\n"}
+    code, out = _run(tool, capsys, tmp_path, base, new)
+    assert code == 1
+    assert out == [
+        "a.sweep.csv: differs",
+        "  lines: 4 -> 5, first difference at line 3",
+        # a line is compared with its line ending
+        "b.values.csv: differs",
+        "  lines: 2 -> 2, first difference at line 2",
+        # only a CSV gets the line report
+        "c.txt: differs",
+        "3 files, 3 differ, 3 fail, largest relative margin change 0, largest relative xi change 0, "
+        "largest relative lambda_star change 0",
+    ]
+    # one side a prefix of the other: the first line past the shorter side
+    (tmp_path / "prefix").mkdir()
+    code, out = _run(tool, capsys, tmp_path / "prefix", {"a.csv": "1\n"}, {"a.csv": "1\n2\n"})
+    assert code == 1
+    assert out[1] == "  lines: 1 -> 2, first difference at line 2"
 
 
 def test_a_changed_gradcheck_pass_fails(tool, capsys, tmp_path):

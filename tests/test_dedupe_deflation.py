@@ -203,7 +203,7 @@ def test_prefilter_keeps_every_segment_merge_of_example2_solve(monkeypatch):
         expect = None
         for i, b in enumerate(known):
             plain = _same_solution(a, b, prob, cfg)
-            close = solvers._is_duplicate(a, b, cfg.dedupe_tol)
+            close = bool(solvers._close_rows(a, b[None], cfg.dedupe_tol)[0][0])
             before = len(flat_calls)
             pair_actions = (actions[0], float(actions[1][i]))
             assert _same_solution(a, b, prob, cfg, pair_actions) == plain, (a, b, pair_actions)

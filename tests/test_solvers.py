@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from pklap.core import (
 )
 from pklap.operators import residual_values
 from pklap.solvers import (
-    SUBSPACE_W,
+    SUBSPACE_FULL,
     SUBSPACE_Y,
     SolverConfig,
     SweepResult,
@@ -21,7 +22,7 @@ from pklap.solvers import (
     _deflated_rows,
     _deflation_terms,
     _flat_connected,
-    _make_record,
+    _make_records,
     _newton_iterate,
     _System,
     find_multiple,
@@ -62,15 +63,10 @@ def _double_well(lam=1.0, p=2.0):
 class TestSubspaceBasis:
     @pytest.mark.parametrize("m,n", [(2, 1), (4, 1), (3, 2)])
     def test_orthonormal_columns(self, m, n):
-        for name, cols in ((SUBSPACE_Y, (m - 1) * n), (SUBSPACE_W, n)):
-            B = subspace_basis(m, n, name)
-            assert B.shape == (m * n, cols)
-            assert np.allclose(B.T @ B, np.eye(cols), atol=1e-12)
-
-    def test_w_spans_constants(self):
-        B = subspace_basis(3, 1, SUBSPACE_W)
-        v = B @ np.ones(1)
-        assert np.allclose(v, v[0])
+        cols = (m - 1) * n
+        B = subspace_basis(m, n, SUBSPACE_Y)
+        assert B.shape == (m * n, cols)
+        assert np.allclose(B.T @ B, np.eye(cols), atol=1e-12)
 
     def test_y_columns_have_zero_mean(self):
         B = subspace_basis(4, 2, SUBSPACE_Y)
@@ -80,17 +76,20 @@ class TestSubspaceBasis:
     def test_unknown_subspace(self):
         with pytest.raises(ValueError):
             subspace_basis(3, 1, "Z")
+        with pytest.raises(ValueError):
+            subspace_basis(3, 1, "W")
 
 
 class TestNewtonSolve:
     def test_well_from_nearby_start(self):
         prob = _double_well()
         cfg = SolverConfig(starts=4, seed=0)
-        x, _, converged, _ = _newton_iterate(_System(prob), np.array([0.9, 1.1]), cfg)
+        x, norm, converged, _ = _newton_iterate(_System(prob), np.array([0.9, 1.1]), cfg)
         assert converged
         assert np.allclose(x, [1.0, 1.0], atol=1e-9)
-        rec = _make_record(prob, x, "newton", cfg)
-        assert rec.residual_norm <= cfg.residual_tol
+        (rec,) = _make_records(prob, x[None], np.array([norm]), [("newton", 0)], cfg)
+        assert rec.residual_norm == norm <= cfg.residual_tol
+        assert (rec.method, rec.start_index) == ("newton", 0)
         assert rec.classification == "minimum"
         assert rec.morse_index == 0
 
@@ -238,8 +237,10 @@ def test_mountain_pass_between_wells(monkeypatch):
     assert np.allclose(rec.u.values, 0.0, atol=1e-8)
     assert rec.action_value == pytest.approx(0.0, abs=1e-10)
     assert rec.morse_index == 1
-    assert rec.method == "mountain_pass"
+    assert rec.method == "mountain_pass" and rec.start_index is None
     assert calls == [None]
+    # the record keeps Newton's best norm, which is the full residual norm
+    assert rec.residual_norm == float(np.linalg.norm(residual_values(rec.u, prob)))
 
 
 class TestFindMultiple:
@@ -305,7 +306,7 @@ class TestFindMultiple:
 
     def test_subspace_validation(self):
         with pytest.raises(ValueError):
-            find_multiple(_double_well(), subspace=SUBSPACE_W)
+            find_multiple(_double_well(), subspace="W")
 
     def test_extra_starts_seed_known_solution(self):
         prob = _double_well()
@@ -313,6 +314,29 @@ class TestFindMultiple:
         sols = find_multiple(prob, cfg, extra_starts=[np.array([0.9, 1.1])])
         flats = [tuple(np.round(r.u.values.reshape(-1), 8)) for r in sols.records]
         assert (1.0, 1.0) in flats
+
+    @pytest.mark.parametrize("subspace", [SUBSPACE_FULL, SUBSPACE_Y])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([0.9, 1.1, 0.3]), "has 3 values, not m*n = 2"),
+            (np.array([[0.9]]), "has 1 values, not m*n = 2"),
+            (np.array([np.nan, 1.1]), "is not finite"),
+            (np.array([0.9, np.inf]), "is not finite"),
+        ],
+        ids=["long", "short", "nan", "inf"],
+    )
+    def test_malformed_extra_start_is_named(self, subspace, bad, message, monkeypatch):
+        """A warm start of the wrong size, or one that is not finite, is a
+        ValueError naming its index, raised before any Newton step."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("find_multiple ran Newton on a malformed start")
+
+        monkeypatch.setattr(solvers, "_newton_rows", fail)
+        good = np.array([0.9, 1.1])
+        with pytest.raises(ValueError, match=rf"^extra_starts\[1\] {re.escape(message)}$"):
+            find_multiple(_double_well(), SolverConfig(starts=1), subspace, extra_starts=[good, bad])
 
 
 def test_example3_y_solution_set_is_pinned():

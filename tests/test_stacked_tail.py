@@ -1,16 +1,15 @@
 """The stacked tail of find_multiple against its one-row forms.
 
 After the lock-step Newton batch of a stage, find_multiple solves every
-Newton step of a round with one stacked solve, builds and classifies the
-stage's records in stacks (one residual, one Hessian stencil, one eigvalsh,
-one action call) and compares each candidate with all known records at once.
-Each stacked path must give, row by row, the bits and the warnings of its
-one-row case: _newton_step, morse_summary, _make_record and the pairwise
-_same_solution loop.  The sign-flip post-check is one residual call that
+Newton step of a round with one stacked solve, compares each candidate
+with all known solutions at once, and in the end builds and classifies the
+kept solutions' records in stacks (one Hessian stencil, one eigvalsh, one
+action call).  Each stacked path must give, row by row, the bits and the
+warnings of its one-row case: _newton_step, morse_summary, one-row
+_make_records calls and the pairwise _same_solution loop.  The sign-flip post-check is one residual call that
 keeps the loop's verdict and failure order.
 """
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -28,7 +27,6 @@ from pklap.solvers import (
     _canonical,
     _first_match,
     _KnownSolutions,
-    _make_record,
     _make_records,
     _newton_step,
     _newton_steps,
@@ -187,39 +185,40 @@ def _assert_same_record(got, ref):
 @pytest.mark.parametrize("name, m", [("example1", 4), ("example3", 2), ("power", 3), ("example2", 8)])
 @pytest.mark.parametrize("classify", [True, False])
 def test_make_records_match_make_record(name, m, classify):
+    """B stacked rows against B one-row _make_records calls."""
     prob = _problem(name, m)
     x = _points(prob, 6, seed=3)
     x[2] = 0.0
     x[3] -= x[3].mean()  # a zero-mean row, so in_Y varies
     cfg = SolverConfig(residual_tol=1e-6)
-    starts = [4, None, 0, 7, 2, 9]
+    norms = np.array([float(np.linalg.norm(residual_values(row.reshape(m, prob.n), prob))) for row in x])
+    origins = [("deflated", 4), ("newton", None), ("newton", 0), ("deflated", 7), ("deflated", 2), ("newton", 9)]
     flags = () if classify else ("y_critical_only",)
     stacked, stacked_warnings = _recorded(
-        lambda: _make_records(prob, x, "deflated", cfg, starts, flags, classify)
+        lambda: _make_records(prob, x, norms, origins, cfg, flags, classify)
     )
     alone, alone_warnings = _recorded(
-        lambda: [_make_record(prob, row, "deflated", cfg, s, flags, classify) for row, s in zip(x, starts)]
+        lambda: [
+            _make_records(prob, x[b : b + 1], norms[b : b + 1], origins[b : b + 1], cfg, flags, classify)[0]
+            for b in range(len(x))
+        ]
     )
     assert stacked_warnings == alone_warnings
     for got, ref in zip(stacked, alone, strict=True):
         _assert_same_record(got, ref)
     assert {r.in_Y for r in stacked} == {True, False}
+    assert [(r.method, r.start_index) for r in stacked] == origins
+    assert _same_bits(np.array([r.residual_norm for r in stacked]), norms)
     assert stacked[2].converged and stacked[2].start_index == 0
-    # the residual norms a caller already has give the same records
-    norms = np.array([r.residual_norm for r in alone])
-    given_norms, given_warnings = _recorded(
-        lambda: _make_records(prob, x, "deflated", cfg, starts, flags, classify, norms)
-    )
-    assert given_warnings == alone_warnings
-    for got, ref in zip(given_norms, alone, strict=True):
-        _assert_same_record(got, ref)
+    assert _make_records(prob, x[:0], norms[:0], [], cfg, flags, classify) == []
 
 
 def test_make_records_raise_on_a_non_finite_action():
     prob = _problem("power", 3, p=np.full(3, 2.0))
     x = np.array([[1.0, 2.0, 3.0], [1e200, -1e200, 0.0]])
+    origins = [("newton", 0), ("newton", 1)]
     with pytest.raises(EvaluationError), np.errstate(over="ignore"):
-        _make_records(prob, x, "newton", SolverConfig(), classify=False)
+        _make_records(prob, x, np.zeros(2), origins, SolverConfig(), classify=False)
 
 
 # --- stacked dedupe --------------------------------------------------------
@@ -318,21 +317,24 @@ def test_stacked_dedupe_runs_the_segment_test_only_on_survivors(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(_DEDUPE_PROBLEMS))
 def test_known_solutions_keep_representatives_beside_records(name):
-    """Appends and replacements keep the stacked representatives and
-    actions those of the records, row by row; a duplicate with a larger
-    residual norm changes nothing."""
+    """Appends and replacements keep the stacked points, representatives,
+    actions, norms and origins together, row by row; a duplicate with a
+    larger residual norm changes nothing."""
     prob = _DEDUPE_PROBLEMS[name]
     cfg = SolverConfig()
     rng = np.random.default_rng(4)
     p, q = rng.normal(size=(2, prob.dim))
-    recs = _make_records(prob, np.stack([p, q, p * (1.0 + 1e-9), q * (1.0 - 1e-9)]), "newton", cfg)
-    recs = [dataclasses.replace(r, residual_norm=v) for r, v in zip(recs, [1e-12, 1e-12, 1e-13, 1e-11])]
+    x = np.stack([p, q, p * (1.0 + 1e-9), q * (1.0 - 1e-9)])
+    actions = _action_values(x, prob)
+    norms = [1e-12, 1e-12, 1e-13, 1e-11]
+    origins = [("newton", 0), ("newton", 1), ("deflated", 2), ("deflated", 3)]
     found = _KnownSolutions(prob, cfg)
-    assert [found.add(r) for r in recs] == [True, True, False, False]
-    assert found.records == [recs[2], recs[1]]
-    expect = np.array([_canonical(r.u.flat(), prob) for r in found.records])
-    assert _same_bits(found.canon, expect)
-    assert _same_bits(found.actions, np.array([r.action_value for r in found.records]))
+    assert [found.add(*row) for row in zip(x, actions.tolist(), norms, origins)] == [True, True, False, False]
+    assert _same_bits(found.x, x[[2, 1]])
+    assert _same_bits(found.canon, np.array([_canonical(row, prob) for row in x[[2, 1]]]))
+    assert _same_bits(found.actions, actions[[2, 1]])
+    assert found.norms.tolist() == [1e-13, 1e-12]
+    assert found.origins == [("deflated", 2), ("newton", 1)]
 
 
 # --- sign-flip post-check -------------------------------------------------

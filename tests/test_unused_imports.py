@@ -1,5 +1,5 @@
-"""No module of the package (except `__init__.py`, which re-exports) or of
-the tests imports a name that it never reads.
+"""No module of the package (except `__init__.py`, which re-exports), of
+the tests or of the tools imports a name that it never reads.
 
 A moved function leaves its old imports behind where nothing else notices
 them.  An import whose statement carries `# noqa: F401` is kept on purpose
@@ -14,6 +14,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "pklap").glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "tests").glob("*.py"))
+MODULES += sorted((ROOT / "tools").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:

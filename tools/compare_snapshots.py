@@ -3,8 +3,10 @@
     python tools/compare_snapshots.py BASE NEW
 
 Prints each file that differs between the directories BASE and NEW, or that
-only one of them holds.  For a JSON file it also prints the top-level keys
-whose values differ and, for a `check` report, the relative change of a
+only one of them holds.  For a CSV file it also prints the line count of
+each side and the number of the first line that differs.  For a JSON file
+it also prints the top-level keys whose values differ and, for a `check`
+report, the relative change of a
 moved `xi` or `lambda_star`, each route whose `lambda_interval` changed
 (old -> new, a route on one side only reading None on the other) and the
 names of the reports that differ, with each verdict that changed and the
@@ -50,6 +52,14 @@ def _relative_change(old, new) -> float:
     if not (math.isfinite(a) and math.isfinite(b)) or a == 0.0:
         return math.inf
     return abs(b - a) / abs(a)
+
+
+def _compare_lines(base: bytes, new: bytes) -> str:
+    """The line counts of two texts and the 1-based number of their first
+    differing line (a line is compared with its line ending)."""
+    a, b = base.splitlines(keepends=True), new.splitlines(keepends=True)
+    first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return f"  lines: {len(a)} -> {len(b)}, first difference at line {first + 1}"
 
 
 def _compare_json(base: dict, new: dict) -> tuple[list[str], bool, float, dict]:
@@ -109,6 +119,8 @@ def compare(base_dir: str, new_dir: str) -> int:
         differing += 1
         print(f"{name}: differs")
         if not name.endswith(".json"):
+            if name.endswith(".csv"):
+                print(_compare_lines(base, new))
             failures += 1
             continue
         lines, changed, rel, moved = _compare_json(json.loads(base), json.loads(new))
