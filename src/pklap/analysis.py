@@ -718,9 +718,11 @@ def check_growth(
     (_signed_samples), the same calls at every n, and evaluate F on them
     with one Nonlinearity.F_many call.  A.6.x draws each shell's t values,
     signs (n = 1) or directions (n > 1) with one call each, and evaluates F
-    with one F_many call per variant.  The bound of A.4 and the quotient
-    denominators are computed with C pow, as Python's ** does, so the
-    margins are bitwise those of a point-by-point loop over the same
+    with one F_many call per distinct exponent pair (e1, e2): the variants
+    of a pair draw from one stream and give the same quotients, so a family
+    with constant s and r computes them once.  The bound of A.4 and the
+    quotient denominators are computed with C pow, as Python's ** does, so
+    the margins are bitwise those of a point-by-point loop over the same
     samples.
     """
     if nl.m != g.m:
@@ -757,7 +759,10 @@ def check_growth(
     shells = [10.0**-j for j in range(1, 9)]
     per_shell = max(sample_budget // (8 * 4), 8)
     rows = (per_shell + 3) * m  # samples per shell
-    for tag, e1, e2 in variants:
+
+    @functools.cache  # the variants of one exponent pair share its draws and quotients
+    def shell_quotients(e1, e2):
+        """Each shell's first largest quotient, and the last one's sample (k, u1, u2)."""
         rng = rng_for(seed, 6, int(e1 * 1000), int(e2 * 1000))
         K = np.tile(np.arange(1, m + 1), len(shells) * (per_shell + 3))
         U1 = np.empty((K.size, n))
@@ -776,16 +781,18 @@ def check_growth(
         q = np.zeros(K.size)
         q[kept] = np.abs(nl.F_many(K[kept], U1[kept], U2[kept])) / denom[kept]
         q[np.isnan(q)] = 0.0
-        # the first largest quotient of each shell; the last shell decides
         q = q.reshape(len(shells), rows)
         w = np.argmax(q, axis=1)
-        trajectory = q[np.arange(len(shells)), w].tolist()
-        final = trajectory[-1]
+        i = (len(shells) - 1) * rows + int(w[-1])
+        return q[np.arange(len(shells)), w].tolist(), (int(K[i]), U1[i], U2[i])
+
+    for tag, e1, e2 in variants:
+        trajectory, (k, u1, u2) = shell_quotients(e1, e2)
+        final = trajectory[-1]  # the last shell decides
         verdict = HOLDS if final <= QUOTIENT_TOL else VIOLATED
         witness = None
         if verdict == VIOLATED:
-            i = (len(shells) - 1) * rows + int(w[-1])
-            witness = {"k": int(K[i]), "u1": U1[i].copy(), "u2": U2[i].copy()}
+            witness = {"k": k, "u1": u1.copy(), "u2": u2.copy()}
             witness.update(quotient=final, shell=shells[-1])
         reports.append(
             CheckReport(
@@ -795,7 +802,7 @@ def check_growth(
                 witness,
                 samples=len(shells) * rows,
                 seed=seed,
-                detail={"shell_quotients": trajectory},
+                detail={"shell_quotients": list(trajectory)},
             )
         )
     return reports

@@ -175,7 +175,8 @@ def _block_search(step, blocks, trial, evaluate, take, floor=None, base=None) ->
     block to block), one evaluate(points, k, t) call gets their live trials
     flattened in row order and returns (accepted, *outputs) per trial, and
     take(k, t, *outputs) gets each accepting row's first accepted trial.
-    Returns the accepted mask.
+    A block whose trials are all live, the common case, is passed on as it
+    is, with no mask gathered or scattered.  Returns the accepted mask.
     """
     if base is not None:
         base = base.reshape(len(base), 1, math.prod(base.shape[1:])).view(np.uint64)
@@ -190,21 +191,26 @@ def _block_search(step, blocks, trial, evaluate, take, floor=None, base=None) ->
             live = t > floor
         else:
             same = (points.reshape(*t.shape, -1).view(np.uint64) == base[k]).all(axis=2)
-            live = same.cumsum(axis=1) == 0
-        t_live = t[live]
-        if t_live.size == 0:
-            break
-        counts = live.sum(axis=1)  # live trials are a prefix of each row's block
-        good, *outs = evaluate(points[live], k.repeat(counts), t_live)
-        accepted = np.zeros(live.shape, dtype=bool)
-        accepted[live] = good
-        j = accepted.argmax(axis=1)
+            live = same.cumsum(axis=1) == 0 if same.any() else None
+        if live is None or live.all():
+            size, t_live = t.shape[1], t.reshape(-1)
+            good, *outs = evaluate(points.reshape(-1, *points.shape[2:]), k.repeat(size), t_live)
+            accepted, starts, last_live = good.reshape(t.shape), np.arange(0, t_live.size, size), True
+        else:
+            t_live = t[live]
+            if t_live.size == 0:
+                break
+            counts = live.sum(axis=1)  # live trials are a prefix of each row's block
+            good, *outs = evaluate(points[live], k.repeat(counts), t_live)
+            accepted = np.zeros(live.shape, dtype=bool)
+            accepted[live] = good
+            starts, last_live = counts.cumsum() - counts, live[:, -1]
         hit = accepted.any(axis=1)
-        pos = (counts.cumsum() - counts + j)[hit]
+        pos = (starts + accepted.argmax(axis=1))[hit]
         taking = k[hit]
         take(taking, t_live[pos], *(out[pos] for out in outs))
         found[taking] = True
-        k = k[live[:, -1] & ~hit]
+        k = k[last_live & ~hit]
     return found
 
 

@@ -102,19 +102,20 @@ def _central_difference(fn, x: np.ndarray, step: np.ndarray) -> tuple[np.ndarray
     every base point.  Returns (d, ok): entry (or column) i of d[b] is
     (fn(x_b + step_b e_i) - fn(x_b - step_b e_i)) / (2 step_b), so d is
     (B, dim) or (B, out, dim), and ok[b] is False when a stencil value of
-    base point b is not finite.
+    base point b is not finite.  The stencil's shifted entries are a
+    strided view of its flat rows, so no index array is built.
     """
     B, dim = x.shape
-    idx = np.arange(dim)
-    points = np.repeat(x[:, None, :], 2 * dim, axis=1)  # (B, 2 dim, dim)
-    points[:, idx, idx] += step[:, None]
-    points[:, dim + idx, idx] -= step[:, None]
+    points = x[:, None, :].repeat(2 * dim, axis=1)  # (B, 2 dim, dim)
+    diagonal = points.reshape(B, 2, dim * dim)[:, :, :: dim + 1]  # entries (i, i), (dim + i, i)
+    diagonal[:, 0] += step[:, None]
+    diagonal[:, 1] -= step[:, None]
     vals = np.asarray(fn(points.reshape(-1, dim)))
     vals = vals.reshape((B, 2, dim) + vals.shape[1:])
-    ok = np.all(np.isfinite(vals.reshape(B, -1)), axis=1)
+    ok = np.isfinite(vals).reshape(B, -1).all(axis=1)
     scale = (2.0 * step).reshape((B, 1) + (1,) * (vals.ndim - 3))
     d = (vals[:, 0] - vals[:, 1]) / scale
-    return np.moveaxis(d, 1, -1), ok
+    return d.swapaxes(1, -1), ok
 
 
 def gradient(u: PeriodicSequence, prob: Problem) -> PeriodicSequence:

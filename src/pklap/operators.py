@@ -16,6 +16,8 @@ it, the one-row public functions too, so each formula is written here once.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -80,7 +82,8 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
 
     Returns (mus, pots, r), shaped (B,), (B,) and (B, m, n), each None
     unless its flag is set.  The shape is checked once; rows with a
-    non-finite entry never reach the kernels and are NaN in every output.
+    non-finite entry never reach the kernels and are NaN in every output
+    (rows are tested one by one only when the stack's sum is not finite).
     The finite rows are shifted, differenced and normed once, for mu and
     phi alike; F (Nonlinearity._F_points) and then the coupling term
     (Nonlinearity._assembled, one call of the partials kernel dF) take the
@@ -95,13 +98,13 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
     vals = _read_only(vals)
     if vals.ndim != 3 or vals.shape[1:] != (prob.m, prob.n):
         raise ValueError(f"sequence stack shape {vals.shape} does not match (B, {prob.m}, {prob.n})")
-    finite = np.isfinite(vals).all(axis=(1, 2))
-    x = vals if finite.all() else _read_only(vals[finite])
     m, p, nl = prob.m, prob.exponent.values, prob.nonlinearity
-    K = _stack_periods(m, len(x))
-    flat = (K.size, prob.n)
     out = [None, None, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        finite = None if math.isfinite(vals.sum()) else np.isfinite(vals).all(axis=(1, 2))
+        x = vals if finite is None or finite.all() else _read_only(vals[finite])
+        K = _stack_periods(m, len(x))
+        flat = (K.size, prob.n)
         up = _shifted(x)  # row k-1 holds u(k+1)
         up.flags.writeable = False
         d = up - x  # row k-1 holds Delta u(k)

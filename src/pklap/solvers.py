@@ -29,7 +29,7 @@ from .core import (
     euclidean_norm,
     in_Y,
 )
-from .functional import _action_values, _central_difference, _morse_summaries, action
+from .functional import _action_values, _central_difference, _morse_summaries, _require_smooth, action
 from .operators import _residual_rows, residual_values
 
 SUBSPACE_FULL = "H_m"
@@ -166,12 +166,13 @@ def _deflated_rows(system: _System, known: np.ndarray, y: np.ndarray):
     overflows (those rows never reach the residual), and where g fails.
     """
     factor, dfactor = _deflation_terms(y, known, _DEFLATION_POWER, _DEFLATION_SHIFT)
-    ok = np.isfinite(factor) & np.all(np.isfinite(dfactor), axis=1)
-    g = np.full(y.shape, np.nan)
-    if np.any(ok):
-        g_ok, ok_g = system.rows(y[ok])
-        g[ok] = g_ok
-        ok[ok] = ok_g
+    ok = np.isfinite(factor) & np.isfinite(dfactor).all(axis=1)
+    if ok.all():
+        g, ok = system.rows(y)
+    else:
+        g = np.full(y.shape, np.nan)
+        if ok.any():
+            g[ok], ok[ok] = system.rows(y[ok])
     return factor[:, None] * g, ok, (factor, dfactor, g)
 
 
@@ -296,21 +297,26 @@ def _newton_rows(
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        jac, ok = system.jacobians(y[rows])
+        y_base = y[rows]
+        jac, ok = system.jacobians(y_base)
         if known is not None:
             jac = _deflated_jacobians(jac, *(state[rows] for state in terms))
-        active[rows[~ok]] = False
-        rows = rows[ok]
-        deltas, stepped = _newton_steps(jac[ok], g[rows])
-        active[rows[~stepped]] = False
-        rows, deltas = rows[stepped], deltas[stepped]
-        y_base, ng_base, steps = y[rows], ng[rows], np.ones(rows.size)
+        # a start whose Jacobian or step fails stops (gathers only when one does)
+        if not ok.all():
+            active[rows[~ok]] = False
+            rows, y_base, jac = rows[ok], y_base[ok], jac[ok]
+        deltas, ok = _newton_steps(jac, g[rows])
+        if not ok.all():
+            active[rows[~ok]] = False
+            rows, y_base, deltas = rows[ok], y_base[ok], deltas[ok]
+        ng_base, steps = ng[rows], np.ones(rows.size)
         accepted = _block_search(steps, _SEARCH_BLOCKS, trial, evaluate_trials, take, base=y_base)
         active[rows[~accepted]] = False
         rows = rows[accepted]
         escaped = _row_norms(y[rows]) > 1e8
-        active[rows[escaped]] = False
-        rows = rows[~escaped]
+        if escaped.any():
+            active[rows[escaped]] = False
+            rows = rows[~escaped]
         iters[rows] += 1
         polish_left[rows[below_tol[rows]]] -= 1
         better = rows[ng[rows] < best_ng[rows]]
@@ -380,22 +386,26 @@ def _deflation_terms(
     and sum of log-gradients accumulate in the order of known, so row b is
     bitwise that of a loop over the solutions at y_b: each squared norm is
     one dot product (the stacked matmul), the powers go through C pow
-    (np.float_power, as Python's ** on floats), and cumprod/cumsum add one
-    term at a time.  The leading 0.0 + turns a -0.0 sum into +0.0, as adding
-    to a zero vector does.  At a known solution the factor is inf and the
-    gradient 0.
+    (np.float_power, as Python's ** on floats), multiply.reduce multiplies
+    one term at a time and cumsum adds one at a time (add.reduce would sum
+    pairwise).  The leading 0.0 + turns a -0.0 sum into +0.0, as adding to
+    a zero vector does.  At a known solution the factor is inf and the
+    gradient 0; those fix-ups run only when some row sits on one.
     """
     d = y[:, None, :] - np.asarray(known, dtype=float)
     nd2 = (d[..., None, :] @ d[..., :, None]).reshape(d.shape[:2])
-    hit = np.any(nd2 == 0.0, axis=1)
-    nd2[hit] = 1.0
+    hit = nd2 == 0.0
+    hit = hit.any(axis=1) if hit.any() else None
+    if hit is not None:
+        nd2[hit] = 1.0
     mi = np.float_power(nd2, -power / 2.0) + shift
     dmi = (-power * np.float_power(nd2, -power / 2.0 - 1.0))[..., None] * d
-    factor = np.cumprod(mi, axis=1)[:, -1]
+    factor = np.multiply.reduce(mi, axis=1)
     log_grad = 0.0 + np.cumsum(dmi / mi[..., None], axis=1)[:, -1]
     grad = factor[:, None] * log_grad
-    factor[hit] = math.inf
-    grad[hit] = 0.0
+    if hit is not None:
+        factor[hit] = math.inf
+        grad[hit] = 0.0
     return factor, grad
 
 
@@ -672,11 +682,14 @@ def find_multiple(
     method is "newton" or "deflated".  With subspace="Y" the iteration runs
     on the zero-mean reduction; every candidate is still verified against
     the full residual, and reduced-critical points failing that test are
-    reported, unclassified, in y_discrepancies instead of records.
+    reported, unclassified, in y_discrepancies instead of records.  Raises
+    NonsmoothExponentError before any stage when some p(k) <= 1, even
+    where no solution would be kept.
     """
     cfg = cfg or SolverConfig()
     if subspace not in (SUBSPACE_FULL, SUBSPACE_Y):
         raise ValueError(f"find_multiple supports subspaces H_m and Y, got {subspace!r}")
+    _require_smooth(prob, "find_multiple")  # records are classified by their Hessians
     warm = [np.asarray(w, dtype=float).reshape(-1) for w in extra_starts]
     for i, w in enumerate(warm):
         if w.size != prob.dim:

@@ -4,10 +4,12 @@
 xi descent.  Each row tries step * 2^-j in
 order and takes its first accepted trial, while the trials of all rows still
 searching are evaluated in blocks.  The property below pins it to the
-one-row loop; the schedule tests pin that each caller's blocks hold its
-whole trial sequence; the call-count spies pin the Newton search's
-deflated-residual calls and the xi descent's energy calls, with their rows,
-which depend only on the arithmetic, not on the host's load.
+one-row loop, and so do the cases of all-live and partly live blocks, in
+the floor and the byte-equality modes; the schedule tests pin that each
+caller's blocks hold its whole trial sequence; the call-count spies pin
+the Newton search's deflated-residual calls and the xi descent's energy
+calls, with their rows, which depend only on the arithmetic, not on the
+host's load.
 """
 
 import pathlib
@@ -103,6 +105,35 @@ def test_rows_take_the_first_trial_their_loop_accepts(rows, blocks, floor, byte_
             j, point = ref
             assert taken_t[i] == step[i] * 2.0**-j
             assert taken[i].tobytes() == point.tobytes()
+
+
+@pytest.mark.parametrize("byte_rule", [False, True])
+@pytest.mark.parametrize("partly_live", [False, True])
+def test_all_live_and_partly_live_blocks_match_the_loop(byte_rule, partly_live):
+    """Three rows in blocks (2, 4): the first accepts its second trial,
+    the second its fifth and the third none.  With every trial live, each
+    block evaluates all trials of its rows, 3 * 2 and then 2 * 4.  Partly
+    live, the third row's live trials end inside the second block, at the
+    floor 0.1 (t = 1/4, 1/8 live) or where 1 + t 2^-50 rounds to 1 (t = 1/4
+    live), and only the live ones are evaluated."""
+    X = np.array([[10.0], [-10.0], [1.0]])
+    D = np.array([[1.0], [1.0], [2.0**-50 if partly_live and byte_rule else 1.0]])
+    step = np.array([8.0, 8.0, 1.0])
+    floor = 0.1 if partly_live else 0.0
+
+    def accept(point, t):
+        return (point[0] > 5.0 and t <= 4.0) or (point[0] < -5.0 and t <= 0.5)
+
+    found, taken_t, taken, calls = _run_block_search(X, D, step, (2, 4), accept, floor, byte_rule)
+    second = 4 + ((1 if byte_rule else 2) if partly_live else 4)
+    assert calls == [6, second]
+    assert found.tolist() == [True, True, False]
+    for i in range(len(X)):
+        ref = _loop_search(X[i], D[i], step[i], 6, accept, floor, byte_rule)
+        assert found[i] == (ref is not None)
+        if ref is not None:
+            assert taken_t[i] == step[i] * 2.0 ** -ref[0]
+            assert taken[i].tobytes() == ref[1].tobytes()
 
 
 def test_byte_equal_trial_ends_the_row_unaccepted():

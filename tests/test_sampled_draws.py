@@ -327,10 +327,12 @@ def test_a_bounded_check_builds_two_generators_per_lambda_star_radius(tmp_path):
     ]
 
 
-def test_a_check_batch_instance_builds_95_generators(tmp_path):
+def test_a_check_batch_instance_builds_89_generators(tmp_path):
     """check and a 50-point gradcheck on the nine configs of one benchmark
-    check batch build 95 generators (1283 when lambda-star drew one stream
-    per sample)."""
+    check batch build 89 generators: 95 when A.6 drew its three variants
+    apart also where they share one exponent pair (power_borderline and the
+    two power varp configs, constant s = r), and 1283 when lambda-star drew
+    one stream per sample."""
 
     def run():
         for name, cfg in _bench_check_configs(7).items():
@@ -343,5 +345,6 @@ def test_a_check_batch_instance_builds_95_generators(tmp_path):
             assert cli.main(argv) == cli.EXIT_OK
 
     keys = _generator_keys(run)
-    assert len(keys) == 95
+    assert len(keys) == 89
+    assert sum(key[0] == 6 for key in keys) == 4 * 3 + 3 * 1  # A.6 streams of seven growth configs
     assert sum(len(key) == 2 and key[0] in (47, 48) for key in keys) == 12

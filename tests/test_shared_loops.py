@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pklap import solvers
+from pklap import functional, operators, solvers
 from pklap.analysis import rng_for
 from pklap.core import ExponentFunction, Nonlinearity, PeriodicSequence, Problem, euclidean_norm
 from pklap.functional import (
@@ -240,3 +240,20 @@ class TestNonsmoothExponent:
         with pytest.warns(RuntimeWarning, match="p_minus < 2"):
             with pytest.raises(NonsmoothExponentError):
                 morse_summary(_point(prob, 0), prob)
+
+    @pytest.mark.parametrize("subspace", [SUBSPACE_FULL, SUBSPACE_Y])
+    def test_find_multiple_raises_before_any_residual(self, monkeypatch, subspace):
+        """Every record is classified by its Hessian, so find_multiple
+        refuses before stage 0: no residual is evaluated, and a family
+        that would keep no solution raises too."""
+        calls = []
+
+        def spy(vals, prob):
+            calls.append(len(vals))
+            raise AssertionError("a residual was evaluated")
+
+        for module in (solvers, operators, functional):
+            monkeypatch.setattr(module, "_residual_rows", spy)
+        with pytest.raises(NonsmoothExponentError, match="find_multiple requires every p"):
+            find_multiple(self._prob(), SolverConfig(starts=4), subspace=subspace)
+        assert calls == []

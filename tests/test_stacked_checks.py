@@ -526,13 +526,38 @@ def _growth(m, s, r):
         pytest.param(EXAMPLE1.nonlinearity, EXAMPLE1.growth, id="example1"),
         pytest.param(make_power(3, 1.0, 1.0, 2.0, 2.0)[0], _growth(3, [3.0] * 3, [3.0] * 3), id="violated"),
         pytest.param(_well_nl2(3), _growth(3, [2.5, 3.0, 2.5], [3.5, 2.5, 3.0]), id="n2"),
+        pytest.param(*make_power(4, 1.0, 1.0, 3.0, 3.0), id="constant_s_r"),
     ],
 )
 @pytest.mark.parametrize("seed", [0, 9])
 def test_a6_shells_match_point_by_point_draws(nl, g, seed):
+    """Each variant against its own loop, also where the three variants
+    share one exponent pair and check_growth computes it once."""
     got = check_growth(nl, g, sample_budget=400, seed=seed)[2:]
     ref = _loop_a6(nl, g, 400, seed)
     assert [_dumps(r) for r in got] == [_dumps(r) for r in ref]
+
+
+@pytest.mark.parametrize(
+    "s,r,calls",
+    [(3.0, 3.0, 3), ([2.5, 3.0, 2.5, 3.0], 3.0, 4), ([2.5, 3.0, 2.5, 3.0], [3.5, 2.5, 3.0, 3.0], 5)],
+)
+def test_a6_evaluates_each_distinct_exponent_pair_once(monkeypatch, s, r, calls):
+    """A.4 and A.5 make one F_many call each, and A.6 one per distinct pair
+    (e1, e2) of its variants (s+, r-), (s-, r+) and (s-, r-): one pair for
+    constant s and r, two for a variable s alone, three for both."""
+    nl, g = make_power(4, 1.0, 1.0, s, r)
+    sizes = []
+    real = Nonlinearity.F_many
+
+    def spy(self, K, U1, U2):
+        sizes.append(np.size(K))
+        return real(self, K, U1, U2)
+
+    monkeypatch.setattr(Nonlinearity, "F_many", spy)
+    reports = check_growth(nl, g, sample_budget=400, seed=3)
+    assert len(sizes) == calls
+    assert [r.name for r in reports] == ["A.4", "A.5", "A.6.1", "A.6.2", "A.6.3"]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ which are found without evaluating mu, and `check` on the power
 family at m = 2, p = 60, where mu in the anti-coercivity probe's table
 reaches 3.6e187 without overflowing, and `check` on the same family at m = 8, p = 1.5, where no
 start of the xi descent converges and xi is reported as an upper bound
-(`xi_converged` false): 59 files in all.  The generated configs are written to a
+(`xi_converged` false).  Last, it runs `solve` (values and summary CSV) on
+the check batch's seed-1 power_m8_varp config, so that Newton at a
+variable p(k) is covered too: 61 files in all.  The generated configs are written to a
 temporary directory, not to OUTDIR; the benchmark configs are imported,
 not copied.  The commands run against the src/ of the checkout this
 script sits in, so two checkouts give two snapshots, and `diff -r` between
@@ -104,6 +106,12 @@ def _commands(outdir: str, cfgdir: str) -> list[list[str]]:
                 ["gradcheck", config, "--points", str(GRADCHECK_POINTS),
                  "--output", out + ".gradcheck.json"]
             )
+    # Newton at variable p(k): solve the seed-1 power_m8_varp config written above
+    out = os.path.join(outdir, "bench_s1_power_m8_varp")
+    cmds.append(
+        ["solve", os.path.join(cfgdir, "bench_s1_power_m8_varp.json"),
+         "--values-out", out + ".values.csv", "--summary-out", out + ".summary.csv"]
+    )
     return cmds
 
 
