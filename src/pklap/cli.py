@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import traceback
 
 import numpy as np
@@ -193,17 +192,22 @@ def load_config(path: str) -> LoadedConfig:
 
 
 def _check_output_dirs(*paths: str) -> None:
-    """Raise ConfigError, before any computation, for an output path whose
+    """Raise ConfigError, before any computation, for an output path that
+    names a directory (an existing one, or by a trailing separator) or whose
     directory does not exist."""
     for path in paths:
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise ConfigError(f"output path names a directory: {path}")
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             raise ConfigError(f"output directory does not exist: {directory}")
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pklap-")
+    """Write text to a new file beside path, then rename it over path.  The
+    file is created with mode 0o666 less the umask, as open() would."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".pklap-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -5,8 +5,9 @@ modulo m before any trigonometry, so they are exactly m-periodic in k and
 weights like |sin(pi*k/m)| vanish exactly where they should.  Each formula
 is written once, in array form (Nonlinearity.from_arrays): F, and dF, which
 gives both partial gradients at the same pairs and computes the terms they
-share once.  The closed-form f_direct cross-checks stay per-point, as an
-independent second derivation.
+share once.  example1 and example2 also carry a per-point closed form
+f_direct, an independent second derivation; construction does not call it,
+and the test suite compares it with the assembled coupling term.
 
 Powers are taken with np.float_power, which calls C pow on every element,
 as Python's ** does on floats.  numpy's ** (np.power) takes a SIMD pow on
@@ -153,13 +154,15 @@ def make_example2(m: int) -> tuple[Nonlinearity, GrowthProfile]:
     return nl, growth
 
 
+_GUARD_BUDGET = 800  # samples per condition A.7-A.9 in make_example3's radii guard
+
+
 def make_example3(
     m: int,
     C: float = 1.0,
     rho1: float = 0.5,
     rho2: float | None = None,
     rho3: float | None = None,
-    guard_budget: int = 800,
 ) -> tuple[Nonlinearity, BoundProfile]:
     """Bounded sine-well potential with a |sin(k*pi/m)| weight.
 
@@ -189,7 +192,7 @@ def make_example3(
 
     nl = Nonlinearity.from_arrays(m, F, dF, name="example3", even_symmetric=True)
     bounds = BoundProfile(C=C, rho1=rho1, rho2=rho2, rho3=rho3)
-    for report in check_bounds(nl, bounds, sample_budget=guard_budget, seed=7):
+    for report in check_bounds(nl, bounds, sample_budget=_GUARD_BUDGET, seed=7):
         if report.verdict == VIOLATED:
             raise ValueError(
                 f"bound condition {report.name} fails for the chosen radii "

@@ -249,11 +249,10 @@ class TestErrorPaths:
             potential(np.ones((2, 1)), _prob(_vector_F_nl()))
 
     def test_array_F_of_wrong_shape(self):
-        nl = _array_nl(lambda N: (N, 1), lambda N: (N, 1))
-        with pytest.raises(EvaluationError, match="shape"):
-            potential(np.ones((2, 1)), _prob(nl))
-        with pytest.raises(EvaluationError, match="shape"):
-            nl.F_many([1, 2, 3], np.ones((3, 1)), np.ones((3, 1)))
+        """The origin check calls F on the m pairs (k, 0, 0), so a malformed
+        F is reported when the family is built, as evaluation would."""
+        with pytest.raises(EvaluationError, match=r"F returned shape \(2, 1\), expected \(2,\)"):
+            _array_nl(lambda N: (N, 1), lambda N: (N, 1))
 
     def test_array_gradient_of_wrong_shape(self):
         nl = _array_nl(lambda N: (N,), lambda N: (N,))

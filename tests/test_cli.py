@@ -4,7 +4,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import stat
 import sys
 import warnings
 
@@ -160,22 +162,26 @@ class TestLoadConfig:
             cli.load_config(str(arr))
 
 
+# every output of the four subcommands, with the step its command computes
+OUTPUTS = pytest.mark.parametrize(
+    "command,flag,computation",
+    [
+        ("check", "--output", "_check_payload"),
+        ("solve", "--values-out", "find_multiple"),
+        ("solve", "--summary-out", "find_multiple"),
+        ("sweep", "--output", "lambda_sweep"),
+        ("gradcheck", "--output", "_gradcheck_errors"),
+    ],
+)
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["check", str(tmp_path / "none.json")])
         assert code == cli.EXIT_CONFIG
         assert "configuration" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command,flag,computation",
-        [
-            ("check", "--output", "_check_payload"),
-            ("solve", "--values-out", "find_multiple"),
-            ("solve", "--summary-out", "find_multiple"),
-            ("sweep", "--output", "lambda_sweep"),
-            ("gradcheck", "--output", "_gradcheck_errors"),
-        ],
-    )
+    @OUTPUTS
     def test_missing_output_directory_fails_before_computing(
         self, tmp_path, monkeypatch, capsys, command, flag, computation
     ):
@@ -191,6 +197,66 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
         assert not missing.exists()
+
+    @OUTPUTS
+    @pytest.mark.parametrize("form", ["existing", "existing_slash", "absent_slash"])
+    def test_directory_output_fails_before_computing(
+        self, tmp_path, monkeypatch, capsys, command, flag, computation, form
+    ):
+        """An output path that names a directory is a usage error, found
+        before the command computes anything (before, check ran in full and
+        then exited 3 with an IsADirectoryError traceback, or with a
+        NotADirectoryError one for a trailing slash)."""
+        monkeypatch.setattr(cli, computation, lambda *a, **k: pytest.fail(f"{computation} ran"))
+        cfg = _config(tmp_path)
+        target = tmp_path / "out"
+        if form != "absent_slash":
+            target.mkdir()
+        out = str(target) + (os.sep if form.endswith("slash") else "")
+        argv = [command, cfg, flag, out]
+        if command == "sweep":
+            argv += ["--lambda-min", "1", "--lambda-max", "2"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: output path names a directory: {out}\n"
+        assert sorted(path.name for path in tmp_path.rglob("*")) == sorted(
+            ["cfg.json"] + (["out"] if form != "absent_slash" else [])
+        )
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids="{:03o}".format)
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, umask):
+        """Every output file has the mode a plain open(path, "w") gives
+        under the umask, not mkstemp's 0600, and a rewrite keeps its bytes."""
+        cfg = _config(tmp_path)
+        old = os.umask(umask)
+        try:
+            outs = {
+                "check": tmp_path / "r.json",
+                "values": tmp_path / "v.csv",
+                "summary": tmp_path / "s.csv",
+                "sweep": tmp_path / "w.csv",
+                "gradcheck": tmp_path / "g.json",
+            }
+            assert cli.main(["check", cfg, "--output", str(outs["check"])]) == 0
+            argv = ["solve", cfg, "--values-out", str(outs["values"])]
+            assert cli.main(argv + ["--summary-out", str(outs["summary"])]) == 0
+            argv = ["sweep", cfg, "--lambda-min", "1", "--lambda-max", "2", "--steps", "2"]
+            assert cli.main(argv + ["--output", str(outs["sweep"])]) == 0
+            argv = ["gradcheck", cfg, "--points", "5", "--output", str(outs["gradcheck"])]
+            assert cli.main(argv) == 0
+            plain = tmp_path / "plain.txt"
+            with open(plain, "w") as fh:
+                fh.write("x")
+            text = outs["check"].read_text()
+            cli._atomic_write(str(outs["check"]), text)  # over an existing file
+        finally:
+            os.umask(old)
+        expected = stat.S_IMODE(plain.stat().st_mode)
+        assert expected == 0o666 & ~umask
+        for path in outs.values():
+            assert stat.S_IMODE(path.stat().st_mode) == expected, path.name
+        assert outs["check"].read_text() == text
+        assert not [path.name for path in tmp_path.iterdir() if path.name.startswith(".pklap-")]
 
     def test_no_command_is_usage_error(self):
         assert cli.main([]) == cli.EXIT_CONFIG

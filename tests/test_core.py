@@ -12,6 +12,7 @@ from pklap.core import (
     Nonlinearity,
     PeriodicSequence,
     Problem,
+    _vector,
     euclidean_norm,
     in_Y,
     wrap_index,
@@ -149,6 +150,41 @@ def _linear_nl(m, slope=1.0):
     return Nonlinearity(m=m, F=F, F2_prime=F2, F3_prime=F3, n=1)
 
 
+ASSEMBLY_TOL = 1e-9  # allows for rounding in a closed form
+
+
+def check_assembly(nl, points=100, seed=20240):
+    """Compare nl.f_direct with the assembled coupling term at random points;
+    raise ValueError when they disagree.  All periods are drawn with one
+    call, and then all (3, n) normal blocks with one call.  f_direct is
+    called per point, as the independent derivation; the coupling term is
+    assembled on one window of two pairs per point, (k, u1, u2) and
+    (k-1, u2, u3), so both partial gradients take all points in one kernel
+    call.  A non-finite deviation fails the check."""
+    rng = np.random.default_rng(seed)
+    K = rng.integers(-2 * nl.m, 2 * nl.m + 1, size=points)
+    U = rng.normal(size=(points, 3, nl.n))
+    direct = np.array(
+        [_vector(nl.f_direct(k, *u), nl.n, "f_direct") for k, u in zip(K.tolist(), U)]
+    )
+    # a window of two rows is its own cycle: the shift takes row 1's F2 to row 0
+    windows = np.stack(((K - 1) % nl.m + 1, (K - 2) % nl.m + 1), axis=1).reshape(-1)
+    assembled = nl._assembled(windows, U[:, :2], U[:, 1:])[:, 0]
+    deviation = np.max(np.abs(direct - assembled), axis=1)
+    bad = np.count_nonzero(~np.isfinite(deviation))
+    if bad:
+        raise ValueError(
+            f"f_direct disagrees with the assembled coupling term "
+            f"(deviation not finite at {bad} of {points} check points)"
+        )
+    worst = float(deviation.max())
+    if worst > ASSEMBLY_TOL:
+        raise ValueError(
+            f"f_direct disagrees with the assembled coupling term "
+            f"(max abs deviation {worst:.3e} > {ASSEMBLY_TOL})"
+        )
+
+
 _WEIGHTS = np.array([1.0, 2.0, 3.0])
 
 
@@ -208,36 +244,39 @@ class TestNonlinearity:
             t = float(np.asarray(u2).reshape(()))
             return 0.5 * t * t
 
-        with pytest.raises(ValueError):
-            Nonlinearity(
-                m=3,
-                F=F,
-                F2_prime=lambda *a: 0.0,
-                F3_prime=lambda k, u1, u2: float(np.asarray(u2).reshape(())),
-                f_direct=wrong_f,
-            )
+        nl = Nonlinearity(
+            m=3,
+            F=F,
+            F2_prime=lambda *a: 0.0,
+            F3_prime=lambda k, u1, u2: float(np.asarray(u2).reshape(())),
+            f_direct=wrong_f,
+        )
+        with pytest.raises(ValueError, match="f_direct disagrees"):
+            check_assembly(nl)
 
     def test_direct_formula_mismatch_is_caught_on_the_same_points_for_either_kind(self):
         """An array family assembles its check points in one dF call, a
         per-point family one point at a time; both draw the same points, so
         both report the same worst deviation, whether f_direct is wrong or
         the partial gradients are (F2 and F3 traded, in dF or per point)."""
-        _bilinear_nl("arrays", _bilinear_coupling)
-        _bilinear_nl("per_point", _bilinear_coupling)
+        check_assembly(_bilinear_nl("arrays", _bilinear_coupling))
+        check_assembly(_bilinear_nl("per_point", _bilinear_coupling))
         for swap_direct, swap_partials in ((True, False), (False, True)):
             f_direct = functools.partial(_bilinear_coupling, swap=swap_direct)
             messages = []
             for kind in ("per_point", "arrays"):
+                nl = _bilinear_nl(kind, f_direct, swap_partials)
                 with pytest.raises(ValueError, match="f_direct disagrees") as err:
-                    _bilinear_nl(kind, f_direct, swap_partials)
+                    check_assembly(nl)
                 messages.append(str(err.value))
             assert messages[0] == messages[1]
 
     def test_non_finite_direct_formula_is_rejected(self):
         """An f_direct that is NaN at every check point does not pass."""
         nl = make_builtin("example1", 4, {}).nonlinearity
+        nl = dataclasses.replace(nl, f_direct=lambda k, u1, u2, u3: np.full(1, np.nan))
         with pytest.raises(ValueError, match="not finite at 100 of 100 check points"):
-            dataclasses.replace(nl, f_direct=lambda k, u1, u2, u3: np.full(1, np.nan))
+            check_assembly(nl)
 
     def test_replace_rebuilds_the_per_point_kernels(self):
         """dataclasses.replace of the per-point partials reaches coupling and

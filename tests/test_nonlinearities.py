@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from pklap.nonlinearities import (
     make_example3,
     make_power,
 )
+from test_core import check_assembly
+from test_lockstep import BUILTINS
 
 
 def _assembly_gap(nl, points=100, seed=0, scale=2.0):
@@ -181,3 +184,28 @@ class TestMakeBuiltin:
         spec = make_builtin("example3", 2, {"rho1": 0.4})
         assert spec.bounds.rho1 == 0.4
         assert spec.params == {"rho1": 0.4}
+
+
+# Every built-in closed form, at the periods of the shipped and benchmark
+# configs and a few more; example2 at even m has a vanishing weight.
+CLOSED_FORMS = [("example1", m) for m in (2, 4, 6, 8)] + [("example2", m) for m in (2, 3, 4, 9)]
+
+
+@pytest.mark.parametrize("name,m", CLOSED_FORMS)
+def test_f_direct_matches_the_assembled_term(name, m):
+    """Construction does not call f_direct; here each built-in closed form
+    meets the assembled coupling term at 2000 points with periods in
+    -2m..2m, where construction once compared 100."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        nl = make_builtin(name, m).nonlinearity
+    check_assembly(nl, points=2000)
+
+
+def test_closed_forms_are_the_cross_checked_families():
+    with_closed_form = sorted(
+        name
+        for name, (m, params) in BUILTINS.items()
+        if make_builtin(name, m, params).nonlinearity.f_direct is not None
+    )
+    assert with_closed_form == sorted({name for name, _ in CLOSED_FORMS})

@@ -185,7 +185,7 @@ def test_kernel_matches_per_row_loops(name):
 def test_kernel_skips_non_finite_rows():
     seen = []
     prob = _problem(_recording_family(4, seen))
-    seen.clear()  # the construction's F(k, 0, 0) checks
+    seen.clear()  # the origin check: one F-kernel call, m per-point F calls
     rng = np.random.default_rng(3)
     stack = rng.normal(size=(5, 4, 1))
     stack[1, 2, 0] = np.nan
