@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import warnings
 from typing import Optional, Sequence
 
@@ -33,6 +34,7 @@ from .core import (
     Problem,
     _block_search,
     _entry_norms,
+    _read_only,
     _row_norms,
     _shifted,
     _shifted_back,
@@ -444,7 +446,9 @@ def xi_constant(
     serves as its cross-check).  n must be >= 1 and p_plus finite and
     >= 1.  When no start meets the gradient tolerance a RuntimeWarning is
     issued and the best value found, an upper bound on the sharp constant,
-    is returned.
+    is returned.  The descent runs once per process for each (m, n,
+    p_plus, starts, tol, seed, max_iter): a repeated call returns its
+    result again, bit for bit, and repeats its warning.
     """
     return _xi_search(m, n, p_plus, method, starts, tol, seed, max_iter)[0]
 
@@ -491,16 +495,29 @@ def _xi_search(
         if np.finfo(float).tiny <= closed < math.inf:
             return closed, True
 
-    rng = rng_for(seed, m, n)
-    u0 = _unit_directions(rng, starts, (m, n), zero_mean=True)
-    vals, converged = _xi_descent(u0, p_plus, tol, max_iter)
-    if not converged.any():
+    xi, converged = _xi_minimum(
+        operator.index(m), operator.index(n), float(p_plus), starts, float(tol), seed, max_iter
+    )
+    if not converged:
         warnings.warn(
             "xi_constant: no start met the gradient tolerance; returning the "
             "best value found (an upper bound on the sharp constant)",
             RuntimeWarning,
             stacklevel=3,
         )
+    return xi, converged
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _xi_minimum(
+    m: int, n: int, p_plus: float, starts, tol: float, seed, max_iter
+) -> tuple[float, bool]:
+    """The least value of the descent from xi_constant's starts, and whether
+    any start converged.  xi depends on (m, n, p_plus) and the search
+    settings alone, so the descent runs once per key per process; the
+    caller warns on every call whose result did not converge."""
+    u0 = _unit_directions(rng_for(seed, m, n), starts, (m, n), zero_mean=True)
+    vals, converged = _xi_descent(u0, p_plus, tol, max_iter)
     return float(vals.min()), bool(converged.any())
 
 
@@ -626,9 +643,11 @@ def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
     and at n >= 2, in closed form; otherwise a 32-start descent
     preconditioned with the inverse cycle Laplacian, run on all starts at
     once, its Armijo trials tried in blocks, see _xi_descent).  `pklap
-    check` takes xi from here rather than computing it a second time.  When no start of the descent converges, xi
+    check` takes xi from here rather than computing it a second time, and
+    the descent runs once per (m, n, p_plus) in a process, whatever the
+    potential, lambda or seed.  When no start of the descent converges, xi
     is only an upper bound on the sharp constant: a RuntimeWarning is
-    issued and xi_converged is False.
+    issued, on every call, and xi_converged is False.
     """
     pp = prob.exponent.p_plus
     pm = prob.exponent.p_minus
@@ -688,14 +707,16 @@ def _sampled_condition(
     """Shared evaluation step of A.4, A.5 and A.7 - A.9.
 
     K holds the drawn periods and U the (2, count, n) stack of the drawn
-    points u1 and u2.  F is evaluated on all samples with one F_many call,
-    and margin(F) -> (margins, {field: values}) gives the per-sample margins
-    and witness fields.  They are reported by _worst_report at SAMPLE_SLACK,
+    points u1 and u2.  F is evaluated on all samples with one kernel call
+    (Nonlinearity._F_points, as K is drawn in 1..m), and margin(F) ->
+    (margins, {field: values}) gives the per-sample margins and witness
+    fields.  They are reported by _worst_report at SAMPLE_SLACK,
     a violation carrying its sample as the witness.  An overflow shows as
     an inf or NaN margin, not as a numpy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, fields = margin(nl.F_many(K, U[0], U[1]))
+        F = nl._F_points(_read_only(K, np.int64), _read_only(U[0]), _read_only(U[1]))
+        vals, fields = margin(F)
 
     def witness_of(i):
         witness = {"k": int(K[i]), "u1": U[0, i].copy(), "u2": U[1, i].copy()}
@@ -716,9 +737,10 @@ def check_growth(
     Each condition draws from its own seeded generator.  A.4 and A.5 draw
     all their periods, magnitudes and orientations with one array call each
     (_signed_samples), the same calls at every n, and evaluate F on them
-    with one Nonlinearity.F_many call.  A.6.x draws each shell's t values,
+    with one call of the family's F kernel (Nonlinearity._F_points, as
+    the periods are drawn in 1..m).  A.6.x draws each shell's t values,
     signs (n = 1) or directions (n > 1) with one call each, and evaluates F
-    with one F_many call per distinct exponent pair (e1, e2): the variants
+    with one kernel call per distinct exponent pair (e1, e2): the variants
     of a pair draw from one stream and give the same quotients, so a family
     with constant s and r computes them once.  The bound of A.4 and the
     quotient denominators are computed with C pow, as Python's ** does, so
@@ -779,7 +801,8 @@ def check_growth(
         denom = np.float_power(T * S, e1) + np.float_power((1.0 - T) * S, e2)
         kept = ~(denom <= 0.0)
         q = np.zeros(K.size)
-        q[kept] = np.abs(nl.F_many(K[kept], U1[kept], U2[kept])) / denom[kept]
+        F = nl._F_points(_read_only(K[kept], np.int64), _read_only(U1[kept]), _read_only(U2[kept]))
+        q[kept] = np.abs(F) / denom[kept]
         q[np.isnan(q)] = 0.0
         q = q.reshape(len(shells), rows)
         w = np.argmax(q, axis=1)
@@ -823,7 +846,8 @@ def check_bounds(
     coordinates, and its orientations with one array call each, the same
     calls at every n (_signed_samples; A.7 draws its box with one
     rng.uniform call, which raises OverflowError on an infinite box).  F is
-    evaluated on each condition's samples with one Nonlinearity.F_many call.
+    evaluated on each condition's samples with one call of the family's F
+    kernel (Nonlinearity._F_points).
     """
     count = max(sample_budget, 100)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -550,7 +551,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first main call and reused by
+    the later ones in the process (not at import, which would cost every
+    import that runs no command)."""
     parser = _Parser(
         prog="pklap",
         description="Find and check m-periodic solutions of discrete "

@@ -276,8 +276,8 @@ def _rows(value, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
-def _read_only(arr) -> np.ndarray:
-    view = np.asarray(arr, dtype=float).view()
+def _read_only(arr, dtype=float) -> np.ndarray:
+    view = np.asarray(arr, dtype=dtype).view()
     view.flags.writeable = False
     return view
 
@@ -330,7 +330,8 @@ class Nonlinearity:
     Every hot caller evaluates the potential through the batched methods
     F_many (F on N points at once) and coupling (f on every row of a
     sequence, or of a stack of sequences), or, on the pairs (k, u(k+1), u(k))
-    whose periods and shifted copies it has made (operators._stack_pass),
+    whose periods and shifted copies it has made (operators._stack_pass,
+    and the sampled checks of analysis, whose periods are drawn in 1..m),
     through _F_points and _assembled, which those two call.  They call two
     array kernels on N pairs (K, U1, U2), chosen once at construction, which
     no other module reads: F, giving the N values of F, and dF, giving both
@@ -406,7 +407,7 @@ class Nonlinearity:
         # the EvaluationError evaluation would
         zero = _read_only(np.zeros((self.m, n)))
         vals = np.abs(self._F_points(_stack_periods(self.m, 1), zero, zero))
-        bad = np.flatnonzero(vals > ZERO_AT_ZERO_TOL)
+        bad = np.flatnonzero(~(vals <= ZERO_AT_ZERO_TOL))  # NaN included
         if bad.size:
             raise ValueError(
                 f"potential must vanish at the origin: |F({bad[0] + 1},0,0)| = {vals[bad[0]]:.3e}"
@@ -440,8 +441,9 @@ class Nonlinearity:
         return self._F_points(K, U1, U2)
 
     def _F_points(self, K, U1, U2) -> np.ndarray:
-        """F_many without its checks, for periods K already in 1..m and (N, n)
-        arrays U1 and U2 the caller made: one kernel call."""
+        """F_many without its checks, for int64 periods K already in 1..m and
+        (N, n) arrays U1 and U2, read-only views the caller made: one kernel
+        call."""
         return _rows(self._kernels[0](K, U1, U2), (K.size,), "F")
 
     def coupling(self, vals) -> np.ndarray:

@@ -155,6 +155,12 @@ def make_example2(m: int) -> tuple[Nonlinearity, GrowthProfile]:
 
 
 _GUARD_BUDGET = 800  # samples per condition A.7-A.9 in make_example3's radii guard
+# make_example3's guard result per (m, C, rho1, rho2, rho3): the message of
+# the first condition the radii break, or None.  It depends on nothing else,
+# so the guard runs once per shape in a process; past _GUARD_CACHE_SIZE
+# shapes the oldest is dropped.
+_GUARD_MESSAGES: dict = {}
+_GUARD_CACHE_SIZE = 64
 
 
 def make_example3(
@@ -169,7 +175,8 @@ def make_example3(
     F(k, u1, u2) = -sin(u1^2 + u2^2) |sin(k*pi/m)|.  The default radii put
     the negative well inside |u| <= rho1 and the positive annulus at
     rho2 < |u| <= rho3.  The sign conditions are re-checked on samples at
-    construction; radii that break them are rejected.
+    construction, once per (m, C, rho1, rho2, rho3) in a process; radii
+    that break them are rejected with the same ValueError on every call.
     """
     if m < 2:
         raise ValueError(f"period m must be >= 2, got {m}")
@@ -192,12 +199,17 @@ def make_example3(
 
     nl = Nonlinearity.from_arrays(m, F, dF, name="example3", even_symmetric=True)
     bounds = BoundProfile(C=C, rho1=rho1, rho2=rho2, rho3=rho3)
-    for report in check_bounds(nl, bounds, sample_budget=_GUARD_BUDGET, seed=7):
-        if report.verdict == VIOLATED:
-            raise ValueError(
-                f"bound condition {report.name} fails for the chosen radii "
-                f"(margin {report.margin:.3e})"
-            )
+    key = (m, float(C), float(rho1), float(rho2), float(rho3))
+    if key not in _GUARD_MESSAGES:
+        if len(_GUARD_MESSAGES) >= _GUARD_CACHE_SIZE:
+            del _GUARD_MESSAGES[next(iter(_GUARD_MESSAGES))]
+        reports = check_bounds(nl, bounds, sample_budget=_GUARD_BUDGET, seed=7)
+        bad = next((report for report in reports if report.verdict == VIOLATED), None)
+        _GUARD_MESSAGES[key] = None if bad is None else (
+            f"bound condition {bad.name} fails for the chosen radii (margin {bad.margin:.3e})"
+        )
+    if _GUARD_MESSAGES[key] is not None:
+        raise ValueError(_GUARD_MESSAGES[key])
     return nl, bounds
 
 

@@ -5,7 +5,19 @@ failure reproduces on rerun and the verdict does not depend on the run.
 deadline=None, because a loaded machine can make single examples slow.
 """
 
+import pytest
 from hypothesis import settings
+
+from pklap import analysis, nonlinearities
 
 settings.register_profile("pklap", deadline=None, derandomize=True)
 settings.load_profile("pklap")
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Empties the per-process caches (the xi descent's and example3's radii
+    guard's), so that a test counting that work sees it run whatever ran
+    before it in the process."""
+    analysis._xi_minimum.cache_clear()
+    monkeypatch.setattr(nonlinearities, "_GUARD_MESSAGES", {})

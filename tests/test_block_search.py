@@ -194,7 +194,7 @@ def test_floor_searches_reach_their_floor_inside_the_blocks(blocks, floor, cap, 
     "m,p,calls,rows",
     [(8, 3.0, 74, 4514), (12, 3.0, 104, 5951), (32, 3.0, 171, 8730)],
 )
-def test_xi_descent_energy_calls_and_rows(monkeypatch, m, p, calls, rows):
+def test_xi_descent_energy_calls_and_rows(monkeypatch, cold_caches, m, p, calls, rows):
     """The descent of _xi_search (32 starts, n = 1) makes this many
     _difference_energy calls over this many rows.  Along the plain
     projected gradient, in blocks of (2, 4, 8, 16, 32), it made 282 calls

@@ -16,7 +16,7 @@ SHIPPED = ("example1_m4", "example2_m3", "example3_sweep", "power_borderline")
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
+def kernel_calls(monkeypatch, cold_caches):
     """Counts the calls of every from_arrays family's F, dF and f_direct
     (F also keeps its arguments), and those made inside check_bounds."""
     calls = collections.Counter()

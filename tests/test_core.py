@@ -236,6 +236,22 @@ class TestNonlinearity:
         with pytest.raises(ValueError):
             Nonlinearity(m=2, F=bad_F, F2_prime=lambda *a: 0.0, F3_prime=lambda *a: 0.0)
 
+    def test_non_finite_at_zero_is_rejected(self):
+        """NaN > tol is false, so a NaN F(k, 0, 0) once built (the first
+        family below).  A value that is not finite is rejected, and the first
+        such k named, for an array family and a per-point one alike."""
+        with pytest.raises(ValueError, match=r"\|F\(1,0,0\)\| = nan$"):
+            Nonlinearity.from_arrays(
+                2, lambda K, U1, U2: np.full(K.size, np.nan), lambda K, U1, U2: (U1 * 0, U2 * 0)
+            )
+        for value in (np.nan, np.inf, -np.inf):
+            F = np.array([0.0, value, np.nan])
+            message = rf"^potential must vanish at the origin: \|F\(2,0,0\)\| = {abs(value)}$"
+            with pytest.raises(ValueError, match=message):
+                Nonlinearity.from_arrays(3, lambda K, U1, U2: F[K - 1], lambda K, U1, U2: (U1 * 0, U2 * 0))
+            with pytest.raises(ValueError, match=message):
+                Nonlinearity(m=3, F=lambda k, u1, u2: F[k - 1], F2_prime=lambda *a: 0.0, F3_prime=lambda *a: 0.0)
+
     def test_direct_formula_mismatch_is_caught(self):
         def wrong_f(k, u1, u2, u3):
             return 2.0 * float(np.asarray(u2).reshape(()))  # off by a factor

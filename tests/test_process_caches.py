@@ -1,0 +1,208 @@
+"""Work paid once per process: the CLI parser, the xi descent per (m, n,
+p_plus) and its search settings, and example3's radii guard per shape.
+
+Each cache must return what a fresh computation returns, bit for bit, keep
+every warning and error of the uncached path, and leave every output file
+byte-identical whatever ran before it in the process.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+
+import pklap.cli as cli
+from pklap import analysis, nonlinearities
+from pklap.nonlinearities import make_builtin, make_example3
+from test_cli import CONFIGS, _bench_check_configs
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def descents(monkeypatch, cold_caches):
+    """The list of _xi_descent calls made from here on, caches emptied."""
+    calls = []
+    real = analysis._xi_descent
+
+    def spy(u0, p_plus, tol, max_iter):
+        calls.append((len(u0), p_plus, tol, max_iter))
+        return real(u0, p_plus, tol, max_iter)
+
+    monkeypatch.setattr(analysis, "_xi_descent", spy)
+    return calls
+
+
+def _fresh_xi(m, n, p, starts=32, tol=1e-10, seed=0, max_iter=5000):
+    u0 = analysis._unit_directions(analysis.rng_for(seed, m, n), starts, (m, n), zero_mean=True)
+    vals, converged = analysis._xi_descent(u0, p, tol, max_iter)
+    return float(vals.min()).hex(), bool(converged.any())
+
+
+def _bits(result):
+    return result[0].hex(), result[1]
+
+
+def test_a_repeated_xi_key_runs_no_descent(descents):
+    fresh = _fresh_xi(8, 1, 3.0)
+    del descents[:]
+    first = analysis._xi_search(8, 1, 3.0)
+    assert len(descents) == 1 and _bits(first) == fresh
+    again = [
+        analysis._xi_search(8, 1, 3.0),
+        analysis._xi_search(np.int64(8), np.int64(1), 3),  # the same key, normalised
+        (analysis.xi_constant(8, 1, np.float64(3.0), method="optimize"), True),
+    ]
+    assert len(descents) == 1
+    assert all(_bits(result) == fresh for result in again)
+
+
+@pytest.mark.parametrize(
+    "change", [{"seed": 1}, {"starts": 8}, {"tol": 1e-8}, {"max_iter": 40}, {"n": 2, "method": "optimize"}]
+)
+def test_a_changed_xi_setting_recomputes(descents, change):
+    analysis._xi_search(8, 1, 3.0)
+    args = dict(m=8, n=1, p_plus=3.0, starts=32, tol=1e-10, seed=0, max_iter=5000)
+    args.update(change)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # max_iter = 40 may stop short
+        result = analysis._xi_search(**args)
+    assert len(descents) == 2
+    args.pop("method", None)
+    assert _bits(result) == _fresh_xi(args["m"], args["n"], args["p_plus"], args["starts"],
+                                      args["tol"], args["seed"], args["max_iter"])
+
+
+def test_closed_forms_never_reach_the_descent(descents):
+    assert analysis.xi_constant(8, 1, 2.0) == 2.0 - 2.0 * np.cos(2.0 * np.pi / 8)
+    analysis.xi_constant(2, 1, 3.0)
+    analysis.xi_constant(8, 2, 3.0)
+    assert descents == []
+
+
+def test_an_unconverged_cached_xi_warns_on_every_call(descents):
+    """The warning names the caller's line on every call, also when the
+    value comes from the cache."""
+    values = []
+    for _ in range(3):
+        with pytest.warns(RuntimeWarning, match="upper bound") as caught:
+            values.append(analysis.xi_constant(8, 1, 3.0, max_iter=1).hex())
+        assert [w.filename for w in caught] == [__file__]
+    assert len(descents) == 1
+    assert values == [_fresh_xi(8, 1, 3.0, max_iter=1)[0]] * 3
+
+
+def test_a_failed_xi_call_is_not_cached(descents):
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            analysis._xi_search(8, 1, 3.0, starts=2.0)
+    with pytest.raises(TypeError):
+        analysis._xi_search(8.0, 1, 3.0)
+    assert analysis._xi_minimum.cache_info().currsize == 0
+
+
+def test_import_builds_no_parser_and_main_builds_one(tmp_path):
+    """In a fresh process: importing the CLI builds no parser, and five
+    main calls (usage errors and runs alike) build exactly one."""
+    missing = str(tmp_path / "none.json")
+    argvs = [[], ["nope"], ["check", missing], ["check", missing, "--bad"], ["gradcheck", missing]]
+    script = (
+        "import pklap.cli as cli\n"
+        "print(cli._build_parser.cache_info().misses)\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "info = cli._build_parser.cache_info()\n"
+        "print(info.misses, info.hits, codes)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True, timeout=120
+    ).stdout.split("\n")
+    assert out[:2] == ["0", "1 4 [1, 1, 1, 1, 1]"]
+
+
+@pytest.fixture
+def guards(monkeypatch, cold_caches):
+    """The list of check_bounds calls made by make_example3's guard."""
+    calls = []
+    real = nonlinearities.check_bounds
+
+    def spy(nl, bounds, *args, **kwargs):
+        calls.append((nl.m, bounds))
+        return real(nl, bounds, *args, **kwargs)
+
+    monkeypatch.setattr(nonlinearities, "check_bounds", spy)
+    return calls
+
+
+def test_a_repeated_example3_shape_runs_the_guard_once(guards):
+    first = make_example3(4)
+    make_example3(4)
+    make_builtin("example3", 4, {"C": 1, "rho1": 0.5})  # the default radii, as ints where they can be
+    assert len(guards) == 1
+    make_example3(4, rho1=0.4)
+    make_example3(5)
+    assert len(guards) == 3
+    nl, bounds = make_example3(4)
+    assert bounds == first[1] and nl is not first[0]  # each call builds its own family
+
+
+def test_bad_radii_raise_on_every_call(guards):
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ValueError, match="bound condition") as err:
+            make_example3(2, rho1=0.3, rho2=0.5, rho3=0.7)
+        messages.append(str(err.value))
+    assert len(guards) == 1 and len(set(messages)) == 1
+    assert messages[0].startswith("bound condition A.9 fails for the chosen radii (margin -")
+
+
+def test_the_guard_cache_drops_its_oldest_shape(guards, monkeypatch):
+    monkeypatch.setattr(nonlinearities, "_GUARD_CACHE_SIZE", 2)
+    for m in (2, 3, 4, 3, 2):
+        make_example3(m)
+    assert [m for m, _ in guards] == [2, 3, 4, 2]
+    assert [key[0] for key in nonlinearities._GUARD_MESSAGES] == [4, 2]
+
+
+def _run_all(configs, out, order):
+    """check and a 50-point gradcheck on every config, then solve and a
+    two-point sweep of example3_sweep, in the given order; returns the files
+    written, by name."""
+    argvs = []
+    for name, path in configs.items():
+        argvs.append(["check", path, "--output", str(out / f"{name}.check.json")])
+        argvs.append(["gradcheck", path, "--points", "50", "--output", str(out / f"{name}.grad.json")])
+    shipped = str(CONFIGS / "example3_sweep.json")
+    argvs.append(["solve", shipped, "--values-out", str(out / "values.csv"),
+                  "--summary-out", str(out / "summary.csv")])
+    argvs.append(["sweep", shipped, "--lambda-min", "0.1", "--lambda-max", "10", "--steps", "2",
+                  "--output", str(out / "sweep.csv")])
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for argv in order(argvs):
+            assert cli.main(argv) == cli.EXIT_OK, argv
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_outputs_are_byte_identical_whatever_ran_before(tmp_path, cold_caches):
+    """Each order starts from empty caches and runs twice; every file of
+    every run equals the first run's, byte for byte."""
+    configs = {}
+    for name, cfg in _bench_check_configs(5).items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        configs[name] = str(path)
+    runs = []
+    for order in (list, lambda argvs: argvs[::-1]):
+        analysis._xi_minimum.cache_clear()
+        nonlinearities._GUARD_MESSAGES.clear()
+        for _ in range(2):
+            runs.append(_run_all(configs, tmp_path / f"run{len(runs)}", order))
+    assert len(runs[0]) == 2 * 9 + 3
+    assert all(run == runs[0] for run in runs[1:])

@@ -34,6 +34,7 @@ from pklap.analysis import (
     _unit_directions,
     anticoercivity_probe,
     check_b2_b3,
+    check_bounds,
     check_c1,
     check_c2,
     check_c3,
@@ -543,21 +544,40 @@ def test_a6_shells_match_point_by_point_draws(nl, g, seed):
     [(3.0, 3.0, 3), ([2.5, 3.0, 2.5, 3.0], 3.0, 4), ([2.5, 3.0, 2.5, 3.0], [3.5, 2.5, 3.0, 3.0], 5)],
 )
 def test_a6_evaluates_each_distinct_exponent_pair_once(monkeypatch, s, r, calls):
-    """A.4 and A.5 make one F_many call each, and A.6 one per distinct pair
-    (e1, e2) of its variants (s+, r-), (s-, r+) and (s-, r-): one pair for
-    constant s and r, two for a variable s alone, three for both."""
+    """A.4 and A.5 make one F-kernel call each, and A.6 one per distinct
+    pair (e1, e2) of its variants (s+, r-), (s-, r+) and (s-, r-): one pair
+    for constant s and r, two for a variable s alone, three for both."""
     nl, g = make_power(4, 1.0, 1.0, s, r)
     sizes = []
-    real = Nonlinearity.F_many
+    real = Nonlinearity._F_points
 
     def spy(self, K, U1, U2):
         sizes.append(np.size(K))
         return real(self, K, U1, U2)
 
-    monkeypatch.setattr(Nonlinearity, "F_many", spy)
+    monkeypatch.setattr(Nonlinearity, "_F_points", spy)
     reports = check_growth(nl, g, sample_budget=400, seed=3)
     assert len(sizes) == calls
     assert [r.name for r in reports] == ["A.4", "A.5", "A.6.1", "A.6.2", "A.6.3"]
+
+
+def test_sampled_checks_call_the_F_kernel_on_read_only_views(monkeypatch):
+    """Their periods are drawn in 1..m, so A.4 - A.9 skip F_many's wrap and
+    pass the kernel read-only int64 periods and read-only points."""
+    seen = []
+    real = Nonlinearity._F_points
+
+    def spy(self, K, U1, U2):
+        seen.append([(a.dtype.name, a.flags.writeable) for a in (K, U1, U2)])
+        return real(self, K, U1, U2)
+
+    spec3 = make_builtin("example3", 4)
+    nl, g = make_power(4, 1.0, 1.0, [2.5, 3.0, 2.5, 3.0], 3.0)
+    monkeypatch.setattr(Nonlinearity, "F_many", lambda *a: pytest.fail("F_many ran"))
+    monkeypatch.setattr(Nonlinearity, "_F_points", spy)
+    check_growth(nl, g, sample_budget=200, seed=3)
+    check_bounds(spec3.nonlinearity, spec3.bounds, sample_budget=200, seed=3)
+    assert seen == [[("int64", False), ("float64", False), ("float64", False)]] * 7
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@ the tests or of the tools imports a name that it never reads.
 
 A moved function leaves its old imports behind where nothing else notices
 them.  An import whose statement carries `# noqa: F401` is kept on purpose
-(for its side effect of loading a module) and is exempt.
+(for its side effect of loading a module) and is exempt.  The package's
+third-party imports are also exactly its declared runtime dependencies.
 """
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -46,3 +49,19 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    """A dependency that no module imports is not declared (scipy was, with
+    no import), and every third-party module the package imports is."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
+    imported = set()
+    for path in (ROOT / "src" / "pklap").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"pklap"} == declared == {"numpy"}
