@@ -195,13 +195,18 @@ def load_config(path: str) -> LoadedConfig:
 def _check_output_dirs(*paths: str) -> None:
     """Raise ConfigError, before any computation, for an output path that
     names a directory (an existing one, or by a trailing separator) or whose
-    directory does not exist."""
+    directory does not exist, or that names the same file as an earlier one."""
+    seen = set()
     for path in paths:
         if os.path.isdir(path) or not os.path.basename(path):
             raise ConfigError(f"output path names a directory: {path}")
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             raise ConfigError(f"output directory does not exist: {directory}")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"two outputs name the same file: {path}")
+        seen.add(real)
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -311,14 +311,20 @@ def _stack_periods(m: int, count: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class Nonlinearity:
-    """A discrete potential F(k, u1, u2) together with its partial gradients.
+    """A discrete potential F(k, u1, u2), m-periodic in k with u1, u2 in R^n,
+    given by two array kernels on N pairs (K, U1, U2).
 
-    F maps (k, u1, u2) with u1, u2 in R^n to a real number and is m-periodic
-    in k.  F2_prime and F3_prime are the gradients of F with respect to u1
-    and u2.  The coupling term entering the difference equation is assembled
-    from the two partials of consecutive periods:
+    K is an int array of N periods in 1..m, U1 and U2 are (N, n) arrays.  F
+    returns the N values of F, and dF the tuple (F2, F3) of the (N, n)
+    gradients of F in u1 and u2 at the same pairs, so the terms the two
+    partials share are computed once.  The coupling term entering the
+    difference equation is assembled from the two partials of consecutive
+    periods:
 
-        f(k, u1, u2, u3) = F2_prime(k-1, u2, u3) + F3_prime(k, u1, u2)
+        f(k, u1, u2, u3) = F2(k-1, u2, u3) + F3(k, u1, u2)
+
+    A family given by per-point callbacks (k, u1, u2) is built with
+    from_points, which wraps them into kernels of the same form.
 
     An optional closed form f_direct can be attached.  Construction does not
     call it: the test suite compares it with the assembled expression for
@@ -327,60 +333,46 @@ class Nonlinearity:
     Construction enforces F(k, 0, 0) = 0 for every k (the potential is
     normalised at the origin), with one call of the F kernel on those m pairs.
 
-    Every hot caller evaluates the potential through the batched methods
-    F_many (F on N points at once) and coupling (f on every row of a
-    sequence, or of a stack of sequences), or, on the pairs (k, u(k+1), u(k))
-    whose periods and shifted copies it has made (operators._stack_pass,
-    and the sampled checks of analysis, whose periods are drawn in 1..m),
-    through _F_points and _assembled, which those two call.  They call two
-    array kernels on N pairs (K, U1, U2), chosen once at construction, which
-    no other module reads: F, giving the N values of F, and dF, giving both
-    partial gradients (F2, F3) at the same pairs.  These are the callables of
-    a from_arrays family or, for a family given only the per-point callbacks
-    above, adapters that call them point by point with the same checks.
+    Every caller evaluates the potential through F_many (F on N points at
+    once) and coupling (f on every row of a sequence, or of a stack of
+    sequences), or, on the pairs (k, u(k+1), u(k)) whose periods and shifted
+    copies it has made (operators._stack_pass, and the sampled checks of
+    analysis), through _F_points and _assembled, which those two call; no
+    other module calls the kernels.  F_at and f are one-pair calls of
+    F_many and _assembled.
     """
 
     m: int
     F: Callable
-    F2_prime: Callable
-    F3_prime: Callable
+    dF: Callable
     f_direct: Optional[Callable] = None
     n: int = 1
     name: str = ""
     is_zero: bool = False
     even_symmetric: bool = False
-    # (F, dF) in array form, set by from_arrays
-    arrays: Optional[tuple] = dataclasses.field(default=None, repr=False)
-    # the array kernels F_many and coupling call: arrays, or adapters over the
-    # per-point callbacks; not an init field, so dataclasses.replace rebuilds it
-    _kernels: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     @classmethod
-    def from_arrays(cls, m: int, F: Callable, dF: Callable, n: int = 1, **kwargs) -> "Nonlinearity":
-        """A family given by array callables (K, U1, U2) on N pairs.
-
-        K is an int array of N periods in 1..m, U1 and U2 are (N, n) arrays.
-        F returns the N values of F, and dF the tuple (F2, F3) of the (N, n)
-        gradients in u1 and u2 at the same pairs, so the terms the two
-        partials share are computed once.  The per-point F, F2_prime and
-        F3_prime are adapters over these, so each formula is written once.
-        Other keyword arguments are passed to the constructor.
+    def from_points(
+        cls, m: int, F: Callable, F2_prime: Callable, F3_prime: Callable, n: int = 1, **kwargs
+    ) -> "Nonlinearity":
+        """A family given by per-point callbacks (k, u1, u2): F returns the
+        value of F, F2_prime and F3_prime its gradients in u1 and u2.  The
+        two kernels call them at each pair, on a period in 1..m and float
+        rows of the (N, n) arrays, and check each value.  Other keyword
+        arguments are passed to the constructor.
         """
-
-        def point(fn):
-            def at(k, u1, u2):
-                rows = [np.asarray(u, dtype=float).reshape(1, n) for u in (u1, u2)]
-                return fn(np.array([wrap_index(k, m)]), *rows)[0]
-
-            return at
-
+        partials = _point_kernel(
+            lambda k, u1, u2: (
+                _vector(F2_prime(k, u1, u2), n, "F2_prime"),
+                _vector(F3_prime(k, u1, u2), n, "F3_prime"),
+            ),
+            (2, n),
+        )
         return cls(
-            m=m,
-            F=point(F),
-            F2_prime=point(lambda K, U1, U2: dF(K, U1, U2)[0]),
-            F3_prime=point(lambda K, U1, U2: dF(K, U1, U2)[1]),
+            m,
+            _point_kernel(lambda k, u1, u2: _scalar(F(k, u1, u2), f"F({k},.,.)"), ()),
+            lambda K, U1, U2: tuple(partials(K, U1, U2).swapaxes(0, 1)),
             n=n,
-            arrays=(F, dF),
             **kwargs,
         )
 
@@ -389,23 +381,9 @@ class Nonlinearity:
             raise ValueError(f"period m must be >= 2, got {self.m}")
         if self.n < 1:
             raise ValueError(f"component dimension n must be >= 1, got {self.n}")
-        n, kernels = self.n, self.arrays
-        if kernels is None:
-            partials = _point_kernel(
-                lambda k, u1, u2: (
-                    _vector(self.F2_prime(k, u1, u2), n, "F2_prime"),
-                    _vector(self.F3_prime(k, u1, u2), n, "F3_prime"),
-                ),
-                (2, n),
-            )
-            kernels = (
-                _point_kernel(lambda k, u1, u2: _scalar(self.F(k, u1, u2), f"F({k},.,.)"), ()),
-                lambda K, U1, U2: tuple(partials(K, U1, U2).swapaxes(0, 1)),
-            )
-        object.__setattr__(self, "_kernels", kernels)
         # one F-kernel call on the m pairs (k, 0, 0); a malformed F raises
         # the EvaluationError evaluation would
-        zero = _read_only(np.zeros((self.m, n)))
+        zero = _read_only(np.zeros((self.m, self.n)))
         vals = np.abs(self._F_points(_stack_periods(self.m, 1), zero, zero))
         bad = np.flatnonzero(~(vals <= ZERO_AT_ZERO_TOL))  # NaN included
         if bad.size:
@@ -414,24 +392,23 @@ class Nonlinearity:
             )
 
     def F_at(self, k: int, u1, u2) -> float:
-        kk = wrap_index(k, self.m)
-        return _scalar(self.F(kk, np.atleast_1d(u1), np.atleast_1d(u2)), f"F({kk},.,.)")
+        """F at one pair: F_many on (k, u1, u2)."""
+        return float(self.F_many([k], np.reshape(u1, (1, -1)), np.reshape(u2, (1, -1)))[0])
 
     def f(self, k: int, u1, u2, u3) -> np.ndarray:
-        """Coupling term assembled from the two partial gradients of F."""
-        u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-        u2 = np.atleast_1d(np.asarray(u2, dtype=float))
-        u3 = np.atleast_1d(np.asarray(u3, dtype=float))
-        k2 = wrap_index(k, self.m)
-        k1 = wrap_index(k - 1, self.m)
-        a = _vector(self.F2_prime(k1, u2, u3), self.n, "F2_prime")
-        b = _vector(self.F3_prime(k2, u1, u2), self.n, "F3_prime")
-        return a + b
+        """Coupling term at one period: one dF call on the pairs (k, u1, u2)
+        and (k-1, u2, u3), F2 of the second plus F3 of the first."""
+        U = _read_only(np.stack([np.reshape(u, self.n) for u in (u1, u2, u3)]))
+        K = (np.array([k, k - 1], dtype=np.int64) - 1) % self.m + 1
+        return self._assembled(K, U[None, :2], U[None, 1:])[0, 0]
 
     def F_many(self, K, U1, U2) -> np.ndarray:
         """F at N points at once: K holds N periods (any integers, wrapped
-        into 1..m), U1 and U2 are (N, n).  Bitwise equal to calling F_at on
-        each point.  Raises EvaluationError on a malformed return value.
+        into 1..m), U1 and U2 are (N, n).  One F-kernel call, of which F_at is
+        the one-point form, so a kernel that computes each pair on its own
+        (every built-in's, and from_points') gives F_at's bits at every point.
+        Raises ValueError on point arrays of another shape and EvaluationError
+        on a malformed return value.
         """
         K = (np.asarray(K, dtype=np.int64).reshape(-1) - 1) % self.m + 1
         shape = (K.size, self.n)
@@ -444,12 +421,13 @@ class Nonlinearity:
         """F_many without its checks, for int64 periods K already in 1..m and
         (N, n) arrays U1 and U2, read-only views the caller made: one kernel
         call."""
-        return _rows(self._kernels[0](K, U1, U2), (K.size,), "F")
+        return _rows(self.F(K, U1, U2), (K.size,), "F")
 
     def coupling(self, vals) -> np.ndarray:
         """Coupling term f(k, u(k+1), u(k), u(k-1)) on every row of an (m, n)
         sequence array, or of each sequence in a (B, m, n) stack; row k-1
-        holds entry k.  Bitwise equal to calling f row by row.
+        holds entry k.  One dF call, so a kernel that computes each pair on
+        its own gives f's bits row by row.
         """
         vals = _read_only(vals)
         if vals.ndim not in (2, 3) or vals.shape[-2:] != (self.m, self.n):
@@ -459,14 +437,14 @@ class Nonlinearity:
         return self._assembled(K, _shifted(stack), stack).reshape(vals.shape)
 
     def _assembled(self, K, up, u) -> np.ndarray:
-        """The coupling term F2_prime(k-1, u(k), u(k-1)) + F3_prime(k, u(k+1), u(k))
+        """The coupling term F2(k-1, u(k), u(k-1)) + F3(k, u(k+1), u(k))
         on every row of a (B, L, n) stack u of sequences, up holding u(k+1)
         in row k-1 and K the B * L periods in 1..m: one dF call on the pairs
         (K, up, u), whose F2 is then shifted by one row within each sequence,
         as the row before k holds the pair k-1.  Raises EvaluationError on a
         malformed kernel value."""
         flat = (K.size, u.shape[-1])
-        pair = self._kernels[1](K, up.reshape(flat), u.reshape(flat))
+        pair = self.dF(K, up.reshape(flat), u.reshape(flat))
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise EvaluationError(f"dF returned a {type(pair).__name__}, expected the tuple (F2, F3)")
         a = _rows(pair[0], flat, "dF's F2").reshape(u.shape)

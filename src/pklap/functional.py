@@ -71,8 +71,9 @@ def potential(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
     u is a PeriodicSequence or a raw (m, n) array, validated as in
     residual_values.  The one-row case of _stack_pass's potential, the
     formula _action_rows applies to every row of a stack: the m values of
-    F come from one kernel call and are subtracted in order k = 1..m, so
-    the sum is bitwise the same as a loop over F_at.
+    F come from one kernel call and are subtracted in order k = 1..m, as
+    a loop over F_at would (bitwise so for a kernel that computes each pair
+    on its own).
     """
     x = sequence_values(u, prob, "potential")[None]
     total = float(_stack_pass(x, prob, potential=True)[1][0])

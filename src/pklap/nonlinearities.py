@@ -3,11 +3,12 @@
 All built-ins are scalar (n = 1).  Their formulas reduce the period index
 modulo m before any trigonometry, so they are exactly m-periodic in k and
 weights like |sin(pi*k/m)| vanish exactly where they should.  Each formula
-is written once, in array form (Nonlinearity.from_arrays): F, and dF, which
-gives both partial gradients at the same pairs and computes the terms they
-share once.  example1 and example2 also carry a per-point closed form
-f_direct, an independent second derivation; construction does not call it,
-and the test suite compares it with the assembled coupling term.
+is written once, as the two array kernels a Nonlinearity is made of: F,
+and dF, which gives both partial gradients at the same pairs and computes
+the terms they share once.  example1 and example2 also carry a per-point
+closed form f_direct, an independent second derivation; construction does
+not call it, and the test suite compares it with the assembled coupling
+term.
 
 Powers are taken with np.float_power, which calls C pow on every element,
 as Python's ** does on floats.  numpy's ** (np.power) takes a SIMD pow on
@@ -20,6 +21,7 @@ bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional
 
@@ -81,7 +83,7 @@ def make_example1(m: int) -> tuple[Nonlinearity, GrowthProfile]:
             2.0 + sign(k) * (math.cos(t1**4 + t2**4) - math.cos(t2**4 + t3**4))
         )
 
-    nl = Nonlinearity.from_arrays(
+    nl = Nonlinearity(
         m, F, dF, f_direct=f_direct, name="example1", even_symmetric=True
     )
     exponents = ExponentFunction(
@@ -135,7 +137,7 @@ def make_example2(m: int) -> tuple[Nonlinearity, GrowthProfile]:
         t1, t2, t3 = _sc(u1), _sc(u2), _sc(u3)
         return 4.0 * t2**3 * (c2(k - 1) * t3**4 + c2(k) * t1**4)
 
-    nl = Nonlinearity.from_arrays(
+    nl = Nonlinearity(
         m, F, dF, f_direct=f_direct, name="example2", even_symmetric=True
     )
     exponents = ExponentFunction(
@@ -155,12 +157,36 @@ def make_example2(m: int) -> tuple[Nonlinearity, GrowthProfile]:
 
 
 _GUARD_BUDGET = 800  # samples per condition A.7-A.9 in make_example3's radii guard
-# make_example3's guard result per (m, C, rho1, rho2, rho3): the message of
-# the first condition the radii break, or None.  It depends on nothing else,
-# so the guard runs once per shape in a process; past _GUARD_CACHE_SIZE
-# shapes the oldest is dropped.
-_GUARD_MESSAGES: dict = {}
-_GUARD_CACHE_SIZE = 64
+
+
+def _example3_family(m: int) -> Nonlinearity:
+    """example3's potential at period m, without its bound profile."""
+    weights = np.array([abs(math.sin(math.pi * (k % m) / m)) for k in range(1, m + 1)])
+
+    def square_sum(U1, U2):
+        return np.float_power(U1[:, 0], 2) + np.float_power(U2[:, 0], 2)
+
+    def F(K, U1, U2):
+        return -np.sin(square_sum(U1, U2)) * weights[K - 1]
+
+    def dF(K, U1, U2):
+        c, w = np.cos(square_sum(U1, U2)), weights[K - 1]
+        return (-2.0 * U1[:, 0] * c * w)[:, None], (-2.0 * U2[:, 0] * c * w)[:, None]
+
+    return Nonlinearity(m, F, dF, name="example3", even_symmetric=True)
+
+
+@functools.lru_cache(maxsize=64)
+def _guard_message(m: int, C: float, rho1: float, rho2: float, rho3: float) -> Optional[str]:
+    """The message of the first condition A.7-A.9 that example3's family at
+    period m breaks for these radii, or None.  It depends on nothing else,
+    so the guard runs once per shape in a process."""
+    bounds = BoundProfile(C=C, rho1=rho1, rho2=rho2, rho3=rho3)
+    reports = check_bounds(_example3_family(m), bounds, sample_budget=_GUARD_BUDGET, seed=7)
+    bad = next((report for report in reports if report.verdict == VIOLATED), None)
+    if bad is None:
+        return None
+    return f"bound condition {bad.name} fails for the chosen radii (margin {bad.margin:.3e})"
 
 
 def make_example3(
@@ -185,31 +211,11 @@ def make_example3(
     if rho3 is None:
         rho3 = math.sqrt(math.pi) - 0.1
 
-    weights = np.array([abs(math.sin(math.pi * (k % m) / m)) for k in range(1, m + 1)])
-
-    def square_sum(U1, U2):
-        return np.float_power(U1[:, 0], 2) + np.float_power(U2[:, 0], 2)
-
-    def F(K, U1, U2):
-        return -np.sin(square_sum(U1, U2)) * weights[K - 1]
-
-    def dF(K, U1, U2):
-        c, w = np.cos(square_sum(U1, U2)), weights[K - 1]
-        return (-2.0 * U1[:, 0] * c * w)[:, None], (-2.0 * U2[:, 0] * c * w)[:, None]
-
-    nl = Nonlinearity.from_arrays(m, F, dF, name="example3", even_symmetric=True)
+    nl = _example3_family(m)
     bounds = BoundProfile(C=C, rho1=rho1, rho2=rho2, rho3=rho3)
-    key = (m, float(C), float(rho1), float(rho2), float(rho3))
-    if key not in _GUARD_MESSAGES:
-        if len(_GUARD_MESSAGES) >= _GUARD_CACHE_SIZE:
-            del _GUARD_MESSAGES[next(iter(_GUARD_MESSAGES))]
-        reports = check_bounds(nl, bounds, sample_budget=_GUARD_BUDGET, seed=7)
-        bad = next((report for report in reports if report.verdict == VIOLATED), None)
-        _GUARD_MESSAGES[key] = None if bad is None else (
-            f"bound condition {bad.name} fails for the chosen radii (margin {bad.margin:.3e})"
-        )
-    if _GUARD_MESSAGES[key] is not None:
-        raise ValueError(_GUARD_MESSAGES[key])
+    message = _guard_message(m, float(C), float(rho1), float(rho2), float(rho3))
+    if message is not None:
+        raise ValueError(message)
     return nl, bounds
 
 
@@ -256,7 +262,7 @@ def make_power(
     def dF(K, U1, U2):
         return partial(a, s_vals[K - 1], U1[:, 0]), partial(b, r_vals[K - 1], U2[:, 0])
 
-    nl = Nonlinearity.from_arrays(
+    nl = Nonlinearity(
         m,
         F,
         dF,

@@ -89,8 +89,9 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
     (Nonlinearity._assembled, one call of the partials kernel dF) take the
     same pairs (k, u(k+1), u(k)), with the periods of _stack_periods, and
     each row's m values of F are subtracted in order k = 1..m, as a loop
-    over F_at would.  Each output row is bitwise that sequence evaluated
-    alone.  A finite row whose mu overflows on the way takes it from
+    over F_at would; a kernel that computes each pair on its own, as the
+    built-ins' and from_points' do, gives that loop's bits.  Each output
+    row is bitwise that sequence evaluated alone.  A finite row whose mu overflows on the way takes it from
     _scaled_mu.  Overflow gives non-finite values, not numpy warnings.
     Raises ValueError for a stack that is not (B, prob.m, prob.n) and
     EvaluationError for a malformed kernel value.

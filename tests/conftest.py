@@ -15,9 +15,9 @@ settings.load_profile("pklap")
 
 
 @pytest.fixture
-def cold_caches(monkeypatch):
+def cold_caches():
     """Empties the per-process caches (the xi descent's and example3's radii
     guard's), so that a test counting that work sees it run whatever ran
     before it in the process."""
     analysis._xi_minimum.cache_clear()
-    monkeypatch.setattr(nonlinearities, "_GUARD_MESSAGES", {})
+    nonlinearities._guard_message.cache_clear()

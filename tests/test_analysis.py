@@ -508,7 +508,7 @@ class TestCheckBounds:
         def F3(k, u1, u2):
             return -2.0 * float(np.asarray(u2).reshape(()))
 
-        nl = Nonlinearity(m=2, F=F, F2_prime=F2, F3_prime=F3)
+        nl = Nonlinearity.from_points(m=2, F=F, F2_prime=F2, F3_prime=F3)
         b = BoundProfile(C=1.0, rho1=0.5, rho2=1.0, rho3=2.0)
         reports = {r.name: r for r in check_bounds(nl, b, sample_budget=500)}
         assert reports["A.7"].verdict == HOLDS

@@ -53,7 +53,7 @@ def _product_nl(m):
         b = np.asarray(u2, dtype=float)
         return float(np.sum(a * a)) * 2.0 * b + k * a
 
-    return Nonlinearity(m=m, F=F, F2_prime=F2, F3_prime=F3, n=2)
+    return Nonlinearity.from_points(m=m, F=F, F2_prime=F2, F3_prime=F3, n=2)
 
 
 def _same_bits(a, b):
@@ -215,7 +215,7 @@ def _vector_F_nl(m=2):
         return 0.0 if t == 0.0 else np.array([t, t])
 
     zero = lambda k, u1, u2: 0.0
-    return Nonlinearity(m=m, F=F, F2_prime=zero, F3_prime=zero)
+    return Nonlinearity.from_points(m=m, F=F, F2_prime=zero, F3_prime=zero)
 
 
 def _array_nl(F_shape, grad_shape, pair=True):
@@ -229,7 +229,7 @@ def _array_nl(F_shape, grad_shape, pair=True):
         grad = np.zeros(grad_shape(K.size))
         return (grad, grad) if pair else grad
 
-    return Nonlinearity.from_arrays(2, F, dF)
+    return Nonlinearity(2, F, dF)
 
 
 def _prob(nl):
@@ -293,7 +293,7 @@ class TestErrorPaths:
             return 0.0
 
         zero = lambda k, u1, u2: 0.0
-        nl = Nonlinearity(m=2, F=F, F2_prime=zero, F3_prime=zero)
+        nl = Nonlinearity.from_points(m=2, F=F, F2_prime=zero, F3_prime=zero)
         u = np.ones((2, 1))
         with pytest.raises(ValueError, match="read-only"):
             nl.F_many([1, 2], u, u)

@@ -15,7 +15,7 @@ import pytest
 
 import pklap.analysis as analysis
 import pklap.cli as cli
-from pklap.core import EvaluationError, ExponentFunction, Nonlinearity, Problem, _row_norms
+from pklap.core import EvaluationError, ExponentFunction, Problem, _row_norms
 from pklap.nonlinearities import BuiltinSpec, make_builtin
 from pklap.operators import _residual_rows
 from pklap.solvers import SolutionSet
@@ -222,6 +222,23 @@ class TestExitCodes:
         assert sorted(path.name for path in tmp_path.rglob("*")) == sorted(
             ["cfg.json"] + (["out"] if form != "absent_slash" else [])
         )
+
+    @pytest.mark.parametrize("summary", ["x.csv", os.path.join(".", "x.csv")])
+    def test_solve_outputs_naming_one_file_fail_before_computing(
+        self, tmp_path, monkeypatch, capsys, summary
+    ):
+        """--values-out and --summary-out that name one file, spelled alike
+        or not, are a usage error found before solving (before, the summary
+        was written over the values and solve exited 0)."""
+        monkeypatch.setattr(cli, "find_multiple", lambda *a, **k: pytest.fail("find_multiple ran"))
+        cfg = _config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        summary = str(out / summary)
+        argv = ["solve", cfg, "--values-out", str(out / "x.csv"), "--summary-out", summary]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: two outputs name the same file: {summary}\n"
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids="{:03o}".format)
     def test_outputs_get_the_mode_open_gives(self, tmp_path, umask):
@@ -809,14 +826,11 @@ class TestGradcheck:
         real = make_builtin("power", 2, {"a": 1.0, "b": 1.0, "s": 2.0, "r": 2.0})
         scale = 1.02
 
-        broken_nl = Nonlinearity(
-            m=real.nonlinearity.m,
-            F=real.nonlinearity.F,
-            F2_prime=real.nonlinearity.F2_prime,
-            F3_prime=lambda k, u1, u2: scale * real.nonlinearity.F3_prime(k, u1, u2),
-            n=real.nonlinearity.n,
-            name="power",
-        )
+        def dF(K, U1, U2):
+            F2, F3 = real.nonlinearity.dF(K, U1, U2)
+            return F2, scale * F3
+
+        broken_nl = dataclasses.replace(real.nonlinearity, dF=dF)
         broken = BuiltinSpec(
             real.name, real.params, broken_nl, growth=real.growth
         )

@@ -1,7 +1,7 @@
 """What building a family costs, pinned by counts: constructing a built-in
 or loading a config calls the F kernel once, on the m pairs (k, 0, 0), and
-never calls dF or f_direct.  example3's radii guard samples through
-check_bounds, whose own kernel calls are counted apart."""
+never calls dF or f_direct.  example3's radii guard builds its own family
+and samples it through check_bounds; its kernel calls are counted apart."""
 
 import collections
 
@@ -17,11 +17,12 @@ SHIPPED = ("example1_m4", "example2_m3", "example3_sweep", "power_borderline")
 
 @pytest.fixture
 def kernel_calls(monkeypatch, cold_caches):
-    """Counts the calls of every from_arrays family's F, dF and f_direct
-    (F also keeps its arguments), and those made inside check_bounds."""
+    """Counts the calls of the F, dF and f_direct of every family the
+    constructor builds (F also keeps its arguments), and those made inside
+    example3's radii guard, which runs uncached here."""
     calls = collections.Counter()
     origin = []
-    build = Nonlinearity.from_arrays.__func__
+    init = Nonlinearity.__init__
 
     def counted(name, fn):
         def call(*args):
@@ -32,22 +33,22 @@ def kernel_calls(monkeypatch, cold_caches):
 
         return call
 
-    def from_arrays(cls, m, F, dF, n=1, **kwargs):
-        if kwargs.get("f_direct") is not None:
-            kwargs["f_direct"] = counted("f_direct", kwargs["f_direct"])
-        return build(cls, m, counted("F", F), counted("dF", dF), n=n, **kwargs)
+    def spied(self, m, F, dF, f_direct=None, **kwargs):
+        if f_direct is not None:
+            f_direct = counted("f_direct", f_direct)
+        init(self, m, counted("F", F), counted("dF", dF), f_direct, **kwargs)
 
-    check_bounds = nonlinearities.check_bounds
+    run_guard = nonlinearities._guard_message.__wrapped__
 
-    def guard(*args, **kwargs):
+    def guard(*args):
         before = calls.copy()
-        reports = check_bounds(*args, **kwargs)
+        message = run_guard(*args)
         calls.update({f"guard_{k}": v for k, v in (calls - before).items()})
         calls["guard"] += 1
-        return reports
+        return message
 
-    monkeypatch.setattr(Nonlinearity, "from_arrays", classmethod(from_arrays))
-    monkeypatch.setattr(nonlinearities, "check_bounds", guard)
+    monkeypatch.setattr(Nonlinearity, "__init__", spied)
+    monkeypatch.setattr(nonlinearities, "_guard_message", guard)
     return calls, origin
 
 

@@ -147,7 +147,7 @@ def _linear_nl(m, slope=1.0):
     def F3(k, u1, u2):
         return slope * float(np.asarray(u2).reshape(()))
 
-    return Nonlinearity(m=m, F=F, F2_prime=F2, F3_prime=F3, n=1)
+    return Nonlinearity.from_points(m=m, F=F, F2_prime=F2, F3_prime=F3, n=1)
 
 
 ASSEMBLY_TOL = 1e-9  # allows for rounding in a closed form
@@ -199,13 +199,13 @@ def _bilinear_nl(kind, f_direct, swap_partials=False):
             a, b = w[K - 1, None] * U2, w[K - 1, None] * U1
             return (b, a) if swap_partials else (a, b)
 
-        return Nonlinearity.from_arrays(
+        return Nonlinearity(
             3, lambda K, U1, U2: w[K - 1] * U1[:, 0] * U2[:, 0], dF, f_direct=f_direct
         )
     F2, F3 = (lambda k, u1, u2: w[k - 1] * u2), (lambda k, u1, u2: w[k - 1] * u1)
     if swap_partials:
         F2, F3 = F3, F2
-    return Nonlinearity(
+    return Nonlinearity.from_points(
         m=3,
         F=lambda k, u1, u2: w[k - 1] * u1[0] * u2[0],
         F2_prime=F2,
@@ -234,23 +234,23 @@ class TestNonlinearity:
             return 1.0
 
         with pytest.raises(ValueError):
-            Nonlinearity(m=2, F=bad_F, F2_prime=lambda *a: 0.0, F3_prime=lambda *a: 0.0)
+            Nonlinearity.from_points(m=2, F=bad_F, F2_prime=lambda *a: 0.0, F3_prime=lambda *a: 0.0)
 
     def test_non_finite_at_zero_is_rejected(self):
         """NaN > tol is false, so a NaN F(k, 0, 0) once built (the first
         family below).  A value that is not finite is rejected, and the first
         such k named, for an array family and a per-point one alike."""
         with pytest.raises(ValueError, match=r"\|F\(1,0,0\)\| = nan$"):
-            Nonlinearity.from_arrays(
+            Nonlinearity(
                 2, lambda K, U1, U2: np.full(K.size, np.nan), lambda K, U1, U2: (U1 * 0, U2 * 0)
             )
         for value in (np.nan, np.inf, -np.inf):
             F = np.array([0.0, value, np.nan])
             message = rf"^potential must vanish at the origin: \|F\(2,0,0\)\| = {abs(value)}$"
             with pytest.raises(ValueError, match=message):
-                Nonlinearity.from_arrays(3, lambda K, U1, U2: F[K - 1], lambda K, U1, U2: (U1 * 0, U2 * 0))
+                Nonlinearity(3, lambda K, U1, U2: F[K - 1], lambda K, U1, U2: (U1 * 0, U2 * 0))
             with pytest.raises(ValueError, match=message):
-                Nonlinearity(m=3, F=lambda k, u1, u2: F[k - 1], F2_prime=lambda *a: 0.0, F3_prime=lambda *a: 0.0)
+                Nonlinearity.from_points(m=3, F=lambda k, u1, u2: F[k - 1], F2_prime=lambda *a: 0.0, F3_prime=lambda *a: 0.0)
 
     def test_direct_formula_mismatch_is_caught(self):
         def wrong_f(k, u1, u2, u3):
@@ -260,7 +260,7 @@ class TestNonlinearity:
             t = float(np.asarray(u2).reshape(()))
             return 0.5 * t * t
 
-        nl = Nonlinearity(
+        nl = Nonlinearity.from_points(
             m=3,
             F=F,
             F2_prime=lambda *a: 0.0,
@@ -294,24 +294,67 @@ class TestNonlinearity:
         with pytest.raises(ValueError, match="not finite at 100 of 100 check points"):
             check_assembly(nl)
 
-    def test_replace_rebuilds_the_per_point_kernels(self):
-        """dataclasses.replace of the per-point partials reaches coupling and
-        F_many, bitwise a loop over f and F_at on the new callbacks."""
+    def test_replace_swaps_the_kernels(self):
+        """dataclasses.replace of F and dF reaches F_many and coupling,
+        bitwise the new formula and a loop over F_at and f."""
+        w, old = _WEIGHTS, _bilinear_nl("arrays", None)
         nl = dataclasses.replace(
-            _bilinear_nl("per_point", None),
-            F=lambda k, u1, u2: _WEIGHTS[k - 1] * u1[0] ** 2 * u2[0],
-            F2_prime=lambda k, u1, u2: 2.0 * _WEIGHTS[k - 1] * u1 * u2,
-            F3_prime=lambda k, u1, u2: _WEIGHTS[k - 1] * u1**2,
+            old,
+            F=lambda K, U1, U2: w[K - 1] * U1[:, 0] ** 2 * U2[:, 0],
+            dF=lambda K, U1, U2: (2.0 * w[K - 1, None] * U1 * U2, w[K - 1, None] * U1**2),
         )
         vals = np.random.default_rng(5).normal(size=(2, 3, 1))
         loop = np.array(
             [[nl.f(k, v[k % 3], v[k - 1], v[k - 2]) for k in range(1, 4)] for v in vals]
         )
         assert np.array_equal(nl.coupling(vals), loop)
-        K, U1, U2 = np.array([1, 5, -3]), vals[0], vals[1]
+        assert not np.array_equal(loop, old.coupling(vals))
+        K, U1, U2 = np.array([1, 5, -3]), vals[0], vals[1]  # periods 1, 2 and 3
         loop_F = np.array([nl.F_at(k, a, b) for k, a, b in zip(K.tolist(), U1, U2)])
+        assert np.array_equal(nl.F_many(K, U1, U2), w * U1[:, 0] ** 2 * U2[:, 0])
         assert np.array_equal(nl.F_many(K, U1, U2), loop_F)
-        assert not np.array_equal(loop, _bilinear_nl("per_point", None).coupling(vals))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_from_points_matches_the_array_constructor(self, n):
+        """F = w_k |u1|^2 |u2|^2, written per point and in array form with
+        the same operations, gives bitwise the same F_many, coupling, F_at
+        and f either way."""
+        w = _WEIGHTS
+
+        def sq(u):
+            return np.sum(u * u, axis=-1)
+
+        points = Nonlinearity.from_points(
+            3,
+            lambda k, u1, u2: w[k - 1] * sq(u1) * sq(u2),
+            lambda k, u1, u2: 2.0 * w[k - 1] * sq(u2) * u1,
+            lambda k, u1, u2: 2.0 * w[k - 1] * sq(u1) * u2,
+            n=n,
+        )
+        arrays = Nonlinearity(
+            3,
+            lambda K, U1, U2: w[K - 1] * sq(U1) * sq(U2),
+            lambda K, U1, U2: (
+                (2.0 * w[K - 1] * sq(U2))[:, None] * U1,
+                (2.0 * w[K - 1] * sq(U1))[:, None] * U2,
+            ),
+            n=n,
+        )
+        rng = np.random.default_rng(17)
+        K, U1, U2 = rng.integers(-6, 7, size=9), rng.normal(size=(9, n)), rng.normal(size=(9, n))
+        vals = rng.normal(size=(4, 3, n))
+        assert np.array_equal(points.F_many(K, U1, U2), arrays.F_many(K, U1, U2))
+        assert np.array_equal(points.coupling(vals), arrays.coupling(vals))
+        for k, a, b in zip(K.tolist(), U1, U2):
+            assert points.F_at(k, a, b) == arrays.F_at(k, a, b)
+            assert np.array_equal(points.f(k, a, b, a - b), arrays.f(k, a, b, a - b))
+
+    def test_one_point_forms_reject_a_point_of_another_size(self):
+        nl = _bilinear_nl("arrays", None)
+        with pytest.raises(ValueError, match="do not match"):
+            nl.F_at(1, [1.0, 2.0], [1.0])
+        with pytest.raises(ValueError, match="cannot reshape array of size 2"):
+            nl.f(1, [1.0], [1.0, 2.0], [1.0])
 
     def test_F_at_wraps_period(self):
         calls = []
@@ -320,7 +363,7 @@ class TestNonlinearity:
             calls.append(k)
             return 0.0
 
-        nl = Nonlinearity(
+        nl = Nonlinearity.from_points(
             m=3, F=F, F2_prime=lambda *a: 0.0, F3_prime=lambda *a: 0.0
         )
         nl.F_at(7, np.array([1.0]), np.array([1.0]))
@@ -366,15 +409,21 @@ class TestProblem:
 
 
 def test_only_core_reads_the_array_kernels():
-    """Nonlinearity._kernels is read in core alone: every other module
-    reaches F and its partials through F_many, coupling or _assembled."""
+    """A family's F and dF are called in core alone, by _F_points and
+    _assembled: every other module reaches the potential through F_many,
+    coupling or those two."""
+
+    def kernel_calls(path):
+        return [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("F", "dF")
+        ]
+
     modules = sorted(pathlib.Path(pklap.__file__).parent.glob("*.py"))
-    assert "core.py" in [path.name for path in modules] and len(modules) > 1
-    readers = sorted(
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        if path.name != "core.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr == "_kernels"
-    )
-    assert readers == []
+    core = [path for path in modules if path.name == "core.py"]
+    assert len(core) == 1 and len(modules) > 1
+    assert len(kernel_calls(core[0])) == 2
+    assert [call for path in modules if path.name != "core.py" for call in kernel_calls(path)] == []

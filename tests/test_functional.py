@@ -26,7 +26,7 @@ from pklap.operators import residual_values
 
 
 def _zero_nl(m):
-    return Nonlinearity(
+    return Nonlinearity.from_points(
         m=m,
         F=lambda k, u1, u2: 0.0,
         F2_prime=lambda k, u1, u2: 0.0,
@@ -133,7 +133,7 @@ def test_hessian_oracle_two_point_well():
         t = float(np.asarray(u2).reshape(()))
         return t - t**3
 
-    nl = Nonlinearity(m=2, F=F, F2_prime=lambda *a: 0.0, F3_prime=F3)
+    nl = Nonlinearity.from_points(m=2, F=F, F2_prime=lambda *a: 0.0, F3_prime=F3)
     prob = Problem(
         m=2,
         n=1,

@@ -78,7 +78,7 @@ def _point_family(m, seen=None):
     def F3(k, u1, u2):
         return np.array([u1[0] ** 2 * u2[0]])
 
-    return Nonlinearity(m=m, F=F, F2_prime=F2, F3_prime=F3)
+    return Nonlinearity.from_points(m=m, F=F, F2_prime=F2, F3_prime=F3)
 
 
 def _families():
@@ -206,7 +206,7 @@ def test_system_rows_whose_callbacks_raise_fail_alone():
     def F3(k, u1, u2):
         return np.array([u1[0] ** 2 * u2[0]])
 
-    nl = Nonlinearity(m=3, F=lambda k, u1, u2: 0.5 * u1[0] ** 2 * u2[0] ** 2, F2_prime=F2, F3_prime=F3)
+    nl = Nonlinearity.from_points(m=3, F=lambda k, u1, u2: 0.5 * u1[0] ** 2 * u2[0] ** 2, F2_prime=F2, F3_prime=F3)
     system = _System(_problem(nl))
     y = np.random.default_rng(2).normal(size=(4, 3))
     y[2, 1] = 7.0

@@ -15,7 +15,7 @@ from pklap.operators import _phi_rows, _residual_rows, _stack_pass, phi_p, resid
 
 
 def _zero_nl(m, n=1):
-    return Nonlinearity(
+    return Nonlinearity.from_points(
         m=m,
         F=lambda k, u1, u2: 0.0,
         F2_prime=lambda k, u1, u2: np.zeros(n),
@@ -57,7 +57,7 @@ def _product_nl(m):
         b = np.asarray(u2, dtype=float)
         return float(np.sum(a * a)) * 2.0 * b
 
-    return Nonlinearity(m=m, F=F, F2_prime=F2, F3_prime=F3, n=2)
+    return Nonlinearity.from_points(m=m, F=F, F2_prime=F2, F3_prime=F3, n=2)
 
 
 class TestPhiP:
@@ -124,7 +124,7 @@ class TestResidual:
             t = float(np.asarray(u2).reshape(()))
             return 0.5 * t * t
 
-        nl = Nonlinearity(
+        nl = Nonlinearity.from_points(
             m=2,
             F=F,
             F2_prime=lambda k, u1, u2: 0.0,
@@ -234,11 +234,11 @@ class TestRawArrayInput:
 
 
 def _spied_family(n, calls):
-    """A from_arrays family whose dF appends the size of each call to calls:
-    example1 at m = 4 for n = 1, and F = |u1|^2 |u2|^2 at m = 5 for n = 2."""
+    """A family whose dF appends the size of each call to calls: example1
+    at m = 4 for n = 1, and F = |u1|^2 |u2|^2 at m = 5 for n = 2."""
     if n == 1:
         base = make_builtin("example1", 4).nonlinearity
-        m, (F, dF) = base.m, base.arrays
+        m, F, dF = base.m, base.F, base.dF
     else:
         m = 5
 
@@ -253,7 +253,7 @@ def _spied_family(n, calls):
         calls.append(K.size)
         return dF(K, U1, U2)
 
-    return Nonlinearity.from_arrays(m, F, spy, n=n)
+    return Nonlinearity(m, F, spy, n=n)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -161,12 +161,16 @@ def test_bad_radii_raise_on_every_call(guards):
     assert messages[0].startswith("bound condition A.9 fails for the chosen radii (margin -")
 
 
-def test_the_guard_cache_drops_its_oldest_shape(guards, monkeypatch):
-    monkeypatch.setattr(nonlinearities, "_GUARD_CACHE_SIZE", 2)
-    for m in (2, 3, 4, 3, 2):
-        make_example3(m)
-    assert [m for m, _ in guards] == [2, 3, 4, 2]
-    assert [key[0] for key in nonlinearities._GUARD_MESSAGES] == [4, 2]
+def test_the_guard_cache_drops_its_oldest_shape(guards):
+    """The guard keeps its last 64 shapes: after 65, the newest is still
+    kept and the oldest runs again.  Every C >= 1 bounds the family."""
+    for C in range(1, 66):
+        make_example3(2, C=C)
+    assert [bounds.C for _, bounds in guards] == list(range(1, 66))
+    make_example3(2, C=65)
+    assert len(guards) == 65
+    make_example3(2, C=1)
+    assert len(guards) == 66 and guards[-1][1].C == 1
 
 
 def _run_all(configs, out, order):
@@ -201,7 +205,7 @@ def test_outputs_are_byte_identical_whatever_ran_before(tmp_path, cold_caches):
     runs = []
     for order in (list, lambda argvs: argvs[::-1]):
         analysis._xi_minimum.cache_clear()
-        nonlinearities._GUARD_MESSAGES.clear()
+        nonlinearities._guard_message.cache_clear()
         for _ in range(2):
             runs.append(_run_all(configs, tmp_path / f"run{len(runs)}", order))
     assert len(runs[0]) == 2 * 9 + 3

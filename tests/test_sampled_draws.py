@@ -130,7 +130,7 @@ def _families(m, n=1):
             def dF(K, U1, U2):
                 return 2.0 * U1, -0.5 * U2 * K[:, None]
 
-            nl = Nonlinearity.from_arrays(m, F, dF, n=2)
+            nl = Nonlinearity(m, F, dF, n=2)
             b = BoundProfile(C=1.0, rho1=0.5, rho2=1.3, rho3=1.6)
         _CACHE[m, n] = (nl, g, b)
     return _CACHE[m, n]

@@ -75,7 +75,7 @@ def _well_nl2(m):
         q = np.sum(U1 * U1, axis=1)
         return (2.0 - q)[:, None] * U1 + 0.1 * U2, 0.1 * U1
 
-    return Nonlinearity.from_arrays(m, F, dF, n=2)
+    return Nonlinearity(m, F, dF, n=2)
 
 
 def _example1_problem(p=(2.0, 2.5, 3.0, 2.0)):

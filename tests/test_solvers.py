@@ -44,7 +44,7 @@ def _double_well(lam=1.0, p=2.0):
         t = float(np.asarray(u2).reshape(()))
         return t - t**3
 
-    nl = Nonlinearity(
+    nl = Nonlinearity.from_points(
         m=2,
         F=F,
         F2_prime=lambda *a: 0.0,

@@ -130,7 +130,7 @@ def _recording_family(m, seen):
     def F3(k, u1, u2):
         return np.array([u1[0] ** 2 * u2[0]])
 
-    return Nonlinearity(m=m, F=F, F2_prime=F2, F3_prime=F3)
+    return Nonlinearity.from_points(m=m, F=F, F2_prime=F2, F3_prime=F3)
 
 
 def _families():
@@ -978,7 +978,7 @@ def _threshold_family(m, f_limit, g_limit):
     def F3(k, u1, u2):
         return np.array([u1[0] ** 2 * u2[0]])
 
-    return Nonlinearity(m=m, F=F, F2_prime=F2, F3_prime=F3, name="power")
+    return Nonlinearity.from_points(m=m, F=F, F2_prime=F2, F3_prime=F3, name="power")
 
 
 def _loop_gradcheck_message(points, prob, step=None):
