@@ -640,14 +640,14 @@ def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
     computes the sharp embedding constant xi with xi_constant's defaults
     (lambda1 = 2 - 2*cos(2*pi/m) at p_plus = 2, and the power-mean bound
     m^(1 - p_plus/2) lambda1^(p_plus/2) at m = 2, 2^(1 + p_plus/2) there,
-    and at n >= 2, in closed form; otherwise a 32-start descent
-    preconditioned with the inverse cycle Laplacian, run on all starts at
-    once, its Armijo trials tried in blocks, see _xi_descent).  `pklap
-    check` takes xi from here rather than computing it a second time, and
-    the descent runs once per (m, n, p_plus) in a process, whatever the
-    potential, lambda or seed.  When no start of the descent converges, xi
-    is only an upper bound on the sharp constant: a RuntimeWarning is
-    issued, on every call, and xi_converged is False.
+    and at m = 4 or n >= 2 with p_plus > 2, in closed form; otherwise a
+    32-start descent preconditioned with the inverse cycle Laplacian, run on
+    all starts at once, its Armijo trials tried in blocks, see
+    _xi_descent).  `pklap check` takes xi from here rather than computing
+    it a second time, and the descent runs once per (m, n, p_plus) in a
+    process, whatever the potential, lambda or seed.  When no start of the
+    descent converges, xi is only an upper bound on the sharp constant: a
+    RuntimeWarning is issued, on every call, and xi_converged is False.
     """
     pp = prob.exponent.p_plus
     pm = prob.exponent.p_minus

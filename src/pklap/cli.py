@@ -192,10 +192,12 @@ def load_config(path: str) -> LoadedConfig:
 # ---------------------------------------------------------------------------
 
 
-def _check_output_dirs(*paths: str) -> None:
-    """Raise ConfigError, before any computation, for an output path that
-    names a directory (an existing one, or by a trailing separator) or whose
-    directory does not exist, or that names the same file as an earlier one."""
+def _check_output_dirs(config: str, *paths: str) -> None:
+    """Raise ConfigError, before the config is loaded, for an output path
+    that names a directory (an existing one, or by a trailing separator),
+    whose directory does not exist, or that names the configuration file or
+    the same file as an earlier output."""
+    config_real = os.path.realpath(config)
     seen = set()
     for path in paths:
         if os.path.isdir(path) or not os.path.basename(path):
@@ -204,6 +206,8 @@ def _check_output_dirs(*paths: str) -> None:
         if not os.path.isdir(directory):
             raise ConfigError(f"output directory does not exist: {directory}")
         real = os.path.realpath(path)
+        if real == config_real:
+            raise ConfigError(f"output path names the configuration file: {path}")
         if real in seen:
             raise ConfigError(f"two outputs name the same file: {path}")
         seen.add(real)
@@ -282,7 +286,7 @@ def _routing(prob: Problem, spec: BuiltinSpec, thr) -> list[dict]:
 
 
 def cmd_check(args) -> int:
-    _check_output_dirs(args.output)
+    _check_output_dirs(args.config, args.output)
     loaded = load_config(args.config)
     try:
         payload = _check_payload(loaded)
@@ -398,7 +402,7 @@ def _write_solutions(values_path, summary_path, sol) -> None:
 
 
 def cmd_solve(args) -> int:
-    _check_output_dirs(args.values_out, args.summary_out)
+    _check_output_dirs(args.config, args.values_out, args.summary_out)
     loaded = load_config(args.config)
     overrides = {}
     if args.tol is not None:
@@ -433,7 +437,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_output_dirs(args.output)
+    _check_output_dirs(args.config, args.output)
     loaded = load_config(args.config)
     if not (0.0 < args.lambda_min < args.lambda_max < math.inf):
         raise ConfigError("the lambda bounds must satisfy 0 < --lambda-min < --lambda-max < inf")
@@ -504,7 +508,7 @@ def _gradcheck_errors(u: np.ndarray, prob: Problem, step) -> list[float]:
 
 
 def cmd_gradcheck(args) -> int:
-    _check_output_dirs(args.output)
+    _check_output_dirs(args.config, args.output)
     loaded = load_config(args.config)
     prob = loaded.problem
     if args.points < 1:

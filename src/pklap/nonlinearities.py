@@ -21,13 +21,12 @@ bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Optional
 
 import numpy as np
 
-from .analysis import VIOLATED, BoundProfile, GrowthProfile, check_bounds
+from .analysis import BoundProfile, GrowthProfile
 from .core import ExponentFunction, Nonlinearity
 
 
@@ -156,12 +155,47 @@ def make_example2(m: int) -> tuple[Nonlinearity, GrowthProfile]:
     return nl, growth
 
 
-_GUARD_BUDGET = 800  # samples per condition A.7-A.9 in make_example3's radii guard
+def make_example3(
+    m: int,
+    C: float = 1.0,
+    rho1: float = 0.5,
+    rho2: float | None = None,
+    rho3: float | None = None,
+) -> tuple[Nonlinearity, BoundProfile]:
+    """Bounded sine-well potential with a |sin(k*pi/m)| weight.
 
+    F(k, u1, u2) = -sin(s) w_k with s = u1^2 + u2^2 and w_k = |sin(k*pi/m)|.
+    The default radii put the negative well inside |u| <= rho1 and the
+    positive annulus at rho2 < |u| <= rho3.  F depends on s alone, so the
+    sign conditions are exact inequalities on C and the radii, judged at
+    the periods where w_k > 0: A.7 (F <= C on the box |u| <= 1000) holds
+    iff C >= max_k w_k; A.8 (s runs over (0, 2 rho1^2]) iff 2 rho1^2 <= pi;
+    A.9 (s runs over (2 rho2^2, 2 rho3^2]) iff that interval lies in one
+    [(2j+1) pi, (2j+2) pi], j >= 0.  Radii that break one raise a
+    ValueError naming the first, with its numbers.
+    """
+    if m < 2:
+        raise ValueError(f"period m must be >= 2, got {m}")
+    if rho2 is None:
+        rho2 = math.sqrt(math.pi / 2.0) + 0.1
+    if rho3 is None:
+        rho3 = math.sqrt(math.pi) - 0.1
+    bounds = BoundProfile(C=C, rho1=rho1, rho2=rho2, rho3=rho3)
 
-def _example3_family(m: int) -> Nonlinearity:
-    """example3's potential at period m, without its bound profile."""
     weights = np.array([abs(math.sin(math.pi * (k % m) / m)) for k in range(1, m + 1)])
+    w_max = float(weights.max())
+    # r * r, not r**2, which raises OverflowError where the square is inf;
+    # A.9's window j is the first that ends at or above hi
+    s1, lo, hi = (2.0 * float(r) * float(r) for r in (rho1, rho2, rho3))
+    j = math.ceil(hi / (2.0 * math.pi)) - 1 if hi < math.inf else 0
+    for name, holds, inequality in (
+        ("A.7", C >= w_max, f"C = {float(C)!r} < max_k |sin(k pi/m)| = {w_max!r}"),
+        ("A.8", s1 <= math.pi, f"2 rho1^2 = {s1!r} > pi"),
+        ("A.9", (2 * j + 1) * math.pi <= lo and hi <= (2 * j + 2) * math.pi,
+         f"[2 rho2^2, 2 rho3^2] = [{lo!r}, {hi!r}] lies in no [(2j+1) pi, (2j+2) pi], j >= 0"),
+    ):
+        if not holds:
+            raise ValueError(f"bound condition {name} fails for the chosen radii: {inequality}")
 
     def square_sum(U1, U2):
         return np.float_power(U1[:, 0], 2) + np.float_power(U2[:, 0], 2)
@@ -173,50 +207,7 @@ def _example3_family(m: int) -> Nonlinearity:
         c, w = np.cos(square_sum(U1, U2)), weights[K - 1]
         return (-2.0 * U1[:, 0] * c * w)[:, None], (-2.0 * U2[:, 0] * c * w)[:, None]
 
-    return Nonlinearity(m, F, dF, name="example3", even_symmetric=True)
-
-
-@functools.lru_cache(maxsize=64)
-def _guard_message(m: int, C: float, rho1: float, rho2: float, rho3: float) -> Optional[str]:
-    """The message of the first condition A.7-A.9 that example3's family at
-    period m breaks for these radii, or None.  It depends on nothing else,
-    so the guard runs once per shape in a process."""
-    bounds = BoundProfile(C=C, rho1=rho1, rho2=rho2, rho3=rho3)
-    reports = check_bounds(_example3_family(m), bounds, sample_budget=_GUARD_BUDGET, seed=7)
-    bad = next((report for report in reports if report.verdict == VIOLATED), None)
-    if bad is None:
-        return None
-    return f"bound condition {bad.name} fails for the chosen radii (margin {bad.margin:.3e})"
-
-
-def make_example3(
-    m: int,
-    C: float = 1.0,
-    rho1: float = 0.5,
-    rho2: float | None = None,
-    rho3: float | None = None,
-) -> tuple[Nonlinearity, BoundProfile]:
-    """Bounded sine-well potential with a |sin(k*pi/m)| weight.
-
-    F(k, u1, u2) = -sin(u1^2 + u2^2) |sin(k*pi/m)|.  The default radii put
-    the negative well inside |u| <= rho1 and the positive annulus at
-    rho2 < |u| <= rho3.  The sign conditions are re-checked on samples at
-    construction, once per (m, C, rho1, rho2, rho3) in a process; radii
-    that break them are rejected with the same ValueError on every call.
-    """
-    if m < 2:
-        raise ValueError(f"period m must be >= 2, got {m}")
-    if rho2 is None:
-        rho2 = math.sqrt(math.pi / 2.0) + 0.1
-    if rho3 is None:
-        rho3 = math.sqrt(math.pi) - 0.1
-
-    nl = _example3_family(m)
-    bounds = BoundProfile(C=C, rho1=rho1, rho2=rho2, rho3=rho3)
-    message = _guard_message(m, float(C), float(rho1), float(rho2), float(rho3))
-    if message is not None:
-        raise ValueError(message)
-    return nl, bounds
+    return Nonlinearity(m, F, dF, name="example3", even_symmetric=True), bounds
 
 
 def _exponent_arg(values, m: int, what: str) -> ExponentFunction:

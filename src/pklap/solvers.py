@@ -29,7 +29,7 @@ from .core import (
     euclidean_norm,
     in_Y,
 )
-from .functional import _action_values, _central_difference, _morse_summaries, _require_smooth, action
+from .functional import _action_values, _central_difference, _morse_summaries, _require_smooth
 from .operators import _residual_rows, residual_values
 
 SUBSPACE_FULL = "H_m"
@@ -57,7 +57,8 @@ class SolverConfig:
     """Settings shared by every solver in this module: random starts per
     stage (>= 1), the residual norm a solution must meet, the relative
     distance under which two solutions are one, and the seed of every random
-    draw.  int fields reject bools; float fields must be finite and positive.
+    draw, in [0, 2**32), as the generators take it modulo 2**32.  int fields
+    reject bools; float fields must be finite and positive.
     """
 
     starts: int = 16
@@ -74,6 +75,8 @@ class SolverConfig:
                 raise ValueError(f"{field.name} must be finite and positive, got {value!r}")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if not 0 <= self.seed < 2**32:
+            raise ValueError(f"seed must lie in [0, 2**32), got {self.seed}")
 
 
 def subspace_basis(m: int, n: int, subspace: str) -> np.ndarray:
@@ -513,14 +516,12 @@ def mountain_pass(
     ts = np.linspace(0.0, 1.0, _PATH_POINTS)
     path = np.array([a + t * (b - a) for t in ts])
 
-    def j_of(x: np.ndarray) -> float:
-        return action(x.reshape(prob.m, prob.n), prob)
-
-    j_end = max(j_of(a), j_of(b))
+    # each row of _action_values has action's bits at that point
+    j_end = float(_action_values(np.stack((a, b)), prob).max())
     barrier_tol = 1e-9 * max(1.0, abs(j_end))
     for _ in range(10 * _MAX_ITERATIONS):
         # the endpoints never move, so only the interior is evaluated
-        j_inner = np.array([j_of(p) for p in path[1:-1]])
+        j_inner = _action_values(path[1:-1], prob)
         i_star = 1 + int(np.argmax(j_inner))
         if j_inner[i_star - 1] <= j_end + barrier_tol:
             return None
@@ -536,7 +537,7 @@ def mountain_pass(
             tn = float(np.linalg.norm(tangent))
             if tn > 0.0:
                 tangent /= tn
-            g = -system.g_full(path[i])  # gradient of the action
+            g = -(g_star if i == i_star else system.g_full(path[i]))  # gradient of the action
             step_dir = -(g - float(np.dot(g, tangent)) * tangent)
             sn = float(np.linalg.norm(step_dir))
             if sn > 0.0:
@@ -550,7 +551,7 @@ def mountain_pass(
                 new_path[:, dim] = np.interp(targets, arc, new_path[:, dim])
         path = new_path
     else:
-        polish_from = path[1 + int(np.argmax([j_of(p) for p in path[1:-1]]))]
+        polish_from = path[1 + int(np.argmax(_action_values(path[1:-1], prob)))]
     # on H_m, Newton's norm is the full residual norm, bit for bit
     x, norm, converged, _ = _newton_iterate(system, polish_from, cfg)
     if not converged or _close_rows(x, np.stack((a, b)), cfg.dedupe_tol)[0].any():

@@ -518,9 +518,11 @@ class TestCheckBounds:
 
     def test_all_nan_margins_are_inconclusive(self):
         """At rho3 = 1e200 every A.9 sample squares to inf and sin(inf) is
-        NaN, so no sample decides A.9."""
+        NaN, so no sample decides A.9.  (make_example3 rejects these radii,
+        so the profile is built directly.)"""
+        nl, default = make_example3(2)
+        bounds = BoundProfile(C=default.C, rho1=default.rho1, rho2=default.rho2, rho3=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
-            nl, bounds = make_example3(2, rho3=1e200)
             reports = {r.name: r for r in check_bounds(nl, bounds, sample_budget=500)}
         a9 = reports["A.9"]
         assert a9.verdict == INCONCLUSIVE

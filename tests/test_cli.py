@@ -137,6 +137,9 @@ class TestLoadConfig:
             {"solver": {"start_radius": 3.0}},
             {"nonlinearity": {"builtin": "example3", "params": {"rho3": math.inf}}},
             {"nonlinearity": {"builtin": "example3", "params": {"C": math.inf}}},
+            {"seed": 2**32},
+            {"seed": -1},
+            {"solver": {"seed": 2**32 + 7}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, overrides):
@@ -240,6 +243,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: two outputs name the same file: {summary}\n"
         assert not any(out.iterdir())
 
+    @OUTPUTS
+    @pytest.mark.parametrize("spelling", ["cfg.json", os.path.join(".", "cfg.json")])
+    def test_an_output_naming_the_config_fails_before_loading(
+        self, tmp_path, monkeypatch, capsys, command, flag, computation, spelling
+    ):
+        """An output that names the configuration file, spelled alike or
+        not, is a usage error found before the config is loaded, and the
+        config keeps its bytes (before, the report was written over it and
+        the command exited 0)."""
+        monkeypatch.setattr(cli, "load_config", lambda *a, **k: pytest.fail("load_config ran"))
+        cfg = pathlib.Path(_config(tmp_path))
+        before = cfg.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        outputs = {"--values-out": "v.csv", "--summary-out": "s.csv"} if command == "solve" else {}
+        outputs[flag] = spelling
+        argv = [command, "cfg.json"] + [arg for item in outputs.items() for arg in item]
+        if command == "sweep":
+            argv += ["--lambda-min", "1", "--lambda-max", "2"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: output path names the configuration file: {spelling}\n"
+        assert cfg.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids="{:03o}".format)
     def test_outputs_get_the_mode_open_gives(self, tmp_path, umask):
         """Every output file has the mode a plain open(path, "w") gives
@@ -282,6 +308,20 @@ class TestExitCodes:
         cfg = _config(tmp_path)
         out = str(tmp_path / "g.json")
         assert cli.main(["gradcheck", cfg, "--points", "0", "--output", out]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_a_seed_outside_32_bits_is_a_usage_error(self, tmp_path, monkeypatch, capsys, seed):
+        """The generators take a seed modulo 2**32, so 2**32 drew seed 0's
+        samples and -1 drew seed 2**32 - 1's (before, gradcheck reported
+        the same errors for each pair and exited 0)."""
+        monkeypatch.setattr(cli, "find_multiple", lambda *a, **k: pytest.fail("find_multiple ran"))
+        out = str(tmp_path / "g.json")
+        assert cli.main(["gradcheck", _config(tmp_path, seed=seed), "--output", out]) == cli.EXIT_CONFIG
+        argv = ["solve", _config(tmp_path), "--seed", str(seed)]
+        argv += ["--values-out", str(tmp_path / "v.csv"), "--summary-out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: seed must lie in [0, 2**32), got {seed}\n" * 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_non_finite_tol_flag(self, tmp_path):
         out = str(tmp_path / "out.csv")

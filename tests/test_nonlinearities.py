@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from pklap.analysis import HOLDS, check_growth
+import pklap.cli as cli
+from pklap.analysis import HOLDS, check_bounds, check_growth
 from pklap.nonlinearities import (
     BUILTIN_NAMES,
     BuiltinSpec,
@@ -14,8 +15,62 @@ from pklap.nonlinearities import (
     make_example3,
     make_power,
 )
+from test_cli import _config
 from test_core import check_assembly
 from test_lockstep import BUILTINS
+
+EXACT_REJECTIONS = [
+    ({"C": 0.99999999}, "A.7"),
+    ({"rho1": math.sqrt(math.pi / 2.0) + 1e-3, "rho2": 1.36}, "A.8"),
+    ({"rho3": math.sqrt(math.pi) + 0.01}, "A.9"),
+    ({"rho3": 1e200}, "A.9"),
+]
+
+
+def _boundary_draws(seed, count):
+    """(m, params) pairs, each moving one of C, rho1, rho2 or rho3 by up to
+    0.05 around a boundary of its condition: C around max_k |sin(k pi/m)|,
+    rho1 around sqrt(pi/2), and rho2 and rho3 around the ends of the first
+    and second windows of A.9."""
+    rng = np.random.default_rng(seed)
+
+    def root(x):
+        return math.sqrt(x * math.pi)
+
+    for _ in range(count):
+        m = int(rng.choice([2, 3, 4, 5, 8]))
+        delta = float(rng.uniform(-0.05, 0.05))
+        kind = int(rng.integers(6))
+        yield m, [
+            {"C": max(abs(math.sin(math.pi * k / m)) for k in range(1, m)) + delta},
+            {"rho1": root(0.5) + delta},
+            {"rho2": root(0.5) + delta},
+            {"rho3": root(1.0) + delta},
+            {"rho2": root(1.5) + delta, "rho3": root(2.0) - 0.06},
+            {"rho2": root(1.5) + 0.06, "rho3": root(2.0) + delta},
+        ][kind]
+
+
+def _kernel_breaks(nl, name, radii):
+    """Whether the F kernel breaks condition name at a point of its region:
+    F > C somewhere on the box |u| <= 1000 (A.7), F >= 0 somewhere on the
+    punctured box 0 < |u1|, |u2| <= rho1 (A.8), or F <= 0 somewhere on the
+    annulus rho2 < |u1|, |u2| <= rho3 (A.9), searched along u1 = u2 (for
+    A.7, u2 = 0) at the periods where the weight is largest."""
+    grid = np.linspace(0.0, 1.0, 2001)
+    if name == "A.7":
+        t1, t2 = np.sqrt(math.pi * (1.0 + grid)), np.zeros_like(grid)
+    elif name == "A.8":
+        t1 = t2 = radii["rho1"] * grid[1:]
+    else:
+        lo, hi = radii["rho2"], min(radii["rho3"], radii["rho2"] + 10.0)
+        t1 = t2 = np.append(np.nextafter(lo, math.inf), lo + (hi - lo) * grid[1:])
+    peak = np.full((nl.m, 1), math.sqrt(1.5 * math.pi))  # F = w_k there
+    k = 1 + int(np.argmax(nl.F_many(np.arange(1, nl.m + 1), peak, np.zeros_like(peak))))
+    F = nl.F_many(np.full(len(t1), k), t1[:, None], t2[:, None])
+    if name == "A.7":
+        return bool((F > radii["C"]).any())
+    return bool((F >= 0.0).any() if name == "A.8" else (F <= 0.0).any())
 
 
 def _assembly_gap(nl, points=100, seed=0, scale=2.0):
@@ -119,6 +174,55 @@ class TestExample3:
         nl, bounds = make_example3(3, rho1=0.4, rho3=math.sqrt(math.pi) - 0.2)
         assert bounds.rho1 == 0.4
         assert nl.m == 3
+
+    @pytest.mark.parametrize("params, name", EXACT_REJECTIONS)
+    def test_radii_the_samples_miss_are_rejected(self, tmp_path, params, name):
+        """Each breaks its condition exactly, by a margin that samples can
+        miss: C below the weight's maximum 1, 2 rho1^2 just above pi, rho3
+        past the window's end 2 pi, and rho3 = 1e200, whose annulus samples
+        all give F = NaN."""
+        with pytest.raises(ValueError, match=f"^bound condition {name} fails for the chosen radii: "):
+            make_example3(2, **params)
+        cfg = _config(tmp_path, **{"lambda": 1.0}, nonlinearity={"builtin": "example3", "params": params})
+        out = tmp_path / "check.json"
+        assert cli.main(["check", cfg, "--output", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {},
+            {"rho1": 0.4},
+            {"rho1": 1.0},
+            {"rho3": math.sqrt(math.pi) - 0.2},
+            {"rho2": math.sqrt(1.5 * math.pi) + 0.01, "rho3": math.sqrt(2.0 * math.pi) - 0.01},
+        ],
+        ids=["defaults", "rho1_0.4", "rho1_1.0", "rho3_inner", "second_window"],
+    )
+    def test_radii_inside_the_conditions_build(self, m, params):
+        nl, bounds = make_example3(m, **params)
+        assert nl.m == m and all(getattr(bounds, key) == value for key, value in params.items())
+
+    def test_the_exact_conditions_agree_with_samples_and_the_kernel(self):
+        """Seeded radii around each boundary: accepted ones pass check_bounds
+        at 4000 samples and seeds 0 - 2, and for rejected ones the F kernel
+        breaks the named inequality at a point of the named region."""
+        accepted = rejected = 0
+        for m, params in _boundary_draws(seed=0, count=36):
+            try:
+                nl, bounds = make_example3(m, **params)
+            except ValueError as exc:
+                name = str(exc).split()[2]
+                nl, defaults = make_example3(m)
+                assert _kernel_breaks(nl, name, {**vars(defaults), **params}), (m, params, name)
+                rejected += 1
+                continue
+            for seed in range(3):
+                reports = check_bounds(nl, bounds, seed=seed)
+                assert [report.verdict for report in reports] == [HOLDS] * 3, (m, params, seed)
+            accepted += 1
+        assert accepted >= 10 and rejected >= 10
 
 
 class TestPowerFamily:

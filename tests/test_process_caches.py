@@ -1,5 +1,5 @@
-"""Work paid once per process: the CLI parser, the xi descent per (m, n,
-p_plus) and its search settings, and example3's radii guard per shape.
+"""Work paid once per process: the CLI parser, and the xi descent per (m,
+n, p_plus) and its search settings.
 
 Each cache must return what a fresh computation returns, bit for bit, keep
 every warning and error of the uncached path, and leave every output file
@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import pklap.cli as cli
-from pklap import analysis, nonlinearities
-from pklap.nonlinearities import make_builtin, make_example3
+from pklap import analysis
+from pklap.nonlinearities import make_example3
 from test_cli import CONFIGS, _bench_check_configs
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -125,52 +125,14 @@ def test_import_builds_no_parser_and_main_builds_one(tmp_path):
     assert out[:2] == ["0", "1 4 [1, 1, 1, 1, 1]"]
 
 
-@pytest.fixture
-def guards(monkeypatch, cold_caches):
-    """The list of check_bounds calls made by make_example3's guard."""
-    calls = []
-    real = nonlinearities.check_bounds
-
-    def spy(nl, bounds, *args, **kwargs):
-        calls.append((nl.m, bounds))
-        return real(nl, bounds, *args, **kwargs)
-
-    monkeypatch.setattr(nonlinearities, "check_bounds", spy)
-    return calls
-
-
-def test_a_repeated_example3_shape_runs_the_guard_once(guards):
-    first = make_example3(4)
-    make_example3(4)
-    make_builtin("example3", 4, {"C": 1, "rho1": 0.5})  # the default radii, as ints where they can be
-    assert len(guards) == 1
-    make_example3(4, rho1=0.4)
-    make_example3(5)
-    assert len(guards) == 3
-    nl, bounds = make_example3(4)
-    assert bounds == first[1] and nl is not first[0]  # each call builds its own family
-
-
-def test_bad_radii_raise_on_every_call(guards):
+def test_bad_radii_raise_on_every_call():
     messages = []
     for _ in range(3):
         with pytest.raises(ValueError, match="bound condition") as err:
             make_example3(2, rho1=0.3, rho2=0.5, rho3=0.7)
         messages.append(str(err.value))
-    assert len(guards) == 1 and len(set(messages)) == 1
-    assert messages[0].startswith("bound condition A.9 fails for the chosen radii (margin -")
-
-
-def test_the_guard_cache_drops_its_oldest_shape(guards):
-    """The guard keeps its last 64 shapes: after 65, the newest is still
-    kept and the oldest runs again.  Every C >= 1 bounds the family."""
-    for C in range(1, 66):
-        make_example3(2, C=C)
-    assert [bounds.C for _, bounds in guards] == list(range(1, 66))
-    make_example3(2, C=65)
-    assert len(guards) == 65
-    make_example3(2, C=1)
-    assert len(guards) == 66 and guards[-1][1].C == 1
+    assert len(set(messages)) == 1
+    assert messages[0].startswith("bound condition A.9 fails for the chosen radii: [2 rho2^2, 2 rho3^2] = [0.5, ")
 
 
 def _run_all(configs, out, order):
@@ -205,7 +167,6 @@ def test_outputs_are_byte_identical_whatever_ran_before(tmp_path, cold_caches):
     runs = []
     for order in (list, lambda argvs: argvs[::-1]):
         analysis._xi_minimum.cache_clear()
-        nonlinearities._guard_message.cache_clear()
         for _ in range(2):
             runs.append(_run_all(configs, tmp_path / f"run{len(runs)}", order))
     assert len(runs[0]) == 2 * 9 + 3

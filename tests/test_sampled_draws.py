@@ -157,14 +157,6 @@ def test_odd_and_default_counts_match_the_loop(m, budget):
     _check_both(m, 1, budget, seed=11)
 
 
-@pytest.mark.parametrize("m", [2, 5, 8])
-def test_example3_guard_draws_match_the_loop(cold_caches, m):
-    # make_example3 re-checks its bound profile with check_bounds at budget 800, seed 7
-    got = _caught_samples(lambda: make_example3(m))
-    _, b = make_example3(m)
-    _assert_samples_match(got, _bound_refs(b), m, 1, 800, 7)
-
-
 @pytest.mark.parametrize("m", [3, 4])
 def test_n2_draws_match_the_loop(m):
     for seed in range(3):
@@ -316,27 +308,27 @@ def _generator_keys(run):
 
 
 def test_a_bounded_check_builds_two_generators_per_lambda_star_radius(cold_caches, tmp_path):
-    """The shipped example3 check: the bound guard of its construction
-    (A.7 - A.9), C.1 - C.3, A.7 - A.9, B.2/B.3, and then lambda-star's
-    direction and fraction streams at each of its three radii."""
+    """The shipped example3 check: C.1 - C.3, A.7 - A.9, B.2/B.3, and then
+    lambda-star's direction and fraction streams at each of its three
+    radii.  Building the family draws nothing."""
     out = str(tmp_path / "check.json")
     config = str(CONFIGS / "example3_sweep.json")
     keys = _generator_keys(lambda: cli.main(["check", config, "--output", out]))
-    assert keys == [(7,), (8,), (9,), (41,), (7,), (8,), (9,), (23,)] + [
+    assert keys == [(41,), (7,), (8,), (9,), (23,)] + [
         (key, ir) for ir in range(3) for key in (47, 48)
     ]
 
 
 def test_a_check_batch_instance_builds_82_generators(cold_caches, tmp_path):
     """check and a 50-point gradcheck on the nine configs of one benchmark
-    check batch, in a process that has run neither, build 82 generators:
-    89 when each check ran its own xi descent (example1_m8_varp and
-    power_m8_varp share (m, n, p_plus) = (8, 1, 3)) and each example3 load
-    its own radii guard (two shapes, each loaded by check and gradcheck),
-    95 when A.6 drew its three variants apart also where they share one
-    exponent pair (power_borderline and the two power varp configs,
-    constant s = r), and 1283 when lambda-star drew one stream per
-    sample."""
+    check batch, in a process that has run neither, build 76 generators
+    (the name keeps the 82 of a sampled radii guard in example3's
+    construction, which drew three more streams for each of its two
+    shapes): 83 when each check ran its own xi descent (example1_m8_varp
+    and power_m8_varp share (m, n, p_plus) = (8, 1, 3)), 89 when A.6 drew
+    its three variants apart also where they share one exponent pair
+    (power_borderline and the two power varp configs, constant s = r), and
+    1277 when lambda-star drew one stream per sample."""
 
     def run():
         for name, cfg in _bench_check_configs(7).items():
@@ -349,8 +341,8 @@ def test_a_check_batch_instance_builds_82_generators(cold_caches, tmp_path):
             assert cli.main(argv) == cli.EXIT_OK
 
     keys = _generator_keys(run)
-    assert len(keys) == 82
+    assert len(keys) == 76
     assert keys.count((8, 1)) == keys.count((12, 1)) == 1  # one xi descent per key
-    assert keys.count((7,)) == 2 + 2  # one guard per example3 shape, and A.7 of each check
+    assert keys.count((7,)) == 2  # A.7 of each example3 check
     assert sum(key[0] == 6 for key in keys) == 4 * 3 + 3 * 1  # A.6 streams of seven growth configs
     assert sum(len(key) == 2 and key[0] in (47, 48) for key in keys) == 12

@@ -193,11 +193,15 @@ def test_find_multiple_start_pools_match_inline_draws(monkeypatch):
 def test_mountain_pass_evaluates_each_path_once_per_sweep(monkeypatch):
     """The two lowest records of the shipped example1 m = 4 solve (seed 0).
 
-    The search runs 11 sweeps over 21 path points and finds no barrier.  It
-    evaluates J at both endpoints once and, since the endpoints never move,
-    at the 19 interior points of each sweep's path once: 2 + 11 * 19 = 211
-    calls (233 when each sweep evaluated the endpoints again, 423 when the
-    interior was evaluated again after each sweep)."""
+    The search evaluates J on 11 paths of 21 points and finds no barrier.
+    It evaluates J at both endpoints once and, since the endpoints never
+    move, at the 19 interior points of each path once, each set with one
+    _action_values call: 2 + 11 * 19 = 211 points (233 when each sweep
+    evaluated the endpoints again, 423 when the interior was evaluated
+    again after each sweep).  Each of the 10 relaxations before the last
+    path evaluates the residual once at each interior point: 19 calls, the
+    path maximum's serving both the stop test and its own step (20 when the
+    maximum was evaluated twice)."""
     nl, _ = make_example1(4)
     prob = Problem(m=4, n=1, exponent=ExponentFunction.constant(2.0, 4), nonlinearity=nl, lam=1.0)
     a = PeriodicSequence(
@@ -206,15 +210,21 @@ def test_mountain_pass_evaluates_each_path_once_per_sweep(monkeypatch):
     b = PeriodicSequence(
         np.array([2.7203398617688643, -4.678518570095734, 2.6806956265306336, -2.0600983250148])
     )
-    calls = []
+    rows, residuals = [], []
 
-    def counting(u, p):
-        calls.append(1)
-        return action(u, p)
+    def counting_actions(points, p):
+        rows.append(len(points))
+        return functional._action_values(points, p)
 
-    monkeypatch.setattr(solvers, "action", counting)
+    def counting_residuals(u, p):
+        residuals.append(1)
+        return operators.residual_values(u, p)
+
+    monkeypatch.setattr(solvers, "_action_values", counting_actions)
+    monkeypatch.setattr(solvers, "residual_values", counting_residuals)
     assert mountain_pass(prob, a, b, SolverConfig()) is None
-    assert len(calls) == 211
+    assert rows == [2] + [19] * 11
+    assert len(residuals) == 10 * 19
 
 
 class TestNonsmoothExponent:

@@ -60,6 +60,13 @@ def _double_well(lam=1.0, p=2.0):
     )
 
 
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**40])
+def test_solver_config_rejects_a_seed_outside_32_bits(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must lie in [0, 2**32), got {seed}")):
+        SolverConfig(seed=seed)
+    assert SolverConfig(seed=0).seed == 0 and SolverConfig(seed=2**32 - 1).seed == 2**32 - 1
+
+
 class TestSubspaceBasis:
     @pytest.mark.parametrize("m,n", [(2, 1), (4, 1), (3, 2)])
     def test_orthonormal_columns(self, m, n):
