@@ -5,7 +5,14 @@ The package finds m-periodic critical points of the discrete action
     J(u) = sum_k |du(k)|^p(k) / p(k)  +  lambda * (- sum_k F(k, u(k+1), u(k)))
 
 and checks, on samples, the hypotheses that guarantee such points exist.
+
+The solver names (SolutionSet, SweepResult, find_multiple, lambda_sweep,
+mountain_pass, subspace_basis) and the `solvers` submodule are resolved on
+first access, so `import pklap` and the analysis layer do not load
+pklap.solvers; `from pklap import find_multiple` works as before.
 """
+
+import importlib
 
 from .analysis import (
     HOLDS,
@@ -35,6 +42,7 @@ from .core import (
     PeriodicSequence,
     Problem,
     SolutionRecord,
+    SolverConfig,
     euclidean_norm,
     in_Y,
     wrap_index,
@@ -59,15 +67,21 @@ from .nonlinearities import (
     make_power,
 )
 from .operators import phi_p, residual_values
-from .solvers import (
-    SolutionSet,
-    SolverConfig,
-    SweepResult,
-    find_multiple,
-    lambda_sweep,
-    mountain_pass,
-    subspace_basis,
+
+# Names of pklap.solvers that __getattr__ imports it for.
+_SOLVER_NAMES = frozenset(
+    ("SolutionSet", "SweepResult", "find_multiple", "lambda_sweep", "mountain_pass", "subspace_basis")
 )
+
+
+def __getattr__(name):
+    # importlib, not `from . import solvers`, which would look the name up
+    # on this module again and recurse
+    if name == "solvers" or name in _SOLVER_NAMES:
+        solvers = importlib.import_module(".solvers", __name__)
+        return solvers if name == "solvers" else getattr(solvers, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -46,22 +46,18 @@ from .analysis import (
     thresholds,
 )
 from .core import (
+    SUBSPACE_FULL,
+    SUBSPACE_Y,
     EvaluationError,
     ExponentFunction,
     PeriodicSequence,
     Problem,
+    SolverConfig,
     _row_norms,
 )
 from .functional import _gradient_fd_rows, gradient
 from .nonlinearities import BuiltinSpec, make_builtin
 from .operators import _residual_rows
-from .solvers import (
-    SUBSPACE_FULL,
-    SUBSPACE_Y,
-    SolverConfig,
-    find_multiple,
-    lambda_sweep,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -120,24 +116,23 @@ def load_config(path: str) -> LoadedConfig:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
 
-    p_raw = raw["p"]
-    if isinstance(p_raw, (int, float)) and not isinstance(p_raw, bool):
-        p_list = [float(p_raw)] * m
-    elif isinstance(p_raw, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in p_raw
+    # numbers are converted to floats in the try below, where a JSON integer
+    # too large for a float is an input error
+    p_list = raw["p"]
+    if isinstance(p_list, (int, float)) and not isinstance(p_list, bool):
+        p_list = [p_list] * m
+    elif not isinstance(p_list, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in p_list
     ):
-        p_list = [float(x) for x in p_raw]
-    else:
         raise ConfigError("p must be a number or a list of numbers")
     if len(p_list) != m:
         raise ConfigError(f"p must have {m} entries, got {len(p_list)}")
     if not all(x > 1.0 for x in p_list):
-        raise ConfigError(f"every p must be > 1, got min {min(p_list)}")
+        raise ConfigError(f"every p must be > 1, got min {float(min(p_list))}")
 
     lam = raw["lambda"]
     if isinstance(lam, bool) or not isinstance(lam, (int, float)):
         raise ConfigError("lambda must be a number")
-    lam = float(lam)
 
     nl_raw = raw["nonlinearity"]
     if not isinstance(nl_raw, dict) or "builtin" not in nl_raw:
@@ -169,7 +164,8 @@ def load_config(path: str) -> LoadedConfig:
         )
 
     try:
-        exponent = ExponentFunction(np.array(p_list))
+        exponent = ExponentFunction(np.array([float(x) for x in p_list]))
+        lam = float(lam)
         spec = make_builtin(nl_raw["builtin"], m, params)
         if spec.nonlinearity.n != n:
             raise ConfigError(
@@ -182,7 +178,7 @@ def load_config(path: str) -> LoadedConfig:
         solver = SolverConfig(**solver_raw)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return LoadedConfig(problem=problem, builtin=spec, solver=solver, subspace=subspace)
 
@@ -356,6 +352,26 @@ def _check_payload(loaded: LoadedConfig) -> dict:
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
+
+
+# solve and sweep call the solvers through these two module globals, which
+# import pklap.solvers on their first call, so that check and gradcheck
+# never load it.  As globals they stay replaceable: the benchmark swaps
+# lambda_sweep to keep each sweep's result.
+
+
+def find_multiple(*args, **kwargs):
+    """pklap.solvers.find_multiple, imported on the first call."""
+    from . import solvers
+
+    return solvers.find_multiple(*args, **kwargs)
+
+
+def lambda_sweep(*args, **kwargs):
+    """pklap.solvers.lambda_sweep, imported on the first call."""
+    from . import solvers
+
+    return solvers.lambda_sweep(*args, **kwargs)
 
 
 def _summary_rows(records, start_id: int = 0):

@@ -515,3 +515,35 @@ class SolutionRecord:
     start_index: Optional[int] = None
     converged: bool = True
     flags: tuple = ()
+
+
+# The subspaces a solver works on: all of H_m, or the zero-mean sequences Y.
+SUBSPACE_FULL = "H_m"
+SUBSPACE_Y = "Y"
+
+
+@dataclasses.dataclass(frozen=True)
+class SolverConfig:
+    """Settings shared by every solver of `pklap.solvers`: random starts per
+    stage (>= 1), the residual norm a solution must meet, the relative
+    distance under which two solutions are one, and the seed of every random
+    draw, in [0, 2**32), as the generators take it modulo 2**32.  int fields
+    reject bools; float fields must be finite and positive.
+    """
+
+    starts: int = 16
+    residual_tol: float = 1e-10
+    dedupe_tol: float = 1e-6
+    seed: int = 0
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise TypeError(f"{field.name} must be an integer, got {value!r}")
+            if field.type == "float" and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{field.name} must be finite and positive, got {value!r}")
+        if self.starts < 1:
+            raise ValueError("starts must be >= 1")
+        if not 0 <= self.seed < 2**32:
+            raise ValueError(f"seed must lie in [0, 2**32), got {self.seed}")

@@ -235,6 +235,9 @@ def make_power(
     solvers treat specially (constant shifts of a solution are quotiented
     out when deduplicating).
     """
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"power coefficient {name} must be finite, got {value!r}")
     if a < 0 or b < 0:
         raise ValueError("power coefficients must be >= 0")
     s_exp = _exponent_arg(s, m, "s")

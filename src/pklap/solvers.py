@@ -7,7 +7,9 @@ evaluated together, one call per stacked batch, and lambda_sweep runs it
 along a lambda grid.  mountain_pass (a relaxed path between two critical
 points, polished by the same Newton loop) is only called directly.  All
 randomness is drawn from counter-keyed generators, so a fixed seed
-reproduces the same solution set bit for bit.
+reproduces the same solution set bit for bit.  SolverConfig and the
+subspace names live in core, so that a configuration loads without this
+module, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ import numpy as np
 
 from .analysis import rng_for
 from .core import (
+    SUBSPACE_FULL,
+    SUBSPACE_Y,
     EvaluationError,
     PeriodicSequence,
     Problem,
     SolutionRecord,
+    SolverConfig,
     _block_search,
     _row_norms,
     euclidean_norm,
@@ -31,9 +36,6 @@ from .core import (
 )
 from .functional import _action_values, _central_difference, _morse_summaries, _require_smooth
 from .operators import _residual_rows, residual_values
-
-SUBSPACE_FULL = "H_m"
-SUBSPACE_Y = "Y"
 
 # Extra damped-Newton steps allowed after the residual tolerance is first met,
 # so iterates escape flat basins instead of stopping at the tolerance boundary.
@@ -50,33 +52,6 @@ _MAX_ITERATIONS = 100
 _DEFLATION_POWER = 2.0
 _DEFLATION_SHIFT = 1.0
 _START_RADIUS = 3.0
-
-
-@dataclasses.dataclass(frozen=True)
-class SolverConfig:
-    """Settings shared by every solver in this module: random starts per
-    stage (>= 1), the residual norm a solution must meet, the relative
-    distance under which two solutions are one, and the seed of every random
-    draw, in [0, 2**32), as the generators take it modulo 2**32.  int fields
-    reject bools; float fields must be finite and positive.
-    """
-
-    starts: int = 16
-    residual_tol: float = 1e-10
-    dedupe_tol: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if field.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
-                raise TypeError(f"{field.name} must be an integer, got {value!r}")
-            if field.type == "float" and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{field.name} must be finite and positive, got {value!r}")
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        if not 0 <= self.seed < 2**32:
-            raise ValueError(f"seed must lie in [0, 2**32), got {self.seed}")
 
 
 def subspace_basis(m: int, n: int, subspace: str) -> np.ndarray:

@@ -323,6 +323,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: seed must lie in [0, 2**32), got {seed}\n" * 2
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"p": 10**400},
+            {"p": [2, 10**400]},
+            {"lambda": 10**400},
+            {"solver": {"residual_tol": 10**400}},
+            {"nonlinearity": {"builtin": "power", "params": {"a": 10**400, "b": 1, "s": 2, "r": 2}}},
+            {"nonlinearity": {"builtin": "power", "params": {"a": 1, "b": 1, "s": 10**400, "r": 2}}},
+            {"nonlinearity": {"builtin": "example3", "params": {"rho3": 10**400}}},
+        ],
+        ids=["p", "p_list", "lambda", "residual_tol", "power_a", "power_s", "example3_rho3"],
+    )
+    def test_a_number_too_large_for_a_float_is_a_usage_error(self, tmp_path, capsys, overrides):
+        """A JSON integer that no float holds is an input error (before,
+        float() raised OverflowError outside load_config's handling, and
+        check printed a traceback and exited 3)."""
+        out = tmp_path / "r.json"
+        assert cli.main(["check", _config(tmp_path, **overrides), "--output", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: int too large to convert to float\n"
+        assert not out.exists()
+
     def test_non_finite_tol_flag(self, tmp_path):
         out = str(tmp_path / "out.csv")
         argv = ["solve", _config(tmp_path), "--tol", "inf"]

@@ -241,6 +241,23 @@ class TestPowerFamily:
         with pytest.raises(ValueError):
             make_power(2, a=-1.0, b=1.0, s=2.0, r=2.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_non_finite_coefficients_rejected_by_name(self, tmp_path, capsys, name, value):
+        """A coefficient that is not finite is named (before, it surfaced as
+        "potential must vanish at the origin: |F(1,0,0)| = nan")."""
+        message = f"power coefficient {name} must be finite, got {value!r}"
+        with pytest.raises(ValueError, match=message):
+            make_power(2, **{"a": 1.0, "b": 1.0, "s": 2.0, "r": 2.0, name: value})
+        if value == math.inf:  # JSON reads 1e400 as inf
+            cfg = _config(tmp_path)
+            with open(cfg, encoding="utf-8") as fh:
+                text = fh.read().replace(f'"{name}": 1.0', f'"{name}": 1e400')
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            assert cli.main(["check", cfg, "--output", str(tmp_path / "r.json")]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_growth_bound_is_exact(self):
         """F equals its growth bound, so the A.4 margin is exactly zero."""
         nl, growth = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)

@@ -14,8 +14,9 @@ import sys
 import pytest
 
 import pklap
-import pklap.cli  # noqa: F401 -- every module the seams name is loaded
+import pklap.cli  # noqa: F401 -- with pklap.solvers, every module the seams name
 import pklap.operators
+import pklap.solvers  # noqa: F401 -- pklap.cli imports it only when solve or sweep runs
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
