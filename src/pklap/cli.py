@@ -81,6 +81,7 @@ class ComputationError(RuntimeError):
 
 _TOP_KEYS = {"m", "n", "p", "lambda", "nonlinearity", "solver", "seed", "subspace"}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
+_SOLVER_FLOATS = {f.name for f in dataclasses.fields(SolverConfig) if f.type == "float"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,6 +90,27 @@ class LoadedConfig:
     builtin: BuiltinSpec
     solver: SolverConfig
     subspace: str
+
+
+def _unfloatable_key(named) -> str | None:
+    """The key of the first integer that no float holds among (key, value)
+    pairs, whose values are numbers or lists or objects of them, searched
+    in order; a list entry is key[i] and an object's member key.name."""
+    for key, value in named:
+        if isinstance(value, dict):
+            found = _unfloatable_key((f"{key}.{k}", v) for k, v in value.items())
+        elif isinstance(value, list):
+            found = _unfloatable_key((f"{key}[{i}]", v) for i, v in enumerate(value))
+        else:
+            found = None
+            if isinstance(value, int):
+                try:
+                    float(value)
+                except OverflowError:
+                    found = key
+        if found is not None:
+            return found
+    return None
 
 
 def load_config(path: str) -> LoadedConfig:
@@ -163,6 +185,13 @@ def load_config(path: str) -> LoadedConfig:
             f"subspace must be {SUBSPACE_FULL!r} or {SUBSPACE_Y!r}, got {subspace!r}"
         )
 
+    # the numbers converted to floats below, in order
+    huge = _unfloatable_key(
+        [("p", raw["p"]), ("lambda", lam), ("nonlinearity.params", params)]
+        + [(f"solver.{k}", v) for k, v in solver_raw.items() if k in _SOLVER_FLOATS]
+    )
+    if huge is not None:
+        raise ConfigError(f"{huge}: int too large to convert to float")
     try:
         exponent = ExponentFunction(np.array([float(x) for x in p_list]))
         lam = float(lam)

@@ -77,6 +77,7 @@ def sequence_values(
     return vals
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) -> tuple:
     """mu, the potential and the residual of each sequence of a (B, m, n) stack, as asked.
 
@@ -91,38 +92,49 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
     each row's m values of F are subtracted in order k = 1..m, as a loop
     over F_at would; a kernel that computes each pair on its own, as the
     built-ins' and from_points' do, gives that loop's bits.  Each output
-    row is bitwise that sequence evaluated alone.  A finite row whose mu overflows on the way takes it from
-    _scaled_mu.  Overflow gives non-finite values, not numpy warnings.
-    Raises ValueError for a stack that is not (B, prob.m, prob.n) and
-    EvaluationError for a malformed kernel value.
+    row is bitwise that sequence evaluated alone.  Where every p(k) is 2
+    (ExponentFunction.all_two) the flux is the differences themselves,
+    which are _phi_rows' bits (1.0 a = a where |a| > 0 and 0 a = a where
+    a = +-0), unless some nonzero entry's square underflows, where the norm
+    can be 0; the norms are then taken only for mu or that case.  A finite
+    row whose mu overflows on the way takes it from _scaled_mu.  Overflow
+    gives non-finite values, not numpy warnings: the pass runs with
+    divide, over and invalid ignored (a decorator, which numpy 2 makes
+    reentrant at half a with block's cost).  Raises ValueError for a
+    stack that is not (B, prob.m, prob.n) and EvaluationError for a
+    malformed kernel value.
     """
     vals = _read_only(vals)
     if vals.ndim != 3 or vals.shape[1:] != (prob.m, prob.n):
         raise ValueError(f"sequence stack shape {vals.shape} does not match (B, {prob.m}, {prob.n})")
     m, p, nl = prob.m, prob.exponent.values, prob.nonlinearity
     out = [None, None, None]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        finite = None if math.isfinite(vals.sum()) else np.isfinite(vals).all(axis=(1, 2))
-        x = vals if finite is None or finite.all() else _read_only(vals[finite])
-        K = _stack_periods(m, len(x))
-        flat = (K.size, prob.n)
-        up = _shifted(x)  # row k-1 holds u(k+1)
-        up.flags.writeable = False
-        d = up - x  # row k-1 holds Delta u(k)
-        norms = _entry_norms(d)
-        if mu:
-            mus = np.add.reduce(norms**p / p, axis=1)
-            big = ~np.isfinite(mus)
-            if big.any():
-                mus[big] = _scaled_mu(x[big], p)
-            out[0] = mus
-        if potential:
-            F = nl._F_points(K, up.reshape(flat), x.reshape(flat)).reshape(len(x), m)
-            out[1] = np.subtract.reduce(F, axis=1, initial=0.0)
-        if residual:
-            f = nl._assembled(K, up, x)
-            a = _phi_rows(d, norms, p)  # row k-1 holds phi(Delta u(k))
-            out[2] = a - _shifted_back(a) + prob.lam * f
+    # vals.sum() without its method wrapper
+    finite = None if math.isfinite(np.add.reduce(vals, axis=None)) else np.isfinite(vals).all(axis=(1, 2))
+    x = vals if finite is None or finite.all() else _read_only(vals[finite])
+    K = _stack_periods(m, len(x))
+    flat = (K.size, prob.n)
+    up = _shifted(x)  # row k-1 holds u(k+1)
+    up.flags.writeable = False
+    d = up - x  # row k-1 holds Delta u(k)
+    norms = _entry_norms(d) if mu or not prob.exponent.all_two else None
+    if mu:
+        mus = np.add.reduce(norms**p / p, axis=1)
+        big = ~np.isfinite(mus)
+        if big.any():
+            mus[big] = _scaled_mu(x[big], p)
+        out[0] = mus
+    if potential:
+        F = nl._F_points(K, up.reshape(flat), x.reshape(flat)).reshape(len(x), m)
+        out[1] = np.subtract.reduce(F, axis=1, initial=0.0)
+    if residual:
+        f = nl._assembled(K, up, x)
+        if norms is None and np.count_nonzero(d * d) == np.count_nonzero(d):
+            a = d  # _phi_rows at p = 2, with no entry whose square underflows
+        else:
+            a = _phi_rows(d, _entry_norms(d) if norms is None else norms, p)
+        # row k-1 holds phi(Delta u(k))
+        out[2] = a - _shifted_back(a) + prob.lam * f
     if x is not vals:
         for i, part in enumerate(out):
             if part is not None:

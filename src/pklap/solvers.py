@@ -163,12 +163,16 @@ def _deflated_jacobians(jac: np.ndarray, factor, dfactor, g) -> np.ndarray:
 
 def _newton_step(jac: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
     """Newton direction solving jac @ delta = -g; the minimum-norm
-    least-squares step when jac is singular, None when neither is finite."""
+    least-squares step when jac is singular, None when neither is finite.
+    A jac or g that is not finite never reaches least squares (LAPACK's SVD
+    fails on it): the step is None."""
     try:
         delta = np.linalg.solve(jac, -g)
         if not np.all(np.isfinite(delta)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
+        if not (np.isfinite(jac).all() and np.isfinite(g).all()):
+            return None
         delta, *_ = np.linalg.lstsq(jac, -g, rcond=None)
     return delta if np.all(np.isfinite(delta)) else None
 
@@ -177,12 +181,16 @@ def _newton_steps(jac: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Newton directions of a stack, jac (B, dim, dim) and g (B, dim), in one
     solve: (deltas, ok).  Row b is bitwise _newton_step(jac[b], g[b]), and
     ok[b] is False where that is None.  The stacked solve gives each row the
-    bits of its own solve; the rows where it is not finite, or every row when
-    it raises (one singular matrix suffices), take _newton_step.
+    bits of its own solve, and when every row's step is finite it returns at
+    once; the rows where it is not finite, or every row when it raises (one
+    singular matrix suffices), take _newton_step.
     """
     try:
         deltas = np.linalg.solve(jac, -g[..., None])[..., 0]
-        redo = np.flatnonzero(~np.all(np.isfinite(deltas), axis=1)).tolist()
+        finite = np.isfinite(deltas)
+        if finite.all():
+            return deltas, np.ones(len(g), dtype=bool)
+        redo = np.flatnonzero(~finite.all(axis=1)).tolist()
     except np.linalg.LinAlgError:
         deltas, redo = np.empty_like(g), range(len(g))
     ok = np.ones(len(g), dtype=bool)
@@ -228,78 +236,84 @@ def _newton_rows(
     (_SEARCH_BLOCKS) hold 2, 8 and 20 trials: two thirds of the accepted
     steps take the first trial, and a call costs far more than the rows
     past each start's accepted trial that a block also evaluates.  A start
-    stops when its Jacobian or step fails, when the line search accepts
-    nothing, when its norm passes 1e8, after _MAX_ITERATIONS steps above
-    residual_tol, or after _POLISH_BUDGET steps below it: residuals with
-    high-order flatness (e.g. degree-7 growth around the zero solution) dip
-    below any fixed tolerance on a whole neighbourhood, and only the
-    stagnation point is the actual root.  A deflated start carries the
-    terms of its accepted trial into its next Jacobian.
+    stops when its Jacobian or step fails (a Jacobian or residual that is
+    not finite fails its step), when the line search accepts nothing, when
+    its norm passes 1e8, after _MAX_ITERATIONS steps above residual_tol, or
+    after _POLISH_BUDGET steps below it: residuals with high-order flatness
+    (e.g. degree-7 growth around the zero solution) dip below any fixed
+    tolerance on a whole neighbourhood, and only the stagnation point is
+    the actual root.  Each start's state is one row of a packed array, its
+    point, its residual, that residual's norm and, deflated, the terms
+    (M, grad M, plain residual) of its accepted trial, which its next
+    Jacobian takes: a round gathers its rows once and an accepted trial
+    is one row written.
     """
-    if known is None:
+    # the columns of a packed state row: the point, its (deflated) residual
+    # G and that residual's norm NG, then, deflated, M, grad M and the plain
+    # residual
+    dim = system.dim
+    G, NG, M = slice(dim, 2 * dim), 2 * dim, 2 * dim + 1
+    DM, PLAIN = slice(2 * dim + 2, 3 * dim + 2), slice(3 * dim + 2, None)
 
-        def evaluate(y):
+    def evaluate(y):
+        """(ok, packed state rows) at the points y."""
+        if known is None:
             g, ok = system.rows(y)
-            return g, ok, ()
-
-    else:
-
-        def evaluate(y):
-            return _deflated_rows(system, known, y)
+            return ok, np.concatenate((y, g, _row_norms(g)[:, None]), axis=1)
+        g, ok, (factor, dfactor, plain) = _deflated_rows(system, known, y)
+        parts = (y, g, _row_norms(g)[:, None], factor[:, None], dfactor, plain)
+        return ok, np.concatenate(parts, axis=1)
 
     # the line search of the starts rows of a round, from y_base along deltas
     def trial(k, t):
         return y_base[k, None] + t[:, :, None] * deltas[k, None]
 
     def evaluate_trials(points, k, t):
-        g_new, ok, terms_new = evaluate(points)
-        ng_new = _row_norms(g_new)
-        return ok & (ng_new < (1.0 - 1e-4 * t) * ng_base[k]), points, g_new, ng_new, *terms_new
+        ok, new = evaluate(points)
+        return ok & (new[:, NG] < (1.0 - 1e-4 * t) * ng_base[k]), new
 
-    def take(k, t, points, g_new, ng_new, *terms_new):
-        s = rows[k]
-        y[s], g[s], ng[s] = points, g_new, ng_new
-        for state, new in zip(terms, terms_new):
-            state[s] = new
+    def take(k, t, new):
+        state[rows[k]] = new
 
-    y = np.array(y0, dtype=float)
-    g, ok, terms = evaluate(y)
-    ng = np.where(ok, _row_norms(g), math.inf)
-    best_y, best_ng = y.copy(), ng.copy()
-    iters = np.zeros(len(y), dtype=int)
-    polish_left = np.full(len(y), _POLISH_BUDGET)
+    ok, state = evaluate(np.array(y0, dtype=float))
+    if not ok.all():
+        state[~ok, NG] = math.inf
+    best = state.copy()
+    iters = np.zeros(len(state), dtype=int)
+    polish_left = np.full(len(state), _POLISH_BUDGET)
     active = ok.copy()
     while True:
-        below_tol = ng <= cfg.residual_tol
+        below_tol = state[:, NG] <= cfg.residual_tol
         active &= np.where(below_tol, polish_left > 0, iters < _MAX_ITERATIONS)
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        y_base = y[rows]
-        jac, ok = system.jacobians(y_base)
+        cur = state[rows]
+        jac, ok = system.jacobians(cur[:, :dim])
         if known is not None:
-            jac = _deflated_jacobians(jac, *(state[rows] for state in terms))
+            jac = _deflated_jacobians(jac, cur[:, M], cur[:, DM], cur[:, PLAIN])
         # a start whose Jacobian or step fails stops (gathers only when one does)
         if not ok.all():
-            active[rows[~ok]] = False
-            rows, y_base, jac = rows[ok], y_base[ok], jac[ok]
-        deltas, ok = _newton_steps(jac, g[rows])
+            active[rows] = ok
+            rows, cur, jac = rows[ok], cur[ok], jac[ok]
+        deltas, ok = _newton_steps(jac, cur[:, G])
         if not ok.all():
-            active[rows[~ok]] = False
-            rows, y_base, deltas = rows[ok], y_base[ok], deltas[ok]
-        ng_base, steps = ng[rows], np.ones(rows.size)
+            active[rows] = ok
+            rows, cur, deltas = rows[ok], cur[ok], deltas[ok]
+        y_base, ng_base, steps = cur[:, :dim], cur[:, NG], np.ones(rows.size)
         accepted = _block_search(steps, _SEARCH_BLOCKS, trial, evaluate_trials, take, base=y_base)
-        active[rows[~accepted]] = False
+        active[rows] = accepted
         rows = rows[accepted]
-        escaped = _row_norms(y[rows]) > 1e8
+        cur = state[rows]
+        escaped = _row_norms(cur[:, :dim]) > 1e8
         if escaped.any():
             active[rows[escaped]] = False
-            rows = rows[~escaped]
+            rows, cur = rows[~escaped], cur[~escaped]
         iters[rows] += 1
         polish_left[rows[below_tol[rows]]] -= 1
-        better = rows[ng[rows] < best_ng[rows]]
-        best_y[better], best_ng[better] = y[better], ng[better]
-    return best_y, best_ng, best_ng <= cfg.residual_tol, iters
+        better = cur[:, NG] < best[rows, NG]
+        best[rows[better]] = cur[better]
+    return best[:, :dim].copy(), best[:, NG].copy(), best[:, NG] <= cfg.residual_tol, iters
 
 
 def _newton_iterate(
@@ -363,23 +377,24 @@ def _deflation_terms(
     vectors.  All B x K terms are formed at once, and each row's product
     and sum of log-gradients accumulate in the order of known, so row b is
     bitwise that of a loop over the solutions at y_b: each squared norm is
-    one dot product (the stacked matmul), the powers go through C pow
-    (np.float_power, as Python's ** on floats), multiply.reduce multiplies
-    one term at a time and cumsum adds one at a time (add.reduce would sum
+    one dot product (np.vecdot, as in core._row_dots), the powers go
+    through C pow (np.float_power, as Python's ** on floats),
+    multiply.reduce multiplies one term at a time and add.accumulate
+    (cumsum without its wrapper) adds one at a time (add.reduce would sum
     pairwise).  The leading 0.0 + turns a -0.0 sum into +0.0, as adding to
     a zero vector does.  At a known solution the factor is inf and the
-    gradient 0; those fix-ups run only when some row sits on one.
+    gradient 0; those fix-ups run only when some row sits on one, which one
+    nd2.all() rules out.
     """
     d = y[:, None, :] - np.asarray(known, dtype=float)
-    nd2 = (d[..., None, :] @ d[..., :, None]).reshape(d.shape[:2])
-    hit = nd2 == 0.0
-    hit = hit.any(axis=1) if hit.any() else None
+    nd2 = np.vecdot(d, d)
+    hit = None if nd2.all() else (nd2 == 0.0).any(axis=1)
     if hit is not None:
         nd2[hit] = 1.0
     mi = np.float_power(nd2, -power / 2.0) + shift
     dmi = (-power * np.float_power(nd2, -power / 2.0 - 1.0))[..., None] * d
     factor = np.multiply.reduce(mi, axis=1)
-    log_grad = 0.0 + np.cumsum(dmi / mi[..., None], axis=1)[:, -1]
+    log_grad = 0.0 + np.add.accumulate(dmi / mi[..., None], axis=1)[:, -1]
     grad = factor[:, None] * log_grad
     if hit is not None:
         factor[hit] = math.inf
@@ -637,6 +652,7 @@ def _random_starts(cfg: SolverConfig, dim: int, key: int):
         yield i, radius * v / nv
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def find_multiple(
     prob: Problem,
     cfg: SolverConfig | None = None,
@@ -660,7 +676,10 @@ def find_multiple(
     the full residual, and reduced-critical points failing that test are
     reported, unclassified, in y_discrepancies instead of records.  Raises
     NonsmoothExponentError before any stage when some p(k) <= 1, even
-    where no solution would be kept.
+    where no solution would be kept.  Overflow and invalid operations are
+    not warned about for the whole call: a norm or a Jacobian that
+    overflows reads as inf or NaN, which no trial accepts and which fails
+    its start's step.
     """
     cfg = cfg or SolverConfig()
     if subspace not in (SUBSPACE_FULL, SUBSPACE_Y):

@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import stat
+import subprocess
 import sys
 import warnings
 
@@ -324,26 +325,39 @@ class TestExitCodes:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, key",
         [
-            {"p": 10**400},
-            {"p": [2, 10**400]},
-            {"lambda": 10**400},
-            {"solver": {"residual_tol": 10**400}},
-            {"nonlinearity": {"builtin": "power", "params": {"a": 10**400, "b": 1, "s": 2, "r": 2}}},
-            {"nonlinearity": {"builtin": "power", "params": {"a": 1, "b": 1, "s": 10**400, "r": 2}}},
-            {"nonlinearity": {"builtin": "example3", "params": {"rho3": 10**400}}},
+            ({"p": 10**400}, "p"),
+            ({"p": [2, 10**400]}, "p[1]"),
+            ({"lambda": 10**400}, "lambda"),
+            ({"solver": {"residual_tol": 10**400}}, "solver.residual_tol"),
+            (
+                {"nonlinearity": {"builtin": "power", "params": {"a": 10**400, "b": 1, "s": 2, "r": 2}}},
+                "nonlinearity.params.a",
+            ),
+            (
+                {"nonlinearity": {"builtin": "power", "params": {"a": 1, "b": 1, "s": 10**400, "r": 2}}},
+                "nonlinearity.params.s",
+            ),
+            ({"nonlinearity": {"builtin": "example3", "params": {"rho3": 10**400}}}, "nonlinearity.params.rho3"),
         ],
         ids=["p", "p_list", "lambda", "residual_tol", "power_a", "power_s", "example3_rho3"],
     )
-    def test_a_number_too_large_for_a_float_is_a_usage_error(self, tmp_path, capsys, overrides):
-        """A JSON integer that no float holds is an input error (before,
-        float() raised OverflowError outside load_config's handling, and
-        check printed a traceback and exited 3)."""
+    def test_a_number_too_large_for_a_float_is_a_usage_error(self, tmp_path, capsys, overrides, key):
+        """A JSON integer that no float holds is an input error named by its
+        key (before, float() raised OverflowError outside load_config's
+        handling, and check printed a traceback and exited 3; later the
+        message named no key)."""
         out = tmp_path / "r.json"
         assert cli.main(["check", _config(tmp_path, **overrides), "--output", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == "error: int too large to convert to float\n"
+        assert capsys.readouterr().err == f"error: {key}: int too large to convert to float\n"
         assert not out.exists()
+
+    def test_seed_too_large_for_a_float_keeps_its_range_message(self, tmp_path, capsys):
+        """seed is an integer field, never converted to a float."""
+        out = tmp_path / "r.json"
+        assert cli.main(["check", _config(tmp_path, seed=10**400), "--output", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: seed must lie in [0, 2**32)")
 
     def test_non_finite_tol_flag(self, tmp_path):
         out = str(tmp_path / "out.csv")
@@ -779,6 +793,41 @@ class TestSolve:
     def test_tol_override_rejects_nonsense(self, tmp_path):
         cfg = _config(tmp_path)
         assert cli.main(["solve", cfg, "--tol", "-1"]) == cli.EXIT_CONFIG
+
+
+class TestOverflowingLambda:
+    """example3 at a lambda where the residual, its norm and the deflated
+    Jacobian overflow: every start stops on a failed step, and only the
+    zero sequence is found (before, LAPACK's least-squares SVD failed on an
+    infinite Jacobian, and solve exited 3)."""
+
+    @staticmethod
+    def _run(tmp_path, *argv):
+        """(exit code, stderr) of the CLI in a fresh interpreter, whose
+        stderr also holds what LAPACK prints; a run that warns or fails
+        leaves it non-empty."""
+        env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+        out = subprocess.run(
+            [sys.executable, "-m", "pklap.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        return out.returncode, out.stderr
+
+    def test_solve_finds_the_zero_sequence(self, tmp_path):
+        cfg = json.loads((CONFIGS / "example3_sweep.json").read_text())
+        cfg["lambda"] = 1e308
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, err = self._run(tmp_path, "solve", str(path), "--values-out", "v.csv", "--summary-out", "s.csv")
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert (tmp_path / "v.csv").read_text().splitlines()[1:] == ["0,1,0,0.0", "0,2,0,0.0"]
+
+    def test_sweep_keeps_every_grid_point(self, tmp_path):
+        argv = ["sweep", str(CONFIGS / "example3_sweep.json"), "--lambda-min", "1", "--lambda-max", "1e308"]
+        code, err = self._run(tmp_path, *argv, "--steps", "2", "--output", "sweep.csv")
+        assert (code, err) == (cli.EXIT_OK, "")
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1:3] == ["1.0,1,0,0.0", "1e+308,1,0,0.0"]
 
 
 class TestSweep:

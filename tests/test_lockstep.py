@@ -10,12 +10,14 @@ here as the reference for the lock-step one.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pklap import operators
 from pklap.core import (
     EvaluationError,
     ExponentFunction,
@@ -27,7 +29,7 @@ from pklap.core import (
 )
 from pklap.functional import _central_difference
 from pklap.nonlinearities import make_builtin
-from pklap.operators import _residual_rows, residual_values
+from pklap.operators import _phi_rows, _residual_rows, residual_values
 from pklap.solvers import (
     SUBSPACE_FULL,
     SUBSPACE_Y,
@@ -411,6 +413,23 @@ def test_lockstep_deflated_rows_match_sequential_loop(make_prob, subspace):
     assert _same_bits(ys[2], known[1])
 
 
+def test_lockstep_deflated_rows_match_sequential_loop_at_the_sweep_benchmark_point():
+    """example3 on Y at m = 2 and lambda = 10, the sweep benchmark's second
+    grid point, deflated against every solution an 8-start find_multiple
+    finds there: each of 8 starts run in one batch, and alone, is the
+    sequential loop bit for bit."""
+    prob = _problem(make_builtin("example3", 2).nonlinearity, p=np.full(2, 2.0), lam=10.0)
+    sol = find_multiple(prob, SolverConfig(starts=8, seed=0), subspace=SUBSPACE_Y)
+    system = _System(prob, subspace=SUBSPACE_Y)
+    known = np.array([system.to_reduced(r.u.flat()) for r in sol.records])
+    assert len(known) >= 40
+    cfg = SolverConfig(starts=8, seed=3)
+    starts = np.array([y for _, y in _random_starts(cfg, system.dim, 211)])
+    assert len(starts) == 8
+    _, iters = _assert_rows_match(system, starts, cfg, known)
+    assert len(set(iters.tolist())) > 1
+
+
 def test_deflated_jacobians_from_carried_terms_match_fresh_ones():
     """The terms a start carries from a batched evaluation give the same
     Jacobian as terms evaluated at its point alone."""
@@ -427,3 +446,58 @@ def test_deflated_jacobians_from_carried_terms_match_fresh_ones():
         _, _, alone_terms = _deflated_rows(system, known, y[b : b + 1])
         alone = _deflated_jacobians(system.jacobian(y[b])[None], *alone_terms)[0]
         assert _same_bits(batched[b], alone)
+
+
+# differences whose squares underflow (|a| < 1.5e-162) have norm 0 in
+# _phi_rows, so the flux there is +-0, not the difference
+TWO_ENTRIES = [0.0, -0.0, 5e-324, -3e-310, 1e-170, -2e-160, 1.5, -2.0]
+
+
+@settings(max_examples=200)
+@given(
+    n=st.sampled_from([1, 2]),
+    rows=st.integers(1, 4),
+    picks=st.lists(st.sampled_from(TWO_ENTRIES), min_size=48, max_size=48),
+    scale=st.sampled_from([1.0, 1e-300, 3.0]),
+)
+def test_p_two_flux_is_phi_rows_bit_for_bit(n, rows, picks, scale):
+    """At p = 2 the residual takes the differences themselves as the flux,
+    unless a nonzero difference's square underflows: its bits are those of
+    the general formula, _phi_rows(d, norms, 2.0), on every stack,
+    including zero and -0.0 differences, and _phi_rows runs only where a
+    square underflows."""
+    m = 4
+    nl = _well_nl2(m) if n == 2 else make_builtin("example3", m).nonlinearity
+    prob = _problem(nl, p=np.full(m, 2.0))
+    assert prob.exponent.all_two
+    x = np.array(picks[: rows * m * n]).reshape(rows, m, n) * scale
+    d = _shifted(x) - x
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _phi_rows(d, _entry_norms(d), 2.0)
+        expected = a - _shifted_back(a) + prob.lam * nl.coupling(x)
+        with mock.patch.object(operators, "_phi_rows", wraps=_phi_rows) as general:
+            out, ok = _residual_rows(x, prob)
+    assert _same_bits(out, expected)
+    underflow = np.any((d != 0.0) & (d * d == 0.0))
+    assert general.called == bool(underflow)
+
+
+@pytest.mark.parametrize(
+    "p, two",
+    [
+        ([2.0, 2.0], True),
+        ([2, 2], True),
+        ([2.0, 2.0000000001], False),
+        ([2.0, 3.0], False),
+        ([1.9999999999999998, 2.0], False),
+    ],
+)
+def test_the_p_two_flag_needs_every_entry_exactly_two(p, two):
+    """Anything but exactly 2.0 everywhere takes the general flux."""
+    exponent = ExponentFunction(p)
+    assert exponent.all_two is two
+    nl = make_builtin("example1", len(p)).nonlinearity
+    prob = Problem(m=len(p), n=1, exponent=exponent, nonlinearity=nl, lam=1.0)
+    with mock.patch.object(operators, "_phi_rows", wraps=_phi_rows) as general:
+        _residual_rows(np.arange(2.0 * len(p)).reshape(2, len(p), 1), prob)
+    assert general.called is not two

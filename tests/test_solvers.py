@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,26 @@ def test_solver_config_rejects_a_seed_outside_32_bits(seed):
     with pytest.raises(ValueError, match=re.escape(f"seed must lie in [0, 2**32), got {seed}")):
         SolverConfig(seed=seed)
     assert SolverConfig(seed=0).seed == 0 and SolverConfig(seed=2**32 - 1).seed == 2**32 - 1
+
+
+@pytest.mark.parametrize("field", ["residual_tol", "dedupe_tol"])
+def test_solver_config_names_a_float_field_too_large_for_a_float(field):
+    """A ValueError naming the field, as for every other bad value (before,
+    math.isfinite raised OverflowError)."""
+    with pytest.raises(ValueError, match=f"^{field} is an integer too large for a float$"):
+        SolverConfig(**{field: 10**400})
+
+
+def test_lambda_sweep_through_an_overflowing_residual_warns_of_nothing():
+    """At lambda = 1e200 example3's residual norms overflow: they read as
+    inf, no trial accepts one, and no numpy warning is raised."""
+    nl, _ = make_example3(2)
+    prob = Problem(m=2, n=1, exponent=ExponentFunction.constant(2.0, 2), nonlinearity=nl, lam=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = lambda_sweep(prob, [1.0, 1e200], SolverConfig(starts=8), subspace=SUBSPACE_Y)
+    assert res.failures == () and res.counts == (1, 1)
+    assert all(not r.u.values.any() for s in res.solution_sets for r in s.records)
 
 
 class TestSubspaceBasis:

@@ -115,6 +115,22 @@ def test_stacked_steps_cover_both_fallbacks(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "jac, g",
+    [([[np.nan]], [1.0]), ([[np.inf, 1.0], [0.0, 0.0]], [1.0, 1.0]), ([[0.0]], [np.inf])],
+    ids=["nan_jacobian", "inf_singular_jacobian", "inf_residual"],
+)
+def test_a_non_finite_system_fails_its_step_without_least_squares(monkeypatch, jac, g):
+    """Where the solve fails on a Jacobian or residual that is not finite,
+    the step is None and LAPACK's least squares, whose SVD fails on such a
+    matrix, is never called."""
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: pytest.fail("lstsq ran"))
+    jac, g = np.array(jac), np.array(g)
+    assert _newton_step(jac, g) is None
+    _, ok = _newton_steps(jac[None], g[None])
+    assert ok.tolist() == [False]
+
+
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 8), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_stacked_steps_match_each_row_on_random_systems(dim, rows, seed):
