@@ -129,15 +129,17 @@ def _jsonable(obj):
 
 
 def _worst_report(
-    name: str, margins: np.ndarray, slack: float, witness_of, samples: int, seed: int
+    name: str, margins: np.ndarray, slack: float, witness_of, samples: int, seed: int,
+    *, strict: bool = False, detail: Optional[dict] = None
 ) -> CheckReport:
     """Report of a condition sampled with the given per-sample margins.
 
     The worst margin is the first smallest one; NaN margins are ignored.
-    The condition holds when the worst margin is >= -slack, and a violation
-    carries witness_of(index of the worst sample).  When every margin is NaN
-    no sample decided the condition: the verdict is inconclusive and the
-    margin stays inf.
+    The condition holds when the worst margin is >= -slack, or > -slack
+    when strict (a strict inequality such as B.2's fails at an exact tie),
+    and a violation carries witness_of(index of the worst sample).  When
+    every margin is NaN no sample decided the condition: the verdict is
+    inconclusive and the margin stays inf.  detail is reported as given.
     """
     undecided = np.isnan(margins)
     candidates = np.where(undecided, math.inf, margins)
@@ -146,9 +148,9 @@ def _worst_report(
     if undecided.all():
         verdict = INCONCLUSIVE
     else:
-        verdict = HOLDS if worst >= -slack else VIOLATED
+        verdict = HOLDS if (worst > -slack if strict else worst >= -slack) else VIOLATED
     witness = witness_of(i) if verdict == VIOLATED else None
-    return CheckReport(name, verdict, worst, witness, samples=samples, seed=seed)
+    return CheckReport(name, verdict, worst, witness, samples, seed, detail or {})
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +476,12 @@ def _xi_search(
         raise ValueError(f"dimension n must be >= 1, got {n}")
     if not p_plus >= 1.0 or math.isinf(p_plus):
         raise ValueError(f"exponent must be finite and >= 1, got {p_plus}")
-    if method not in ("auto", "optimize", "eigen"):
+    if method not in ("auto", "optimize"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "eigen" and p_plus != 2.0:
-        raise ValueError("eigenvalue shortcut only applies to p_plus = 2")
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     lambda1 = 2.0 - 2.0 * math.cos(2.0 * math.pi / m)
-    if p_plus == 2.0 and method in ("auto", "eigen"):
+    if p_plus == 2.0 and method == "auto":
         return lambda1, True
     if method == "auto" and (m == 2 or ((n >= 2 or m == 4) and p_plus > 2.0)):
         # the power-mean bound m^(1 - p/2) lambda1^(p/2) is attained where a
@@ -622,32 +622,20 @@ class BoundProfile:
 
 @dataclasses.dataclass(frozen=True)
 class Thresholds:
-    """Lambda thresholds and constants derived from a problem and its profile."""
+    """Lambda thresholds derived from a problem and its growth profile."""
 
     lambda1: float
     lambda2: float
     lambda3: float
-    xi: float
-    # False when xi's descent did not converge and xi is only an upper bound
-    xi_converged: bool = True
 
 
 def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
     """Sufficient lambda thresholds from the growth profile.
 
     lambda_i = 2^p_plus * m^(p_plus/2) / (p_minus * a) with a the relevant
-    minimum of alpha1, alpha2 or their sum; infinite when a vanishes.  Also
-    computes the sharp embedding constant xi with xi_constant's defaults
-    (lambda1 = 2 - 2*cos(2*pi/m) at p_plus = 2, and the power-mean bound
-    m^(1 - p_plus/2) lambda1^(p_plus/2) at m = 2, 2^(1 + p_plus/2) there,
-    and at m = 4 or n >= 2 with p_plus > 2, in closed form; otherwise a
-    32-start descent preconditioned with the inverse cycle Laplacian, run on
-    all starts at once, its Armijo trials tried in blocks, see
-    _xi_descent).  `pklap check` takes xi from here rather than computing
-    it a second time, and the descent runs once per (m, n, p_plus) in a
-    process, whatever the potential, lambda or seed.  When no start of the
-    descent converges, xi is only an upper bound on the sharp constant: a
-    RuntimeWarning is issued, on every call, and xi_converged is False.
+    minimum of alpha1, alpha2 or their sum; infinite when a vanishes.  The
+    sharp embedding constant xi enters none of them: `pklap check` reports
+    it beside them, from its own xi_constant search.
     """
     pp = prob.exponent.p_plus
     pm = prob.exponent.p_minus
@@ -660,14 +648,7 @@ def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
 
     a1 = growth.alpha1_min
     a2 = growth.alpha2_min
-    xi, xi_converged = _xi_search(prob.m, prob.n, pp)
-    return Thresholds(
-        lambda1=ratio(a1),
-        lambda2=ratio(a2),
-        lambda3=ratio(a1 + a2),
-        xi=xi,
-        xi_converged=xi_converged,
-    )
+    return Thresholds(lambda1=ratio(a1), lambda2=ratio(a2), lambda3=ratio(a1 + a2))
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +723,9 @@ def check_growth(
     signs (n = 1) or directions (n > 1) with one call each, and evaluates F
     with one kernel call per distinct exponent pair (e1, e2): the variants
     of a pair draw from one stream and give the same quotients, so a family
-    with constant s and r computes them once.  The bound of A.4 and the
+    with constant s and r computes them once; the last shell's largest
+    quotient decides, a one-entry margin QUOTIENT_TOL - quotient judged by
+    _worst_report at slack 0.  The bound of A.4 and the
     quotient denominators are computed with C pow, as Python's ** does, so
     the margins are bitwise those of a point-by-point loop over the same
     samples.
@@ -812,20 +795,11 @@ def check_growth(
     for tag, e1, e2 in variants:
         trajectory, (k, u1, u2) = shell_quotients(e1, e2)
         final = trajectory[-1]  # the last shell decides
-        verdict = HOLDS if final <= QUOTIENT_TOL else VIOLATED
-        witness = None
-        if verdict == VIOLATED:
-            witness = {"k": k, "u1": u1.copy(), "u2": u2.copy()}
-            witness.update(quotient=final, shell=shells[-1])
+        witness = {"k": k, "u1": u1.copy(), "u2": u2.copy(), "quotient": final, "shell": shells[-1]}
         reports.append(
-            CheckReport(
-                tag,
-                verdict,
-                QUOTIENT_TOL - final,
-                witness,
-                samples=len(shells) * rows,
-                seed=seed,
-                detail={"shell_quotients": list(trajectory)},
+            _worst_report(
+                tag, np.array([QUOTIENT_TOL - final]), 0.0, lambda i: witness,
+                len(shells) * rows, seed, detail={"shell_quotients": list(trajectory)},
             )
         )
     return reports
@@ -1096,7 +1070,10 @@ def check_b2_b3(
     _level_radii call.  Each direction's level point and its 2 * per_dir
     samples, all directions in draw order, go through one stacked
     potential call.  Each infimum is the first smallest value in draw
-    order, taken as an array reduction; B.2's two start from J(0).  A
+    order, taken as an array reduction; B.2's two start from J(0).  Each
+    condition's margin (the difference of its two sides, finite or +-inf,
+    as every potential read is finite) is judged by _worst_report as a
+    strict inequality: a margin of exactly 0 is a violation.  A
     direction whose level radius overflows raises an EvaluationError that
     names it, after the directions before it are evaluated, so their
     failures come first.  Raises ValueError unless r is positive and finite.
@@ -1130,33 +1107,17 @@ def check_b2_b3(
     inf_sub, arg_sub = _first_min(j0, vals[:, 1::2], points[:, 1::2])
     inf_global, arg_global = _first_min(j0, vals[:, 1:], points[:, 1:])
 
-    samples = ndirs * (2 * per_dir + 1)
-    margin_b2 = inf_sub - inf_global
-    b2 = CheckReport(
-        "B.2",
-        HOLDS if margin_b2 > 0.0 else VIOLATED,
-        margin_b2,
-        None
-        if margin_b2 > 0.0
-        else {"inf_global": inf_global, "inf_sublevel": inf_sub},
-        samples=samples,
-        seed=seed,
-        detail={
-            "inf_global": inf_global,
-            "inf_sublevel": inf_sub,
-            "argmin_global": arg_global,
-            "argmin_sublevel": arg_sub,
-        },
+    # B.2 and B.3 are strict: an exact tie violates them
+    b2_sides = {"inf_global": inf_global, "inf_sublevel": inf_sub}
+    b2 = _worst_report(
+        "B.2", np.array([inf_sub - inf_global]), 0.0, lambda i: b2_sides,
+        ndirs * (2 * per_dir + 1), seed, strict=True,
+        detail={**b2_sides, "argmin_global": arg_global, "argmin_sublevel": arg_sub},
     )
-    margin_b3 = inf_level - j0
-    b3 = CheckReport(
-        "B.3",
-        HOLDS if margin_b3 > 0.0 else VIOLATED,
-        margin_b3,
-        None if margin_b3 > 0.0 else {"J_at_0": j0, "inf_levelset": inf_level},
-        samples=ndirs,
-        seed=seed,
-        detail={"J_at_0": j0, "inf_levelset": inf_level, "r": r},
+    b3_sides = {"J_at_0": j0, "inf_levelset": inf_level}
+    b3 = _worst_report(
+        "B.3", np.array([inf_level - j0]), 0.0, lambda i: b3_sides, ndirs, seed,
+        strict=True, detail={**b3_sides, "r": r},
     )
     return b2, b3
 

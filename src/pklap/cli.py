@@ -138,16 +138,16 @@ def load_config(path: str) -> LoadedConfig:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
 
-    # numbers are converted to floats in the try below, where a JSON integer
-    # too large for a float is an input error
+    # numbers are converted to floats after the check below that names a
+    # JSON integer too large for a float, and a single p is repeated m times
     p_list = raw["p"]
     if isinstance(p_list, (int, float)) and not isinstance(p_list, bool):
-        p_list = [p_list] * m
+        p_list = [p_list]
     elif not isinstance(p_list, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in p_list
     ):
         raise ConfigError("p must be a number or a list of numbers")
-    if len(p_list) != m:
+    elif len(p_list) != m:
         raise ConfigError(f"p must have {m} entries, got {len(p_list)}")
     if not all(x > 1.0 for x in p_list):
         raise ConfigError(f"every p must be > 1, got min {float(min(p_list))}")
@@ -192,8 +192,12 @@ def load_config(path: str) -> LoadedConfig:
     )
     if huge is not None:
         raise ConfigError(f"{huge}: int too large to convert to float")
+    try:  # np.full rejects an m too large for an array at once, without allocating
+        p_values = np.full(m, [float(x) for x in p_list])
+    except ValueError as exc:
+        raise ConfigError(f"m is too large for an array: {exc}") from exc
     try:
-        exponent = ExponentFunction(np.array([float(x) for x in p_list]))
+        exponent = ExponentFunction(p_values)
         lam = float(lam)
         spec = make_builtin(nl_raw["builtin"], m, params)
         if spec.nonlinearity.n != n:
@@ -328,17 +332,15 @@ def _check_payload(loaded: LoadedConfig) -> dict:
     seed = loaded.solver.seed
 
     reports = _sampled_c_reports(prob, seed)
+    xi, xi_converged = _xi_search(prob.m, prob.n, prob.exponent.p_plus)
 
     thr = None
     r2 = None
     lam_star = None
     if spec.growth is not None:
         thr = thresholds(prob, spec.growth)
-        xi, xi_converged = thr.xi, thr.xi_converged
         reports.extend(check_growth(prob.nonlinearity, spec.growth, seed=seed))
         reports.append(anticoercivity_probe(prob, seed=seed))
-    else:
-        xi, xi_converged = _xi_search(prob.m, prob.n, prob.exponent.p_plus)
     if spec.bounds is not None:
         reports.extend(check_bounds(prob.nonlinearity, spec.bounds, seed=seed))
         p = prob.exponent.values
@@ -489,7 +491,15 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         # a one-point grid would be --lambda-min alone, silently dropping --lambda-max
         raise ConfigError("--steps must be >= 2: the grid runs from --lambda-min to --lambda-max")
-    grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
+    try:
+        grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
+    except (ValueError, IndexError) as exc:  # numpy's size limits (IndexError at 2**63)
+        raise ConfigError("--steps is too large for an array") from exc
+    if not (np.diff(grid) > 0.0).all():
+        raise ConfigError(
+            f"--lambda-min {args.lambda_min!r} and --lambda-max {args.lambda_max!r} are too close "
+            f"for --steps {args.steps}: the grid is not strictly increasing in floating point"
+        )
 
     try:
         sweep = lambda_sweep(loaded.problem, grid, loaded.solver, loaded.subspace)
@@ -563,7 +573,10 @@ def cmd_gradcheck(args) -> int:
 
     seed = loaded.solver.seed
     # one call: a larger --points extends the point set
-    points = rng_for(seed, 31).normal(size=(args.points, prob.m, prob.n))
+    try:
+        points = rng_for(seed, 31).normal(size=(args.points, prob.m, prob.n))
+    except ValueError as exc:  # numpy's size limits
+        raise ConfigError("--points is too large for an array") from exc
     chunk = max(1, _GRADCHECK_STACK_ENTRIES // (2 * prob.dim * prob.dim))
     errors = []
     try:

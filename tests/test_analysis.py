@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import inspect
 import math
 import warnings
 
@@ -24,7 +27,8 @@ from pklap.analysis import (
     thresholds,
     xi_constant,
 )
-from pklap.analysis import _action_or_limit_rows, _xi_search
+import pklap.analysis as analysis
+from pklap.analysis import _action_or_limit_rows, _worst_report, _xi_search
 from pklap.core import ExponentFunction, Nonlinearity, PeriodicSequence, Problem
 from pklap.functional import action
 from pklap.nonlinearities import make_example1, make_example3, make_power
@@ -125,7 +129,7 @@ class TestXiConstant:
 
     def test_optimizer_agrees_with_eigenvalue(self):
         for m in (2, 3, 5):
-            direct = xi_constant(m, method="eigen")
+            direct = xi_constant(m)
             opt = xi_constant(m, method="optimize", starts=8)
             assert opt == pytest.approx(direct, abs=1e-7)
 
@@ -221,7 +225,7 @@ class TestXiConstant:
             xi_constant(3, p_plus=0.5)
         with pytest.raises(ValueError):
             xi_constant(3, method="nope")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown method 'eigen'"):
             xi_constant(3, p_plus=2.5, method="eigen")
 
     def test_zero_dimension_raises(self):
@@ -401,17 +405,17 @@ class TestThresholds:
         assert th.lambda1 == pytest.approx(4.0)
         assert th.lambda2 == pytest.approx(4.0)
         assert th.lambda3 == pytest.approx(2.0)
-        assert th.xi == pytest.approx(4.0)
 
-    def test_unconverged_xi_is_flagged(self):
-        # at p_plus = 1.5 the descent stalls on the nonsmooth set Delta u = 0
-        nl, growth = make_power(8, a=1.0, b=1.0, s=2.0, r=2.0)
-        with pytest.warns(RuntimeWarning, match="upper bound"):
-            th = thresholds(_problem_from(nl, p=1.5), growth)
-        with pytest.warns(RuntimeWarning, match="upper bound"):
-            assert th.xi == xi_constant(8, 1, 1.5)
-        assert th.xi_converged is False
-        assert thresholds(_problem_from(nl), growth).xi_converged is True
+    def test_thresholds_never_search_for_xi(self, monkeypatch):
+        """xi enters no threshold, so thresholds() holds only the three
+        lambdas and leaves xi's search to its one caller in `pklap check`,
+        also at p_plus = 3, where that search would run the descent."""
+        calls = []
+        monkeypatch.setattr(analysis, "_xi_search", lambda *a, **k: calls.append(a))
+        nl, growth = make_power(8, a=1.0, b=1.0, s=3.0, r=3.0)
+        th = thresholds(_problem_from(nl, p=3.0), growth)
+        assert calls == []
+        assert [f.name for f in dataclasses.fields(th)] == ["lambda1", "lambda2", "lambda3"]
 
     def test_minimum_selection(self):
         nl, _ = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)
@@ -623,6 +627,33 @@ class TestCheckB2B3:
         for r in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 check_b2_b3(_problem_from(nl), r=r)
+
+
+class TestOneVerdictRule:
+    def test_reports_are_built_in_three_places(self):
+        """Every sampled verdict is judged by _worst_report; only the
+        one-row C.x report (which keeps a NaN margin) and the probe (which
+        reports its first failing ray) build a CheckReport of their own."""
+        tree = ast.parse(inspect.getsource(analysis))
+        builders = {
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "CheckReport"
+        }
+        assert builders == {"_worst_report", "_inequality_report", "anticoercivity_probe"}
+
+    def test_a_strict_condition_fails_at_an_exact_zero(self):
+        margins = np.array([1.0, 0.0, 2.0])
+
+        def witness_of(i):
+            return {"i": i}
+
+        strict = _worst_report("X", margins, 0.0, witness_of, 3, 7, strict=True)
+        assert (strict.verdict, strict.margin, strict.witness) == (VIOLATED, 0.0, {"i": 1})
+        loose = _worst_report("X", margins, 0.0, witness_of, 3, 7)
+        assert (loose.verdict, loose.margin, loose.witness) == (HOLDS, 0.0, None)
 
 
 class TestLambdaStar:

@@ -359,6 +359,36 @@ class TestExitCodes:
         assert cli.main(["check", _config(tmp_path, seed=10**400), "--output", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: seed must lie in [0, 2**32)")
 
+    @pytest.mark.parametrize("m", [10**400, 2**63], ids=["10**400", "2**63"])
+    def test_an_oversized_m_with_one_p_is_a_usage_error(self, tmp_path, capsys, m):
+        """A single p is repeated m times; before, [p] * m raised
+        OverflowError outside load_config's handling and check exited 3."""
+        out = tmp_path / "r.json"
+        assert cli.main(["check", _config(tmp_path, m=m), "--output", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: m is too large") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [10**400, 2**63], ids=["10**400", "2**63"])
+    @pytest.mark.parametrize("command", ["sweep", "gradcheck"])
+    def test_an_oversized_grid_or_point_count_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, size
+    ):
+        """numpy refuses the array at once (a ValueError, or an IndexError
+        from np.linspace at 2**63); before, it escaped and the command exited 3."""
+        monkeypatch.setattr(cli, "lambda_sweep", lambda *a, **k: pytest.fail("lambda_sweep ran"))
+        out = tmp_path / "out"
+        argv = [command, str(CONFIGS / "example3_sweep.json"), "--output", str(out)]
+        if command == "sweep":
+            argv += ["--lambda-min", "1", "--lambda-max", "2", "--steps", str(size)]
+        else:
+            argv += ["--points", str(size)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        flag = "--steps" if command == "sweep" else "--points"
+        assert err == f"error: {flag} is too large for an array\n"
+        assert not out.exists()
+
     def test_non_finite_tol_flag(self, tmp_path):
         out = str(tmp_path / "out.csv")
         argv = ["solve", _config(tmp_path), "--tol", "inf"]
@@ -556,9 +586,9 @@ class TestCheck:
 
     @pytest.mark.parametrize("name", ["power_borderline", "example3_sweep"])
     def test_xi_computed_once(self, tmp_path, monkeypatch, name):
-        # power_borderline has a growth profile, so thresholds() computes
-        # xi; example3_sweep has bounds only.  Both go through the search
-        # that xi_constant and thresholds share.
+        # power_borderline has a growth profile and example3_sweep bounds
+        # only; either way check runs the search behind xi_constant once,
+        # beside the thresholds rather than inside them.
         calls = []
         real = analysis._xi_search
 
@@ -901,6 +931,22 @@ class TestSweep:
         argv = ["sweep", cfg, "--lambda-min", "1.0", "--lambda-max", "2.0", "--steps", "1"]
         assert cli.main(argv + ["--output", str(out)]) == cli.EXIT_CONFIG
         assert "--steps must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_grid_that_collapses_in_floating_point_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """1 and its next double leave no room for a third point: np.linspace
+        gives [1, 1, 1.0000000000000002], which lambda_sweep refused with a
+        ValueError that exited 3.  It is refused before any solve."""
+        monkeypatch.setattr(cli, "lambda_sweep", lambda *a, **k: pytest.fail("lambda_sweep ran"))
+        out = tmp_path / "collapsed.csv"
+        argv = ["sweep", str(CONFIGS / "example3_sweep.json"), "--output", str(out)]
+        argv += ["--lambda-min", "1", "--lambda-max", "1.0000000000000002", "--steps", "3"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lambda-min 1.0 and --lambda-max 1.0000000000000002")
+        assert "--steps 3" in err and err.count("\n") == 1
         assert not out.exists()
 
 
