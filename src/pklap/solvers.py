@@ -15,6 +15,7 @@ module, and are re-exported here.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -116,7 +117,7 @@ class _System:
                 return np.full(y.shape, np.nan), np.zeros(1, dtype=bool)
             parts = [self.rows(y[b : b + 1]) for b in range(len(y))]
             return np.concatenate([g for g, _ in parts]), np.concatenate([ok for _, ok in parts])
-        return self.to_reduced_rows(out.reshape(len(y), -1)), ok
+        return self.to_reduced_rows(out.reshape(len(y), prob.dim)), ok
 
     def jacobians(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Central-difference Jacobians of g at each row of a (B, dim) array,
@@ -635,21 +636,26 @@ class _KnownSolutions:
         return False
 
 
-def _random_starts(cfg: SolverConfig, dim: int, key: int):
-    """Yield (i, start) for the random starts i < cfg.starts of one stage.
+@functools.lru_cache(maxsize=32)
+def _random_starts(seed: int, starts: int, dim: int, key: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random starts i < starts of one stage, (indices (S,), rows (S,
+    dim)), read-only and drawn once per process for each argument tuple.
 
     Start i is uniform in the ball of radius _START_RADIUS and is drawn
-    from its own stream rng_for(cfg.seed, key, i).  A zero normal draw is
+    from its own stream rng_for(seed, key, i).  A zero normal draw is
     skipped, so an index can be missing.
     """
-    for i in range(cfg.starts):
-        rng = rng_for(cfg.seed, key, i)
+    index, rows = [], []
+    for i in range(starts):
+        rng = rng_for(seed, key, i)
         v = rng.normal(size=dim)
         nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        radius = _START_RADIUS * rng.random() ** (1.0 / max(dim, 1))
-        yield i, radius * v / nv
+        if nv != 0.0:
+            index.append(i)
+            rows.append(_START_RADIUS * rng.random() ** (1.0 / max(dim, 1)) * v / nv)
+    index, rows = np.array(index, dtype=int), np.array(rows, dtype=float).reshape(len(index), dim)
+    index.flags.writeable = rows.flags.writeable = False
+    return index, rows
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -661,17 +667,20 @@ def find_multiple(
 ) -> SolutionSet:
     """Multistart Newton + deflation pipeline returning a deduplicated set.
 
-    Stages: the zero sequence, multistart Newton, then deflation rounds
-    until a full round adds nothing.  The starts of a stage (the warm
-    extra_starts, each of m*n finite values, and the random starts of stage
-    1, or one deflation round's starts against the solutions known when the
-    round begins) run as one lock-step batch.  Its converged candidates are
-    then verified with one residual call and their actions taken with one
-    _action_values call, and each is deduplicated against all known
-    solutions at once (_first_match), in start order.  The kept solutions
-    stay flat arrays (_KnownSolutions) until the end, where one
-    _make_records call builds and classifies their records.  Every record's
-    method is "newton" or "deflated".  With subspace="Y" the iteration runs
+    After the zero sequence, one loop runs the stages (method, start key),
+    each as one lock-step batch: "newton" from the warm extra_starts (each
+    of m*n finite values) and the random starts of key 101, then up to ten
+    "deflated" rounds from those of key 211 + r, against the solutions
+    known when the round begins, while one is known and until a round adds
+    none.  Random starts are drawn once per process (_random_starts).  A
+    stage's converged candidates are verified with one residual call, their
+    actions taken with one _action_values call, and each is deduplicated
+    against all known solutions at once (_first_match), in start order.  A
+    record's method is its stage's name, and its start_index is its pool
+    position in "newton" (warm starts first) and its draw index in a round.
+    The kept solutions stay flat arrays (_KnownSolutions) until one
+    _make_records call builds and classifies their records.  With
+    subspace="Y" the iteration runs
     on the zero-mean reduction; every candidate is still verified against
     the full residual, and reduced-critical points failing that test are
     reported, unclassified, in y_discrepancies instead of records.  Raises
@@ -733,26 +742,21 @@ def find_multiple(
     if zero_norm <= cfg.residual_tol:
         found.add(zero[0], float(_action_values(zero, prob)[0]), zero_norm, ("newton", None))
 
-    # stage 1: warm starts (continuation) then multistart Newton, one batch;
-    # candidates are handled in start order
-    start_pool = [system.to_reduced(w) for w in warm]
-    start_pool.extend(y0 for _, y0 in _random_starts(cfg, system.dim, 101))
-    if start_pool:
-        ys, _, converged, _ = _newton_rows(system, np.array(start_pool), cfg)
-        idx = np.flatnonzero(converged)
-        if idx.size:
-            handle_stage(ys[idx], idx.tolist(), "newton")
-
-    # stage 2: deflation rounds until a round adds nothing new; each round is
-    # one batch against the solutions known when it starts
-    for round_no in range(10):
-        starts = list(_random_starts(cfg, system.dim, 211 + round_no))
-        if not len(found.x) or not starts:
+    # the other stages, one batch each
+    warm_rows = system.to_reduced_rows(np.reshape(warm, (len(warm), prob.dim)))
+    for method, key in [("newton", 101)] + [("deflated", 211 + r) for r in range(10)]:
+        index, starts = _random_starts(cfg.seed, cfg.starts, system.dim, key)
+        known = None
+        if method == "newton":  # a start's index is its pool position, warm starts first
+            starts, index = np.concatenate((warm_rows, starts)), np.arange(len(warm_rows) + len(starts))
+        elif len(found.x) and len(starts):
+            known = system.to_reduced_rows(found.x)
+        else:
             break
-        known = system.to_reduced_rows(found.x)
-        ys, _, converged, _ = _newton_rows(system, np.array([y0 for _, y0 in starts]), cfg, known)
-        idx = np.flatnonzero(converged).tolist()
-        if not (idx and handle_stage(ys[idx], [starts[i][0] for i in idx], "deflated")):
+        ys, _, converged, _ = _newton_rows(system, starts, cfg, known)
+        idx = np.flatnonzero(converged)
+        added = idx.size > 0 and handle_stage(ys[idx], index[idx].tolist(), method)
+        if known is not None and not added:
             break
 
     symmetry_ok = None
@@ -785,49 +789,43 @@ def lambda_sweep(
     Solutions found at one grid point seed the Newton starts at the next.
     The warm pool is replaced, not extended: it holds exactly the records
     of the previous grid point (of the last one that did not fail), so it
-    is bounded by that point's record count and does not accumulate.
-    a_estimate lists the maximal grid intervals on which at least three
-    distinct solutions were located.
+    is bounded by that point's record count and does not accumulate.  The
+    random starts do not depend on lambda: each stage's are drawn at the
+    first grid point that runs it and reused at the others.  a_estimate
+    lists the maximal grid intervals on which at least three distinct
+    solutions were located.  Raises ValueError before any solve unless
+    every entry is finite and positive and the grid strictly increasing.
     """
     cfg = cfg or SolverConfig()
     grid = [float(v) for v in lambda_grid]
-    if not grid or any(v <= 0 for v in grid):
+    if not grid:
         raise ValueError("lambda grid must contain positive values")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be strictly increasing")
+    for i, v in enumerate(grid):
+        if not (math.isfinite(v) and v > 0 and (i == 0 or v > grid[i - 1])):
+            raise ValueError(f"lambda grid must be finite, positive and strictly increasing; entry {i} is {v!r}")
 
     counts, nontrivial, min_actions, sets, failures = [], [], [], [], []
     warm: list[np.ndarray] = []
     for lam in grid:
-        prob_l = prob.with_lambda(lam)
         try:
-            sol = find_multiple(prob_l, cfg, subspace=subspace, extra_starts=warm)
+            sol = find_multiple(prob.with_lambda(lam), cfg, subspace=subspace, extra_starts=warm)
         except (EvaluationError, np.linalg.LinAlgError) as exc:
             # a numerical failure at one grid point is reported, not fatal
             failures.append((lam, f"{type(exc).__name__}: {exc}"))
-            sets.append(SolutionSet(records=(), subspace=subspace, seed=cfg.seed))
-            counts.append(0)
-            nontrivial.append(0)
-            min_actions.append(None)
-            continue
+            sol = SolutionSet(records=(), subspace=subspace, seed=cfg.seed)
+        else:
+            warm = [r.u.flat() for r in sol.records]
         sets.append(sol)
         counts.append(len(sol.records))
-        nontrivial.append(
-            sum(1 for r in sol.records if euclidean_norm(r.u) > cfg.dedupe_tol)
-        )
-        min_actions.append(
-            min((r.action_value for r in sol.records), default=None)
-        )
-        warm = [r.u.flat() for r in sol.records]
+        nontrivial.append(sum(1 for r in sol.records if euclidean_norm(r.u) > cfg.dedupe_tol))
+        min_actions.append(min((r.action_value for r in sol.records), default=None))
 
-    intervals = []
-    run_start = None
-    for i, c in enumerate(counts):
+    intervals, run_start = [], None
+    for i, c in enumerate(counts + [0]):  # the trailing 0 closes a run at the last point
         if c >= 3 and run_start is None:
             run_start = i
-        if (c < 3 or i == len(counts) - 1) and run_start is not None:
-            end = i if c >= 3 else i - 1
-            intervals.append((grid[run_start], grid[end]))
+        elif c < 3 and run_start is not None:
+            intervals.append((grid[run_start], grid[i - 1]))
             run_start = None
     return SweepResult(
         lambda_grid=tuple(grid),

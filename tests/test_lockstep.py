@@ -385,7 +385,7 @@ def _example3_y(lam=10.0):
 def test_lockstep_plain_rows_match_sequential_loop(make_prob, subspace):
     system = _System(make_prob(), subspace=subspace)
     cfg = SolverConfig(starts=8, seed=4)
-    starts = np.array([y for _, y in _random_starts(cfg, system.dim, 101)])
+    _, starts = _random_starts(cfg.seed, cfg.starts, system.dim, 101)
     conv, iters = _assert_rows_match(system, starts, cfg)
     # not vacuous: the starts leave the lock step at different rounds, and
     # on H_m some converge and some do not
@@ -405,7 +405,7 @@ def test_lockstep_deflated_rows_match_sequential_loop(make_prob, subspace):
     known = np.array([system.to_reduced(r.u.flat()) for r in sol.records])
     assert len(known) >= 2
     cfg = SolverConfig(starts=6, seed=9)
-    starts = np.array([y for _, y in _random_starts(cfg, system.dim, 211)])
+    starts = _random_starts(cfg.seed, cfg.starts, system.dim, 211)[1].copy()
     starts[2] = known[1]
     _assert_rows_match(system, starts, cfg, known)
     ys, ngs, conv, iters = _newton_rows(system, starts, cfg, known)
@@ -424,7 +424,7 @@ def test_lockstep_deflated_rows_match_sequential_loop_at_the_sweep_benchmark_poi
     known = np.array([system.to_reduced(r.u.flat()) for r in sol.records])
     assert len(known) >= 40
     cfg = SolverConfig(starts=8, seed=3)
-    starts = np.array([y for _, y in _random_starts(cfg, system.dim, 211)])
+    _, starts = _random_starts(cfg.seed, cfg.starts, system.dim, 211)
     assert len(starts) == 8
     _, iters = _assert_rows_match(system, starts, cfg, known)
     assert len(set(iters.tolist())) > 1

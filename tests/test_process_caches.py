@@ -1,5 +1,6 @@
-"""Work paid once per process: the CLI parser, and the xi descent per (m,
-n, p_plus) and its search settings.
+"""Work paid once per process: the CLI parser, the xi descent per (m, n,
+p_plus) and its search settings, and the random starts of a solver stage
+per (seed, starts, dim, stage key).
 
 Each cache must return what a fresh computation returns, bit for bit, keep
 every warning and error of the uncached path, and leave every output file
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import pklap.cli as cli
-from pklap import analysis
+from pklap import analysis, solvers
 from pklap.nonlinearities import make_example3
 from test_cli import CONFIGS, _bench_check_configs
 
@@ -167,7 +168,36 @@ def test_outputs_are_byte_identical_whatever_ran_before(tmp_path, cold_caches):
     runs = []
     for order in (list, lambda argvs: argvs[::-1]):
         analysis._xi_minimum.cache_clear()
+        solvers._random_starts.cache_clear()
         for _ in range(2):
             runs.append(_run_all(configs, tmp_path / f"run{len(runs)}", order))
     assert len(runs[0]) == 2 * 9 + 3
     assert all(run == runs[0] for run in runs[1:])
+
+
+def test_a_solve_after_a_sweep_writes_the_bytes_of_a_fresh_process(tmp_path, cold_caches):
+    """A two-point sweep of example1_m4 at small lambda leaves the starts
+    of three stages in the cache, with the solve's key (seed 0, 16 starts,
+    dim 4); the solve that follows takes them from there and draws the
+    rest, and writes the files a solve in a fresh interpreter writes."""
+    config = str(CONFIGS / "example1_m4.json")
+
+    def solve_argv(out):
+        out.mkdir()
+        return ["solve", config, "--values-out", str(out / "values.csv"), "--summary-out", str(out / "summary.csv")]
+
+    fresh = solve_argv(tmp_path / "fresh")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-m", "pklap.cli", *fresh], capture_output=True, env=env, check=True, timeout=120)
+    after = solve_argv(tmp_path / "after")
+    sweep = ["sweep", config, "--lambda-min", "0.01", "--lambda-max", "0.02", "--steps", "2",
+             "--output", str(tmp_path / "sweep.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main(sweep) == cli.EXIT_OK
+        before = solvers._random_starts.cache_info()
+        assert cli.main(after) == cli.EXIT_OK
+    info = solvers._random_starts.cache_info()
+    assert before.currsize == 3 and info.hits - before.hits == 3 and info.currsize == 11
+    for name in ("values.csv", "summary.csv"):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()

@@ -153,11 +153,17 @@ def test_hessian_fd_matches_loop_over_gradient(make_prob):
 @pytest.mark.parametrize("dim", [1, 3, 8])
 @pytest.mark.parametrize("key", [101, 211, 213])
 def test_random_starts_match_inline_draws(dim, key):
+    """The rows equal the inline draws bit for bit, with the same indices,
+    and are read-only, since later calls return the same arrays."""
     cfg = SolverConfig(starts=12, seed=5)
-    got = list(_random_starts(cfg, dim, key))
+    index, rows = _random_starts(cfg.seed, cfg.starts, dim, key)
     expect = _inline_starts(cfg, dim, key)
-    assert [i for i, _ in got] == [i for i, _ in expect]
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, expect))
+    assert index.tolist() == [i for i, _ in expect]
+    assert rows.shape == (len(expect), dim)
+    assert all(a.tobytes() == b.tobytes() for a, (_, b) in zip(rows, expect))
+    for array in (index, rows):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_find_multiple_start_pools_match_inline_draws(monkeypatch):

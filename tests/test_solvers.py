@@ -422,6 +422,24 @@ class TestLambdaSweep:
         with pytest.raises(ValueError):
             lambda_sweep(prob, [1.0, -2.0])
 
+    @pytest.mark.parametrize(
+        "grid, bad",
+        [
+            ([1.0, math.nan, 2.0], "entry 1 is nan"),
+            ([1.0, math.inf], "entry 1 is inf"),
+            ([-math.inf, 1.0], "entry 0 is -inf"),
+            ([2.0, 1.0, math.nan], "entry 1 is 1.0"),
+        ],
+    )
+    def test_a_bad_entry_is_named_before_any_solve(self, monkeypatch, grid, bad):
+        """NaN fails every comparison and inf passes v > 0, so each is
+        rejected by name, before the first grid point is solved."""
+        solved = []
+        monkeypatch.setattr(solvers, "find_multiple", lambda prob, *args, **kwargs: solved.append(prob.lam))
+        with pytest.raises(ValueError, match=f"finite, positive and strictly increasing; {bad}$"):
+            lambda_sweep(_double_well(), grid)
+        assert solved == []
+
     def test_counts_and_estimate_shape(self):
         prob = _double_well()
         cfg = SolverConfig(starts=6, seed=0)
