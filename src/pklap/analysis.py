@@ -32,6 +32,7 @@ from .core import (
     Nonlinearity,
     PeriodicSequence,
     Problem,
+    _SEARCH_BLOCKS,
     _block_search,
     _entry_norms,
     _read_only,
@@ -341,17 +342,6 @@ def _sobolev_direction(u: np.ndarray, g: np.ndarray) -> np.ndarray:
 # all converged, in a quarter of the time.
 _XI_STEP_CAP = 2.0**20
 
-# The xi descent's Armijo trials step * 2^-j go in blocks of these sizes,
-# one energy call per block.  On the descents at (8, 1, 3) and (12, 1, 3),
-# 32 starts each, 2009 of 2849 accepted steps took the first trial and 772
-# the second; 56 took trials 2-9 and 12 a later one.  The 64 searches that
-# accept nothing (each start's last round) run down to the step floor, so
-# the last block holds the rest of the ladder: a step never exceeds
-# _XI_STEP_CAP, so its at most 80 trials above 1e-18 fit in the 80 of the
-# blocks.
-_XI_BLOCKS = (2, 8, 70)
-
-
 def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
     """Preconditioned gradient descent on the unit sphere of the zero-mean subspace.
 
@@ -361,16 +351,16 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
     The difference energy's Hessian is D^T W D, with D the cyclic
     difference and W block diagonal in k, of size about |Delta u(k)|^(p - 2),
     so along g its condition number grows like m^2, while along d it is that
-    of W alone.  Each start keeps its own step size and backtracking line
-    search: it tries u - t d for t = step * 2^-j in order, re-centred and
-    normalised, takes the first trial below val - 1e-4 t <g, d> (Armijo's
-    test), and grows its step by 1.3, up to _XI_STEP_CAP.  The trials of
-    all starts still searching go through one energy call per block of
-    _XI_BLOCKS (_block_search), so each start follows the iterates of its
-    descent run alone bit for bit.
-    A start leaves when its projected gradient meets tol, when no trial
-    above step 1e-18 passes the test, or after max_iter steps.  Returns each
-    start's final value and whether it converged.
+    of W alone.  Each start keeps its own step size and runs the
+    backtracking line search of _block_search over u - t d, t = step *
+    2^-j, each trial re-centred and normalised: it takes the first trial
+    below val - 1e-4 t <g, d> (Armijo's test) and grows its step by 1.3, up
+    to _XI_STEP_CAP.  The trials of all starts still searching go through
+    one energy call per block, so each start follows the iterates of its
+    descent run alone bit for bit.  A start leaves when its projected
+    gradient meets tol, when its line search accepts nothing, or after
+    max_iter steps.  Returns each start's final value and whether it
+    converged.
     """
     # at large exponents a gradient's norm can overflow to inf, which meets
     # neither the tolerance nor the Armijo test; it is not a numpy warning
@@ -383,9 +373,6 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
         ids = np.arange(len(u))
 
         # the line search of the rows ids of a round, along -d
-        def trial(k, s):
-            return u[ids[k], None] - s[:, :, None, None] * d[k, None]
-
         def evaluate(cand, k, s):
             cand = cand - _period_means(cand)
             nc = _row_norms(cand)
@@ -404,9 +391,10 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
             met = _row_norms(g) <= tol
             met_tol[ids[met]] = True
             ids, g = ids[~met], g[~met]
-            d = _sobolev_direction(u[ids], g)
+            x = u[ids]
+            d = _sobolev_direction(x, g)
             slope = np.add.reduce(g * d, axis=(1, 2))
-            ids = ids[_block_search(step[ids], _XI_BLOCKS, trial, evaluate, take, floor=1e-18)]
+            ids = ids[_block_search(x, -d, step[ids], _SEARCH_BLOCKS, evaluate, take)]
         converged = met_tol.copy()
         rest = ~met_tol
         gnorm = _row_norms(_projected_gradient(u[rest], p_plus))

@@ -82,6 +82,8 @@ class ComputationError(RuntimeError):
 _TOP_KEYS = {"m", "n", "p", "lambda", "nonlinearity", "solver", "seed", "subspace"}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 _SOLVER_FLOATS = {f.name for f in dataclasses.fields(SolverConfig) if f.type == "float"}
+# the built-ins' parameters that take one number per k as a list
+_PER_K_PARAMS = {"power": ("s", "r")}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,22 +94,22 @@ class LoadedConfig:
     subspace: str
 
 
-def _unfloatable_key(named) -> str | None:
-    """The key of the first integer that no float holds among (key, value)
-    pairs, whose values are numbers or lists or objects of them, searched
-    in order; a list entry is key[i] and an object's member key.name."""
+def _number_error(named, per_k=()) -> str | None:
+    """The error, as "key: reason", of the first (key, value) pair, in
+    order, whose value is not a number that a float holds: a bool, a
+    non-number or a JSON integer too large for a float.  A key in per_k
+    may hold a list of numbers instead, its entries named key[i]."""
     for key, value in named:
-        if isinstance(value, dict):
-            found = _unfloatable_key((f"{key}.{k}", v) for k, v in value.items())
-        elif isinstance(value, list):
-            found = _unfloatable_key((f"{key}[{i}]", v) for i, v in enumerate(value))
+        if isinstance(value, list) and key in per_k:
+            found = _number_error((f"{key}[{i}]", v) for i, v in enumerate(value))
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            found = f"{key}: must be a number, got {value!r}"
         else:
             found = None
-            if isinstance(value, int):
-                try:
-                    float(value)
-                except OverflowError:
-                    found = key
+            try:
+                float(value)
+            except OverflowError:
+                found = f"{key}: int too large to convert to float"
         if found is not None:
             return found
     return None
@@ -157,7 +159,7 @@ def load_config(path: str) -> LoadedConfig:
         raise ConfigError("lambda must be a number")
 
     nl_raw = raw["nonlinearity"]
-    if not isinstance(nl_raw, dict) or "builtin" not in nl_raw:
+    if not isinstance(nl_raw, dict) or not isinstance(nl_raw.get("builtin"), str):
         raise ConfigError('nonlinearity must be an object with a "builtin" name')
     nl_extra = set(nl_raw) - {"builtin", "params"}
     if nl_extra:
@@ -186,12 +188,15 @@ def load_config(path: str) -> LoadedConfig:
         )
 
     # the numbers converted to floats below, in order
-    huge = _unfloatable_key(
-        [("p", raw["p"]), ("lambda", lam), ("nonlinearity.params", params)]
-        + [(f"solver.{k}", v) for k, v in solver_raw.items() if k in _SOLVER_FLOATS]
+    per_k = {"p"} | {f"nonlinearity.params.{k}" for k in _PER_K_PARAMS.get(nl_raw["builtin"], ())}
+    bad = _number_error(
+        [("p", raw["p"]), ("lambda", lam)]
+        + [(f"nonlinearity.params.{k}", v) for k, v in params.items()]
+        + [(f"solver.{k}", v) for k, v in solver_raw.items() if k in _SOLVER_FLOATS],
+        per_k,
     )
-    if huge is not None:
-        raise ConfigError(f"{huge}: int too large to convert to float")
+    if bad is not None:
+        raise ConfigError(bad)
     try:  # np.full rejects an m too large for an array at once, without allocating
         p_values = np.full(m, [float(x) for x in p_list])
     except ValueError as exc:

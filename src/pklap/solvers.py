@@ -30,6 +30,7 @@ from .core import (
     Problem,
     SolutionRecord,
     SolverConfig,
+    _SEARCH_BLOCKS,
     _block_search,
     _row_norms,
     euclidean_norm,
@@ -203,18 +204,6 @@ def _newton_steps(jac: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return deltas, ok
 
 
-# The line search's 30 step lengths 2^-j, tried in blocks of these sizes:
-# every start still searching puts its next block into one residual call.
-# At the sizes Newton runs at, a call costs far more than a row, and the
-# blocks are chosen from counts on the sweep benchmark's inputs (7 sweeps,
-# 1324 searches): 67 % of the accepted steps take the first trial and 7 %
-# the second, so the first block holds both, while a search holding one of
-# the 56 rows that reject all 30 trials pays every block, so there are only
-# three.  Against blocks of (1, 2, 4, 8, 15) this makes 32 % fewer calls
-# over 32 % more rows, and the same iterates.
-_SEARCH_BLOCKS = (2, 8, 20)
-
-
 def _newton_rows(
     system: _System, y0: np.ndarray, cfg: SolverConfig, known: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -225,29 +214,24 @@ def _newton_rows(
     _deflated_rows); convergence is then judged on the deflated norm.
 
     Each start runs its own iteration: a central-difference Jacobian, a
-    Newton step delta (least squares when the Jacobian is singular), then a
-    backtracking line search (_block_search) over y + 2^-j delta, j =
-    0..29, taking the first trial whose residual norm is below (1 - 1e-4
-    2^-j) times its own; a trial whose evaluation fails is rejected, and
-    one equal to y byte for byte ends the search unaccepted, since every
-    shorter step gives the same point.  Lock step only shares calls, one
-    residual call for all Jacobians of a round, one solve for all its steps
-    (_newton_steps) and one residual call per line-search block, so every
-    start's iterates are bitwise those of running it alone.  The blocks
-    (_SEARCH_BLOCKS) hold 2, 8 and 20 trials: two thirds of the accepted
-    steps take the first trial, and a call costs far more than the rows
-    past each start's accepted trial that a block also evaluates.  A start
-    stops when its Jacobian or step fails (a Jacobian or residual that is
-    not finite fails its step), when the line search accepts nothing, when
-    its norm passes 1e8, after _MAX_ITERATIONS steps above residual_tol, or
-    after _POLISH_BUDGET steps below it: residuals with high-order flatness
-    (e.g. degree-7 growth around the zero solution) dip below any fixed
-    tolerance on a whole neighbourhood, and only the stagnation point is
-    the actual root.  Each start's state is one row of a packed array, its
-    point, its residual, that residual's norm and, deflated, the terms
-    (M, grad M, plain residual) of its accepted trial, which its next
-    Jacobian takes: a round gathers its rows once and an accepted trial
-    is one row written.
+    Newton step delta (least squares when the Jacobian is singular), then
+    the backtracking line search of _block_search over y + t delta, t =
+    2^-j, taking the first trial whose residual norm is below (1 - 1e-4 t)
+    times its own; a trial whose evaluation fails is rejected.  Lock step
+    only shares calls, one residual call for all Jacobians of a round, one
+    solve for all its steps (_newton_steps) and one residual call per
+    line-search block, so every start's iterates are bitwise those of
+    running it alone.  A start stops when its Jacobian or step fails (a
+    Jacobian or residual that is not finite fails its step), when the line
+    search accepts nothing, when its norm passes 1e8, after _MAX_ITERATIONS
+    steps above residual_tol, or after _POLISH_BUDGET steps below it:
+    residuals with high-order flatness (e.g. degree-7 growth around the
+    zero solution) dip below any fixed tolerance on a whole neighbourhood,
+    and only the stagnation point is the actual root.  Each start's state
+    is one row of a packed array, its point, its residual, that residual's
+    norm and, deflated, the terms (M, grad M, plain residual) of its
+    accepted trial, which its next Jacobian takes: a round gathers its rows
+    once and an accepted trial is one row written.
     """
     # the columns of a packed state row: the point, its (deflated) residual
     # G and that residual's norm NG, then, deflated, M, grad M and the plain
@@ -265,10 +249,7 @@ def _newton_rows(
         parts = (y, g, _row_norms(g)[:, None], factor[:, None], dfactor, plain)
         return ok, np.concatenate(parts, axis=1)
 
-    # the line search of the starts rows of a round, from y_base along deltas
-    def trial(k, t):
-        return y_base[k, None] + t[:, :, None] * deltas[k, None]
-
+    # the line search of the starts rows of a round, from y along delta
     def evaluate_trials(points, k, t):
         ok, new = evaluate(points)
         return ok & (new[:, NG] < (1.0 - 1e-4 * t) * ng_base[k]), new
@@ -301,8 +282,8 @@ def _newton_rows(
         if not ok.all():
             active[rows] = ok
             rows, cur, deltas = rows[ok], cur[ok], deltas[ok]
-        y_base, ng_base, steps = cur[:, :dim], cur[:, NG], np.ones(rows.size)
-        accepted = _block_search(steps, _SEARCH_BLOCKS, trial, evaluate_trials, take, base=y_base)
+        ng_base, steps = cur[:, NG], np.ones(rows.size)
+        accepted = _block_search(cur[:, :dim], deltas, steps, _SEARCH_BLOCKS, evaluate_trials, take)
         active[rows] = accepted
         rows = rows[accepted]
         cur = state[rows]

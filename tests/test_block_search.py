@@ -1,17 +1,19 @@
-"""The one lock-step backtracking search and the block schedules of its callers.
+"""The one lock-step backtracking search and the block schedule of its callers.
 
 `core._block_search` runs the line searches of the Newton solver and the
-xi descent.  Each row tries step * 2^-j in
-order and takes its first accepted trial, while the trials of all rows still
-searching are evaluated in blocks.  The property below pins it to the
-one-row loop, and so do the cases of all-live and partly live blocks, in
-the floor and the byte-equality modes; the schedule tests pin that each
-caller's blocks hold its whole trial sequence; the call-count spies pin
-the Newton search's deflated-residual calls and the xi descent's energy
-calls, with their rows, which depend only on the arithmetic, not on the
-host's load.
+xi descent.  Each row tries base + step * 2^-j * direction in order and
+takes its first accepted trial, stopping at its first trial equal to its
+base, while the trials of all rows still searching are evaluated in
+blocks.  The property below pins it to the one-row loop, and so do the
+cases of all-live and partly live blocks; an AST test pins its two callers
+to the one ladder, and the schedule test pins that the ladder holds the
+whole trial sequence; the call-count spies pin the Newton search's
+deflated-residual calls and the xi descent's energy calls, with their
+rows, which depend only on the arithmetic, not on the host's load.
 """
 
+import ast
+import inspect
 import pathlib
 import warnings
 
@@ -23,35 +25,30 @@ from hypothesis import strategies as st
 import pklap.analysis as analysis
 import pklap.solvers as solvers
 from pklap.cli import load_config
-from pklap.core import _block_search
+from pklap.core import _SEARCH_BLOCKS, _block_search
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
-def _loop_search(x, direction, step, trials, accept, floor, byte_rule):
+def _loop_search(x, direction, step, trials, accept):
     """One row alone: (j, point) of its first accepted trial, or None.  The
-    search ends at the first trial byte-equal to x under byte_rule, else at
-    the first step not above floor."""
+    search ends at the first trial byte-equal to x."""
     for j in range(trials):
         t = step * 2.0**-j
-        if not byte_rule and not t > floor:
-            return None
         point = x + t * direction
-        if byte_rule and point.tobytes() == x.tobytes():
+        if point.tobytes() == x.tobytes():
             return None
         if accept(point, t):
             return j, point
     return None
 
 
-def _run_block_search(X, D, step, blocks, accept, floor, byte_rule):
+def _run_block_search(X, D, step, blocks, accept):
     """_block_search on rows (X, D): (found, taken steps, taken points, calls)."""
     taken_t = np.full(len(X), np.nan)
     taken = np.full_like(X, np.nan)
     calls = []
-
-    def trial(rows, t):
-        return X[rows, None] + t[:, :, None] * D[rows, None]
 
     def evaluate(points, rows, t):
         calls.append(len(points))
@@ -61,10 +58,7 @@ def _run_block_search(X, D, step, blocks, accept, floor, byte_rule):
     def take(rows, t, points):
         taken_t[rows], taken[rows] = t, points
 
-    if byte_rule:
-        found = _block_search(step, blocks, trial, evaluate, take, base=X)
-    else:
-        found = _block_search(step, blocks, trial, evaluate, take, floor=floor)
+    found = _block_search(X, D, step, blocks, evaluate, take)
     return found, taken_t, taken, calls
 
 
@@ -84,10 +78,8 @@ _ROW = st.tuples(
 @given(
     st.lists(_ROW, min_size=1, max_size=6),
     st.sampled_from([(1,), (2, 4), (2, 8, 20), (1, 2, 4, 8, 15), (2, 4, 8, 16, 32), (3, 3, 3)]),
-    st.sampled_from([0.0, 1e-3, 0.3]),
-    st.booleans(),
 )
-def test_rows_take_the_first_trial_their_loop_accepts(rows, blocks, floor, byte_rule):
+def test_rows_take_the_first_trial_their_loop_accepts(rows, blocks):
     X = np.array([r[0] for r in rows])
     D = np.array([r[1] for r in rows])
     step = np.array([r[2] for r in rows])
@@ -96,10 +88,10 @@ def test_rows_take_the_first_trial_their_loop_accepts(rows, blocks, floor, byte_
     def accept(point, t):
         return _quadratic_armijo(point, t, target)
 
-    found, taken_t, taken, calls = _run_block_search(X, D, step, blocks, accept, floor, byte_rule)
+    found, taken_t, taken, calls = _run_block_search(X, D, step, blocks, accept)
     assert len(calls) <= len(blocks)
     for i in range(len(X)):
-        ref = _loop_search(X[i], D[i], step[i], sum(blocks), accept, floor, byte_rule)
+        ref = _loop_search(X[i], D[i], step[i], sum(blocks), accept)
         assert found[i] == (ref is not None)
         if ref is not None:
             j, point = ref
@@ -107,29 +99,26 @@ def test_rows_take_the_first_trial_their_loop_accepts(rows, blocks, floor, byte_
             assert taken[i].tobytes() == point.tobytes()
 
 
-@pytest.mark.parametrize("byte_rule", [False, True])
 @pytest.mark.parametrize("partly_live", [False, True])
-def test_all_live_and_partly_live_blocks_match_the_loop(byte_rule, partly_live):
+def test_all_live_and_partly_live_blocks_match_the_loop(partly_live):
     """Three rows in blocks (2, 4): the first accepts its second trial,
     the second its fifth and the third none.  With every trial live, each
     block evaluates all trials of its rows, 3 * 2 and then 2 * 4.  Partly
-    live, the third row's live trials end inside the second block, at the
-    floor 0.1 (t = 1/4, 1/8 live) or where 1 + t 2^-50 rounds to 1 (t = 1/4
-    live), and only the live ones are evaluated."""
+    live, the third row's live trials end inside the second block, where
+    1 + t 2^-50 rounds to 1 (t = 1/4 live), and only the live ones are
+    evaluated."""
     X = np.array([[10.0], [-10.0], [1.0]])
-    D = np.array([[1.0], [1.0], [2.0**-50 if partly_live and byte_rule else 1.0]])
+    D = np.array([[1.0], [1.0], [2.0**-50 if partly_live else 1.0]])
     step = np.array([8.0, 8.0, 1.0])
-    floor = 0.1 if partly_live else 0.0
 
     def accept(point, t):
         return (point[0] > 5.0 and t <= 4.0) or (point[0] < -5.0 and t <= 0.5)
 
-    found, taken_t, taken, calls = _run_block_search(X, D, step, (2, 4), accept, floor, byte_rule)
-    second = 4 + ((1 if byte_rule else 2) if partly_live else 4)
-    assert calls == [6, second]
+    found, taken_t, taken, calls = _run_block_search(X, D, step, (2, 4), accept)
+    assert calls == [6, 4 + (1 if partly_live else 4)]
     assert found.tolist() == [True, True, False]
     for i in range(len(X)):
-        ref = _loop_search(X[i], D[i], step[i], 6, accept, floor, byte_rule)
+        ref = _loop_search(X[i], D[i], step[i], 6, accept)
         assert found[i] == (ref is not None)
         if ref is not None:
             assert taken_t[i] == step[i] * 2.0 ** -ref[0]
@@ -140,66 +129,54 @@ def test_byte_equal_trial_ends_the_row_unaccepted():
     """A zero direction gives the base at every step: no trial is live, so
     nothing is evaluated and the row is not accepted."""
     X, D = np.array([[1.0, 2.0]]), np.zeros((1, 2))
-    found, _, _, calls = _run_block_search(
-        X, D, np.ones(1), (1, 2, 4), lambda p, t: True, 0.0, byte_rule=True
-    )
+    found, _, _, calls = _run_block_search(X, D, np.ones(1), (1, 2, 4), lambda p, t: True)
     assert not found[0] and calls == []
 
 
-@pytest.mark.parametrize("byte_rule", [False, True])
-def test_no_rows_make_no_calls(byte_rule):
+def test_no_rows_make_no_calls():
     """A round whose every Newton step failed searches no rows."""
     X, D = np.empty((0, 3)), np.empty((0, 3))
-    found, _, _, calls = _run_block_search(
-        X, D, np.ones(0), (1, 2, 4), lambda p, t: True, 0.0, byte_rule
-    )
+    found, _, _, calls = _run_block_search(X, D, np.ones(0), (1, 2, 4), lambda p, t: True)
     assert found.shape == (0,) and calls == []
 
 
-def test_rows_leave_at_the_floor_without_evaluating_below_it():
-    """Steps 1, 1/2, ... 1/8 lie above the floor 0.1: four trials, in the
-    first block of 2 and the second of 4, then the row stops."""
-    X, D = np.zeros((1, 1)), np.ones((1, 1))
-    found, _, _, calls = _run_block_search(
-        X, D, np.ones(1), (2, 4, 8), lambda p, t: False, 0.1, byte_rule=False
-    )
-    assert not found[0] and calls == [2, 2]
-
-
-def _trials_above(floor, cap=1.0):
-    """How many steps cap * 2^-j, j = 0, 1, ..., lie above floor: the
-    longest search of a caller whose step never exceeds cap."""
-    return int(np.sum(cap * np.ldexp(1.0, -np.arange(1100)) > floor))
+def test_one_search_and_one_ladder():
+    """The package calls _block_search twice, from the Newton rows and the
+    xi descent, each with the one ladder _SEARCH_BLOCKS that core defines;
+    the search forms its trials itself and stops only by byte equality, so
+    it takes no trial callback and no step floor."""
+    callers, ladders = [], []
+    for path in sorted((ROOT / "src" / "pklap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_block_search":
+                callers.append((path.stem, ast.unparse(node.args[3]), len(node.args), node.keywords))
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_SEARCH_BLOCKS" for t in node.targets):
+                ladders.append(path.stem)
+    assert callers == [("analysis", "_SEARCH_BLOCKS", 6, []), ("solvers", "_SEARCH_BLOCKS", 6, [])]
+    assert ladders == ["core"]
+    assert list(inspect.signature(_block_search).parameters) == [
+        "base", "direction", "step", "blocks", "evaluate", "take"
+    ]
 
 
 def test_newton_blocks_hold_its_thirty_trials():
-    """The Newton line search tries exactly 2^-j for j = 0..29."""
-    assert sum(solvers._SEARCH_BLOCKS) == 30
-
-
-@pytest.mark.parametrize(
-    "blocks,floor,cap,trials",
-    [("_XI_BLOCKS", 1e-18, analysis._XI_STEP_CAP, 80)],
-)
-def test_floor_searches_reach_their_floor_inside_the_blocks(blocks, floor, cap, trials):
-    """A step of at most cap (_XI_STEP_CAP for the xi descent) has this
-    many trials above the floor, and the blocks hold them all, so every
-    unaccepted row leaves at the floor as its sequential loop does, not when
-    the blocks run out."""
-    assert _trials_above(floor, cap) == trials
-    assert sum(getattr(analysis, blocks)) >= trials
+    """The Newton line search, and the xi descent's, tries exactly
+    step * 2^-j for j = 0..29."""
+    assert sum(_SEARCH_BLOCKS) == 30
 
 
 @pytest.mark.parametrize(
     "m,p,calls,rows",
-    [(8, 3.0, 74, 4514), (12, 3.0, 104, 5951), (32, 3.0, 171, 8730)],
+    [(8, 3.0, 74, 3548), (12, 3.0, 104, 4916), (32, 3.0, 171, 7767)],
 )
 def test_xi_descent_energy_calls_and_rows(monkeypatch, cold_caches, m, p, calls, rows):
     """The descent of _xi_search (32 starts, n = 1) makes this many
     _difference_energy calls over this many rows.  Along the plain
     projected gradient, in blocks of (2, 4, 8, 16, 32), it made 282 calls
     over 12902 rows at m = 8 and 748 calls over 34551 rows at m = 12, and
-    at m = 32 only 2 of its 32 starts converged in 5000 rounds."""
+    at m = 32 only 2 of its 32 starts converged in 5000 rounds.  In blocks
+    of (2, 8, 70), searching down to a step floor of 1e-18, it made the
+    same calls over 4514, 5951 and 8730 rows."""
     seen = {"calls": 0, "rows": 0}
     real = analysis._difference_energy
 

@@ -353,6 +353,50 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {key}: int too large to convert to float\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "solver, key, value",
+        [({"residual_tol": True}, "solver.residual_tol", True), ({"dedupe_tol": "1e-6"}, "solver.dedupe_tol", "1e-6")],
+        ids=["residual_tol_bool", "dedupe_tol_str"],
+    )
+    def test_a_solver_tolerance_that_is_no_number_is_a_usage_error(self, tmp_path, capsys, solver, key, value):
+        """example2 at m = 3: before, a bool tolerance solved at tolerance
+        1.0 and exited 0, and a string one failed with a message that named
+        no key."""
+        path = _config(tmp_path, m=3, p=2, nonlinearity={"builtin": "example2", "params": {}}, solver=solver)
+        argv = ["solve", path, "--starts", "2"]
+        argv += ["--values-out", str(tmp_path / "v.csv"), "--summary-out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {key}: must be a number, got {value!r}\n"
+        assert not (tmp_path / "v.csv").exists()
+
+    @pytest.mark.parametrize(
+        "nonlinearity, key, value",
+        [
+            ({"builtin": "power", "params": {"a": 1, "b": 1, "s": "3", "r": 2}}, "nonlinearity.params.s", "3"),
+            ({"builtin": "power", "params": {"a": True, "b": 1, "s": 2, "r": 2}}, "nonlinearity.params.a", True),
+            ({"builtin": "power", "params": {"a": 1, "b": 1, "s": [2, "3"], "r": 2}}, "nonlinearity.params.s[1]", "3"),
+            ({"builtin": "example3", "params": {"C": True}}, "nonlinearity.params.C", True),
+            ({"builtin": "example3", "params": {"rho1": "0.5"}}, "nonlinearity.params.rho1", "0.5"),
+            ({"builtin": "example3", "params": {"C": [1.0, 1.0]}}, "nonlinearity.params.C", [1.0, 1.0]),
+        ],
+        ids=["power_s_str", "power_a_bool", "power_s_list_str", "example3_C_bool", "example3_rho1_str",
+             "example3_C_list"],
+    )
+    def test_a_parameter_that_is_no_number_is_a_usage_error(self, tmp_path, capsys, nonlinearity, key, value):
+        """Before, check accepted power's s = "3" and a = true and
+        example3's C = true, and echoed the raw value in its report, while a
+        string rho1 failed with a message that named no key.  Only power's
+        per-k s and r may be lists."""
+        out = tmp_path / "r.json"
+        assert cli.main(["check", _config(tmp_path, nonlinearity=nonlinearity), "--output", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {key}: must be a number, got {value!r}\n"
+        assert not out.exists()
+
+    def test_power_takes_per_k_lists_of_numbers(self, tmp_path):
+        params = {"a": 1, "b": 1, "s": [2, 3], "r": [2.5, 2]}
+        loaded = cli.load_config(_config(tmp_path, nonlinearity={"builtin": "power", "params": params}))
+        assert loaded.builtin.params == params
+
     def test_seed_too_large_for_a_float_keeps_its_range_message(self, tmp_path, capsys):
         """seed is an integer field, never converted to a float."""
         out = tmp_path / "r.json"

@@ -54,12 +54,12 @@ def _count_work(monkeypatch):
         seen["rounds"] += 1
         return real_jacobians(self, y)
 
-    def search(step, blocks, trial, evaluate, take, **kwargs):
+    def search(base, direction, step, blocks, evaluate, take):
         def counted(*args):
             seen["blocks"] += 1
             return evaluate(*args)
 
-        return real_search(step, blocks, trial, counted, take, **kwargs)
+        return real_search(base, direction, step, blocks, counted, take)
 
     def residual_rows(vals, prob):
         seen["residual_calls"] += 1

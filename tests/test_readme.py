@@ -9,7 +9,7 @@ import re
 import pytest
 
 import pklap
-from pklap import analysis, solvers
+from pklap import analysis, core
 from pklap.solvers import SolverConfig
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -45,18 +45,16 @@ def test_readme_solver_keys_match_solver_config():
     assert set(listed) == {f.name for f in dataclasses.fields(SolverConfig)}
 
 
-# Each line search's block sizes, by the word that names its owner in the
-# README paragraph that quotes them.
+# The line search's block sizes, by the words that name it in the README
+# paragraph that quotes them.
 _BLOCK_OWNERS = {
-    r"\bNewton\b": solvers._SEARCH_BLOCKS,
-    r"\bxi\b": analysis._XI_BLOCKS,
+    r"\bline search\b": core._SEARCH_BLOCKS,
 }
 
 
 def test_readme_block_sizes_match_the_code():
     """Every "blocks of a, b and c" in the README sits in a paragraph that
-    names exactly one line search (Newton's or xi's), and
-    equals that search's blocks; every search's blocks are quoted."""
+    names the line search, and equals its blocks; the blocks are quoted."""
     with open(README, encoding="utf-8") as fh:
         paragraphs = re.split(r"\n\s*\n", fh.read())
     quoted = set()

@@ -69,6 +69,15 @@ def test_solver_config_rejects_a_seed_outside_32_bits(seed):
 
 
 @pytest.mark.parametrize("field", ["residual_tol", "dedupe_tol"])
+@pytest.mark.parametrize("value", [True, "1e-6", None])
+def test_solver_config_rejects_a_float_field_that_is_no_real_number(field, value):
+    """A bool is no tolerance (before, True passed as 1.0)."""
+    with pytest.raises(TypeError, match=re.escape(f"{field} must be a real number, got {value!r}")):
+        SolverConfig(**{field: value})
+    assert getattr(SolverConfig(**{field: np.float32(0.5)}), field) == 0.5
+
+
+@pytest.mark.parametrize("field", ["residual_tol", "dedupe_tol"])
 def test_solver_config_names_a_float_field_too_large_for_a_float(field):
     """A ValueError naming the field, as for every other bad value (before,
     math.isfinite raised OverflowError)."""

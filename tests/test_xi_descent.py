@@ -9,6 +9,7 @@ run on a one-start stack.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from pklap.analysis import (
     _sobolev_direction,
     _unit_directions,
     _xi_descent,
+    _xi_search,
     rng_for,
 )
-from pklap.core import _row_norms
+from pklap.core import _SEARCH_BLOCKS, _row_norms
 from test_lockstep import _same_bits, edge_stack
 
 
@@ -34,7 +36,9 @@ def _loop_xi_descent(u0, p_plus, tol, max_iter):
     """The descent with one Armijo trial per line-search call, on a stack.
 
     Run one start at a time (a one-row u0), it is the sequential loop each
-    row of _xi_descent must reproduce.  Returns (values, converged).
+    row of _xi_descent must reproduce.  A row's search stops unaccepted at
+    its first trial that leaves u unmoved, byte for byte, or after the
+    ladder's trials.  Returns (values, converged).
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u = u0 - u0.mean(axis=1, keepdims=True)
@@ -54,9 +58,15 @@ def _loop_xi_descent(u0, p_plus, tol, max_iter):
             slope[active] = np.sum(g * d[active], axis=(1, 2))
             active &= ~met_tol
             searching = active.copy()
+            tries = np.zeros(len(u), dtype=int)
             while searching.any():
                 ids = np.flatnonzero(searching)
                 cand = u[ids] - step[ids, None, None] * d[ids]
+                unmoved = np.array([c.tobytes() == x.tobytes() for c, x in zip(cand, u[ids])], dtype=bool)
+                active[ids[unmoved]] = searching[ids[unmoved]] = False
+                ids, cand = ids[~unmoved], cand[~unmoved]
+                if ids.size == 0:
+                    break
                 cand = cand - cand.mean(axis=1, keepdims=True)
                 nc = _row_norms(cand)
                 cand = cand / nc[:, None, None]
@@ -68,7 +78,8 @@ def _loop_xi_descent(u0, p_plus, tol, max_iter):
                 step[took] = np.minimum(step[took] * 1.3, _XI_STEP_CAP)
                 missed = ids[~accept]
                 step[missed] *= 0.5
-                spent = missed[step[missed] <= 1e-18]
+                tries[missed] += 1
+                spent = missed[tries[missed] == sum(_SEARCH_BLOCKS)]
                 active[spent] = False
                 searching[took] = False
                 searching[spent] = False
@@ -147,12 +158,35 @@ def test_descent_rows_match_on_drawn_starts(m, n, p, count, seed):
 
 def test_unconverged_rows_keep_the_loops_value_at_the_cap():
     """At (m, n, p) = (8, 1, 1.5) no start meets the tolerance: every row
-    leaves by the cap or the step floor with the loop's value, and none
+    leaves by the cap or an unaccepted search with the loop's value, and none
     converges.  (At m = 6 the preconditioned descent converges in 300
     rounds, so m = 6 no longer reaches this exit.)"""
     vals, converged = _compare(_starts(8, 1, 3), 1.5, max_iter=300)
     assert not converged.any()
     assert np.all(np.isfinite(vals)) and math.isfinite(float(vals.min()))
+
+
+# (m, n, p_plus): xi's value as float.hex and its converged flag, as
+# _xi_search returns them with its defaults (32 starts, seed 0)
+PINNED_XI = {
+    (8, 1, 3.0): ("0x1.677b718562155p-3", True),
+    (12, 1, 3.0): ("0x1.716d84680ffa6p-5", True),
+    (32, 1, 3.0): ("0x1.8cbc95c104700p-10", True),
+    (8, 1, 1.5): ("0x1.04ead8e47d3dap+0", False),
+    (5, 1, 2.5): ("0x1.110d9d08d83b4p+0", True),
+    (8, 1, 60.0): ("0x1.d2d6c85382d6bp-53", True),
+}
+
+
+@pytest.mark.parametrize("m,n,p", list(PINNED_XI))
+def test_xi_search_bits_are_pinned(m, n, p):
+    """The descent's value bit for bit, and whether a start converged: a
+    change to its trials, their blocks or its exits that moves an iterate
+    shows here.  (8, 1, 1.5) converges on no start and warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        xi, converged = _xi_search(m, n, p)
+    assert (xi.hex(), converged) == PINNED_XI[m, n, p]
 
 
 def _roll_energy_and_grad(u, p):
