@@ -17,7 +17,6 @@ Conventions follow the labels used throughout the package:
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
@@ -32,6 +31,7 @@ from .core import (
     Nonlinearity,
     PeriodicSequence,
     Problem,
+    _Record,
     _SEARCH_BLOCKS,
     _block_search,
     _entry_norms,
@@ -83,9 +83,9 @@ def _unit_directions(
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one sampled or optimised hypothesis check."""
+class CheckReport(_Record):
+    """Outcome of one sampled or optimised hypothesis check.  A detail left
+    None is stored as a new empty dict."""
 
     name: str
     verdict: str
@@ -93,7 +93,11 @@ class CheckReport:
     witness: Optional[dict] = None
     samples: int = 0
     seed: Optional[int] = None
-    detail: dict = dataclasses.field(default_factory=dict)
+    detail: Optional[dict] = None
+
+    def __post_init__(self):
+        if self.detail is None:
+            object.__setattr__(self, "detail", {})
 
     def to_dict(self) -> dict:
         return {
@@ -526,8 +530,7 @@ def _coeffs(values, m: int, what: str) -> np.ndarray:
     return arr
 
 
-@dataclasses.dataclass(frozen=True)
-class GrowthProfile:
+class GrowthProfile(_Record):
     """Coefficients of the large-argument lower growth bound of F.
 
     Encodes  F(k, u1, u2) >= alpha1(k)|u1|^s(k) + alpha2(k)|u2|^r(k) + alpha3(k)
@@ -584,8 +587,7 @@ class GrowthProfile:
         return float(self.alpha2.min())
 
 
-@dataclasses.dataclass(frozen=True)
-class BoundProfile:
+class BoundProfile(_Record):
     """Radii and bound for the sign conditions of a bounded potential.
 
     F <= C everywhere; F < 0 on the punctured box 0 < |u1|, |u2| <= rho1;
@@ -608,8 +610,7 @@ class BoundProfile:
             )
 
 
-@dataclasses.dataclass(frozen=True)
-class Thresholds:
+class Thresholds(_Record):
     """Lambda thresholds derived from a problem and its growth profile."""
 
     lambda1: float
@@ -1115,8 +1116,7 @@ def check_b2_b3(
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class LambdaStarEstimate:
+class LambdaStarEstimate(_Record):
     """Sampled estimate of the variational lambda threshold over Y.
 
     estimate is 1 / min_r phi(r) with the convention 1/0 = +inf, where

@@ -23,7 +23,6 @@ rerun with identical inputs produces byte-identical files.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -53,6 +52,7 @@ from .core import (
     PeriodicSequence,
     Problem,
     SolverConfig,
+    _Record,
     _row_norms,
 )
 from .functional import _gradient_fd_rows, gradient
@@ -80,14 +80,16 @@ class ComputationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = {"m", "n", "p", "lambda", "nonlinearity", "solver", "seed", "subspace"}
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
-_SOLVER_FLOATS = {f.name for f in dataclasses.fields(SolverConfig) if f.type == "float"}
+_SOLVER_KEYS = set(SolverConfig._fields)
+_SOLVER_FLOATS = {name for name, kind in SolverConfig.__annotations__.items() if kind == "float"}
 # the built-ins' parameters that take one number per k as a list
 _PER_K_PARAMS = {"power": ("s", "r")}
 
 
-@dataclasses.dataclass(frozen=True)
-class LoadedConfig:
+class LoadedConfig(_Record):
+    """A config file as load_config reads it: the problem, the built-in
+    family it names, the solver settings and the subspace to solve on."""
+
     problem: Problem
     builtin: BuiltinSpec
     solver: SolverConfig
@@ -464,7 +466,7 @@ def cmd_solve(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     try:
-        cfg = dataclasses.replace(loaded.solver, **overrides)
+        cfg = loaded.solver._replace(**overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

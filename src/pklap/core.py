@@ -9,8 +9,8 @@ sequences W and the zero-mean sequences Y.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import inspect
 import math
 import numbers
 from typing import Callable, Optional
@@ -48,8 +48,86 @@ def _as_values(values) -> np.ndarray:
     return arr
 
 
-@dataclasses.dataclass(frozen=True)
-class PeriodicSequence:
+class _Record:
+    """Base of the package's immutable records.
+
+    A record lists its fields as annotations in its class body, in order,
+    and gives a field a default by a value set there.  Construction takes
+    the fields by position or keyword, then calls the class's __post_init__,
+    which may validate and normalise them (with object.__setattr__).
+    Instances refuse assignment and deletion, compare equal when their
+    classes match and each field does (an ndarray field by np.array_equal,
+    any other by ==), and hash over their fields.  _fields and _replace take
+    namedtuple's names; _replace builds a new record, validated anew.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        empty, kind = inspect.Parameter.empty, inspect.Parameter.POSITIONAL_OR_KEYWORD
+        cls.__signature__ = inspect.Signature(
+            [inspect.Parameter(name, kind, default=cls._defaults.get(name, empty)) for name in cls._fields]
+        )
+
+    def __init__(self, *args, **kwargs):
+        fields, values = self._fields, self.__dict__
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments, got {len(args)}")
+        values.update(zip(fields, args))
+        for name in fields[len(args) :]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in self._defaults:
+                values[name] = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(f"{type(self).__name__}() got an unexpected or repeated argument {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # loaded on this error path only
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._fields:
+            a, b = getattr(self, name), getattr(other, name)
+            if a is b:
+                continue
+            arrays = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+            if not (np.array_equal(a, b) if arrays else a == b):
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self._fields))
+
+    def _replace(self, **changes):
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return type(self)(**values)
+
+
+class PeriodicSequence(_Record):
     """An m-periodic sequence of vectors in R^n, stored as an (m, n) array.
 
     Instances are immutable; the backing array is marked read-only.  A 1-D
@@ -94,11 +172,17 @@ class PeriodicSequence:
         """A writable flat copy of the values, row-major over k."""
         return self.values.reshape(-1).copy()
 
+    def _paired(self, other: "PeriodicSequence") -> np.ndarray:
+        """other's values, which must have this sequence's shape (m, n)."""
+        if other.values.shape != self.values.shape:
+            raise ValueError(f"sequence shapes {self.values.shape} and {other.values.shape} differ")
+        return other.values
+
     def __add__(self, other: "PeriodicSequence") -> "PeriodicSequence":
-        return PeriodicSequence(self.values + other.values)
+        return PeriodicSequence(self.values + self._paired(other))
 
     def __sub__(self, other: "PeriodicSequence") -> "PeriodicSequence":
-        return PeriodicSequence(self.values - other.values)
+        return PeriodicSequence(self.values - self._paired(other))
 
     def __mul__(self, scalar) -> "PeriodicSequence":
         return PeriodicSequence(self.values * float(scalar))
@@ -231,16 +315,15 @@ def in_Y(u: PeriodicSequence, tol: float = MEAN_TOL) -> bool:
     return mean_norm <= tol * max(1.0, euclidean_norm(u))
 
 
-@dataclasses.dataclass(frozen=True)
-class ExponentFunction:
+class ExponentFunction(_Record):
     """An m-periodic variable exponent k -> p(k), with every p(k) >= 1.
 
-    all_two records whether every p(k) is exactly 2, where phi_p is the
-    identity and the residual takes the differences themselves as the flux.
+    all_two, an attribute set on construction and not a field, records
+    whether every p(k) is exactly 2, where phi_p is the identity and the
+    residual takes the differences themselves as the flux.
     """
 
     values: np.ndarray
-    all_two: bool = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float).reshape(-1).copy()
@@ -329,8 +412,7 @@ def _stack_periods(m: int, count: int) -> np.ndarray:
     return K[: m * count]
 
 
-@dataclasses.dataclass(frozen=True)
-class Nonlinearity:
+class Nonlinearity(_Record):
     """A discrete potential F(k, u1, u2), m-periodic in k with u1, u2 in R^n,
     given by two array kernels on N pairs (K, U1, U2).
 
@@ -472,8 +554,7 @@ class Nonlinearity:
         return _shifted_back(a) + b
 
 
-@dataclasses.dataclass(frozen=True)
-class Problem:
+class Problem(_Record):
     """One fully specified instance of the periodic difference system.
 
     Couples a period m, component dimension n, a variable exponent p(k),
@@ -512,11 +593,10 @@ class Problem:
         return self.m * self.n
 
     def with_lambda(self, lam: float) -> "Problem":
-        return dataclasses.replace(self, lam=float(lam))
+        return self._replace(lam=float(lam))
 
 
-@dataclasses.dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(_Record):
     """One located critical point together with its verification data.
 
     residual_norm is the Euclidean norm of the full difference-equation
@@ -542,8 +622,7 @@ SUBSPACE_FULL = "H_m"
 SUBSPACE_Y = "Y"
 
 
-@dataclasses.dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Record):
     """Settings shared by every solver of `pklap.solvers`: random starts per
     stage (>= 1), the residual norm a solution must meet, the relative
     distance under which two solutions are one, and the seed of every random
@@ -558,20 +637,20 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if field.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
-                raise TypeError(f"{field.name} must be an integer, got {value!r}")
-            if field.type != "float":
+        for name in self._fields:
+            value, kind = getattr(self, name), self.__annotations__[name]
+            if kind == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if kind != "float":
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{field.name} must be a real number, got {value!r}")
+                raise TypeError(f"{name} must be a real number, got {value!r}")
             try:
                 good = math.isfinite(value) and value > 0
             except OverflowError:
-                raise ValueError(f"{field.name} is an integer too large for a float") from None
+                raise ValueError(f"{name} is an integer too large for a float") from None
             if not good:
-                raise ValueError(f"{field.name} must be finite and positive, got {value!r}")
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
         if not 0 <= self.seed < 2**32:

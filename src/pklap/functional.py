@@ -12,13 +12,12 @@ system and finding critical points are the same task.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 
 import numpy as np
 
-from .core import EvaluationError, PeriodicSequence, Problem, _row_norms, euclidean_norm
+from .core import EvaluationError, PeriodicSequence, Problem, _Record, _row_norms, euclidean_norm
 from .operators import _residual_rows, _stack_pass, residual_values, sequence_values
 
 HESSIAN_STEP_SCALE = 1e-5
@@ -226,8 +225,7 @@ def hessian_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) ->
     return _hessian_rows(u.flat()[None], prob, np.array([step]))[0]
 
 
-@dataclasses.dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(_Record):
     """Eigenvalue signature of the Hessian at a candidate critical point."""
 
     eigenvalues: np.ndarray

@@ -20,14 +20,13 @@ bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Optional
 
 import numpy as np
 
 from .analysis import BoundProfile, GrowthProfile
-from .core import ExponentFunction, Nonlinearity
+from .core import ExponentFunction, Nonlinearity, _Record
 
 
 def _sc(u) -> float:
@@ -35,8 +34,7 @@ def _sc(u) -> float:
     return float(np.asarray(u, dtype=float).reshape(()))
 
 
-@dataclasses.dataclass(frozen=True)
-class BuiltinSpec:
+class BuiltinSpec(_Record):
     """A named built-in potential with whatever profile data applies to it."""
 
     name: str

@@ -14,7 +14,6 @@ module, and are re-exported here.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from typing import Optional, Sequence
@@ -30,6 +29,7 @@ from .core import (
     Problem,
     SolutionRecord,
     SolverConfig,
+    _Record,
     _SEARCH_BLOCKS,
     _block_search,
     _row_norms,
@@ -531,8 +531,7 @@ def mountain_pass(
     return _make_records(prob, x[None], np.array([norm]), [("mountain_pass", None)], cfg)[0]
 
 
-@dataclasses.dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(_Record):
     """Deduplicated, classified solutions of one problem instance.
 
     records are sorted by action value.  y_discrepancies holds points that
@@ -549,8 +548,7 @@ class SolutionSet:
     seed: int = 0
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
     """Per-lambda solution counts over a grid, with the >=3 region estimate."""
 
     lambda_grid: tuple

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import math
 import warnings
@@ -415,7 +414,7 @@ class TestThresholds:
         nl, growth = make_power(8, a=1.0, b=1.0, s=3.0, r=3.0)
         th = thresholds(_problem_from(nl, p=3.0), growth)
         assert calls == []
-        assert [f.name for f in dataclasses.fields(th)] == ["lambda1", "lambda2", "lambda3"]
+        assert th._fields == ("lambda1", "lambda2", "lambda3")
 
     def test_minimum_selection(self):
         nl, _ = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)

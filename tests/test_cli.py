@@ -1,4 +1,3 @@
-import dataclasses
 import filecmp
 import hashlib
 import importlib.util
@@ -764,13 +763,13 @@ class TestRouting:
         spec = make_builtin("example3", 3, {})
         prob = Problem(m=3, n=1, exponent=ExponentFunction.constant(2.0, 3), nonlinearity=spec.nonlinearity, lam=1.0)
         assert cli._routing(prob, spec, None) == [bounded]
-        bare = dataclasses.replace(spec, bounds=None)
+        bare = spec._replace(bounds=None)
         assert cli._routing(prob, bare, None) == [
             {"route": "none", "reason": "no growth or bound profile available", "lambda_interval": None}
         ]
         # a family with both profiles gets its growth route, then the bounded one
         power = make_builtin("power", 3, {"a": 1.0, "b": 1.0, "s": 2.0, "r": 2.0})
-        both = dataclasses.replace(power, bounds=spec.bounds)
+        both = power._replace(bounds=spec.bounds)
         thr = analysis.thresholds(prob, power.growth)
         assert cli._routing(prob, both, thr) == [
             {"route": "above_lambda3", "reason": "s_min = r_min = p_plus = 2.0", "lambda_interval": [3.0, math.inf]},
@@ -1031,7 +1030,7 @@ class TestGradcheck:
             F2, F3 = real.nonlinearity.dF(K, U1, U2)
             return F2, scale * F3
 
-        broken_nl = dataclasses.replace(real.nonlinearity, dF=dF)
+        broken_nl = real.nonlinearity._replace(dF=dF)
         broken = BuiltinSpec(
             real.name, real.params, broken_nl, growth=real.growth
         )

@@ -1,7 +1,7 @@
 import ast
-import dataclasses
 import functools
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +77,27 @@ class TestPeriodicSequence:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PeriodicSequence(np.array([1.0, np.nan]))
+
+    def test_equal_values_compare_equal(self):
+        """Two sequences holding equal arrays, not one array object, compare
+        by value, and so do the records that hold them; hashing an array
+        field still raises."""
+        a, b = PeriodicSequence(np.zeros((3, 1))), PeriodicSequence(np.zeros((3, 1)))
+        assert a == b
+        assert a != PeriodicSequence(np.ones((3, 1)))
+        assert a != PeriodicSequence(np.zeros((3, 2)))
+        assert ExponentFunction.constant(2.0, 3) == ExponentFunction.constant(2.0, 3)
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_arithmetic_rejects_another_shape(self):
+        a = PeriodicSequence(np.ones((2, 1)))
+        for other in (PeriodicSequence(np.ones((2, 2))), PeriodicSequence(np.ones((3, 1)))):
+            shapes = f"{a.values.shape} and {other.values.shape}"
+            with pytest.raises(ValueError, match=re.escape(shapes)):
+                a + other
+            with pytest.raises(ValueError, match=re.escape(shapes)):
+                a - other
 
 
 def test_euclidean_norm_oracle():
@@ -290,16 +311,15 @@ class TestNonlinearity:
     def test_non_finite_direct_formula_is_rejected(self):
         """An f_direct that is NaN at every check point does not pass."""
         nl = make_builtin("example1", 4, {}).nonlinearity
-        nl = dataclasses.replace(nl, f_direct=lambda k, u1, u2, u3: np.full(1, np.nan))
+        nl = nl._replace(f_direct=lambda k, u1, u2, u3: np.full(1, np.nan))
         with pytest.raises(ValueError, match="not finite at 100 of 100 check points"):
             check_assembly(nl)
 
     def test_replace_swaps_the_kernels(self):
-        """dataclasses.replace of F and dF reaches F_many and coupling,
+        """_replace of F and dF reaches F_many and coupling,
         bitwise the new formula and a loop over F_at and f."""
         w, old = _WEIGHTS, _bilinear_nl("arrays", None)
-        nl = dataclasses.replace(
-            old,
+        nl = old._replace(
             F=lambda K, U1, U2: w[K - 1] * U1[:, 0] ** 2 * U2[:, 0],
             dF=lambda K, U1, U2: (2.0 * w[K - 1, None] * U1 * U2, w[K - 1, None] * U1**2),
         )
@@ -384,6 +404,13 @@ class TestProblem:
         moved = prob.with_lambda(2.5)
         assert moved.lam == 2.5
         assert prob.lam == 1.0
+
+    def test_problems_built_alike_compare_equal(self):
+        """Equal exponent arrays and one nonlinearity make equal problems."""
+        nl = _linear_nl(3)
+        prob = Problem(3, 1, ExponentFunction.constant(2.0, 3), nl, 1.0)
+        assert prob == Problem(3, 1, ExponentFunction.constant(2.0, 3), nl, 1.0)
+        assert prob != prob.with_lambda(2.0)
 
     def test_period_mismatch_rejected(self):
         nl = _linear_nl(3)

@@ -7,7 +7,6 @@ _morse_summaries classifies are exactly the records returned, and the
 solution sets are bitwise those that were built from a record per candidate.
 """
 
-import dataclasses
 import hashlib
 import os
 import warnings
@@ -73,8 +72,8 @@ def _digest(sol) -> str:
     h = hashlib.sha256()
     for group in (sol.records, sol.y_discrepancies):
         for rec in group:
-            for field in dataclasses.fields(rec):
-                h.update(field.name.encode() + b"=" + _field_bytes(getattr(rec, field.name)) + b";")
+            for name in rec._fields:
+                h.update(name.encode() + b"=" + _field_bytes(getattr(rec, name)) + b";")
         h.update(b"#")
     h.update(repr(sol.symmetry_ok).encode())
     return h.hexdigest()
