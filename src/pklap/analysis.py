@@ -222,17 +222,17 @@ def _c_witness(u: np.ndarray, s, lhs: float, rhs: float) -> dict:
 
 
 def check_c1(u: PeriodicSequence, s: float, slack: float = INEQUALITY_SLACK) -> CheckReport:
-    """sum_k |u(k)|^s <= m * ||u||^s for any s > 0."""
-    if not s > 0:
-        raise ValueError(f"C.1 requires s > 0, got {s}")
+    """sum_k |u(k)|^s <= m * ||u||^s for any finite s > 0."""
+    if not 0 < s < math.inf:
+        raise ValueError(f"C.1 requires a finite s > 0, got s = {s}")
     margin, lhs, rhs = (x.item() for x in _c1_rows(u.values[None], np.array([s], dtype=float)))
     return _inequality_report("C.1", margin, slack, _c_witness(u.values, s, lhs, rhs))
 
 
 def check_c2(u: PeriodicSequence, s: float, slack: float = INEQUALITY_SLACK) -> CheckReport:
-    """sum_k |u(k)|^s >= m^((2-s)/2) * ||u||^s for s >= 2."""
-    if s < 2:
-        raise ValueError(f"C.2 requires s >= 2, got {s}")
+    """sum_k |u(k)|^s >= m^((2-s)/2) * ||u||^s for any finite s >= 2."""
+    if not 2 <= s < math.inf:
+        raise ValueError(f"C.2 requires a finite s >= 2, got s = {s}")
     margin, lhs, rhs = (x.item() for x in _c2_rows(u.values[None], np.array([s], dtype=float)))
     return _inequality_report("C.2", margin, slack, _c_witness(u.values, s, lhs, rhs))
 
@@ -245,18 +245,22 @@ def check_c3(u: PeriodicSequence, p: ExponentFunction, slack: float = INEQUALITY
     return _inequality_report("C.3", margin, slack, _c_witness(u.values, None, lhs, rhs))
 
 
-def _sampled_c_reports(prob: Problem, seed: int, count: int = 300) -> list[CheckReport]:
-    """C.1 - C.3 over seeded random samples, each reported by _worst_report
-    at INEQUALITY_SLACK.
+# the number of samples of the sampled C.1 - C.3
+_C_SAMPLES = 300
+
+
+def _sampled_c_reports(prob: Problem, seed: int) -> list[CheckReport]:
+    """C.1 - C.3 over _C_SAMPLES seeded random samples, each reported by
+    _worst_report at INEQUALITY_SLACK.
 
     The samples come from one generator, rng_for(seed, 41): their scales,
     their sequences and then their two exponents are drawn with one array
     call each, and the inequalities are evaluated on all samples at once.
     """
     rng = rng_for(seed, 41)
-    scale = 10.0 ** rng.uniform(-2.0, 2.0, size=count)
-    u = scale[:, None, None] * rng.normal(size=(count, prob.m, prob.n))
-    d = rng.random((2, count))
+    scale = 10.0 ** rng.uniform(-2.0, 2.0, size=_C_SAMPLES)
+    u = scale[:, None, None] * rng.normal(size=(_C_SAMPLES, prob.m, prob.n))
+    d = rng.random((2, _C_SAMPLES))
     s1, s2 = 0.5 + 5.5 * d[0], 2.0 + 4.0 * d[1]
     sides = {
         "C.1": (_c1_rows(u, s1), s1),
@@ -269,7 +273,7 @@ def _sampled_c_reports(prob: Problem, seed: int, count: int = 300) -> list[Check
             margins,
             INEQUALITY_SLACK,
             lambda i: _c_witness(u[i], None if s is None else s[i], lhs[i], rhs[i]),
-            count,
+            _C_SAMPLES,
             seed,
         )
         for name, ((margins, lhs, rhs), s) in sides.items()
@@ -409,54 +413,42 @@ def _xi_descent(u0: np.ndarray, p_plus: float, tol: float, max_iter: int):
     return val, converged
 
 
-def xi_constant(
-    m: int,
-    n: int = 1,
-    p_plus: float = 2.0,
-    method: str = "auto",
-    starts: int = 32,
-    tol: float = 1e-10,
-    seed: int = 0,
-    max_iter: int = 5000,
-) -> float:
+# The descent's one setting: its starts, drawn from rng_for(_XI_SEED, m, n),
+# its gradient tolerance and its cap on steps.
+_XI_STARTS = 32
+_XI_TOL = 1e-10
+_XI_MAX_ITER = 5000
+_XI_SEED = 0
+
+
+def xi_constant(m: int, n: int = 1, p_plus: float = 2.0) -> float:
     """Best constant xi with sum_k |Delta u(k)|^p_plus >= xi * ||u||^p_plus on zero-mean u.
 
-    Computed as the minimum of the difference energy over the unit sphere of
-    the zero-mean subspace, by gradient descent preconditioned with the
-    inverse cycle Laplacian from `starts` random starts (at least 1), all
-    run at once as one stacked array, their Armijo line-search trials
-    evaluated in blocks (_xi_descent).  Four cases have a closed form,
-    which "auto" returns directly.  For p_plus = 2 the minimum is the
-    smallest nonzero eigenvalue of the cycle Laplacian, lambda1 =
-    2 - 2*cos(2*pi/m).  At m = 2 (the sphere is u = +-(v, -v), and
-    xi = 2^(1 + p_plus/2) at every n), and for p_plus > 2 at m = 4
-    (attained by u = (1, 0, -1, 0) / sqrt(2), xi = 4 * 2^(-p_plus/2)) and
-    at n >= 2 (attained by u(k) = (cos 2 pi k/m, sin 2 pi k/m, 0, ...)), xi
-    is the power-mean bound m^(1 - p_plus/2) lambda1^(p_plus/2), computed
-    as m (lambda1/m)^(p_plus/2) by C pow; where that is not a normal double
-    (at m = 2 from p_plus = 2046 on, where it overflows, and at m = 4 from
-    p_plus = 2048 on, where it underflows) the descent runs.
-    Pass method="optimize" to force the optimizer (the closed form then
-    serves as its cross-check).  n must be >= 1 and p_plus finite and
-    >= 1.  When no start meets the gradient tolerance a RuntimeWarning is
-    issued and the best value found, an upper bound on the sharp constant,
-    is returned.  The descent runs once per process for each (m, n,
-    p_plus, starts, tol, seed, max_iter): a repeated call returns its
-    result again, bit for bit, and repeats its warning.
+    Four cases have a closed form, which is returned directly.  For
+    p_plus = 2 the minimum is the smallest nonzero eigenvalue of the cycle
+    Laplacian, lambda1 = 2 - 2*cos(2*pi/m).  At m = 2 (the sphere is
+    u = +-(v, -v), and xi = 2^(1 + p_plus/2) at every n), and for
+    p_plus > 2 at m = 4 (attained by u = (1, 0, -1, 0) / sqrt(2),
+    xi = 4 * 2^(-p_plus/2)) and at n >= 2 (attained by u(k) =
+    (cos 2 pi k/m, sin 2 pi k/m, 0, ...)), xi is the power-mean bound
+    m^(1 - p_plus/2) lambda1^(p_plus/2), computed as m (lambda1/m)^(p_plus/2)
+    by C pow.  Otherwise, and where that is not a normal double (at m = 2
+    from p_plus = 2046 on, where it overflows, and at m = 4 from
+    p_plus = 2048 on, where it underflows), xi is the minimum of the
+    difference energy over the unit sphere of the zero-mean subspace, found
+    by gradient descent preconditioned with the inverse cycle Laplacian
+    from 32 random starts, all run at once as one stacked array, their
+    Armijo line-search trials evaluated in blocks (_xi_descent).  n must be
+    >= 1 and p_plus finite and >= 1.  When no start meets the gradient
+    tolerance a RuntimeWarning is issued and the best value found, an upper
+    bound on the sharp constant, is returned.  The descent runs once per
+    process for each (m, n, p_plus): a repeated call returns its result
+    again, bit for bit, and repeats its warning.
     """
-    return _xi_search(m, n, p_plus, method, starts, tol, seed, max_iter)[0]
+    return _xi_search(m, n, p_plus)[0]
 
 
-def _xi_search(
-    m: int,
-    n: int = 1,
-    p_plus: float = 2.0,
-    method: str = "auto",
-    starts: int = 32,
-    tol: float = 1e-10,
-    seed: int = 0,
-    max_iter: int = 5000,
-) -> tuple[float, bool]:
+def _xi_search(m: int, n: int = 1, p_plus: float = 2.0) -> tuple[float, bool]:
     """xi_constant's value together with whether any start converged.
 
     When none did, the value is only an upper bound on the sharp constant
@@ -468,14 +460,10 @@ def _xi_search(
         raise ValueError(f"dimension n must be >= 1, got {n}")
     if not p_plus >= 1.0 or math.isinf(p_plus):
         raise ValueError(f"exponent must be finite and >= 1, got {p_plus}")
-    if method not in ("auto", "optimize"):
-        raise ValueError(f"unknown method {method!r}")
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
     lambda1 = 2.0 - 2.0 * math.cos(2.0 * math.pi / m)
-    if p_plus == 2.0 and method == "auto":
+    if p_plus == 2.0:
         return lambda1, True
-    if method == "auto" and (m == 2 or ((n >= 2 or m == 4) and p_plus > 2.0)):
+    if m == 2 or ((n >= 2 or m == 4) and p_plus > 2.0):
         # the power-mean bound m^(1 - p/2) lambda1^(p/2) is attained where a
         # lambda1-eigenvector has all |Delta u(k)| equal: at m = 2 every
         # u = +-(v, -v) on the sphere, at m = 4 u = (1, 0, -1, 0) / sqrt(2)
@@ -487,9 +475,7 @@ def _xi_search(
         if np.finfo(float).tiny <= closed < math.inf:
             return closed, True
 
-    xi, converged = _xi_minimum(
-        operator.index(m), operator.index(n), float(p_plus), starts, float(tol), seed, max_iter
-    )
+    xi, converged = _xi_minimum(operator.index(m), operator.index(n), float(p_plus))
     if not converged:
         warnings.warn(
             "xi_constant: no start met the gradient tolerance; returning the "
@@ -501,15 +487,13 @@ def _xi_search(
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _xi_minimum(
-    m: int, n: int, p_plus: float, starts, tol: float, seed, max_iter
-) -> tuple[float, bool]:
+def _xi_minimum(m: int, n: int, p_plus: float) -> tuple[float, bool]:
     """The least value of the descent from xi_constant's starts, and whether
-    any start converged.  xi depends on (m, n, p_plus) and the search
-    settings alone, so the descent runs once per key per process; the
-    caller warns on every call whose result did not converge."""
-    u0 = _unit_directions(rng_for(seed, m, n), starts, (m, n), zero_mean=True)
-    vals, converged = _xi_descent(u0, p_plus, tol, max_iter)
+    any start converged.  xi depends on (m, n, p_plus) alone, so the
+    descent runs once per key per process; the caller warns on every call
+    whose result did not converge."""
+    u0 = _unit_directions(rng_for(_XI_SEED, m, n), _XI_STARTS, (m, n), zero_mean=True)
+    vals, converged = _xi_descent(u0, p_plus, _XI_TOL, _XI_MAX_ITER)
     return float(vals.min()), bool(converged.any())
 
 
@@ -794,12 +778,15 @@ def check_growth(
     return reports
 
 
+# the half-width of the box on which A.7 samples F <= C
+_A7_BOX = 1e3
+
+
 def check_bounds(
     nl: Nonlinearity,
     b: BoundProfile,
     sample_budget: int = 4000,
     seed: int = 0,
-    box_halfwidth: float = 1e3,
 ) -> list[CheckReport]:
     """Sampled verification of the bound and sign conditions A.7 - A.9.
 
@@ -807,17 +794,17 @@ def check_bounds(
     merely touches zero on the sampled region still passes.  Each condition
     draws from its own seeded generator: its periods, its magnitudes or box
     coordinates, and its orientations with one array call each, the same
-    calls at every n (_signed_samples; A.7 draws its box with one
-    rng.uniform call, which raises OverflowError on an infinite box).  F is
-    evaluated on each condition's samples with one call of the family's F
-    kernel (Nonlinearity._F_points).
+    calls at every n (_signed_samples; A.7 draws its box, |u1|, |u2| <=
+    _A7_BOX in each coordinate, with one rng.uniform call).  F is evaluated
+    on each condition's samples with one call of the family's F kernel
+    (Nonlinearity._F_points).
     """
     count = max(sample_budget, 100)
 
     # A.7: F <= C on a large box.
     rng = rng_for(seed, 7)
     K = rng.integers(1, nl.m + 1, size=count)
-    U = rng.uniform(-box_halfwidth, box_halfwidth, size=(2, count, nl.n))
+    U = rng.uniform(-_A7_BOX, _A7_BOX, size=(2, count, nl.n))
     a7 = _sampled_condition("A.7", nl, K, U, seed, lambda F: (b.C - F, {"F": F}))
 
     # A.8: F < 0 for 0 < |u1|, |u2| <= rho1.
@@ -882,46 +869,39 @@ def _structured_rays(m: int, n: int) -> np.ndarray:
     return rays.reshape(-1, m * n)
 
 
-def anticoercivity_probe(
-    prob: Problem,
-    directions: int = 32,
-    radii: Sequence[float] = (1.0, 10.0, 100.0, 1000.0),
-    seed: int = 0,
-    drop_margin: float = 1.0,
-) -> CheckReport:
+# the radii t at which the probe evaluates the action along each ray, and
+# by how much its last value must undercut its first
+_PROBE_RADII = (1.0, 10.0, 100.0, 1000.0)
+_PROBE_DROP = 1.0
+
+
+def anticoercivity_probe(prob: Problem, directions: int = 32, seed: int = 0) -> CheckReport:
     """Probe whether the action falls off to -infinity along rays.
 
-    Evaluates the action at t*d for the given increasing radii t and each
-    unit direction d of one pool, all in one stacked call: the sampled
-    directions, then the fixed structured rays (_structured_rays), such as
-    the coordinate rays on which example2 fails while random directions
-    almost surely pass.  A direction passes when the values strictly
-    decrease from the second radius onward and the last value undercuts the
-    first by drop_margin.  Overflow of the potential at large radii counts
-    as decrease (the ray provides -infinity evidence); overflow of the
-    Dirichlet term mu does not.  The report reads the rays in pool order
-    and stops at the first that fails; its witness says whether that ray is
-    structured.  samples counts both sets, detail["structured"] the
-    structured rays, and detail["overflow"] whether any value read was
-    non-finite.  Raises ValueError when the radii are not finite and
-    strictly increasing or when directions is negative.
+    Evaluates the action at t*d for the radii t = 1, 10, 100 and 1000
+    (_PROBE_RADII) and each unit direction d of one pool, all in one stacked
+    call: the sampled directions, then the fixed structured rays
+    (_structured_rays), such as the coordinate rays on which example2 fails
+    while random directions almost surely pass.  A direction passes when the
+    values strictly decrease from the second radius onward and the last
+    value undercuts the first by 1 (_PROBE_DROP).  Overflow of the potential
+    at large radii counts as decrease (the ray provides -infinity evidence);
+    overflow of the Dirichlet term mu does not.  The report reads the rays
+    in pool order and stops at the first that fails; its witness says
+    whether that ray is structured.  samples counts both sets,
+    detail["structured"] the structured rays, and detail["overflow"]
+    whether any value read was non-finite.  Raises ValueError when
+    directions is negative.
     """
-    radii = [float(t) for t in radii]
-    if (
-        len(radii) < 2
-        or not all(math.isfinite(t) for t in radii)
-        or any(b <= a for a, b in zip(radii, radii[1:]))
-    ):
-        raise ValueError("radii must be finite and strictly increasing with at least two entries")
     if directions < 0:
         raise ValueError(f"directions must be >= 0, got {directions}")
     sampled = _unit_directions(rng_for(seed, 17), directions, (prob.m, prob.n)).reshape(-1, prob.dim)
     structured = _structured_rays(prob.m, prob.n)
     rays = np.concatenate((sampled, structured))
-    vals = _action_or_limit_rows(np.array(radii)[None, :, None] * rays[:, None, :], prob)
-    vals = vals.reshape(len(rays), len(radii))
+    vals = _action_or_limit_rows(np.array(_PROBE_RADII)[None, :, None] * rays[:, None, :], prob)
+    vals = vals.reshape(len(rays), len(_PROBE_RADII))
     with np.errstate(invalid="ignore"):  # inf - inf where mu overflows at both ends
-        drops = vals[:, 0] - vals[:, -1] - drop_margin
+        drops = vals[:, 0] - vals[:, -1] - _PROBE_DROP
     tail = vals[:, 2:]
     falls = ((tail < vals[:, 1:-1]) | (tail == -math.inf)).all(axis=1) & (drops > 0.0)
     failing = np.flatnonzero(~falls)
@@ -943,7 +923,7 @@ def anticoercivity_probe(
         min(float(np.min(drops[:i], initial=math.inf)), drop if math.isfinite(drop) else 0.0),
         witness={
             "direction": rays[i].copy(),
-            "radii": list(radii),
+            "radii": list(_PROBE_RADII),
             "values": vals[i].tolist(),
             "structured": i >= directions,
         },
@@ -1038,12 +1018,15 @@ def _first_min(j0: float, vals: np.ndarray, points: np.ndarray) -> tuple[float, 
     return float(vals[i]), None if i == 0 else points.reshape(-1, *points.shape[-2:])[i - 1]
 
 
+# how far past its direction's level radius B.2's global sample reaches
+_B2_EXPAND = 5.0
+
+
 def check_b2_b3(
     prob: Problem,
     r: float,
     sample_budget: int = 2000,
     seed: int = 0,
-    expand: float = 5.0,
 ) -> tuple[CheckReport, CheckReport]:
     """Monte-Carlo checks of the two strict inequalities behind the
     three-solution regime for bounded potentials, over the zero-mean
@@ -1065,10 +1048,13 @@ def check_b2_b3(
     strict inequality: a margin of exactly 0 is a violation.  A
     direction whose level radius overflows raises an EvaluationError that
     names it, after the directions before it are evaluated, so their
-    failures come first.  Raises ValueError unless r is positive and finite.
+    failures come first.  Raises ValueError unless r is positive and finite
+    and sample_budget >= 0.
     """
     if not 0 < r < math.inf:
         raise ValueError(f"sublevel radius r must be positive and finite, got {r}")
+    if sample_budget < 0:
+        raise ValueError(f"sample_budget must be >= 0, got {sample_budget}")
     ndirs = max(8, int(math.sqrt(sample_budget)))
     per_dir = max(4, sample_budget // ndirs)
     rng = rng_for(seed, 23)
@@ -1085,7 +1071,7 @@ def check_b2_b3(
     t = np.empty((count, 2 * per_dir + 1))
     t[:, 0] = radii[:count]
     t[:, 1::2] = draws[:count, 0::2] * radii[:count, None]
-    t[:, 2::2] = draws[:count, 1::2] * expand * radii[:count, None]
+    t[:, 2::2] = draws[:count, 1::2] * _B2_EXPAND * radii[:count, None]
     points = t[:, :, None, None] * V[:count, None]
     _, vals = _stack_values(points.reshape(-1, prob.m, prob.n), prob)
     if overflow is not None:
@@ -1163,11 +1149,13 @@ def lambda_star_estimate(
     or at an interior point.  A sample whose level radius overflows raises
     an EvaluationError that names it and r, after the samples before it
     are evaluated.  Raises ValueError unless every radius of r_grid is
-    positive and finite.
+    positive and finite and samples_per_r >= 1.
     """
     r_grid = [float(r) for r in r_grid]
     if not r_grid or not all(0 < r < math.inf for r in r_grid):
         raise ValueError("r_grid must contain positive finite radii")
+    if samples_per_r < 1:
+        raise ValueError(f"samples_per_r must be >= 1, got {samples_per_r}")
     phi_values = []
     sup_values = []
     for ir, r in enumerate(r_grid):

@@ -27,7 +27,7 @@ from pklap.analysis import (
     xi_constant,
 )
 import pklap.analysis as analysis
-from pklap.analysis import _action_or_limit_rows, _worst_report, _xi_search
+from pklap.analysis import _action_or_limit_rows, _worst_report, _xi_minimum, _xi_search
 from pklap.core import ExponentFunction, Nonlinearity, PeriodicSequence, Problem
 from pklap.functional import action
 from pklap.nonlinearities import make_example1, make_example3, make_power
@@ -118,6 +118,14 @@ class TestNormComparisons:
         with pytest.raises(ValueError):
             check_c3(u, ExponentFunction.constant(2.0, 3))
 
+    @pytest.mark.parametrize("check", [check_c1, check_c2])
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_exponent_is_rejected(self, check, s):
+        """A NaN or infinite s decides nothing; it is rejected by name
+        rather than reported inconclusive with a NaN margin."""
+        with pytest.raises(ValueError, match=rf"finite s .* got s = {s}"):
+            check(PeriodicSequence(np.array([1.0, 2.0])), s)
+
 
 class TestXiConstant:
     def test_closed_form_for_quadratic(self):
@@ -129,22 +137,18 @@ class TestXiConstant:
     def test_optimizer_agrees_with_eigenvalue(self):
         for m in (2, 3, 5):
             direct = xi_constant(m)
-            opt = xi_constant(m, method="optimize", starts=8)
+            opt, _ = _xi_minimum(m, 1, 2.0)
             assert opt == pytest.approx(direct, abs=1e-7)
 
     def test_two_point_closed_form_general_p(self):
         # m = 2 forces u = +-(v, -v); the quotient is 2^(1 + p/2) exactly
-        assert xi_constant(2, p_plus=2.5, starts=8) == pytest.approx(
-            2.0**2.25, abs=1e-7
-        )
-        assert xi_constant(2, p_plus=3.0, starts=8) == pytest.approx(
-            2.0**2.5, abs=1e-7
-        )
+        assert xi_constant(2, p_plus=2.5) == pytest.approx(2.0**2.25, abs=1e-7)
+        assert xi_constant(2, p_plus=3.0) == pytest.approx(2.0**2.5, abs=1e-7)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("pp", [1.5, 3.0, 60.0, 1100.0, 2045.0])
     def test_two_point_value_is_returned_in_closed_form(self, n, pp):
-        """At m = 2, "auto" returns 2^(1 + p/2) by C pow at every n, without
+        """At m = 2, xi_constant returns 2^(1 + p/2) by C pow at every n, without
         a descent, converged and bit for bit."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -156,14 +160,14 @@ class TestXiConstant:
         """From p = 2046 on 2^(1 + p/2) overflows, and the descent runs."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            xi, _ = _xi_search(2, 1, 2046.0, starts=2)
+            xi, _ = _xi_search(2, 1, 2046.0)
         assert xi == math.inf
         assert [str(w.message)[:31] for w in caught] == ["xi_constant: no start met the g"]
 
     def test_inequality_on_samples(self):
         rng = np.random.default_rng(2)
         for m, pp in ((3, 2.5), (4, 3.0)):
-            xi = xi_constant(m, p_plus=pp, starts=8)
+            xi = xi_constant(m, p_plus=pp)
             for _ in range(100):
                 v = rng.normal(size=(m, 1))
                 v -= v.mean(axis=0)
@@ -204,28 +208,22 @@ class TestXiConstant:
         ],
     )
     def test_pinned_values(self, m, n, pp, expected):
-        # exact values of the descent at the default seed and starts; any
-        # change to its arithmetic or to the start draws moves them ("auto"
-        # gives n >= 2 in closed form, 1 ulp above at (5, 2, 3))
-        assert xi_constant(m, n, pp, method="optimize") == expected
+        # exact values of the descent from its 32 starts at seed 0; any
+        # change to its arithmetic or to the start draws moves them
+        # (xi_constant gives n >= 2 in closed form, 1 ulp above at (5, 2, 3))
+        assert _xi_minimum(m, n, pp)[0] == expected
 
     def test_unconverged_descent_warns_and_returns_best(self):
+        # at (8, 1, 1.5) no start meets the tolerance in 5000 steps
         with pytest.warns(RuntimeWarning, match="no start met the gradient tolerance"):
-            xi = xi_constant(8, 1, 3.0, max_iter=1)
-        assert xi == 0.44919997123659683
+            xi = xi_constant(8, 1, 1.5)
+        assert xi == 1.019208484443189
 
     def test_validation(self):
         with pytest.raises(ValueError):
             xi_constant(1)
-        for starts in (0, -3):
-            with pytest.raises(ValueError, match="starts"):
-                xi_constant(8, p_plus=3.0, starts=starts)
         with pytest.raises(ValueError):
             xi_constant(3, p_plus=0.5)
-        with pytest.raises(ValueError):
-            xi_constant(3, method="nope")
-        with pytest.raises(ValueError, match="unknown method 'eigen'"):
-            xi_constant(3, p_plus=2.5, method="eigen")
 
     def test_zero_dimension_raises(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -257,7 +255,7 @@ def test_xi_is_never_below_the_power_mean_bound(m, n, p):
     with warnings.catch_warnings():
         # near p = 2 at n >= 2 the descent can end unconverged, which warns
         warnings.simplefilter("ignore", RuntimeWarning)
-        xi, _ = _xi_search(m, n, p, method="optimize")
+        xi, _ = _xi_minimum(m, n, p)
     assert math.log(xi) >= _log_power_mean_bound(m, p) - 1e-12
 
 
@@ -266,8 +264,8 @@ def test_xi_is_never_below_the_power_mean_bound(m, n, p):
 @pytest.mark.parametrize("m", [3, 5, 8, 12])
 def test_xi_meets_the_power_mean_bound_at_two_or_more_components(m, n, p):
     """At n >= 2 the bound is attained, by u(k) = (cos 2 pi k/m, sin 2 pi k/m, 0, ...)
-    normalised, so the descent converges to L itself, and "auto" returns L."""
-    xi, converged = _xi_search(m, n, p, method="optimize")
+    normalised, so the descent converges to L itself, and xi_constant returns L."""
+    xi, converged = _xi_minimum(m, n, p)
     assert converged
     assert abs(math.log(xi) - _log_power_mean_bound(m, p)) <= 1e-12
     closed, converged = _xi_search(m, n, p)
@@ -277,7 +275,7 @@ def test_xi_meets_the_power_mean_bound_at_two_or_more_components(m, n, p):
 
 @pytest.mark.parametrize("m, n, p", [(4, 2, 2.00001), (12, 3, 60.0), (3, 2, 1100.0)])
 def test_xi_at_two_or_more_components_is_the_bound_in_closed_form(m, n, p):
-    """Under "auto", L = m (lambda1/m)^(p/2) by C pow, converged and without
+    """xi_constant takes L = m (lambda1/m)^(p/2) by C pow, converged and without
     a descent: at (4, 2, 2.00001) the descent runs all 5000 rounds and ends
     unconverged 1.6e-9 above L, and at m = 3, where lambda1 = m, L stays
     near 3 at any p while m^(1 - p/2) alone would underflow."""
@@ -296,7 +294,7 @@ def test_xi_at_two_or_more_components_is_the_bound_in_closed_form(m, n, p):
 def test_xi_at_period_four_is_the_bound_in_closed_form(p, expected):
     """At m = 4 and n = 1, u = (1, 0, -1, 0) / sqrt(2) has |Delta u(k)| =
     1/sqrt(2) at every k, so it attains L = 4 (lambda1/4)^(p/2), about
-    4 * 2^(-p/2).  Under "auto" that value is returned, converged, without
+    4 * 2^(-p/2).  xi_constant returns that value, converged, without
     a descent; at (4, 1, 1100) the descent returned 3.49e-120, marked
     converged, 45 orders above L."""
     with warnings.catch_warnings():
@@ -309,31 +307,29 @@ def test_xi_at_period_four_is_the_bound_in_closed_form(p, expected):
 
 
 def test_xi_descent_at_period_four_meets_the_closed_form():
-    """The descent, forced with method="optimize", converges to within
-    1e-12 of the closed form at (4, 1, 3)."""
+    """The descent, run directly, converges to within 1e-12 of the closed
+    form at (4, 1, 3)."""
     closed = xi_constant(4, 1, 3.0)
-    xi, converged = _xi_search(4, 1, 3.0, method="optimize")
+    xi, converged = _xi_minimum(4, 1, 3.0)
     assert converged and abs(xi - closed) <= 1e-12 * closed
 
 
 def test_xi_descent_at_a_huge_exponent_is_quiet():
-    """At (4, 1, 1100) the descent's gradient norms overflow; forced with
-    method="optimize" ("auto" no longer runs it there) it shows no numpy
-    warning, and it ends no lower than the closed form."""
+    """At (4, 1, 1100) the descent's gradient norms overflow; run directly
+    (xi_constant takes the closed form there) it shows no numpy warning,
+    and it ends no lower than the closed form."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        xi, _ = _xi_search(4, 1, 1100.0, method="optimize")
+        xi, _ = _xi_minimum(4, 1, 1100.0)
     assert xi >= xi_constant(4, 1, 1100.0)
 
 
 def test_xi_bound_below_the_normal_doubles_falls_back_to_the_descent():
-    """At (8, 2, 2000) L is about 1e-1130, below every double, and "auto"
-    runs the descent, as method="optimize" does."""
+    """At (8, 2, 2000) L is about 1e-1130, below every double, and
+    xi_constant runs the descent."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert _xi_search(8, 2, 2000.0, starts=2, max_iter=3) == _xi_search(
-            8, 2, 2000.0, method="optimize", starts=2, max_iter=3
-        )
+        assert _xi_search(8, 2, 2000.0) == _xi_minimum(8, 2, 2000.0)
 
 
 class TestProfiles:
@@ -537,22 +533,6 @@ class TestCheckBounds:
 
 
 class TestAnticoercivityProbe:
-    def test_radii_validation(self):
-        nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
-        prob = _problem_from(nl)
-        with pytest.raises(ValueError):
-            anticoercivity_probe(prob, radii=(1.0,))
-        with pytest.raises(ValueError):
-            anticoercivity_probe(prob, radii=(1.0, 1.0, 2.0))
-
-    @pytest.mark.parametrize("radii", [(math.nan, 1.0, 2.0), (1.0, math.nan), (1.0, 10.0, math.inf)])
-    def test_non_finite_radii_are_rejected(self, radii):
-        """A NaN radius passes the strictly-increasing test and its ray
-        point counts as J = +inf; an infinite radius gives no ray point."""
-        nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
-        with pytest.raises(ValueError, match="finite"):
-            anticoercivity_probe(_problem_from(nl), radii=radii)
-
     def test_negative_directions_are_rejected(self):
         nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
         with pytest.raises(ValueError, match="directions"):
@@ -627,6 +607,11 @@ class TestCheckB2B3:
             with pytest.raises(ValueError):
                 check_b2_b3(_problem_from(nl), r=r)
 
+    def test_negative_sample_budget_is_rejected(self):
+        nl, _ = make_example3(2)
+        with pytest.raises(ValueError, match="sample_budget must be >= 0, got -5"):
+            check_b2_b3(_problem_from(nl), r=0.5, sample_budget=-5)
+
 
 class TestOneVerdictRule:
     def test_reports_are_built_in_three_places(self):
@@ -663,6 +648,14 @@ class TestLambdaStar:
             lambda_star_estimate(prob, [])
         with pytest.raises(ValueError):
             lambda_star_estimate(prob, [0.5, -1.0])
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sample_count_below_one_is_rejected(self, count):
+        """Zero samples gave an estimate of inf from nothing, and a negative
+        count failed inside numpy."""
+        nl, _ = make_example3(2)
+        with pytest.raises(ValueError, match=f"samples_per_r must be >= 1, got {count}"):
+            lambda_star_estimate(_problem_from(nl), [0.5], samples_per_r=count)
 
     def test_flat_potential_gives_infinity(self):
         with pytest.warns(RuntimeWarning, match="vanishing alpha"):

@@ -1,6 +1,6 @@
 """Work paid once per process: the CLI parser, the xi descent per (m, n,
-p_plus) and its search settings, and the random starts of a solver stage
-per (seed, starts, dim, stage key).
+p_plus), and the random starts of a solver stage per (seed, starts, dim,
+stage key).
 
 Each cache must return what a fresh computation returns, bit for bit, keep
 every warning and error of the uncached path, and leave every output file
@@ -39,9 +39,11 @@ def descents(monkeypatch, cold_caches):
     return calls
 
 
-def _fresh_xi(m, n, p, starts=32, tol=1e-10, seed=0, max_iter=5000):
-    u0 = analysis._unit_directions(analysis.rng_for(seed, m, n), starts, (m, n), zero_mean=True)
-    vals, converged = analysis._xi_descent(u0, p, tol, max_iter)
+def _fresh_xi(m, n, p):
+    """The descent from xi's 32 starts at seed 0, tolerance 1e-10 and 5000
+    steps, run outside the cache."""
+    u0 = analysis._unit_directions(analysis.rng_for(0, m, n), 32, (m, n), zero_mean=True)
+    vals, converged = analysis._xi_descent(u0, p, 1e-10, 5000)
     return float(vals.min()).hex(), bool(converged.any())
 
 
@@ -57,26 +59,25 @@ def test_a_repeated_xi_key_runs_no_descent(descents):
     again = [
         analysis._xi_search(8, 1, 3.0),
         analysis._xi_search(np.int64(8), np.int64(1), 3),  # the same key, normalised
-        (analysis.xi_constant(8, 1, np.float64(3.0), method="optimize"), True),
+        (analysis.xi_constant(8, 1, np.float64(3.0)), True),
+        analysis._xi_minimum(8, 1, 3.0),
     ]
     assert len(descents) == 1
     assert all(_bits(result) == fresh for result in again)
 
 
 @pytest.mark.parametrize(
-    "change", [{"seed": 1}, {"starts": 8}, {"tol": 1e-8}, {"max_iter": 40}, {"n": 2, "method": "optimize"}]
+    "change", [{"m": 9}, {"m": 12}, {"p_plus": 3.5}, {"p_plus": 4.0}, {"n": 2, "p_plus": 1.5}]
 )
 def test_a_changed_xi_setting_recomputes(descents, change):
     analysis._xi_search(8, 1, 3.0)
-    args = dict(m=8, n=1, p_plus=3.0, starts=32, tol=1e-10, seed=0, max_iter=5000)
+    args = dict(m=8, n=1, p_plus=3.0)
     args.update(change)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # max_iter = 40 may stop short
+        warnings.simplefilter("ignore", RuntimeWarning)  # (8, 2, 1.5) does not converge
         result = analysis._xi_search(**args)
     assert len(descents) == 2
-    args.pop("method", None)
-    assert _bits(result) == _fresh_xi(args["m"], args["n"], args["p_plus"], args["starts"],
-                                      args["tol"], args["seed"], args["max_iter"])
+    assert _bits(result) == _fresh_xi(args["m"], args["n"], args["p_plus"])
 
 
 def test_closed_forms_never_reach_the_descent(descents):
@@ -92,18 +93,18 @@ def test_an_unconverged_cached_xi_warns_on_every_call(descents):
     values = []
     for _ in range(3):
         with pytest.warns(RuntimeWarning, match="upper bound") as caught:
-            values.append(analysis.xi_constant(8, 1, 3.0, max_iter=1).hex())
+            values.append(analysis.xi_constant(8, 1, 1.5).hex())
         assert [w.filename for w in caught] == [__file__]
     assert len(descents) == 1
-    assert values == [_fresh_xi(8, 1, 3.0, max_iter=1)[0]] * 3
+    assert values == [_fresh_xi(8, 1, 1.5)[0]] * 3
 
 
 def test_a_failed_xi_call_is_not_cached(descents):
     for _ in range(2):
         with pytest.raises(TypeError):
-            analysis._xi_search(8, 1, 3.0, starts=2.0)
+            analysis._xi_search(8.0, 1, 3.0)
     with pytest.raises(TypeError):
-        analysis._xi_search(8.0, 1, 3.0)
+        analysis._xi_search(8, 1.0, 3.0)
     assert analysis._xi_minimum.cache_info().currsize == 0
 
 
