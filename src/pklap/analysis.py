@@ -163,8 +163,9 @@ def _worst_report(
 # ---------------------------------------------------------------------------
 
 
-def _inequality_report(name: str, margin: float, slack: float, witness: dict) -> CheckReport:
-    """Report of one norm inequality, keeping the witness only for a violation.
+def _inequality_report(name: str, margin: float, witness: dict) -> CheckReport:
+    """Report of one norm inequality at INEQUALITY_SLACK, keeping the witness
+    only for a violation.
 
     A NaN margin (both sides overflowed) decides nothing, and C.1 - C.3 are
     theorems, so it is inconclusive rather than a violation; unlike a
@@ -173,7 +174,7 @@ def _inequality_report(name: str, margin: float, slack: float, witness: dict) ->
     if math.isnan(margin):
         verdict = INCONCLUSIVE
     else:
-        verdict = HOLDS if margin >= -slack else VIOLATED
+        verdict = HOLDS if margin >= -INEQUALITY_SLACK else VIOLATED
     return CheckReport(name, verdict, margin, witness if verdict == VIOLATED else None, samples=1)
 
 
@@ -221,28 +222,28 @@ def _c_witness(u: np.ndarray, s, lhs: float, rhs: float) -> dict:
     return witness
 
 
-def check_c1(u: PeriodicSequence, s: float, slack: float = INEQUALITY_SLACK) -> CheckReport:
+def check_c1(u: PeriodicSequence, s: float) -> CheckReport:
     """sum_k |u(k)|^s <= m * ||u||^s for any finite s > 0."""
     if not 0 < s < math.inf:
         raise ValueError(f"C.1 requires a finite s > 0, got s = {s}")
     margin, lhs, rhs = (x.item() for x in _c1_rows(u.values[None], np.array([s], dtype=float)))
-    return _inequality_report("C.1", margin, slack, _c_witness(u.values, s, lhs, rhs))
+    return _inequality_report("C.1", margin, _c_witness(u.values, s, lhs, rhs))
 
 
-def check_c2(u: PeriodicSequence, s: float, slack: float = INEQUALITY_SLACK) -> CheckReport:
+def check_c2(u: PeriodicSequence, s: float) -> CheckReport:
     """sum_k |u(k)|^s >= m^((2-s)/2) * ||u||^s for any finite s >= 2."""
     if not 2 <= s < math.inf:
         raise ValueError(f"C.2 requires a finite s >= 2, got s = {s}")
     margin, lhs, rhs = (x.item() for x in _c2_rows(u.values[None], np.array([s], dtype=float)))
-    return _inequality_report("C.2", margin, slack, _c_witness(u.values, s, lhs, rhs))
+    return _inequality_report("C.2", margin, _c_witness(u.values, s, lhs, rhs))
 
 
-def check_c3(u: PeriodicSequence, p: ExponentFunction, slack: float = INEQUALITY_SLACK) -> CheckReport:
+def check_c3(u: PeriodicSequence, p: ExponentFunction) -> CheckReport:
     """sum_k |Delta u(k)|^p(k) <= m * (2^p_plus * ||u||^p_plus + 1)."""
     if p.m != u.m:
         raise ValueError("exponent and sequence periods differ")
     margin, lhs, rhs = (x.item() for x in _c3_rows(u.values[None], p))
-    return _inequality_report("C.3", margin, slack, _c_witness(u.values, None, lhs, rhs))
+    return _inequality_report("C.3", margin, _c_witness(u.values, None, lhs, rhs))
 
 
 # the number of samples of the sampled C.1 - C.3
@@ -608,8 +609,11 @@ def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
     lambda_i = 2^p_plus * m^(p_plus/2) / (p_minus * a) with a the relevant
     minimum of alpha1, alpha2 or their sum; infinite when a vanishes.  The
     sharp embedding constant xi enters none of them: `pklap check` reports
-    it beside them, from its own xi_constant search.
+    it beside them, from its own xi_constant search.  Raises ValueError
+    when the periods of prob and growth differ.
     """
+    if prob.m != growth.m:
+        raise ValueError(f"problem and growth profile periods differ: {prob.m} and {growth.m}")
     pp = prob.exponent.p_plus
     pm = prob.exponent.p_minus
     # C pow, so a huge p_plus gives an infinite threshold instead of raising
@@ -680,36 +684,37 @@ def _sampled_condition(
     return _worst_report(name, vals, SAMPLE_SLACK, witness_of, len(K), seed)
 
 
-def check_growth(
-    nl: Nonlinearity,
-    g: GrowthProfile,
-    sample_budget: int = 4000,
-    seed: int = 0,
-) -> list[CheckReport]:
+# the number of samples of each of A.4, A.5 and A.7 - A.9, and the number
+# of random t of each A.6.x shell, besides its three fixed ones
+_A_SAMPLES = 4000
+_A6_PER_SHELL = 125
+
+
+def check_growth(nl: Nonlinearity, g: GrowthProfile, seed: int = 0) -> list[CheckReport]:
     """Sampled verification of A.4, A.5 and the quotient limits A.6.1 - A.6.3.
 
     Each condition draws from its own seeded generator.  A.4 and A.5 draw
-    all their periods, magnitudes and orientations with one array call each
+    _A_SAMPLES periods, magnitudes and orientations with one array call each
     (_signed_samples), the same calls at every n, and evaluate F on them
     with one call of the family's F kernel (Nonlinearity._F_points, as
     the periods are drawn in 1..m).  A.6.x draws each shell's t values,
     signs (n = 1) or directions (n > 1) with one call each, and evaluates F
-    with one kernel call per distinct exponent pair (e1, e2): the variants
+    with one kernel call per distinct exponent pair (e1, e2), at t = 0, 1/2,
+    1 and _A6_PER_SHELL random t per shell and period: the variants
     of a pair draw from one stream and give the same quotients, so a family
     with constant s and r computes them once; the last shell's largest
     quotient decides, a one-entry margin QUOTIENT_TOL - quotient judged by
     _worst_report at slack 0.  The bound of A.4 and the
     quotient denominators are computed with C pow, as Python's ** does, so
     the margins are bitwise those of a point-by-point loop over the same
-    samples.
+    samples.  Raises ValueError when the periods of nl and g differ.
     """
     if nl.m != g.m:
-        raise ValueError("nonlinearity and profile periods differ")
+        raise ValueError(f"nonlinearity and profile periods differ: {nl.m} and {g.m}")
     m, n = nl.m, nl.n
-    count = max(sample_budget, 100)
 
     # A.4: lower growth bound for |u1|, |u2| >= M.
-    K, mags, U = _signed_samples(nl, rng_for(seed, 4), count, lambda D: g.M + 10.0 * D)
+    K, mags, U = _signed_samples(nl, rng_for(seed, 4), _A_SAMPLES, lambda D: g.M + 10.0 * D)
 
     def margin_a4(F):
         i = K - 1
@@ -724,7 +729,7 @@ def check_growth(
 
     # A.5: F >= 0 on |u1| + |u2| <= 2*eta; D[0] draws the sum, D[1] its split.
     K, _, U = _signed_samples(
-        nl, rng_for(seed, 5), count, lambda D: 2.0 * g.eta * D[0] * np.stack((D[1], 1.0 - D[1]))
+        nl, rng_for(seed, 5), _A_SAMPLES, lambda D: 2.0 * g.eta * D[0] * np.stack((D[1], 1.0 - D[1]))
     )
     reports.append(_sampled_condition("A.5", nl, K, U, seed, lambda F: (F, {"F": F})))
 
@@ -735,21 +740,20 @@ def check_growth(
         ("A.6.3", g.s.p_minus, g.r.p_minus),
     ]
     shells = [10.0**-j for j in range(1, 9)]
-    per_shell = max(sample_budget // (8 * 4), 8)
-    rows = (per_shell + 3) * m  # samples per shell
+    rows = (_A6_PER_SHELL + 3) * m  # samples per shell
 
     @functools.cache  # the variants of one exponent pair share its draws and quotients
     def shell_quotients(e1, e2):
         """Each shell's first largest quotient, and the last one's sample (k, u1, u2)."""
         rng = rng_for(seed, 6, int(e1 * 1000), int(e2 * 1000))
-        K = np.tile(np.arange(1, m + 1), len(shells) * (per_shell + 3))
+        K = np.tile(np.arange(1, m + 1), len(shells) * (_A6_PER_SHELL + 3))
         U1 = np.empty((K.size, n))
         U2 = np.empty((K.size, n))
         T = np.empty(K.size)
         for j, shell in enumerate(shells):
             # each t is shared by m samples, and each sample's u1 is drawn
             # before its u2
-            t = np.repeat(np.concatenate(([0.0, 0.5, 1.0], rng.random(per_shell))), m)
+            t = np.repeat(np.concatenate(([0.0, 0.5, 1.0], rng.random(_A6_PER_SHELL))), m)
             points = _signed_points(rng, np.stack((t * shell, (1.0 - t) * shell), axis=1), n)
             block = slice(j * rows, (j + 1) * rows)
             U1[block], U2[block], T[block] = points[:, 0], points[:, 1], t
@@ -782,38 +786,31 @@ def check_growth(
 _A7_BOX = 1e3
 
 
-def check_bounds(
-    nl: Nonlinearity,
-    b: BoundProfile,
-    sample_budget: int = 4000,
-    seed: int = 0,
-) -> list[CheckReport]:
+def check_bounds(nl: Nonlinearity, b: BoundProfile, seed: int = 0) -> list[CheckReport]:
     """Sampled verification of the bound and sign conditions A.7 - A.9.
 
     Sign conditions are checked up to a small slack, so a potential that
     merely touches zero on the sampled region still passes.  Each condition
-    draws from its own seeded generator: its periods, its magnitudes or box
-    coordinates, and its orientations with one array call each, the same
-    calls at every n (_signed_samples; A.7 draws its box, |u1|, |u2| <=
-    _A7_BOX in each coordinate, with one rng.uniform call).  F is evaluated
-    on each condition's samples with one call of the family's F kernel
-    (Nonlinearity._F_points).
+    draws _A_SAMPLES samples from its own seeded generator: its periods, its
+    magnitudes or box coordinates, and its orientations with one array call
+    each, the same calls at every n (_signed_samples; A.7 draws its box,
+    |u1|, |u2| <= _A7_BOX in each coordinate, with one rng.uniform call).
+    F is evaluated on each condition's samples with one call of the
+    family's F kernel (Nonlinearity._F_points).
     """
-    count = max(sample_budget, 100)
-
     # A.7: F <= C on a large box.
     rng = rng_for(seed, 7)
-    K = rng.integers(1, nl.m + 1, size=count)
-    U = rng.uniform(-_A7_BOX, _A7_BOX, size=(2, count, nl.n))
+    K = rng.integers(1, nl.m + 1, size=_A_SAMPLES)
+    U = rng.uniform(-_A7_BOX, _A7_BOX, size=(2, _A_SAMPLES, nl.n))
     a7 = _sampled_condition("A.7", nl, K, U, seed, lambda F: (b.C - F, {"F": F}))
 
     # A.8: F < 0 for 0 < |u1|, |u2| <= rho1.
-    K, _, U = _signed_samples(nl, rng_for(seed, 8), count, lambda D: b.rho1 * (1.0 - D * 0.999999))
+    K, _, U = _signed_samples(nl, rng_for(seed, 8), _A_SAMPLES, lambda D: b.rho1 * (1.0 - D * 0.999999))
     a8 = _sampled_condition("A.8", nl, K, U, seed, lambda F: (-F, {"F": F}))
 
     # A.9: F > 0 for rho2 < |u1|, |u2| <= rho3.
     K, _, U = _signed_samples(
-        nl, rng_for(seed, 9), count, lambda D: b.rho2 + (b.rho3 - b.rho2) * (1.0 - D * 0.999999)
+        nl, rng_for(seed, 9), _A_SAMPLES, lambda D: b.rho2 + (b.rho3 - b.rho2) * (1.0 - D * 0.999999)
     )
     return [a7, a8, _sampled_condition("A.9", nl, K, U, seed, lambda F: (F, {"F": F}))]
 
@@ -869,33 +866,34 @@ def _structured_rays(m: int, n: int) -> np.ndarray:
     return rays.reshape(-1, m * n)
 
 
-# the radii t at which the probe evaluates the action along each ray, and
-# by how much its last value must undercut its first
+# the number of random rays of the probe, the radii t at which it evaluates
+# the action along each ray, and by how much its last value must undercut
+# its first
+_PROBE_DIRECTIONS = 32
 _PROBE_RADII = (1.0, 10.0, 100.0, 1000.0)
 _PROBE_DROP = 1.0
 
 
-def anticoercivity_probe(prob: Problem, directions: int = 32, seed: int = 0) -> CheckReport:
+def anticoercivity_probe(prob: Problem, seed: int = 0) -> CheckReport:
     """Probe whether the action falls off to -infinity along rays.
 
     Evaluates the action at t*d for the radii t = 1, 10, 100 and 1000
     (_PROBE_RADII) and each unit direction d of one pool, all in one stacked
-    call: the sampled directions, then the fixed structured rays
-    (_structured_rays), such as the coordinate rays on which example2 fails
-    while random directions almost surely pass.  A direction passes when the
-    values strictly decrease from the second radius onward and the last
-    value undercuts the first by 1 (_PROBE_DROP).  Overflow of the potential
+    call: the _PROBE_DIRECTIONS sampled directions, then the fixed
+    structured rays (_structured_rays), such as the coordinate rays on
+    which example2 fails while random directions almost surely pass.  A
+    direction passes when the values strictly decrease from the second
+    radius onward and the last value undercuts the first by 1
+    (_PROBE_DROP).  Overflow of the potential
     at large radii counts as decrease (the ray provides -infinity evidence);
     overflow of the Dirichlet term mu does not.  The report reads the rays
     in pool order and stops at the first that fails; its witness says
     whether that ray is structured.  samples counts both sets,
     detail["structured"] the structured rays, and detail["overflow"]
-    whether any value read was non-finite.  Raises ValueError when
-    directions is negative.
+    whether any value read was non-finite.
     """
-    if directions < 0:
-        raise ValueError(f"directions must be >= 0, got {directions}")
-    sampled = _unit_directions(rng_for(seed, 17), directions, (prob.m, prob.n)).reshape(-1, prob.dim)
+    sampled = _unit_directions(rng_for(seed, 17), _PROBE_DIRECTIONS, (prob.m, prob.n))
+    sampled = sampled.reshape(-1, prob.dim)
     structured = _structured_rays(prob.m, prob.n)
     rays = np.concatenate((sampled, structured))
     vals = _action_or_limit_rows(np.array(_PROBE_RADII)[None, :, None] * rays[:, None, :], prob)
@@ -925,7 +923,7 @@ def anticoercivity_probe(prob: Problem, directions: int = 32, seed: int = 0) -> 
             "direction": rays[i].copy(),
             "radii": list(_PROBE_RADII),
             "values": vals[i].tolist(),
-            "structured": i >= directions,
+            "structured": i >= len(sampled),
         },
         samples=len(rays),
         seed=seed,
@@ -1018,16 +1016,15 @@ def _first_min(j0: float, vals: np.ndarray, points: np.ndarray) -> tuple[float, 
     return float(vals[i]), None if i == 0 else points.reshape(-1, *points.shape[-2:])[i - 1]
 
 
-# how far past its direction's level radius B.2's global sample reaches
+# the number of directions of B.2 / B.3, the number of sample pairs along
+# each, and how far past its direction's level radius B.2's global sample
+# reaches
+_B2_DIRECTIONS = 44
+_B2_PER_DIRECTION = 45
 _B2_EXPAND = 5.0
 
 
-def check_b2_b3(
-    prob: Problem,
-    r: float,
-    sample_budget: int = 2000,
-    seed: int = 0,
-) -> tuple[CheckReport, CheckReport]:
+def check_b2_b3(prob: Problem, r: float, seed: int = 0) -> tuple[CheckReport, CheckReport]:
     """Monte-Carlo checks of the two strict inequalities behind the
     three-solution regime for bounded potentials, over the zero-mean
     subspace with reference point 0.
@@ -1037,26 +1034,22 @@ def check_b2_b3(
     B.3: J(0) lies strictly below the infimum of J over the level set
     {mu = r} (and mu(0) = 0 < r holds trivially).
 
-    The directions and their samples' draws are taken from the stream
-    first, and the level radii of all directions are found in one
-    _level_radii call.  Each direction's level point and its 2 * per_dir
-    samples, all directions in draw order, go through one stacked
-    potential call.  Each infimum is the first smallest value in draw
-    order, taken as an array reduction; B.2's two start from J(0).  Each
-    condition's margin (the difference of its two sides, finite or +-inf,
-    as every potential read is finite) is judged by _worst_report as a
-    strict inequality: a margin of exactly 0 is a violation.  A
+    The _B2_DIRECTIONS directions and their samples' draws are taken from
+    the stream first, and the level radii of all directions are found in
+    one _level_radii call.  Each direction's level point and its
+    2 * _B2_PER_DIRECTION samples, all directions in draw order, go
+    through one stacked potential call.  Each infimum is the first smallest
+    value in draw order, taken as an array reduction; B.2's two start from
+    J(0).  Each condition's margin (the difference of its two sides, finite
+    or +-inf, as every potential read is finite) is judged by _worst_report
+    as a strict inequality: a margin of exactly 0 is a violation.  A
     direction whose level radius overflows raises an EvaluationError that
     names it, after the directions before it are evaluated, so their
-    failures come first.  Raises ValueError unless r is positive and finite
-    and sample_budget >= 0.
+    failures come first.  Raises ValueError unless r is positive and finite.
     """
     if not 0 < r < math.inf:
         raise ValueError(f"sublevel radius r must be positive and finite, got {r}")
-    if sample_budget < 0:
-        raise ValueError(f"sample_budget must be >= 0, got {sample_budget}")
-    ndirs = max(8, int(math.sqrt(sample_budget)))
-    per_dir = max(4, sample_budget // ndirs)
+    ndirs, per_dir = _B2_DIRECTIONS, _B2_PER_DIRECTION
     rng = rng_for(seed, 23)
 
     j0 = potential(np.zeros((prob.m, prob.n)), prob)
@@ -1125,7 +1118,7 @@ class LambdaStarEstimate(_Record):
 def lambda_star_estimate(
     prob: Problem,
     r_grid: Sequence[float],
-    samples_per_r: int = 400,
+    samples_per_r: int = 200,
     seed: int = 0,
 ) -> LambdaStarEstimate:
     """Monte-Carlo estimate of the variational threshold lambda-star.

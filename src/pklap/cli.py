@@ -357,12 +357,7 @@ def _check_payload(loaded: LoadedConfig) -> dict:
             raise ComputationError(f"check failed: r2 = sum (2 rho1)^p / p overflows ({r2})")
         b2, b3 = check_b2_b3(prob, r2 / 2.0, seed=seed)
         reports.extend([b2, b3])
-        est = lambda_star_estimate(
-            prob,
-            [r2 / 4.0, r2 / 2.0, 0.75 * r2],
-            samples_per_r=200,
-            seed=seed,
-        )
+        est = lambda_star_estimate(prob, [r2 / 4.0, r2 / 2.0, 0.75 * r2], seed=seed)
         lam_star = est.estimate
 
     return {

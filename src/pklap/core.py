@@ -309,10 +309,11 @@ def _block_search(base, direction, step, blocks, evaluate, take) -> np.ndarray:
     return found
 
 
-def in_Y(u: PeriodicSequence, tol: float = MEAN_TOL) -> bool:
-    """Whether u has (numerically) zero mean, relative to its size."""
+def in_Y(u: PeriodicSequence) -> bool:
+    """Whether u has (numerically) zero mean, relative to its size: the
+    norm of its mean part is at most MEAN_TOL * max(1, |u|)."""
     mean_norm = float(np.linalg.norm(u.values.mean(axis=0))) * math.sqrt(u.m)
-    return mean_norm <= tol * max(1.0, euclidean_norm(u))
+    return mean_norm <= MEAN_TOL * max(1.0, euclidean_norm(u))
 
 
 class ExponentFunction(_Record):

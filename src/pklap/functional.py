@@ -214,14 +214,13 @@ def _hessian_rows(x: np.ndarray, prob: Problem, steps: np.ndarray) -> np.ndarray
     return 0.5 * (h + ht)
 
 
-def hessian_fd(u: PeriodicSequence, prob: Problem, step: float | None = None) -> np.ndarray:
+def hessian_fd(u: PeriodicSequence, prob: Problem) -> np.ndarray:
     """Symmetrised central finite-difference Hessian of the action.
 
-    The one-row case of _hessian_rows, which says when it warns and raises;
-    the default step is HESSIAN_STEP_SCALE * max(1, |u|).
+    The one-row case of _hessian_rows, which says when it warns and raises,
+    at the step HESSIAN_STEP_SCALE * max(1, |u|).
     """
-    if step is None:
-        step = HESSIAN_STEP_SCALE * max(1.0, euclidean_norm(u))
+    step = HESSIAN_STEP_SCALE * max(1.0, euclidean_norm(u))
     return _hessian_rows(u.flat()[None], prob, np.array([step]))[0]
 
 
@@ -249,23 +248,18 @@ class SpectralSummary(_Record):
         return CLASS_SADDLE
 
 
-def _morse_summaries(
-    x: np.ndarray, prob: Problem, zero_tol: float | None = None
-) -> list[SpectralSummary]:
+def _morse_summaries(x: np.ndarray, prob: Problem) -> list[SpectralSummary]:
     """Spectral summaries at B flat points (B, dim), in stacks.
 
-    Each point's Hessian takes the default step of hessian_fd; all come from
-    one _hessian_rows call and one stacked eigvalsh, which gives each matrix
+    Each point's Hessian takes the step of hessian_fd; all come from one
+    _hessian_rows call and one stacked eigvalsh, which gives each matrix
     the bits of its own call, so summary b is that of x_b alone.
-    Eigenvalues within zero_tol of zero count as zero; the default tolerance
-    scales with each point's spectral radius.
+    Eigenvalues within MORSE_ZERO_TOL_SCALE * max(1, spectral radius) of
+    zero count as zero.
     """
     steps = HESSIAN_STEP_SCALE * np.maximum(1.0, _row_norms(x))
     eig = np.linalg.eigvalsh(_hessian_rows(x, prob, steps))
-    if zero_tol is None:
-        tol = MORSE_ZERO_TOL_SCALE * np.maximum(1.0, np.max(np.abs(eig), axis=1))
-    else:
-        tol = np.full(len(x), float(zero_tol))
+    tol = MORSE_ZERO_TOL_SCALE * np.maximum(1.0, np.max(np.abs(eig), axis=1))
     t = tol[:, None]
     counts = [np.sum(c, axis=1).tolist() for c in (eig < -t, np.abs(eig) <= t, eig > t)]
     return [
@@ -276,11 +270,9 @@ def _morse_summaries(
     ]
 
 
-def morse_summary(
-    u: PeriodicSequence, prob: Problem, zero_tol: float | None = None
-) -> SpectralSummary:
+def morse_summary(u: PeriodicSequence, prob: Problem) -> SpectralSummary:
     """Classify a candidate critical point by the Hessian eigenvalue signs.
 
     The one-row case of _morse_summaries.
     """
-    return _morse_summaries(u.flat()[None], prob, zero_tol)[0]
+    return _morse_summaries(u.flat()[None], prob)[0]

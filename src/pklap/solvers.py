@@ -79,35 +79,28 @@ class _System:
         self.q = None if subspace == SUBSPACE_FULL else subspace_basis(prob.m, prob.n, subspace)
         self.dim = prob.dim if self.q is None else self.q.shape[1]
 
-    def to_full(self, y: np.ndarray) -> np.ndarray:
-        return y if self.q is None else self.q @ y
-
-    def to_reduced(self, x: np.ndarray) -> np.ndarray:
-        return x if self.q is None else self.q.T @ x
-
     def g_full(self, x: np.ndarray) -> np.ndarray:
         vals = residual_values(x.reshape(self.prob.m, self.prob.n), self.prob)
         return vals.reshape(-1)
 
-    def g(self, y: np.ndarray) -> np.ndarray:
-        gx = self.g_full(self.to_full(y))
-        return gx if self.q is None else self.q.T @ gx
-
     def to_full_rows(self, y: np.ndarray) -> np.ndarray:
-        """to_full of each row of a (B, dim) array; the stacked product is
-        one matrix-vector product per row, so row b is bitwise to_full(y_b)."""
+        """q @ y_b for each row of a (B, dim) array; the stacked product is
+        one matrix-vector product per row, so row b is bitwise q @ y_b."""
         return y if self.q is None else (self.q @ y[:, :, None])[:, :, 0]
 
     def to_reduced_rows(self, x: np.ndarray) -> np.ndarray:
-        """to_reduced of each row of a (B, prob.dim) array, bitwise per row."""
+        """q.T @ x_b for each row of a (B, prob.dim) array, bitwise per row."""
         return x if self.q is None else (self.q.T @ x[:, :, None])[:, :, 0]
 
     def rows(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """g at each row of a (B, dim) array, in one residual call: (g, ok).
+        """The reduced residual g(y) = q.T @ residual(q @ y), q the
+        subspace basis (none on the full space), at each row of a (B, dim)
+        array, in one residual call: (g, ok).
 
         ok[b] is False, and row b of g is NaN or not finite, when the
         residual at y_b is not finite or a callback raised EvaluationError
-        there; other rows are unaffected.  Row b is bitwise g(y_b).
+        there; other rows are unaffected.  Row b is bitwise the products and
+        the residual of y_b alone.
         """
         prob = self.prob
         x = self.to_full_rows(y)

@@ -412,6 +412,14 @@ class TestThresholds:
         assert calls == []
         assert th._fields == ("lambda1", "lambda2", "lambda3")
 
+    def test_period_mismatch(self):
+        """A profile of another period does not describe the problem; it
+        gave lambda1 = 8.0 here before the periods were compared."""
+        nl, _ = make_power(4, a=1.0, b=1.0, s=2.0, r=2.0)
+        _, growth6 = make_power(6, a=1.0, b=1.0, s=2.0, r=2.0)
+        with pytest.raises(ValueError, match="periods differ: 4 and 6"):
+            thresholds(_problem_from(nl), growth6)
+
     def test_minimum_selection(self):
         nl, _ = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)
         prob = _problem_from(nl)
@@ -451,9 +459,10 @@ class TestThresholds:
 
 
 class TestCheckGrowth:
-    def test_example1_verdicts(self):
+    def test_example1_verdicts(self, a_samples):
+        a_samples(1500)
         nl, growth = make_example1(2)
-        reports = {r.name: r for r in check_growth(nl, growth, sample_budget=1500)}
+        reports = {r.name: r for r in check_growth(nl, growth)}
         assert reports["A.4"].verdict == HOLDS
         assert reports["A.5"].verdict == HOLDS
         # the quotient against the weakest mixed power tends to a positive
@@ -463,9 +472,10 @@ class TestCheckGrowth:
         # ... and only the (s_minus, r_minus) variant vanishes
         assert reports["A.6.3"].verdict == HOLDS
 
-    def test_violated_reports_carry_witnesses(self):
+    def test_violated_reports_carry_witnesses(self, a_samples):
+        a_samples(1500)
         nl, growth = make_example1(2)
-        reports = {r.name: r for r in check_growth(nl, growth, sample_budget=1500)}
+        reports = {r.name: r for r in check_growth(nl, growth)}
         bad = reports["A.6.1"]
         assert bad.witness is not None
         assert "quotient" in bad.witness
@@ -475,27 +485,31 @@ class TestCheckGrowth:
     def test_period_mismatch(self):
         nl, _ = make_example1(2)
         _, growth4 = make_example1(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="periods differ: 2 and 4"):
             check_growth(nl, growth4)
 
-    def test_reports_are_serialisable(self):
+    def test_reports_are_serialisable(self, a_samples):
         import json
 
+        a_samples(300)
         nl, growth = make_example1(2)
-        for rep in check_growth(nl, growth, sample_budget=300):
+        for rep in check_growth(nl, growth):
             json.dumps(rep.to_dict())
 
 
 class TestCheckBounds:
-    def test_example3_all_hold(self):
+    def test_example3_all_hold(self, a_samples):
+        a_samples(1500)
         nl, bounds = make_example3(2)
-        reports = {r.name: r for r in check_bounds(nl, bounds, sample_budget=1500)}
+        reports = {r.name: r for r in check_bounds(nl, bounds)}
         assert set(reports) == {"A.7", "A.8", "A.9"}
         for rep in reports.values():
             assert rep.verdict == HOLDS
             assert rep.margin >= 0.0
 
-    def test_sign_condition_violation_detected(self):
+    def test_sign_condition_violation_detected(self, a_samples):
+        a_samples(500)
+
         def F(k, u1, u2):
             a = float(np.asarray(u1).reshape(()))
             b = float(np.asarray(u2).reshape(()))
@@ -509,20 +523,21 @@ class TestCheckBounds:
 
         nl = Nonlinearity.from_points(m=2, F=F, F2_prime=F2, F3_prime=F3)
         b = BoundProfile(C=1.0, rho1=0.5, rho2=1.0, rho3=2.0)
-        reports = {r.name: r for r in check_bounds(nl, b, sample_budget=500)}
+        reports = {r.name: r for r in check_bounds(nl, b)}
         assert reports["A.7"].verdict == HOLDS
         assert reports["A.8"].verdict == HOLDS  # -F > 0 away from zero
         assert reports["A.9"].verdict == VIOLATED
         assert reports["A.9"].witness["F"] < 0.0
 
-    def test_all_nan_margins_are_inconclusive(self):
+    def test_all_nan_margins_are_inconclusive(self, a_samples):
         """At rho3 = 1e200 every A.9 sample squares to inf and sin(inf) is
         NaN, so no sample decides A.9.  (make_example3 rejects these radii,
         so the profile is built directly.)"""
+        a_samples(500)
         nl, default = make_example3(2)
         bounds = BoundProfile(C=default.C, rho1=default.rho1, rho2=default.rho2, rho3=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
-            reports = {r.name: r for r in check_bounds(nl, bounds, sample_budget=500)}
+            reports = {r.name: r for r in check_bounds(nl, bounds)}
         a9 = reports["A.9"]
         assert a9.verdict == INCONCLUSIVE
         assert a9.margin == math.inf
@@ -533,16 +548,12 @@ class TestCheckBounds:
 
 
 class TestAnticoercivityProbe:
-    def test_negative_directions_are_rejected(self):
-        nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
-        with pytest.raises(ValueError, match="directions"):
-            anticoercivity_probe(_problem_from(nl), directions=-3)
-
-    def test_quartic_forcing_drives_action_down(self):
+    def test_quartic_forcing_drives_action_down(self, monkeypatch):
         # lam * |u|^4 beats the quadratic mu term on every ray
+        monkeypatch.setattr(analysis, "_PROBE_DIRECTIONS", 16)
         nl, _ = make_power(2, a=1.0, b=1.0, s=4.0, r=4.0)
         prob = _problem_from(nl, lam=1.0)
-        rep = anticoercivity_probe(prob, directions=16, seed=1)
+        rep = anticoercivity_probe(prob, seed=1)
         assert rep.verdict == HOLDS
         assert rep.margin > 0.0
 
@@ -593,11 +604,12 @@ class TestCheckB2B3:
         assert b3.margin > 0.0
         assert b3.detail["r"] == 0.5
 
-    def test_flat_potential_fails_strict_inequalities(self):
+    def test_flat_potential_fails_strict_inequalities(self, b2_samples):
+        b2_samples(14, 14)
         with pytest.warns(RuntimeWarning, match="vanishing alpha"):
             nl, _ = make_power(2, a=0.0, b=0.0, s=2.0, r=2.0)
         prob = _problem_from(nl)
-        b2, b3 = check_b2_b3(prob, r=0.5, sample_budget=200)
+        b2, b3 = check_b2_b3(prob, r=0.5)
         assert b2.verdict == VIOLATED
         assert b3.verdict == VIOLATED
 
@@ -606,11 +618,6 @@ class TestCheckB2B3:
         for r in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 check_b2_b3(_problem_from(nl), r=r)
-
-    def test_negative_sample_budget_is_rejected(self):
-        nl, _ = make_example3(2)
-        with pytest.raises(ValueError, match="sample_budget must be >= 0, got -5"):
-            check_b2_b3(_problem_from(nl), r=0.5, sample_budget=-5)
 
 
 class TestOneVerdictRule:

@@ -163,11 +163,10 @@ class TestPinnedValues:
     of F_at calls over the samples of each condition's stream, one sample at
     a time."""
 
-    def test_example1_growth(self):
+    def test_example1_growth(self, a_samples):
+        a_samples(1500)
         spec = _builtin("example1")
-        reports = {
-            r.name: r for r in check_growth(spec.nonlinearity, spec.growth, sample_budget=1500)
-        }
+        reports = {r.name: r for r in check_growth(spec.nonlinearity, spec.growth)}
         assert reports["A.4"].margin == 4.021237572260361e-06
         assert reports["A.6.3"].margin == 0.0009999999999998
         assert reports["A.6.1"].verdict == "violated"
@@ -177,14 +176,16 @@ class TestPinnedValues:
         assert witness["u2"].tolist() == [0.0]
         assert witness["quotient"] == 2.0
 
-    def test_example3_bounds(self):
+    def test_example3_bounds(self, a_samples):
+        a_samples(1500)
         spec = _builtin("example3")
-        reports = {r.name: r for r in check_bounds(spec.nonlinearity, spec.bounds, 1500)}
+        reports = {r.name: r for r in check_bounds(spec.nonlinearity, spec.bounds)}
         assert reports["A.7"].margin == 3.554007695583117e-05
 
-    def test_power_growth(self):
+    def test_power_growth(self, a_samples):
+        a_samples(1000)
         spec = _builtin("power")
-        reports = {r.name: r for r in check_growth(spec.nonlinearity, spec.growth, 1000)}
+        reports = {r.name: r for r in check_growth(spec.nonlinearity, spec.growth)}
         assert reports["A.5"].margin == 3.4833153159588685e-12
         # the bound holds with equality, and is computed with the same pow
         assert reports["A.4"].margin == 0.0
@@ -239,10 +240,11 @@ def _prob(nl):
 
 
 class TestErrorPaths:
-    def test_vector_F_through_check_growth(self):
+    def test_vector_F_through_check_growth(self, a_samples):
+        a_samples(100)
         spec = make_builtin("power", 2, {"a": 1.0, "b": 1.0, "s": 2.0, "r": 2.0})
         with pytest.raises(EvaluationError, match="scalar"):
-            check_growth(_vector_F_nl(), spec.growth, sample_budget=100)
+            check_growth(_vector_F_nl(), spec.growth)
 
     def test_vector_F_through_potential(self):
         with pytest.raises(EvaluationError, match="scalar"):

@@ -178,12 +178,3 @@ class TestSpectralSummary:
 
     def test_morse_index_counts_negatives(self):
         assert self._summary(2, 0, 1).morse_index == 2
-
-
-def test_morse_summary_explicit_zero_tol():
-    # free quadratic action at a constant: one flat direction along constants
-    prob = _free_problem(2)
-    s = morse_summary(PeriodicSequence.zeros(2, 1), prob, zero_tol=1e-6)
-    assert s.zero_count == 1
-    assert s.negative_count == 0
-    assert s.classification == CLASS_DEGENERATE

@@ -205,11 +205,11 @@ def test_lambda_star_solves_its_radii_in_few_stacked_mu_calls(monkeypatch, p):
     r2 = float(np.sum((2.0 * 0.5) ** prob.exponent.values / prob.exponent.values))
     _level_radii(prob, _directions(3, 200, 4), r2 / 2.0)
     assert calls == []
-    lambda_star_estimate(prob, [r2 / 4.0, r2 / 2.0, 0.75 * r2], samples_per_r=200, seed=3)
+    lambda_star_estimate(prob, [r2 / 4.0, r2 / 2.0, 0.75 * r2], seed=3)
     assert calls == [1 + 2 * 200] * 3
 
 
-def test_b2_b3_raise_the_first_failing_direction_after_the_ones_before(monkeypatch):
+def test_b2_b3_raise_the_first_failing_direction_after_the_ones_before(monkeypatch, b2_samples):
     """At p = 1.01 and r = 1e10, the fourth and the tenth direction,
     scaled by 1e-300, have radii that overflow: the error names the fourth
     direction and r, and comes after the three directions before it are
@@ -225,12 +225,13 @@ def test_b2_b3_raise_the_first_failing_direction_after_the_ones_before(monkeypat
     monkeypatch.setattr(analysis, "_unit_directions", scaled)
     stacks = []
     monkeypatch.setattr(analysis, "_action_rows", lambda vals, p_: stacks.append(vals) or _action_rows(vals, p_))
+    b2_samples(17, 17)
     with pytest.raises(EvaluationError) as raised:
-        check_b2_b3(prob, 1e10, sample_budget=300, seed=7)
+        check_b2_b3(prob, 1e10, seed=7)
     assert str(raised.value) == (
         "level radius overflowed: no finite t has mu(t v) = r = 10000000000.0 for direction 4 of 17"
     )
-    per_dir = 300 // 17
+    per_dir = 17
     assert len(stacks) == 1 and stacks[0].shape == (3 * (2 * per_dir + 1), 4, 1)
     assert np.isfinite(stacks[0]).all()
     V = np.concatenate(drawn[:3])
@@ -243,18 +244,20 @@ def _power_problem(m, p):
 
 
 _OVERFLOW_CALLERS = {
-    "direction": lambda prob: check_b2_b3(prob, 1.0, sample_budget=300, seed=7),
+    "direction": lambda prob: check_b2_b3(prob, 1.0, seed=7),
     "sample": lambda prob: lambda_star_estimate(prob, [1.0], samples_per_r=17, seed=7),
 }
 
 
 @pytest.mark.parametrize("what", sorted(_OVERFLOW_CALLERS))
 @pytest.mark.parametrize("overflowing_value", [False, True])
-def test_level_radius_overflow_keeps_the_failure_order(monkeypatch, what, overflowing_value):
+def test_level_radius_overflow_keeps_the_failure_order(monkeypatch, b2_samples, what, overflowing_value):
     """The fourth direction's level radius overflows.  Where the second
     direction's radius is 1e300, finite, its level point's potential
     overflows (F = |u|^3), and that error, the first in stack order, is
-    raised; otherwise the fourth direction's overflow is."""
+    raised; otherwise the fourth direction's overflow is.  B.2/B.3 run at
+    17 directions, as lambda-star at 17 samples."""
+    b2_samples(17, 17)
     real = analysis._level_radii
 
     def radii(prob, V, r):

@@ -45,7 +45,7 @@ from pklap.solvers import (
     find_multiple,
 )
 from test_dedupe_deflation import _loop_deflation_terms
-from test_shared_loops import _loop_reference, _well_nl2
+from test_shared_loops import _loop_g, _loop_reference, _well_nl2
 
 BUILTINS = {
     "example1": (4, {}),
@@ -183,7 +183,7 @@ def test_stencil_flags_base_points_with_a_non_finite_value():
 @pytest.mark.parametrize("name, m", [("example3", 2), ("example1", 4), ("n2", 3), ("power", 12)])
 def test_system_rows_match_g_per_row(name, m, subspace):
     """Off H_m the stacked q @ y and q.T @ g are bitwise the per-row
-    products that g forms."""
+    products of the one-row reference _loop_g."""
     if name == "n2":
         nl = _well_nl2(m)
     else:
@@ -194,7 +194,7 @@ def test_system_rows_match_g_per_row(name, m, subspace):
     g, ok = system.rows(y)
     assert ok.all() and g.shape == y.shape
     for b in range(11):
-        assert _same_bits(g[b], system.g(y[b]))
+        assert _same_bits(g[b], _loop_g(system, y[b]))
 
 
 def test_system_rows_whose_callbacks_raise_fail_alone():
@@ -213,12 +213,12 @@ def test_system_rows_whose_callbacks_raise_fail_alone():
     y = np.random.default_rng(2).normal(size=(4, 3))
     y[2, 1] = 7.0
     with pytest.raises(EvaluationError, match="components"):
-        system.g(y[2])
+        _loop_g(system, y[2])
     g, ok = system.rows(y)
     assert ok.tolist() == [True, True, False, True]
     assert np.all(np.isnan(g[2]))
     for b in (0, 1, 3):
-        assert _same_bits(g[b], system.g(y[b]))
+        assert _same_bits(g[b], _loop_g(system, y[b]))
 
 
 @settings(max_examples=150)
@@ -290,17 +290,17 @@ def _sequential_newton(system, y0, cfg, known=None):
 
     def g_fn(y):
         if known is None:
-            return system.g(y)
+            return _loop_g(system, y)
         f, df = _deflation_terms(y[None], known, 2.0, 1.0)
         if not (math.isfinite(f[0]) and np.all(np.isfinite(df[0]))):
             raise EvaluationError("at a known solution")
-        return f[0] * system.g(y)
+        return f[0] * _loop_g(system, y)
 
     def jac_fn(y):
         if known is None:
             return system.jacobian(y)
         f, df = _deflation_terms(y[None], known, 2.0, 1.0)
-        return f[0] * system.jacobian(y) + np.outer(system.g(y), df[0])
+        return f[0] * system.jacobian(y) + np.outer(_loop_g(system, y), df[0])
 
     y = np.asarray(y0, dtype=float).copy()
     try:
@@ -402,7 +402,7 @@ def test_lockstep_deflated_rows_match_sequential_loop(make_prob, subspace):
     prob = make_prob()
     sol = find_multiple(prob, SolverConfig(starts=6, seed=1), subspace=subspace)
     system = _System(prob, subspace=subspace)
-    known = np.array([system.to_reduced(r.u.flat()) for r in sol.records])
+    known = system.to_reduced_rows(np.array([r.u.flat() for r in sol.records]))
     assert len(known) >= 2
     cfg = SolverConfig(starts=6, seed=9)
     starts = _random_starts(cfg.seed, cfg.starts, system.dim, 211)[1].copy()
@@ -421,7 +421,7 @@ def test_lockstep_deflated_rows_match_sequential_loop_at_the_sweep_benchmark_poi
     prob = _problem(make_builtin("example3", 2).nonlinearity, p=np.full(2, 2.0), lam=10.0)
     sol = find_multiple(prob, SolverConfig(starts=8, seed=0), subspace=SUBSPACE_Y)
     system = _System(prob, subspace=SUBSPACE_Y)
-    known = np.array([system.to_reduced(r.u.flat()) for r in sol.records])
+    known = system.to_reduced_rows(np.array([r.u.flat() for r in sol.records]))
     assert len(known) >= 40
     cfg = SolverConfig(starts=8, seed=3)
     _, starts = _random_starts(cfg.seed, cfg.starts, system.dim, 211)

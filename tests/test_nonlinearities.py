@@ -258,10 +258,11 @@ class TestPowerFamily:
             assert cli.main(["check", cfg, "--output", str(tmp_path / "r.json")]) == cli.EXIT_CONFIG
             assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_growth_bound_is_exact(self):
+    def test_growth_bound_is_exact(self, a_samples):
         """F equals its growth bound, so the A.4 margin is exactly zero."""
+        a_samples(300)
         nl, growth = make_power(2, a=1.0, b=1.0, s=2.0, r=2.0)
-        reports = {r.name: r for r in check_growth(nl, growth, sample_budget=300)}
+        reports = {r.name: r for r in check_growth(nl, growth)}
         assert reports["A.4"].verdict == HOLDS
         assert reports["A.4"].margin == 0.0
 

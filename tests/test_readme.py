@@ -1,6 +1,6 @@
 """Every fenced python block of README.md runs as written, and the README's
-list of solver keys, its line-search block sizes, the xi descent's step cap
-and its entry points match the code."""
+list of solver keys, its line-search block sizes, the xi descent's step cap,
+its fixed settings and its entry points match the code."""
 
 import os
 import re
@@ -8,7 +8,7 @@ import re
 import pytest
 
 import pklap
-from pklap import analysis, core
+from pklap import analysis, core, functional
 from pklap.solvers import SolverConfig
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -90,3 +90,29 @@ def test_readme_entry_points_resolve():
     names = re.findall(r"`([^`]+)`", entry[0])
     assert names
     assert [n for n in names + list(pklap.__all__) if not hasattr(pklap, n)] == []
+
+
+def _num(x):
+    """x as the README writes it: 1e-5, not 1e-05."""
+    return f"{x:g}".replace("e-0", "e-")
+
+
+def test_readme_fixed_settings_match_the_code():
+    """Each line of the README's "Fixed settings" list quotes the module
+    constants it names."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("### Fixed settings", 1)[1].split("\n#", 1)[0]
+    text = " ".join(section.split())
+    quoted = [
+        f"A.7-A.9 take {analysis._A_SAMPLES} samples each",
+        f"and {analysis._A6_PER_SHELL} random t per period",
+        f"C.1-C.3 take {analysis._C_SAMPLES} samples, at a slack of {_num(analysis.INEQUALITY_SLACK)}",
+        f"{analysis._B2_DIRECTIONS} random directions with {analysis._B2_PER_DIRECTION} sample pairs",
+        f"up to {_num(analysis._B2_EXPAND)} times the level radius",
+        f"takes {analysis._PROBE_DIRECTIONS} random rays",
+        f"takes {analysis._XI_STARTS} starts from seed {analysis._XI_SEED}",
+        f"tolerance of {_num(analysis._XI_TOL)} or {analysis._XI_MAX_ITER} steps",
+        f"step {_num(functional.HESSIAN_STEP_SCALE)} max(1, |u|)",
+        f"within {_num(functional.MORSE_ZERO_TOL_SCALE)} max(1, spectral radius)",
+    ]
+    assert [q for q in quoted if q not in text] == []

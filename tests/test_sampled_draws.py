@@ -11,9 +11,11 @@ receives with a spy while the checks run, and compare them bitwise with
 `_loop_draw` below, which takes the same stream one uniform, one sign and
 one direction at a time and builds each sample alone on Python floats.
 The last tests pin what the array calls guarantee: the same key gives the
-same samples, a condition makes as many generator calls at any budget, and
-a larger gradcheck `--points` extends its point set; and they count the
-generators a check builds.
+same samples, a condition makes as many generator calls at any sample
+count, and a larger gradcheck `--points` extends its point set; and they
+count the generators a check builds.  The sample count is the module
+constant `analysis._A_SAMPLES`, which the tests set (`_at_count`) to run
+many seeds and periods at small counts.
 """
 
 import json
@@ -136,12 +138,20 @@ def _families(m, n=1):
     return _CACHE[m, n]
 
 
-def _check_both(m, n, budget, seed):
+def _at_count(count, run):
+    """run() with count samples per condition and max(count // 32, 8)
+    random t per A.6 shell, as the a_samples fixture sets them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_A_SAMPLES", count)
+        mp.setattr(analysis, "_A6_PER_SHELL", max(count // 32, 8))
+        return run()
+
+
+def _check_both(m, n, count, seed):
     nl, g, b = _families(m, n)
-    count = max(budget, 100)
-    got = _caught_samples(lambda: check_growth(nl, g, sample_budget=budget, seed=seed))
+    got = _at_count(count, lambda: _caught_samples(lambda: check_growth(nl, g, seed=seed)))
     _assert_samples_match(got, _growth_refs(g), m, n, count, seed)
-    got = _caught_samples(lambda: check_bounds(nl, b, sample_budget=budget, seed=seed))
+    got = _at_count(count, lambda: _caught_samples(lambda: check_bounds(nl, b, seed=seed)))
     _assert_samples_match(got, _bound_refs(b), m, n, count, seed)
 
 
@@ -151,10 +161,10 @@ def test_n1_draws_match_the_loop_over_seeds(m):
         _check_both(m, 1, 100, seed)
 
 
-@pytest.mark.parametrize("budget", [101, 801, 4000])
+@pytest.mark.parametrize("count", [101, 801, analysis._A_SAMPLES])
 @pytest.mark.parametrize("m", [3, 12])
-def test_odd_and_default_counts_match_the_loop(m, budget):
-    _check_both(m, 1, budget, seed=11)
+def test_odd_and_default_counts_match_the_loop(m, count):
+    _check_both(m, 1, count, seed=11)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -167,10 +177,10 @@ def test_n2_draws_match_the_loop(m):
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(2, 40),
-    budget=st.integers(1, 700),
+    count=st.integers(1, 700),
 )
-def test_draws_match_the_loop_property(seed, m, budget):
-    _check_both(m, 1, budget, seed)
+def test_draws_match_the_loop_property(seed, m, count):
+    _check_both(m, 1, count, seed)
 
 
 def test_rng_for_builds_a_pcg64_generator():
@@ -184,8 +194,8 @@ def test_the_same_key_gives_the_same_samples():
     nl, g, b = _families(5, 2)
 
     def samples(seed):
-        return _caught_samples(
-            lambda: (check_growth(nl, g, sample_budget=300, seed=seed), check_bounds(nl, b, 300, seed=seed))
+        return _at_count(
+            300, lambda: _caught_samples(lambda: (check_growth(nl, g, seed=seed), check_bounds(nl, b, seed=seed)))
         )
 
     first, again, other = samples(4), samples(4), samples(5)
@@ -200,8 +210,8 @@ def test_n2_points_have_the_drawn_magnitudes_and_unit_directions(name):
     """Each n = 2 point is its drawn magnitude times a unit direction: the
     magnitudes come from the condition's uniforms, in their range."""
     nl, g, b = _families(4, 2)
-    caught = _caught_samples(
-        lambda: (check_growth(nl, g, sample_budget=500, seed=2), check_bounds(nl, b, 500, seed=2))
+    caught = _at_count(
+        500, lambda: _caught_samples(lambda: (check_growth(nl, g, seed=2), check_bounds(nl, b, seed=2)))
     )
     got = {condition: U for condition, _, U in caught}
     refs = {**_growth_refs(g), **_bound_refs(b)}
@@ -252,12 +262,10 @@ def _calls_per_key(run):
 def test_a_condition_makes_as_many_generator_calls_at_any_budget(n):
     nl, g, b = _families(3, n)
 
-    def counts(budget):
-        return _calls_per_key(
-            lambda: (check_growth(nl, g, sample_budget=budget), check_bounds(nl, b, budget))
-        )
+    def counts(count):
+        return _at_count(count, lambda: _calls_per_key(lambda: (check_growth(nl, g), check_bounds(nl, b))))
 
-    small, large = counts(100), counts(4000)
+    small, large = counts(100), counts(analysis._A_SAMPLES)
     assert small == large
     for key in [(4,), (5,), (8,), (9,)]:
         assert small[key] == ["integers", "random", "random" if n == 1 else "normal"]

@@ -50,6 +50,13 @@ def _loop_reference(fn, x, step):
     return out
 
 
+def _loop_g(system, y):
+    """The reduced residual q.T @ residual(q @ y) at one point y, as the
+    one-row _System.g formed it: the bitwise reference of _System.rows."""
+    gx = system.g_full(y if system.q is None else system.q @ y)
+    return gx if system.q is None else system.q.T @ gx
+
+
 def _inline_starts(cfg, dim, key):
     """The start loop that stages 1 and 2 of find_multiple carried inline."""
     out = []
@@ -110,11 +117,11 @@ def test_system_jacobian_matches_loop(make_prob, subspace):
     prob = make_prob()
     system = _System(prob, subspace=subspace)
     for seed in range(3):
-        y = system.to_reduced(_point(prob, seed).flat())
+        y = system.to_reduced_rows(_point(prob, seed).flat()[None])[0]
         step = 1e-7 * max(1.0, float(np.linalg.norm(y)))
         jac = system.jacobian(y)
         assert jac.shape == (system.dim, system.dim)
-        assert np.array_equal(jac, _loop_reference(system.g, y, step))
+        assert np.array_equal(jac, _loop_reference(lambda z: _loop_g(system, z), y, step))
 
 
 @pytest.mark.parametrize("make_prob", [_example1_problem, _n2_problem])

@@ -317,7 +317,7 @@ def test_stacked_c_margins_match_one_sequence_checks(m, n, p):
             assert _same_bits(rep.margin, ref[0])
 
 
-def test_one_sequence_checks_keep_their_reports():
+def test_one_sequence_checks_keep_their_reports(monkeypatch):
     u = PeriodicSequence(np.array([[1.0], [-2.0], [0.5]]))
     rep = check_c1(u, 2)
     assert rep.verdict == HOLDS and rep.witness is None and rep.samples == 1
@@ -327,10 +327,12 @@ def test_one_sequence_checks_keep_their_reports():
         rep = check_c3(big, ExponentFunction.constant(1100.0, 3))
     assert rep.verdict == INCONCLUSIVE
     # a violation keeps its witness, in the old key order
-    rep = check_c2(u, 2.0, slack=-1.0)
+    monkeypatch.setattr(analysis, "INEQUALITY_SLACK", -1.0)
+    rep = check_c2(u, 2.0)
     assert rep.verdict == VIOLATED
     assert list(rep.witness) == ["u", "s", "lhs", "rhs"] and rep.witness["s"] == 2.0
-    rep = check_c3(u, ExponentFunction.constant(2.0, 3), slack=-1e9)
+    monkeypatch.setattr(analysis, "INEQUALITY_SLACK", -1e9)
+    rep = check_c3(u, ExponentFunction.constant(2.0, 3))
     assert list(rep.witness) == ["u", "lhs", "rhs"]
     with pytest.raises(ValueError):
         check_c1(u, 0.0)
@@ -531,10 +533,11 @@ def _growth(m, s, r):
     ],
 )
 @pytest.mark.parametrize("seed", [0, 9])
-def test_a6_shells_match_point_by_point_draws(nl, g, seed):
+def test_a6_shells_match_point_by_point_draws(a_samples, nl, g, seed):
     """Each variant against its own loop, also where the three variants
     share one exponent pair and check_growth computes it once."""
-    got = check_growth(nl, g, sample_budget=400, seed=seed)[2:]
+    a_samples(400)
+    got = check_growth(nl, g, seed=seed)[2:]
     ref = _loop_a6(nl, g, 400, seed)
     assert [_dumps(r) for r in got] == [_dumps(r) for r in ref]
 
@@ -543,7 +546,7 @@ def test_a6_shells_match_point_by_point_draws(nl, g, seed):
     "s,r,calls",
     [(3.0, 3.0, 3), ([2.5, 3.0, 2.5, 3.0], 3.0, 4), ([2.5, 3.0, 2.5, 3.0], [3.5, 2.5, 3.0, 3.0], 5)],
 )
-def test_a6_evaluates_each_distinct_exponent_pair_once(monkeypatch, s, r, calls):
+def test_a6_evaluates_each_distinct_exponent_pair_once(monkeypatch, a_samples, s, r, calls):
     """A.4 and A.5 make one F-kernel call each, and A.6 one per distinct
     pair (e1, e2) of its variants (s+, r-), (s-, r+) and (s-, r-): one pair
     for constant s and r, two for a variable s alone, three for both."""
@@ -556,12 +559,13 @@ def test_a6_evaluates_each_distinct_exponent_pair_once(monkeypatch, s, r, calls)
         return real(self, K, U1, U2)
 
     monkeypatch.setattr(Nonlinearity, "_F_points", spy)
-    reports = check_growth(nl, g, sample_budget=400, seed=3)
+    a_samples(400)
+    reports = check_growth(nl, g, seed=3)
     assert len(sizes) == calls
     assert [r.name for r in reports] == ["A.4", "A.5", "A.6.1", "A.6.2", "A.6.3"]
 
 
-def test_sampled_checks_call_the_F_kernel_on_read_only_views(monkeypatch):
+def test_sampled_checks_call_the_F_kernel_on_read_only_views(monkeypatch, a_samples):
     """Their periods are drawn in 1..m, so A.4 - A.9 skip F_many's wrap and
     pass the kernel read-only int64 periods and read-only points."""
     seen = []
@@ -575,8 +579,9 @@ def test_sampled_checks_call_the_F_kernel_on_read_only_views(monkeypatch):
     nl, g = make_power(4, 1.0, 1.0, [2.5, 3.0, 2.5, 3.0], 3.0)
     monkeypatch.setattr(Nonlinearity, "F_many", lambda *a: pytest.fail("F_many ran"))
     monkeypatch.setattr(Nonlinearity, "_F_points", spy)
-    check_growth(nl, g, sample_budget=200, seed=3)
-    check_bounds(spec3.nonlinearity, spec3.bounds, sample_budget=200, seed=3)
+    a_samples(200)
+    check_growth(nl, g, seed=3)
+    check_bounds(spec3.nonlinearity, spec3.bounds, seed=3)
     assert seen == [[("int64", False), ("float64", False), ("float64", False)]] * 7
 
 
@@ -585,10 +590,16 @@ def test_sampled_checks_call_the_F_kernel_on_read_only_views(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _b2_counts(sample_budget):
+    """The (directions, sample pairs per direction) of a B.2/B.3 sample
+    budget, as check_b2_b3 took them; 2000 gives its fixed (44, 45)."""
+    ndirs = max(8, int(math.sqrt(sample_budget)))
+    return ndirs, max(4, sample_budget // ndirs)
+
+
 def _loop_b2_b3(prob, r, sample_budget=2000, seed=0, expand=5.0):
     """The per-point sample loop of check_b2_b3; returns the folded values."""
-    ndirs = max(8, int(math.sqrt(sample_budget)))
-    per_dir = max(4, sample_budget // ndirs)
+    ndirs, per_dir = _b2_counts(sample_budget)
     rng = rng_for(seed, 23)
     j0 = potential(np.zeros((prob.m, prob.n)), prob)
     inf_sub, inf_level, inf_global = j0, math.inf, j0
@@ -618,9 +629,10 @@ def _example3_problem(m, p=2.0, lam=1.0):
 
 
 @pytest.mark.parametrize("m,p,r,budget,seed", [(2, 2.0, 0.5, 2000, 0), (4, 2.5, 0.3, 300, 7), (8, 2.0, 1.0, 300, 2)])
-def test_b2_b3_match_the_point_loop(m, p, r, budget, seed):
+def test_b2_b3_match_the_point_loop(b2_samples, m, p, r, budget, seed):
     prob = _example3_problem(m, p)
-    b2, b3 = check_b2_b3(prob, r, sample_budget=budget, seed=seed)
+    b2_samples(*_b2_counts(budget))
+    b2, b3 = check_b2_b3(prob, r, seed=seed)
     ref = _loop_b2_b3(prob, r, budget, seed)
     for key in ("inf_global", "inf_sublevel", "argmin_global", "argmin_sublevel"):
         assert _dumps(b2.detail[key]) == _dumps(ref[key])
@@ -630,8 +642,7 @@ def test_b2_b3_match_the_point_loop(m, p, r, budget, seed):
 
 def _loop_b2_b3_points(prob, r, sample_budget, seed, expand=5.0):
     """The points the per-point loop of check_b2_b3 evaluated, in order."""
-    ndirs = max(8, int(math.sqrt(sample_budget)))
-    per_dir = max(4, sample_budget // ndirs)
+    ndirs, per_dir = _b2_counts(sample_budget)
     rng = rng_for(seed, 23)
     points = []
     for _ in range(ndirs):
@@ -656,12 +667,13 @@ def _spy_stacks(monkeypatch):
     return stacks
 
 
-def test_b2_b3_evaluate_the_loops_points_in_one_call(monkeypatch):
+def test_b2_b3_evaluate_the_loops_points_in_one_call(monkeypatch, b2_samples):
     """All 17 directions' points, in the loop's order, in one stacked call
     (one call per direction before)."""
     prob = _example3_problem(4, 2.5)
     stacks = _spy_stacks(monkeypatch)
-    check_b2_b3(prob, 0.3, sample_budget=300, seed=7)
+    b2_samples(*_b2_counts(300))
+    check_b2_b3(prob, 0.3, seed=7)
     ref = _loop_b2_b3_points(prob, 0.3, 300, 7)
     assert len(stacks) == 1
     assert _same_bits(stacks[0], ref)
@@ -891,7 +903,7 @@ def _loop_probe(prob, directions=32, radii=(1.0, 10.0, 100.0, 1000.0), seed=0, d
     ],
 )
 @pytest.mark.parametrize("sampled", [False, True])
-def test_probe_table_matches_the_point_loop(name, m, params, p, lam, sampled):
+def test_probe_table_matches_the_point_loop(monkeypatch, name, m, params, p, lam, sampled):
     """With the 32 sampled rays before the structured ones, and with the
     structured rays alone."""
     nl = make_builtin(name, m, params).nonlinearity
@@ -899,18 +911,20 @@ def test_probe_table_matches_the_point_loop(name, m, params, p, lam, sampled):
     directions = 32 if sampled else 0
     with np.errstate(over="ignore", invalid="ignore"):
         ref = _loop_probe(prob, directions=directions, seed=3)
-    got = anticoercivity_probe(prob, directions=directions, seed=3)
+    monkeypatch.setattr(analysis, "_PROBE_DIRECTIONS", directions)
+    got = anticoercivity_probe(prob, seed=3)
     assert _dumps(got) == _dumps(ref)
     x = np.linspace(-1.0, 2.0, prob.dim)
     assert _same_bits(_action_or_limit_rows(x[None], prob)[0], _loop_action_or_limit(x, prob))
 
 
-def test_probe_with_no_directions_holds_trivially():
+def test_probe_with_no_directions_holds_trivially(monkeypatch):
     """With no sampled rays the probe judges its six structured rays alone:
     +-e_1, +-e_2 and +-(1, -1)/sqrt(2) at m = 2."""
     prob = Problem(m=2, n=1, exponent=ExponentFunction.constant(2.0, 2),
                    nonlinearity=make_power(2, 1.0, 1.0, 2.0, 2.0)[0], lam=5.0)
-    rep = anticoercivity_probe(prob, directions=0)
+    monkeypatch.setattr(analysis, "_PROBE_DIRECTIONS", 0)
+    rep = anticoercivity_probe(prob)
     assert rep.verdict == HOLDS and rep.samples == 6 and rep.detail["structured"] == 6
 
 

@@ -169,10 +169,6 @@ def test_stacked_morse_matches_morse_summary(name, m):
         )
         assert _same_bits(got.zero_tol, ref.zero_tol)
         assert got.classification == ref.classification
-    # explicit zero tolerance
-    for got, row in zip(_morse_summaries(x[:3], prob, zero_tol=1e-3), x[:3]):
-        ref = morse_summary(PeriodicSequence.from_flat(row, m, prob.n), prob, zero_tol=1e-3)
-        assert got.zero_tol == 1e-3 and got.classification == ref.classification
 
 
 def test_stacked_morse_warnings_are_not_vacuous():

@@ -1,6 +1,7 @@
 """Write the CLI outputs of the shipped configs to one directory.
 
     python tools/snapshot_outputs.py OUTDIR
+    python tools/snapshot_outputs.py --manifest
 
 For each config in configs/ it runs `solve` (values and summary CSV),
 `check` (JSON) and a 50-point `gradcheck` (JSON); it also runs a 25-step
@@ -27,15 +28,24 @@ script sits in, so two checkouts give two snapshots, and `diff -r` between
 them shows any output that changed.
 stdout is discarded because it holds the output paths; stderr is passed
 through.  Exits 1 when a command fails.
+
+With --manifest it writes the snapshot to a temporary directory instead
+and records it in tests/golden/outputs.json (manifest() below), which
+tests/test_golden_outputs.py checks: a change that moves an output commits
+the new manifest with it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
@@ -44,6 +54,7 @@ from perfbench.workloads import GRADCHECK_POINTS, check_configs  # noqa: E402
 
 CONFIGS = ("example1_m4", "example2_m3", "example3_sweep", "power_borderline")
 CHECK_SEEDS = (1, 2)
+MANIFEST = os.path.join(ROOT, "tests", "golden", "outputs.json")
 
 
 def _commands(outdir: str, cfgdir: str) -> list[list[str]]:
@@ -115,11 +126,61 @@ def _commands(outdir: str, cfgdir: str) -> list[list[str]]:
     return cmds
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/snapshot_outputs.py OUTDIR", file=sys.stderr)
-        return 2
-    outdir = os.path.abspath(argv[0])
+def versions() -> dict:
+    """The Python and numpy versions that outputs are made with."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def _line_digests(data: bytes) -> str:
+    """The first 8 hex digits of the sha256 of each line (with its ending)."""
+    return " ".join(hashlib.sha256(line).hexdigest()[:8] for line in data.splitlines(keepends=True))
+
+
+def manifest(outdir: str) -> dict:
+    """The manifest of a snapshot: the versions it was made with and, per
+    file, its byte size, its sha256 and a short digest of each line, from
+    which moved_files() finds the first line that differs."""
+    files = {}
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            data = fh.read()
+        files[name] = {
+            "size": len(data),
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "lines": _line_digests(data),
+        }
+    return {**versions(), "files": files}
+
+
+def moved_files(expected: dict, outdir: str) -> list[str]:
+    """One line per file of the snapshot in outdir that differs from the
+    manifest expected, or that only one of them holds, in name order; a
+    differing file names its first differing line (1-based) and shows that
+    line of outdir's file."""
+    got = manifest(outdir)["files"]
+    want = expected["files"]
+    out = []
+    for name in sorted(set(got) | set(want)):
+        if name not in got:
+            out.append(f"{name}: missing")
+        elif name not in want:
+            out.append(f"{name}: not in the manifest")
+        elif got[name]["sha256"] != want[name]["sha256"]:
+            a, b = want[name]["lines"].split(), got[name]["lines"].split()
+            i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            with open(os.path.join(outdir, name), "rb") as fh:
+                lines = fh.read().splitlines()
+            shown = lines[i].decode("utf-8", "replace")[:120] if i < len(lines) else "<end of file>"
+            out.append(
+                f"{name}: {want[name]['size']} -> {got[name]['size']} bytes, "
+                f"{len(a)} -> {len(b)} lines, first differing line {i + 1}: {shown}"
+            )
+    return out
+
+
+def write_snapshot(outdir: str) -> int:
+    """Run every command of _commands in its own process, writing into
+    outdir; 1 when a command fails, else 0."""
     os.makedirs(outdir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     status = 0
@@ -131,6 +192,22 @@ def main(argv: list[str]) -> int:
             if proc.returncode != 0:
                 print(f"exit {proc.returncode}: pklap {' '.join(cmd)}", file=sys.stderr)
                 status = 1
+    return status
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/snapshot_outputs.py OUTDIR | --manifest", file=sys.stderr)
+        return 2
+    if argv[0] != "--manifest":
+        return write_snapshot(os.path.abspath(argv[0]))
+    with tempfile.TemporaryDirectory() as outdir:
+        status = write_snapshot(outdir)
+        if status == 0:
+            os.makedirs(os.path.dirname(MANIFEST), exist_ok=True)
+            with open(MANIFEST, "w", encoding="utf-8") as fh:
+                json.dump(manifest(outdir), fh, indent=1)
+                fh.write("\n")
     return status
 
 
