@@ -39,8 +39,9 @@ from .core import (
     _row_norms,
     _shifted,
     _shifted_back,
+    _stack_periods,
 )
-from .functional import _action_rows, mu, potential
+from .functional import mu, potential
 from .operators import _phi_rows, _stack_pass
 
 HOLDS = "holds_on_samples"
@@ -633,16 +634,16 @@ def thresholds(prob: Problem, growth: GrowthProfile) -> Thresholds:
 # ---------------------------------------------------------------------------
 
 
-def _signed_points(rng: np.random.Generator, mags: np.ndarray, n: int) -> np.ndarray:
-    """Points of the Euclidean magnitudes mags, as a (*mags.shape, n) array.
+def _orientations(rng: np.random.Generator, shape: tuple, n: int) -> np.ndarray:
+    """Unit orientations of points of the given shape, as a (*shape, n) array.
 
-    The orientations take one draw call, in the C order of mags: a sign per
-    point at n = 1 (+ where a uniform falls below 1/2), a random unit
-    direction per point at n > 1 (_unit_directions).
+    They take one draw call, in C order: a sign per point at n = 1 (+ where
+    a uniform falls below 1/2), a random unit direction per point at n > 1
+    (_unit_directions).
     """
     if n == 1:
-        return (mags * np.where(rng.random(mags.shape) < 0.5, 1.0, -1.0))[..., None]
-    return mags[..., None] * _unit_directions(rng, mags.size, (n,)).reshape(*mags.shape, n)
+        return np.where(rng.random(shape) < 0.5, 1.0, -1.0)[..., None]
+    return _unit_directions(rng, math.prod(shape), (n,)).reshape(*shape, n)
 
 
 def _signed_samples(nl: Nonlinearity, rng: np.random.Generator, count: int, magnitudes):
@@ -650,13 +651,13 @@ def _signed_samples(nl: Nonlinearity, rng: np.random.Generator, count: int, magn
 
     Draws the periods K with one rng.integers call, a (2, count) block D of
     uniforms with one rng.random call, and points of the magnitudes mags =
-    magnitudes(D) (row 0 for u1, row 1 for u2) with one _signed_points call:
-    the same calls at every n and every count.  Returns (K, mags, U), U the
-    (2, count, n) stack of u1 and u2.
+    magnitudes(D) (row 0 for u1, row 1 for u2) oriented with one
+    _orientations call: the same calls at every n and every count.  Returns
+    (K, mags, U), U the (2, count, n) stack of u1 and u2.
     """
     K = rng.integers(1, nl.m + 1, size=count)
     mags = magnitudes(rng.random((2, count)))
-    return K, mags, _signed_points(rng, mags, nl.n)
+    return K, mags, mags[..., None] * _orientations(rng, mags.shape, nl.n)
 
 
 def _sampled_condition(
@@ -698,16 +699,20 @@ def check_growth(nl: Nonlinearity, g: GrowthProfile, seed: int = 0) -> list[Chec
     (_signed_samples), the same calls at every n, and evaluate F on them
     with one call of the family's F kernel (Nonlinearity._F_points, as
     the periods are drawn in 1..m).  A.6.x draws each shell's t values,
-    signs (n = 1) or directions (n > 1) with one call each, and evaluates F
-    with one kernel call per distinct exponent pair (e1, e2), at t = 0, 1/2,
-    1 and _A6_PER_SHELL random t per shell and period: the variants
-    of a pair draw from one stream and give the same quotients, so a family
-    with constant s and r computes them once; the last shell's largest
-    quotient decides, a one-entry margin QUOTIENT_TOL - quotient judged by
-    _worst_report at slack 0.  The bound of A.4 and the
-    quotient denominators are computed with C pow, as Python's ** does, so
-    the margins are bitwise those of a point-by-point loop over the same
-    samples.  Raises ValueError when the periods of nl and g differ.
+    then its signs (n = 1) or directions (n > 1), with one call each, and
+    evaluates F with one kernel call per distinct exponent pair (e1, e2),
+    at t = 0, 1/2, 1 and _A6_PER_SHELL random t per shell and period, all
+    eight shells as one stack: the variants of a pair draw from one stream
+    and give the same quotients, so a family with constant s and r computes
+    them once.  A quotient's denominator (t shell)^e1 + ((1 - t) shell)^e2
+    does not depend on the period, so it is taken once per (shell, t).  A
+    shell's largest quotient ignores NaN quotients, and is NaN when it has
+    no other; the last shell's decides, a one-entry margin QUOTIENT_TOL -
+    quotient judged by _worst_report at slack 0, so a NaN makes the report
+    inconclusive.  The bound of A.4 and the quotient denominators are
+    computed with C pow, as Python's ** does, so the margins are bitwise
+    those of a point-by-point loop over the same samples.  Raises
+    ValueError when the periods of nl and g differ.
     """
     if nl.m != g.m:
         raise ValueError(f"nonlinearity and profile periods differ: {nl.m} and {g.m}")
@@ -744,28 +749,30 @@ def check_growth(nl: Nonlinearity, g: GrowthProfile, seed: int = 0) -> list[Chec
 
     @functools.cache  # the variants of one exponent pair share its draws and quotients
     def shell_quotients(e1, e2):
-        """Each shell's first largest quotient, and the last one's sample (k, u1, u2)."""
+        """Each shell's first largest quotient, NaN ignored, and the last one's sample (k, u1, u2)."""
         rng = rng_for(seed, 6, int(e1 * 1000), int(e2 * 1000))
-        K = np.tile(np.arange(1, m + 1), len(shells) * (_A6_PER_SHELL + 3))
-        U1 = np.empty((K.size, n))
-        U2 = np.empty((K.size, n))
-        T = np.empty(K.size)
-        for j, shell in enumerate(shells):
-            # each t is shared by m samples, and each sample's u1 is drawn
-            # before its u2
-            t = np.repeat(np.concatenate(([0.0, 0.5, 1.0], rng.random(_A6_PER_SHELL))), m)
-            points = _signed_points(rng, np.stack((t * shell, (1.0 - t) * shell), axis=1), n)
-            block = slice(j * rows, (j + 1) * rows)
-            U1[block], U2[block], T[block] = points[:, 0], points[:, 1], t
-        S = np.repeat(shells, rows)
-        denom = np.float_power(T * S, e1) + np.float_power((1.0 - T) * S, e2)
-        kept = ~(denom <= 0.0)
-        q = np.zeros(K.size)
-        F = nl._F_points(_read_only(K[kept], np.int64), _read_only(U1[kept]), _read_only(U2[kept]))
-        q[kept] = np.abs(F) / denom[kept]
-        q[np.isnan(q)] = 0.0
+        T = np.empty((len(shells), _A6_PER_SHELL + 3))
+        T[:, :3] = (0.0, 0.5, 1.0)
+        O = np.empty((len(shells), rows, 2, n))
+        for j in range(len(shells)):
+            # each t is shared by m samples, and each sample's u1 is
+            # oriented before its u2
+            T[j, 3:] = rng.random(_A6_PER_SHELL)
+            O[j] = _orientations(rng, (rows, 2), n)
+        S = np.array(shells)[:, None]
+        near, far = T * S, (1.0 - T) * S  # |u1| and |u2| at each (shell, t)
+        denom = np.repeat(np.float_power(near, e1) + np.float_power(far, e2), m, axis=1).reshape(-1)
+        U1 = (np.repeat(near, m, axis=1)[..., None] * O[:, :, 0]).reshape(-1, n)
+        U2 = (np.repeat(far, m, axis=1)[..., None] * O[:, :, 1]).reshape(-1, n)
+        K = _stack_periods(m, T.size)
+        # a quotient whose denominator underflows (both powers, at huge
+        # exponents) stays 0
+        F = nl._F_points(K, _read_only(U1), _read_only(U2))
+        q = np.divide(np.abs(F), denom, out=np.zeros(K.size), where=~(denom <= 0.0))
         q = q.reshape(len(shells), rows)
-        w = np.argmax(q, axis=1)
+        # a quotient is >= 0 or NaN, so a shell with no other quotient
+        # takes its first, NaN
+        w = np.argmax(np.where(np.isnan(q), -math.inf, q), axis=1)
         i = (len(shells) - 1) * rows + int(w[-1])
         return q[np.arange(len(shells)), w].tolist(), (int(K[i]), U1[i], U2[i])
 
@@ -979,15 +986,18 @@ def _level_radii(prob: Problem, V: np.ndarray, r: float) -> np.ndarray:
             return np.exp(s) / scale
 
 
-def _stack_values(stack: np.ndarray, prob: Problem, mu_needed=False) -> tuple[np.ndarray, np.ndarray]:
-    """(mus, pots) of a (B, m, n) stack, from one _action_rows call.
+def _stack_values(stack: np.ndarray, prob: Problem, mu_needed=None) -> tuple:
+    """(mus, pots) of a (B, m, n) stack, from one _stack_pass call; mus is
+    None, and mu not evaluated, when mu_needed is None.
 
     Raises what potential(row), and then mu(row) where mu_needed[row], raise
     at the first row, in stack order, whose value is not finite, as a loop
     over the rows would.
     """
-    mus, pots, mu_ok, pot_ok = _action_rows(stack, prob)
-    failed = ~pot_ok | (mu_needed & ~mu_ok)
+    mus, pots, _ = _stack_pass(stack, prob, mu=mu_needed is not None, potential=True)
+    failed = ~np.isfinite(pots)
+    if mu_needed is not None:
+        failed |= mu_needed & ~np.isfinite(mus)
     if failed.any():
         row = stack[np.argmax(failed)]
         potential(row, prob)

@@ -482,6 +482,33 @@ class TestCheckGrowth:
         assert bad.detail["shell_quotients"][-1] > 1.0
         assert reports["A.4"].witness is None
 
+    @pytest.mark.parametrize(
+        "low,verdict,margin,quotients",
+        [
+            # F is NaN on every shell: no quotient decides A.6.x
+            (0.0, INCONCLUSIVE, math.inf, ["nan"] * 8),
+            # NaN on the shells 1e-1 and 1e-2 only; elsewhere the quotient is 1
+            (1e-3, VIOLATED, 1e-3 - 1.0, ["nan", "nan"] + [1.0] * 6),
+        ],
+    )
+    def test_nan_quotients_are_ignored(self, a_samples, low, verdict, margin, quotients):
+        """F = |u1|^3 + |u2|^3, except NaN where low < |u1| + |u2| < 1/2,
+        against the growth profile of that power: a shell's largest
+        quotient ignores NaN, and a shell with no other quotient reports
+        NaN, as every sampled condition ignores NaN margins."""
+        power, growth = make_power(4, 1.0, 1.0, 3.0, 3.0)
+
+        def F(K, U1, U2):
+            size = np.abs(U1[:, 0]) + np.abs(U2[:, 0])
+            return np.where((low < size) & (size < 0.5), np.nan, power.F(K, U1, U2))
+
+        a_samples(300)
+        reports = check_growth(Nonlinearity(4, F, power.dF), growth)[2:]
+        for rep in reports:
+            assert (rep.verdict, rep.margin) == (verdict, margin)
+            assert rep.to_dict()["detail"]["shell_quotients"] == quotients
+        assert [rep.witness is None for rep in reports] == [verdict != VIOLATED] * 3
+
     def test_period_mismatch(self):
         nl, _ = make_example1(2)
         _, growth4 = make_example1(4)

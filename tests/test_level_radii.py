@@ -181,18 +181,21 @@ def test_level_radii_of_no_directions():
 # ---------------------------------------------------------------------------
 
 
-def _count_stack_calls(monkeypatch):
-    """The stacks analysis passes to _stack_pass; the terms passes of
-    _stack_values go through functional._action_rows."""
-    calls = []
+def _spy_stack_pass(monkeypatch, record):
+    """Calls record(vals) on every stack analysis passes to _stack_pass."""
     real = analysis._stack_pass
 
     def spy(vals, prob, **outputs):
-        calls.append(len(vals))
+        record(vals)
         return real(vals, prob, **outputs)
 
     monkeypatch.setattr(analysis, "_stack_pass", spy)
-    monkeypatch.setattr(analysis, "_action_rows", lambda vals, p_: calls.append(len(vals)) or _action_rows(vals, p_))
+
+
+def _count_stack_calls(monkeypatch):
+    """The sizes of the stacks analysis passes to _stack_pass."""
+    calls = []
+    _spy_stack_pass(monkeypatch, lambda vals: calls.append(len(vals)))
     return calls
 
 
@@ -224,7 +227,7 @@ def test_b2_b3_raise_the_first_failing_direction_after_the_ones_before(monkeypat
 
     monkeypatch.setattr(analysis, "_unit_directions", scaled)
     stacks = []
-    monkeypatch.setattr(analysis, "_action_rows", lambda vals, p_: stacks.append(vals) or _action_rows(vals, p_))
+    _spy_stack_pass(monkeypatch, stacks.append)
     b2_samples(17, 17)
     with pytest.raises(EvaluationError) as raised:
         check_b2_b3(prob, 1e10, seed=7)
@@ -281,7 +284,7 @@ def test_lambda_star_raises_a_failure_outside_mu_at_once(monkeypatch):
     before any point is evaluated, whatever its place in the grid (NaN
     used to fail in mu, inf to fail to bracket)."""
     stacks = []
-    monkeypatch.setattr(analysis, "_action_rows", lambda vals, p_: stacks.append(vals) or _action_rows(vals, p_))
+    _spy_stack_pass(monkeypatch, stacks.append)
     for grid in ([math.nan], [0.5, math.inf], [-math.inf, 0.5]):
         with pytest.raises(ValueError, match="positive finite radii"):
             lambda_star_estimate(_problem(4, 2.5), grid, samples_per_r=10, seed=0)

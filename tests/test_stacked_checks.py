@@ -1,13 +1,14 @@
 """Stacked checks: the sampled checks against their point-by-point forms.
 
 `pklap check` and `gradcheck` evaluate their sampled points through one
-action kernel over a (B, m, n) stack (functional._action_rows), the three
+stacked pass over a (B, m, n) stack (operators._stack_pass), the three
 norm inequalities over a stack of samples, and the A.6 shells, B.2/B.3,
 lambda-star and the anticoercivity table with one call each.  Each must
 reproduce the per-point computation bit for bit; the per-point loops they
 replace are kept here as the references.
 """
 
+import hashlib
 import json
 import math
 
@@ -52,6 +53,7 @@ from pklap.core import (
 )
 from pklap.functional import _action_rows, _gradient_fd_rows, action, gradient, gradient_fd, mu, potential
 from pklap.nonlinearities import BuiltinSpec, make_builtin, make_example3, make_power
+from pklap.operators import _stack_pass
 from test_lockstep import BUILTINS, _problem, _same_bits
 from test_shared_loops import _well_nl2
 
@@ -500,22 +502,38 @@ def _loop_a6(nl, g, sample_budget, seed):
         kept = ~(denom <= 0.0)
         q = np.zeros(K.size)
         q[kept] = np.abs(nl.F_many(K[kept], U1[kept], U2[kept])) / denom[kept]
-        q[np.isnan(q)] = 0.0
         trajectory = []
         last_witness = None
         for j, shell in enumerate(shells):
-            w = j * rows + int(np.argmax(q[j * rows : (j + 1) * rows]))
+            block = q[j * rows : (j + 1) * rows]
+            # the first largest quotient that is not NaN, else the first NaN
+            w = j * rows + int(np.argmax(np.where(np.isnan(block), -np.inf, block)))
             trajectory.append(float(q[w]))
             last_witness = None
             if q[w] > 0.0:
                 last_witness = {"k": int(K[w]), "u1": U1[w].copy(), "u2": U2[w].copy(),
                                 "quotient": float(q[w]), "shell": shell}
         final = trajectory[-1]
-        verdict = HOLDS if final <= 1e-3 else VIOLATED
-        reports.append(CheckReport(tag, verdict, 1e-3 - final, last_witness if verdict == VIOLATED else None,
+        if math.isnan(final):
+            verdict, margin = INCONCLUSIVE, math.inf
+        else:
+            verdict, margin = (HOLDS if final <= 1e-3 else VIOLATED), 1e-3 - final
+        reports.append(CheckReport(tag, verdict, margin, last_witness if verdict == VIOLATED else None,
                                    samples=len(shells) * rows, seed=seed,
                                    detail={"shell_quotients": trajectory}))
     return reports
+
+
+def _nan_power(m):
+    """F = |u1|^3 + |u2|^3, except NaN where u1 < 0 or 0 < |u1| + |u2| < 1e-6."""
+    power, _ = make_power(m, 1.0, 1.0, 3.0, 3.0)
+
+    def F(K, U1, U2):
+        size = np.abs(U1[:, 0]) + np.abs(U2[:, 0])
+        nan = (U1[:, 0] < 0.0) | ((0.0 < size) & (size < 1e-6))
+        return np.where(nan, np.nan, power.F(K, U1, U2))
+
+    return Nonlinearity(m, F, power.dF)
 
 
 def _growth(m, s, r):
@@ -530,6 +548,10 @@ def _growth(m, s, r):
         pytest.param(make_power(3, 1.0, 1.0, 2.0, 2.0)[0], _growth(3, [3.0] * 3, [3.0] * 3), id="violated"),
         pytest.param(_well_nl2(3), _growth(3, [2.5, 3.0, 2.5], [3.5, 2.5, 3.0]), id="n2"),
         pytest.param(*make_power(4, 1.0, 1.0, 3.0, 3.0), id="constant_s_r"),
+        # from the shell 1e-3 on, some or all denominators underflow to 0
+        pytest.param(*make_power(4, 1.0, 1.0, 100.0, 100.0), id="underflow"),
+        # F is NaN at some samples of each shell, and on all of the last two
+        pytest.param(_nan_power(4), _growth(4, [3.0] * 4, [3.0] * 4), id="nan"),
     ],
 )
 @pytest.mark.parametrize("seed", [0, 9])
@@ -563,6 +585,84 @@ def test_a6_evaluates_each_distinct_exponent_pair_once(monkeypatch, a_samples, s
     reports = check_growth(nl, g, seed=3)
     assert len(sizes) == calls
     assert [r.name for r in reports] == ["A.4", "A.5", "A.6.1", "A.6.2", "A.6.3"]
+
+
+def _witness_digest(witness):
+    """sha256 of a witness's bytes: its period, then the float64 bytes of
+    its other fields in key order; None for no witness."""
+    if witness is None:
+        return None
+    data = str(witness["k"]).encode() + b"".join(
+        np.asarray(witness[key], dtype=float).tobytes() for key in sorted(witness) if key != "k"
+    )
+    return hashlib.sha256(data).hexdigest()
+
+
+def _n2_varying_s_profile():
+    """A growth profile at m = 4 with varying s(k) and r(k), for _well_nl2:
+    A.6.1 fails (s+ = 3 > 2), A.6.2 and A.6.3 hold (s- = 1.5 < 2)."""
+    return GrowthProfile(m=4, M=1.0, eta=0.5, alpha1=np.ones(4), alpha2=np.ones(4), alpha3=np.zeros(4),
+                         s=ExponentFunction(np.array([1.5, 2.5, 2.0, 3.0])),
+                         r=ExponentFunction(np.array([1.5, 1.75, 2.0, 1.5])))
+
+
+# (verdict, margin, shell quotients, witness digest) of each report at full
+# sample counts; the golden snapshot covers n = 1 only
+_N2_GROWTH_PINS = {
+    0: {
+        "A.4": ("violated", "-0x1.307c092993938p+12", [],
+                "e10dda0d996a27444f83bc1b465a841436330e1a8a77ec8180bed64dbda186fb"),
+        "A.5": ("violated", "-0x1.06e0e9803dbd8p-9", [],
+                "091ca35b630d063668072a36ddfa25efee7a546cba836d030964d75bc5515990"),
+        "A.6.1": ("violated", "-0x1.7d783fffef9dcp+26",
+                  ["0x1.3f33333333334p+3", "0x1.8ffd70a3d70a4p+6", "0x1.f3fff7ced9169p+9", "0x1.387ffff2e48e8p+13",
+                   "0x1.869fffffd60eap+16", "0x1.e847ffffff79dp+19", "0x1.312cffffffff3p+23", "0x1.7d78400000001p+26"],
+                  "51800755438c029e772a9777fadb92ae2a69a756524b056a95cff1de88626b18"),
+        "A.6.2": ("holds_on_samples", "0x1.d2afaac882e8ep-11",
+                  ["0x1.4301f7ed62f46p-2", "0x1.9996fa82e87d4p-4", "0x1.030dc0ab76c4cp-5", "0x1.47ae146d22d7dp-7",
+                   "0x1.9e7c6e430c8a4p-9", "0x1.0624dd2f1a57cp-10", "0x1.4b96be9c2da1cp-12", "0x1.ccd07cad92b51p-14"],
+                  None),
+        "A.6.3": ("holds_on_samples", "0x1.d7dbf487fcb92p-11",
+                  ["0x1.4301f7ed62f46p-2", "0x1.9996fa82e87d4p-4", "0x1.030dc0ab76c4bp-5", "0x1.47ae146d22d7bp-7",
+                   "0x1.9e7c6e430c8a4p-9", "0x1.0624dd2f1a57cp-10", "0x1.4b96be9c2da1dp-12", "0x1.a36e2eb1c432ep-14"],
+                  None),
+    },
+    5: {
+        "A.4": ("violated", "-0x1.30f4148708f0bp+12", [],
+                "b95029c3b132bcee7617bf46833509129dd57c4c08c4c9d688594866cd0b7bbb"),
+        "A.5": ("violated", "-0x1.91ba1382d5411p-10", [],
+                "504edf487282f4bdddc4f2e608f6ece8fb34d55f7114776a326dcc52d58cdc7e"),
+        "A.6.1": ("violated", "-0x1.7d783fffef9dbp+26",
+                  ["0x1.3f33333333334p+3", "0x1.8ffd70a3d70a6p+6", "0x1.f3fff7ced916dp+9", "0x1.387ffff2e48e8p+13",
+                   "0x1.869fffffd60eap+16", "0x1.e847ffffff7a1p+19", "0x1.312cffffffff2p+23", "0x1.7d78400000000p+26"],
+                  "d70234249ec8345d220cf6a6d6650ed91d8c0d5e83dc72326dc1f8241c6b47a7"),
+        "A.6.2": ("holds_on_samples", "0x1.d64d6de4828a5p-11",
+                  ["0x1.4301f7ed62f48p-2", "0x1.9996fa82e87d4p-4", "0x1.030dc0ab76c4cp-5", "0x1.47ae146d22d7dp-7",
+                   "0x1.9e7c6e430c8a3p-9", "0x1.0624dd2f1a57cp-10", "0x1.4b96be9c2da1dp-12", "0x1.afe263cd95a9ap-14"],
+                  None),
+        "A.6.3": ("holds_on_samples", "0x1.d7dbf487fcb92p-11",
+                  ["0x1.4301f7ed62f46p-2", "0x1.9996fa82e87d4p-4", "0x1.030dc0ab76c4bp-5", "0x1.47ae146d22d7cp-7",
+                   "0x1.9e7c6e430c8a2p-9", "0x1.0624dd2f1a57cp-10", "0x1.4b96be9c2da1cp-12", "0x1.a36e2eb1c432ep-14"],
+                  None),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_N2_GROWTH_PINS))
+def test_n2_growth_reports_are_pinned(seed):
+    """check_growth on an n = 2 family with varying s(k), at full sample
+    counts: verdicts, margins and shell quotients to the bit, and the
+    witnesses' bytes."""
+    got = {
+        rep.name: (
+            rep.verdict,
+            float(rep.margin).hex(),
+            [float(q).hex() for q in rep.detail.get("shell_quotients", [])],
+            _witness_digest(rep.witness),
+        )
+        for rep in check_growth(_well_nl2(4), _n2_varying_s_profile(), seed=seed)
+    }
+    assert got == _N2_GROWTH_PINS[seed]
 
 
 def test_sampled_checks_call_the_F_kernel_on_read_only_views(monkeypatch, a_samples):
@@ -656,14 +756,14 @@ def _loop_b2_b3_points(prob, r, sample_budget, seed, expand=5.0):
 
 
 def _spy_stacks(monkeypatch):
-    """Record every stack that analysis passes to the action kernel."""
+    """Record every stack that analysis passes to the stacked pass."""
     stacks = []
 
-    def spy(vals, prob):
+    def spy(vals, prob, **outputs):
         stacks.append(np.array(vals, copy=True))
-        return _action_rows(vals, prob)
+        return _stack_pass(vals, prob, **outputs)
 
-    monkeypatch.setattr(analysis, "_action_rows", spy)
+    monkeypatch.setattr(analysis, "_stack_pass", spy)
     return stacks
 
 
