@@ -41,8 +41,7 @@ from .core import (
     _shifted_back,
     _stack_periods,
 )
-from .functional import mu, potential
-from .operators import _phi_rows, _stack_pass
+from .operators import _checked_pass, _checked_row, _phi_rows, _stack_pass
 
 HOLDS = "holds_on_samples"
 VIOLATED = "violated"
@@ -766,9 +765,9 @@ def check_growth(nl: Nonlinearity, g: GrowthProfile, seed: int = 0) -> list[Chec
         U2 = (np.repeat(far, m, axis=1)[..., None] * O[:, :, 1]).reshape(-1, n)
         K = _stack_periods(m, T.size)
         # a quotient whose denominator underflows (both powers, at huge
-        # exponents) stays 0
+        # exponents) is NaN: the sample says nothing about the limit
         F = nl._F_points(K, _read_only(U1), _read_only(U2))
-        q = np.divide(np.abs(F), denom, out=np.zeros(K.size), where=~(denom <= 0.0))
+        q = np.divide(np.abs(F), denom, out=np.full(K.size, math.nan), where=~(denom <= 0.0))
         q = q.reshape(len(shells), rows)
         # a quotient is >= 0 or NaN, so a shell with no other quotient
         # takes its first, NaN
@@ -986,25 +985,6 @@ def _level_radii(prob: Problem, V: np.ndarray, r: float) -> np.ndarray:
             return np.exp(s) / scale
 
 
-def _stack_values(stack: np.ndarray, prob: Problem, mu_needed=None) -> tuple:
-    """(mus, pots) of a (B, m, n) stack, from one _stack_pass call; mus is
-    None, and mu not evaluated, when mu_needed is None.
-
-    Raises what potential(row), and then mu(row) where mu_needed[row], raise
-    at the first row, in stack order, whose value is not finite, as a loop
-    over the rows would.
-    """
-    mus, pots, _ = _stack_pass(stack, prob, mu=mu_needed is not None, potential=True)
-    failed = ~np.isfinite(pots)
-    if mu_needed is not None:
-        failed |= mu_needed & ~np.isfinite(mus)
-    if failed.any():
-        row = stack[np.argmax(failed)]
-        potential(row, prob)
-        mu(row, prob)
-    return mus, pots
-
-
 def _first_overflow(radii: np.ndarray, r: float, what: str) -> tuple[int, Optional[EvaluationError]]:
     """The index of the first level radius of radii, one per direction,
     that overflowed (len(radii) if none did), and the EvaluationError that
@@ -1062,7 +1042,7 @@ def check_b2_b3(prob: Problem, r: float, seed: int = 0) -> tuple[CheckReport, Ch
     ndirs, per_dir = _B2_DIRECTIONS, _B2_PER_DIRECTION
     rng = rng_for(seed, 23)
 
-    j0 = potential(np.zeros((prob.m, prob.n)), prob)
+    j0 = float(_checked_row(np.zeros((prob.m, prob.n)), prob, potential=True)[1])
     dirs, draws = [], []
     for _ in range(ndirs):
         dirs.append(_unit_directions(rng, 1, (prob.m, prob.n), zero_mean=True)[0])
@@ -1076,7 +1056,7 @@ def check_b2_b3(prob: Problem, r: float, seed: int = 0) -> tuple[CheckReport, Ch
     t[:, 1::2] = draws[:count, 0::2] * radii[:count, None]
     t[:, 2::2] = draws[:count, 1::2] * _B2_EXPAND * radii[:count, None]
     points = t[:, :, None, None] * V[:count, None]
-    _, vals = _stack_values(points.reshape(-1, prob.m, prob.n), prob)
+    vals = _checked_pass(points.reshape(-1, prob.m, prob.n), prob, potential=True)[1]
     if overflow is not None:
         raise overflow
     vals = vals.reshape(t.shape)
@@ -1144,9 +1124,10 @@ def lambda_star_estimate(
     all its interior fractions t from rng_for(seed, 48, ir) with one call,
     so enlarging samples_per_r extends the sample set, never reshuffles it.
     The level radii are found in one _level_radii call, and all level and
-    interior points go through one stacked call, which raises the
-    EvaluationError of the first point, in sample order, whose value is
-    not finite.  sup J is the first largest potential of 0 and all points,
+    interior points go through one _checked_pass call, which raises the
+    EvaluationError of the first point, in sample order, whose potential,
+    or whose mu at 0 and the interior points, is not finite (mu's where
+    both are).  sup J is the first largest potential of 0 and all points,
     and phi(r) the first smallest ratio over 0 and the interior points with
     mu(u) < r, both in sample order; phi(r) is 0 whenever sup J sits at 0
     or at an interior point.  A sample whose level radius overflows raises
@@ -1172,7 +1153,7 @@ def lambda_star_estimate(
         points[2::2] = t_in[:count, None, None] * V[:count]
         # 0 and the interior points; mu(0) = 0 is finite
         interior = np.arange(len(points)) % 2 == 0
-        mus, pots = _stack_values(points, prob, interior)
+        mus, pots, _ = _checked_pass(points, prob, mu=interior, potential=True)
         if overflow is not None:
             raise overflow
         sup_j = float(pots[np.argmax(pots)])

@@ -12,13 +12,12 @@ system and finding critical points are the same task.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
-from .core import EvaluationError, PeriodicSequence, Problem, _Record, _row_norms, euclidean_norm
-from .operators import _residual_rows, _stack_pass, residual_values, sequence_values
+from .core import PeriodicSequence, Problem, _Record, _row_norms, euclidean_norm
+from .operators import _checked_pass, _checked_row, residual_values
 
 HESSIAN_STEP_SCALE = 1e-5
 MORSE_ZERO_TOL_SCALE = 1e-7
@@ -34,56 +33,38 @@ class NonsmoothExponentError(ValueError):
 
 
 # The two terms of the action, like the residual, are evaluated on a
-# (B, m, n) stack by one pass, operators._stack_pass, which gives each row
-# the bits of that sequence alone; the functions below are its call sites.
-
-
-def _action_rows(vals, prob: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """mu and potential of each sequence of a (B, m, n) stack, with per-row flags.
-
-    Returns (mus, pots, mu_ok, pot_ok); mu_ok[b] (pot_ok[b]) is False when
-    row b's input or its mu (potential) is not finite.  The terms pass of
-    _stack_pass, which says how non-finite rows, overflow, shapes and
-    malformed values of F are handled.
-    """
-    mus, pots, _ = _stack_pass(vals, prob, mu=True, potential=True)
-    return mus, pots, np.isfinite(mus), np.isfinite(pots)
+# (B, m, n) stack by one pass, operators._checked_pass, which gives each
+# row the bits of that sequence alone and raises by one failure rule; the
+# functions below are its call sites.
 
 
 def mu(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
     """Anisotropic Dirichlet energy sum_k (1/p(k)) |Delta u(k)|^p(k).
 
     u is a PeriodicSequence or a raw (m, n) array, validated as in
-    residual_values.  The one-row case of _stack_pass's mu, the formula
-    _action_rows applies to every row of a stack; F is not evaluated.
+    residual_values.  The one-row case of _checked_pass's mu; F is not
+    evaluated.
     """
-    x = sequence_values(u, prob, "mu")[None]
-    total = float(_stack_pass(x, prob, mu=True)[0][0])
-    if not math.isfinite(total):
-        raise EvaluationError("mu evaluated to a non-finite value")
-    return total
+    return float(_checked_row(u, prob, mu=True)[0])
 
 
 def potential(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
     """Potential part -sum_k F(k, u(k+1), u(k)).
 
     u is a PeriodicSequence or a raw (m, n) array, validated as in
-    residual_values.  The one-row case of _stack_pass's potential, the
-    formula _action_rows applies to every row of a stack: the m values of
-    F come from one kernel call and are subtracted in order k = 1..m, as
-    a loop over F_at would (bitwise so for a kernel that computes each pair
-    on its own).
+    residual_values.  The one-row case of _checked_pass's potential: the m
+    values of F come from one kernel call and are subtracted in order
+    k = 1..m, as a loop over F_at would (bitwise so for a kernel that
+    computes each pair on its own).
     """
-    x = sequence_values(u, prob, "potential")[None]
-    total = float(_stack_pass(x, prob, potential=True)[1][0])
-    if not math.isfinite(total):
-        raise EvaluationError("potential evaluated to a non-finite value")
-    return total
+    return float(_checked_row(u, prob, potential=True)[1])
 
 
 def action(u: PeriodicSequence | np.ndarray, prob: Problem) -> float:
-    """Value of the action functional mu(u) + lam * potential(u)."""
-    return mu(u, prob) + prob.lam * potential(u, prob)
+    """Value of the action functional mu(u) + lam * potential(u), both
+    terms from one _checked_pass row, which raises where mu fails first."""
+    mus, pots, _ = _checked_row(u, prob, mu=True, potential=True)
+    return float(mus) + prob.lam * float(pots)
 
 
 def _require_smooth(prob: Problem, what: str) -> None:
@@ -129,16 +110,10 @@ def gradient(u: PeriodicSequence, prob: Problem) -> PeriodicSequence:
 
 
 def _action_values(points: np.ndarray, prob: Problem) -> np.ndarray:
-    """The action at N flat points, one _action_rows call.
-
-    Raises the EvaluationError that action raises at the first point,
-    in row order, whose mu or potential is not finite.
+    """The action at N flat points, one _checked_pass call, which raises
+    at the first point, in row order, whose mu or potential is not finite.
     """
-    stack = points.reshape(-1, prob.m, prob.n)
-    mus, pots, mu_ok, pot_ok = _action_rows(stack, prob)
-    failed = ~(mu_ok & pot_ok)
-    if failed.any():
-        action(stack[np.argmax(failed)], prob)
+    mus, pots, _ = _checked_pass(points.reshape(-1, prob.m, prob.n), prob, mu=True, potential=True)
     with np.errstate(over="ignore"):
         return mus + prob.lam * pots
 
@@ -177,13 +152,13 @@ def _hessian_rows(x: np.ndarray, prob: Problem, steps: np.ndarray) -> np.ndarray
 
     x is (B, dim) and steps (B,), one step per point.  The columns are
     differences of the analytic gradient (the negated residual), and the
-    stencil residuals of all B points go through one _residual_rows call,
+    stencil residuals of all B points go through one _checked_pass call,
     so H[b] is bitwise the Hessian of x_b alone.  Warns, once per point,
     when some p(k) < 2 (where second derivatives may not exist at non-smooth
     points) and, in row order, for each point whose raw asymmetry is large
     relative to its matrix norm.  Raises NonsmoothExponentError, as
-    gradient does, when some p(k) <= 1, and EvaluationError when a stencil
-    residual is not finite.
+    gradient does, when some p(k) <= 1, and _checked_pass's EvaluationError
+    at the first stencil point whose residual is not finite.
     """
     if prob.exponent.p_minus < 2.0:
         for _ in range(len(x)):
@@ -196,9 +171,7 @@ def _hessian_rows(x: np.ndarray, prob: Problem, steps: np.ndarray) -> np.ndarray
     _require_smooth(prob, "hessian_fd")
 
     def gradients(points: np.ndarray) -> np.ndarray:
-        out, ok = _residual_rows(points.reshape(-1, prob.m, prob.n), prob)
-        if not np.all(ok):
-            raise EvaluationError("residual evaluation produced non-finite entries")
+        out = _checked_pass(points.reshape(-1, prob.m, prob.n), prob, residual=True)[2]
         return -out.reshape(points.shape)
 
     h, _ = _central_difference(gradients, x, steps)

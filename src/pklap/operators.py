@@ -12,6 +12,9 @@ when the residual vanishes.
 The stacked pass _stack_pass evaluates this residual and the two terms of
 the action (see functional) on a (B, m, n) stack; every caller goes through
 it, the one-row public functions too, so each formula is written here once.
+Every caller that raises where a term is not finite goes through
+_checked_pass, so the failure rule and its messages are written here once
+too.
 """
 
 from __future__ import annotations
@@ -57,21 +60,14 @@ def _phi_rows(rows: np.ndarray, norms: np.ndarray, p_values) -> np.ndarray:
     return mags[..., None] * rows
 
 
-def sequence_values(
-    u: PeriodicSequence | np.ndarray, prob: Problem, what: str = "residual"
-) -> np.ndarray:
+def sequence_values(u: PeriodicSequence | np.ndarray, prob: Problem) -> np.ndarray:
     """The (m, n) values of u, a PeriodicSequence or a raw array.
 
     A raw array is returned as a read-only view, so a callback cannot write
-    into the caller's iterate.  Raises EvaluationError when a raw array has
-    a non-finite entry and ValueError when the shape is not (prob.m, prob.n).
+    into the caller's iterate.  Raises ValueError when the shape is not
+    (prob.m, prob.n); a non-finite entry is _checked_pass's to report.
     """
-    if isinstance(u, PeriodicSequence):
-        vals = u.values
-    else:
-        vals = _read_only(u)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError(f"{what} evaluated at a non-finite sequence")
+    vals = u.values if isinstance(u, PeriodicSequence) else _read_only(u)
     if vals.shape != (prob.m, prob.n):
         raise ValueError(f"sequence shape {vals.shape} does not match ({prob.m}, {prob.n})")
     return vals
@@ -96,8 +92,9 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
     (ExponentFunction.all_two) the flux is the differences themselves,
     which are _phi_rows' bits (1.0 a = a where |a| > 0 and 0 a = a where
     a = +-0), unless some nonzero entry's square underflows, where the norm
-    can be 0; the norms are then taken only for mu or that case.  A finite
-    row whose mu overflows on the way takes it from _scaled_mu.  Overflow
+    can be 0.  The norms are taken for mu, and for the residual off p = 2
+    or in that case, never for the potential alone.  A finite row whose mu
+    overflows on the way takes it from _scaled_mu.  Overflow
     gives non-finite values, not numpy warnings: the pass runs with
     divide, over and invalid ignored (a decorator, which numpy 2 makes
     reentrant at half a with block's cost).  Raises ValueError for a
@@ -117,7 +114,7 @@ def _stack_pass(vals, prob: Problem, mu=False, potential=False, residual=False) 
     up = _shifted(x)  # row k-1 holds u(k+1)
     up.flags.writeable = False
     d = up - x  # row k-1 holds Delta u(k)
-    norms = _entry_norms(d) if mu or not prob.exponent.all_two else None
+    norms = _entry_norms(d) if mu or (residual and not prob.exponent.all_two) else None
     if mu:
         mus = np.add.reduce(norms**p / p, axis=1)
         big = ~np.isfinite(mus)
@@ -166,16 +163,55 @@ def _residual_rows(vals: np.ndarray, prob: Problem) -> tuple[np.ndarray, np.ndar
     return out, np.isfinite(out).all(axis=(1, 2))
 
 
+# the EvaluationError message of each term, in _checked_pass's order, at a
+# finite input, and its message at a non-finite one
+_FAILURES = {
+    "mu": "mu evaluated to a non-finite value",
+    "potential": "potential evaluated to a non-finite value",
+    "residual": "residual evaluation produced non-finite entries",
+}
+_NONFINITE_INPUT = "{} evaluated at a non-finite sequence"
+
+
+def _checked_pass(vals, prob: Problem, mu=False, potential=False, residual=False) -> tuple:
+    """_stack_pass's (mus, pots, r) of a (B, m, n) stack, from one call,
+    raising EvaluationError where a required term is not finite.
+
+    Each term is not evaluated (False), or evaluated and required on every
+    row (True) or on the rows of a (B,) boolean mask.  The error is raised
+    at the first row, in stack order, where a required term is not finite,
+    and named by that row's first such term, in the order mu, potential,
+    residual: its _NONFINITE_INPUT when the row has a non-finite entry,
+    and its message in _FAILURES otherwise.
+    """
+    needs = (mu, potential, residual)
+    out = _stack_pass(vals, prob, *(need is not False for need in needs))
+    bad = np.zeros((3, len(vals)), dtype=bool)
+    for i, (need, part) in enumerate(zip(needs, out)):
+        if part is not None:
+            bad[i] = need & ~np.isfinite(part.reshape(len(part), -1)).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=0)))
+        term = list(_FAILURES)[int(np.argmax(bad[:, row]))]
+        finite = np.isfinite(vals[row]).all()
+        raise EvaluationError(_FAILURES[term] if finite else _NONFINITE_INPUT.format(term))
+    return out
+
+
+def _checked_row(u: PeriodicSequence | np.ndarray, prob: Problem, **needs) -> tuple:
+    """The one-row case of _checked_pass at u, a PeriodicSequence or an
+    (m, n) array (sequence_values): each term asked for (True), as
+    _checked_pass gives its row, or None."""
+    out = _checked_pass(sequence_values(u, prob)[None], prob, **needs)
+    return tuple(None if part is None else part[0] for part in out)
+
+
 def residual_values(u: PeriodicSequence | np.ndarray, prob: Problem) -> np.ndarray:
     """Raw (m, n) residual array at u, a PeriodicSequence or an (m, n) array.
 
-    The one-row case of _residual_rows.  phi_p is exact at every p > 1,
-    unsmoothed at 0 for p < 2.  Raises EvaluationError when the input or the
-    output has a non-finite entry, and ValueError when the shape is not
-    (prob.m, prob.n).
+    The one-row case of _checked_pass's residual.  phi_p is exact at every
+    p > 1, unsmoothed at 0 for p < 2.  Raises EvaluationError when the
+    input or the output has a non-finite entry, and ValueError when the
+    shape is not (prob.m, prob.n).
     """
-    vals = sequence_values(u, prob)
-    out, ok = _residual_rows(vals[None], prob)
-    if not ok[0]:
-        raise EvaluationError("residual evaluation produced non-finite entries")
-    return out[0]
+    return _checked_row(u, prob, residual=True)[2]

@@ -37,7 +37,7 @@ from .core import (
     in_Y,
 )
 from .functional import _action_values, _central_difference, _morse_summaries, _require_smooth
-from .operators import _residual_rows, residual_values
+from .operators import _FAILURES, _checked_pass, _residual_rows, residual_values
 
 # Extra damped-Newton steps allowed after the residual tolerance is first met,
 # so iterates escape flat basins instead of stopping at the tolerance boundary.
@@ -124,7 +124,7 @@ class _System:
     def jacobian(self, y: np.ndarray) -> np.ndarray:
         jac, ok = self.jacobians(np.asarray(y, dtype=float)[None])
         if not ok[0]:
-            raise EvaluationError("residual evaluation produced non-finite entries")
+            raise EvaluationError(_FAILURES["residual"])
         return jac[0]
 
 
@@ -572,7 +572,7 @@ def _sign_flip_ok(prob: Problem, values: np.ndarray, bar: float) -> bool:
     if not stop.any():
         return True
     if not ok[np.argmax(stop)]:
-        raise EvaluationError("residual evaluation produced non-finite entries")
+        raise EvaluationError(_FAILURES["residual"])
     return False
 
 
@@ -685,9 +685,7 @@ def find_multiple(
         first meet the tolerance on the undeflated reduced residual."""
         nonlocal y_only_x
         xs = system.to_full_rows(ys)
-        out, ok = _residual_rows(xs.reshape(len(xs), prob.m, prob.n), prob)
-        if not np.all(ok):
-            raise EvaluationError("residual evaluation produced non-finite entries")
+        out = _checked_pass(xs.reshape(len(xs), prob.m, prob.n), prob, residual=True)[2]
         g = out.reshape(len(xs), -1)
         full_norms = _row_norms(g)
         kept = np.ones(len(xs), dtype=bool)

@@ -22,7 +22,6 @@ import pytest
 
 import pklap.analysis as analysis
 import pklap.cli as cli
-import pklap.functional as functional
 import pklap.operators as operators
 from pklap.core import Nonlinearity
 from test_lean_rounds import _workloads
@@ -47,7 +46,7 @@ def _count_work(monkeypatch):
         seen["F_points"] += K.size
         return real_F(self, K, U1, U2)
 
-    for module in (operators, functional, analysis):
+    for module in (operators, analysis):
         monkeypatch.setattr(module, "_stack_pass", stack_pass)
     monkeypatch.setattr(Nonlinearity, "_F_points", F_points)
     return seen

@@ -3,7 +3,7 @@ iterations.
 
 A Newton round is one Jacobian stack (`_System.jacobians`), a line-search
 block one `evaluate` call of `core._block_search`, and every residual goes
-through `operators._residual_rows`, under whichever module name calls it.
+through one `operators._stack_pass` call that asks for it.
 The counts depend only on the arithmetic, not on the host's load, and
 Newton from random starts turns a last-bit change in an iterate into a
 different path, which moves them.  The sweep benchmark's CSV is pinned by
@@ -21,7 +21,6 @@ import warnings
 import pytest
 
 import pklap.cli as cli
-import pklap.functional as functional
 import pklap.operators as operators
 import pklap.solvers as solvers
 from pklap.cli import load_config
@@ -44,10 +43,10 @@ def _workloads():
 def _count_work(monkeypatch):
     """Spies on the three seams; returns the dict they fill."""
     seen = {"rounds": 0, "blocks": 0, "residual_calls": 0, "residual_rows": 0}
-    real_jacobians, real_search, real_rows = (
+    real_jacobians, real_search, real_pass = (
         solvers._System.jacobians,
         solvers._block_search,
-        operators._residual_rows,
+        operators._stack_pass,
     )
 
     def jacobians(self, y):
@@ -61,15 +60,15 @@ def _count_work(monkeypatch):
 
         return real_search(base, direction, step, blocks, counted, take)
 
-    def residual_rows(vals, prob):
-        seen["residual_calls"] += 1
-        seen["residual_rows"] += len(vals)
-        return real_rows(vals, prob)
+    def stack_pass(vals, prob, mu=False, potential=False, residual=False):
+        if residual:
+            seen["residual_calls"] += 1
+            seen["residual_rows"] += len(vals)
+        return real_pass(vals, prob, mu=mu, potential=potential, residual=residual)
 
     monkeypatch.setattr(solvers._System, "jacobians", jacobians)
     monkeypatch.setattr(solvers, "_block_search", search)
-    for module in (solvers, functional, operators):
-        monkeypatch.setattr(module, "_residual_rows", residual_rows)
+    monkeypatch.setattr(operators, "_stack_pass", stack_pass)
     return seen
 
 

@@ -24,8 +24,8 @@ from pklap.analysis import (
     rng_for,
 )
 from pklap.core import EvaluationError, ExponentFunction, Problem
-from pklap.functional import _action_rows
 from pklap.nonlinearities import make_example3, make_power
+from pklap.operators import _stack_pass
 from test_lockstep import _same_bits
 from test_shared_loops import _well_nl2
 
@@ -45,7 +45,7 @@ def _directions(seed, count, m, n=1):
 
 
 def _mus(prob, V, t):
-    return _action_rows(t[:, None, None] * V, prob)[0]
+    return _stack_pass(t[:, None, None] * V, prob, mu=True)[0]
 
 
 def _assert_on_the_level(prob, V, r, radii):
@@ -182,18 +182,18 @@ def test_level_radii_of_no_directions():
 
 
 def _spy_stack_pass(monkeypatch, record):
-    """Calls record(vals) on every stack analysis passes to _stack_pass."""
-    real = analysis._stack_pass
+    """Calls record(vals) on every stack analysis passes to _checked_pass."""
+    real = analysis._checked_pass
 
     def spy(vals, prob, **outputs):
         record(vals)
         return real(vals, prob, **outputs)
 
-    monkeypatch.setattr(analysis, "_stack_pass", spy)
+    monkeypatch.setattr(analysis, "_checked_pass", spy)
 
 
 def _count_stack_calls(monkeypatch):
-    """The sizes of the stacks analysis passes to _stack_pass."""
+    """The sizes of the stacks analysis passes to _checked_pass."""
     calls = []
     _spy_stack_pass(monkeypatch, lambda vals: calls.append(len(vals)))
     return calls

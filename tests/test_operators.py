@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pklap.operators as operators
 from pklap.core import (
     EvaluationError,
     ExponentFunction,
@@ -9,8 +10,8 @@ from pklap.core import (
     Problem,
 )
 from pklap.analysis import _level_radii
-from pklap.functional import _action_rows, mu
-from pklap.nonlinearities import make_builtin
+from pklap.functional import mu
+from pklap.nonlinearities import make_builtin, make_example3
 from pklap.operators import _phi_rows, _residual_rows, _stack_pass, phi_p, residual_values
 
 
@@ -282,8 +283,8 @@ def _mu_problem(m, p, n=1):
 def test_mu_is_finite_where_the_square_of_a_difference_overflows():
     """At m = 2, p = 1.5, u = (0, 1e160): |Delta u|^2 = 1e320 overflows, but
     mu = 2 (1e160)^1.5 / 1.5 is a double."""
-    mus, _, mu_ok, _ = _action_rows(np.array([[[0.0], [1e160]]]), _mu_problem(2, [1.5, 1.5]))
-    assert mu_ok[0]
+    mus = _stack_pass(np.array([[[0.0], [1e160]]]), _mu_problem(2, [1.5, 1.5]), mu=True)[0]
+    assert np.isfinite(mus[0])
     assert mus[0] == pytest.approx(2.0 * 1e240 / 1.5, rel=1e-12)
 
 
@@ -322,3 +323,28 @@ def test_mu_rows_keep_their_bits_beside_scaled_rows(n):
         plain = np.add.reduce(norms**p / p, axis=1)
     assert plain[[0, 2, 6]].tobytes() == mus[[0, 2, 6]].tobytes()
     assert not np.isfinite(plain[1])
+
+
+def test_potential_pass_takes_no_difference_norms(monkeypatch):
+    """Only mu and the residual off p = 2 read the norms of the
+    differences: a potential-only pass at p = (2, 2.5, 3, 2) takes none,
+    and gives the bits of the pass that also takes mu."""
+    prob = Problem(m=4, n=1, exponent=ExponentFunction(np.array([2.0, 2.5, 3.0, 2.0])),
+                   nonlinearity=make_example3(4)[0], lam=1.0)
+    stack = np.random.default_rng(5).normal(size=(6, 4, 1))
+    calls = []
+    real = operators._entry_norms
+
+    def spy(d):
+        calls.append(d.shape)
+        return real(d)
+
+    monkeypatch.setattr(operators, "_entry_norms", spy)
+    pots = _stack_pass(stack, prob, potential=True)[1]
+    assert calls == []
+    both = _stack_pass(stack, prob, mu=True, potential=True)
+    assert len(calls) == 1
+    assert pots.tobytes() == both[1].tobytes()
+    calls.clear()
+    _stack_pass(stack, prob, residual=True)
+    assert len(calls) == 1

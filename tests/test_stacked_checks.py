@@ -51,9 +51,9 @@ from pklap.core import (
     Problem,
     euclidean_norm,
 )
-from pklap.functional import _action_rows, _gradient_fd_rows, action, gradient, gradient_fd, mu, potential
+from pklap.functional import _gradient_fd_rows, action, gradient, gradient_fd, mu, potential
 from pklap.nonlinearities import BuiltinSpec, make_builtin, make_example3, make_power
-from pklap.operators import _stack_pass
+from pklap.operators import _checked_pass, _stack_pass
 from test_lockstep import BUILTINS, _problem, _same_bits
 from test_shared_loops import _well_nl2
 
@@ -149,6 +149,13 @@ EXAMPLE1 = make_builtin("example1", 4, {})
 # ---------------------------------------------------------------------------
 # The action kernel
 # ---------------------------------------------------------------------------
+
+
+def _action_rows(stack, prob):
+    """mu and the potential of each row of a stack, from one _stack_pass
+    call, and whether each is finite."""
+    mus, pots, _ = _stack_pass(stack, prob, mu=True, potential=True)
+    return mus, pots, np.isfinite(mus), np.isfinite(pots)
 
 
 def _assert_rows_match(stack, prob):
@@ -500,7 +507,7 @@ def _loop_a6(nl, g, sample_budget, seed):
         S = np.repeat(shells, rows)
         denom = np.float_power(T * S, e1) + np.float_power((1.0 - T) * S, e2)
         kept = ~(denom <= 0.0)
-        q = np.zeros(K.size)
+        q = np.full(K.size, np.nan)  # a quotient whose denominator underflows says nothing
         q[kept] = np.abs(nl.F_many(K[kept], U1[kept], U2[kept])) / denom[kept]
         trajectory = []
         last_witness = None
@@ -548,7 +555,8 @@ def _growth(m, s, r):
         pytest.param(make_power(3, 1.0, 1.0, 2.0, 2.0)[0], _growth(3, [3.0] * 3, [3.0] * 3), id="violated"),
         pytest.param(_well_nl2(3), _growth(3, [2.5, 3.0, 2.5], [3.5, 2.5, 3.0]), id="n2"),
         pytest.param(*make_power(4, 1.0, 1.0, 3.0, 3.0), id="constant_s_r"),
-        # from the shell 1e-3 on, some or all denominators underflow to 0
+        # from the shell 1e-3 on, some or all denominators underflow to 0,
+        # and their quotients are NaN
         pytest.param(*make_power(4, 1.0, 1.0, 100.0, 100.0), id="underflow"),
         # F is NaN at some samples of each shell, and on all of the last two
         pytest.param(_nan_power(4), _growth(4, [3.0] * 4, [3.0] * 4), id="nan"),
@@ -562,6 +570,16 @@ def test_a6_shells_match_point_by_point_draws(a_samples, nl, g, seed):
     got = check_growth(nl, g, seed=seed)[2:]
     ref = _loop_a6(nl, g, 400, seed)
     assert [_dumps(r) for r in got] == [_dumps(r) for r in ref]
+
+
+def test_a6_is_inconclusive_where_its_denominators_underflow():
+    """At s = r = 100 both powers of every denominator underflow from the
+    shell 1e-4 on: those shells decide nothing, so A.6 is inconclusive
+    (their quotients were 0, and A.6 held at margin 0.001)."""
+    for report in check_growth(*make_power(4, 1.0, 1.0, 100.0, 100.0))[2:]:
+        assert report.verdict == INCONCLUSIVE and report.margin == math.inf
+        quotients = report.detail["shell_quotients"]
+        assert quotients[:3] == [1.0] * 3 and all(math.isnan(q) for q in quotients[3:])
 
 
 @pytest.mark.parametrize(
@@ -756,14 +774,14 @@ def _loop_b2_b3_points(prob, r, sample_budget, seed, expand=5.0):
 
 
 def _spy_stacks(monkeypatch):
-    """Record every stack that analysis passes to the stacked pass."""
+    """Record every stack that analysis passes to the checked pass."""
     stacks = []
 
     def spy(vals, prob, **outputs):
         stacks.append(np.array(vals, copy=True))
-        return _stack_pass(vals, prob, **outputs)
+        return _checked_pass(vals, prob, **outputs)
 
-    monkeypatch.setattr(analysis, "_stack_pass", spy)
+    monkeypatch.setattr(analysis, "_checked_pass", spy)
     return stacks
 
 
